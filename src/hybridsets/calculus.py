@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from .errors import ContractError, RefinementError
 from .functions import (
@@ -24,7 +24,7 @@ from .functions import (
     evaluate,
     marked_join,
 )
-from .regions import Point, RegionAtom, Universe, Valuation, resolve_param
+from .regions import Point, RegionAtom, SymbolicHybridSet, Universe, Valuation, resolve_param
 from .refine import GeneralisedPartition, Refinement, common_strict_refinement
 
 
@@ -37,25 +37,23 @@ def _as_terms(operand) -> tuple:
 
 
 def _match_terms(terms, pieces, who: str) -> List[int]:
-    """Assign each term the index of its partition piece, bijectively."""
+    """Assign each term the index of its partition piece, bijectively:
+    equal pieces are handed out in order, one per term."""
     if len(terms) != len(pieces):
         raise RefinementError(
             f"{who} has {len(terms)} terms but the partition has {len(pieces)} pieces"
         )
-    taken = [False] * len(pieces)
+    free: Dict[SymbolicHybridSet, List[int]] = {}
+    for j in reversed(range(len(pieces))):
+        free.setdefault(pieces[j], []).append(j)
     assignment = []
     for t in terms:
-        found = None
-        for j, piece in enumerate(pieces):
-            if not taken[j] and t.region == piece:
-                found = j
-                break
-        if found is None:
+        slots = free.get(t.region)
+        if not slots:
             raise RefinementError(
                 f"{who}: term region {t.region.render()!r} is not a partition piece"
             )
-        taken[found] = True
-        assignment.append(found)
+        assignment.append(slots.pop())
     return assignment
 
 

@@ -6,68 +6,85 @@ regions, and recover everything else from the universe by subtraction.
 Which integer combinations to use is recorded in a unimodular choice
 matrix whose first row (the universe row) is all ones; its exact integer
 inverse yields the new pieces as combinations of universe and originals.
+
+Both canonical choice matrices come with their inverse in closed form, so
+a canonical refinement builds each new piece straight from the inputs
+its inverse row names, with no elimination at all.  A custom matrix is
+inverted by one fraction-free integer elimination on [A | I] (Bareiss,
+1968), which yields the determinant and the adjugate together; when the
+determinant is +-1 the inverse is +-adj.  The matrix keeps the result, so
+asking for its determinant after refining costs nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ContractError, RefinementError, UnimodularError
 from .regions import Point, RegionAtom, SymbolicHybridSet
 
+# Nonzero (column, value) pairs of each row of an inverse.
+SparseRows = Tuple[Tuple[Tuple[int, int], ...], ...]
 
-def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination."""
+
+def determinant_and_adjugate(
+    rows: Sequence[Sequence[int]],
+) -> Tuple[int, Optional[List[List[int]]]]:
+    """Determinant and adjugate of a square integer matrix, exactly.
+
+    One fraction-free Gauss-Jordan elimination on [A | I]: each step
+    replaces every other row by (p * row - a * pivot row) / q, where p is
+    the pivot, a the row's entry in the pivot column and q the previous
+    pivot; by Sylvester's identity every division is exact.  Once every
+    column has had its pivot, the left block is d * I and the right block
+    d * A^-1, where d is the last pivot, which is det A up to the sign of
+    the row swaps.  The adjugate is None when the matrix is singular:
+    elimination stops at the first column without a pivot.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ContractError("determinant needs a square matrix")
-    m = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
+    m = [[int(v) for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1] if n else 1
+        top = m[k]
+        p = top[k]
+        for i, row in enumerate(m):
+            a = row[k]
+            # a row with no entry in this column is unchanged while p == prev
+            if i != k and (a or p != prev):
+                m[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return sign * prev, [[sign * v for v in row[n:]] for row in m]
+
+
+def _require_unimodular(det: int) -> None:
+    if det not in (1, -1):
+        raise UnimodularError(f"determinant is {det}, expected +1 or -1")
+
+
+def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant by fraction-free elimination."""
+    return determinant_and_adjugate(rows)[0]
 
 
 def exact_integer_inverse(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     """Inverse of a unimodular integer matrix, computed exactly.
 
-    Gauss-Jordan over Fractions; a non-integer entry in the result (only
-    possible when the determinant is not +-1) is rejected.
+    The inverse is det * adj (det being +-1), both from the one
+    elimination; any other determinant raises ``UnimodularError``.
     """
-    det = bareiss_determinant(rows)
-    if det not in (1, -1):
-        raise UnimodularError(f"determinant is {det}, expected +1 or -1")
-    n = len(rows)
-    work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if work[r][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = Fraction(1) / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    out = []
-    for row in work:
-        tail = row[n:]
-        assert all(v.denominator == 1 for v in tail)
-        out.append([int(v) for v in tail])
-    return out
+    det, adj = determinant_and_adjugate(rows)
+    _require_unimodular(det)
+    return [[det * v for v in row] for row in adj]
 
 
 def min_refinement_size(sizes: Sequence[int]) -> int:
@@ -100,23 +117,55 @@ class ChoiceMatrix:
         if n and any(v != 1 for v in self.entries[0]):
             raise ContractError("first row of a choice matrix must be all ones")
 
+    @classmethod
+    def _with_inverse(cls, entries, row_labels, col_labels, inverse: SparseRows):
+        """A determinant-1 matrix whose inverse is already known."""
+        choice = cls(entries, row_labels, col_labels)
+        object.__setattr__(choice, "_solution", (1, inverse))
+        return choice
+
+    @cached_property
+    def _solution(self) -> Tuple[int, Optional[SparseRows]]:
+        """(determinant, sparse inverse rows), the rows only when unimodular."""
+        det, adj = determinant_and_adjugate(self.entries)
+        if det not in (1, -1):
+            return det, None
+        return det, tuple(tuple((i, det * v) for i, v in enumerate(row) if v) for row in adj)
+
     @property
     def size(self) -> int:
         return len(self.entries)
 
     def determinant(self) -> int:
-        return bareiss_determinant(self.entries)
+        return self._solution[0]
+
+    def _inverse_rows(self) -> SparseRows:
+        """The nonzero (column, value) pairs of each row of ``inverse()``."""
+        det, rows = self._solution
+        _require_unimodular(det)
+        return rows
 
     def inverse(self) -> Tuple[Tuple[int, ...], ...]:
         """Exact integer inverse; row j says how new piece j combines the
-        universe and kept originals, so it has no all-ones constraint."""
-        return tuple(tuple(r) for r in exact_integer_inverse(self.entries))
+        universe and kept originals, so it has no all-ones constraint.
+
+        Canonical matrices carry it in closed form; any other matrix gets it
+        from one fraction-free elimination, done once per matrix."""
+        out = []
+        for row in self._inverse_rows():
+            dense = [0] * self.size
+            for i, v in row:
+                dense[i] = v
+            out.append(tuple(dense))
+        return tuple(out)
 
     def render(self) -> str:
-        width = max(len(str(v)) for row in self.entries for v in row)
+        values = set().union(*self.entries)
+        width = max(len(str(v)) for v in values)
+        cell = {v: str(v).rjust(width) for v in values}
         lines = []
         for label, row in zip(self.row_labels, self.entries):
-            cells = " ".join(str(v).rjust(width) for v in row)
+            cells = " ".join(map(cell.__getitem__, row))
             lines.append(f"{label}: [{cells}]")
         return "\n".join(lines)
 
@@ -130,22 +179,22 @@ def canonical_choice_matrix(
     style: str = STYLE_ONES_TOP,
     row_labels: Optional[Sequence[str]] = None,
 ) -> ChoiceMatrix:
-    """The two canonical unimodular choices.
+    """The two canonical unimodular choices, with their inverses in closed form.
 
     ``ones-top-row``: identity below an all-ones first row; its inverse has
-    first row 1, -1, ..., -1.  ``full-upper-triangle``: ones on and above
-    the diagonal; its inverse is the bidiagonal with a -1 band above the
-    diagonal.
+    first row 1, -1, ..., -1 and the identity below.
+    ``full-upper-triangle``: ones on and above the diagonal; its inverse is
+    the bidiagonal with a -1 band above the diagonal.  Both have
+    determinant 1, and building either costs no elimination.
     """
     n = min_refinement_size(sizes)
     if style == STYLE_ONES_TOP:
-        entries = tuple(
-            tuple(1 if (i == 0 or i == j) else 0 for j in range(n)) for i in range(n)
-        )
+        entries = ((1,) * n,) + tuple((0,) * j + (1,) + (0,) * (n - j - 1) for j in range(1, n))
+        inverse = (((0, 1),) + tuple((j, -1) for j in range(1, n)),)
+        inverse += tuple(((j, 1),) for j in range(1, n))
     elif style == STYLE_UPPER_TRIANGLE:
-        entries = tuple(
-            tuple(1 if j >= i else 0 for j in range(n)) for i in range(n)
-        )
+        entries = tuple((0,) * i + (1,) * (n - i) for i in range(n))
+        inverse = tuple(((j, 1), (j + 1, -1)) for j in range(n - 1)) + (((n - 1, 1),),)
     else:
         raise ContractError(f"unknown choice-matrix style {style!r}")
     if row_labels is None:
@@ -154,7 +203,7 @@ def canonical_choice_matrix(
             labels.extend(f"{k}.{i}" for i in range(1, size))
         row_labels = labels
     col_labels = tuple(f"P{j}" for j in range(1, n + 1))
-    return ChoiceMatrix(entries, tuple(row_labels), col_labels)
+    return ChoiceMatrix._with_inverse(entries, tuple(row_labels), col_labels, inverse)
 
 
 def _default_labels(count: int) -> Tuple[str, ...]:
@@ -185,9 +234,7 @@ class GeneralisedPartition:
         if len(self.labels) != len(self.pieces):
             raise ContractError("piece labels must match piece count")
         if not self.assumed:
-            total = SymbolicHybridSet.zero()
-            for p in self.pieces:
-                total = total + p
+            total = SymbolicHybridSet.combine((p, 1) for p in self.pieces)
             if total != SymbolicHybridSet.from_atom(self.universe):
                 raise ContractError(
                     f"pieces of {self.name!r} do not sum to the universe formally; "
@@ -230,11 +277,9 @@ class Refinement:
 
     def rewrite(self, k: int, i: int) -> SymbolicHybridSet:
         """Piece i of partition k expanded over the new pieces."""
-        out = SymbolicHybridSet.zero()
-        for j, c in enumerate(self.coefficients[k][i]):
-            if c:
-                out = out + self.pieces[j].scale(c)
-        return out
+        return SymbolicHybridSet.combine(
+            (self.pieces[j], c) for j, c in enumerate(self.coefficients[k][i]) if c
+        )
 
     def rewrite_rows(self, k: int) -> Tuple[Tuple[int, ...], ...]:
         return self.coefficients[k]
@@ -277,7 +322,8 @@ def common_strict_refinement(
     The kept (independent) pieces are all but the last of each partition;
     the supplied or canonical choice matrix says how the new pieces combine
     into universe and kept pieces, and its exact inverse defines the new
-    pieces themselves.
+    pieces themselves: each is one merge over the nonzero entries of its
+    inverse row.
     """
     parts = list(parts)
     if not parts:
@@ -304,16 +350,10 @@ def common_strict_refinement(
         raise RefinementError(
             f"choice matrix is {choice.size}x{choice.size}, refinement needs {n}"
         )
-    inverse = choice.inverse()
-
-    pieces = []
-    for j in range(n):
-        piece = SymbolicHybridSet.zero()
-        for i in range(n):
-            c = inverse[j][i]
-            if c:
-                piece = piece + rhs[i].scale(c)
-        pieces.append(piece)
+    pieces = tuple(
+        SymbolicHybridSet.combine((rhs[i], c) for i, c in row)
+        for row in choice._inverse_rows()
+    )
 
     coefficients = []
     row = 1  # row 0 is the universe
@@ -331,7 +371,7 @@ def common_strict_refinement(
         row += kept
 
     labels = tuple(f"P{j}" for j in range(1, n + 1))
-    return Refinement(universe, tuple(parts), tuple(pieces), labels, tuple(coefficients), choice)
+    return Refinement(universe, tuple(parts), pieces, labels, tuple(coefficients), choice)
 
 
 def verify_rewrite(

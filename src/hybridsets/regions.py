@@ -213,7 +213,7 @@ class SymbolicHybridSet:
             if isinstance(coeff, bool) or not isinstance(coeff, int):
                 raise TypeError(f"coefficient must be an int, got {coeff!r}")
             known = atoms.get(atom.name)
-            if known is not None and known != atom:
+            if known is not None and known is not atom and known != atom:
                 raise ContractError(f"region name {atom.name!r} bound to two shapes")
             atoms[atom.name] = atom
             coeffs[atom.name] = checked_add(coeffs.get(atom.name, 0), coeff)
@@ -227,6 +227,15 @@ class SymbolicHybridSet:
     @classmethod
     def from_atom(cls, atom: RegionAtom, coeff: int = 1) -> "SymbolicHybridSet":
         return cls([(atom, coeff)])
+
+    @classmethod
+    def combine(cls, terms: Iterable[Tuple["SymbolicHybridSet", int]]) -> "SymbolicHybridSet":
+        """The sum of ``coeff * s`` over (s, coeff) pairs, merged in one pass."""
+        return cls(
+            (s._atoms[name], checked_mul(k, c))
+            for s, k in terms
+            for name, c in s._coeffs.items()
+        )
 
     def coefficient(self, name: str) -> int:
         return self._coeffs.get(name, 0)
@@ -248,9 +257,7 @@ class SymbolicHybridSet:
     def __add__(self, other: "SymbolicHybridSet") -> "SymbolicHybridSet":
         if not isinstance(other, SymbolicHybridSet):
             return NotImplemented
-        return SymbolicHybridSet(
-            [(a, c) for a, c in self.items()] + [(a, c) for a, c in other.items()]
-        )
+        return SymbolicHybridSet.combine(((self, 1), (other, 1)))
 
     def __sub__(self, other: "SymbolicHybridSet") -> "SymbolicHybridSet":
         if not isinstance(other, SymbolicHybridSet):
@@ -261,7 +268,7 @@ class SymbolicHybridSet:
         return self.scale(-1)
 
     def scale(self, n: int) -> "SymbolicHybridSet":
-        return SymbolicHybridSet([(a, checked_mul(n, c)) for a, c in self.items()])
+        return SymbolicHybridSet.combine(((self, n),))
 
     def __mul__(self, n: int) -> "SymbolicHybridSet":
         return self.scale(n)

@@ -333,7 +333,7 @@ def _decl_region(ws: Workspace, cur: _Cursor):
 
 
 def _parse_combo(ws: Workspace, cur: _Cursor) -> SymbolicHybridSet:
-    out = SymbolicHybridSet.zero()
+    terms = []
     sign = -1 if cur.take("-") else 1
     while True:
         cur.skip_ws()
@@ -341,14 +341,13 @@ def _parse_combo(ws: Workspace, cur: _Cursor) -> SymbolicHybridSet:
         if _NUMBER.match(cur.text, cur.pos):
             coeff = sign * cur.integer()
             cur.expect("*")
-        atom = _region_ref(ws, cur)
-        out = out + SymbolicHybridSet.from_atom(atom, coeff)
+        terms.append((_region_ref(ws, cur), coeff))
         if cur.take("+"):
             sign = 1
         elif cur.take("-"):
             sign = -1
         else:
-            return out
+            return SymbolicHybridSet(terms)
 
 
 def _decl_partition(ws: Workspace, cur: _Cursor):

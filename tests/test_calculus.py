@@ -143,6 +143,14 @@ class TestPointwiseStar:
         assert evaluate(e, F(1, 4), v) == Defined(F(5))
         assert evaluate(e, F(3, 4), v) == Defined(F(4))
 
+    def test_duplicate_regions_each_take_one_piece(self):
+        h1, h2, h3 = (constant_atom(f"h{i}", i) for i in range(1, 4))
+        left = join(term(f1, A1), term(f2, A1), term(g1, U - A1 - A1))
+        right = join(term(h1, A1), term(h2, A1), term(h3, U - A1 - A1))
+        e = pointwise_star(PLUS, left, right)
+        assert [t.word for t in e.terms] == [word(f1, h1), word(f2, h2), word(g1, h3)]
+        assert [t.region for t in e.terms] == [A1, A1, U - A1 - A1]
+
     def test_needs_a_universe_to_refine_mismatched_partitions(self):
         with pytest.raises(ContractError):
             pointwise_star(TIMES, F_EXPR, G_EXPR)

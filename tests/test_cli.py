@@ -2,10 +2,12 @@
 
 Most cases drive ``hybridsets.cli.main`` in-process and freeze the exact
 text the tool prints; a couple of smoke tests go through the installed
-console script to make sure the entry point is wired up.
+console script (or ``python -m hybridsets.cli`` on this checkout when the
+script is not installed) to make sure the entry point is wired up.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import pytest
 from hybridsets.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 PIECEWISE = str(FIXTURES / "piecewise_demo.ws")
 MATRIX = str(FIXTURES / "matrix_demo.ws")
 SPLINE = str(FIXTURES / "spline_demo.ws")
@@ -418,26 +421,30 @@ class TestExitCodes:
         capsys.readouterr()
 
 
-class TestDeterminism:
-    def _script(self):
-        path = shutil.which("hybridsets")
-        if path is None:
-            pytest.skip("console script not on PATH")
-        return path
+def console_command():
+    """The installed console script, or the module run from this checkout's
+    ``src`` when the script is not on PATH; returns (argv prefix, env)."""
+    path = shutil.which("hybridsets")
+    if path is not None:
+        return [path], None
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "hybridsets.cli"], env
 
+
+class TestDeterminism:
     def test_refine_output_is_byte_identical_across_runs(self):
-        script = self._script()
-        argv = [script, "refine", MATRIX, "M1", "M2"]
-        first = subprocess.run(argv, capture_output=True)
-        second = subprocess.run(argv, capture_output=True)
+        command, env = console_command()
+        argv = command + ["refine", MATRIX, "M1", "M2"]
+        first = subprocess.run(argv, capture_output=True, env=env)
+        second = subprocess.run(argv, capture_output=True, env=env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout  # not trivially empty
 
     def test_table_json_is_byte_identical_across_runs(self):
-        script = self._script()
-        argv = [
-            script,
+        command, env = console_command()
+        argv = command + [
             "matrix-add",
             MATRIX,
             "M1",
@@ -448,18 +455,19 @@ class TestDeterminism:
             "--format",
             "json-lines",
         ]
-        first = subprocess.run(argv, capture_output=True)
-        second = subprocess.run(argv, capture_output=True)
+        first = subprocess.run(argv, capture_output=True, env=env)
+        second = subprocess.run(argv, capture_output=True, env=env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert len(first.stdout.splitlines()) == 64
 
     def test_console_script_eval(self):
-        script = self._script()
+        command, env = console_command()
         result = subprocess.run(
-            [script, "eval", PIECEWISE, "F", "--at", "1/6", "--with", "v1"],
+            command + ["eval", PIECEWISE, "F", "--at", "1/6", "--with", "v1"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert result.stdout == "2\n"

@@ -1,6 +1,12 @@
 """Choice matrices, minimal common refinements, and strictness checks."""
 
+import os
+import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -26,9 +32,15 @@ from hybridsets import (
     rational_grid,
     verify_rewrite,
 )
-from hybridsets.refine import bareiss_determinant, exact_integer_inverse
+import hybridsets.refine as refine_module
+from hybridsets.refine import (
+    bareiss_determinant,
+    determinant_and_adjugate,
+    exact_integer_inverse,
+)
 
 F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def shs(name, lo, hi, lo_closed=True, hi_closed=True):
@@ -39,6 +51,28 @@ def shs(name, lo, hi, lo_closed=True, hi_closed=True):
 
 def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def fraction_determinant(rows):
+    """Reference determinant: plain Gaussian elimination over Fractions."""
+    m = [[F(v) for v in row] for row in rows]
+    n, det = len(m), F(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            factor = m[i][k] / m[k][k]
+            m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
+    return det
 
 
 class TestIntegerLinearAlgebra:
@@ -79,6 +113,32 @@ class TestIntegerLinearAlgebra:
             for i in range(n)
         ]
         assert product == identity(n)
+
+    def test_elimination_matches_a_fraction_reference_on_seeded_matrices(self):
+        rng = random.Random(20261018)
+        swaps = singular = 0
+        for trial in range(300):
+            n = rng.randint(1, 7)
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if trial % 3 == 0:
+                m[0][0] = 0  # the first column then needs a row swap, or has no pivot
+            if trial % 5 == 0 and n > 2:
+                m[-1] = [a - 2 * b for a, b in zip(m[0], m[1])]  # dependent rows
+            det, adj = determinant_and_adjugate(m)
+            assert det == fraction_determinant(m)
+            assert bareiss_determinant(m) == det
+            swaps += m[0][0] == 0 and any(row[0] for row in m)
+            if det == 0:
+                singular += 1
+                assert adj is None
+            else:
+                assert matmul(adj, m) == [[det * v for v in row] for row in identity(n)]
+                assert matmul(m, adj) == [[det * v for v in row] for row in identity(n)]
+        assert swaps > 50 and singular > 30
+
+    def test_empty_matrix(self):
+        assert determinant_and_adjugate([]) == (1, [])
+        assert exact_integer_inverse([]) == []
 
 
 class TestMinRefinementSize:
@@ -131,6 +191,17 @@ class TestCanonicalChoiceMatrices:
             for j in range(5):
                 expect = 1 if i == j else (-1 if j == i + 1 else 0)
                 assert inv_tri[i][j] == expect
+
+    def test_closed_forms_match_elimination_up_to_size_64(self):
+        for n in range(1, 65):
+            for style in (STYLE_ONES_TOP, STYLE_UPPER_TRIANGLE):
+                c = canonical_choice_matrix([n], style)
+                inv = c.inverse()
+                assert [list(row) for row in inv] == exact_integer_inverse(c.entries)
+                plain = ChoiceMatrix(c.entries, c.row_labels, c.col_labels)
+                assert plain == c and plain.inverse() == inv
+                assert plain.determinant() == c.determinant() == 1
+                assert matmul(c.entries, inv) == identity(n)
 
     def test_unknown_style_rejected(self):
         with pytest.raises(ContractError):
@@ -233,6 +304,28 @@ class TestCommonRefinement:
         assert r.rewrite(0, 1) == USET - A1
         assert r.rewrite(1, 0) == B1
 
+    def test_elimination_runs_once_per_custom_matrix_and_never_for_canonical(
+        self, monkeypatch
+    ):
+        calls = []
+        real = refine_module.determinant_and_adjugate
+        monkeypatch.setattr(
+            refine_module, "determinant_and_adjugate", lambda rows: calls.append(rows) or real(rows)
+        )
+        for style in (STYLE_ONES_TOP, STYLE_UPPER_TRIANGLE):
+            r = common_strict_refinement([P, Q], style=style)
+            assert (r.choice.determinant(), r.choice.size) == (1, 3)
+        assert calls == []
+        c = ChoiceMatrix(
+            ((1, 1, 1), (1, 0, 0), (1, 1, 0)),
+            ("U", "P.1", "Q.1"),
+            ("P1", "P2", "P3"),
+        )
+        common_strict_refinement([P, Q], choice=c)
+        assert c.determinant() == 1
+        assert c.inverse() == ((0, 1, 0), (0, -1, 1), (1, 0, -1))
+        assert calls == [c.entries]
+
     def test_upper_triangle_style(self):
         r = common_strict_refinement([P, Q], style=STYLE_UPPER_TRIANGLE)
         assert r.size == 3
@@ -269,6 +362,102 @@ class TestCommonRefinement:
     def test_at_least_one_partition(self):
         with pytest.raises(ContractError):
             common_strict_refinement([])
+
+
+def chain_partitions(count, pieces):
+    """``count`` partitions of U into ``pieces`` intervals each: piece i of
+    partition k is [0, a_k,i) minus [0, a_k,i-1), the last one U minus the rest."""
+    parts = []
+    for k in range(count):
+        cuts = [
+            SymbolicHybridSet.from_atom(
+                RegionAtom(f"A{k}_{i}", Interval1D(F(0), f"a{k}_{i}", hi_closed=False))
+            )
+            for i in range(1, pieces)
+        ]
+        chain = [cuts[0]] + [b - a for a, b in zip(cuts, cuts[1:])] + [USET - cuts[-1]]
+        parts.append(GeneralisedPartition(f"C{k}", U, tuple(chain)))
+    return parts
+
+
+def scrambled_choice(size, seed):
+    """A unimodular choice matrix that is neither canonical style: the
+    ones-top-row matrix after seeded row additions below the first row and
+    swaps of neighbouring columns, so elimination needs row swaps."""
+    rng = random.Random(seed)
+    m = [list(row) for row in canonical_choice_matrix([size]).entries]
+    rows = list(range(1, size))
+    rng.shuffle(rows)
+    for a, b in zip(rows[0::2], rows[1::2]):
+        c = rng.choice((-1, 1))
+        m[b] = [x + c * y for x, y in zip(m[b], m[a])]
+    perm = list(range(size))
+    for j in range(0, size - 1, 2):
+        if rng.random() < 0.5:
+            perm[j], perm[j + 1] = perm[j + 1], perm[j]
+    entries = tuple(tuple(row[p] for p in perm) for row in m)
+    return ChoiceMatrix(
+        entries, ("U",) * size, tuple(f"P{j}" for j in range(1, size + 1))
+    )
+
+
+class TestLargeRefinement:
+    # 16 partitions of 16 pieces: 16 * 15 + 1 = 241 new pieces
+    PARTS = chain_partitions(16, 16)
+
+    @pytest.mark.parametrize("style", [STYLE_ONES_TOP, STYLE_UPPER_TRIANGLE, "custom"])
+    def test_size_241_rewrites_every_piece_formally(self, style):
+        if style == "custom":
+            choice = scrambled_choice(241, 7)
+            assert choice.determinant() in (1, -1)
+            r = common_strict_refinement(self.PARTS, choice=choice)
+        else:
+            r = common_strict_refinement(self.PARTS, style=style)
+        assert r.size == len(r.pieces) == 241 == min_refinement_size([16] * 16)
+        assert SymbolicHybridSet.combine((p, 1) for p in r.pieces) == USET
+        for k, part in enumerate(self.PARTS):
+            for i, piece in enumerate(part.pieces):
+                assert r.rewrite(k, i) == piece
+
+
+class TestChecksSurviveOptimisedMode:
+    def test_non_unimodular_choices_raise_under_python_O(self):
+        code = textwrap.dedent(
+            """
+            import sys
+            from hybridsets import (
+                ChoiceMatrix, GeneralisedPartition, Interval1D, RegionAtom,
+                SymbolicHybridSet, UnimodularError, common_strict_refinement,
+            )
+            from hybridsets.refine import exact_integer_inverse
+
+            u = RegionAtom("U", Interval1D(0, 1))
+            a = SymbolicHybridSet.from_atom(RegionAtom("A", Interval1D(0, "a")))
+            part = GeneralisedPartition("P", u, (a, SymbolicHybridSet.from_atom(u) - a))
+            for entries in (((1, 1), (-1, 1)), ((1, 1), (1, 1))):
+                choice = ChoiceMatrix(entries, ("U", "P.1"), ("P1", "P2"))
+                for attempt in (
+                    lambda: common_strict_refinement([part], choice=choice),
+                    lambda: choice.inverse(),
+                    lambda: exact_integer_inverse(entries),
+                ):
+                    try:
+                        attempt()
+                        print("accepted")
+                    except UnimodularError as e:
+                        print(e)
+            print("optimize", sys.flags.optimize)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        two = "determinant is 2, expected +1 or -1"
+        zero = "determinant is 0, expected +1 or -1"
+        assert result.stdout.splitlines() == [two] * 3 + [zero] * 3 + ["optimize 1"]
 
 
 class TestStrictness:
