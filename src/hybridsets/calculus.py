@@ -1,7 +1,7 @@
 """Piecewise arithmetic over refinements, signed summation, linear operators.
 
-``pointwise_star`` is the reason the whole layering exists: combining two
-piecewise functions produces one term per refinement piece, so iterated
+``pointwise_star`` is the reason the whole layering exists: combining
+piecewise functions produces one term per refinement piece, so repeated
 combination grows linearly in the number of pieces instead of doubling the
 case analysis at every step.
 """
@@ -24,6 +24,7 @@ from .functions import (
     evaluate,
     marked_join,
 )
+from .hybridset import checked_mul
 from .regions import Point, RegionAtom, SymbolicHybridSet, Universe, Valuation, resolve_param
 from .refine import GeneralisedPartition, Refinement, common_strict_refinement
 
@@ -59,73 +60,68 @@ def _match_terms(terms, pieces, who: str) -> List[int]:
 
 def pointwise_star(
     star: StarOp,
-    f,
-    g,
+    *operands,
     refinement: Optional[Refinement] = None,
     universe: Optional[RegionAtom] = None,
 ) -> HybridExpr:
-    """Combine two piecewise operands with an AC star over a common refinement.
+    """Combine piecewise operands with an AC star over one common refinement.
 
-    Each operand must be a join of terms whose regions are exactly the pieces
-    of the matching partition recorded in the refinement.  When no refinement
-    is given and the operands share their region list, the shared partition
-    refines itself; otherwise the canonical minimal refinement is built,
-    which needs the universe atom.
+    Operand k must be a join of terms whose regions are exactly the pieces
+    of partition k of the refinement, or of its only partition when it has
+    one; any other partition count is a ``RefinementError``.  When no
+    refinement is given and all operands share their region list, the
+    shared partition refines itself; otherwise the canonical minimal
+    refinement of all the operands' partitions is built, which needs the
+    universe atom.  For r partitions of n_1..n_r pieces it has
+    (sum n_i) + 1 - r pieces.
 
     The result is a marked join with one term per refinement piece: the term
     word multiplies every operand word raised to its rewrite coefficient for
-    that piece.
+    that piece, merged in operand order.
     """
     if not star.is_ac:
         raise ContractError(f"star {star.name!r} is not declared AC")
-    f_terms, g_terms = _as_terms(f), _as_terms(g)
+    if not operands:
+        raise ContractError("pointwise_star needs at least one operand")
+    operand_terms = [_as_terms(op) for op in operands]
 
     if refinement is None:
-        f_regions = tuple(t.region for t in f_terms)
-        g_regions = tuple(t.region for t in g_terms)
-        if f_regions == g_regions:
+        regions = [tuple(t.region for t in terms) for terms in operand_terms]
+        if all(r == regions[0] for r in regions):
             universe = universe or RegionAtom("U", Universe())
-            shared = GeneralisedPartition(
-                "shared", universe, f_regions, assumed=True
-            )
+            shared = GeneralisedPartition("shared", universe, regions[0], assumed=True)
             refinement = Refinement.trivial(shared)
+        elif universe is None:
+            raise ContractError(
+                "pointwise_star needs a universe atom to build the canonical refinement"
+            )
         else:
-            if universe is None:
-                raise ContractError(
-                    "pointwise_star needs a universe atom to build the canonical refinement"
-                )
-            pf = GeneralisedPartition("lhs", universe, f_regions, assumed=True)
-            pg = GeneralisedPartition("rhs", universe, g_regions, assumed=True)
-            refinement = common_strict_refinement([pf, pg])
+            refinement = common_strict_refinement([
+                GeneralisedPartition(f"operand {k}", universe, r, assumed=True)
+                for k, r in enumerate(regions, start=1)
+            ])
 
-    if len(refinement.partitions) == 1:
-        sources = [refinement.partitions[0].pieces] * 2
-    elif len(refinement.partitions) >= 2:
-        sources = [refinement.partitions[0].pieces, refinement.partitions[1].pieces]
-    else:
-        sources = [refinement.pieces] * 2
-
-    assign_f = _match_terms(f_terms, sources[0], "left operand")
-    assign_g = _match_terms(g_terms, sources[1], "right operand")
-    coeff_f = refinement.coefficients[0]
-    coeff_g = refinement.coefficients[1] if len(refinement.coefficients) > 1 else refinement.coefficients[0]
+    count = len(refinement.partitions)
+    if count not in (1, len(operands)):
+        raise RefinementError(
+            f"{len(operands)} operands but the refinement has {count} partitions"
+        )
+    rows = []  # (term, its rewrite row over the new pieces)
+    for k, terms in enumerate(operand_terms):
+        p = k if count > 1 else 0
+        assignment = _match_terms(terms, refinement.partitions[p].pieces, f"operand {k + 1}")
+        rows.extend((t, refinement.coefficients[p][i]) for t, i in zip(terms, assignment))
 
     out_terms = []
-    for j in range(refinement.size):
-        w = FreeWord()
-        for t, i in zip(f_terms, assign_f):
-            c = coeff_f[i][j]
-            if c:
-                w = w.mul(t.word.pow(c))
-        for t, i in zip(g_terms, assign_g):
-            c = coeff_g[i][j]
-            if c:
-                w = w.mul(t.word.pow(c))
+    for j, piece in enumerate(refinement.pieces):
+        w = FreeWord(
+            (a, checked_mul(row[j], e)) for t, row in rows if row[j] for a, e in t.word.items()
+        )
         if w.is_empty:
             raise ContractError(
                 f"value word for refinement piece {refinement.labels[j]} cancelled away"
             )
-        out_terms.append(HybridTerm(w, refinement.pieces[j]))
+        out_terms.append(HybridTerm(w, piece))
     return marked_join(star, out_terms)
 
 

@@ -34,6 +34,7 @@ from .regions import (
     Interval1D,
     Valuation,
     rational_grid,
+    render_combination,
     resolve_param,
 )
 from .splines import spline_eval_region, spline_merge_with_refinement
@@ -121,20 +122,6 @@ def _outcome_json(label: str, at, out) -> dict:
     return record
 
 
-def _label_combo(row, labels) -> str:
-    parts = []
-    for coeff, label in zip(row, labels):
-        if coeff == 0:
-            continue
-        mag = abs(coeff)
-        body = label if mag == 1 else f"{mag}*{label}"
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(parts) if parts else "0"
-
-
 def _cmd_eval(args) -> int:
     ws = _load(args.workspace)
     if args.expr in ws.exprs:
@@ -163,7 +150,7 @@ def _cmd_refine(args) -> int:
     for k, part in enumerate(parts):
         for i, lab in enumerate(part.labels):
             row = refinement.coefficients[k][i]
-            print(f"  {part.name}.{lab} = {_label_combo(row, refinement.labels)}")
+            print(f"  {part.name}.{lab} = {render_combination(zip(refinement.labels, row))}")
     choice = refinement.choice
     print(f"choice matrix (det {choice.determinant()}):")
     for line in choice.render().splitlines():

@@ -67,7 +67,8 @@ class FreeWord:
     """Element of the free abelian group over function atoms.
 
     Exponents are kept in insertion order for readable output; equality
-    ignores order.  A zero exponent is dropped as soon as it appears.
+    ignores order.  A zero exponent is dropped as soon as it appears, so an
+    atom that cancels and then comes back is listed last.
     """
 
     __slots__ = ("_exps", "_atoms")
@@ -82,9 +83,13 @@ class FreeWord:
             if known is not None and known != a:
                 raise ContractError(f"atom name {a.name!r} bound to two definitions")
             atoms[a.name] = a
-            exps[a.name] = checked_add(exps.get(a.name, 0), k)
-        self._exps = {n: k for n, k in exps.items() if k != 0}
-        self._atoms = {n: atoms[n] for n in self._exps}
+            total = checked_add(exps.get(a.name, 0), k)
+            if total:
+                exps[a.name] = total
+            else:
+                exps.pop(a.name, None)
+        self._exps = exps
+        self._atoms = {n: atoms[n] for n in exps}
 
     @classmethod
     def from_atom(cls, a: FunctionAtom, exp: int = 1) -> "FreeWord":
@@ -227,27 +232,17 @@ class HybridExpr:
 
 def join(*parts) -> HybridExpr:
     """Plain join.  Terms with identical value words merge by region sum."""
-    merged: Dict[FreeWord, SymbolicHybridSet] = {}
-    order = []
+    terms = []
     for part in parts:
         if isinstance(part, HybridExpr):
             if part.is_marked:
                 raise ContractError("cannot splice a marked join into a plain join")
-            items = part.terms
+            terms.extend(part.terms)
         elif isinstance(part, HybridTerm):
-            items = (part,)
+            terms.append(part)
         else:
             raise TypeError(f"join expects terms or expressions, got {part!r}")
-        for t in items:
-            if t.word in merged:
-                merged[t.word] = merged[t.word] + t.region
-            else:
-                merged[t.word] = t.region
-                order.append(t.word)
-    terms = tuple(
-        HybridTerm(w, merged[w]) for w in order if not merged[w].is_zero
-    )
-    return HybridExpr(None, terms)
+    return reduce_formally(HybridExpr(None, tuple(terms)))
 
 
 def marked_join(star: StarOp, terms: Iterable[HybridTerm]) -> HybridExpr:
@@ -373,6 +368,15 @@ def _eval_plain(e, point, valuation) -> EvalOutcome:
     raise NonEvaluableError(f"hybrid relation at point: values {detail}")
 
 
+def _star_power(star: StarOp, v, k: int):
+    """v combined with itself k >= 1 times under an AC star, by repeated
+    squaring: O(log k) applications, whatever the size of k."""
+    if k == 1:
+        return v
+    half = _star_power(star, star.apply(v, v), k >> 1)
+    return star.apply(half, v) if k & 1 else half
+
+
 def _eval_marked(e, point, valuation) -> EvalOutcome:
     net, surviving, atoms = _accumulate(e, point, valuation)
     if net == 0:
@@ -391,16 +395,13 @@ def _eval_marked(e, point, valuation) -> EvalOutcome:
             f"residual exponents {residue} and star {star.name!r} has no inverse"
         )
     if star.apply is not None and all(not atoms[n].is_opaque for n in surviving):
-        values = []
+        acc = None
         for name, k in surviving.items():
             v = atoms[name].value(point, valuation)
             if k < 0:
-                v = star.invert(v)
-                k = -k
-            values.extend([v] * k)
-        acc = values[0]
-        for v in values[1:]:
-            acc = star.apply(acc, v)
+                v, k = star.invert(v), -k
+            v = _star_power(star, v, k)
+            acc = v if acc is None else star.apply(acc, v)
         return Defined(acc, net)
     combo = FreeWord([(atoms[n], k) for n, k in surviving.items()])
     return Defined(FormalValue(combo, star), net)

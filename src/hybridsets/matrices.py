@@ -140,7 +140,7 @@ def matrix_add_with_refinement(
     refinement = common_strict_refinement(
         [m1.partition(universe), m2.partition(universe)]
     )
-    expr = pointwise_star(star, m1.expr(), m2.expr(), refinement)
+    expr = pointwise_star(star, m1.expr(), m2.expr(), refinement=refinement)
     return expr, refinement
 
 

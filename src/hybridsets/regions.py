@@ -199,6 +199,22 @@ def indicator(atom: RegionAtom, point: Point, valuation: Optional[Valuation] = N
     return atom.indicator(point, valuation)
 
 
+def render_combination(pairs: Iterable[Tuple[str, int]]) -> str:
+    """Render ordered (name, coefficient) pairs as a signed sum, such as
+    ``A + 2*B - C``; zero coefficients are skipped and an empty sum is 0."""
+    parts = []
+    for name, coeff in pairs:
+        if coeff == 0:
+            continue
+        mag = abs(coeff)
+        body = name if mag == 1 else f"{mag}*{name}"
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(parts) if parts else "0"
+
+
 class SymbolicHybridSet:
     """Formal integer combination of region atoms, the symbolic face of a hybrid set."""
 
@@ -293,19 +309,10 @@ class SymbolicHybridSet:
         return hash(frozenset(self._coeffs.items()))
 
     def render(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        ordered = sorted(self._coeffs.items(), key=lambda kv: (kv[1] < 0, kv[0]))
-        for name, coeff in ordered:
-            atom = self._atoms[name]
-            mag = abs(coeff)
-            body = atom.name if mag == 1 else f"{mag}*{atom.name}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts)
+        """Positive coefficients first, then negative ones, each by name."""
+        return render_combination(
+            sorted(self._coeffs.items(), key=lambda kv: (kv[1] < 0, kv[0]))
+        )
 
     __str__ = render
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from functools import reduce
+from typing import Optional, Tuple, Union
 
 from .calculus import pointwise_star
 from .errors import ContractError
@@ -51,10 +52,11 @@ class SegmentAtom(FunctionAtom):
 
 @dataclass(frozen=True)
 class SegmentMerge:
-    """A pairwise merge: the result spans the intersection of the operands."""
+    """A pairwise merge: the result spans the intersection of the operands.
+    Either operand may itself be a merge, so ``reduce`` merges many."""
 
-    left: SegmentAtom
-    right: SegmentAtom
+    left: Union[SegmentAtom, "SegmentMerge"]
+    right: Union[SegmentAtom, "SegmentMerge"]
 
     def knot_interval(self, valuation: Optional[Valuation]) -> Tuple[Fraction, Fraction]:
         l_lo, l_hi = self.left.knot_interval(valuation)
@@ -134,7 +136,7 @@ def spline_merge_with_refinement(
     # canonical order puts the leftover piece first; present it last
     order = list(range(1, refinement.size)) + [0]
     refinement = refinement.reordered(order)
-    expr = pointwise_star(MERGE, s.expr(), t.expr(), refinement)
+    expr = pointwise_star(MERGE, s.expr(), t.expr(), refinement=refinement)
     return expr, refinement
 
 
@@ -187,24 +189,15 @@ def spline_eval_region(
     value = out.value
     if not isinstance(value, FormalValue):
         raise ContractError(f"merge evaluation produced a scalar {value!r}")
-    residual = False
-    lo = hi = None
-    for a, k in value.combination.items():
-        if not isinstance(a, SegmentAtom) or k != 1:
-            residual = True
-            continue
-        a_lo, a_hi = a.knot_interval(valuation)
-        lo = a_lo if lo is None else max(lo, a_lo)
-        hi = a_hi if hi is None else min(hi, a_hi)
-    interval = (lo, hi) if lo is not None and hi is not None else None
-    empty = interval is not None and lo > hi
-    degenerate = interval is not None and lo == hi
+    items = value.combination.items()
+    segments = [a for a, k in items if isinstance(a, SegmentAtom) and k == 1]
+    interval = reduce(SegmentMerge, segments).knot_interval(valuation) if segments else None
     return SplineRegionValue(
         defined=True,
         segments=value.combination,
         interval=interval,
         multiplicity=out.multiplicity,
-        residual=residual,
-        empty=empty,
-        degenerate=degenerate,
+        residual=len(segments) < len(items),
+        empty=interval is not None and interval[0] > interval[1],
+        degenerate=interval is not None and interval[0] == interval[1],
     )

@@ -472,3 +472,49 @@ def test_criterion_9_linear_vs_exponential(capsys):
                 out = evaluate(expr, x, None)
                 assert out is not UNDEFINED
                 assert out.value == oracle.classical_eval(want, x)
+
+
+def test_criterion_10_library_builds_the_linear_join(capsys):
+    with criterion(capsys, 10, "ten steps through pointwise_star: 11 terms vs oracle", budget=5.0):
+        n = 10
+        rng = random.Random(190010)
+        u_atom = RegionAtom("U", Interval1D(F(0), F(20)))
+        u = SymbolicHybridSet.from_atom(u_atom)
+        amps = [rng.randint(-9, 9) or 1 for _ in range(n)]
+        steps = []
+        for i, amp in enumerate(amps, start=1):
+            region = interval_region(f"R{i}", f"k{i}", F(20), lo_closed=False)
+            steps.append(join(term(constant_atom(f"z{i}", 0), u - region),
+                              term(constant_atom(f"a{i}", amp), region)))
+        nary = pointwise_star(PLUS, *steps, universe=u_atom)
+        folded = steps[0]
+        for step in steps[1:]:
+            folded = pointwise_star(PLUS, folded, step, universe=u_atom)
+        sizes = [len(step.terms) for step in steps]
+        assert len(nary.terms) == len(folded.terms) == min_refinement_size(sizes) == n + 1
+
+        grid = oracle.rational_grid_points(F(0), F(20), 80)
+        for _ in range(6):
+            # knots on the half-integers, which are grid points, drawn from
+            # four values so that several knots tie
+            pool = rng.sample(range(41), 4)
+            knots = [F(rng.choice(pool), 2) for _ in range(n)]
+            want = oracle.constant_piecewise(grid, F(0))
+            for k, amp in zip(knots, amps):
+                step = oracle.ClassicalPiecewise(
+                    grid,
+                    (
+                        (frozenset(x for x in grid if x <= k), lambda x: F(0)),
+                        (
+                            frozenset(x for x in grid if x > k),
+                            (lambda a: lambda x: F(a))(amp),
+                        ),
+                    ),
+                )
+                want = oracle.classical_star(operator.add, want, step)
+            v = Valuation({f"k{i}": k for i, k in enumerate(knots, start=1)})
+            for expr in (nary, folded):
+                for x in grid:
+                    out = evaluate(expr, x, v)
+                    assert out is not UNDEFINED and out.multiplicity == 1
+                    assert out.value == oracle.classical_eval(want, x)

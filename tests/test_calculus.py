@@ -16,6 +16,7 @@ from hybridsets import (
     PLUS,
     RefinementError,
     RegionAtom,
+    STYLE_UPPER_TRIANGLE,
     StarOp,
     SymbolicHybridSet,
     TIMES,
@@ -150,6 +151,50 @@ class TestPointwiseStar:
         e = pointwise_star(PLUS, left, right)
         assert [t.word for t in e.terms] == [word(f1, h1), word(f2, h2), word(g1, h3)]
         assert [t.region for t in e.terms] == [A1, A1, U - A1 - A1]
+
+    def test_three_operands_over_a_shared_partition(self):
+        h1 = constant_atom("h1", 3)
+        h2 = constant_atom("h2", 4)
+        other = join(term(h1, A1), term(h2, U - A1))
+        e = pointwise_star(PLUS, F_EXPR, other, F_EXPR)
+        assert [t.word for t in e.terms] == [word((f1, 2), h1), word((f2, 2), h2)]
+        assert [t.region for t in e.terms] == [A1, U - A1]
+        v = Valuation({"a": F(1, 2)})
+        assert evaluate(e, F(1, 4), v) == Defined(F(7))
+        assert evaluate(e, F(3, 4), v) == Defined(F(4))
+
+    def test_operand_count_must_match_the_refinement(self):
+        p = GeneralisedPartition("F", U_ATOM, (A1, U - A1))
+        q = GeneralisedPartition("G", U_ATOM, (B1, U - B1))
+        three = common_strict_refinement([p, q, p])
+        with pytest.raises(RefinementError):
+            pointwise_star(TIMES, F_EXPR, G_EXPR, refinement=three)
+        with pytest.raises(ContractError):
+            pointwise_star(TIMES)
+
+    def test_an_atom_that_cancels_and_returns_is_listed_last(self):
+        # In piece A2 - B1 the x of left piece 1 cancels against the
+        # inverted left piece 3 and comes back with right piece 3.
+        def below(name, param):
+            return SymbolicHybridSet.from_atom(
+                RegionAtom(name, Interval1D(F(0), param, hi_closed=False))
+            )
+
+        a2, b2 = below("A2", "c"), below("B2", "d")
+        x, y, z, w = (constant_atom(n, i) for i, n in enumerate("xyzw", start=1))
+        left = join(term(x, A1), term(y, a2), term(word(x, w), U - A1 - a2))
+        right = join(term(z, B1), term(w, b2), term(word(x, z), U - B1 - b2))
+        parts = [
+            GeneralisedPartition(name, U_ATOM, tuple(t.region for t in op.terms), assumed=True)
+            for name, op in (("L", left), ("R", right))
+        ]
+        refinement = common_strict_refinement(parts, style=STYLE_UPPER_TRIANGLE)
+        e = pointwise_star(PLUS, left, right, refinement=refinement)
+        assert e.render() == (
+            "(x^2 + w + z)^{U - A1} ⊛+ (x^2 + z)^{A1 - A2} "
+            "⊛+ (y + w^-1 + x + z)^{A2 - B1} ⊛+ (y + w^-1 + z)^{B1 - B2} "
+            "⊛+ (y + x^-1)^{B2}"
+        )
 
     def test_needs_a_universe_to_refine_mismatched_partitions(self):
         with pytest.raises(ContractError):

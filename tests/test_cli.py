@@ -81,6 +81,12 @@ class TestEval:
         assert code == 0
         assert out == "4 (multiplicity 2)\n"
 
+    def test_exponent_written_in_few_digits_evaluates_quickly(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "eval", PIECEWISE, "mjoin(+, (f1^1000000000000000000)^U)", "--at", "1/2"
+        )
+        assert (code, out) == (0, "2000000000000000000\n")
+
     def test_json_lines_defined(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -1,5 +1,6 @@
 """Value words, joins, marked joins, evaluation, and the join laws."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from hybridsets import (
     OpacityError,
     PLUS,
     RegionAtom,
+    StarOp,
     SymbolicHybridSet,
     TIMES,
     UNDEFINED,
@@ -86,6 +88,10 @@ class TestFreeWord:
         assert word(g, f).render() == "g * f"
         assert word((f, 2), g).render(" + ") == "f^2 + g"
         assert FreeWord().render() == "1"
+
+    def test_an_atom_that_cancels_and_returns_goes_last(self):
+        assert FreeWord([(f, 1), (g, 1), (f, -1), (f, 1)]).render() == "g * f"
+        assert word(f, g, (f, -1), f) == word(f, g)
 
     def test_same_name_two_bodies_rejected(self):
         with pytest.raises(ContractError):
@@ -217,6 +223,27 @@ class TestMarkedEvaluation:
         out = evaluate(e, F(1, 2))
         assert out.value == -F(1) + 2 * F(11, 2)
         assert out.multiplicity == 1
+
+    @pytest.mark.parametrize("k", [10**18, -10**18])
+    def test_huge_exponent_costs_log_k_star_applications(self, k):
+        e = marked_join(PLUS, [term(word((f, k)), A)])
+        start = time.perf_counter()
+        out = evaluate(e, F(3, 4))
+        assert time.perf_counter() - start < 1.0
+        assert out == Defined(k * F(3, 2), 1)
+
+    def test_powers_match_repeated_application(self):
+        ratio = StarOp("x", apply=lambda a, b: a * b, unit=F(1), invert=lambda v: 1 / v)
+        three_halves = constant_atom("t", F(3, 2))
+        for star in (PLUS, ratio):
+            for k in range(1, 41):
+                for sign in (1, -1):
+                    e = marked_join(star, [term(word((three_halves, sign * k)), A)])
+                    v = F(3, 2) if sign > 0 else star.invert(F(3, 2))
+                    want = v
+                    for _ in range(k - 1):
+                        want = star.apply(want, v)
+                    assert evaluate(e, F(1, 2)) == Defined(want, 1)
 
     def test_opaque_atoms_stay_a_formal_combination(self):
         e = marked_join(MERGE, [term(u_op, A), term(v_op, A)])
