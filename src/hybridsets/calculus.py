@@ -198,7 +198,8 @@ class KarrSum:
     summand: FunctionAtom
 
 
-def _int_bound(value, valuation) -> int:
+def summation_bound(value, valuation) -> int:
+    """A summation bound, resolved through the valuation; it must be an integer."""
     resolved = resolve_param(value if isinstance(value, str) else Fraction(value), valuation)
     if resolved.denominator != 1:
         raise ContractError(f"summation bound {resolved} is not an integer")
@@ -208,8 +209,8 @@ def _int_bound(value, valuation) -> int:
 def karr_sum(s: KarrSum, valuation: Optional[Valuation] = None) -> Fraction:
     """Sum over lower <= i < upper, with the reversed-bounds convention
     that swapping the bounds negates the sum."""
-    lo = _int_bound(s.lower, valuation)
-    hi = _int_bound(s.upper, valuation)
+    lo = summation_bound(s.lower, valuation)
+    hi = summation_bound(s.upper, valuation)
     sign = 1
     if lo > hi:
         lo, hi, sign = hi, lo, -1
@@ -242,8 +243,8 @@ def karr_split_check(
         f"{f.name}'", func=lambda x, v: f.value(x + 1, v) - f.value(x, v)
     )
     tele = karr_sum(KarrSum(mid, upper, step), valuation)
-    direct = f.value(Fraction(_int_bound(upper, valuation)), valuation) - f.value(
-        Fraction(_int_bound(mid, valuation)), valuation
+    direct = f.value(Fraction(summation_bound(upper, valuation)), valuation) - f.value(
+        Fraction(summation_bound(mid, valuation)), valuation
     )
     report.checked += 1
     if tele != direct:

@@ -5,6 +5,12 @@ refinements, add block matrices, merge splines, or run identity checks.
 Output is deterministic text (or json-lines for evaluation tables); exit
 status is 0 on success, 1 when a check or evaluation fails, 2 on usage or
 parse errors.
+
+One size cap, ``SIZE_CAP``, bounds the work a command does for its input
+text: the cells of ``matrix-add --table``, the universe grid cells of
+``check partition``, the ``--grid`` count of ``check invert``, ``check
+linear`` and ``check partition``, and the span of ``check karr --bounds``
+once they are resolved.  A request above it exits 2.
 """
 
 from __future__ import annotations
@@ -22,10 +28,12 @@ from .calculus import (
     linear_operator,
     linearity_report,
     star_inverse_identity_check,
+    summation_bound,
 )
 from .errors import ContractError, HybridError, ParseError
 from .functions import BUILTIN_STARS, FormalValue, UNDEFINED
 from .functions import evaluate as eval_expr
+from .hybridset import render_element
 from .matrices import matrix_add_with_refinement, matrix_eval_cell
 from .refine import STYLE_ONES_TOP, STYLE_UPPER_TRIANGLE, common_strict_refinement
 from .regions import (
@@ -41,6 +49,7 @@ from .splines import spline_eval_region, spline_merge_with_refinement
 from .workspace import Workspace, parse_expr_text, parse_term_text, parse_workspace
 
 DEFAULT_GRID = "-5,5,101"
+SIZE_CAP = 4096
 
 
 class _Usage(Exception):
@@ -89,16 +98,13 @@ def _point(text: str):
         raise _Usage(f"bad point {text!r}: {e}") from None
 
 
-def _point_text(p) -> str:
-    if isinstance(p, tuple):
-        return "(" + ", ".join(str(c) for c in p) + ")"
-    return str(p)
-
-
 def _grid(spec: str):
     try:
         lo, hi, count = spec.split(",")
-        return rational_grid(Fraction(lo), Fraction(hi), int(count), include_hi=True)
+        lo, hi, count = Fraction(lo), Fraction(hi), int(count)
+        if count > SIZE_CAP:
+            raise ValueError(f"count {count} is above the cap of {SIZE_CAP} points")
+        return rational_grid(lo, hi, count, include_hi=True)
     except (ValueError, ZeroDivisionError, ContractError) as e:
         raise _Usage(f"bad grid {spec!r}: {e}") from None
 
@@ -114,7 +120,7 @@ def _outcome_text(out) -> str:
 
 
 def _outcome_json(label: str, at, out) -> dict:
-    record = {"expr": label, "at": _point_text(at), "defined": out is not UNDEFINED}
+    record = {"expr": label, "at": render_element(at), "defined": out is not UNDEFINED}
     if out is not UNDEFINED:
         v = out.value
         record["value"] = v.render() if isinstance(v, FormalValue) else str(v)
@@ -183,8 +189,8 @@ def _cmd_matrix_add(args) -> int:
         if rows.denominator != 1 or cols.denominator != 1:
             raise _Usage("matrix dimensions must resolve to integers")
         rows, cols = int(rows), int(cols)
-        if rows * cols > 4096:
-            raise _Usage("table too large; cap is 4096 cells")
+        if rows * cols > SIZE_CAP:
+            raise _Usage(f"table too large; cap is {SIZE_CAP} cells")
         for i in range(1, rows + 1):
             for j in range(1, cols + 1):
                 out = matrix_eval_cell(expr, i, j, v)
@@ -217,8 +223,12 @@ def _cmd_check_karr(args) -> int:
     chunks = args.bounds.split(",")
     if len(chunks) != 3:
         raise _Usage(f"bad bounds {args.bounds!r}: expected lower,mid,upper")
-    bounds = [int(c) if _is_int(c) else c.strip() for c in chunks]
-    report = karr_split_check(f, bounds[0], bounds[1], bounds[2], v)
+    lower, mid, upper = (int(c) if _is_int(c) else c.strip() for c in chunks)
+    # resolved in the order karr_split_check resolves them, so errors match
+    ends = [summation_bound(b, v) for b in (lower, upper, mid)]
+    if max(ends) - min(ends) > SIZE_CAP:
+        raise _Usage(f"summation span too large; cap is {SIZE_CAP} terms")
+    report = karr_split_check(f, lower, mid, upper, v)
     print(report.render())
     return 0 if report.passed else 1
 
@@ -276,8 +286,8 @@ def _partition_sample(part, valuation, grid_spec: str):
         r1 = _int_hi(resolve_param(shape.row_hi, valuation), shape.row_hi_closed)
         c0 = _int_lo(resolve_param(shape.col_lo, valuation), shape.col_lo_closed)
         c1 = _int_hi(resolve_param(shape.col_hi, valuation), shape.col_hi_closed)
-        if (r1 - r0 + 1) * (c1 - c0 + 1) > 4096:
-            raise _Usage("universe grid too large; cap is 4096 cells")
+        if (r1 - r0 + 1) * (c1 - c0 + 1) > SIZE_CAP:
+            raise _Usage(f"universe grid too large; cap is {SIZE_CAP} cells")
         return [
             (Fraction(i), Fraction(j))
             for i in range(r0, r1 + 1)

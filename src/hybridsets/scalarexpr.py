@@ -1,17 +1,118 @@
-"""Tiny exact-arithmetic expression language for function-atom bodies.
+"""The package's one text scanner, and the exact-arithmetic body language.
 
-Grammar: integers, named parameters, the distinguished variable ``x``,
+``Cursor`` reads workspace lines, inline expression and term text, and
+function-atom bodies.  Tokens are separated by spaces and tabs; names are
+ASCII (``[A-Za-z_][A-Za-z0-9_]*``), numbers are ``-?\\d+(/\\d+)?`` with no
+inner spaces, and a coefficient or exponent literal, with its sign, must
+fit in a signed 64-bit word.
+
+Body grammar: integers, named parameters, the distinguished variable ``x``,
 the four operations ``+ - * /``, unary minus and parentheses.  Rationals
 are written as divisions (``2/3``), so every value stays a Fraction.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import ContractError, ParseError, ValuationError
+from .hybridset import INT64_MAX, INT64_MIN
+
+_SPACE = re.compile(r"[ \t]*")
+# Each token pattern also takes the whitespace after the token, so one
+# match moves the cursor on to the next token; group 1 is the token.
+_IDENT = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)[ \t]*")
+_NUMBER = re.compile(r"(-?\d+(?:/\d+)?)[ \t]*")
+_INTEGER = re.compile(r"(-?\d+)[ \t]*")
+
+
+class Cursor:
+    """Scanner over one line that reports 1-based columns in errors.
+
+    ``pos`` always rests on the next token: whitespace is skipped once,
+    when the cursor is made and right after each token is consumed.
+    ``line_no`` is None for text that is not a workspace line.
+    """
+
+    def __init__(self, text: str, line_no: Optional[int] = None):
+        self.text = text
+        self.line_no = line_no
+        self._advance(0)
+
+    def _advance(self, end: int):
+        self.pos = _SPACE.match(self.text, end).end()
+
+    def error(self, message: str, pos: Optional[int] = None):
+        at = self.pos if pos is None else pos
+        raise ParseError(message, self.line_no, at + 1)
+
+    def finish(self):
+        """Fail unless every token has been consumed."""
+        if self.pos < len(self.text):
+            self.error("unexpected trailing input")
+
+    def take(self, literal: str) -> bool:
+        if self.text.startswith(literal, self.pos):
+            self._advance(self.pos + len(literal))
+            return True
+        return False
+
+    def take_any(self, chars: str) -> Optional[str]:
+        """The one of ``chars`` found at the cursor, consumed, or None."""
+        for ch in chars:
+            if self.take(ch):
+                return ch
+        return None
+
+    def expect(self, literal: str):
+        if not self.take(literal):
+            self.error(f"expected {literal!r}")
+
+    def scan(self, pattern: re.Pattern) -> Optional[str]:
+        """The text ``pattern`` matches at the cursor, consumed, or None."""
+        m = pattern.match(self.text, self.pos)
+        if m is None:
+            return None
+        self.pos = m.end()
+        return m.group(1)
+
+    def _token(self, pattern: re.Pattern, what: str) -> str:
+        text = self.scan(pattern)
+        if text is None:
+            self.error(f"expected {what}")
+        return text
+
+    def ident(self, what: str = "a name") -> str:
+        return self._token(_IDENT, what)
+
+    def take_word(self, wanted: str) -> bool:
+        m = _IDENT.match(self.text, self.pos)
+        if m is None or m.group(1) != wanted:
+            return False
+        self.pos = m.end()
+        return True
+
+    def expect_word(self, wanted: str):
+        if not self.take_word(wanted):
+            self.error(f"expected {wanted!r}")
+
+    def at_number(self) -> bool:
+        return _NUMBER.match(self.text, self.pos) is not None
+
+    def number(self) -> Fraction:
+        return Fraction(self._token(_NUMBER, "a number"))
+
+    def integer(self, sign: int) -> int:
+        """The integer literal at the cursor times ``sign``, 1 or -1 (a minus
+        written as its own token), which must fit in a signed 64-bit word."""
+        start = self.pos
+        k = sign * int(self._token(_INTEGER, "an integer"))
+        if not INT64_MIN <= k <= INT64_MAX:
+            self.error(f"integer {k} leaves the 64-bit range", start)
+        return k
 
 
 @dataclass(frozen=True)
@@ -38,97 +139,42 @@ class BinOp:
 
 BodyExpr = Union[Num, Ref, Neg, BinOp]
 
-_TOKEN_KINDS = {"+", "-", "*", "/", "(", ")"}
+
+def read_scalar(cur: Cursor) -> BodyExpr:
+    """A body expression read from ``cur``, which is left on the next token."""
+    node = _term(cur)
+    while op := cur.take_any("+-"):
+        node = BinOp(op, node, _term(cur))
+    return node
 
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_KINDS:
-            tokens.append((ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("num", i, text[i:j]))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", i, text[i:j]))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r} in expression", column=i)
-    return tokens
+def _term(cur: Cursor) -> BodyExpr:
+    node = _factor(cur)
+    while op := cur.take_any("*/"):
+        node = BinOp(op, node, _factor(cur))
+    return node
 
 
-class _Parser:
-    def __init__(self, tokens, text):
-        self.tokens = tokens
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expression ended early in {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def expr(self):
-        node = self.term()
-        while self.peek() and self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            node = BinOp(op, node, self.term())
+def _factor(cur: Cursor) -> BodyExpr:
+    if cur.take("-"):
+        return Neg(_factor(cur))
+    if cur.take("+"):
+        return _factor(cur)
+    if cur.take("("):
+        node = read_scalar(cur)
+        cur.expect(")")
         return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() and self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self):
-        tok = self.take()
-        if tok[0] == "-":
-            return Neg(self.factor())
-        if tok[0] == "+":
-            return self.factor()
-        if tok[0] == "num":
-            return Num(Fraction(tok[2]))
-        if tok[0] == "name":
-            return Ref(tok[2])
-        if tok[0] == "(":
-            node = self.expr()
-            closing = self.take()
-            if closing[0] != ")":
-                raise ParseError(f"expected ')' in {self.text!r}", column=closing[1])
-            return node
-        raise ParseError(f"unexpected {tok[0]!r} in {self.text!r}", column=tok[1])
+    # a leading '-' was taken above, so this reads unsigned digits
+    digits = cur.scan(_INTEGER)
+    if digits is not None:
+        return Num(Fraction(digits))
+    return Ref(cur.ident("a number, a name or '('"))
 
 
 def parse_scalar(text: str) -> BodyExpr:
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty expression")
-    parser = _Parser(tokens, text)
-    node = parser.expr()
-    leftover = parser.peek()
-    if leftover is not None:
-        raise ParseError(f"trailing input in {text!r}", column=leftover[1])
+    cur = Cursor(text)
+    node = read_scalar(cur)
+    cur.finish()
     return node
 
 

@@ -21,13 +21,11 @@ that parses back to an equal workspace.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import scalarexpr
-from .errors import ContractError, ParseError
+from .errors import ContractError
 from .functions import (
     BUILTIN_STARS,
     FreeWord,
@@ -38,6 +36,7 @@ from .functions import (
     join,
     marked_join,
 )
+from .hybridset import render_element
 from .matrices import SymbolicBlockMatrix, block_matrix_2x2, grid_universe
 from .refine import GeneralisedPartition
 from .regions import (
@@ -51,10 +50,8 @@ from .regions import (
     Valuation,
     render_param,
 )
+from .scalarexpr import Cursor
 from .splines import SymbolicSpline
-
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER = re.compile(r"-?\d+(?:/\d+)?")
 
 
 @dataclass
@@ -85,83 +82,6 @@ class Workspace:
         )
 
 
-class _Cursor:
-    """Single-line scanner that reports 1-based columns in errors."""
-
-    def __init__(self, text: str, line_no: int):
-        self.text = text
-        self.line_no = line_no
-        self.pos = 0
-
-    def error(self, message: str, pos: Optional[int] = None):
-        at = self.pos if pos is None else pos
-        raise ParseError(message, self.line_no, at + 1)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str):
-        if not self.take(literal):
-            self.error(f"expected {literal!r}")
-
-    def ident(self, what: str = "a name") -> str:
-        self.skip_ws()
-        m = _IDENT.match(self.text, self.pos)
-        if not m:
-            self.error(f"expected {what}")
-        self.pos = m.end()
-        return m.group()
-
-    def peek_word(self) -> Optional[str]:
-        self.skip_ws()
-        m = _IDENT.match(self.text, self.pos)
-        return m.group() if m else None
-
-    def take_word(self, wanted: str) -> bool:
-        if self.peek_word() == wanted:
-            self.ident()
-            return True
-        return False
-
-    def number(self) -> Fraction:
-        self.skip_ws()
-        m = _NUMBER.match(self.text, self.pos)
-        if not m:
-            self.error("expected a number")
-        self.pos = m.end()
-        return Fraction(m.group())
-
-    def integer(self) -> int:
-        self.skip_ws()
-        m = re.compile(r"-?\d+").match(self.text, self.pos)
-        if not m:
-            self.error("expected an integer")
-        self.pos = m.end()
-        return int(m.group())
-
-    def rest(self) -> str:
-        self.skip_ws()
-        out = self.text[self.pos :]
-        self.pos = len(self.text)
-        return out
-
-
 _REGISTRIES = {
     "param": "params",
     "atom": "atoms",
@@ -174,7 +94,7 @@ _REGISTRIES = {
 }
 
 
-def _register(ws: Workspace, kind: str, name: str, value, cur: _Cursor, pos: int):
+def _register(ws: Workspace, kind: str, name: str, value, cur: Cursor, pos: int):
     registry = getattr(ws, _REGISTRIES[kind])
     if name in registry:
         cur.error(f"duplicate {kind} name {name!r}", pos)
@@ -182,40 +102,26 @@ def _register(ws: Workspace, kind: str, name: str, value, cur: _Cursor, pos: int
     ws.decls.append((kind, name))
 
 
-def _param(ws: Workspace, cur: _Cursor) -> Param:
-    cur.skip_ws()
-    pos = cur.pos
-    if _NUMBER.match(cur.text, cur.pos):
+def _param(ws: Workspace, cur: Cursor) -> Param:
+    if cur.at_number():
         return cur.number()
+    pos = cur.pos
     name = cur.ident("a number or parameter name")
     if name not in ws.params:
         cur.error(f"unresolved name {name!r}", pos)
     return name
 
 
-def _region_ref(ws: Workspace, cur: _Cursor) -> RegionAtom:
-    cur.skip_ws()
+def _lookup(cur: Cursor, registry: dict, what: str):
     pos = cur.pos
-    name = cur.ident("a region name")
-    atom = ws.regions.get(name)
-    if atom is None:
+    name = cur.ident(what)
+    if name not in registry:
         cur.error(f"unresolved name {name!r}", pos)
-    return atom
+    return registry[name]
 
 
-def _atom_ref(ws: Workspace, cur: _Cursor) -> FunctionAtom:
-    cur.skip_ws()
-    pos = cur.pos
-    name = cur.ident("a function name")
-    a = ws.atoms.get(name)
-    if a is None:
-        cur.error(f"unresolved name {name!r}", pos)
-    return a
-
-
-def _decl_param(ws: Workspace, cur: _Cursor):
+def _decl_param(ws: Workspace, cur: Cursor):
     while True:
-        cur.skip_ws()
         pos = cur.pos
         name = cur.ident()
         _register(ws, "param", name, None, cur, pos)
@@ -223,18 +129,13 @@ def _decl_param(ws: Workspace, cur: _Cursor):
             break
 
 
-def _decl_fn(ws: Workspace, cur: _Cursor):
-    cur.skip_ws()
+def _decl_fn(ws: Workspace, cur: Cursor):
     pos = cur.pos
     name = cur.ident()
     body = None
     if cur.take("="):
-        cur.skip_ws()
         start = cur.pos
-        try:
-            body = scalarexpr.parse_scalar(cur.rest())
-        except ParseError as e:
-            cur.error(e.args[0], start + (e.column or 0))
+        body = scalarexpr.read_scalar(cur)
         for ref in _body_names(body):
             if ref != "x" and ref not in ws.params:
                 cur.error(f"unresolved name {ref!r} in body", start)
@@ -252,28 +153,27 @@ def _body_names(body):
         yield from _body_names(body.right)
 
 
-def _parse_range(ws: Workspace, cur: _Cursor):
-    """``lo..hi`` (closed) or bracketed ``[lo..hi)`` style."""
-    lo_closed = hi_closed = True
-    bracketed = False
-    if cur.take("["):
-        bracketed = True
-    elif cur.take("("):
-        bracketed, lo_closed = True, False
+def _parse_bounds(ws: Workspace, cur: Cursor, sep: str):
+    """``lo<sep>hi`` between brackets: ``[``/``]`` closed, ``(``/``)`` open.
+
+    An interval (sep ``,``) needs the brackets; a range (sep ``..``) may go
+    without them and is then closed at both ends.
+    """
+    opener = cur.take_any("[(")
+    if opener is None and sep == ",":
+        cur.error("expected '[' or '('")
     lo = _param(ws, cur)
-    cur.expect("..")
+    cur.expect(sep)
     hi = _param(ws, cur)
-    if bracketed:
-        if cur.take("]"):
-            pass
-        elif cur.take(")"):
-            hi_closed = False
-        else:
-            cur.error("expected ']' or ')'")
-    return lo, hi, lo_closed, hi_closed
+    if opener is None:
+        return lo, hi, True, True
+    closer = cur.take_any("])")
+    if closer is None:
+        cur.error("expected ']' or ')'")
+    return lo, hi, opener == "[", closer == "]"
 
 
-def _parse_point(cur: _Cursor):
+def _parse_point(cur: Cursor):
     if cur.take("("):
         a = cur.number()
         cur.expect(",")
@@ -283,34 +183,18 @@ def _parse_point(cur: _Cursor):
     return cur.number()
 
 
-def _parse_shape(ws: Workspace, cur: _Cursor):
-    cur.skip_ws()
+def _parse_shape(ws: Workspace, cur: Cursor):
     pos = cur.pos
     kind = cur.ident("a shape")
     if kind == "universe":
         return Universe()
     if kind == "interval":
-        if cur.take("["):
-            lo_closed = True
-        elif cur.take("("):
-            lo_closed = False
-        else:
-            cur.error("expected '[' or '('")
-        lo = _param(ws, cur)
-        cur.expect(",")
-        hi = _param(ws, cur)
-        if cur.take("]"):
-            hi_closed = True
-        elif cur.take(")"):
-            hi_closed = False
-        else:
-            cur.error("expected ']' or ')'")
-        return Interval1D(lo, hi, lo_closed, hi_closed)
+        return Interval1D(*_parse_bounds(ws, cur, ","))
     if kind == "rect":
         cur.expect("(")
-        r_lo, r_hi, r_lc, r_hc = _parse_range(ws, cur)
+        r_lo, r_hi, r_lc, r_hc = _parse_bounds(ws, cur, "..")
         cur.expect(",")
-        c_lo, c_hi, c_lc, c_hc = _parse_range(ws, cur)
+        c_lo, c_hi, c_lc, c_hc = _parse_bounds(ws, cur, "..")
         cur.expect(")")
         return GridRect(r_lo, r_hi, c_lo, c_hi, r_lc, r_hc, c_lc, c_hc)
     if kind == "points":
@@ -323,8 +207,7 @@ def _parse_shape(ws: Workspace, cur: _Cursor):
     cur.error(f"unknown shape {kind!r}", pos)
 
 
-def _decl_region(ws: Workspace, cur: _Cursor):
-    cur.skip_ws()
+def _decl_region(ws: Workspace, cur: Cursor):
     pos = cur.pos
     name = cur.ident()
     cur.expect("=")
@@ -332,16 +215,15 @@ def _decl_region(ws: Workspace, cur: _Cursor):
     _register(ws, "region", name, RegionAtom(name, shape), cur, pos)
 
 
-def _parse_combo(ws: Workspace, cur: _Cursor) -> SymbolicHybridSet:
+def _parse_combo(ws: Workspace, cur: Cursor) -> SymbolicHybridSet:
     terms = []
     sign = -1 if cur.take("-") else 1
     while True:
-        cur.skip_ws()
         coeff = sign
-        if _NUMBER.match(cur.text, cur.pos):
-            coeff = sign * cur.integer()
+        if cur.at_number():
+            coeff = cur.integer(sign)
             cur.expect("*")
-        terms.append((_region_ref(ws, cur), coeff))
+        terms.append((_lookup(cur, ws.regions, "a region name"), coeff))
         if cur.take("+"):
             sign = 1
         elif cur.take("-"):
@@ -350,15 +232,12 @@ def _parse_combo(ws: Workspace, cur: _Cursor) -> SymbolicHybridSet:
             return SymbolicHybridSet(terms)
 
 
-def _decl_partition(ws: Workspace, cur: _Cursor):
-    cur.skip_ws()
+def _decl_partition(ws: Workspace, cur: Cursor):
     pos = cur.pos
     name = cur.ident()
-    if not cur.take_word("of"):
-        cur.error("expected 'of'")
-    universe = _region_ref(ws, cur)
+    cur.expect_word("of")
+    universe = _lookup(cur, ws.regions, "a region name")
     cur.expect("=")
-    cur.skip_ws()
     body_pos = cur.pos
     pieces = [_parse_combo(ws, cur)]
     while cur.take(","):
@@ -371,13 +250,13 @@ def _decl_partition(ws: Workspace, cur: _Cursor):
     _register(ws, "partition", name, part, cur, pos)
 
 
-def _parse_word(ws: Workspace, cur: _Cursor) -> FreeWord:
+def _parse_word(ws: Workspace, cur: Cursor) -> FreeWord:
     if not cur.take("("):
-        return FreeWord.from_atom(_atom_ref(ws, cur))
+        return FreeWord.from_atom(_lookup(cur, ws.atoms, "a function name"))
     entries = []
     while True:
-        a = _atom_ref(ws, cur)
-        k = cur.integer() if cur.take("^") else 1
+        a = _lookup(cur, ws.atoms, "a function name")
+        k = cur.integer(1) if cur.take("^") else 1
         entries.append((a, k))
         if not cur.take("*"):
             break
@@ -385,8 +264,7 @@ def _parse_word(ws: Workspace, cur: _Cursor) -> FreeWord:
     return FreeWord(entries)
 
 
-def _parse_term(ws: Workspace, cur: _Cursor) -> HybridTerm:
-    cur.skip_ws()
+def _parse_term(ws: Workspace, cur: Cursor) -> HybridTerm:
     pos = cur.pos
     w = _parse_word(ws, cur)
     cur.expect("^")
@@ -394,25 +272,24 @@ def _parse_term(ws: Workspace, cur: _Cursor) -> HybridTerm:
         region = _parse_combo(ws, cur)
         cur.expect(")")
     else:
-        region = SymbolicHybridSet.from_atom(_region_ref(ws, cur))
+        region = SymbolicHybridSet.from_atom(_lookup(cur, ws.regions, "a region name"))
     try:
         return HybridTerm(w, region)
     except ContractError as e:
         cur.error(str(e), pos)
 
 
-def _parse_star(cur: _Cursor) -> StarOp:
-    cur.skip_ws()
+def _parse_star(cur: Cursor) -> StarOp:
     pos = cur.pos
-    for token in ("+", "*", "⋈"):
-        if cur.take(token):
-            return BUILTIN_STARS[token]
+    token = cur.take_any("+*⋈")
+    if token is not None:
+        return BUILTIN_STARS[token]
     if cur.take_word("merge"):
         return BUILTIN_STARS["merge"]
     cur.error("expected a star operation (+, *, merge)", pos)
 
 
-def _parse_expr_body(ws: Workspace, cur: _Cursor) -> HybridExpr:
+def _parse_expr_body(ws: Workspace, cur: Cursor) -> HybridExpr:
     if cur.take_word("join"):
         cur.expect("(")
         if cur.take(")"):
@@ -434,8 +311,7 @@ def _parse_expr_body(ws: Workspace, cur: _Cursor) -> HybridExpr:
     return join(_parse_term(ws, cur))
 
 
-def _decl_expr(ws: Workspace, cur: _Cursor):
-    cur.skip_ws()
+def _decl_expr(ws: Workspace, cur: Cursor):
     pos = cur.pos
     name = cur.ident()
     cur.expect("=")
@@ -443,31 +319,26 @@ def _decl_expr(ws: Workspace, cur: _Cursor):
     _register(ws, "expr", name, e, cur, pos)
 
 
-def _decl_matrix(ws: Workspace, cur: _Cursor):
-    cur.skip_ws()
+def _decl_matrix(ws: Workspace, cur: Cursor):
     pos = cur.pos
     name = cur.ident()
     cur.expect("=")
-    if not cur.take_word("dims"):
-        cur.error("expected 'dims'")
+    cur.expect_word("dims")
     cur.expect("(")
     rows = _param(ws, cur)
     cur.expect(",")
     cols = _param(ws, cur)
     cur.expect(")")
-    if not cur.take_word("split"):
-        cur.error("expected 'split'")
+    cur.expect_word("split")
     cur.expect("(")
     row_split = _param(ws, cur)
     cur.expect(",")
     col_split = _param(ws, cur)
     cur.expect(")")
-    if not cur.take_word("blocks"):
-        cur.error("expected 'blocks'")
+    cur.expect_word("blocks")
     cur.expect("(")
     names = []
     for i in range(4):
-        cur.skip_ws()
         npos = cur.pos
         block = cur.ident("a block name")
         if block in ws.regions or block in ws.atoms or block in names:
@@ -487,13 +358,11 @@ def _decl_matrix(ws: Workspace, cur: _Cursor):
     ws.partitions[name] = mat.partition(grid_universe(rows, cols))
 
 
-def _decl_spline(ws: Workspace, cur: _Cursor):
-    cur.skip_ws()
+def _decl_spline(ws: Workspace, cur: Cursor):
     pos = cur.pos
     name = cur.ident()
     cur.expect("=")
-    if not cur.take_word("knots"):
-        cur.error("expected 'knots'")
+    cur.expect_word("knots")
     cur.expect("(")
     knots = [_param(ws, cur)]
     while cur.take(","):
@@ -506,14 +375,12 @@ def _decl_spline(ws: Workspace, cur: _Cursor):
     _register(ws, "spline", name, sp, cur, pos)
 
 
-def _decl_valuation(ws: Workspace, cur: _Cursor):
-    cur.skip_ws()
+def _decl_valuation(ws: Workspace, cur: Cursor):
     pos = cur.pos
     name = cur.ident()
     cur.expect(":")
     values = {}
     while True:
-        cur.skip_ws()
         ppos = cur.pos
         pname = cur.ident("a parameter name")
         if pname not in ws.params:
@@ -543,33 +410,29 @@ def parse_workspace(text: str) -> Workspace:
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        cur = _Cursor(line, line_no)
-        cur.skip_ws()
+        cur = Cursor(line, line_no)
         start = cur.pos
         keyword = cur.ident("a declaration keyword")
         handler = _HANDLERS.get(keyword)
         if handler is None:
             cur.error(f"unknown declaration {keyword!r}", start)
         handler(ws, cur)
-        if not cur.at_end():
-            cur.error("unexpected trailing input")
+        cur.finish()
     return ws
 
 
 def parse_expr_text(ws: Workspace, text: str) -> HybridExpr:
     """An expression body alone, as it appears in command-line arguments."""
-    cur = _Cursor(text, None)
+    cur = Cursor(text)
     e = _parse_expr_body(ws, cur)
-    if not cur.at_end():
-        cur.error("unexpected trailing input")
+    cur.finish()
     return e
 
 
 def parse_term_text(ws: Workspace, text: str) -> HybridTerm:
-    cur = _Cursor(text, None)
+    cur = Cursor(text)
     t = _parse_term(ws, cur)
-    if not cur.at_end():
-        cur.error("unexpected trailing input")
+    cur.finish()
     return t
 
 
@@ -581,12 +444,6 @@ def _render_range(lo, hi, lo_closed, hi_closed) -> str:
     if lo_closed and hi_closed:
         return body
     return ("[" if lo_closed else "(") + body + ("]" if hi_closed else ")")
-
-
-def _render_point(p) -> str:
-    if isinstance(p, tuple):
-        return "(" + ", ".join(str(Fraction(c)) for c in p) + ")"
-    return str(Fraction(p))
 
 
 def render_shape(shape) -> str:
@@ -608,7 +465,7 @@ def render_shape(shape) -> str:
         )
         return f"rect({rows}, {cols})"
     if isinstance(shape, FinitePointSet):
-        return "points(" + ", ".join(_render_point(p) for p in shape.points) + ")"
+        return "points(" + ", ".join(render_element(p) for p in shape.points) + ")"
     raise TypeError(f"not a shape: {shape!r}")
 
 

@@ -10,12 +10,15 @@ import json
 import os
 import shutil
 import subprocess
+import signal
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hybridsets.cli import main
+from hybridsets.cli import SIZE_CAP, main
+from hybridsets.hybridset import render_element
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -425,6 +428,124 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def run_cli_within_a_second(capsys, *argv):
+    """run_cli, stopped with TimeoutError if it is still running after 1 s.
+
+    A build without the size cap would run for hours and, on a grid, grow
+    its memory with the count; the alarm keeps such a failure cheap.
+    """
+
+    def stop(signum, frame):
+        raise TimeoutError("the command was still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return run_cli(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestSizeCap:
+    UNIVERSE_WS = (
+        "region U = universe\nregion A = interval[0, 1)\npartition P of U = A, U - A\n"
+    )
+
+    @pytest.mark.parametrize("count", [SIZE_CAP + 1, 10**8, 10**18])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check", "invert", STEPS, "--term", "one^P"],
+            ["check", "linear", STEPS, "--term", "one^P"],
+            ["check", "partition", "UNIVERSE", "P"],
+        ],
+    )
+    def test_grid_count_above_the_cap_is_a_usage_error(
+        self, capsys, tmp_path, command, count
+    ):
+        ws = tmp_path / "universe.ws"
+        ws.write_text(self.UNIVERSE_WS)
+        argv = [str(ws) if arg == "UNIVERSE" else arg for arg in command]
+        code, out, err = run_cli_within_a_second(capsys, *argv, "--grid", f"0,10,{count}")
+        assert code == 2
+        # check linear prints its operator report before it reads the grid
+        assert "one^P" not in out
+        assert err == (
+            f"error: bad grid '0,10,{count}': "
+            f"count {count} is above the cap of {SIZE_CAP} points\n"
+        )
+
+    def test_grid_count_at_the_cap_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "linear", STEPS, "--term", "one^P", "--grid", f"0,10,{SIZE_CAP}"
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == f"sum over one^P = {SIZE_CAP}"
+
+    @pytest.mark.parametrize(
+        "bounds, valuation",
+        [
+            ("0,100000000,5", None),
+            (f"0,0,{SIZE_CAP + 1}", None),
+            ("k1,k2,k1", "k1 = 0, k2 = 1000000000000000000"),
+        ],
+    )
+    def test_karr_span_above_the_cap_is_a_usage_error(self, capsys, bounds, valuation):
+        extra = ["--with", valuation] if valuation else []
+        code, out, err = run_cli_within_a_second(
+            capsys, "check", "karr", STEPS, "--summand", "sq", "--bounds", bounds, *extra
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: summation span too large; cap is {SIZE_CAP} terms\n"
+
+    def test_karr_span_at_the_cap_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "karr", STEPS, "--summand", "lin", "--bounds", f"0,{SIZE_CAP},0"
+        )
+        assert code == 0
+        assert out == "signed-sum identities for 'lin': OK (2 checks)\n"
+
+
+class TestIntegerLiterals:
+    def test_inline_exponent_outside_64_bits_is_a_parse_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", PIECEWISE, "mjoin(+, (f1^99999999999999999999)^U)", "--at", "1/2"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: integer 99999999999999999999 leaves the 64-bit range\n"
+
+    def test_workspace_coefficient_outside_64_bits_is_a_parse_error(self, capsys, tmp_path):
+        ws = tmp_path / "big.ws"
+        ws.write_text(
+            "region U = interval[0, 1)\nregion A = interval[0, 1/2)\n"
+            "partition P of U = 99999999999999999999*A, U\n"
+        )
+        code, _, err = run_cli(capsys, "refine", str(ws), "P")
+        assert code == 2
+        assert err == (
+            "error: line 3, col 20: integer 99999999999999999999 leaves the 64-bit range\n"
+        )
+
+    def test_in_range_exponents_that_overflow_together_exit_1(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "eval",
+            PIECEWISE,
+            "mjoin(+, (f1^9223372036854775807 * f1)^U)",
+            "--at",
+            "1/2",
+        )
+        assert code == 1
+        assert "leaves the 64-bit range" in err
+
+
+def test_points_render_the_same_everywhere():
+    # json-lines "at" fields and points(...) shapes both go through render_element
+    cases = [Fraction(-1, 2), 3, (Fraction(1, 2), Fraction(2)), (1, 2)]
+    assert [render_element(p) for p in cases] == ["-1/2", "3", "(1/2, 2)", "(1, 2)"]
 
 
 def console_command():

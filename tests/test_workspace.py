@@ -1,12 +1,16 @@
 """Workspace text: parsing, canonical rendering, and error positions."""
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridsets import (
     FinitePointSet,
+    MultiplicityOverflowError,
     GridRect,
     Interval1D,
     ParseError,
@@ -15,6 +19,7 @@ from hybridsets import (
     parse_workspace,
     render_workspace,
 )
+from hybridsets.scalarexpr import parse_scalar
 from hybridsets.workspace import parse_expr_text, parse_term_text
 
 F = Fraction
@@ -250,3 +255,126 @@ class TestRendering:
             "matrix M1 = dims(n, m) split(h1, k1) blocks(A1, B1, C1, D1)"
             in render_workspace(ws).splitlines()
         )
+
+
+# A token the scanner must never see split: a number such as -1/2, the
+# range mark "..", a name, or any other single character.
+_TOKEN = re.compile(r"-?\d+(?:/\d+)?|\.\.|[A-Za-z_][A-Za-z0-9_]*|\S")
+_CANONICAL = {
+    name: render_workspace(parse_fixture(name))
+    for name in ("matrix_demo.ws", "piecewise_demo.ws", "spline_demo.ws", "steps_demo.ws")
+}
+
+
+class TestScanner:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(_CANONICAL)), data=st.data())
+    def test_respaced_canonical_text_parses_to_an_equal_workspace(self, name, data):
+        canonical = _CANONICAL[name]
+        lines = []
+        for line in canonical.splitlines():
+            tokens = list(_TOKEN.finditer(line))
+            out = data.draw(st.text(" \t", max_size=2))
+            for prev, tok in zip([None] + tokens, tokens):
+                if prev is not None:
+                    spaced = prev.end() < tok.start()
+                    out += data.draw(st.text(" \t", min_size=int(spaced), max_size=3))
+                out += tok.group()
+            lines.append(out + data.draw(st.text(" \t", max_size=2)))
+        respaced = parse_workspace("\n".join(lines))
+        assert respaced == parse_workspace(canonical)
+        assert render_workspace(respaced) == canonical
+
+    PRELUDE = (
+        "param a, n, m, h, k\nregion U = interval[0, 1)\n"
+        "region A = interval[0, a)\nfn f = 1\n"
+    )
+
+    # one malformed line per declaration kind, after the four-line prelude
+    @pytest.mark.parametrize(
+        "line, message, column",
+        [
+            ("param a2, 1b", "expected a name", 11),
+            ("fn 1f = x", "expected a name", 4),
+            ("region I = interval[0, 1", "expected ']' or ')'", 25),
+            ("region I = interval 0, 1)", "expected '[' or '('", 21),
+            ("region R = rect(1..h, 1..)", "expected a number or parameter name", 26),
+            ("region R = rect([1..h, 1..k)", "expected ']' or ')'", 22),
+            ("region Q = points(0, (1, ))", "expected a number", 26),
+            ("region Q = circle(0)", "unknown shape 'circle'", 12),
+            ("partition P of U = A,, U - A", "expected a region name", 22),
+            ("partition P of U = A, 2/3*U", "expected '*'", 24),
+            ("expr E = mjoin(-, f^A)", "expected a star operation (+, *, merge)", 16),
+            ("matrix M = dims(n, m) split(h, k) blocks(A2, B2, C2)", "expected ','", 52),
+            ("spline S = knots(a b)", "expected ')'", 20),
+            ("valuation v: a == 1", "expected a number", 17),
+        ],
+    )
+    def test_malformed_lines_report_message_line_and_column(self, line, message, column):
+        with pytest.raises(ParseError) as exc:
+            parse_workspace(self.PRELUDE + line)
+        err = exc.value
+        assert (err.line, err.column) == (5, column)
+        assert str(err) == f"line 5, col {column}: {message}"
+
+    def test_malformed_inline_expression_has_a_column_but_no_line(self):
+        ws = parse_workspace(self.PRELUDE)
+        with pytest.raises(ParseError) as exc:
+            parse_expr_text(ws, "mjoin(+, (f^2 * )^A)")
+        err = exc.value
+        assert (str(err), err.line, err.column) == ("expected a function name", None, 17)
+
+    @pytest.mark.parametrize("body", ["2 +", "(x", "", "x )", "2x"])
+    def test_fn_body_errors_stay_parse_errors_on_their_line(self, body):
+        with pytest.raises(ParseError) as exc:
+            parse_workspace(f"param a\nfn f = {body}")
+        assert exc.value.line == 2
+        with pytest.raises(ParseError):
+            parse_scalar(body)
+
+    @pytest.mark.parametrize("body", ["x\v+ 1", "x\xa0+ 1", "é", "x²"])
+    def test_bodies_take_only_ascii_names_and_space_or_tab(self, body):
+        with pytest.raises(ParseError):
+            parse_scalar(body)
+
+    def test_body_constants_are_not_capped_at_64_bits(self):
+        ws = parse_workspace("fn f = 99999999999999999999 * x")
+        assert ws.atoms["f"].value(F(2)) == 199999999999999999998
+
+    @pytest.mark.parametrize(
+        "line, column",
+        [
+            ("partition P of U = 99999999999999999999*A, U", 20),
+            ("partition P of U = A, U - 9223372036854775809*A", 27),
+            ("partition P of U = A, U - -9223372036854775808*A", 27),
+            ("expr E = join((f^99999999999999999999)^A)", 18),
+            ("expr E = join((f^-9223372036854775809)^A)", 18),
+        ],
+    )
+    def test_integer_literals_outside_64_bits_are_parse_errors(self, line, column):
+        with pytest.raises(ParseError) as exc:
+            parse_workspace(self.PRELUDE + line)
+        assert (exc.value.line, exc.value.column) == (5, column)
+        assert "leaves the 64-bit range" in str(exc.value)
+
+    def test_a_coefficient_of_minus_2_to_the_63_round_trips(self):
+        # the minus is its own token, so the literal after it may be 2**63
+        ws = parse_workspace(
+            self.PRELUDE + "expr E = join(f^(U - 9223372036854775807*A - A))"
+        )
+        rendered = render_workspace(ws)
+        assert "expr E = join(f^(U - 9223372036854775808*A))" in rendered.splitlines()
+        assert parse_workspace(rendered) == ws
+
+    def test_the_64_bit_limits_themselves_are_accepted(self):
+        ws = parse_workspace(
+            self.PRELUDE
+            + "expr E = join((f^9223372036854775807)^A, (f^-9223372036854775808)^U)"
+        )
+        assert ws.exprs["E"].terms[0].word.exponent("f") == 2**63 - 1
+
+    def test_in_range_literals_that_overflow_together_stay_overflow_errors(self):
+        with pytest.raises(MultiplicityOverflowError):
+            parse_workspace(
+                self.PRELUDE + "expr E = join((f^9223372036854775807 * f)^A)"
+            )
