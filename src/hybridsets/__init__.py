@@ -64,6 +64,7 @@ from .functions import (
     atom,
     constant_atom,
     evaluate,
+    evaluate_many,
     graph_function,
     hybrid_graph,
     is_reducible,

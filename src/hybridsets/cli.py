@@ -31,7 +31,7 @@ from .calculus import (
     summation_bound,
 )
 from .errors import ContractError, HybridError, ParseError
-from .functions import BUILTIN_STARS, FormalValue, UNDEFINED
+from .functions import BUILTIN_STARS, FormalValue, UNDEFINED, evaluate_many
 from .functions import evaluate as eval_expr
 from .hybridset import render_element
 from .matrices import matrix_add_with_refinement, matrix_eval_cell
@@ -191,15 +191,15 @@ def _cmd_matrix_add(args) -> int:
         rows, cols = int(rows), int(cols)
         if rows * cols > SIZE_CAP:
             raise _Usage(f"table too large; cap is {SIZE_CAP} cells")
-        for i in range(1, rows + 1):
-            for j in range(1, cols + 1):
-                out = matrix_eval_cell(expr, i, j, v)
-                if args.format == "json-lines":
-                    print(json.dumps(
-                        _outcome_json(f"{args.m1}+{args.m2}", (i, j), out),
-                        sort_keys=True, ensure_ascii=False))
-                else:
-                    print(f"({i}, {j}): {_outcome_text(out)}")
+        cells = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
+        points = ((Fraction(i), Fraction(j)) for i, j in cells)
+        for (i, j), out in zip(cells, evaluate_many(expr, points, v)):
+            if args.format == "json-lines":
+                print(json.dumps(
+                    _outcome_json(f"{args.m1}+{args.m2}", (i, j), out),
+                    sort_keys=True, ensure_ascii=False))
+            else:
+                print(f"({i}, {j}): {_outcome_text(out)}")
     return 0
 
 

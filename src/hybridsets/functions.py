@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from . import scalarexpr
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     OpacityError,
 )
 from .hybridset import HybridSet, checked_add, checked_mul
-from .regions import Point, SymbolicHybridSet, Valuation
+from .regions import IndicatorTable, Point, SymbolicHybridSet, Valuation
 
 
 @dataclass(frozen=True)
@@ -316,13 +316,13 @@ class Defined:
 EvalOutcome = Union[Defined, _Undefined]
 
 
-def _accumulate(e: HybridExpr, point: Point, valuation: Optional[Valuation]):
-    """Net region multiplicity and combined exponent vector at a point."""
+def _accumulate(e: HybridExpr, multiplicities: Iterable[int]):
+    """Net region multiplicity and combined exponent vector, from the terms'
+    region multiplicities, which are drawn one term at a time."""
     net = 0
     exps: Dict[str, int] = {}
     atoms: Dict[str, FunctionAtom] = {}
-    for t in e.terms:
-        m = t.region.multiplicity(point, valuation)
+    for t, m in zip(e.terms, multiplicities):
         net = checked_add(net, m)
         if m == 0:
             continue
@@ -333,8 +333,8 @@ def _accumulate(e: HybridExpr, point: Point, valuation: Optional[Valuation]):
     return net, surviving, atoms
 
 
-def _eval_plain(e, point, valuation) -> EvalOutcome:
-    _, surviving, atoms = _accumulate(e, point, valuation)
+def _eval_plain(star, accumulated, point, valuation) -> EvalOutcome:
+    _, surviving, atoms = accumulated
     if not surviving:
         return UNDEFINED
     if len(surviving) == 1:
@@ -377,11 +377,10 @@ def _star_power(star: StarOp, v, k: int):
     return star.apply(half, v) if k & 1 else half
 
 
-def _eval_marked(e, point, valuation) -> EvalOutcome:
-    net, surviving, atoms = _accumulate(e, point, valuation)
+def _eval_marked(star, accumulated, point, valuation) -> EvalOutcome:
+    net, surviving, atoms = accumulated
     if net == 0:
         return UNDEFINED
-    star = e.star
     if not surviving:
         if star.unit is None:
             raise NonEvaluableError(
@@ -407,30 +406,57 @@ def _eval_marked(e, point, valuation) -> EvalOutcome:
     return Defined(FormalValue(combo, star), net)
 
 
+def evaluate_many(
+    e: HybridExpr, points: Iterable[Point], valuation: Optional[Valuation] = None
+) -> Iterator[EvalOutcome]:
+    """``evaluate(e, p, valuation)`` for each point p in order, raised errors
+    included, computed in one pass.
+
+    Each endpoint is resolved once, each distinct region atom is tested
+    once per point (an interval once per scalar, a grid rectangle once per
+    row and per column), and the term multiplicities and exponent sums are
+    made once per distinct vector of atom indicators, and so is the outcome
+    when only opaque atoms survive.  Points are drawn one at a time, so the
+    outcomes before a raising point come out first.
+    """
+    table = IndicatorTable([t.region for t in e.terms], valuation)
+    finish = _eval_plain if e.star is None else _eval_marked
+    sums: dict = {}
+    for point in points:
+        key = table.key(point)
+        found = sums.get(key)
+        if found is None:
+            accumulated = _accumulate(e, table.multiplicities(key))
+            _, surviving, atoms = accumulated
+            outcome = None
+            if all(atoms[n].is_opaque for n in surviving):
+                # No atom value is read, so every point with this key has
+                # the same outcome.
+                outcome = finish(e.star, accumulated, point, valuation)
+            found = sums[key] = (accumulated, outcome)
+        accumulated, outcome = found
+        yield finish(e.star, accumulated, point, valuation) if outcome is None else outcome
+
+
 def evaluate(e: HybridExpr, point: Point, valuation: Optional[Valuation] = None) -> EvalOutcome:
     """Evaluate an expression at a point under a valuation.
 
     Returns UNDEFINED when the point falls outside the effective domain;
     raises NonEvaluableError when the residue is not a function value.
     """
-    if e.star is None:
-        return _eval_plain(e, point, valuation)
-    return _eval_marked(e, point, valuation)
+    return next(evaluate_many(e, (point,), valuation))
 
 
 def is_reducible(e: HybridExpr, valuation, sample: Iterable[Point]) -> bool:
     """True when every sampled point carries net multiplicity 0 or 1
     with compatible values, i.e. the expression reads back as a function."""
-    for p in sample:
-        try:
-            out = evaluate(e, p, valuation)
-        except (NonEvaluableError, OpacityError):
-            return False
-        if out is UNDEFINED:
-            continue
-        if out.multiplicity != 1:
-            return False
-    return True
+    try:
+        return all(
+            out is UNDEFINED or out.multiplicity == 1
+            for out in evaluate_many(e, sample, valuation)
+        )
+    except (NonEvaluableError, OpacityError):
+        return False
 
 
 def hybrid_graph(values, region: HybridSet, universe_tag: Optional[str] = None) -> HybridSet:

@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ContractError, RefinementError, UnimodularError
-from .regions import Point, RegionAtom, SymbolicHybridSet
+from .regions import Point, RegionAtom, SymbolicHybridSet, multiplicities_many
 
 # Nonzero (column, value) pairs of each row of an inverse.
 SparseRows = Tuple[Tuple[Tuple[int, int], ...], ...]
@@ -247,10 +247,10 @@ class GeneralisedPartition:
 
     def validate_by_sampling(self, valuation, sample: Iterable[Point]) -> List[str]:
         """Points where the pieces do not sum to the universe indicator."""
+        regions = (*self.pieces, SymbolicHybridSet.from_atom(self.universe))
         bad = []
-        for p in sample:
-            total = sum(piece.multiplicity(p, valuation) for piece in self.pieces)
-            expect = self.universe.indicator(p, valuation)
+        for p, (*pieces, expect) in multiplicities_many(regions, sample, valuation):
+            total = sum(pieces)
             if total != expect:
                 bad.append(f"at {p}: pieces sum to {total}, universe gives {expect}")
         return bad

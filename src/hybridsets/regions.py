@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ContractError, ValuationError
 from .hybridset import HybridSet, checked_add, checked_int, checked_mul
@@ -146,29 +146,36 @@ def _within(lo, hi, lo_closed, hi_closed, x) -> bool:
 
 def shape_indicator(shape: Shape, point: Point, valuation: Optional[Valuation]) -> int:
     """1 if the instantiated shape contains the point, else 0."""
+    return int(_contains(shape, point, lambda p: resolve_param(p, valuation)))
+
+
+def _contains(shape: Shape, point: Point, resolve) -> bool:
+    """Whether the shape contains the point; ``resolve`` maps an endpoint to
+    its value and is asked only for the endpoints the point needs, in order."""
     if isinstance(shape, Universe):
-        return 1
+        return True
     if isinstance(shape, Interval1D):
         x = _as_scalar(point)
         if x is None:
-            return 0
-        lo = resolve_param(shape.lo, valuation)
-        hi = resolve_param(shape.hi, valuation)
-        return int(_within(lo, hi, shape.lo_closed, shape.hi_closed, x))
+            return False
+        lo = resolve(shape.lo)
+        hi = resolve(shape.hi)
+        return _within(lo, hi, shape.lo_closed, shape.hi_closed, x)
     if isinstance(shape, GridRect):
         if not (isinstance(point, tuple) and len(point) == 2):
-            return 0
+            return False
         i, j = Fraction(point[0]), Fraction(point[1])
         if i.denominator != 1 or j.denominator != 1:
-            return 0
-        row_lo = resolve_param(shape.row_lo, valuation)
-        row_hi = resolve_param(shape.row_hi, valuation)
-        col_lo = resolve_param(shape.col_lo, valuation)
-        col_hi = resolve_param(shape.col_hi, valuation)
-        ok = _within(row_lo, row_hi, shape.row_lo_closed, shape.row_hi_closed, i)
-        return int(ok and _within(col_lo, col_hi, shape.col_lo_closed, shape.col_hi_closed, j))
+            return False
+        row_lo = resolve(shape.row_lo)
+        row_hi = resolve(shape.row_hi)
+        col_lo = resolve(shape.col_lo)
+        col_hi = resolve(shape.col_hi)
+        return _within(row_lo, row_hi, shape.row_lo_closed, shape.row_hi_closed, i) and (
+            _within(col_lo, col_hi, shape.col_lo_closed, shape.col_hi_closed, j)
+        )
     if isinstance(shape, FinitePointSet):
-        return int(any(_points_equal(point, q) for q in shape.points))
+        return any(_points_equal(point, q) for q in shape.points)
     raise TypeError(f"not a shape: {shape!r}")
 
 
@@ -324,6 +331,168 @@ def multiplicity(s: SymbolicHybridSet, point: Point, valuation: Optional[Valuati
     return s.multiplicity(point, valuation)
 
 
+class _Unfinished:
+    """The indicator vector of a point whose test of shape ``index`` raised
+    ``error``: only the bits below ``index`` are known."""
+
+    __slots__ = ("bits", "index", "error")
+
+    def __init__(self, bits: int, index: int, error: Exception):
+        self.bits, self.index, self.error = bits, index, error
+
+
+class IndicatorTable:
+    """Atom indicators of a sequence of combinations under one valuation,
+    shared across the combinations and across points.
+
+    The distinct atom shapes are numbered in the order the combinations
+    first use them (combination, then coefficient in insertion order), and
+    ``key(point)`` is the point's indicator vector: an int whose bit k is
+    the indicator of shape k.  Each endpoint is resolved at most once per
+    table, when a point first needs it; interval tests are kept per scalar
+    point, and grid-rectangle tests per row and per column value.  A point
+    whose test raises gets a key that raises the same error from
+    ``multiplicities`` where ``SymbolicHybridSet.multiplicity`` would.
+    """
+
+    def __init__(self, regions: Iterable[SymbolicHybridSet], valuation: Optional[Valuation]):
+        self._valuation = valuation
+        self._params: Dict[Param, object] = {}  # endpoint -> value or the error it raised
+        index: Dict[int, int] = {}
+        shapes = []
+        self._regions = []
+        for r in regions:
+            uses = []
+            for name, coeff in r._coeffs.items():
+                shape = r._atoms[name].shape
+                k = index.get(id(shape))
+                if k is None:
+                    k = index[id(shape)] = len(shapes)
+                    shapes.append(shape)
+                uses.append((k, coeff))
+            self._regions.append(uses)
+        self._shapes = shapes
+        kinds = {Universe: [], Interval1D: [], GridRect: []}
+        self._pointwise = []  # finite point sets and anything else: tested per point
+        for k, shape in enumerate(shapes):
+            kinds.get(type(shape), self._pointwise).append((k, shape))
+        self._universe = sum(1 << k for k, _ in kinds[Universe])
+        # (bit, lo, hi, lo_closed, hi_closed) per interval, grid row range
+        # and grid column range
+        self._intervals = [(k, s.lo, s.hi, s.lo_closed, s.hi_closed) for k, s in kinds[Interval1D]]
+        self._rows = [
+            (k, s.row_lo, s.row_hi, s.row_lo_closed, s.row_hi_closed) for k, s in kinds[GridRect]
+        ]
+        self._cols = [
+            (k, s.col_lo, s.col_hi, s.col_lo_closed, s.col_hi_closed) for k, s in kinds[GridRect]
+        ]
+        self._by_x: Dict[Point, int] = {}
+        self._by_row: Dict[object, int] = {}
+        self._by_col: Dict[object, int] = {}
+
+    def _resolve(self, p: Param) -> Fraction:
+        value = self._params.get(p, _UNRESOLVED)
+        if value is _UNRESOLVED:
+            try:
+                value = resolve_param(p, self._valuation)
+            except Exception as e:  # kept, and raised again wherever p is needed
+                value = e
+            self._params[p] = value
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    def key(self, point: Point):
+        """The point's indicator vector."""
+        try:
+            return self._bits(point)
+        except Exception:
+            # Whatever the shortcut met, the reference order decides which
+            # shape raises first, and whether any does.
+            return self._bits_in_order(point)
+
+    def _bits(self, point: Point) -> int:
+        bits = self._universe
+        if self._intervals and not (isinstance(point, tuple) and len(point) != 1):
+            found = self._by_x.get(point)
+            if found is None:
+                found = self._by_x[point] = self._range_bits(self._intervals, _as_scalar(point))
+            bits |= found
+        if self._rows and isinstance(point, tuple) and len(point) == 2:
+            bits |= self._grid_bits(self._by_row, self._rows, point[0]) & self._grid_bits(
+                self._by_col, self._cols, point[1]
+            )
+        for k, shape in self._pointwise:
+            if _contains(shape, point, self._resolve):
+                bits |= 1 << k
+        return bits
+
+    def _range_bits(self, ranges, x: Fraction) -> int:
+        bits = 0
+        for k, lo, hi, lo_closed, hi_closed in ranges:
+            if _within(self._resolve(lo), self._resolve(hi), lo_closed, hi_closed, x):
+                bits |= 1 << k
+        return bits
+
+    def _grid_bits(self, cache: dict, ranges, value) -> int:
+        """The grid rectangles whose row (or column) range holds the
+        coordinate ``value``; none when it is not an integer."""
+        found = cache.get(value)
+        if found is None:
+            v = Fraction(value)
+            found = cache[value] = self._range_bits(ranges, v) if v.denominator == 1 else 0
+        return found
+
+    def _bits_in_order(self, point: Point):
+        """The indicator vector computed shape by shape, in the reference
+        order, up to the first shape whose test raises."""
+        bits = 0
+        for k, shape in enumerate(self._shapes):
+            try:
+                if _contains(shape, point, self._resolve):
+                    bits |= 1 << k
+            except Exception as e:
+                return _Unfinished(bits, k, e)
+        return bits
+
+    def multiplicities(self, key) -> Iterator[int]:
+        """Each combination's multiplicity at a point with indicator vector
+        ``key``, one at a time, summed and checked as
+        ``SymbolicHybridSet.multiplicity`` sums and checks it."""
+        if isinstance(key, _Unfinished):
+            bits, stop, error = key.bits, key.index, key.error
+        else:
+            bits, stop, error = key, -1, None
+        for uses in self._regions:
+            total = 0
+            for k, coeff in uses:
+                if k == stop:
+                    raise error
+                total = checked_add(total, checked_mul(coeff, bits >> k & 1))
+            yield total
+
+
+_UNRESOLVED = object()
+
+
+def multiplicities_many(
+    regions: Sequence[SymbolicHybridSet],
+    points: Iterable[Point],
+    valuation: Optional[Valuation] = None,
+) -> Iterator[Tuple[Point, Tuple[int, ...]]]:
+    """(point, multiplicities of the regions there) for each point in order,
+    equal to ``r.multiplicity(point, valuation)`` for each region r, raised
+    errors included.  The sums are made once per distinct indicator vector."""
+    table = IndicatorTable(regions, valuation)
+    sums: dict = {}
+    for p in points:
+        key = table.key(p)
+        found = sums.get(key)
+        if found is None:
+            found = sums[key] = tuple(table.multiplicities(key))
+        yield p, found
+
+
 def instantiate(
     s: SymbolicHybridSet,
     valuation: Optional[Valuation],
@@ -331,11 +500,7 @@ def instantiate(
     universe_tag: str = "U",
 ) -> HybridSet:
     """Concrete hybrid set of a symbolic combination over sampled points."""
-    entries = []
-    for p in sample:
-        m = s.multiplicity(p, valuation)
-        if m:
-            entries.append((p, m))
+    entries = [(p, m) for p, (m,) in multiplicities_many((s,), sample, valuation) if m]
     return HybridSet(entries, universe_tag)
 
 
@@ -378,6 +543,8 @@ __all__ = [
     "indicator",
     "SymbolicHybridSet",
     "multiplicity",
+    "IndicatorTable",
+    "multiplicities_many",
     "instantiate",
     "rational_grid",
     "grid_cells",

@@ -140,28 +140,39 @@ class BinOp:
 BodyExpr = Union[Num, Ref, Neg, BinOp]
 
 
-def read_scalar(cur: Cursor) -> BodyExpr:
-    """A body expression read from ``cur``, which is left on the next token."""
-    node = _term(cur)
+# Most parentheses and unary signs one body may nest; the descent takes
+# up to three stack frames per level, so this keeps it well inside
+# Python's default recursion limit.
+MAX_NESTING = 200
+
+
+def read_scalar(cur: Cursor, depth: int = 0) -> BodyExpr:
+    """A body expression read from ``cur``, which is left on the next token.
+    ``depth`` counts the parentheses and unary signs around it."""
+    node = _term(cur, depth)
     while op := cur.take_any("+-"):
-        node = BinOp(op, node, _term(cur))
+        node = BinOp(op, node, _term(cur, depth))
     return node
 
 
-def _term(cur: Cursor) -> BodyExpr:
-    node = _factor(cur)
+def _term(cur: Cursor, depth: int) -> BodyExpr:
+    node = _factor(cur, depth)
     while op := cur.take_any("*/"):
-        node = BinOp(op, node, _factor(cur))
+        node = BinOp(op, node, _factor(cur, depth))
     return node
 
 
-def _factor(cur: Cursor) -> BodyExpr:
-    if cur.take("-"):
-        return Neg(_factor(cur))
-    if cur.take("+"):
-        return _factor(cur)
-    if cur.take("("):
-        node = read_scalar(cur)
+def _factor(cur: Cursor, depth: int) -> BodyExpr:
+    start = cur.pos
+    opener = cur.take_any("-+(")
+    if opener is not None:
+        if depth == MAX_NESTING:
+            cur.error(f"body nests parentheses and unary signs more than {MAX_NESTING} deep", start)
+        if opener == "-":
+            return Neg(_factor(cur, depth + 1))
+        if opener == "+":
+            return _factor(cur, depth + 1)
+        node = read_scalar(cur, depth + 1)
         cur.expect(")")
         return node
     # a leading '-' was taken above, so this reads unsigned digits

@@ -17,8 +17,11 @@ from pathlib import Path
 
 import pytest
 
+from hybridsets import regions
 from hybridsets.cli import SIZE_CAP, main
 from hybridsets.hybridset import render_element
+from hybridsets.regions import resolve_param
+from hybridsets.scalarexpr import MAX_NESTING
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -540,6 +543,62 @@ class TestIntegerLiterals:
         )
         assert code == 1
         assert "leaves the 64-bit range" in err
+
+
+class TestBodyNesting:
+    """A fn body nested past ``scalarexpr.MAX_NESTING`` is a parse error at
+    the opener that crosses the limit, not a recursion failure."""
+
+    def check_karr(self, capsys, tmp_path, body):
+        ws = tmp_path / "deep.ws"
+        ws.write_text(f"param a\nfn f = {body}\n")
+        return run_cli(capsys, "check", "karr", str(ws), "--summand", "f", "--bounds", "0,1,2")
+
+    @pytest.mark.parametrize(
+        "body", ["(" * 3000 + "x" + ")" * 3000, "-" * 5000 + "x"], ids=["parens", "minus"]
+    )
+    def test_deep_body_is_a_parse_error(self, capsys, tmp_path, body):
+        code, out, err = self.check_karr(capsys, tmp_path, body)
+        assert (code, out) == (2, "")
+        col = len("fn f = ") + MAX_NESTING + 1
+        assert err == (
+            f"error: line 2, col {col}: body nests parentheses and unary signs "
+            f"more than {MAX_NESTING} deep\n"
+        )
+
+    @pytest.mark.parametrize(
+        "body", ["(" * 100 + "x" + ")" * 100, "-" * 100 + "x", "-(" * 100 + "x" + ")" * 100]
+    )
+    def test_body_within_the_limit_parses_and_evaluates(self, capsys, tmp_path, body):
+        code, out, err = self.check_karr(capsys, tmp_path, body)
+        assert (code, out, err) == (0, "signed-sum identities for 'f': OK (2 checks)\n", "")
+
+
+class TestTableCost:
+    def test_a_table_resolves_each_endpoint_once(self, capsys, tmp_path, monkeypatch):
+        ws = tmp_path / "table.ws"
+        ws.write_text(
+            "param n, m, h1, k1, h2, k2\n"
+            "matrix M1 = dims(n, m) split(h1, k1) blocks(A1, B1, C1, D1)\n"
+            "matrix M2 = dims(n, m) split(h2, k2) blocks(A2, B2, C2, D2)\n"
+            "valuation v: n = 64, m = 64, h1 = 20, k1 = 41, h2 = 33, k2 = 7\n"
+        )
+        resolved = []
+
+        def counting(p, valuation):
+            resolved.append(p)
+            return resolve_param(p, valuation)
+
+        monkeypatch.setattr(regions, "resolve_param", counting)
+        code, out, _ = run_cli(
+            capsys, "matrix-add", str(ws), "M1", "M2", "--table", "--with", "v"
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 64 * 64
+        # the endpoints are 1, n, m, h1, k1, h2 and k2; a per-cell
+        # resolution would make tens of thousands of calls
+        assert set(resolved) == {1, "n", "m", "h1", "k1", "h2", "k2"}
+        assert len(resolved) <= 2 * 7
 
 
 def test_points_render_the_same_everywhere():

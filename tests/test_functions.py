@@ -1,21 +1,26 @@
 """Value words, joins, marked joins, evaluation, and the join laws."""
 
+import itertools
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridsets import (
     ContractError,
     Defined,
+    FinitePointSet,
     FormalValue,
     FreeWord,
+    GridRect,
+    HybridExpr,
     HybridSet,
     HybridTerm,
     Interval1D,
     MERGE,
+    MultiplicityOverflowError,
     NonEvaluableError,
     NotReducibleError,
     OpacityError,
@@ -26,9 +31,14 @@ from hybridsets import (
     TIMES,
     UNDEFINED,
     Universe,
+    Valuation,
+    ValuationError,
     atom,
+    checked_add,
+    checked_mul,
     constant_atom,
     evaluate,
+    evaluate_many,
     graph_function,
     hybrid_graph,
     is_reducible,
@@ -38,6 +48,7 @@ from hybridsets import (
     term,
     word,
 )
+from hybridsets.functions import _eval_marked, _eval_plain
 
 F = Fraction
 
@@ -268,6 +279,147 @@ class TestReducibility:
     def test_marked_join_over_a_partition_is_reducible(self):
         e = marked_join(TIMES, [term(word(f, g), A), term(word(f, h), B)])
         assert is_reducible(e, None, self.sample)
+
+
+PARAMS = ("a", "b", "c")
+LEVELS = (F(0), F(1, 2), F(1), F(2), F(3))
+coords = st.one_of(st.sampled_from(LEVELS), st.integers(0, 3))
+sample_points = st.one_of(coords, st.tuples(coords, coords), st.tuples(coords))
+ends = st.one_of(st.sampled_from(PARAMS), st.sampled_from(LEVELS))
+grid_ends = st.one_of(st.sampled_from(PARAMS), st.integers(0, 3).map(F))
+flags = st.booleans()
+shapes = st.one_of(
+    st.just(Universe()),
+    st.builds(Interval1D, ends, ends, flags, flags),
+    st.builds(GridRect, grid_ends, grid_ends, grid_ends, grid_ends, flags, flags, flags, flags),
+    st.lists(sample_points, max_size=3).map(lambda ps: FinitePointSet(tuple(ps))),
+)
+# Coefficients and exponents: mostly 1, some other small ones, and about one
+# in eight so large that sums and products of them overflow.
+HUGE = (2**62, -(2**62), 2**63 - 1, -(2**63))
+small_or_huge = st.sampled_from((1,) * 20 + (-1, -1, 2, -2) + HUGE)
+value_atoms = (f, g, atom("pa", "a + x"), constant_atom("c3", 3), u_op, v_op)
+valuations = st.one_of(
+    st.none(),
+    st.dictionaries(st.sampled_from(PARAMS), st.sampled_from(LEVELS)).map(Valuation),
+)
+
+
+@st.composite
+def expressions(draw):
+    pool = [RegionAtom(f"R{i}", s) for i, s in enumerate(draw(st.lists(shapes, min_size=1, max_size=5)))]
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        uses = draw(st.lists(st.tuples(st.sampled_from(range(len(pool))), small_or_huge),
+                             min_size=1, max_size=3, unique_by=lambda u: u[0]))
+        w = FreeWord(draw(st.lists(st.tuples(st.sampled_from(value_atoms), small_or_huge),
+                                   min_size=1, max_size=2, unique_by=lambda u: u[0].name)))
+        terms.append(HybridTerm(w, SymbolicHybridSet((pool[i], c) for i, c in uses)))
+    return HybridExpr(draw(st.sampled_from((None, PLUS, TIMES, MERGE))), tuple(terms))
+
+
+def _outcomes(results):
+    """The outcomes an iterator yields, then the type and message of the
+    error that ends it, if any."""
+    out = []
+    try:
+        for r in results:
+            out.append(r)
+    except Exception as e:
+        out.append((type(e), str(e)))
+    return out
+
+
+def _per_point_reference(e, points, valuation):
+    """evaluate(e, p) point by point, summing each term's region
+    multiplicity as ``SymbolicHybridSet.multiplicity`` gives it."""
+    finish = _eval_plain if e.star is None else _eval_marked
+    for p in points:
+        net, exps, atoms = 0, {}, {}
+        for t in e.terms:
+            m = t.region.multiplicity(p, valuation)
+            net = checked_add(net, m)
+            if m:
+                for a, k in t.word.items():
+                    exps[a.name] = checked_add(exps.get(a.name, 0), checked_mul(m, k))
+                    atoms.setdefault(a.name, a)
+        surviving = {n: k for n, k in exps.items() if k}
+        yield finish(e.star, (net, surviving, atoms), p, valuation)
+
+
+class TestEvaluateMany:
+    @settings(max_examples=300, deadline=None)
+    @given(expressions(), st.lists(sample_points, max_size=8), valuations)
+    def test_agrees_with_the_per_point_reference(self, e, points, valuation):
+        drawn = []
+
+        def lazily():
+            for p in points:
+                drawn.append(p)
+                yield p
+
+        got = []
+        try:
+            for out in evaluate_many(e, lazily(), valuation):
+                got.append(out)
+                assert len(drawn) == len(got)  # no point is read ahead
+        except Exception as err:
+            got.append((type(err), str(err)))
+        assert got == _outcomes(_per_point_reference(e, points, valuation))
+
+    @pytest.mark.parametrize("closed", list(itertools.product((True, False), repeat=4)))
+    def test_grid_and_interval_ends_open_and_closed(self, closed):
+        v = Valuation({"h": F(2), "k": F(2)})
+        grid = SymbolicHybridSet.from_atom(RegionAtom("G", GridRect(1, "h", 1, "k", *closed)))
+        line = SymbolicHybridSet.from_atom(RegionAtom("I", Interval1D(F(1), "h", *closed[2:])))
+        e = marked_join(MERGE, [term(u_op, grid), term(v_op, line)])
+        coords = (F(0), F(1, 2), F(1), F(3, 2), F(2), F(3))
+        pts = [*coords, *((i, j) for i in coords for j in coords)]
+        assert list(evaluate_many(e, pts, v)) == list(_per_point_reference(e, pts, v))
+
+    # An overflow and a missing parameter at one point: the first one met in
+    # the order term, then coefficient, is the one raised.
+    U0 = RegionAtom("U0", Universe())
+    U1 = RegionAtom("U1", Universe())
+    P = RegionAtom("P", Interval1D(F(0), "p"))
+
+    @pytest.mark.parametrize(
+        "terms, error",
+        [
+            ([(word((f, 2)), [(U0, 2**62)]), (g, [(P, 1)])], MultiplicityOverflowError),
+            ([(g, [(P, 1)]), (word((f, 2)), [(U0, 2**62)])], ValuationError),
+            ([(f, [(U0, 2**62), (U1, 2**62), (P, 1)])], MultiplicityOverflowError),
+            ([(f, [(U0, 2**62), (P, 1), (U1, 2**62)])], ValuationError),
+        ],
+    )
+    def test_the_first_error_in_term_order_is_raised(self, terms, error):
+        e = HybridExpr(None, tuple(term(w, SymbolicHybridSet(uses)) for w, uses in terms))
+        reference = _outcomes(_per_point_reference(e, [F(1, 2)], Valuation()))
+        assert reference[-1][0] is error
+        assert _outcomes(evaluate_many(e, [F(1, 2)], Valuation())) == reference
+
+    def test_outcomes_before_a_raising_point_come_first(self):
+        e = join(term(f, SymbolicHybridSet.from_atom(RegionAtom("P", Interval1D(F(0), "p")))))
+        v = Valuation({"p": F(1)})
+        results = evaluate_many(e, [F(1, 2), F(2), (F(1), F(1)), "not a point", F(1, 2)], v)
+        assert next(results) == Defined(F(1), 1)
+        assert next(results) is UNDEFINED
+        assert next(results) is UNDEFINED
+        with pytest.raises(ValueError):
+            next(results)
+        assert list(results) == []
+
+    def test_a_missing_parameter_raises_at_the_first_point_that_needs_it(self):
+        e = join(term(f, SymbolicHybridSet.from_atom(RegionAtom("P", Interval1D(F(0), "p")))))
+        results = evaluate_many(e, [(F(1), F(2)), F(1)], Valuation())
+        assert next(results) is UNDEFINED
+        with pytest.raises(ValuationError, match="parameter 'p' has no value"):
+            next(results)
+
+    def test_evaluate_is_the_one_point_case(self):
+        e = join(term(f, A), term(g, B))
+        pts = [F(n, 4) for n in range(-2, 10)]
+        assert list(evaluate_many(e, pts)) == [evaluate(e, p) for p in pts]
 
 
 def _graph_values(gr):
