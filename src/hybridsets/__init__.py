@@ -43,9 +43,7 @@ from .regions import (
     Universe,
     Valuation,
     grid_cells,
-    indicator,
     instantiate,
-    multiplicity,
     rational_grid,
 )
 from .functions import (

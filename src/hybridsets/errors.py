@@ -47,7 +47,8 @@ class ParseError(HybridError):
     def __init__(self, message, line=None, column=None):
         self.line = line
         self.column = column
-        if line is not None:
-            where = f"line {line}" + (f", col {column}" if column is not None else "")
+        places = (("line", line), ("col", column))
+        where = ", ".join(f"{label} {n}" for label, n in places if n is not None)
+        if where:
             message = f"{where}: {message}"
         super().__init__(message)

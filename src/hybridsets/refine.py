@@ -241,10 +241,6 @@ class GeneralisedPartition:
                     "declare the partition assumed if that is intended"
                 )
 
-    @property
-    def universe_set(self) -> SymbolicHybridSet:
-        return SymbolicHybridSet.from_atom(self.universe)
-
     def validate_by_sampling(self, valuation, sample: Iterable[Point]) -> List[str]:
         """Points where the pieces do not sum to the universe indicator."""
         regions = (*self.pieces, SymbolicHybridSet.from_atom(self.universe))
@@ -280,9 +276,6 @@ class Refinement:
         return SymbolicHybridSet.combine(
             (self.pieces[j], c) for j, c in enumerate(self.coefficients[k][i]) if c
         )
-
-    def rewrite_rows(self, k: int) -> Tuple[Tuple[int, ...], ...]:
-        return self.coefficients[k]
 
     def reordered(self, order: Sequence[int]) -> "Refinement":
         """Permute the new pieces; labels are reissued in the new order."""
@@ -374,6 +367,25 @@ def common_strict_refinement(
     return Refinement(universe, tuple(parts), pieces, labels, tuple(coefficients), choice)
 
 
+def _rows_hold(holds, refined, original, rewrite, valuation, sample) -> bool:
+    """Whether ``holds(row, ms, m)`` is true for every rewrite row at every
+    sample point, where ``ms`` starts with the refined pieces' multiplicities
+    and m is the row's original piece's.  One table pass over the refined
+    and then the original pieces reads the sample once, in order, and stops
+    at the first failure."""
+    n = len(refined)
+    if len(rewrite) != len(original.pieces) or any(len(row) != n for row in rewrite):
+        raise ContractError(
+            f"a rewrite of {original.name!r} needs {len(original.pieces)} rows "
+            f"of {n} coefficients"
+        )
+    return all(
+        holds(row, ms, ms[n + i])
+        for _, ms in multiplicities_many((*refined, *original.pieces), sample, valuation)
+        for i, row in enumerate(rewrite)
+    )
+
+
 def verify_rewrite(
     refined: Sequence[SymbolicHybridSet],
     original: GeneralisedPartition,
@@ -382,16 +394,10 @@ def verify_rewrite(
     sample: Iterable[Point],
 ) -> bool:
     """Sampled check that each rewrite reproduces its original piece exactly."""
-    for piece, row in zip(original.pieces, rewrite):
-        for p in sample:
-            got = sum(
-                c * refined[j].multiplicity(p, valuation)
-                for j, c in enumerate(row)
-                if c
-            )
-            if got != piece.multiplicity(p, valuation):
-                return False
-    return True
+    return _rows_hold(
+        lambda row, ms, m: sum(c * x for c, x in zip(row, ms)) == m,
+        refined, original, rewrite, valuation, sample,
+    )
 
 
 def is_strict(
@@ -403,13 +409,7 @@ def is_strict(
 ) -> bool:
     """Strictness check: the pieces used to rewrite each original piece must
     not spill support outside it (union of supports, sampled)."""
-    sample = list(sample)
-    for piece, row in zip(original.pieces, rewrite):
-        used = [refined[j] for j, c in enumerate(row) if c]
-        union = {
-            p for p in sample if any(r.multiplicity(p, valuation) != 0 for r in used)
-        }
-        own = {p for p in sample if piece.multiplicity(p, valuation) != 0}
-        if union != own:
-            return False
-    return True
+    return _rows_hold(
+        lambda row, ms, m: any(x for c, x in zip(row, ms) if c) == (m != 0),
+        refined, original, rewrite, valuation, sample,
+    )

@@ -144,11 +144,6 @@ def _within(lo, hi, lo_closed, hi_closed, x) -> bool:
     return True
 
 
-def shape_indicator(shape: Shape, point: Point, valuation: Optional[Valuation]) -> int:
-    """1 if the instantiated shape contains the point, else 0."""
-    return int(_contains(shape, point, lambda p: resolve_param(p, valuation)))
-
-
 def _contains(shape: Shape, point: Point, resolve) -> bool:
     """Whether the shape contains the point; ``resolve`` maps an endpoint to
     its value and is asked only for the endpoints the point needs, in order."""
@@ -199,11 +194,8 @@ class RegionAtom:
     shape: Shape
 
     def indicator(self, point: Point, valuation: Optional[Valuation] = None) -> int:
-        return shape_indicator(self.shape, point, valuation)
-
-
-def indicator(atom: RegionAtom, point: Point, valuation: Optional[Valuation] = None) -> int:
-    return atom.indicator(point, valuation)
+        """1 if the instantiated shape contains the point, else 0."""
+        return int(_contains(self.shape, point, lambda p: resolve_param(p, valuation)))
 
 
 def render_combination(pairs: Iterable[Tuple[str, int]]) -> str:
@@ -325,10 +317,6 @@ class SymbolicHybridSet:
 
     def __repr__(self):
         return f"SymbolicHybridSet({self.render()})"
-
-
-def multiplicity(s: SymbolicHybridSet, point: Point, valuation: Optional[Valuation] = None) -> int:
-    return s.multiplicity(point, valuation)
 
 
 class _Unfinished:
@@ -538,11 +526,8 @@ __all__ = [
     "GridRect",
     "FinitePointSet",
     "Shape",
-    "shape_indicator",
     "RegionAtom",
-    "indicator",
     "SymbolicHybridSet",
-    "multiplicity",
     "IndicatorTable",
     "multiplicities_many",
     "instantiate",

@@ -13,10 +13,11 @@ are written as divisions (``2/3``), so every value stays a Fraction.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from .errors import ContractError, ParseError, ValuationError
 from .hybridset import INT64_MAX, INT64_MIN
@@ -131,13 +132,20 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "BodyExpr"
-    right: "BodyExpr"
+class Chain:
+    """A left-associative run ``first op operand op operand ...`` whose
+    operators are all additive (``+ -``) or all multiplicative (``* /``).
+    However long the run, it is one node, so it is walked by a loop."""
+
+    first: "BodyExpr"
+    rest: Tuple[Tuple[str, "BodyExpr"], ...]
+
+    @property
+    def additive(self) -> bool:
+        return self.rest[0][0] in "+-"
 
 
-BodyExpr = Union[Num, Ref, Neg, BinOp]
+BodyExpr = Union[Num, Ref, Neg, Chain]
 
 
 # Most parentheses and unary signs one body may nest; the descent takes
@@ -149,17 +157,27 @@ MAX_NESTING = 200
 def read_scalar(cur: Cursor, depth: int = 0) -> BodyExpr:
     """A body expression read from ``cur``, which is left on the next token.
     ``depth`` counts the parentheses and unary signs around it."""
-    node = _term(cur, depth)
+    node, rest = _term(cur, depth), []
     while op := cur.take_any("+-"):
-        node = BinOp(op, node, _term(cur, depth))
-    return node
+        rest.append((op, _term(cur, depth)))
+    return _chain(node, rest)
 
 
 def _term(cur: Cursor, depth: int) -> BodyExpr:
-    node = _factor(cur, depth)
+    node, rest = _factor(cur, depth), []
     while op := cur.take_any("*/"):
-        node = BinOp(op, node, _factor(cur, depth))
-    return node
+        rest.append((op, _factor(cur, depth)))
+    return _chain(node, rest)
+
+
+def _chain(first: BodyExpr, rest: list) -> BodyExpr:
+    """The run ``first rest...``; a parenthesised run of the same kind in
+    front is merged in, since ``(a + b) + c`` means ``a + b + c``."""
+    if not rest:
+        return first
+    if isinstance(first, Chain) and first.additive == (rest[0][0] in "+-"):
+        return Chain(first.first, first.rest + tuple(rest))
+    return Chain(first, tuple(rest))
 
 
 def _factor(cur: Cursor, depth: int) -> BodyExpr:
@@ -189,6 +207,9 @@ def parse_scalar(text: str) -> BodyExpr:
     return node
 
 
+_APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def eval_scalar(expr: BodyExpr, x: Optional[Fraction], valuation) -> Fraction:
     """Evaluate with ``x`` bound to the point and names bound by the valuation."""
     if isinstance(expr, Num):
@@ -205,49 +226,48 @@ def eval_scalar(expr: BodyExpr, x: Optional[Fraction], valuation) -> Fraction:
         return valuation.resolve(expr.name)
     if isinstance(expr, Neg):
         return -eval_scalar(expr.operand, x, valuation)
-    if isinstance(expr, BinOp):
-        a = eval_scalar(expr.left, x, valuation)
-        b = eval_scalar(expr.right, x, valuation)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "/":
-            if b == 0:
+    if isinstance(expr, Chain):
+        acc = eval_scalar(expr.first, x, valuation)
+        for op, operand in expr.rest:
+            b = eval_scalar(operand, x, valuation)
+            if op == "/" and b == 0:
                 raise ContractError("division by zero in body expression")
-            return a / b
+            acc = _APPLY[op](acc, b)
+        return acc
     raise TypeError(f"not a body expression: {expr!r}")
 
 
-def _prec(expr) -> int:
-    if isinstance(expr, (Num, Ref)):
-        return 3
-    if isinstance(expr, Neg):
-        return 2
-    return 1 if expr.op in ("+", "-") else 2
-
-
 def render_scalar(expr: BodyExpr) -> str:
+    """Canonical text that parses back to ``expr``.  A sign keeps the
+    parentheses around a chain or another sign; a chain inside a chain
+    keeps them unless it is multiplicative inside an additive chain; and so
+    does a sign after ``/``."""
     if isinstance(expr, Num):
         return str(expr.value)
     if isinstance(expr, Ref):
         return expr.name
     if isinstance(expr, Neg):
         inner = render_scalar(expr.operand)
-        if _prec(expr.operand) < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(expr, BinOp):
-        left = render_scalar(expr.left)
-        right = render_scalar(expr.right)
-        if _prec(expr.left) < _prec(expr):
-            left = f"({left})"
-        # right side needs parens at equal precedence: a - (b - c)
-        if _prec(expr.right) <= _prec(expr) and not (
-            expr.op in ("+", "*") and _prec(expr.right) == _prec(expr)
-        ):
-            right = f"({right})"
-        return f"{left} {expr.op} {right}"
+        return f"-({inner})" if isinstance(expr.operand, (Neg, Chain)) else f"-{inner}"
+    if isinstance(expr, Chain):
+        parts = []
+        for op, operand in ((None, expr.first), *expr.rest):
+            text = render_scalar(operand)
+            if isinstance(operand, Chain) and (operand.additive or not expr.additive) or (
+                op == "/" and isinstance(operand, Neg)
+            ):
+                text = f"({text})"
+            parts.append(text if op is None else f"{op} {text}")
+        return " ".join(parts)
     raise TypeError(f"not a body expression: {expr!r}")
+
+
+def body_names(expr: BodyExpr) -> Iterator[str]:
+    """The names a body refers to, ``x`` included, in reading order."""
+    if isinstance(expr, Ref):
+        yield expr.name
+    elif isinstance(expr, Neg):
+        yield from body_names(expr.operand)
+    elif isinstance(expr, Chain):
+        for _, operand in ((None, expr.first), *expr.rest):
+            yield from body_names(operand)

@@ -136,21 +136,11 @@ def _decl_fn(ws: Workspace, cur: Cursor):
     if cur.take("="):
         start = cur.pos
         body = scalarexpr.read_scalar(cur)
-        for ref in _body_names(body):
+        for ref in scalarexpr.body_names(body):
             if ref != "x" and ref not in ws.params:
                 cur.error(f"unresolved name {ref!r} in body", start)
     _register(ws, "atom", name, FunctionAtom(name, body), cur, pos)
     ws.decls[-1] = ("fn", name)
-
-
-def _body_names(body):
-    if isinstance(body, scalarexpr.Ref):
-        yield body.name
-    elif isinstance(body, scalarexpr.Neg):
-        yield from _body_names(body.operand)
-    elif isinstance(body, scalarexpr.BinOp):
-        yield from _body_names(body.left)
-        yield from _body_names(body.right)
 
 
 def _parse_bounds(ws: Workspace, cur: Cursor, sep: str):

@@ -1,17 +1,24 @@
 """Pointwise arithmetic over refinements, signed sums, linear operators."""
 
+import operator
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from hybridsets import (
     ChoiceMatrix,
+    CheckReport,
     ContractError,
     Defined,
     FunctionAtom,
     GeneralisedPartition,
+    GridRect,
     Interval1D,
     KarrSum,
+    STYLE_ONES_TOP,
     MERGE,
     PLUS,
     RefinementError,
@@ -22,24 +29,30 @@ from hybridsets import (
     TIMES,
     UNDEFINED,
     Valuation,
+    ValuationError,
     apply_linear,
     atom,
     common_strict_refinement,
     constant_atom,
     evaluate,
+    is_strict,
     join,
     karr_split_check,
     karr_sum,
     linear_operator,
     linearity_report,
+    marked_join,
     pointwise_star,
     rational_grid,
     register_linear_operator,
     star_inverse_identity_check,
     term,
+    verify_rewrite,
     word,
 )
+from hybridsets import regions
 from hybridsets.calculus import LinearOperatorSpec
+from hybridsets.regions import resolve_param
 
 F = Fraction
 
@@ -345,3 +358,230 @@ class TestLinearOperators:
         p = SymbolicHybridSet.from_atom(RegionAtom("P", Interval1D(F(0), F(1))))
         with pytest.raises(ContractError):
             apply_linear("sum", term(word(f, g), p), None, [F(0)])
+
+
+# --- sampled checks against a per-point reference ----------------------
+#
+# verify_rewrite, is_strict, star_inverse_identity_check and apply_linear
+# read their sample through one table pass.  The references below ask
+# SymbolicHybridSet.multiplicity and evaluate one point at a time, in the
+# order each check hands its regions to the table, so any error they meet
+# first is the one the check must raise.
+
+PARAMS = ("a", "b", "c")
+LEVELS = (F(0), F(1, 2), F(1), F(3, 2))  # breakpoints tie with each other and with samples
+# Grid rectangles read their endpoints only at integer pairs, and intervals
+# only at scalars, so a missing parameter can fail at a later point alone.
+SAMPLE_POINTS = (
+    F(-1, 2), F(0), F(1, 4), F(1, 2), F(1), F(3, 2), (F(1, 2),), (F(0), F(1)), (F(1), F(1, 2))
+)
+SAMPLED_U = RegionAtom("U", Interval1D(F(0), F(1)))
+BODIES = ("2", "a + 1", "x", "1 / x")  # x fails at a pair, 1 / x at 0
+RECIPROCAL = StarOp("×", apply=operator.mul, unit=F(1), invert=lambda v: 1 / v)
+OFF_BY_ONE = StarOp("+1", apply=operator.add, unit=F(0), invert=lambda v: 1 - v)
+
+
+def _reference_rows_hold(holds, refined, original, rewrite, valuation, sample):
+    n = len(refined)
+    for p in sample:
+        ms = [r.multiplicity(p, valuation) for r in (*refined, *original.pieces)]
+        for i, row in enumerate(rewrite):
+            if not holds(row, ms[:n], ms[n + i]):
+                return False
+    return True
+
+
+def _reference_verify_rewrite(*args):
+    return _reference_rows_hold(
+        lambda row, ms, m: sum(c * x for c, x in zip(row, ms)) == m, *args
+    )
+
+
+def _reference_is_strict(*args):
+    return _reference_rows_hold(
+        lambda row, ms, m: any(x != 0 for c, x in zip(row, ms) if c) == (m != 0), *args
+    )
+
+
+def _reference_inverse_check(star, f, valuation, sample):
+    base = f.word.items()[0][0]
+    mirrored = FunctionAtom(f"~{base.name}", func=lambda p, v: star.invert(base.value(p, v)))
+    expr = marked_join(star, [term(word(base, mirrored), f.region)])
+    report = CheckReport(f"inverse identity for {base.name!r} under {star.name!r}")
+    for p in sample:
+        report.checked += 1
+        m = f.region.multiplicity(p, valuation)
+        out = evaluate(expr, p, valuation)
+        if m == 0:
+            if out is not UNDEFINED:
+                report.record(f"at {p}: expected undefined, got {out}")
+        elif out is UNDEFINED:
+            report.record(f"at {p}: expected unit with multiplicity {m}")
+        elif out.value != star.unit or out.multiplicity != m:
+            report.record(
+                f"at {p}: expected {star.unit} with multiplicity {m}, "
+                f"got {out.value} with multiplicity {out.multiplicity}"
+            )
+    return report
+
+
+def _reference_apply_linear(name, f, valuation, sample):
+    base = f.word.items()[0][0]
+    values = [F(f.region.multiplicity(p, valuation)) * base.value(p, valuation) for p in sample]
+    return linear_operator(name).combine(values)
+
+
+def _outcome(check, *args):
+    """What a check returns, or the type and message of what it raises."""
+    try:
+        result = check(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return result.render() if isinstance(result, CheckReport) else result
+
+
+_ENDPOINTS = st.sampled_from(PARAMS + LEVELS)
+shapes = st.one_of(
+    st.builds(Interval1D, _ENDPOINTS, _ENDPOINTS, st.booleans(), st.booleans()),
+    st.builds(GridRect, _ENDPOINTS, _ENDPOINTS, _ENDPOINTS, _ENDPOINTS),
+)
+
+
+@st.composite
+def sampled_cases(draw):
+    """Two or three partitions of U into signed multiples of intervals and
+    grid rectangles with symbolic endpoints, their refinement, a valuation
+    that may miss one or two parameters, and a sample."""
+    parts = []
+    for k in range(draw(st.integers(2, 3))):
+        kept = [
+            SymbolicHybridSet.from_atom(
+                RegionAtom(f"A{k}{i}", draw(shapes)), draw(st.sampled_from((1, -1, 2)))
+            )
+            for i in range(draw(st.integers(0, 2)))
+        ]
+        rest = SymbolicHybridSet.combine([(SymbolicHybridSet.from_atom(SAMPLED_U), 1)]
+                                         + [(piece, -1) for piece in kept])
+        parts.append(GeneralisedPartition(f"P{k}", SAMPLED_U, (*kept, rest)))
+    style = draw(st.sampled_from((STYLE_ONES_TOP, STYLE_UPPER_TRIANGLE)))
+    refinement = common_strict_refinement(parts, style=style)
+    values = {p: draw(st.sampled_from(LEVELS)) for p in PARAMS}
+    for name in draw(st.sets(st.sampled_from(PARAMS), max_size=2)):
+        del values[name]
+    points = draw(st.lists(st.sampled_from(SAMPLE_POINTS), min_size=1, max_size=8))
+    return refinement, Valuation(values), points
+
+
+class TestSampledChecks:
+    @seed(2010)
+    @settings(max_examples=200, deadline=None)
+    @given(sampled_cases(), st.data())
+    def test_rewrite_checks_agree_with_the_per_point_reference(self, case, data):
+        r, v, points = case
+        k = data.draw(st.integers(0, len(r.partitions) - 1))
+        rows = [list(row) for row in r.coefficients[k]]
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(rows) - 1))
+            j = data.draw(st.integers(0, r.size - 1))
+            rows[i][j] += data.draw(st.sampled_from((-1, 1)))
+        args = (r.pieces, r.partitions[k], rows, v)
+        one_shot = data.draw(st.booleans())
+        for check, reference in (
+            (verify_rewrite, _reference_verify_rewrite),
+            (is_strict, _reference_is_strict),
+        ):
+            sample = iter(points) if one_shot else points
+            assert _outcome(check, *args, sample) == _outcome(reference, *args, points)
+
+    @seed(2010)
+    @settings(max_examples=200, deadline=None)
+    @given(sampled_cases(), st.data())
+    def test_term_checks_agree_with_the_per_point_reference(self, case, data):
+        r, v, points = case
+        region = data.draw(st.sampled_from(r.pieces + r.partitions[0].pieces))
+        region = region.scale(data.draw(st.sampled_from((1, -1, 2))))
+        f = term(atom("f", data.draw(st.sampled_from(BODIES))), region)
+        star = data.draw(st.sampled_from((PLUS, RECIPROCAL, OFF_BY_ONE)))
+        one_shot = data.draw(st.booleans())
+        sample = iter(points) if one_shot else points
+        assert _outcome(star_inverse_identity_check, star, f, v, sample) == _outcome(
+            _reference_inverse_check, star, f, v, points
+        )
+        sample = iter(points) if one_shot else points
+        assert _outcome(apply_linear, "sum", f, v, sample) == _outcome(
+            _reference_apply_linear, "sum", f, v, points
+        )
+
+    def test_the_first_error_in_point_then_region_order_is_raised(self):
+        # the refined pieces go to the table before the original ones, and a
+        # region's multiplicity before the value of the term's atom
+        ua = SymbolicHybridSet.from_atom(RegionAtom("UA", Interval1D(F(0), "a")))
+        ub = SymbolicHybridSet.from_atom(RegionAtom("UB", Interval1D(F(0), "b")))
+        part = GeneralisedPartition("P", SAMPLED_U, (ub,), assumed=True)
+        no_value = Valuation({"c": F(1)})
+        for check in (verify_rewrite, is_strict, _reference_verify_rewrite):
+            with pytest.raises(ValuationError, match="'a' has no value"):
+                check((ua,), part, [(1,)], no_value, [F(1, 2)])
+        f = term(atom("f", "b + 1"), ua)
+        for check in (apply_linear, _reference_apply_linear):
+            with pytest.raises(ValuationError, match="'a' has no value"):
+                check("sum", f, no_value, [F(1, 2)])
+        with pytest.raises(ValuationError, match="'b' has no value"):
+            apply_linear("sum", term(atom("f", "b + 1"), U), no_value, [F(1, 2)])
+
+    def test_a_spec_passed_in_is_used_as_given(self):
+        f = atom("f", "x")
+        p = SymbolicHybridSet.from_atom(RegionAtom("P", Interval1D(F(0), F(10))))
+        sample = [F(n) for n in range(0, 11)]
+        assert apply_linear(linear_operator("sum"), term(f, p), None, sample) == 55
+        stray = LinearOperatorSpec("sum", lambda values: sum(values, Fraction(0)))
+        assert apply_linear(stray, term(f, p), None, sample) == 55
+        with pytest.raises(ContractError, match="'stray' is not declared"):
+            apply_linear(LinearOperatorSpec("stray", stray.combine), term(f, p), None, sample)
+
+
+class TestSampledCheckCost:
+    """Each check resolves a region endpoint once per table, not once per
+    point: 4096 points cost a handful of resolutions."""
+
+    A = SymbolicHybridSet.from_atom(RegionAtom("A", Interval1D(F(0), "a", hi_closed=False)))
+    B = SymbolicHybridSet.from_atom(RegionAtom("B", Interval1D(F(0), "b", hi_closed=False)))
+    V = Valuation({"a": F(1, 3), "b": F(2, 3)})
+    SAMPLE = rational_grid(-1, 2, 4096)
+
+    def count_resolutions(self, monkeypatch, check, *args):
+        resolved = Counter()
+
+        def counting(p, valuation):
+            resolved[p] += 1
+            return resolve_param(p, valuation)
+
+        monkeypatch.setattr(regions, "resolve_param", counting)
+        check(*args)
+        return resolved
+
+    def test_rewrite_checks_resolve_each_endpoint_once(self, monkeypatch):
+        u = SymbolicHybridSet.from_atom(U_ATOM)
+        parts = [
+            GeneralisedPartition("P", U_ATOM, (self.A, u - self.A)),
+            GeneralisedPartition("Q", U_ATOM, (self.B, u - self.B)),
+        ]
+        r = common_strict_refinement(parts)
+        for check in (verify_rewrite, is_strict):
+            for k, part in enumerate(parts):
+                args = (r.pieces, part, r.coefficients[k], self.V, self.SAMPLE)
+                resolved = self.count_resolutions(monkeypatch, check, *args)
+                assert resolved == Counter({F(0): 1, F(1): 1, "a": 1, "b": 1})
+
+    def test_apply_linear_resolves_each_endpoint_once(self, monkeypatch):
+        f = term(atom("f", "x"), self.A + self.B)
+        resolved = self.count_resolutions(monkeypatch, apply_linear, "sum", f, self.V, self.SAMPLE)
+        assert resolved == Counter({F(0): 1, "a": 1, "b": 1})
+
+    def test_the_inverse_check_resolves_each_endpoint_at_most_twice(self, monkeypatch):
+        f = term(atom("f", "x"), self.A + self.B)
+        resolved = self.count_resolutions(
+            monkeypatch, star_inverse_identity_check, PLUS, f, self.V, self.SAMPLE
+        )
+        assert set(resolved) == {F(0), "a", "b"}
+        assert max(resolved.values()) <= 2

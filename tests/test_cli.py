@@ -518,7 +518,7 @@ class TestIntegerLiterals:
             capsys, "eval", PIECEWISE, "mjoin(+, (f1^99999999999999999999)^U)", "--at", "1/2"
         )
         assert (code, out) == (2, "")
-        assert err == "error: integer 99999999999999999999 leaves the 64-bit range\n"
+        assert err == "error: col 14: integer 99999999999999999999 leaves the 64-bit range\n"
 
     def test_workspace_coefficient_outside_64_bits_is_a_parse_error(self, capsys, tmp_path):
         ws = tmp_path / "big.ws"
@@ -570,6 +570,16 @@ class TestBodyNesting:
         "body", ["(" * 100 + "x" + ")" * 100, "-" * 100 + "x", "-(" * 100 + "x" + ")" * 100]
     )
     def test_body_within_the_limit_parses_and_evaluates(self, capsys, tmp_path, body):
+        code, out, err = self.check_karr(capsys, tmp_path, body)
+        assert (code, out, err) == (0, "signed-sum identities for 'f': OK (2 checks)\n", "")
+
+    # A flat run of one operator is one node however long it is, so only
+    # the input text bounds it.
+    @pytest.mark.parametrize(
+        "body", ["+".join(["x"] * 990), "+".join(["x"] * 5000), "*".join(["x"] * 5000)],
+        ids=["990 summands", "5000 summands", "5000 factors"],
+    )
+    def test_long_flat_body_evaluates(self, capsys, tmp_path, body):
         code, out, err = self.check_karr(capsys, tmp_path, body)
         assert (code, out, err) == (0, "signed-sum identities for 'f': OK (2 checks)\n", "")
 

@@ -124,14 +124,14 @@ class TestSevenTermSum:
     def test_dropped_blocks_rewrite_over_the_leftover_piece(self):
         _, refinement = matrix_add_with_refinement(M1, M2)
         # D1 (index 3 of the first partition) uses P1 plus the kept blocks of M2
-        assert refinement.rewrite_rows(0)[3] == (1, 0, 0, 0, 1, 1, 1)
-        assert refinement.rewrite_rows(1)[3] == (1, 1, 1, 1, 0, 0, 0)
+        assert refinement.coefficients[0][3] == (1, 0, 0, 0, 1, 1, 1)
+        assert refinement.coefficients[1][3] == (1, 1, 1, 1, 0, 0, 0)
         for v in (V1, V2, V3):
             rows = int(v.resolve("n"))
             sample = grid_cells(rows, rows)
             for k, part in enumerate(refinement.partitions):
                 assert verify_rewrite(
-                    refinement.pieces, part, refinement.rewrite_rows(k), v, sample
+                    refinement.pieces, part, refinement.coefficients[k], v, sample
                 )
 
     @pytest.mark.parametrize(

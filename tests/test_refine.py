@@ -282,7 +282,7 @@ class TestCommonRefinement:
         for a, b in [(F(1, 3), F(2, 3)), (F(2, 3), F(1, 3)), (F(1, 2), F(1, 2))]:
             v = Valuation({"a": a, "b": b})
             for k, part in enumerate(r.partitions):
-                assert verify_rewrite(r.pieces, part, r.rewrite_rows(k), v, GRID)
+                assert verify_rewrite(r.pieces, part, r.coefficients[k], v, GRID)
 
     def test_new_pieces_still_partition_the_universe_pointwise(self):
         r = common_strict_refinement([P, Q])
@@ -332,7 +332,7 @@ class TestCommonRefinement:
         assert sum(r.pieces, SymbolicHybridSet.zero()) == USET
         v = Valuation({"a": F(1, 4), "b": F(3, 4)})
         for k, part in enumerate(r.partitions):
-            assert verify_rewrite(r.pieces, part, r.rewrite_rows(k), v, GRID)
+            assert verify_rewrite(r.pieces, part, r.coefficients[k], v, GRID)
 
     def test_reordered_moves_pieces_and_relabels(self):
         r = common_strict_refinement([P, Q]).reordered([1, 2, 0])
@@ -340,7 +340,7 @@ class TestCommonRefinement:
         assert r.labels == ("P1", "P2", "P3")
         v = Valuation({"a": F(1, 3), "b": F(2, 3)})
         for k, part in enumerate(r.partitions):
-            assert verify_rewrite(r.pieces, part, r.rewrite_rows(k), v, GRID)
+            assert verify_rewrite(r.pieces, part, r.coefficients[k], v, GRID)
         with pytest.raises(ContractError):
             r.reordered([0, 0, 1])
 
@@ -464,8 +464,8 @@ class TestStrictness:
     def test_trivial_refinement_is_strict(self):
         r = Refinement.trivial(P)
         v = Valuation({"a": F(1, 2)})
-        assert verify_rewrite(r.pieces, P, r.rewrite_rows(0), v, GRID)
-        assert is_strict(r.pieces, P, r.rewrite_rows(0), v, GRID)
+        assert verify_rewrite(r.pieces, P, r.coefficients[0], v, GRID)
+        assert is_strict(r.pieces, P, r.coefficients[0], v, GRID)
 
     def test_interval_split_refining_two_overlapping_partitions(self):
         w = RegionAtom("W", Interval1D(F(0), F(3)))
@@ -517,6 +517,55 @@ class TestStrictness:
         r = common_strict_refinement([P, Q], choice=c)
         ordered = Valuation({"a": F(1, 3), "b": F(2, 3)})
         for k, part in enumerate(r.partitions):
-            assert is_strict(r.pieces, part, r.rewrite_rows(k), ordered, GRID)
+            assert is_strict(r.pieces, part, r.coefficients[k], ordered, GRID)
         swapped = Valuation({"a": F(2, 3), "b": F(1, 3)})
-        assert not is_strict(r.pieces, P, r.rewrite_rows(0), swapped, GRID)
+        assert not is_strict(r.pieces, P, r.coefficients[0], swapped, GRID)
+
+    def test_a_one_shot_sample_checks_every_row(self):
+        r = common_strict_refinement([P, Q])
+        v = Valuation({"a": F(1, 3), "b": F(2, 3)})
+        good = r.coefficients[0]
+        assert verify_rewrite(r.pieces, P, good, v, iter(GRID))
+        wrong_second_row = (good[0], tuple(1 - c for c in good[1]))
+        assert not verify_rewrite(r.pieces, P, wrong_second_row, v, iter(GRID))
+
+    def test_a_check_stops_at_the_first_failing_point(self):
+        choice = ChoiceMatrix(
+            ((1, 1, 1), (1, 0, 0), (1, 1, 0)),
+            ("U", "P.1", "Q.1"),
+            ("P1", "P2", "P3"),
+        )
+        r = common_strict_refinement([P, Q], choice=choice)
+        swapped = Valuation({"a": F(2, 3), "b": F(1, 3)})
+        good = r.coefficients[0]
+        wrong_second_row = (good[0], tuple(1 - c for c in good[1]))
+        for check, rows in ((verify_rewrite, wrong_second_row), (is_strict, good)):
+            drawn = []
+
+            def sample():
+                for x in GRID:
+                    drawn.append(x)
+                    yield x
+
+            assert not check(r.pieces, P, rows, swapped, sample())
+            assert len(drawn) < len(GRID) / 2
+
+    @pytest.mark.parametrize("check", [verify_rewrite, is_strict])
+    @pytest.mark.parametrize(
+        "shape", ["too few rows", "too many rows", "too wide a row", "too narrow a row"]
+    )
+    def test_a_rewrite_of_the_wrong_shape_is_a_contract_error(self, check, shape):
+        r = common_strict_refinement([P, Q])
+        v = Valuation({"a": F(1, 3), "b": F(2, 3)})
+        rows = list(r.coefficients[0])
+        if shape == "too few rows":
+            rows = rows[:1]
+        elif shape == "too many rows":
+            rows.append(rows[0])
+        elif shape == "too wide a row":
+            rows[1] += (0,)
+        else:
+            rows[1] = rows[1][:-1]
+        with pytest.raises(ContractError) as exc:
+            check(r.pieces, P, rows, v, GRID)
+        assert str(exc.value) == "a rewrite of 'P' needs 2 rows of 3 coefficients"

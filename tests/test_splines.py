@@ -75,8 +75,8 @@ class TestMergeStructure:
     def test_rewrites_follow_the_reordering(self):
         _, refinement = spline_merge_with_refinement(S, T)
         # S.P2 = T.P1 + leftover, T.P2 = S.P1 + leftover
-        assert refinement.rewrite_rows(0) == ((1, 0, 0), (0, 1, 1))
-        assert refinement.rewrite_rows(1) == ((0, 1, 0), (1, 0, 1))
+        assert refinement.coefficients[0] == ((1, 0, 0), (0, 1, 1))
+        assert refinement.coefficients[1] == ((0, 1, 0), (1, 0, 1))
 
     def test_mismatched_spans_are_rejected(self):
         w = SymbolicSpline.build("W", ("a", "c", "e"))

@@ -248,6 +248,48 @@ class TestRendering:
             "valuation v: a = 1/3, b = 2",
         ]
 
+    # written body -> canonical body; parentheses stay where dropping them
+    # would parse to a different body
+    @pytest.mark.parametrize(
+        "body, canonical",
+        [
+            ("a + (b + c)", "a + (b + c)"),
+            ("a * (b * c)", "a * (b * c)"),
+            ("a * (b / c)", "a * (b / c)"),
+            ("-(-a)", "-(-a)"),
+            ("--a", "-(-a)"),
+            ("a - (b - c)", "a - (b - c)"),
+            ("(a + b) * c", "(a + b) * c"),
+            ("a * -b", "a * -b"),
+            ("a / -b", "a / (-b)"),
+            ("(a + b) + c", "a + b + c"),
+            ("(a * b) / c", "a * b / c"),
+            ("a + (b * c)", "a + b * c"),
+            ("-(a * b) - c", "-(a * b) - c"),
+        ],
+    )
+    def test_fn_bodies_round_trip(self, body, canonical):
+        ws = parse_workspace(f"param a, b, c\nfn f = {body}")
+        text = render_workspace(ws)
+        assert text.splitlines()[-1] == f"fn f = {canonical}"
+        assert parse_workspace(text) == ws
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        st.sampled_from(["a", "b", "x", "2"]),
+        lambda inner: st.one_of(
+            st.builds("-{}".format, inner),
+            st.builds("({})".format, inner),
+            st.builds("{} {} {}".format, inner, st.sampled_from("+-*/"), inner),
+        ),
+        max_leaves=12,
+    ))
+    def test_any_body_round_trips(self, body):
+        ws = parse_workspace(f"param a, b\nfn f = {body}")
+        text = render_workspace(ws)
+        assert parse_workspace(text) == ws
+        assert render_workspace(parse_workspace(text)) == text
+
     def test_matrix_line_round_trips_the_splits(self):
         text = "param n, m, h1, k1\nmatrix M1 = dims(n, m) split(h1, k1) blocks(A1, B1, C1, D1)"
         ws = parse_workspace(text)
@@ -322,7 +364,7 @@ class TestScanner:
         with pytest.raises(ParseError) as exc:
             parse_expr_text(ws, "mjoin(+, (f^2 * )^A)")
         err = exc.value
-        assert (str(err), err.line, err.column) == ("expected a function name", None, 17)
+        assert (str(err), err.line, err.column) == ("col 17: expected a function name", None, 17)
 
     @pytest.mark.parametrize("body", ["2 +", "(x", "", "x )", "2x"])
     def test_fn_body_errors_stay_parse_errors_on_their_line(self, body):
