@@ -314,7 +314,8 @@ def apply_linear(
     sample: Iterable[Point],
 ) -> Fraction:
     """Apply a declared linear operator to a region-weighted function:
-    the operand at x is multiplicity(region, x) * f(x)."""
+    the operand at x is multiplicity(region, x) * f(x), and 0 where the
+    multiplicity is 0, without reading f(x) there."""
     if isinstance(op, str):
         op = linear_operator(op)
     elif op.name not in _OPERATORS:
@@ -324,7 +325,7 @@ def apply_linear(
         raise ContractError("apply_linear expects a single-atom term")
     base = items[0][0]
     values = [
-        Fraction(m) * base.value(p, valuation)
+        Fraction(m) * base.value(p, valuation) if m else Fraction(0)
         for p, (m,) in multiplicities_many((f.region,), sample, valuation)
     ]
     return op.combine(values)

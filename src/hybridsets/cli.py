@@ -192,7 +192,8 @@ def _cmd_matrix_add(args) -> int:
         if rows * cols > SIZE_CAP:
             raise _Usage(f"table too large; cap is {SIZE_CAP} cells")
         cells = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
-        points = ((Fraction(i), Fraction(j)) for i, j in cells)
+        coords = [Fraction(k) for k in range(max(rows, cols) + 1)]  # one per value
+        points = ((coords[i], coords[j]) for i, j in cells)
         for (i, j), out in zip(cells, evaluate_many(expr, points, v)):
             if args.format == "json-lines":
                 print(json.dumps(

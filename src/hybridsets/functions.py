@@ -15,6 +15,7 @@ correct for every ordering of the symbolic breakpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
@@ -26,7 +27,7 @@ from .errors import (
     OpacityError,
 )
 from .hybridset import HybridSet, checked_add, checked_mul
-from .regions import IndicatorTable, Point, SymbolicHybridSet, Valuation
+from .regions import IndicatorTable, Point, SymbolicHybridSet, Valuation, _Layout
 
 
 @dataclass(frozen=True)
@@ -217,6 +218,10 @@ class HybridExpr:
     def is_marked(self) -> bool:
         return self.star is not None
 
+    @cached_property
+    def _plan(self) -> "_Plan":
+        return _Plan(self)
+
     def render(self) -> str:
         if not self.terms:
             return "(empty)"
@@ -316,19 +321,20 @@ class Defined:
 EvalOutcome = Union[Defined, _Undefined]
 
 
-def _accumulate(e: HybridExpr, multiplicities: Iterable[int]):
+def _accumulate(words, multiplicities: Iterable[int]):
     """Net region multiplicity and combined exponent vector, from the terms'
-    region multiplicities, which are drawn one term at a time."""
+    words as (name, exponent, atom) tuples and their region multiplicities,
+    which are drawn one term at a time."""
     net = 0
     exps: Dict[str, int] = {}
     atoms: Dict[str, FunctionAtom] = {}
-    for t, m in zip(e.terms, multiplicities):
+    for word, m in zip(words, multiplicities):
         net = checked_add(net, m)
         if m == 0:
             continue
-        for a, k in t.word.items():
-            exps[a.name] = checked_add(exps.get(a.name, 0), checked_mul(m, k))
-            atoms.setdefault(a.name, a)
+        for name, k, a in word:
+            exps[name] = checked_add(exps.get(name, 0), checked_mul(m, k))
+            atoms.setdefault(name, a)
     surviving = {n: k for n, k in exps.items() if k != 0}
     return net, surviving, atoms
 
@@ -406,36 +412,75 @@ def _eval_marked(star, accumulated, point, valuation) -> EvalOutcome:
     return Defined(FormalValue(combo, star), net)
 
 
+def _reads_point(a: FunctionAtom) -> bool:
+    """Whether the atom's value can depend on the point: a python function
+    may read it, a body reads it when it names x."""
+    if a.body is not None:
+        return "x" in scalarexpr.body_names(a.body)
+    return a.func is not None
+
+
+class _Plan:
+    """What evaluating an expression needs whatever the valuation: the
+    region layout and each term's word as (name, exponent, atom) tuples.
+
+    ``slot`` holds the state of the last valuation used: its
+    ``IndicatorTable`` and, per indicator vector, the accumulated sums and
+    the outcome once one is known to hold for every point with that vector.
+    """
+
+    __slots__ = ("layout", "words", "slot")
+
+    def __init__(self, e: "HybridExpr"):
+        self.layout = _Layout([t.region for t in e.terms])
+        self.words = tuple(tuple((a.name, k, a) for a, k in t.word.items()) for t in e.terms)
+        self.slot = None
+
+    def state(self, valuation: Optional[Valuation]):
+        """(table, kept sums) of ``valuation``: the slot's when it holds this
+        very object, else a new state that takes the slot."""
+        slot = self.slot
+        if slot is None or slot[0] is not valuation:
+            slot = self.slot = (valuation, IndicatorTable(self.layout, valuation), {})
+        return slot[1], slot[2]
+
+
 def evaluate_many(
     e: HybridExpr, points: Iterable[Point], valuation: Optional[Valuation] = None
 ) -> Iterator[EvalOutcome]:
     """``evaluate(e, p, valuation)`` for each point p in order, raised errors
     included, computed in one pass.
 
-    Each endpoint is resolved once, each distinct region atom is tested
-    once per point (an interval once per scalar, a grid rectangle once per
-    row and per column), and the term multiplicities and exponent sums are
-    made once per distinct vector of atom indicators, and so is the outcome
-    when only opaque atoms survive.  Points are drawn one at a time, so the
-    outcomes before a raising point come out first.
+    The expression keeps a plan (region layout and flat words), made once,
+    and the state of the last valuation object it was evaluated under, so
+    that calls under that same object, one-point ``evaluate`` included,
+    share it.  The state holds the resolved endpoints, the interval tests
+    per cell between sorted endpoints (see ``IndicatorTable``), and per
+    distinct vector of atom indicators the term multiplicities and exponent
+    sums, and the outcome when no surviving atom reads the point.  All of
+    it is bounded by the expression, not by the points seen, and nothing
+    about an error is kept.  A pass keeps the state it started with, and
+    reads points one at a time, so the outcomes before a raising point come
+    out first.
     """
-    table = IndicatorTable([t.region for t in e.terms], valuation)
+    plan = e._plan
+    table, kept = plan.state(valuation)
     finish = _eval_plain if e.star is None else _eval_marked
-    sums: dict = {}
-    for point in points:
-        key = table.key(point)
-        found = sums.get(key)
+    words, multiplicities = plan.words, plan.layout.multiplicities
+    for point, key in table.keys(points):
+        found = kept.get(key)
         if found is None:
-            accumulated = _accumulate(e, table.multiplicities(key))
+            # An unfinished key raises here, so it is never kept.
+            accumulated = _accumulate(words, multiplicities(key))
             _, surviving, atoms = accumulated
-            outcome = None
-            if all(atoms[n].is_opaque for n in surviving):
-                # No atom value is read, so every point with this key has
-                # the same outcome.
-                outcome = finish(e.star, accumulated, point, valuation)
-            found = sums[key] = (accumulated, outcome)
-        accumulated, outcome = found
-        yield finish(e.star, accumulated, point, valuation) if outcome is None else outcome
+            fixed = not any(_reads_point(atoms[n]) for n in surviving)
+            found = kept[key] = (accumulated, fixed, None)
+        accumulated, fixed, outcome = found
+        if outcome is None:
+            outcome = finish(e.star, accumulated, point, valuation)
+            if fixed:
+                kept[key] = (accumulated, fixed, outcome)
+        yield outcome
 
 
 def evaluate(e: HybridExpr, point: Point, valuation: Optional[Valuation] = None) -> EvalOutcome:

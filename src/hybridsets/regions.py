@@ -10,6 +10,7 @@ coefficient-weighted sum of atom indicators.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -123,6 +124,8 @@ Shape = Union[Universe, Interval1D, GridRect, FinitePointSet]
 
 
 def _as_scalar(p: Point) -> Optional[Fraction]:
+    if type(p) is Fraction:
+        return p
     if isinstance(p, tuple):
         if len(p) == 1:
             return Fraction(p[0])
@@ -329,26 +332,19 @@ class _Unfinished:
         self.bits, self.index, self.error = bits, index, error
 
 
-class IndicatorTable:
-    """Atom indicators of a sequence of combinations under one valuation,
-    shared across the combinations and across points.
+class _Layout:
+    """The valuation-free half of an ``IndicatorTable``: the distinct atom
+    shapes of a sequence of combinations, numbered in the order the
+    combinations first use them (combination, then coefficient in insertion
+    order), each combination's (shape number, coefficient) uses, and the
+    shapes sorted by kind."""
 
-    The distinct atom shapes are numbered in the order the combinations
-    first use them (combination, then coefficient in insertion order), and
-    ``key(point)`` is the point's indicator vector: an int whose bit k is
-    the indicator of shape k.  Each endpoint is resolved at most once per
-    table, when a point first needs it; interval tests are kept per scalar
-    point, and grid-rectangle tests per row and per column value.  A point
-    whose test raises gets a key that raises the same error from
-    ``multiplicities`` where ``SymbolicHybridSet.multiplicity`` would.
-    """
+    __slots__ = ("uses", "shapes", "universe", "intervals", "rows", "cols", "pointwise")
 
-    def __init__(self, regions: Iterable[SymbolicHybridSet], valuation: Optional[Valuation]):
-        self._valuation = valuation
-        self._params: Dict[Param, object] = {}  # endpoint -> value or the error it raised
+    def __init__(self, regions: Iterable[SymbolicHybridSet]):
         index: Dict[int, int] = {}
         shapes = []
-        self._regions = []
+        self.uses = []
         for r in regions:
             uses = []
             for name, coeff in r._coeffs.items():
@@ -358,90 +354,22 @@ class IndicatorTable:
                     k = index[id(shape)] = len(shapes)
                     shapes.append(shape)
                 uses.append((k, coeff))
-            self._regions.append(uses)
-        self._shapes = shapes
+            self.uses.append(uses)
+        self.shapes = shapes
         kinds = {Universe: [], Interval1D: [], GridRect: []}
-        self._pointwise = []  # finite point sets and anything else: tested per point
+        self.pointwise = []  # finite point sets and anything else: tested per point
         for k, shape in enumerate(shapes):
-            kinds.get(type(shape), self._pointwise).append((k, shape))
-        self._universe = sum(1 << k for k, _ in kinds[Universe])
+            kinds.get(type(shape), self.pointwise).append((k, shape))
+        self.universe = sum(1 << k for k, _ in kinds[Universe])
         # (bit, lo, hi, lo_closed, hi_closed) per interval, grid row range
         # and grid column range
-        self._intervals = [(k, s.lo, s.hi, s.lo_closed, s.hi_closed) for k, s in kinds[Interval1D]]
-        self._rows = [
+        self.intervals = [(k, s.lo, s.hi, s.lo_closed, s.hi_closed) for k, s in kinds[Interval1D]]
+        self.rows = [
             (k, s.row_lo, s.row_hi, s.row_lo_closed, s.row_hi_closed) for k, s in kinds[GridRect]
         ]
-        self._cols = [
+        self.cols = [
             (k, s.col_lo, s.col_hi, s.col_lo_closed, s.col_hi_closed) for k, s in kinds[GridRect]
         ]
-        self._by_x: Dict[Point, int] = {}
-        self._by_row: Dict[object, int] = {}
-        self._by_col: Dict[object, int] = {}
-
-    def _resolve(self, p: Param) -> Fraction:
-        value = self._params.get(p, _UNRESOLVED)
-        if value is _UNRESOLVED:
-            try:
-                value = resolve_param(p, self._valuation)
-            except Exception as e:  # kept, and raised again wherever p is needed
-                value = e
-            self._params[p] = value
-        if isinstance(value, Exception):
-            raise value
-        return value
-
-    def key(self, point: Point):
-        """The point's indicator vector."""
-        try:
-            return self._bits(point)
-        except Exception:
-            # Whatever the shortcut met, the reference order decides which
-            # shape raises first, and whether any does.
-            return self._bits_in_order(point)
-
-    def _bits(self, point: Point) -> int:
-        bits = self._universe
-        if self._intervals and not (isinstance(point, tuple) and len(point) != 1):
-            found = self._by_x.get(point)
-            if found is None:
-                found = self._by_x[point] = self._range_bits(self._intervals, _as_scalar(point))
-            bits |= found
-        if self._rows and isinstance(point, tuple) and len(point) == 2:
-            bits |= self._grid_bits(self._by_row, self._rows, point[0]) & self._grid_bits(
-                self._by_col, self._cols, point[1]
-            )
-        for k, shape in self._pointwise:
-            if _contains(shape, point, self._resolve):
-                bits |= 1 << k
-        return bits
-
-    def _range_bits(self, ranges, x: Fraction) -> int:
-        bits = 0
-        for k, lo, hi, lo_closed, hi_closed in ranges:
-            if _within(self._resolve(lo), self._resolve(hi), lo_closed, hi_closed, x):
-                bits |= 1 << k
-        return bits
-
-    def _grid_bits(self, cache: dict, ranges, value) -> int:
-        """The grid rectangles whose row (or column) range holds the
-        coordinate ``value``; none when it is not an integer."""
-        found = cache.get(value)
-        if found is None:
-            v = Fraction(value)
-            found = cache[value] = self._range_bits(ranges, v) if v.denominator == 1 else 0
-        return found
-
-    def _bits_in_order(self, point: Point):
-        """The indicator vector computed shape by shape, in the reference
-        order, up to the first shape whose test raises."""
-        bits = 0
-        for k, shape in enumerate(self._shapes):
-            try:
-                if _contains(shape, point, self._resolve):
-                    bits |= 1 << k
-            except Exception as e:
-                return _Unfinished(bits, k, e)
-        return bits
 
     def multiplicities(self, key) -> Iterator[int]:
         """Each combination's multiplicity at a point with indicator vector
@@ -451,7 +379,7 @@ class IndicatorTable:
             bits, stop, error = key.bits, key.index, key.error
         else:
             bits, stop, error = key, -1, None
-        for uses in self._regions:
+        for uses in self.uses:
             total = 0
             for k, coeff in uses:
                 if k == stop:
@@ -460,7 +388,134 @@ class IndicatorTable:
             yield total
 
 
-_UNRESOLVED = object()
+class IndicatorTable:
+    """Atom indicators of a ``_Layout``'s shapes under one valuation, shared
+    across points and across passes.
+
+    ``keys(points)`` gives each point's indicator vector: an int whose bit
+    k is the indicator of shape k.  Each endpoint is resolved once per
+    table, when a point first needs it.  Scalar points are placed among the
+    sorted distinct interval endpoints by ``bisect``: the points in one gap,
+    or on one endpoint, share a cell, each interval holds a run of cells,
+    and each cell's interval bits are found once per table, so a table
+    keeps at most 2E + 1 cells for E endpoints however many points it sees.
+    Grid-rectangle tests are kept per row and per column value for one pass
+    only.  Nothing about an error is kept beyond its pass: a point whose
+    test raises gets a key that raises the same error from
+    ``_Layout.multiplicities`` where ``SymbolicHybridSet.multiplicity``
+    would.
+    """
+
+    def __init__(self, layout: _Layout, valuation: Optional[Valuation]):
+        self.layout = layout
+        self._valuation = valuation
+        self._params: Dict[Param, Fraction] = {}  # endpoint -> value, once resolved
+        self._ends: Optional[list] = None  # sorted distinct interval endpoint values
+        self._spans: list = []  # (bit, first cell, last cell) per interval
+        self._cells: Dict[int, int] = {}  # cell -> interval bits
+
+    def keys(self, points: Iterable[Point]) -> Iterator[Tuple[Point, object]]:
+        """(point, indicator vector) for each point in order, in one pass."""
+        params, valuation = self._params, self._valuation
+        failed: Dict[Param, Exception] = {}  # raised again wherever needed in this pass
+        by_row: Dict[object, int] = {}
+        by_col: Dict[object, int] = {}
+
+        def resolve(p: Param) -> Fraction:
+            value = params.get(p)
+            if value is None:
+                error = failed.get(p)
+                if error is not None:
+                    raise error
+                try:
+                    value = params[p] = resolve_param(p, valuation)
+                except Exception as e:
+                    failed[p] = e
+                    raise
+            return value
+
+        for point in points:
+            try:
+                key = self._bits(point, resolve, by_row, by_col)
+            except Exception:
+                # Whatever the shortcut met, the reference order decides
+                # which shape raises first, and whether any does.
+                key = self._bits_in_order(point, resolve)
+            yield point, key
+
+    def _bits(self, point: Point, resolve, by_row: dict, by_col: dict) -> int:
+        layout = self.layout
+        bits = layout.universe
+        if layout.intervals and not (isinstance(point, tuple) and len(point) != 1):
+            bits |= self._interval_bits(_as_scalar(point), resolve)
+        if layout.rows and isinstance(point, tuple) and len(point) == 2:
+            bits |= _grid_bits(by_row, layout.rows, point[0], resolve) & _grid_bits(
+                by_col, layout.cols, point[1], resolve
+            )
+        for k, shape in layout.pointwise:
+            if _contains(shape, point, resolve):
+                bits |= 1 << k
+        return bits
+
+    def _interval_bits(self, x: Fraction, resolve) -> int:
+        ends = self._ends
+        if ends is None:
+            ends = self._sort_ends(resolve)
+        i = bisect_left(ends, x)
+        cell = 2 * i + 1 if i < len(ends) and ends[i] == x else 2 * i
+        bits = self._cells.get(cell)
+        if bits is None:
+            bits = 0
+            for k, first, last in self._spans:
+                if first <= cell <= last:
+                    bits |= 1 << k
+            self._cells[cell] = bits
+        return bits
+
+    def _sort_ends(self, resolve) -> list:
+        """Sort the distinct interval endpoints.  Cell 2i is the gap below
+        endpoint i and cell 2i + 1 the endpoint itself, so each interval
+        holds a run of cells, kept as (bit, first cell, last cell)."""
+        intervals = self.layout.intervals
+        values = [(resolve(lo), resolve(hi)) for _, lo, hi, _, _ in intervals]
+        ends = sorted({v for pair in values for v in pair})
+        rank = {v: i for i, v in enumerate(ends)}
+        self._spans = [
+            (k, 2 * rank[lo] + (1 if lo_closed else 2), 2 * rank[hi] + (1 if hi_closed else 0))
+            for (k, _, _, lo_closed, hi_closed), (lo, hi) in zip(intervals, values)
+        ]
+        self._ends = ends
+        return ends
+
+    def _bits_in_order(self, point: Point, resolve):
+        """The indicator vector computed shape by shape, in the reference
+        order, up to the first shape whose test raises."""
+        bits = 0
+        for k, shape in enumerate(self.layout.shapes):
+            try:
+                if _contains(shape, point, resolve):
+                    bits |= 1 << k
+            except Exception as e:
+                return _Unfinished(bits, k, e)
+        return bits
+
+
+def _range_bits(ranges, x: Fraction, resolve) -> int:
+    bits = 0
+    for k, lo, hi, lo_closed, hi_closed in ranges:
+        if _within(resolve(lo), resolve(hi), lo_closed, hi_closed, x):
+            bits |= 1 << k
+    return bits
+
+
+def _grid_bits(cache: dict, ranges, value, resolve) -> int:
+    """The grid rectangles whose row (or column) range holds the coordinate
+    ``value``; none when it is not an integer."""
+    found = cache.get(value)
+    if found is None:
+        v = Fraction(value)
+        found = cache[value] = _range_bits(ranges, v, resolve) if v.denominator == 1 else 0
+    return found
 
 
 def multiplicities_many(
@@ -471,13 +526,12 @@ def multiplicities_many(
     """(point, multiplicities of the regions there) for each point in order,
     equal to ``r.multiplicity(point, valuation)`` for each region r, raised
     errors included.  The sums are made once per distinct indicator vector."""
-    table = IndicatorTable(regions, valuation)
+    layout = _Layout(regions)
     sums: dict = {}
-    for p in points:
-        key = table.key(p)
+    for p, key in IndicatorTable(layout, valuation).keys(points):
         found = sums.get(key)
         if found is None:
-            found = sums[key] = tuple(table.multiplicities(key))
+            found = sums[key] = tuple(layout.multiplicities(key))
         yield p, found
 
 

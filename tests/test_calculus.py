@@ -427,7 +427,10 @@ def _reference_inverse_check(star, f, valuation, sample):
 
 def _reference_apply_linear(name, f, valuation, sample):
     base = f.word.items()[0][0]
-    values = [F(f.region.multiplicity(p, valuation)) * base.value(p, valuation) for p in sample]
+    values = []
+    for p in sample:
+        m = f.region.multiplicity(p, valuation)
+        values.append(F(m) * base.value(p, valuation) if m else F(0))
     return linear_operator(name).combine(values)
 
 

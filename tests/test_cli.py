@@ -356,6 +356,19 @@ class TestChecks:
             "sum over one^P = 11",
         ]
 
+    def test_linear_reads_no_value_where_the_multiplicity_is_0(self, capsys, tmp_path):
+        # 1/x is undefined at x = 0, which lies outside R
+        ws = tmp_path / "reciprocal.ws"
+        ws.write_text("region U = interval[0, 10]\nregion R = interval[1, 10]\nfn f = 1 / x\n")
+        code, out, err = run_cli(
+            capsys, "check", "linear", str(ws), "--term", "f^R", "--grid", "0,10,11"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "linearity of 'sum': OK (10 checks)",
+            "sum over f^R = 7381/2520",
+        ]
+
     def test_linear_unknown_operator(self, capsys):
         code, _, err = run_cli(capsys, "check", "linear", STEPS, "--op", "max")
         assert code == 1

@@ -2,10 +2,11 @@
 
 import itertools
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from hybridsets import (
@@ -14,6 +15,7 @@ from hybridsets import (
     FinitePointSet,
     FormalValue,
     FreeWord,
+    FunctionAtom,
     GridRect,
     HybridExpr,
     HybridSet,
@@ -48,7 +50,9 @@ from hybridsets import (
     term,
     word,
 )
+from hybridsets import regions
 from hybridsets.functions import _eval_marked, _eval_plain
+from hybridsets.regions import resolve_param
 
 F = Fraction
 
@@ -306,7 +310,7 @@ valuations = st.one_of(
 
 
 @st.composite
-def expressions(draw):
+def expressions(draw, value_atoms=value_atoms):
     pool = [RegionAtom(f"R{i}", s) for i, s in enumerate(draw(st.lists(shapes, min_size=1, max_size=5)))]
     terms = []
     for _ in range(draw(st.integers(1, 4))):
@@ -420,6 +424,135 @@ class TestEvaluateMany:
         e = join(term(f, A), term(g, B))
         pts = [F(n, 4) for n in range(-2, 10)]
         assert list(evaluate_many(e, pts)) == [evaluate(e, p) for p in pts]
+
+
+# Atoms whose value reads x, reads only a parameter (and may raise there),
+# reads nothing, or comes from a python function of the point.
+mixed_atoms = value_atoms + (
+    atom("pb", "b / 2"),
+    atom("ia", "1 / a"),
+    FunctionAtom("fp", func=lambda p, v: F(len(p)) if isinstance(p, tuple) else 2 * F(p)),
+)
+
+
+@st.composite
+def call_sequences(draw):
+    """An expression, then several evaluate and evaluate_many calls on it
+    under one valuation object, an equal but distinct one, None, and one
+    that lacks a parameter."""
+    e = draw(expressions(mixed_atoms))
+    values = {p: draw(st.sampled_from(LEVELS)) for p in PARAMS}
+    lacking = dict(values)
+    del lacking[draw(st.sampled_from(PARAMS))]
+    pool = (Valuation(values), Valuation(values), None, Valuation(lacking))
+    calls = draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.booleans(), st.lists(sample_points, min_size=1, max_size=6)),
+        min_size=1, max_size=10,
+    ))
+    return e, calls
+
+
+class TestPlanAndState:
+    """One-point and many-point calls on one expression share its plan and
+    the state of the last valuation object; none of it may show."""
+
+    @seed(2010)
+    @settings(max_examples=200, deadline=None)
+    @given(call_sequences())
+    def test_calls_agree_with_the_per_point_reference(self, case):
+        e, calls = case
+        for valuation, one_point, points in calls:
+            fresh = HybridExpr(e.star, e.terms)
+            if one_point:
+                try:
+                    got = [evaluate(e, points[0], valuation)]
+                except Exception as err:
+                    got = [(type(err), str(err))]
+                points = points[:1]
+            else:
+                got = _outcomes(evaluate_many(e, points, valuation))
+            assert got == _outcomes(_per_point_reference(fresh, points, valuation))
+
+    STEPS = [(F(3, 2), "k1"), (F(-2), "k2"), (F(1, 3), "k3"), (F(5), "k4")]
+
+    def steps(self):
+        """A marked sum of steps a_i on (k_i, 15] over U = [0, 15]: the
+        endpoints are 0, 15 and k1..k4."""
+        universe = SymbolicHybridSet.from_atom(RegionAtom("U", Interval1D(F(0), F(15))))
+        terms = [term(constant_atom("z", 0), universe)]
+        for i, (amp, k) in enumerate(self.STEPS, start=1):
+            step = RegionAtom(f"R{i}", Interval1D(k, F(15), lo_closed=False))
+            terms.append(term(constant_atom(f"a{i}", amp), SymbolicHybridSet.from_atom(step)))
+        return marked_join(PLUS, terms)
+
+    V = Valuation({"k1": F(2), "k2": F(15, 2), "k3": F(2), "k4": F(0)})
+    POINTS = [F(j - 2, 4) for j in range(64)]
+
+    def counting(self, monkeypatch):
+        resolved = []
+
+        def count(p, valuation):
+            resolved.append(p)
+            return resolve_param(p, valuation)
+
+        monkeypatch.setattr(regions, "resolve_param", count)
+        return resolved
+
+    def test_one_point_calls_resolve_each_endpoint_once(self, monkeypatch):
+        e = self.steps()
+        reference = list(_per_point_reference(e, self.POINTS, self.V))
+        resolved = self.counting(monkeypatch)
+        assert [evaluate(e, x, self.V) for x in self.POINTS] == reference
+        assert Counter(resolved) == Counter([F(0), F(15), "k1", "k2", "k3", "k4"])
+        # an equal but distinct valuation object starts a new state
+        evaluate(e, F(1), Valuation({"k1": F(2), "k2": F(15, 2), "k3": F(2), "k4": F(0)}))
+        assert len(resolved) == 12
+
+    def test_the_state_keeps_at_most_one_cell_per_gap_and_endpoint(self):
+        e = self.steps()
+        ends = {F(0), F(15), *(self.V.resolve(k) for _, k in self.STEPS)}
+        # 4096 distinct points from -1 up to 16, the endpoints among them
+        points = sorted([F(17 * j, 4091) - 1 for j in range(4096 - len(ends))] + sorted(ends))
+        assert len(set(points)) == 4096
+        for x in points[:2048]:
+            evaluate(e, x, self.V)
+        assert list(evaluate_many(e, points[2048:], self.V)) == list(
+            _per_point_reference(e, points[2048:], self.V)
+        )
+        table, kept = e._plan.state(self.V)
+        assert len(table._cells) <= 2 * len(ends) + 1
+        assert len(kept) <= 2 * len(ends) + 1
+
+    def test_a_started_pass_keeps_its_state(self):
+        e = self.steps()
+        other = Valuation({"k1": F(9), "k2": F(9), "k3": F(9), "k4": F(9)})
+        pass_ = evaluate_many(e, self.POINTS, self.V)
+        head = [next(pass_) for _ in range(20)]
+        assert evaluate(e, F(10), other) == next(_per_point_reference(e, [F(10)], other))
+        assert e._plan.slot[0] is other
+        assert head + list(pass_) == list(_per_point_reference(e, self.POINTS, self.V))
+
+    P = SymbolicHybridSet.from_atom(RegionAtom("P", Interval1D(F(0), "p")))
+
+    @pytest.mark.parametrize(
+        "e, error",
+        [
+            (join(term(f, P)), ValuationError),  # p has no value
+            (join(term(atom("r", "1 / q"), U)), ContractError),  # the finish divides by 0
+            (marked_join(PLUS, [term(word((f, 2**62)), U), term(word((f, 2**62)), U)]),
+             MultiplicityOverflowError),
+        ],
+        ids=["resolution", "finish", "overflow"],
+    )
+    def test_no_error_is_kept(self, e, error):
+        v = Valuation({"q": F(0)})
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                evaluate(e, F(1, 2), v)
+            raised.append(info.value)
+        assert raised[0] is not raised[1]
+        assert str(raised[0]) == str(raised[1])
 
 
 def _graph_values(gr):
