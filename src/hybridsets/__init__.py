@@ -105,7 +105,6 @@ from .matrices import (
     grid_universe,
     matrix_add,
     matrix_add_with_refinement,
-    matrix_eval_cell,
 )
 from .splines import (
     SegmentAtom,

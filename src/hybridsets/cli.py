@@ -11,6 +11,10 @@ text: the cells of ``matrix-add --table``, the universe grid cells of
 ``check partition``, the ``--grid`` count of ``check invert``, ``check
 linear`` and ``check partition``, and the span of ``check karr --bounds``
 once they are resolved.  A request above it exits 2.
+
+``--at``, ``--with``, ``--grid``, ``--cell`` and ``--bounds`` are read by
+the workspace's readers over a ``scalarexpr.Cursor``, under its lexical
+rules; text outside them exits 2 as ``bad <argument> '<text>': ...``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import List, Optional
 
@@ -34,7 +39,7 @@ from .errors import ContractError, HybridError, ParseError
 from .functions import BUILTIN_STARS, FormalValue, UNDEFINED, evaluate_many
 from .functions import evaluate as eval_expr
 from .hybridset import render_element
-from .matrices import matrix_add_with_refinement, matrix_eval_cell
+from .matrices import matrix_add_with_refinement
 from .refine import STYLE_ONES_TOP, STYLE_UPPER_TRIANGLE, common_strict_refinement
 from .regions import (
     FinitePointSet,
@@ -45,8 +50,9 @@ from .regions import (
     render_combination,
     resolve_param,
 )
+from .scalarexpr import Cursor
 from .splines import spline_eval_region, spline_merge_with_refinement
-from .workspace import Workspace, parse_expr_text, parse_term_text, parse_workspace
+from .workspace import Workspace, parse_expr_text, parse_term_text, parse_workspace, read_point
 
 DEFAULT_GRID = "-5,5,101"
 SIZE_CAP = 4096
@@ -72,48 +78,53 @@ def _lookup(registry: dict, name: str, kind: str):
         raise _Usage(f"unknown {kind} {name!r}") from None
 
 
+@contextmanager
+def _reading(what: str, spec: str, form: Optional[str] = None):
+    """A Cursor over the argument ``spec``, which the block reads to its end
+    with the workspace's readers.  A ContractError, a ParseError included,
+    becomes the usage error ``bad <what> '<spec>': ...``, which names
+    ``form`` in place of the error when one is given."""
+    cur = Cursor(spec)
+    try:
+        yield cur
+        cur.finish()
+    except ContractError as e:
+        raise _Usage(f"bad {what} {spec!r}: {form or e}") from None
+
+
 def _valuation(ws: Workspace, spec: Optional[str]) -> Optional[Valuation]:
     if spec is None:
         return None
     if spec in ws.valuations:
         return ws.valuations[spec]
-    try:
-        return Valuation.parse(spec)
-    except (ContractError, ValueError, ZeroDivisionError) as e:
-        raise _Usage(f"bad valuation {spec!r}: {e}") from None
-
-
-def _point(text: str):
-    text = text.strip()
-    try:
-        if text.startswith("("):
-            if not text.endswith(")"):
-                raise ValueError("unbalanced parentheses")
-            parts = text[1:-1].split(",")
-            if len(parts) != 2:
-                raise ValueError("a point pair has two coordinates")
-            return (Fraction(parts[0]), Fraction(parts[1]))
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise _Usage(f"bad point {text!r}: {e}") from None
+    with _reading("valuation", spec) as cur:
+        return Valuation.read(cur)
 
 
 def _grid(spec: str):
-    try:
-        lo, hi, count = spec.split(",")
-        lo, hi, count = Fraction(lo), Fraction(hi), int(count)
+    with _reading("grid", spec) as cur:
+        lo = cur.number()
+        cur.expect(",")
+        hi = cur.number()
+        cur.expect(",")
+        count = cur.integer(1)
         if count > SIZE_CAP:
-            raise ValueError(f"count {count} is above the cap of {SIZE_CAP} points")
+            raise ContractError(f"count {count} is above the cap of {SIZE_CAP} points")
         return rational_grid(lo, hi, count, include_hi=True)
-    except (ValueError, ZeroDivisionError, ContractError) as e:
-        raise _Usage(f"bad grid {spec!r}: {e}") from None
+
+
+def _value_text(v) -> str:
+    try:
+        return v.render() if isinstance(v, FormalValue) else str(v)
+    except ValueError:  # past the interpreter's int-to-text digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ContractError(f"result too long to print: more than {limit} digits") from None
 
 
 def _outcome_text(out) -> str:
     if out is UNDEFINED:
         return "undefined"
-    v = out.value
-    text = v.render() if isinstance(v, FormalValue) else str(v)
+    text = _value_text(out.value)
     if out.multiplicity != 1:
         text += f" (multiplicity {out.multiplicity})"
     return text
@@ -122,8 +133,7 @@ def _outcome_text(out) -> str:
 def _outcome_json(label: str, at, out) -> dict:
     record = {"expr": label, "at": render_element(at), "defined": out is not UNDEFINED}
     if out is not UNDEFINED:
-        v = out.value
-        record["value"] = v.render() if isinstance(v, FormalValue) else str(v)
+        record["value"] = _value_text(out.value)
         record["multiplicity"] = out.multiplicity
     return record
 
@@ -135,7 +145,8 @@ def _cmd_eval(args) -> int:
     else:
         e = parse_expr_text(ws, args.expr)
     v = _valuation(ws, args.valuation)
-    p = _point(args.at)
+    with _reading("point", args.at) as cur:
+        p = read_point(cur)
     out = eval_expr(e, p, v)
     if args.format == "json-lines":
         print(json.dumps(_outcome_json(args.expr, p, out), sort_keys=True, ensure_ascii=False))
@@ -173,11 +184,11 @@ def _cmd_matrix_add(args) -> int:
     if args.format != "json-lines":
         print(expr.render())
     if args.cell:
-        try:
-            i, j = (int(c) for c in args.cell.split(","))
-        except ValueError:
-            raise _Usage(f"bad cell {args.cell!r}: expected i,j") from None
-        out = matrix_eval_cell(expr, i, j, v)
+        with _reading("cell", args.cell, "expected i,j") as cur:
+            i = cur.integer(1)
+            cur.expect(",")
+            j = cur.integer(1)
+        out = eval_expr(expr, (Fraction(i), Fraction(j)), v)
         if args.format == "json-lines":
             print(json.dumps(_outcome_json(f"{args.m1}+{args.m2}", (i, j), out),
                              sort_keys=True, ensure_ascii=False))
@@ -212,7 +223,9 @@ def _cmd_spline_merge(args) -> int:
     print(expr.render())
     if args.at is not None:
         v = _valuation(ws, args.valuation)
-        desc = spline_eval_region(expr, _point(args.at), v)
+        with _reading("point", args.at) as cur:
+            x = read_point(cur)
+        desc = spline_eval_region(expr, x, v)
         print(f"at {args.at}: {desc.render()}")
     return 0
 
@@ -221,10 +234,12 @@ def _cmd_check_karr(args) -> int:
     ws = _load(args.workspace)
     f = _lookup(ws.atoms, args.summand, "function")
     v = _valuation(ws, args.valuation)
-    chunks = args.bounds.split(",")
-    if len(chunks) != 3:
-        raise _Usage(f"bad bounds {args.bounds!r}: expected lower,mid,upper")
-    lower, mid, upper = (int(c) if _is_int(c) else c.strip() for c in chunks)
+    with _reading("bounds", args.bounds, "expected lower,mid,upper") as cur:
+        lower = _bound(cur)
+        cur.expect(",")
+        mid = _bound(cur)
+        cur.expect(",")
+        upper = _bound(cur)
     # resolved in the order karr_split_check resolves them, so errors match
     ends = [summation_bound(b, v) for b in (lower, upper, mid)]
     if max(ends) - min(ends) > SIZE_CAP:
@@ -234,12 +249,9 @@ def _cmd_check_karr(args) -> int:
     return 0 if report.passed else 1
 
 
-def _is_int(text: str) -> bool:
-    try:
-        int(text)
-        return True
-    except ValueError:
-        return False
+def _bound(cur: Cursor):
+    """A summation bound: an integer or a parameter name."""
+    return cur.integer(1) if cur.at_number() else cur.ident("an integer or a parameter name")
 
 
 def _cmd_check_invert(args) -> int:
@@ -262,7 +274,7 @@ def _cmd_check_linear(args) -> int:
         t = parse_term_text(ws, args.term)
         v = _valuation(ws, args.valuation)
         value = apply_linear(args.op, t, v, _grid(args.grid))
-        print(f"{args.op} over {args.term} = {value}")
+        print(f"{args.op} over {args.term} = {_value_text(value)}")
     return 0 if report.passed else 1
 
 

@@ -41,8 +41,9 @@ class ContractError(HybridError):
     """An operation was called outside its declared contract."""
 
 
-class ParseError(HybridError):
-    """Source text could not be parsed.  Carries line and column."""
+class ParseError(ContractError):
+    """Source text could not be parsed.  Carries line and column.  Text
+    outside the grammar is a contract breach of the call that reads it."""
 
     def __init__(self, message, line=None, column=None):
         self.line = line

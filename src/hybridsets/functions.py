@@ -27,7 +27,7 @@ from .errors import (
     OpacityError,
 )
 from .hybridset import HybridSet, checked_add, checked_mul
-from .regions import IndicatorTable, Point, SymbolicHybridSet, Valuation, _Layout
+from .regions import IndicatorTable, Point, SymbolicHybridSet, Valuation, _Layout, as_fraction
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class FunctionAtom:
         if self.body is not None:
             return scalarexpr.eval_scalar(self.body, point, valuation)
         if self.func is not None:
-            return Fraction(self.func(point, valuation))
+            return as_fraction(self.func(point, valuation), f"the value of {self.name!r}")
         raise OpacityError(f"atom {self.name!r} has no body to evaluate")
 
 
@@ -61,7 +61,7 @@ def atom(name: str, body: Optional[str] = None) -> FunctionAtom:
 
 
 def constant_atom(name: str, value) -> FunctionAtom:
-    return FunctionAtom(name, scalarexpr.Num(Fraction(value)))
+    return FunctionAtom(name, scalarexpr.Num(as_fraction(value, f"the value of {name!r}")))
 
 
 class FreeWord:

@@ -14,21 +14,17 @@ Multiplicities are kept inside the signed 64-bit range; leaving it raises
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import (
     MultiplicityOverflowError,
     NotReducibleError,
-    ParseError,
     UniverseMismatchError,
 )
+from .scalarexpr import ELEMENT_TOKEN, INT64_MAX, INT64_MIN, MAX_NESTING, Cursor
 
 Element = Union[Fraction, int, str, Tuple["Element", ...]]
-
-INT64_MIN = -(2**63)
-INT64_MAX = 2**63 - 1
 
 
 def checked_int(n: int) -> int:
@@ -67,41 +63,29 @@ def render_element(el) -> str:
     return str(el)
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-_TOKEN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\[\]]*$")
+def _read_element(cur: Cursor, depth: int = 0):
+    """A number, a token or a parenthesised tuple of elements, read from
+    ``cur``; tuples nest at most ``MAX_NESTING`` deep."""
+    start = cur.pos
+    if cur.take("("):
+        if depth == MAX_NESTING:
+            cur.error(f"tuple elements nest more than {MAX_NESTING} deep", start)
+        if cur.take(")"):
+            return ()
+        parts = cur.comma_list(lambda c: _read_element(c, depth + 1))
+        cur.expect(")")
+        return tuple(parts)
+    if cur.at_number():
+        return cur.number()
+    token = cur.scan(ELEMENT_TOKEN)
+    if token is None:
+        cur.error("expected an element")
+    return token
 
 
-def _split_top_level(text: str, sep: str) -> list:
-    """Split on ``sep`` outside parentheses.  Empty input gives no parts."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    tail = text[start:]
-    if parts or tail.strip():
-        parts.append(tail)
-    return parts
-
-
-def parse_element(text: str):
-    text = text.strip()
-    if not text:
-        raise ParseError("empty element")
-    if text.startswith("("):
-        if not text.endswith(")"):
-            raise ParseError(f"unbalanced tuple element {text!r}")
-        inner = _split_top_level(text[1:-1], ",")
-        return tuple(parse_element(p) for p in inner)
-    if _RATIONAL_RE.match(text):
-        return Fraction(text)
-    if _TOKEN_RE.match(text):
-        return text
-    raise ParseError(f"cannot read element {text!r}")
+def _read_entry(cur: Cursor):
+    """``element^multiplicity``, the multiplicity 1 when it is left out."""
+    return _read_element(cur), cur.integer(1) if cur.take("^") else 1
 
 
 class HybridSet:
@@ -237,27 +221,15 @@ class HybridSet:
 
     @classmethod
     def parse(cls, text: str, universe_tag: str = "U") -> "HybridSet":
-        """Read ``{elem^mult, ...}``.  Accepts unsorted, unnormalised input."""
-        body = text.strip()
-        if not (body.startswith("{") and body.endswith("}")):
-            raise ParseError(f"hybrid set must be written {{...}}, got {text!r}")
-        inner = body[1:-1].strip()
+        """Read ``{elem^mult, ...}``.  Accepts unsorted, unnormalised input;
+        numbers and spacing follow the workspace's lexical rules."""
+        cur = Cursor(text)
+        cur.expect("{")
         entries = []
-        if inner:
-            for chunk in _split_top_level(inner, ","):
-                chunk = chunk.strip()
-                if not chunk:
-                    raise ParseError(f"empty entry in {text!r}")
-                head, caret, exp = chunk.rpartition("^")
-                if caret:
-                    el_text, mult_text = head, exp
-                else:
-                    el_text, mult_text = chunk, "1"
-                try:
-                    mult = int(mult_text)
-                except ValueError:
-                    raise ParseError(f"bad multiplicity {mult_text!r} in {chunk!r}")
-                entries.append((parse_element(el_text), mult))
+        if not cur.take("}"):
+            entries = cur.comma_list(_read_entry)
+            cur.expect("}")
+        cur.finish()
         return cls(entries, universe_tag)
 
 

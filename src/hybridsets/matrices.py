@@ -9,10 +9,8 @@ block symbol of each operand, valid for every ordering of the splits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from . import scalarexpr
 from .calculus import pointwise_star
 from .errors import ContractError
 from .functions import (
@@ -20,7 +18,8 @@ from .functions import (
     HybridExpr,
     PLUS,
     StarOp,
-    evaluate,
+    constant_atom,
+    evaluate,  # unused here, but a name the perfbench tracer rebinds in this module
     join,
     term,
 )
@@ -31,6 +30,7 @@ from .regions import (
     RegionAtom,
     SymbolicHybridSet,
     Valuation,
+    as_fraction,
     render_param,
 )
 
@@ -69,7 +69,7 @@ class SymbolicBlockMatrix:
         return join(*(term(b.symbol, SymbolicHybridSet.from_atom(b.region)) for b in self.blocks))
 
     def block_at(self, i, j, valuation: Optional[Valuation]) -> Optional[Block]:
-        point = (Fraction(i), Fraction(j))
+        point = (as_fraction(i, "a row"), as_fraction(j, "a column"))
         hits = [b for b in self.blocks if b.region.indicator(point, valuation)]
         if len(hits) > 1:
             raise ContractError(
@@ -101,11 +101,7 @@ def block_matrix_2x2(
     blocks = []
     for idx, block_name in enumerate(block_names):
         body = bodies[idx] if bodies is not None else None
-        symbol = (
-            FunctionAtom(block_name)
-            if body is None
-            else FunctionAtom(block_name, scalarexpr.Num(Fraction(body)))
-        )
+        symbol = FunctionAtom(block_name) if body is None else constant_atom(block_name, body)
         blocks.append(Block(RegionAtom(block_name, shapes[block_name]), symbol))
     return SymbolicBlockMatrix(name, rows, cols, tuple(blocks))
 
@@ -143,7 +139,3 @@ def matrix_add_with_refinement(
     expr = pointwise_star(star, m1.expr(), m2.expr(), refinement=refinement)
     return expr, refinement
 
-
-def matrix_eval_cell(e: HybridExpr, i, j, valuation: Optional[Valuation]):
-    """Evaluate the sum at one cell; the value is the surviving symbol sum."""
-    return evaluate(e, (Fraction(i), Fraction(j)), valuation)

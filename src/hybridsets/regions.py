@@ -17,6 +17,7 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple,
 
 from .errors import ContractError, ValuationError
 from .hybridset import HybridSet, checked_add, checked_int, checked_mul
+from .scalarexpr import Cursor
 
 # An endpoint: either an exact rational or the name of a parameter.
 Param = Union[Fraction, str]
@@ -28,7 +29,9 @@ class Valuation:
     """Assignment of exact rationals to parameter names."""
 
     def __init__(self, values: Optional[Mapping[str, Fraction]] = None):
-        self._values = {k: Fraction(v) for k, v in (values or {}).items()}
+        self._values = {
+            k: as_fraction(v, f"the value of {k!r}") for k, v in (values or {}).items()
+        }
 
     def resolve(self, name: str) -> Fraction:
         try:
@@ -56,17 +59,31 @@ class Valuation:
 
     @classmethod
     def parse(cls, text: str) -> "Valuation":
-        """Read ``a=1/3, b=2`` style assignments."""
-        values = {}
-        for chunk in text.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            name, eq, value = chunk.partition("=")
-            if not eq:
-                raise ContractError(f"expected name=value, got {chunk!r}")
-            values[name.strip()] = Fraction(value.strip())
-        return cls(values)
+        """Read ``a = 1/3, b = 2``, with names and numbers as in a workspace."""
+        return Cursor(text).read_all(cls.read)
+
+    @classmethod
+    def read(cls, cur: Cursor, declared: Optional[Mapping] = None) -> "Valuation":
+        """``name = number, ...`` pairs read from ``cur``; a later pair for a
+        name wins.  With ``declared``, every name must be one of its keys."""
+
+        def pair(c: Cursor):
+            pos = c.pos
+            name = c.ident("a parameter name")
+            if declared is not None and name not in declared:
+                c.error(f"unresolved name {name!r}", pos)
+            c.expect("=")
+            return name, c.number()
+
+        return cls(dict(cur.comma_list(pair)))
+
+
+def as_fraction(value, what: str) -> Fraction:
+    """``value``, an int or a Fraction, as a Fraction.  Text, floats and the
+    rest are a ContractError: only ``scalarexpr.Cursor`` reads number text."""
+    if not isinstance(value, (int, Fraction)):
+        raise ContractError(f"{what} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
 
 
 def resolve_param(p: Param, valuation: Optional[Valuation]) -> Fraction:
@@ -127,10 +144,8 @@ def _as_scalar(p: Point) -> Optional[Fraction]:
     if type(p) is Fraction:
         return p
     if isinstance(p, tuple):
-        if len(p) == 1:
-            return Fraction(p[0])
-        return None
-    return Fraction(p)
+        return as_fraction(p[0], "a point coordinate") if len(p) == 1 else None
+    return as_fraction(p, "a point")
 
 
 def _within(lo, hi, lo_closed, hi_closed, x) -> bool:
@@ -162,7 +177,8 @@ def _contains(shape: Shape, point: Point, resolve) -> bool:
     if isinstance(shape, GridRect):
         if not (isinstance(point, tuple) and len(point) == 2):
             return False
-        i, j = Fraction(point[0]), Fraction(point[1])
+        i = as_fraction(point[0], "a point coordinate")
+        j = as_fraction(point[1], "a point coordinate")
         if i.denominator != 1 or j.denominator != 1:
             return False
         row_lo = resolve(shape.row_lo)
@@ -513,7 +529,7 @@ def _grid_bits(cache: dict, ranges, value, resolve) -> int:
     ``value``; none when it is not an integer."""
     found = cache.get(value)
     if found is None:
-        v = Fraction(value)
+        v = as_fraction(value, "a point coordinate")
         found = cache[value] = _range_bits(ranges, v, resolve) if v.denominator == 1 else 0
     return found
 
@@ -548,7 +564,7 @@ def instantiate(
 
 def rational_grid(lo, hi, count: int, include_hi: bool = False) -> Tuple[Fraction, ...]:
     """Evenly spaced exact rationals in [lo, hi) or [lo, hi]."""
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = as_fraction(lo, "a grid end"), as_fraction(hi, "a grid end")
     if count < 1:
         raise ContractError("grid needs at least one point")
     if include_hi:
@@ -573,6 +589,7 @@ __all__ = [
     "Param",
     "Point",
     "Valuation",
+    "as_fraction",
     "resolve_param",
     "render_param",
     "Universe",

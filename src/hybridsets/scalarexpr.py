@@ -1,10 +1,14 @@
 """The package's one text scanner, and the exact-arithmetic body language.
 
-``Cursor`` reads workspace lines, inline expression and term text, and
-function-atom bodies.  Tokens are separated by spaces and tabs; names are
-ASCII (``[A-Za-z_][A-Za-z0-9_]*``), numbers are ``-?\\d+(/\\d+)?`` with no
-inner spaces, and a coefficient or exponent literal, with its sign, must
-fit in a signed 64-bit word.
+``Cursor`` reads workspace lines, inline expression and term text,
+function-atom bodies, command-line numbers, points and valuations, and
+hybrid-set literals; it is the only code that turns text into a number.
+Tokens are separated by spaces and tabs; names are ASCII
+(``[A-Za-z_][A-Za-z0-9_]*``), numbers are ``-?\\d+(/\\d+)?`` with no inner
+spaces, a nonzero denominator and no part longer than the interpreter
+converts from text (``sys.get_int_max_str_digits()``), and a coefficient,
+exponent or multiplicity literal, with its sign, must fit in a signed
+64-bit word.
 
 Body grammar: integers, named parameters, the distinguished variable ``x``,
 the four operations ``+ - * /``, unary minus and parentheses.  Rationals
@@ -15,12 +19,16 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple, Union
 
 from .errors import ContractError, ParseError, ValuationError
-from .hybridset import INT64_MAX, INT64_MIN
+
+# The signed 64-bit range of coefficients, exponents and multiplicities.
+INT64_MIN = -(2**63)
+INT64_MAX = 2**63 - 1
 
 _SPACE = re.compile(r"[ \t]*")
 # Each token pattern also takes the whitespace after the token, so one
@@ -28,6 +36,9 @@ _SPACE = re.compile(r"[ \t]*")
 _IDENT = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)[ \t]*")
 _NUMBER = re.compile(r"(-?\d+(?:/\d+)?)[ \t]*")
 _INTEGER = re.compile(r"(-?\d+)[ \t]*")
+# A hybrid-set element that is not a number: a name that may also hold
+# dots and brackets, such as ``S.P1`` or ``a[2]``.
+ELEMENT_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_.\[\]]*)[ \t]*")
 
 
 class Cursor:
@@ -55,6 +66,12 @@ class Cursor:
         if self.pos < len(self.text):
             self.error("unexpected trailing input")
 
+    def read_all(self, read):
+        """What ``read(self)`` reads, which must take every token left."""
+        value = read(self)
+        self.finish()
+        return value
+
     def take(self, literal: str) -> bool:
         if self.text.startswith(literal, self.pos):
             self._advance(self.pos + len(literal))
@@ -67,6 +84,13 @@ class Cursor:
             if self.take(ch):
                 return ch
         return None
+
+    def comma_list(self, read) -> list:
+        """One or more items, each read by ``read(self)``, separated by commas."""
+        items = [read(self)]
+        while self.take(","):
+            items.append(read(self))
+        return items
 
     def expect(self, literal: str):
         if not self.take(literal):
@@ -103,14 +127,27 @@ class Cursor:
     def at_number(self) -> bool:
         return _NUMBER.match(self.text, self.pos) is not None
 
+    def _literal(self, pattern: re.Pattern, what: str) -> Tuple[int, int]:
+        """Numerator and denominator of the number ``pattern`` matches at the
+        cursor, consumed: the one conversion of number text in the package."""
+        start = self.pos
+        num, slash, den = self._token(pattern, what).partition("/")
+        try:
+            n, d = int(num), int(den) if slash else 1
+        except ValueError:  # past sys.get_int_max_str_digits()
+            self.error(f"number longer than {sys.get_int_max_str_digits()} digits", start)
+        if d == 0:
+            self.error("zero denominator", start)
+        return n, d
+
     def number(self) -> Fraction:
-        return Fraction(self._token(_NUMBER, "a number"))
+        return Fraction(*self._literal(_NUMBER, "a number"))
 
     def integer(self, sign: int) -> int:
         """The integer literal at the cursor times ``sign``, 1 or -1 (a minus
         written as its own token), which must fit in a signed 64-bit word."""
         start = self.pos
-        k = sign * int(self._token(_INTEGER, "an integer"))
+        k = sign * self._literal(_INTEGER, "an integer")[0]
         if not INT64_MIN <= k <= INT64_MAX:
             self.error(f"integer {k} leaves the 64-bit range", start)
         return k
@@ -194,17 +231,13 @@ def _factor(cur: Cursor, depth: int) -> BodyExpr:
         cur.expect(")")
         return node
     # a leading '-' was taken above, so this reads unsigned digits
-    digits = cur.scan(_INTEGER)
-    if digits is not None:
-        return Num(Fraction(digits))
+    if cur.at_number():
+        return Num(Fraction(cur._literal(_INTEGER, "an integer")[0]))
     return Ref(cur.ident("a number, a name or '('"))
 
 
 def parse_scalar(text: str) -> BodyExpr:
-    cur = Cursor(text)
-    node = read_scalar(cur)
-    cur.finish()
-    return node
+    return Cursor(text).read_all(read_scalar)
 
 
 _APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}

@@ -34,6 +34,7 @@ from .regions import (
     RegionAtom,
     SymbolicHybridSet,
     Valuation,
+    as_fraction,
     render_param,
     resolve_param,
 )
@@ -183,7 +184,7 @@ def spline_eval_region(
     """Evaluate a merge at a point: the surviving segment atoms and the
     intersection of their knot intervals.  An empty intersection that
     survives reduction is flagged, never silently dropped."""
-    out = evaluate(e, Fraction(x), valuation)
+    out = evaluate(e, as_fraction(x, "a spline point"), valuation)
     if out is UNDEFINED:
         return SplineRegionValue(defined=False)
     value = out.value

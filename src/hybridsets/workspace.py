@@ -163,7 +163,8 @@ def _parse_bounds(ws: Workspace, cur: Cursor, sep: str):
     return lo, hi, opener == "[", closer == "]"
 
 
-def _parse_point(cur: Cursor):
+def read_point(cur: Cursor):
+    """A number or a pair ``(a, b)`` of numbers, read from ``cur``."""
     if cur.take("("):
         a = cur.number()
         cur.expect(",")
@@ -189,9 +190,7 @@ def _parse_shape(ws: Workspace, cur: Cursor):
         return GridRect(r_lo, r_hi, c_lo, c_hi, r_lc, r_hc, c_lc, c_hc)
     if kind == "points":
         cur.expect("(")
-        pts = [_parse_point(cur)]
-        while cur.take(","):
-            pts.append(_parse_point(cur))
+        pts = cur.comma_list(read_point)
         cur.expect(")")
         return FinitePointSet(tuple(pts))
     cur.error(f"unknown shape {kind!r}", pos)
@@ -229,9 +228,7 @@ def _decl_partition(ws: Workspace, cur: Cursor):
     universe = _lookup(cur, ws.regions, "a region name")
     cur.expect("=")
     body_pos = cur.pos
-    pieces = [_parse_combo(ws, cur)]
-    while cur.take(","):
-        pieces.append(_parse_combo(ws, cur))
+    pieces = cur.comma_list(lambda c: _parse_combo(ws, c))
     assumed = cur.take_word("assumed")
     try:
         part = GeneralisedPartition(name, universe, tuple(pieces), assumed=assumed)
@@ -284,18 +281,14 @@ def _parse_expr_body(ws: Workspace, cur: Cursor) -> HybridExpr:
         cur.expect("(")
         if cur.take(")"):
             return HybridExpr(None, ())
-        terms = [_parse_term(ws, cur)]
-        while cur.take(","):
-            terms.append(_parse_term(ws, cur))
+        terms = cur.comma_list(lambda c: _parse_term(ws, c))
         cur.expect(")")
         return join(*terms)
     if cur.take_word("mjoin"):
         cur.expect("(")
         star = _parse_star(cur)
         cur.expect(",")
-        terms = [_parse_term(ws, cur)]
-        while cur.take(","):
-            terms.append(_parse_term(ws, cur))
+        terms = cur.comma_list(lambda c: _parse_term(ws, c))
         cur.expect(")")
         return marked_join(star, terms)
     return join(_parse_term(ws, cur))
@@ -354,9 +347,7 @@ def _decl_spline(ws: Workspace, cur: Cursor):
     cur.expect("=")
     cur.expect_word("knots")
     cur.expect("(")
-    knots = [_param(ws, cur)]
-    while cur.take(","):
-        knots.append(_param(ws, cur))
+    knots = cur.comma_list(lambda c: _param(ws, c))
     cur.expect(")")
     try:
         sp = SymbolicSpline.build(name, knots)
@@ -369,17 +360,7 @@ def _decl_valuation(ws: Workspace, cur: Cursor):
     pos = cur.pos
     name = cur.ident()
     cur.expect(":")
-    values = {}
-    while True:
-        ppos = cur.pos
-        pname = cur.ident("a parameter name")
-        if pname not in ws.params:
-            cur.error(f"unresolved name {pname!r}", ppos)
-        cur.expect("=")
-        values[pname] = cur.number()
-        if not cur.take(","):
-            break
-    _register(ws, "valuation", name, Valuation(values), cur, pos)
+    _register(ws, "valuation", name, Valuation.read(cur, ws.params), cur, pos)
 
 
 _HANDLERS = {
@@ -413,17 +394,11 @@ def parse_workspace(text: str) -> Workspace:
 
 def parse_expr_text(ws: Workspace, text: str) -> HybridExpr:
     """An expression body alone, as it appears in command-line arguments."""
-    cur = Cursor(text)
-    e = _parse_expr_body(ws, cur)
-    cur.finish()
-    return e
+    return Cursor(text).read_all(lambda cur: _parse_expr_body(ws, cur))
 
 
 def parse_term_text(ws: Workspace, text: str) -> HybridTerm:
-    cur = Cursor(text)
-    t = _parse_term(ws, cur)
-    cur.finish()
-    return t
+    return Cursor(text).read_all(lambda cur: _parse_term(ws, cur))
 
 
 # --- canonical rendering -------------------------------------------------

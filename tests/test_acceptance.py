@@ -41,7 +41,6 @@ from hybridsets import (
     karr_split_check,
     marked_join,
     matrix_add_with_refinement,
-    matrix_eval_cell,
     min_refinement_size,
     ominus,
     oplus,
@@ -308,9 +307,9 @@ def test_criterion_5_block_matrix_addition(capsys):
         block_mults = tuple(t.region.multiplicity(cell, v1) for t in expr.terms[1:])
         assert block_mults == (0, 1, 0, 1, 0, 0)
         assert expr.terms[0].region.multiplicity(cell, v1) == -1
-        assert matrix_eval_cell(expr, 2, 1, v1).value.render() == "B1 + A2"
-        assert matrix_eval_cell(expr, 2, 1, v2).value.render() == "A1 + B2"
-        assert matrix_eval_cell(expr, 4, 4, v1).value.render() == "D1 + D2"
+        assert evaluate(expr, (F(2), F(1)), v1).value.render() == "B1 + A2"
+        assert evaluate(expr, (F(2), F(1)), v2).value.render() == "A1 + B2"
+        assert evaluate(expr, (F(4), F(4)), v1).value.render() == "D1 + D2"
 
         split_choices = [
             (2, 3, 5, 6),
@@ -328,7 +327,7 @@ def test_criterion_5_block_matrix_addition(capsys):
             want = oracle.classical_star(union, pw1, pw2)
             for i in range(1, 9):
                 for j in range(1, 9):
-                    out = matrix_eval_cell(expr, i, j, v)
+                    out = evaluate(expr, (F(i), F(j)), v)
                     assert out is not UNDEFINED
                     assert out.multiplicity == 1
                     got = frozenset(a.name for a, _ in out.value.combination.items())

@@ -558,6 +558,146 @@ class TestIntegerLiterals:
         assert "leaves the 64-bit range" in err
 
 
+SPLINE_MERGE = (
+    "(S[a,c] ⋈ T[d,b])^{S.P1} ⊛⋈ (S[c,b] ⋈ T[a,d])^{T.P1} ⊛⋈ "
+    "(S[c,b] ⋈ T[d,b])^{U[a,b] - S.P1 - T.P1}\n"
+)
+LINEARITY = "linearity of 'sum': OK (10 checks)\n"
+
+
+class TestNumberArguments:
+    """--at, --with, --grid, --cell and --bounds read numbers, points and
+    names with the workspace's readers and lexical rules."""
+
+    # Arguments in the grammar, with what the commands printed before they
+    # shared the workspace's readers: spaces and tabs between tokens,
+    # unreduced fractions, -0, a repeated name, pairs, and errors raised
+    # after the arguments were read.
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["eval", PIECEWISE, "F", "--at", " 1/2 ", "--with", "v1"], (0, "0\n", "")),
+            (["eval", PIECEWISE, "FG", "--at", "4/8", "--with", "a = 1/3,b=2/3"], (0, "0\n", "")),
+            (
+                ["eval", PIECEWISE, "F", "--at", "-0", "--with", "\ta=1/2 , b=1/2",
+                 "--format", "json-lines"],
+                (0, '{"at": "0", "defined": true, "expr": "F", "multiplicity": 1, '
+                    '"value": "2"}\n', ""),
+            ),
+            (["eval", STEPS, "join(sq^P)", "--at=-7/3"], (0, "undefined\n", "")),
+            (
+                ["eval", MATRIX, "join(A1^A1)", "--at", "( 1 ,1 )", "--with", "v1",
+                 "--format", "json-lines"],
+                (0, '{"at": "(1, 1)", "defined": true, "expr": "join(A1^A1)", '
+                    '"multiplicity": 1, "value": "A1"}\n', ""),
+            ),
+            (["eval", PIECEWISE, "F", "--at", "2/3", "--with", "a=1/3, b=2/3, a=3/4"],
+             (0, "2\n", "")),
+            (
+                ["matrix-add", MATRIX, "M1", "M2", "--cell", " 3,3",
+                 "--with", "n=4,m=4,h1=1,k1=1,h2=2,k2=2", "--format", "json-lines"],
+                (0, '{"at": "(3, 3)", "defined": true, "expr": "M1+M2", "multiplicity": 1, '
+                    '"value": "D1 + D2"}\n', ""),
+            ),
+            (
+                ["matrix-add", MATRIX, "M1", "M2", "--cell=-1, 2", "--with", "v2",
+                 "--format", "json-lines"],
+                (0, '{"at": "(-1, 2)", "defined": false, "expr": "M1+M2"}\n', ""),
+            ),
+            (
+                ["spline-merge", SPLINE, "S", "T", "--at", "3/2", "--with", "a=0, c=1, d=1, b=3"],
+                (0, SPLINE_MERGE + "at 3/2: S[c,b] ⋈ T[d,b] on [1, 3]\n", ""),
+            ),
+            (
+                ["check", "karr", STEPS, "--summand", "sq", "--bounds", " 0, 5 ,3"],
+                (0, "signed-sum identities for 'sq': OK (2 checks)\n", ""),
+            ),
+            (
+                ["check", "karr", STEPS, "--summand", "lin", "--bounds", "0,k1,k2",
+                 "--with", "k1 = -1, k2 = 3/2, k3 = 7"],
+                (1, "", "error: summation bound 3/2 is not an integer\n"),
+            ),
+            (
+                ["check", "linear", STEPS, "--term", "one^P", "--grid", " 0 , 10 , 5 "],
+                (0, LINEARITY + "sum over one^P = 5\n", ""),
+            ),
+            (
+                ["check", "invert", STEPS, "--term", "sq^P", "--grid", "1/2,3/2,5",
+                 "--with", "v1"],
+                (0, "inverse identity for 'sq' under '+': OK (5 checks)\n", ""),
+            ),
+            (
+                ["check", "linear", STEPS, "--term", "lin^Q1", "--grid", "10,0,5"],
+                (0, LINEARITY + "sum over lin^Q1 = 11/2\n", ""),
+            ),
+            (
+                ["check", "linear", STEPS, "--term", "one^P", "--grid", "0,10,-2"],
+                (2, LINEARITY, "error: bad grid '0,10,-2': grid needs at least one point\n"),
+            ),
+        ],
+    )
+    def test_forms_in_the_grammar_print_as_before(self, capsys, argv, expected):
+        assert run_cli(capsys, *argv) == expected
+
+    EVAL = ["eval", PIECEWISE, "F"]
+    LINEAR = ["check", "linear", STEPS, "--term", "one^P", "--grid"]
+    CELL = ["matrix-add", MATRIX, "M1", "M2", "--with", "v1", "--format", "json-lines", "--cell"]
+    KARR = ["check", "karr", STEPS, "--summand", "sq", "--bounds"]
+
+    # Forms outside the grammar (decimals, exponents, underscores, a leading
+    # '+', a zero denominator, an empty or trailing entry) are usage errors,
+    # and none of them costs time in proportion to the value it spells.
+    @pytest.mark.parametrize(
+        "argv, out, err",
+        [
+            (EVAL + ["--with", "v1", "--at", "1e100000000"], "",
+             "bad point '1e100000000': col 2: unexpected trailing input"),
+            (EVAL + ["--with", "v1", "--at", "1.5"], "",
+             "bad point '1.5': col 2: unexpected trailing input"),
+            (EVAL + ["--with", "v1", "--at", "+1"], "",
+             "bad point '+1': col 1: expected a number"),
+            (EVAL + ["--with", "v1", "--at", "1_0"], "",
+             "bad point '1_0': col 2: unexpected trailing input"),
+            (EVAL + ["--with", "v1", "--at", "1/0"], "",
+             "bad point '1/0': col 1: zero denominator"),
+            (EVAL + ["--with", "v1", "--at", "(1, 2, 3)"], "",
+             "bad point '(1, 2, 3)': col 6: expected ')'"),
+            (EVAL + ["--at", "0", "--with", "a=1e100000000"], "",
+             "bad valuation 'a=1e100000000': col 4: unexpected trailing input"),
+            (EVAL + ["--at", "0", "--with", "a=0.5, b=1"], "",
+             "bad valuation 'a=0.5, b=1': col 4: unexpected trailing input"),
+            (EVAL + ["--at", "0", "--with", "a=1/3,"], "",
+             "bad valuation 'a=1/3,': col 7: expected a parameter name"),
+            (EVAL + ["--at", "0", "--with", ""], "",
+             "bad valuation '': col 1: expected a parameter name"),
+            (EVAL + ["--at", "0", "--with", "a=1/0"], "",
+             "bad valuation 'a=1/0': col 3: zero denominator"),
+            (LINEAR + ["0,1e100000000,3"], LINEARITY,
+             "bad grid '0,1e100000000,3': col 4: expected ','"),
+            (LINEAR + ["0.5,1,3"], LINEARITY, "bad grid '0.5,1,3': col 2: expected ','"),
+            (LINEAR + ["0,1/0,3"], LINEARITY, "bad grid '0,1/0,3': col 3: zero denominator"),
+            (CELL + ["+1,2"], "", "bad cell '+1,2': expected i,j"),
+            (CELL + ["1.0,2"], "", "bad cell '1.0,2': expected i,j"),
+            (CELL + ["oops"], "", "bad cell 'oops': expected i,j"),
+            (KARR + ["0,+1,2"], "", "bad bounds '0,+1,2': expected lower,mid,upper"),
+            (KARR + ["1/2,1,2"], "", "bad bounds '1/2,1,2': expected lower,mid,upper"),
+        ],
+    )
+    def test_forms_outside_the_grammar_are_usage_errors(self, capsys, argv, out, err):
+        assert run_cli_within_a_second(capsys, *argv) == (2, out, f"error: {err}\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json-lines"])
+    def test_a_result_too_long_to_print_is_an_evaluation_error(self, capsys, tmp_path, fmt):
+        ws = tmp_path / "square.ws"
+        ws.write_text("fn sq = x * x\nregion U = universe\n")
+        # 3000 digits read in, 6000 digits out: past the int-to-text limit
+        code, out, err = run_cli_within_a_second(
+            capsys, "eval", str(ws), "join(sq^U)", "--at", "7" * 3000, "--format", fmt
+        )
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (1, "")
+        assert err == f"error: result too long to print: more than {limit} digits\n"
+
 class TestBodyNesting:
     """A fn body nested past ``scalarexpr.MAX_NESTING`` is a parse error at
     the opener that crosses the limit, not a recursion failure."""

@@ -409,7 +409,7 @@ class TestEvaluateMany:
         assert next(results) == Defined(F(1), 1)
         assert next(results) is UNDEFINED
         assert next(results) is UNDEFINED
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError, match="a point must be an int or a Fraction"):
             next(results)
         assert list(results) == []
 

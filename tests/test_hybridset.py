@@ -70,6 +70,24 @@ def test_parse_rejects_garbage():
         HybridSet.parse("{a^2, , b}")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["{+1}", "{1.5}", "{1e100000000}", "{1_0}", "{a^+2}", "{1/0}", "{(1, 2/0)}",
+     "{a^99999999999999999999}"],
+)
+def test_parse_reads_numbers_as_a_workspace_does(text):
+    with pytest.raises(ParseError):
+        HybridSet.parse(text)
+
+
+def test_parse_bounds_how_deep_tuples_nest():
+    with pytest.raises(ParseError, match="nest more than 200 deep") as exc:
+        HybridSet.parse("{" + "(" * 3000 + "1" + ")" * 3000 + "}")
+    assert exc.value.column == 202
+    nested = HybridSet.parse("{" + "(" * 200 + "1" + ")" * 200 + "^2}")
+    assert nested.render() == "{" + "(" * 200 + "1" + ")" * 200 + "^2}"
+
+
 def test_empty_set_renders_as_braces():
     assert HybridSet.empty().render() == "{}"
     assert not HybridSet.empty()

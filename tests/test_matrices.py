@@ -16,11 +16,11 @@ from hybridsets import (
     UNDEFINED,
     Valuation,
     block_matrix_2x2,
+    evaluate,
     grid_cells,
     grid_universe,
     matrix_add,
     matrix_add_with_refinement,
-    matrix_eval_cell,
     min_refinement_size,
     verify_rewrite,
     word,
@@ -140,7 +140,7 @@ class TestSevenTermSum:
     )
     def test_cell_values_under_the_first_split(self, cell, expect):
         e = matrix_add(M1, M2)
-        out = matrix_eval_cell(e, *cell, V1)
+        out = evaluate(e, (F(cell[0]), F(cell[1])), V1)
         assert isinstance(out, Defined)
         assert out.multiplicity == 1
         assert isinstance(out.value, FormalValue)
@@ -148,20 +148,20 @@ class TestSevenTermSum:
 
     def test_cell_values_flip_with_the_split_ordering(self):
         e = matrix_add(M1, M2)
-        assert matrix_eval_cell(e, 2, 1, V2).value.render() == "A1 + B2"
-        assert matrix_eval_cell(e, 1, 2, V2).value.render() == "A1 + C2"
+        assert evaluate(e, (F(2), F(1)), V2).value.render() == "A1 + B2"
+        assert evaluate(e, (F(1), F(2)), V2).value.render() == "A1 + C2"
 
     def test_outside_the_grid_is_undefined(self):
         e = matrix_add(M1, M2)
-        assert matrix_eval_cell(e, 5, 5, V1) is UNDEFINED
-        assert matrix_eval_cell(e, 0, 1, V1) is UNDEFINED
+        assert evaluate(e, (F(5), F(5)), V1) is UNDEFINED
+        assert evaluate(e, (F(0), F(1)), V1) is UNDEFINED
 
     def test_identical_splits_still_evaluate_blockwise(self):
         m3 = block_matrix_2x2("M3", "n", "m", "h1", "k1", ["A3", "B3", "C3", "D3"])
         e = matrix_add(M1, m3)
         assert len(e.terms) == 7
-        assert matrix_eval_cell(e, 1, 1, V1).value.render() == "A1 + A3"
-        assert matrix_eval_cell(e, 3, 3, V1).value.render() == "D1 + D3"
+        assert evaluate(e, (F(1), F(1)), V1).value.render() == "A1 + A3"
+        assert evaluate(e, (F(3), F(3)), V1).value.render() == "D1 + D3"
 
     def test_dimension_symbols_must_agree(self):
         other = block_matrix_2x2("N", "p", "q", "h", "k", ["A", "B", "C", "D"])
@@ -172,9 +172,9 @@ class TestSevenTermSum:
         m1 = block_matrix_2x2("S1", 4, 4, 2, 2, ["A1", "B1", "C1", "D1"], bodies=[1, 2, 3, 4])
         m2 = block_matrix_2x2("S2", 4, 4, 3, 1, ["A2", "B2", "C2", "D2"], bodies=[10, 20, 30, 40])
         e = matrix_add(m1, m2)
-        assert matrix_eval_cell(e, 1, 1, None) == Defined(F(11))
-        assert matrix_eval_cell(e, 4, 4, None) == Defined(F(44))
-        assert matrix_eval_cell(e, 3, 2, None) == Defined(F(2 + 30))
+        assert evaluate(e, (F(1), F(1)), None) == Defined(F(11))
+        assert evaluate(e, (F(4), F(4)), None) == Defined(F(44))
+        assert evaluate(e, (F(3), F(2)), None) == Defined(F(2 + 30))
 
 
 class TestOracleAgreement:
@@ -190,7 +190,7 @@ class TestOracleAgreement:
         )
         combined = oracle.classical_star(lambda a, b: a | b, left, right)
         for (i, j) in oracle.integer_grid(rows, cols):
-            got = matrix_eval_cell(e, i, j, v)
+            got = evaluate(e, (F(i), F(j)), v)
             names = frozenset(a.name for a, _ in got.value.combination.items())
             assert names == oracle.classical_eval(combined, (i, j))
             assert got.multiplicity == 1

@@ -15,11 +15,17 @@ from hybridsets import (
     RegionAtom,
     SymbolicHybridSet,
     Universe,
+    ParseError,
     Valuation,
     ValuationError,
+    constant_atom,
+    evaluate,
+    evaluate_many,
     grid_cells,
     instantiate,
+    join,
     rational_grid,
+    term,
 )
 
 F = Fraction
@@ -48,6 +54,20 @@ class TestValuation:
     def test_parse_rejects_bare_names(self):
         with pytest.raises(ContractError):
             Valuation.parse("a")
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("a = 1/0", 5), ("a = 0.5", 6), ("a = 1e100000000", 6), ("a = +1", 5), ("a = 1,", 7)],
+    )
+    def test_parse_reads_numbers_as_a_workspace_does(self, text, column):
+        with pytest.raises(ParseError) as exc:
+            Valuation.parse(text)
+        assert (exc.value.line, exc.value.column) == (None, column)
+
+    @pytest.mark.parametrize("value", ["1e1000", "1/2", 0.5, None])
+    def test_values_are_numbers_never_text(self, value):
+        with pytest.raises(ContractError, match="the value of 'a' must be an int or a Fraction"):
+            Valuation({"a": value})
 
 
 class TestShapes:
@@ -196,3 +216,38 @@ class TestGrids:
         assert len(cells) == 6
         assert cells[0] == (F(1), F(1))
         assert cells[-1] == (F(2), F(3))
+
+
+class TestPointsAreNumbers:
+    """A point is an int, a Fraction or a tuple of them; text is refused on
+    the per-point reference and on the table path alike."""
+
+    A = interval("A", F(0), F(1))
+    G = RegionAtom("G", GridRect(1, 4, 1, 4))
+
+    @pytest.mark.parametrize(
+        "atom, point",
+        [(A, "1/2"), (A, ("1/2",)), (A, 0.5), (G, ("1", "2")), (G, (F(1), "2"))],
+    )
+    def test_text_points_are_contract_errors_everywhere(self, atom, point):
+        e = join(term(constant_atom("c", 3), SymbolicHybridSet.from_atom(atom)))
+        with pytest.raises(ContractError, match="must be an int or a Fraction"):
+            atom.indicator(point)
+        with pytest.raises(ContractError, match="must be an int or a Fraction"):
+            SymbolicHybridSet.from_atom(atom).multiplicity(point)
+        with pytest.raises(ContractError, match="must be an int or a Fraction"):
+            evaluate(e, point)
+        with pytest.raises(ContractError, match="must be an int or a Fraction"):
+            list(evaluate_many(e, [point]))
+
+    @pytest.mark.parametrize("atom, point", [(A, F(1, 2)), (A, (F(1, 2),)), (G, (2, F(3)))])
+    def test_number_points_agree_on_both_paths(self, atom, point):
+        e = join(term(constant_atom("c", 3), SymbolicHybridSet.from_atom(atom)))
+        assert atom.indicator(point) == 1
+        assert evaluate(e, point).value == list(evaluate_many(e, [point]))[0].value == 3
+
+    def test_grid_ends_and_constants_are_numbers(self):
+        with pytest.raises(ContractError):
+            rational_grid("0", 1, 3)
+        with pytest.raises(ContractError):
+            constant_atom("c", "3")

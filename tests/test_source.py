@@ -19,6 +19,18 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_scalarexpr_is_the_only_module_that_imports_re():
+    # One scanner: every text the library reads goes through scalarexpr.Cursor.
+    importers = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name == "re" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "re"
+    ]
+    assert importers == ["scalarexpr.py"]
+
+
 def test_every_name_the_benchmark_tracer_rebinds_exists():
     # perfbench/tracer.py rebinds library names during a traced run and needs
     # each one in its owner's own namespace; loading the module only reads

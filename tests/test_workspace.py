@@ -1,6 +1,7 @@
 """Workspace text: parsing, canonical rendering, and error positions."""
 
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -398,6 +399,27 @@ class TestScanner:
             parse_workspace(self.PRELUDE + line)
         assert (exc.value.line, exc.value.column) == (5, column)
         assert "leaves the 64-bit range" in str(exc.value)
+
+    LONG = "5" * 5000
+
+    @pytest.mark.parametrize(
+        "line, column, message",
+        [
+            ("valuation v: a = 1/0", 18, "zero denominator"),
+            ("region R = interval[0, 1/0]", 24, "zero denominator"),
+            (f"valuation v: a = {LONG}", 18, "number longer than {} digits"),
+            (f"valuation v: a = 1/{LONG}", 18, "number longer than {} digits"),
+            (f"region R = interval[0, {LONG}]", 24, "number longer than {} digits"),
+            (f"fn g = 2 * {LONG}", 12, "number longer than {} digits"),
+            (f"expr E = join((f^{LONG})^A)", 18, "number longer than {} digits"),
+        ],
+    )
+    def test_number_literals_past_the_grammar_are_parse_errors(self, line, column, message):
+        with pytest.raises(ParseError) as exc:
+            parse_workspace(self.PRELUDE + line)
+        err = exc.value
+        assert (err.line, err.column) == (5, column)
+        assert str(err) == f"line 5, col {column}: " + message.format(sys.get_int_max_str_digits())
 
     def test_a_coefficient_of_minus_2_to_the_63_round_trips(self):
         # the minus is its own token, so the literal after it may be 2**63
