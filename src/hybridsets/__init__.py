@@ -62,6 +62,7 @@ from .functions import (
     atom,
     constant_atom,
     evaluate,
+    evaluate_grid,
     evaluate_many,
     graph_function,
     hybrid_graph,

@@ -14,7 +14,9 @@ once they are resolved.  A request above it exits 2.
 
 ``--at``, ``--with``, ``--grid``, ``--cell`` and ``--bounds`` are read by
 the workspace's readers over a ``scalarexpr.Cursor``, under its lexical
-rules; text outside them exits 2 as ``bad <argument> '<text>': ...``.
+rules; text outside them exits 2 as ``bad <argument> '<text>': ...``.  A
+negative value may follow its option as the next argument (``--at -7/3``)
+or be attached to it (``--at=-7/3``).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .calculus import (
     summation_bound,
 )
 from .errors import ContractError, HybridError, ParseError
-from .functions import BUILTIN_STARS, FormalValue, UNDEFINED, evaluate_many
+from .functions import BUILTIN_STARS, FormalValue, UNDEFINED, evaluate_grid
 from .functions import evaluate as eval_expr
 from .hybridset import render_element
 from .matrices import matrix_add_with_refinement
@@ -130,12 +132,16 @@ def _outcome_text(out) -> str:
     return text
 
 
-def _outcome_json(label: str, at, out) -> dict:
-    record = {"expr": label, "at": render_element(at), "defined": out is not UNDEFINED}
+def _outcome_record(label: str, out) -> dict:
+    record = {"expr": label, "defined": out is not UNDEFINED}
     if out is not UNDEFINED:
         record["value"] = _value_text(out.value)
         record["multiplicity"] = out.multiplicity
     return record
+
+
+def _outcome_json(label: str, at, out) -> dict:
+    return {"at": render_element(at), **_outcome_record(label, out)}
 
 
 def _cmd_eval(args) -> int:
@@ -202,16 +208,26 @@ def _cmd_matrix_add(args) -> int:
         rows, cols = int(rows), int(cols)
         if rows * cols > SIZE_CAP:
             raise _Usage(f"table too large; cap is {SIZE_CAP} cells")
-        cells = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
         coords = [Fraction(k) for k in range(max(rows, cols) + 1)]  # one per value
-        points = ((coords[i], coords[j]) for i, j in cells)
-        for (i, j), out in zip(cells, evaluate_many(expr, points, v)):
-            if args.format == "json-lines":
-                print(json.dumps(
-                    _outcome_json(f"{args.m1}+{args.m2}", (i, j), out),
-                    sort_keys=True, ensure_ascii=False))
+        outcomes = evaluate_grid(expr, coords[1:rows + 1], coords[1:cols + 1], v)
+        cells = ((i, j) for i in range(1, rows + 1) for j in range(1, cols + 1))
+        json_lines, label = args.format == "json-lines", f"{args.m1}+{args.m2}"
+        # Each distinct outcome object is formatted once: as its text, or as
+        # its json record after the "at" field, which sorts first.  The entry
+        # keeps the outcome alive, so its id is not reused meanwhile.
+        texts = {}
+        for (i, j), out in zip(cells, outcomes):
+            found = texts.get(id(out))
+            if found is None:
+                text = (
+                    json.dumps(_outcome_record(label, out), sort_keys=True, ensure_ascii=False)[1:]
+                    if json_lines else _outcome_text(out)
+                )
+                found = texts[id(out)] = (out, text)
+            if json_lines:
+                print(f'{{"at": "({i}, {j})", {found[1]}')
             else:
-                print(f"({i}, {j}): {_outcome_text(out)}")
+                print(f"({i}, {j}): {found[1]}")
     return 0
 
 
@@ -413,9 +429,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value may be a negative number or point, such as -7/3 or -1,2,
+# and the characters that may follow its minus sign.
+_NUMBER_OPTIONS = ("--at", "--cell", "--grid", "--bounds")
+_AFTER_MINUS = frozenset("0123456789(")
+
+
+def _attach_negative_values(argv: List[str]) -> List[str]:
+    """``argv`` with each of ``_NUMBER_OPTIONS`` and a next token that starts
+    with '-' and a digit or '(' joined into ``option=token``, which argparse
+    would otherwise take for an option; nothing after ``--`` is touched."""
+    out = list(argv)
+    i = 0
+    while i + 1 < len(out) and out[i] != "--":
+        option, value = out[i], out[i + 1]
+        if option in _NUMBER_OPTIONS and value[:1] == "-" and value[1:2] in _AFTER_MINUS:
+            out[i:i + 2] = [f"{option}={value}"]
+        i += 1
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except _Usage as e:

@@ -457,26 +457,53 @@ def evaluate_many(
     share it.  The state holds the resolved endpoints, the interval tests
     per cell between sorted endpoints (see ``IndicatorTable``), and per
     distinct vector of atom indicators the term multiplicities and exponent
-    sums, and the outcome when no surviving atom reads the point.  All of
-    it is bounded by the expression, not by the points seen, and nothing
+    sums, and the outcome when no surviving atom reads the point.  Such a
+    point-independent outcome is one object per indicator vector: every
+    point with that vector gets the same object while the state lasts.  All
+    of it is bounded by the expression, not by the points seen, and nothing
     about an error is kept.  A pass keeps the state it started with, and
     reads points one at a time, so the outcomes before a raising point come
     out first.
     """
+    return _outcomes(e, valuation, IndicatorTable.keys, points)
+
+
+def evaluate_grid(
+    e: HybridExpr, rows: Iterable, cols: Iterable, valuation: Optional[Valuation] = None
+) -> Iterator[EvalOutcome]:
+    """``evaluate_many`` over the points (r, c), r in ``rows`` and c in
+    ``cols``, row by row, raised errors included.
+
+    It shares ``evaluate_many``'s state and outcomes, but finds the cells'
+    indicator vectors by row and column classes (``IndicatorTable.grid_keys``):
+    each row value and each column value is tested once, and a cell costs
+    one AND of their bits and a lookup of the vector.  A point-independent
+    outcome is one object per indicator vector, so a caller can format it
+    once per object.
+    """
+    return _outcomes(e, valuation, lambda table, grid: table.grid_keys(*grid), (rows, cols))
+
+
+def _outcomes(e: HybridExpr, valuation: Optional[Valuation], keys, source) -> Iterator[EvalOutcome]:
+    """The outcome of each (point, indicator vector) pair that
+    ``keys(table, source)`` yields for the valuation's ``IndicatorTable``.
+    The one-point ``evaluate`` runs through here, so the setup is kept to
+    what a kept outcome needs: the arity is fixed (unpacking arguments
+    costs measurably more), and the words and the finish are looked up
+    only when an outcome must be computed."""
     plan = e._plan
     table, kept = plan.state(valuation)
-    finish = _eval_plain if e.star is None else _eval_marked
-    words, multiplicities = plan.words, plan.layout.multiplicities
-    for point, key in table.keys(points):
+    for point, key in keys(table, source):
         found = kept.get(key)
         if found is None:
             # An unfinished key raises here, so it is never kept.
-            accumulated = _accumulate(words, multiplicities(key))
+            accumulated = _accumulate(plan.words, plan.layout.multiplicities(key))
             _, surviving, atoms = accumulated
             fixed = not any(_reads_point(atoms[n]) for n in surviving)
             found = kept[key] = (accumulated, fixed, None)
         accumulated, fixed, outcome = found
         if outcome is None:
+            finish = _eval_plain if e.star is None else _eval_marked
             outcome = finish(e.star, accumulated, point, valuation)
             if fixed:
                 kept[key] = (accumulated, fixed, outcome)
@@ -489,7 +516,7 @@ def evaluate(e: HybridExpr, point: Point, valuation: Optional[Valuation] = None)
     Returns UNDEFINED when the point falls outside the effective domain;
     raises NonEvaluableError when the residue is not a function value.
     """
-    return next(evaluate_many(e, (point,), valuation))
+    return next(_outcomes(e, valuation, IndicatorTable.keys, (point,)))
 
 
 def is_reducible(e: HybridExpr, valuation, sample: Iterable[Point]) -> bool:

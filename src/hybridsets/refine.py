@@ -19,6 +19,7 @@ asking for its determinant after refining costs nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -41,12 +42,17 @@ def determinant_and_adjugate(
     column has had its pivot, the left block is d * I and the right block
     d * A^-1, where d is the last pivot, which is det A up to the sign of
     the row swaps.  The adjugate is None when the matrix is singular:
-    elimination stops at the first column without a pivot.
+    elimination stops at the first column without a pivot.  Each entry
+    must be an int or a Fraction with denominator 1.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ContractError("determinant needs a square matrix")
-    m = [[int(v) for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    m = [
+        [v if type(v) is int else _integer_entry(v, i, j) for j, v in enumerate(row)]
+        + [int(i == j) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
     sign, prev = 1, 1
     for k in range(n):
         pivot = next((i for i in range(k, n) if m[i][k]), None)
@@ -64,6 +70,15 @@ def determinant_and_adjugate(
                 m[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
         prev = p
     return sign * prev, [[sign * v for v in row[n:]] for row in m]
+
+
+def _integer_entry(v, i: int, j: int) -> int:
+    """``v`` as an int when it is an int or a Fraction with denominator 1;
+    anything else is a ContractError that names row ``i`` and column ``j``,
+    counted from 0."""
+    if isinstance(v, int) or isinstance(v, Fraction) and v.denominator == 1:
+        return int(v)
+    raise ContractError(f"matrix entry at row {i}, column {j} must be an integer, got {v!r}")
 
 
 def _require_unimodular(det: int) -> None:

@@ -10,6 +10,7 @@ coefficient-weighted sum of atom indicators.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -416,9 +417,10 @@ class IndicatorTable:
     and each cell's interval bits are found once per table, so a table
     keeps at most 2E + 1 cells for E endpoints however many points it sees.
     Grid-rectangle tests are kept per row and per column value for one pass
-    only.  Nothing about an error is kept beyond its pass: a point whose
-    test raises gets a key that raises the same error from
-    ``_Layout.multiplicities`` where ``SymbolicHybridSet.multiplicity``
+    only; ``grid_keys(rows, cols)`` keys a row-major grid of points from
+    them with one AND per cell.  Nothing about an error is kept beyond its
+    pass: a point whose test raises gets a key that raises the same error
+    from ``_Layout.multiplicities`` where ``SymbolicHybridSet.multiplicity``
     would.
     """
 
@@ -430,12 +432,12 @@ class IndicatorTable:
         self._spans: list = []  # (bit, first cell, last cell) per interval
         self._cells: Dict[int, int] = {}  # cell -> interval bits
 
-    def keys(self, points: Iterable[Point]) -> Iterator[Tuple[Point, object]]:
-        """(point, indicator vector) for each point in order, in one pass."""
+    def _resolver(self):
+        """A ``resolve`` for one pass: endpoint values come from, and go to,
+        the table; a failed resolution raises its error again wherever the
+        pass needs that endpoint."""
         params, valuation = self._params, self._valuation
-        failed: Dict[Param, Exception] = {}  # raised again wherever needed in this pass
-        by_row: Dict[object, int] = {}
-        by_col: Dict[object, int] = {}
+        failed: Dict[Param, Exception] = {}
 
         def resolve(p: Param) -> Fraction:
             value = params.get(p)
@@ -450,24 +452,60 @@ class IndicatorTable:
                     raise
             return value
 
+        return resolve
+
+    def keys(self, points: Iterable[Point]) -> Iterator[Tuple[Point, object]]:
+        """(point, indicator vector) for each point in order, in one pass."""
+        resolve = self._resolver()
+        rows = cols = None  # made only for a layout with grid rectangles
+        if self.layout.rows:
+            rows, cols = _GridLine(self.layout.rows, resolve), _GridLine(self.layout.cols, resolve)
         for point in points:
             try:
-                key = self._bits(point, resolve, by_row, by_col)
+                key = self._bits(point, resolve, rows, cols)
             except Exception:
                 # Whatever the shortcut met, the reference order decides
                 # which shape raises first, and whether any does.
                 key = self._bits_in_order(point, resolve)
             yield point, key
 
-    def _bits(self, point: Point, resolve, by_row: dict, by_col: dict) -> int:
+    def grid_keys(self, rows: Iterable, cols: Iterable) -> Iterator[Tuple[Point, object]]:
+        """``keys`` over the points (r, c), r in ``rows`` and c in ``cols``,
+        row by row, in one pass that tests each row value and each column
+        value once: a cell's vector is the universe bits joined with the
+        AND of its row's and its column's grid-range bits.  A row or column
+        whose test raises sends its cells to the reference order, which
+        decides the error.  Interval and point-set shapes take ``keys``."""
+        layout, cols = self.layout, tuple(cols)  # read once, whatever iterable it is
+        if layout.intervals or layout.pointwise:
+            yield from self.keys((r, c) for r in rows for c in cols)
+            return
+        resolve = self._resolver()
+        row_line, col_line = _GridLine(layout.rows, resolve), _GridLine(layout.cols, resolve)
+        universe, col_bits = layout.universe, None
+        for r in rows:
+            row = row_line.bits(r)
+            if col_bits is None:
+                col_bits = [col_line.bits(c) for c in cols]
+            for c, col in zip(cols, col_bits):
+                point = (r, c)
+                if row is None or col is None:
+                    yield point, self._bits_in_order(point, resolve)
+                else:
+                    yield point, universe | (row & col)
+
+    def _bits(self, point: Point, resolve, rows: _GridLine, cols: _GridLine):
+        """The point's indicator vector by shape kind, or by the reference
+        order when a grid line test raises."""
         layout = self.layout
         bits = layout.universe
         if layout.intervals and not (isinstance(point, tuple) and len(point) != 1):
             bits |= self._interval_bits(_as_scalar(point), resolve)
         if layout.rows and isinstance(point, tuple) and len(point) == 2:
-            bits |= _grid_bits(by_row, layout.rows, point[0], resolve) & _grid_bits(
-                by_col, layout.cols, point[1], resolve
-            )
+            row, col = rows.bits(point[0]), cols.bits(point[1])
+            if row is None or col is None:
+                return self._bits_in_order(point, resolve)
+            bits |= row & col
         for k, shape in layout.pointwise:
             if _contains(shape, point, resolve):
                 bits |= 1 << k
@@ -516,22 +554,47 @@ class IndicatorTable:
         return bits
 
 
-def _range_bits(ranges, x: Fraction, resolve) -> int:
-    bits = 0
-    for k, lo, hi, lo_closed, hi_closed in ranges:
-        if _within(resolve(lo), resolve(hi), lo_closed, hi_closed, x):
-            bits |= 1 << k
-    return bits
+class _GridLine:
+    """Which grid rectangles' row (or column) ranges hold a coordinate, for
+    one pass.  At the first integer coordinate the ranges are resolved into
+    the integers they hold, (bit, first, last) each; every coordinate's bits
+    are kept."""
 
+    __slots__ = ("ranges", "resolve", "spans", "found")
 
-def _grid_bits(cache: dict, ranges, value, resolve) -> int:
-    """The grid rectangles whose row (or column) range holds the coordinate
-    ``value``; none when it is not an integer."""
-    found = cache.get(value)
-    if found is None:
+    def __init__(self, ranges, resolve):
+        self.ranges, self.resolve = ranges, resolve
+        self.spans: Optional[list] = None
+        self.found: Dict[object, int] = {}
+
+    def bits(self, value) -> Optional[int]:
+        """The bits of the ranges that hold ``value``, none when it is not
+        an integer; None when the test raises."""
+        try:
+            found = self.found.get(value)
+            if found is None:
+                found = self.found[value] = self._test(value)
+            return found
+        except Exception:
+            return None
+
+    def _test(self, value) -> int:
         v = as_fraction(value, "a point coordinate")
-        found = cache[value] = _range_bits(ranges, v, resolve) if v.denominator == 1 else 0
-    return found
+        if v.denominator != 1:
+            return 0
+        if self.spans is None:
+            spans = []
+            for k, lo, hi, lo_closed, hi_closed in self.ranges:
+                lo, hi = self.resolve(lo), self.resolve(hi)
+                first = math.ceil(lo) if lo_closed else math.floor(lo) + 1
+                last = math.floor(hi) if hi_closed else math.ceil(hi) - 1
+                spans.append((1 << k, first, last))
+            self.spans = spans
+        n, bits = v.numerator, 0
+        for bit, first, last in self.spans:
+            if first <= n <= last:
+                bits |= bit
+        return bits
 
 
 def multiplicities_many(

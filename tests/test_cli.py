@@ -17,11 +17,13 @@ from pathlib import Path
 
 import pytest
 
-from hybridsets import regions
+from hybridsets import HybridError, cli, regions
 from hybridsets.cli import SIZE_CAP, main
+from hybridsets.matrices import matrix_add_with_refinement
 from hybridsets.hybridset import render_element
 from hybridsets.regions import resolve_param
 from hybridsets.scalarexpr import MAX_NESTING
+from hybridsets.workspace import parse_workspace
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -639,6 +641,23 @@ class TestNumberArguments:
     def test_forms_in_the_grammar_print_as_before(self, capsys, argv, expected):
         assert run_cli(capsys, *argv) == expected
 
+    # A negative value given as the next argument reads as the attached form.
+    @pytest.mark.parametrize(
+        "argv, option, value",
+        [
+            (["eval", STEPS, "join(sq^P)"], "--at", "-7/3"),
+            (["matrix-add", MATRIX, "M1", "M2", "--with", "v2"], "--cell", "-1,2"),
+            (["check", "invert", STEPS, "--term", "sq^P", "--with", "v1"], "--grid", "-1,1,5"),
+            (["check", "karr", STEPS, "--summand", "sq"], "--bounds", "-1,0,2"),
+            (["eval", STEPS, "join(sq^P)"], "--at", "-(1, 2)"),
+        ],
+    )
+    def test_a_negative_value_may_follow_its_option(self, capsys, argv, option, value):
+        attached = run_cli(capsys, *argv, f"{option}={value}")
+        assert attached[0] != 2 or "bad" in attached[2]
+        assert run_cli(capsys, *argv, option, value) == attached
+        assert run_cli(capsys, *argv[:2], option, value, *argv[2:]) == attached
+
     EVAL = ["eval", PIECEWISE, "F"]
     LINEAR = ["check", "linear", STEPS, "--term", "one^P", "--grid"]
     CELL = ["matrix-add", MATRIX, "M1", "M2", "--with", "v1", "--format", "json-lines", "--cell"]
@@ -762,6 +781,79 @@ class TestTableCost:
         # resolution would make tens of thousands of calls
         assert set(resolved) == {1, "n", "m", "h1", "k1", "h2", "k2"}
         assert len(resolved) <= 2 * 7
+
+
+class TestTableByClasses:
+    TABLE_WS = (
+        "param n, m, h1, k1, h2, k2\n"
+        "matrix M1 = dims(n, m) split(h1, k1) blocks(A1, B1, C1, D1)\n"
+        "matrix M2 = dims(n, m) split(h2, k2) blocks(A2, B2, C2, D2)\n"
+        "valuation v: n = 64, m = 64, h1 = 20, k1 = 41, h2 = 33, k2 = 7\n"
+    )
+
+    @staticmethod
+    def per_cell(ws_path, valuation, fmt):
+        """The table ``matrix-add --table`` prints, one ``eval_expr`` call
+        and one formatting per cell, and the error that ends it, if any."""
+        ws = parse_workspace(Path(ws_path).read_text(encoding="utf-8"))
+        m1 = ws.matrices["M1"]
+        expr, _ = matrix_add_with_refinement(m1, ws.matrices["M2"])
+        v = cli._valuation(ws, valuation)
+        rows, cols = (int(resolve_param(d, v)) for d in (m1.rows, m1.cols))
+        lines = [] if fmt == "json-lines" else [expr.render()]
+        try:
+            for i in range(1, rows + 1):
+                for j in range(1, cols + 1):
+                    out = cli.eval_expr(expr, (Fraction(i), Fraction(j)), v)
+                    if fmt == "json-lines":
+                        record = cli._outcome_json("M1+M2", (i, j), out)
+                        lines.append(json.dumps(record, sort_keys=True, ensure_ascii=False))
+                    else:
+                        lines.append(f"({i}, {j}): {cli._outcome_text(out)}")
+        except HybridError as e:
+            return 1, "".join(line + "\n" for line in lines), f"error: {e}\n"
+        return 0, "".join(line + "\n" for line in lines), ""
+
+    @pytest.mark.parametrize("fmt", ["text", "json-lines"])
+    @pytest.mark.parametrize(
+        "valuation",
+        ["v1", "v2", "v3", "n=5, m=3, h1=0, k1=3, h2=5, k2=0", "n=4, m=6, h1=2, k1=2, h2=2, k2=2",
+         "n=3, m=3, h1=1, k1=1, h2=2"],
+    )
+    def test_the_table_equals_a_per_cell_loop(self, capsys, fmt, valuation):
+        got = run_cli(capsys, "matrix-add", MATRIX, "M1", "M2", "--table", "--with", valuation,
+                      "--format", fmt)
+        assert got == self.per_cell(MATRIX, valuation, fmt)
+
+    @pytest.mark.parametrize("fmt", ["text", "json-lines"])
+    def test_a_64_by_64_table_formats_each_distinct_outcome_once(
+        self, capsys, tmp_path, monkeypatch, fmt
+    ):
+        ws = tmp_path / "table.ws"
+        ws.write_text(self.TABLE_WS)
+        formatted, tested = [], []
+        value_text, test = cli._value_text, regions._GridLine._test
+
+        def counting_value_text(v):
+            formatted.append(v)
+            return value_text(v)
+
+        def counting_test(line, value):
+            tested.append(value)
+            return test(line, value)
+
+        monkeypatch.setattr(cli, "_value_text", counting_value_text)
+        monkeypatch.setattr(regions._GridLine, "_test", counting_test)
+        code, out, _ = run_cli(
+            capsys, "matrix-add", str(ws), "M1", "M2", "--table", "--with", "v", "--format", fmt
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 64 * 64 + (fmt == "text")
+        # rows split at 20 and 33, columns at 7 and 41: nine distinct sums,
+        # each formatted once, not once per cell
+        assert len(formatted) == len(set(formatted)) == 9
+        # each row value and each column value is tested once
+        assert len(tested) == 64 + 64
 
 
 def test_points_render_the_same_everywhere():

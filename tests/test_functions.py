@@ -36,16 +36,19 @@ from hybridsets import (
     Valuation,
     ValuationError,
     atom,
+    block_matrix_2x2,
     checked_add,
     checked_mul,
     constant_atom,
     evaluate,
+    evaluate_grid,
     evaluate_many,
     graph_function,
     hybrid_graph,
     is_reducible,
     join,
     marked_join,
+    matrix_add,
     reduce_formally,
     term,
     word,
@@ -553,6 +556,187 @@ class TestPlanAndState:
             raised.append(info.value)
         assert raised[0] is not raised[1]
         assert str(raised[0]) == str(raised[1])
+
+
+grid_coords = st.one_of(
+    st.integers(-1, 4).map(F), st.integers(-1, 4), st.sampled_from((F(1, 2), F(5, 2))),
+)
+grid_shapes = st.one_of(
+    st.just(Universe()),
+    st.builds(GridRect, grid_ends, grid_ends, grid_ends, grid_ends, flags, flags, flags, flags),
+)
+# Grid rectangles with whole and half-integer ends, and valuations that
+# mostly give every parameter a value.
+half_ends = st.one_of(
+    st.sampled_from(PARAMS), st.sampled_from((F(-1), F(0), F(1, 2), F(1), F(3, 2), F(2), F(3))),
+)
+half_rects = st.builds(
+    GridRect, half_ends, half_ends, half_ends, half_ends, flags, flags, flags, flags
+)
+full_valuations = st.one_of(
+    valuations, st.fixed_dictionaries({p: st.sampled_from(LEVELS) for p in PARAMS}).map(Valuation),
+)
+# Shapes a cell may fall in though they are not grid rectangles.
+cell_sets = st.lists(st.tuples(grid_coords, grid_coords), min_size=1, max_size=3).map(
+    lambda ps: FinitePointSet(tuple(ps))
+)
+
+
+@st.composite
+def grid_expressions(draw, shape_pool, word_atoms=mixed_atoms):
+    """An expression whose region atoms draw their shapes from ``shape_pool``
+    and whose words draw from ``word_atoms``."""
+    drawn = draw(st.lists(shape_pool, min_size=1, max_size=5))
+    pool = [RegionAtom(f"R{i}", s) for i, s in enumerate(drawn)]
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        uses = draw(st.lists(st.tuples(st.sampled_from(range(len(pool))), small_or_huge),
+                             min_size=1, max_size=3, unique_by=lambda u: u[0]))
+        w = FreeWord(draw(st.lists(st.tuples(st.sampled_from(word_atoms), small_or_huge),
+                                   min_size=1, max_size=2, unique_by=lambda u: u[0].name)))
+        terms.append(HybridTerm(w, SymbolicHybridSet((pool[i], c) for i, c in uses)))
+    return HybridExpr(draw(st.sampled_from((None, PLUS, TIMES, MERGE))), tuple(terms))
+
+
+def _key(key):
+    """An indicator vector, with an unfinished one's error as type and text."""
+    if isinstance(key, regions._Unfinished):
+        return key.bits, key.index, type(key.error), str(key.error)
+    return key
+
+
+def _reference_key(layout, point, valuation):
+    """``_key`` of the point's indicator vector, shape by shape through
+    ``RegionAtom.indicator``, up to the first shape whose test raises."""
+    bits = 0
+    for k, shape in enumerate(layout.shapes):
+        try:
+            bits |= RegionAtom("S", shape).indicator(point, valuation) << k
+        except Exception as e:
+            return bits, k, type(e), str(e)
+    return bits
+
+
+@st.composite
+def block_sums(draw):
+    """The sum of two 2x2 block matrices of n x m, splits tied, at 0 and at
+    the dimension among them, with a valuation that may lack a parameter."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def split(dim):
+        return draw(st.one_of(st.sampled_from((0, dim)), st.integers(0, dim)))
+
+    h1, k1 = split(n), split(m)
+    h2 = h1 if draw(st.booleans()) else split(n)
+    k2 = k1 if draw(st.booleans()) else split(m)
+    names = (("A1", "B1", "C1", "D1"), ("A2", "B2", "C2", "D2"))
+    bodies = draw(st.sampled_from((None, (1, 2, 3, 5))))
+    m1, m2 = (block_matrix_2x2(f"M{i + 1}", "n", "m", f"h{i + 1}", f"k{i + 1}", names[i], bodies)
+              for i in range(2))
+    values = {"n": n, "m": m, "h1": h1, "k1": k1, "h2": h2, "k2": k2}
+    if draw(st.integers(0, 4)) == 0:
+        del values[draw(st.sampled_from(sorted(values)))]
+    return matrix_add(m1, m2, draw(st.sampled_from((PLUS, MERGE)))), Valuation(values), n, m
+
+
+class TestEvaluateGrid:
+    """``evaluate_grid`` is ``evaluate_many`` over the row-major product,
+    outcomes and the error that ends them alike; each side evaluates a
+    fresh copy of the expression, so neither reads the other's state."""
+
+    @staticmethod
+    def both(e, rows, cols, valuation):
+        product = [(r, c) for r in rows for c in cols]
+        return (
+            _outcomes(evaluate_grid(HybridExpr(e.star, e.terms), rows, cols, valuation)),
+            _outcomes(evaluate_many(HybridExpr(e.star, e.terms), product, valuation)),
+        )
+
+    @seed(2006)
+    @settings(max_examples=300, deadline=None)
+    @given(block_sums(), st.lists(grid_coords, max_size=3), st.lists(grid_coords, max_size=3))
+    def test_block_sums_agree_with_evaluate_many(self, case, extra_rows, extra_cols):
+        e, valuation, n, m = case
+        rows = [F(i) for i in range(n + 2)] + extra_rows
+        cols = [F(j) for j in range(m + 2)] + extra_cols
+        got, want = self.both(e, rows, cols, valuation)
+        assert got == want
+
+    @seed(2007)
+    @settings(max_examples=300, deadline=None)
+    @given(grid_expressions(grid_shapes), st.lists(grid_coords, max_size=5),
+           st.lists(st.one_of(grid_coords, st.just("c")), max_size=5), valuations)
+    def test_grid_shapes_agree_with_evaluate_many(self, e, rows, cols, valuation):
+        got, want = self.both(e, rows, cols, valuation)
+        assert got == want
+
+    @seed(2008)
+    @settings(max_examples=200, deadline=None)
+    @given(grid_expressions(st.one_of(shapes, cell_sets)), st.lists(grid_coords, max_size=4),
+           st.lists(grid_coords, max_size=4), valuations)
+    def test_interval_and_point_set_shapes_agree_with_evaluate_many(self, e, rows, cols, valuation):
+        got, want = self.both(e, rows, cols, valuation)
+        assert got == want
+
+    def test_a_cell_in_a_point_set_is_found(self):
+        cell = SymbolicHybridSet.from_atom(RegionAtom("S", FinitePointSet(((F(1), F(2)),))))
+        box = SymbolicHybridSet.from_atom(RegionAtom("G", GridRect(F(1), F(1), F(1), F(1))))
+        e = join(term(u_op, cell), term(v_op, box))
+        got, want = self.both(e, [F(1)], [F(1), F(2)], None)
+        assert got == want == [
+            Defined(FormalValue(FreeWord.from_atom(a), None), 1) for a in (v_op, u_op)
+        ]
+
+    # Every cell's indicator vector, also after a cell whose outcome raises,
+    # by rows and columns and point by point, against the shape-by-shape one.
+    @seed(2009)
+    @settings(max_examples=300, deadline=None)
+    @given(grid_expressions(st.one_of(grid_shapes, half_rects)), st.lists(grid_coords, max_size=2),
+           st.lists(st.one_of(grid_coords, st.just("c")), max_size=2), full_valuations)
+    def test_grid_keys_agree_with_keys(self, e, extra_rows, extra_cols, valuation):
+        every = [F(n, 2) for n in range(-3, 9)]
+        rows, cols = every + extra_rows, every + extra_cols
+        layout = regions._Layout([t.region for t in e.terms])
+        product = [(r, c) for r in rows for c in cols]
+        reference = [(p, _reference_key(layout, p, valuation)) for p in product]
+        grid = regions.IndicatorTable(layout, valuation).grid_keys(rows, cols)
+        assert [(p, _key(k)) for p, k in grid] == reference
+        one_by_one = regions.IndicatorTable(layout, valuation).keys(product)
+        assert [(p, _key(k)) for p, k in one_by_one] == reference
+
+    def test_a_missing_parameter_ends_the_grid_where_evaluate_many_ends(self):
+        # p bounds the rows of the second rectangle: the cells of the
+        # non-integer row come out before a cell's test needs p
+        first = SymbolicHybridSet.from_atom(RegionAtom("G", GridRect(F(2), F(3), F(1), F(2))))
+        second = SymbolicHybridSet.from_atom(RegionAtom("H", GridRect(F(1), "p", F(1), F(2))))
+        e = join(term(u_op, first), term(v_op, second))
+        rows, cols = [F(1, 2), F(5), F(2)], [F(1), F(2)]
+        got, want = self.both(e, rows, cols, Valuation())
+        assert got == want
+        assert got == [UNDEFINED, UNDEFINED, (ValuationError, "parameter 'p' has no value")]
+
+    # The columns may be any iterable, read once: with an interval shape
+    # (the per-point path) and without one (the row and column classes).
+    @pytest.mark.parametrize("with_interval", [True, False])
+    def test_columns_may_be_a_one_shot_iterator(self, with_interval):
+        box = SymbolicHybridSet.from_atom(RegionAtom("G", GridRect(F(1), F(2), F(2), F(3))))
+        e = join(term(u_op, box), term(v_op, A if with_interval else U - box))
+        rows, cols = [F(1), F(2), F(3)], [F(1), F(2), F(3)]
+        product = [(r, c) for r in rows for c in cols]
+        want = _outcomes(evaluate_many(HybridExpr(e.star, e.terms), product, None))
+        got = _outcomes(evaluate_grid(HybridExpr(e.star, e.terms), iter(rows), iter(cols), None))
+        assert got == want
+        assert len(got) == 9
+
+    def test_a_point_independent_outcome_is_one_object_per_indicator_vector(self):
+        a = SymbolicHybridSet.from_atom(RegionAtom("A", GridRect(F(1), "h", F(1), "k")))
+        e = join(term(u_op, a), term(v_op, U - a))
+        v = Valuation({"h": F(2), "k": F(3)})
+        coords = [F(i) for i in range(1, 6)]
+        outcomes = list(evaluate_grid(e, coords, coords, v))
+        assert len(outcomes) == 25
+        assert len({id(o) for o in outcomes}) == 2
+        assert outcomes[0] == Defined(FormalValue(FreeWord.from_atom(u_op), None), 1)
 
 
 def _graph_values(gr):

@@ -140,6 +140,21 @@ class TestIntegerLinearAlgebra:
         assert determinant_and_adjugate([]) == (1, [])
         assert exact_integer_inverse([]) == []
 
+    def test_a_fraction_entry_is_refused_not_truncated(self):
+        choice = ChoiceMatrix(((1, 1), (Fraction(1, 2), 1)), ("U", "a"), ("p", "q"))
+        message = r"row 1, column 0 must be an integer, got Fraction\(1, 2\)"
+        with pytest.raises(ContractError, match=message):
+            choice.determinant()
+
+    def test_a_text_entry_is_refused_not_read(self):
+        with pytest.raises(ContractError, match="row 1, column 0 must be an integer, got '0'"):
+            determinant_and_adjugate(((1, 1), ("0", 1)))
+
+    def test_whole_fractions_read_as_their_integers(self):
+        assert determinant_and_adjugate(((Fraction(2), 3), (1, Fraction(4, 2)))) == (
+            1, [[2, -3], [-1, 2]],
+        )
+
 
 class TestMinRefinementSize:
     def test_pair_of_four_piece_partitions_needs_seven(self):
