@@ -214,20 +214,27 @@ def _cmd_matrix_add(args) -> int:
         json_lines, label = args.format == "json-lines", f"{args.m1}+{args.m2}"
         # Each distinct outcome object is formatted once: as its text, or as
         # its json record after the "at" field, which sorts first.  The entry
-        # keeps the outcome alive, so its id is not reused meanwhile.
-        texts = {}
-        for (i, j), out in zip(cells, outcomes):
-            found = texts.get(id(out))
-            if found is None:
-                text = (
-                    json.dumps(_outcome_record(label, out), sort_keys=True, ensure_ascii=False)[1:]
-                    if json_lines else _outcome_text(out)
-                )
-                found = texts[id(out)] = (out, text)
-            if json_lines:
-                print(f'{{"at": "({i}, {j})", {found[1]}')
-            else:
-                print(f"({i}, {j}): {found[1]}")
+        # keeps the outcome alive, so its id is not reused meanwhile.  The
+        # lines are written in one piece: after the last cell, or before the
+        # error of the cell that raises.
+        texts, lines = {}, []
+        try:
+            for (i, j), out in zip(cells, outcomes):
+                found = texts.get(id(out))
+                if found is None:
+                    text = (
+                        json.dumps(_outcome_record(label, out), sort_keys=True,
+                                   ensure_ascii=False)[1:]
+                        if json_lines else _outcome_text(out)
+                    )
+                    found = texts[id(out)] = (out, text)
+                if json_lines:
+                    lines.append(f'{{"at": "({i}, {j})", {found[1]}')
+                else:
+                    lines.append(f"({i}, {j}): {found[1]}")
+        finally:
+            if lines:
+                print("\n".join(lines))
     return 0
 
 
@@ -449,9 +456,17 @@ def _attach_negative_values(argv: List[str]) -> List[str]:
     return out
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    """Run one command; it may be called repeatedly in one process.  The
+    parser holds no per-call state, so it is built on the first call and
+    kept, and every call parses into a fresh namespace."""
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except _Usage as e:

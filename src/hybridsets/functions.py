@@ -46,6 +46,14 @@ class FunctionAtom:
     def is_opaque(self) -> bool:
         return self.body is None and self.func is None
 
+    @cached_property
+    def reads_point(self) -> bool:
+        """Whether the value can depend on the point: a python function may
+        read it, a body reads it when it names x.  The body is walked once."""
+        if self.body is not None:
+            return "x" in scalarexpr.body_names(self.body)
+        return self.func is not None
+
     def value(self, point: Point, valuation: Optional[Valuation] = None) -> Fraction:
         if self.body is not None:
             return scalarexpr.eval_scalar(self.body, point, valuation)
@@ -412,14 +420,6 @@ def _eval_marked(star, accumulated, point, valuation) -> EvalOutcome:
     return Defined(FormalValue(combo, star), net)
 
 
-def _reads_point(a: FunctionAtom) -> bool:
-    """Whether the atom's value can depend on the point: a python function
-    may read it, a body reads it when it names x."""
-    if a.body is not None:
-        return "x" in scalarexpr.body_names(a.body)
-    return a.func is not None
-
-
 class _Plan:
     """What evaluating an expression needs whatever the valuation: the
     region layout and each term's word as (name, exponent, atom) tuples.
@@ -499,7 +499,7 @@ def _outcomes(e: HybridExpr, valuation: Optional[Valuation], keys, source) -> It
             # An unfinished key raises here, so it is never kept.
             accumulated = _accumulate(plan.words, plan.layout.multiplicities(key))
             _, surviving, atoms = accumulated
-            fixed = not any(_reads_point(atoms[n]) for n in surviving)
+            fixed = not any(atoms[n].reads_point for n in surviving)
             found = kept[key] = (accumulated, fixed, None)
         accumulated, fixed, outcome = found
         if outcome is None:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from hybridsets import HybridError, cli, regions
+from hybridsets import HybridError, NonEvaluableError, cli, regions
 from hybridsets.cli import SIZE_CAP, main
 from hybridsets.matrices import matrix_add_with_refinement
 from hybridsets.hybridset import render_element
@@ -854,6 +854,101 @@ class TestTableByClasses:
         assert len(formatted) == len(set(formatted)) == 9
         # each row value and each column value is tested once
         assert len(tested) == 64 + 64
+
+
+class TestTableWrite:
+    @pytest.mark.parametrize("fmt", ["text", "json-lines"])
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_an_error_mid_table_follows_the_cells_before_it(self, capsys, monkeypatch, fmt, k):
+        real_grid = cli.evaluate_grid
+
+        def failing_grid(expr, rows, cols, valuation):
+            outcomes = real_grid(expr, rows, cols, valuation)
+            for _ in range(k):
+                yield next(outcomes)
+            raise NonEvaluableError("cell broke")
+
+        monkeypatch.setattr(cli, "evaluate_grid", failing_grid)
+        got = run_cli(capsys, "matrix-add", MATRIX, "M1", "M2", "--table", "--with", "v1",
+                      "--format", fmt)
+        _, whole, _ = TestTableByClasses.per_cell(MATRIX, "v1", fmt)
+        lines = whole.splitlines(keepends=True)
+        head = lines[:k] if fmt == "json-lines" else lines[:1 + k]
+        assert got == (1, "".join(head), "error: cell broke\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json-lines"])
+    def test_the_counted_bytes_of_a_table_are_its_stdout(self, capsys, tmp_path, monkeypatch, fmt):
+        # A module global shadows the builtin print in cli, as the benchmark's
+        # tracer does to count cli.bytes_out.
+        counted = []
+
+        def counting_print(*args, sep=" ", end="\n", file=None, flush=False):
+            if file is None:
+                counted.append(len((sep.join(map(str, args)) + end).encode("utf-8")))
+            print(*args, sep=sep, end=end, file=file, flush=flush)
+
+        ws = tmp_path / "table.ws"
+        ws.write_text(TestTableByClasses.TABLE_WS)
+        monkeypatch.setattr(cli, "print", counting_print, raising=False)
+        code, out, _ = run_cli(
+            capsys, "matrix-add", str(ws), "M1", "M2", "--table", "--with", "v", "--format", fmt
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 64 * 64 + (fmt == "text")
+        assert sum(counted) == len(out.encode("utf-8"))
+
+
+class TestParserReuse:
+    @staticmethod
+    def alone(capsys, monkeypatch, *argv):
+        """run_cli with a parser built for this call only."""
+        monkeypatch.setattr(cli, "_parser", None)
+        return run_cli(capsys, *argv)
+
+    def test_the_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        build = cli._build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_build_parser", counting_build)
+        for argv in (["matrix-add", MATRIX, "M1", "M2"], ["refine", PIECEWISE, "P", "Q"],
+                     ["eval", PIECEWISE, "F", "--at", "0", "--with", "v1"]):
+            run_cli(capsys, *argv)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "first, then",
+        [
+            (["matrix-add", MATRIX, "M1", "M2", "--cell", "2,1", "--with", "v1",
+              "--format", "json-lines"],
+             ["matrix-add", MATRIX, "M1", "M2", "--cell", "2,1", "--with", "v1"]),
+            (["matrix-add", MATRIX, "M1", "M2", "--cell", "2,1", "--with", "v1"],
+             ["matrix-add", MATRIX, "M1", "M2", "--table", "--with", "v2"]),
+            (["eval", PIECEWISE, "F", "--at", "0", "--with", "v1", "--format", "json-lines"],
+             ["eval", PIECEWISE, "F", "--at", "0", "--with", "v1"]),
+            (["check", "invert", PIECEWISE, "--term", "f1^A1", "--star", "*",
+              "--grid", "0,1,3"],
+             ["check", "invert", PIECEWISE, "--term", "f1^A1"]),
+        ],
+    )
+    def test_calls_in_sequence_do_not_leak_options(self, capsys, monkeypatch, first, then):
+        expected = self.alone(capsys, monkeypatch, *then)
+        self.alone(capsys, monkeypatch, *first)
+        assert run_cli(capsys, *then) == expected
+
+    def test_a_usage_error_leaves_the_next_call_as_it_would_be(self, capsys, monkeypatch):
+        good = ["matrix-add", MATRIX, "M1", "M2", "--table", "--with", "v1"]
+        expected = self.alone(capsys, monkeypatch, *good)
+        monkeypatch.setattr(cli, "_parser", None)
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix-add", MATRIX, "M1", "--format", "yaml", "--cell", "1,1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *good) == expected
 
 
 def test_points_render_the_same_everywhere():
