@@ -27,12 +27,6 @@ from .hybridset import (
     INT64_MIN,
     checked_add,
     checked_mul,
-    ominus,
-    oplus,
-    otimes,
-    reduce_set,
-    scalar,
-    support,
 )
 from .regions import (
     FinitePointSet,

@@ -25,7 +25,6 @@ from .functions import (
     evaluate_many,
     marked_join,
 )
-from .hybridset import checked_mul
 from .regions import (
     Point, RegionAtom, SymbolicHybridSet, Universe, Valuation, multiplicities_many, resolve_param
 )
@@ -117,9 +116,7 @@ def pointwise_star(
 
     out_terms = []
     for j, piece in enumerate(refinement.pieces):
-        w = FreeWord(
-            (a, checked_mul(row[j], e)) for t, row in rows if row[j] for a, e in t.word.items()
-        )
+        w = FreeWord.combine((t.word, row[j]) for t, row in rows if row[j])
         if w.is_empty:
             raise ContractError(
                 f"value word for refinement piece {refinement.labels[j]} cancelled away"

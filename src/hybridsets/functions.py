@@ -26,7 +26,7 @@ from .errors import (
     NotReducibleError,
     OpacityError,
 )
-from .hybridset import HybridSet, checked_add, checked_mul
+from .hybridset import FreeCombination, HybridSet, bind, checked_add, merge
 from .regions import IndicatorTable, Point, SymbolicHybridSet, Valuation, _Layout, as_fraction
 
 
@@ -72,7 +72,7 @@ def constant_atom(name: str, value) -> FunctionAtom:
     return FunctionAtom(name, scalarexpr.Num(as_fraction(value, f"the value of {name!r}")))
 
 
-class FreeWord:
+class FreeWord(FreeCombination):
     """Element of the free abelian group over function atoms.
 
     Exponents are kept in insertion order for readable output; equality
@@ -80,85 +80,31 @@ class FreeWord:
     atom that cancels and then comes back is listed last.
     """
 
-    __slots__ = ("_exps", "_atoms")
+    __slots__ = ()
+    ATOM = FunctionAtom
+    CLASH = "atom name {!r} bound to two definitions"
+    DROP_EARLY = True
 
-    def __init__(self, entries: Iterable[Tuple[FunctionAtom, int]] = ()):
-        exps: Dict[str, int] = {}
-        atoms: Dict[str, FunctionAtom] = {}
-        for a, k in entries:
-            if not isinstance(a, FunctionAtom):
-                raise TypeError(f"expected FunctionAtom, got {a!r}")
-            known = atoms.get(a.name)
-            if known is not None and known != a:
-                raise ContractError(f"atom name {a.name!r} bound to two definitions")
-            atoms[a.name] = a
-            total = checked_add(exps.get(a.name, 0), k)
-            if total:
-                exps[a.name] = total
-            else:
-                exps.pop(a.name, None)
-        self._exps = exps
-        self._atoms = {n: atoms[n] for n in exps}
-
-    @classmethod
-    def from_atom(cls, a: FunctionAtom, exp: int = 1) -> "FreeWord":
-        return cls([(a, exp)])
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._exps
-
-    def exponent(self, name: str) -> int:
-        return self._exps.get(name, 0)
-
-    def atom(self, name: str) -> FunctionAtom:
-        return self._atoms[name]
+    is_empty = FreeCombination.is_zero
+    exponent = FreeCombination.coefficient
+    pow = FreeCombination.scale
 
     def items(self):
         """(atom, exponent) pairs in first-appearance order."""
-        return [(self._atoms[n], k) for n, k in self._exps.items()]
-
-    def atoms(self):
-        return list(self._atoms.values())
+        return list(zip(self._atoms.values(), self._coeffs.values()))
 
     def mul(self, other: "FreeWord") -> "FreeWord":
-        return FreeWord(list(self.items()) + list(other.items()))
-
-    def pow(self, k: int) -> "FreeWord":
-        return FreeWord([(a, checked_mul(k, e)) for a, e in self.items()])
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeWord):
-            return NotImplemented
-        return self._exps == other._exps and self._atoms == other._atoms
-
-    def __hash__(self):
-        return hash(frozenset(self._exps.items()))
+        return self.combine(((self, 1), (other, 1)))
 
     def render(self, joiner: str = " * ") -> str:
-        if not self._exps:
+        if not self._coeffs:
             return "1"
-        parts = []
-        for name, k in self._exps.items():
-            parts.append(name if k == 1 else f"{name}^{k}")
-        return joiner.join(parts)
-
-    def __str__(self):
-        return self.render()
-
-    def __repr__(self):
-        return f"FreeWord({self.render()})"
+        return joiner.join([name if k == 1 else f"{name}^{k}" for name, k in self._coeffs.items()])
 
 
 def word(*atoms_and_exps) -> FreeWord:
     """Build a word from atoms or (atom, exponent) pairs."""
-    entries = []
-    for item in atoms_and_exps:
-        if isinstance(item, FunctionAtom):
-            entries.append((item, 1))
-        else:
-            entries.append(item)
-    return FreeWord(entries)
+    return FreeWord((a, 1) if isinstance(a, FunctionAtom) else a for a in atoms_and_exps)
 
 
 @dataclass(frozen=True)
@@ -330,20 +276,20 @@ EvalOutcome = Union[Defined, _Undefined]
 
 
 def _accumulate(words, multiplicities: Iterable[int]):
-    """Net region multiplicity and combined exponent vector, from the terms'
-    words as (name, exponent, atom) tuples and their region multiplicities,
-    which are drawn one term at a time."""
+    """(net region multiplicity, surviving exponents, atoms): the terms'
+    words, as (name, exponent, atom) tuples, merged with their region
+    multiplicities as scalars and zeros dropped at the end.  The
+    multiplicities are drawn one term at a time, between the words' merges."""
     net = 0
-    exps: Dict[str, int] = {}
-    atoms: Dict[str, FunctionAtom] = {}
-    for word, m in zip(words, multiplicities):
-        net = checked_add(net, m)
-        if m == 0:
-            continue
-        for name, k, a in word:
-            exps[name] = checked_add(exps.get(name, 0), checked_mul(m, k))
-            atoms.setdefault(name, a)
-    surviving = {n: k for n, k in exps.items() if k != 0}
+
+    def scaled():
+        nonlocal net
+        for word, m in zip(words, multiplicities):
+            net = checked_add(net, m)
+            if m:
+                yield word, m
+
+    surviving, atoms = merge(scaled(), FreeWord.CLASH, False)
     return net, surviving, atoms
 
 
@@ -422,7 +368,9 @@ def _eval_marked(star, accumulated, point, valuation) -> EvalOutcome:
 
 class _Plan:
     """What evaluating an expression needs whatever the valuation: the
-    region layout and each term's word as (name, exponent, atom) tuples.
+    region layout and each term's word as (name, exponent, atom) tuples,
+    with one atom object per name across the expression; a name bound to
+    two definitions in different terms is a ContractError here, once.
 
     ``slot`` holds the state of the last valuation used: its
     ``IndicatorTable`` and, per indicator vector, the accumulated sums and
@@ -433,7 +381,11 @@ class _Plan:
 
     def __init__(self, e: "HybridExpr"):
         self.layout = _Layout([t.region for t in e.terms])
-        self.words = tuple(tuple((a.name, k, a) for a, k in t.word.items()) for t in e.terms)
+        atoms = {}
+        self.words = tuple(
+            tuple((a.name, k, bind(atoms, a.name, a, FreeWord.CLASH)) for a, k in t.word.items())
+            for t in e.terms
+        )
         self.slot = None
 
     def state(self, valuation: Optional[Valuation]):

@@ -15,9 +15,10 @@ Multiplicities are kept inside the signed 64-bit range; leaving it raises
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from .errors import (
+    ContractError,
     MultiplicityOverflowError,
     NotReducibleError,
     UniverseMismatchError,
@@ -40,6 +41,144 @@ def checked_add(a: int, b: int) -> int:
 
 def checked_mul(a: int, b: int) -> int:
     return checked_int(a * b)
+
+
+def require_int(value, what: str) -> int:
+    """``value`` if it is an int and not a bool, else a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {value!r}")
+    return value
+
+
+def bind(atoms: dict, name: str, atom, clash: str):
+    """The atom bound to ``name`` in ``atoms``, which binds ``atom`` if none
+    is; an unequal one (identity is compared first) is a ContractError."""
+    known = atoms.setdefault(name, atom)
+    if known is not atom and known != atom:
+        raise ContractError(clash.format(name))
+    return known
+
+
+def merge(groups, clash: str, drop_early: bool) -> Tuple[Dict[str, int], dict]:
+    """(coefficients, atoms) of the sum of ``n * entries`` over ``(entries,
+    n)`` groups of (name, coefficient, atom) triples, keyed by name in order
+    of first appearance.  Every name goes through ``bind``; the atoms list
+    the coefficients' names in their order, and may hold dropped names too.
+    With ``drop_early`` a zero sum leaves at once, so a name that returns is
+    last; otherwise zeros go at the end and every name keeps its place."""
+    coeffs: Dict[str, int] = {}
+    atoms: dict = {}
+    get, known = coeffs.get, atoms.setdefault
+    moved = False
+    for entries, n in groups:
+        for name, c, atom in entries:
+            if known(name, atom) is not atom:
+                bind(atoms, name, atom, clash)
+            total = checked_add(get(name, 0), c if n == 1 else checked_mul(n, c))
+            if total or not drop_early:
+                coeffs[name] = total
+            else:
+                coeffs.pop(name, None)
+                moved = True
+    if not drop_early and 0 in coeffs.values():
+        coeffs = {name: c for name, c in coeffs.items() if c}
+    if moved:
+        atoms = {name: atoms[name] for name in coeffs}
+    return coeffs, atoms
+
+
+class FreeCombination:
+    """An integer combination of named atoms: an element of the free abelian
+    group over them, keyed by atom name.
+
+    ``_coeffs`` maps each name to its nonzero coefficient and ``_atoms`` each
+    name to its atom, in the same order.  A subclass gives the atom class
+    (``ATOM``), the message for one name bound to two unequal atoms
+    (``CLASH``), and when a zero is dropped (``DROP_EARLY``, see ``merge``).
+    """
+
+    __slots__ = ("_coeffs", "_atoms")
+    DROP_EARLY = False
+
+    def __init__(self, entries: Iterable[Tuple[object, int]] = ()):
+        """The sum of (atom, coefficient) pairs, each one checked."""
+        coeffs, atoms = merge(((self._checked(entries), 1),), self.CLASH, self.DROP_EARLY)
+        self._coeffs = coeffs
+        self._atoms = atoms if len(atoms) == len(coeffs) else {n: atoms[n] for n in coeffs}
+
+    def _checked(self, entries):
+        atom_type = self.ATOM
+        for atom, coeff in entries:
+            if not isinstance(atom, atom_type):
+                raise TypeError(f"expected {atom_type.__name__}, got {atom!r}")
+            if type(coeff) is not int:
+                require_int(coeff, "coefficient")
+            yield atom.name, coeff, atom
+
+    @classmethod
+    def _from_checked(cls, groups):
+        """``merge`` of ``(entries, n)`` groups whose atoms and integers are
+        known to have the right types; names and sums are still checked."""
+        self = object.__new__(cls)
+        coeffs, atoms = merge(groups, cls.CLASH, cls.DROP_EARLY)
+        self._coeffs = coeffs
+        self._atoms = atoms if len(atoms) == len(coeffs) else {n: atoms[n] for n in coeffs}
+        return self
+
+    @classmethod
+    def from_atom(cls, atom, coeff: int = 1):
+        return cls(((atom, coeff),))
+
+    @classmethod
+    def combine(cls, terms: Iterable[Tuple["FreeCombination", int]]):
+        """The sum of ``n * c`` over (c, n) pairs, merged in one pass."""
+        return cls._from_checked(cls._groups(terms))
+
+    @classmethod
+    def _groups(cls, terms):
+        for c, n in terms:
+            if not isinstance(c, cls):
+                raise TypeError(f"expected {cls.__name__}, got {c!r}")
+            coeffs = c._coeffs
+            entries = zip(coeffs, coeffs.values(), c._atoms.values())
+            yield entries, n if type(n) is int else require_int(n, "scalar")
+
+    def coefficient(self, name: str) -> int:
+        return self._coeffs.get(name, 0)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def scale(self, n: int):
+        return self.combine(((self, n),))
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.combine(((self, 1), (other, 1)))
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.combine(((self, 1), (other, -1)))
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._coeffs == other._coeffs and self._atoms == other._atoms
+
+    def __hash__(self):
+        return hash(frozenset(self._coeffs.items()))
+
+    def __str__(self):
+        return self.render()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()})"
 
 
 def element_sort_key(el):
@@ -97,9 +236,7 @@ class HybridSet:
         merged: dict = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
         for el, mult in items:
-            if isinstance(mult, bool) or not isinstance(mult, int):
-                raise TypeError(f"multiplicity must be an int, got {mult!r}")
-            checked_int(mult)
+            mult = checked_int(require_int(mult, "multiplicity"))
             merged[el] = checked_add(merged.get(el, 0), mult)
         self._entries = {el: m for el, m in merged.items() if m != 0}
         self.universe_tag = universe_tag
@@ -163,8 +300,7 @@ class HybridSet:
         return HybridSet(out, self.universe_tag)
 
     def scale(self, n: int) -> "HybridSet":
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise TypeError(f"scalar must be an int, got {n!r}")
+        require_int(n, "scalar")
         return HybridSet(
             {el: checked_mul(n, m) for el, m in self._entries.items()},
             self.universe_tag,
@@ -231,29 +367,3 @@ class HybridSet:
             cur.expect("}")
         cur.finish()
         return cls(entries, universe_tag)
-
-
-# Module-level spellings of the operations, for callers who prefer functions.
-
-def oplus(a: HybridSet, b: HybridSet) -> HybridSet:
-    return a.oplus(b)
-
-
-def ominus(a: HybridSet, b: HybridSet) -> HybridSet:
-    return a.ominus(b)
-
-
-def otimes(a: HybridSet, b: HybridSet) -> HybridSet:
-    return a.otimes(b)
-
-
-def scalar(n: int, h: HybridSet) -> HybridSet:
-    return h.scale(n)
-
-
-def support(h: HybridSet) -> frozenset:
-    return h.support()
-
-
-def reduce_set(h: HybridSet) -> frozenset:
-    return h.reduce()

@@ -9,6 +9,7 @@ block symbol of each operand, valid for every ordering of the splits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from .calculus import pointwise_star
@@ -46,6 +47,11 @@ class Block:
     def name(self) -> str:
         return self.region.name
 
+    @cached_property
+    def piece(self) -> SymbolicHybridSet:
+        """The region as a combination, built once for partitions and terms."""
+        return SymbolicHybridSet.from_atom(self.region)
+
 
 @dataclass(frozen=True)
 class SymbolicBlockMatrix:
@@ -60,13 +66,13 @@ class SymbolicBlockMatrix:
         return GeneralisedPartition(
             self.name,
             universe,
-            tuple(SymbolicHybridSet.from_atom(b.region) for b in self.blocks),
+            tuple(b.piece for b in self.blocks),
             labels=tuple(b.name for b in self.blocks),
             assumed=True,
         )
 
     def expr(self) -> HybridExpr:
-        return join(*(term(b.symbol, SymbolicHybridSet.from_atom(b.region)) for b in self.blocks))
+        return join(*(term(b.symbol, b.piece) for b in self.blocks))
 
     def block_at(self, i, j, valuation: Optional[Valuation]) -> Optional[Block]:
         point = (as_fraction(i, "a row"), as_fraction(j, "a column"))

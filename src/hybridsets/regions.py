@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ContractError, ValuationError
-from .hybridset import HybridSet, checked_add, checked_int, checked_mul
+from .hybridset import FreeCombination, HybridSet, checked_add, checked_mul
 from .scalarexpr import Cursor
 
 # An endpoint: either an exact rational or the name of a parameter.
@@ -234,49 +234,18 @@ def render_combination(pairs: Iterable[Tuple[str, int]]) -> str:
     return " ".join(parts) if parts else "0"
 
 
-class SymbolicHybridSet:
-    """Formal integer combination of region atoms, the symbolic face of a hybrid set."""
+class SymbolicHybridSet(FreeCombination):
+    """Formal integer combination of region atoms, the symbolic face of a
+    hybrid set.  Coefficients keep the order in which their atoms first
+    appear, and zeros are dropped at the end of a merge."""
 
-    __slots__ = ("_coeffs", "_atoms")
-
-    def __init__(self, entries: Iterable[Tuple[RegionAtom, int]] = ()):
-        coeffs: Dict[str, int] = {}
-        atoms: Dict[str, RegionAtom] = {}
-        for atom, coeff in entries:
-            if not isinstance(atom, RegionAtom):
-                raise TypeError(f"expected RegionAtom, got {atom!r}")
-            if isinstance(coeff, bool) or not isinstance(coeff, int):
-                raise TypeError(f"coefficient must be an int, got {coeff!r}")
-            known = atoms.get(atom.name)
-            if known is not None and known is not atom and known != atom:
-                raise ContractError(f"region name {atom.name!r} bound to two shapes")
-            atoms[atom.name] = atom
-            coeffs[atom.name] = checked_add(coeffs.get(atom.name, 0), coeff)
-        self._coeffs = {n: c for n, c in coeffs.items() if c != 0}
-        self._atoms = {n: atoms[n] for n in self._coeffs}
+    __slots__ = ()
+    ATOM = RegionAtom
+    CLASH = "region name {!r} bound to two shapes"
 
     @classmethod
     def zero(cls) -> "SymbolicHybridSet":
         return cls()
-
-    @classmethod
-    def from_atom(cls, atom: RegionAtom, coeff: int = 1) -> "SymbolicHybridSet":
-        return cls([(atom, coeff)])
-
-    @classmethod
-    def combine(cls, terms: Iterable[Tuple["SymbolicHybridSet", int]]) -> "SymbolicHybridSet":
-        """The sum of ``coeff * s`` over (s, coeff) pairs, merged in one pass."""
-        return cls(
-            (s._atoms[name], checked_mul(k, c))
-            for s, k in terms
-            for name, c in s._coeffs.items()
-        )
-
-    def coefficient(self, name: str) -> int:
-        return self._coeffs.get(name, 0)
-
-    def atom(self, name: str) -> RegionAtom:
-        return self._atoms[name]
 
     def items(self):
         """(atom, coefficient) pairs sorted by atom name."""
@@ -285,30 +254,7 @@ class SymbolicHybridSet:
     def atoms(self):
         return [self._atoms[n] for n in sorted(self._atoms)]
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __add__(self, other: "SymbolicHybridSet") -> "SymbolicHybridSet":
-        if not isinstance(other, SymbolicHybridSet):
-            return NotImplemented
-        return SymbolicHybridSet.combine(((self, 1), (other, 1)))
-
-    def __sub__(self, other: "SymbolicHybridSet") -> "SymbolicHybridSet":
-        if not isinstance(other, SymbolicHybridSet):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "SymbolicHybridSet":
-        return self.scale(-1)
-
-    def scale(self, n: int) -> "SymbolicHybridSet":
-        return SymbolicHybridSet.combine(((self, n),))
-
-    def __mul__(self, n: int) -> "SymbolicHybridSet":
-        return self.scale(n)
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = FreeCombination.scale
 
     def multiplicity(self, point: Point, valuation: Optional[Valuation] = None) -> int:
         """Coefficient-weighted sum of the atom indicators at the point."""
@@ -319,24 +265,11 @@ class SymbolicHybridSet:
             )
         return total
 
-    def __eq__(self, other):
-        if not isinstance(other, SymbolicHybridSet):
-            return NotImplemented
-        return self._coeffs == other._coeffs and self._atoms == other._atoms
-
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
-
     def render(self) -> str:
         """Positive coefficients first, then negative ones, each by name."""
         return render_combination(
             sorted(self._coeffs.items(), key=lambda kv: (kv[1] < 0, kv[0]))
         )
-
-    __str__ = render
-
-    def __repr__(self):
-        return f"SymbolicHybridSet({self.render()})"
 
 
 class _Unfinished:
@@ -667,5 +600,4 @@ __all__ = [
     "instantiate",
     "rational_grid",
     "grid_cells",
-    "checked_int",
 ]

@@ -212,13 +212,14 @@ def _parse_combo(ws: Workspace, cur: Cursor) -> SymbolicHybridSet:
         if cur.at_number():
             coeff = cur.integer(sign)
             cur.expect("*")
-        terms.append((_lookup(cur, ws.regions, "a region name"), coeff))
+        region = _lookup(cur, ws.regions, "a region name")
+        terms.append((region.name, coeff, region))
         if cur.take("+"):
             sign = 1
         elif cur.take("-"):
             sign = -1
         else:
-            return SymbolicHybridSet(terms)
+            return SymbolicHybridSet._from_checked(((terms, 1),))
 
 
 def _decl_partition(ws: Workspace, cur: Cursor):
@@ -434,23 +435,17 @@ def render_shape(shape) -> str:
     raise TypeError(f"not a shape: {shape!r}")
 
 
-def _render_combo(s: SymbolicHybridSet) -> str:
-    items = s.items()
+def _render_operand(c) -> str:
+    """A combination of one atom with coefficient 1 as the atom's name,
+    any other in parentheses."""
+    items = c.items()
     if len(items) == 1 and items[0][1] == 1:
         return items[0][0].name
-    return f"({s.render()})"
-
-
-def _render_word(w: FreeWord) -> str:
-    items = w.items()
-    if len(items) == 1 and items[0][1] == 1:
-        return items[0][0].name
-    parts = [a.name if k == 1 else f"{a.name}^{k}" for a, k in items]
-    return "(" + " * ".join(parts) + ")"
+    return f"({c.render()})"
 
 
 def render_term(t: HybridTerm) -> str:
-    return f"{_render_word(t.word)}^{_render_combo(t.region)}"
+    return f"{_render_operand(t.word)}^{_render_operand(t.region)}"
 
 
 def render_expr_body(e: HybridExpr) -> str:

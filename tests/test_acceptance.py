@@ -42,9 +42,6 @@ from hybridsets import (
     marked_join,
     matrix_add_with_refinement,
     min_refinement_size,
-    ominus,
-    oplus,
-    otimes,
     pointwise_star,
     rational_grid,
     spline_eval_region,
@@ -107,17 +104,17 @@ def test_criterion_1_module_laws(capsys):
             c = rng.randint(-4, 4)
             d = rng.randint(-4, 4)
             # group laws
-            assert oplus(h, k) == oplus(k, h)
-            assert oplus(oplus(h, k), l) == oplus(h, oplus(k, l))
-            assert oplus(h, zero) == h
-            assert ominus(h, h) == zero
+            assert h.oplus(k) == k.oplus(h)
+            assert h.oplus(k).oplus(l) == h.oplus(k.oplus(l))
+            assert h.oplus(zero) == h
+            assert h.ominus(h) == zero
             # module laws
             assert h * 1 == h
-            assert h * (c + d) == oplus(h * c, h * d)
-            assert oplus(h, k) * c == oplus(h * c, k * c)
+            assert h * (c + d) == (h * c).oplus(h * d)
+            assert h.oplus(k) * c == (h * c).oplus(k * c)
             assert (h * c) * d == h * (c * d)
             # intersection distributes over sum
-            assert otimes(h, oplus(k, l)) == oplus(otimes(h, k), otimes(h, l))
+            assert h.otimes(k.oplus(l)) == h.otimes(k).oplus(h.otimes(l))
 
 
 def test_criterion_2_join_laws(capsys):

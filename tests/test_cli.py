@@ -127,6 +127,32 @@ class TestEval:
         assert record == {"expr": "E0", "at": "1/2", "defined": False}
 
 
+class TestMergeOrders:
+    """The orders a merge leaves its names in reach the output: exponent sums
+    keep each atom's first place when it cancels and returns, and so does a
+    region combination, whose order decides which parameter is asked first."""
+
+    def test_formal_value_lists_atoms_by_first_appearance(self, capsys, tmp_path):
+        ws = tmp_path / "order.ws"
+        ws.write_text(
+            "fn f = 2\nfn g = 3\n"
+            "region A = interval[0, 1]\nregion B = interval[0, 2]\nregion C = interval[0, 3]\n"
+            "expr E = mjoin(merge, (f * g)^A, (f^-1)^B, f^C)\n"
+        )
+        code, out, err = run_cli(capsys, "eval", str(ws), "E", "--at", "1/2")
+        assert (code, out, err) == (0, "f ⋈ g (multiplicity 3)\n", "")
+
+    def test_region_asks_its_first_parameter_first(self, capsys, tmp_path):
+        ws = tmp_path / "order.ws"
+        ws.write_text(
+            "param a, b\nfn f = 2\n"
+            "region A = interval[0, a]\nregion B = interval[0, b]\n"
+            "expr E = join(f^(A + B - A + A))\n"
+        )
+        code, out, err = run_cli(capsys, "eval", str(ws), "E", "--at", "1/2")
+        assert (code, out, err) == (1, "", "error: parameter 'a' has no value\n")
+
+
 class TestRefine:
     def test_two_partition_refinement_full_output(self, capsys):
         code, out, err = run_cli(capsys, "refine", PIECEWISE, "P", "Q")

@@ -47,3 +47,16 @@ def test_every_name_the_benchmark_tracer_rebinds_exists():
         if attr not in vars(owner)
     ]
     assert missing == []
+
+
+def test_combinations_share_one_merge():
+    # One merge loop, clash check and equality for every integer combination
+    # of named atoms: a subclass that defines its own would start a second.
+    from hybridsets.functions import FreeWord
+    from hybridsets.hybridset import FreeCombination
+    from hybridsets.regions import SymbolicHybridSet
+
+    for cls in (SymbolicHybridSet, FreeWord):
+        assert cls.__bases__ == (FreeCombination,)
+        own = {"__init__", "__eq__", "__hash__", "combine"} & set(vars(cls))
+        assert own == set(), cls.__name__
