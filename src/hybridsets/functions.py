@@ -372,29 +372,151 @@ class _Plan:
     with one atom object per name across the expression; a name bound to
     two definitions in different terms is a ContractError here, once.
 
+    ``flips[k]`` has bit t set when term t's region uses shape k, so the
+    terms whose multiplicity can change between two indicator vectors are
+    the union over the shapes whose bits differ.  It is None when the
+    static bound, the sum over terms of (sum of |region coefficients|)
+    times (sum of |word exponents|), exceeds ``INT64_MAX``.  Within the
+    bound no multiplicity, product or partial sum of ``_accumulate`` can
+    leave the 64-bit range, so a ``_Sweep`` may skip the checks; above it
+    every vector is accumulated by ``_accumulate``, which raises what it
+    raises.
+    ``occurs`` lists each name's (term, rank) places in term order, rank
+    counting every word entry of the expression.
+
     ``slot`` holds the state of the last valuation used: its
-    ``IndicatorTable`` and, per indicator vector, the accumulated sums and
-    the outcome once one is known to hold for every point with that vector.
+    ``IndicatorTable``, per indicator vector the accumulated sums and the
+    outcome once one is known to hold for every point with that vector,
+    and the ``_Sweep`` of the last vector accumulated, or None.
     """
 
-    __slots__ = ("layout", "words", "slot")
+    __slots__ = ("layout", "words", "atoms", "flips", "occurs", "slot")
 
     def __init__(self, e: "HybridExpr"):
-        self.layout = _Layout([t.region for t in e.terms])
-        atoms = {}
+        self.layout = layout = _Layout([t.region for t in e.terms])
+        self.atoms = atoms = {}
         self.words = tuple(
             tuple((a.name, k, bind(atoms, a.name, a, FreeWord.CLASH)) for a, k in t.word.items())
             for t in e.terms
         )
         self.slot = None
+        bound = sum(
+            sum(map(abs, t.region._coeffs.values())) * sum(map(abs, t.word._coeffs.values()))
+            for t in e.terms
+        )
+        if bound > scalarexpr.INT64_MAX:
+            self.flips = self.occurs = None
+            return
+        self.flips = flips = [0] * len(layout.shapes)
+        for t, uses in enumerate(layout.uses):
+            for k, _ in uses:
+                flips[k] |= 1 << t
+        self.occurs = occurs = {}
+        places = [(name, t) for t, w in enumerate(self.words) for name, _, _ in w]
+        for rank, (name, t) in enumerate(places):
+            found = occurs.get(name)
+            if found is None:
+                occurs[name] = [(t, rank)]
+            else:
+                found.append((t, rank))
 
     def state(self, valuation: Optional[Valuation]):
         """(table, kept sums) of ``valuation``: the slot's when it holds this
         very object, else a new state that takes the slot."""
+        return self._slot(valuation)[1:3]
+
+    def _slot(self, valuation: Optional[Valuation]):
         slot = self.slot
         if slot is None or slot[0] is not valuation:
-            slot = self.slot = (valuation, IndicatorTable(self.layout, valuation), {})
-        return slot[1], slot[2]
+            sweep = None if self.flips is None else _Sweep(self)
+            slot = self.slot = (valuation, IndicatorTable(self.layout, valuation), {}, sweep)
+        return slot
+
+
+class _Sweep:
+    """The term multiplicities, net multiplicity and nonzero exponent sums
+    at the last finished indicator vector accumulated under one valuation,
+    for a plan within its static bound.
+
+    ``accumulate(key)`` moves the record to ``key`` and returns what
+    ``_accumulate`` returns there.  Only the terms whose region uses a
+    shape whose bit flips are tested, and only those whose multiplicity
+    changes merge their word, scaled by the change; when the words of the
+    terms active at ``key`` are fewer entries than that, the sums restart
+    from the empty vector and merge just those, so a vector never merges
+    more word entries than accumulating it from scratch would.
+    """
+
+    __slots__ = ("plan", "key", "ms", "net", "sums", "active")
+
+    def __init__(self, plan: _Plan):
+        self.plan = plan
+        self.key = 0  # every multiplicity is 0 at the empty vector
+        self.ms = [0] * len(plan.words)
+        self.net = 0
+        self.sums: Dict[str, int] = {}
+        self.active = 0  # word entries of the terms with nonzero multiplicity
+
+    def accumulate(self, key: int):
+        plan, ms = self.plan, self.ms
+        flips, uses, words = plan.flips, plan.layout.uses, plan.words
+        changed, touched = key ^ self.key, 0
+        while changed:
+            low = changed & -changed
+            touched |= flips[low.bit_length() - 1]
+            changed ^= low
+        moves, cost, active = [], 0, self.active
+        while touched:
+            low = touched & -touched
+            touched ^= low
+            t = low.bit_length() - 1
+            m = 0
+            for k, c in uses[t]:
+                if key >> k & 1:
+                    m += c
+            old = ms[t]
+            if m != old:
+                ms[t] = m
+                size = len(words[t])
+                moves.append((t, m - old))
+                cost += size
+                active += size * ((m != 0) - (old != 0))
+        self.key, self.active = key, active
+        if cost > active:
+            moves = self._restart()
+        sums, net = self.sums, self.net
+        for t, d in moves:
+            net += d
+            for name, k, _ in words[t]:
+                s = sums.get(name, 0) + d * k
+                if s:
+                    sums[name] = s
+                else:
+                    del sums[name]
+        self.net = net
+        return net, self._in_order(), plan.atoms
+
+    def _restart(self):
+        """Empty the sums, and list each term with a nonzero multiplicity
+        as a move from 0 to it."""
+        self.sums.clear()
+        self.net = 0
+        return [(t, m) for t, m in enumerate(self.ms) if m]
+
+    def _in_order(self) -> Dict[str, int]:
+        """The nonzero sums in ``_accumulate``'s order: by first place among
+        the terms with nonzero multiplicity, in term order."""
+        sums = self.sums
+        if len(sums) < 2:
+            return dict(sums)
+        occurs, ms = self.plan.occurs, self.ms
+
+        def first(name):
+            for t, rank in occurs[name]:
+                if ms[t]:
+                    return rank
+
+        return {name: sums[name] for name in sorted(sums, key=first)}
 
 
 def evaluate_many(
@@ -407,15 +529,19 @@ def evaluate_many(
     and the state of the last valuation object it was evaluated under, so
     that calls under that same object, one-point ``evaluate`` included,
     share it.  The state holds the resolved endpoints, the interval tests
-    per cell between sorted endpoints (see ``IndicatorTable``), and per
-    distinct vector of atom indicators the term multiplicities and exponent
-    sums, and the outcome when no surviving atom reads the point.  Such a
-    point-independent outcome is one object per indicator vector: every
-    point with that vector gets the same object while the state lasts.  All
-    of it is bounded by the expression, not by the points seen, and nothing
-    about an error is kept.  A pass keeps the state it started with, and
-    reads points one at a time, so the outcomes before a raising point come
-    out first.
+    per cell between sorted endpoints scaled to integers (see
+    ``IndicatorTable``), and per distinct vector of atom indicators the
+    term multiplicities and exponent sums, and the outcome when no
+    surviving atom reads the point.  Such a point-independent outcome is
+    one object per indicator vector: every point with that vector gets the
+    same object while the state lasts.  It also keeps the multiplicities
+    and sums of the last vector accumulated (a ``_Sweep``), when the plan
+    is within its static bound: a new vector costs the words of the terms
+    whose shapes flipped, or of the terms active there if that is less.
+    All of it is bounded by the expression, not by the points seen, and
+    nothing about an error is kept.  A pass keeps the state it started
+    with, and reads points one at a time, so the outcomes before a raising
+    point come out first.
     """
     return _outcomes(e, valuation, IndicatorTable.keys, points)
 
@@ -444,12 +570,15 @@ def _outcomes(e: HybridExpr, valuation: Optional[Valuation], keys, source) -> It
     costs measurably more), and the words and the finish are looked up
     only when an outcome must be computed."""
     plan = e._plan
-    table, kept = plan.state(valuation)
+    _, table, kept, sweep = plan._slot(valuation)
     for point, key in keys(table, source):
         found = kept.get(key)
         if found is None:
-            # An unfinished key raises here, so it is never kept.
-            accumulated = _accumulate(plan.words, plan.layout.multiplicities(key))
+            if sweep is not None and type(key) is int:
+                accumulated = sweep.accumulate(key)
+            else:
+                # An unfinished key raises here, so it is never kept.
+                accumulated = _accumulate(plan.words, plan.layout.multiplicities(key))
             _, surviving, atoms = accumulated
             fixed = not any(atoms[n].reads_point for n in surviving)
             found = kept[key] = (accumulated, fixed, None)

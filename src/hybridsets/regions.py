@@ -11,7 +11,7 @@ coefficient-weighted sum of atom indicators.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -344,11 +344,13 @@ class IndicatorTable:
 
     ``keys(points)`` gives each point's indicator vector: an int whose bit
     k is the indicator of shape k.  Each endpoint is resolved once per
-    table, when a point first needs it.  Scalar points are placed among the
-    sorted distinct interval endpoints by ``bisect``: the points in one gap,
-    or on one endpoint, share a cell, each interval holds a run of cells,
-    and each cell's interval bits are found once per table, so a table
-    keeps at most 2E + 1 cells for E endpoints however many points it sees.
+    table, when a point first needs it.  The distinct interval endpoints
+    are scaled to integers by the lcm L of their denominators and sorted
+    once; a scalar p/q is placed among them by one ``divmod(p * L, q)`` and
+    an integer ``bisect``: the points in one gap, or on one endpoint, share
+    a cell, each interval holds a run of cells, and each cell's interval
+    bits are found once per table, so a table keeps at most 2E + 1 cells
+    for E endpoints however many points it sees.
     Grid-rectangle tests are kept per row and per column value for one pass
     only; ``grid_keys(rows, cols)`` keys a row-major grid of points from
     them with one AND per cell.  Nothing about an error is kept beyond its
@@ -361,7 +363,8 @@ class IndicatorTable:
         self.layout = layout
         self._valuation = valuation
         self._params: Dict[Param, Fraction] = {}  # endpoint -> value, once resolved
-        self._ends: Optional[list] = None  # sorted distinct interval endpoint values
+        self._ends: Optional[list] = None  # sorted distinct interval endpoints, scaled
+        self._scale = 1  # the lcm of the endpoints' denominators, once sorted
         self._spans: list = []  # (bit, first cell, last cell) per interval
         self._cells: Dict[int, int] = {}  # cell -> interval bits
 
@@ -448,8 +451,13 @@ class IndicatorTable:
         ends = self._ends
         if ends is None:
             ends = self._sort_ends(resolve)
-        i = bisect_left(ends, x)
-        cell = 2 * i + 1 if i < len(ends) and ends[i] == x else 2 * i
+        # x * scale lies on the integer n, or strictly between n and n + 1
+        n, rest = divmod(x.numerator * self._scale, x.denominator)
+        if rest:
+            cell = 2 * bisect_right(ends, n)
+        else:
+            i = bisect_left(ends, n)
+            cell = 2 * i + 1 if i < len(ends) and ends[i] == n else 2 * i
         bits = self._cells.get(cell)
         if bits is None:
             bits = 0
@@ -460,17 +468,24 @@ class IndicatorTable:
         return bits
 
     def _sort_ends(self, resolve) -> list:
-        """Sort the distinct interval endpoints.  Cell 2i is the gap below
+        """Sort the distinct interval endpoints, each scaled by the lcm of
+        their denominators to an integer.  Cell 2i is the gap below
         endpoint i and cell 2i + 1 the endpoint itself, so each interval
         holds a run of cells, kept as (bit, first cell, last cell)."""
         intervals = self.layout.intervals
         values = [(resolve(lo), resolve(hi)) for _, lo, hi, _, _ in intervals]
+        scale = math.lcm(*(v.denominator for pair in values for v in pair))
+        values = [
+            (lo.numerator * (scale // lo.denominator), hi.numerator * (scale // hi.denominator))
+            for lo, hi in values
+        ]
         ends = sorted({v for pair in values for v in pair})
         rank = {v: i for i, v in enumerate(ends)}
         self._spans = [
             (k, 2 * rank[lo] + (1 if lo_closed else 2), 2 * rank[hi] + (1 if hi_closed else 0))
             for (k, _, _, lo_closed, hi_closed), (lo, hi) in zip(intervals, values)
         ]
+        self._scale = scale
         self._ends = ends
         return ends
 

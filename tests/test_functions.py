@@ -53,7 +53,7 @@ from hybridsets import (
     term,
     word,
 )
-from hybridsets import regions
+from hybridsets import functions, regions
 from hybridsets.functions import _eval_marked, _eval_plain
 from hybridsets.regions import resolve_param
 
@@ -337,6 +337,15 @@ def _outcomes(results):
     return out
 
 
+def _rendered(outcomes):
+    """The text of each formal value among the outcomes, which shows the
+    order of its atoms."""
+    return [
+        o.value.render() for o in outcomes
+        if isinstance(o, Defined) and isinstance(o.value, FormalValue)
+    ]
+
+
 def _per_point_reference(e, points, valuation):
     """evaluate(e, p) point by point, summing each term's region
     multiplicity as ``SymbolicHybridSet.multiplicity`` gives it."""
@@ -372,7 +381,9 @@ class TestEvaluateMany:
                 assert len(drawn) == len(got)  # no point is read ahead
         except Exception as err:
             got.append((type(err), str(err)))
-        assert got == _outcomes(_per_point_reference(e, points, valuation))
+        want = _outcomes(_per_point_reference(e, points, valuation))
+        assert got == want
+        assert _rendered(got) == _rendered(want)  # FreeWord equality ignores order
 
     @pytest.mark.parametrize("closed", list(itertools.product((True, False), repeat=4)))
     def test_grid_and_interval_ends_open_and_closed(self, closed):
@@ -737,6 +748,139 @@ class TestEvaluateGrid:
         assert len(outcomes) == 25
         assert len({id(o) for o in outcomes}) == 2
         assert outcomes[0] == Defined(FormalValue(FreeWord.from_atom(u_op), None), 1)
+
+
+# Every level, a point in every gap between levels, and one beyond each end.
+EVERY = (F(-1), F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(3, 2), F(2), F(5, 2), F(3), F(4))
+orders = st.one_of(st.permutations(EVERY), st.just(EVERY), st.just(EVERY[::-1]))
+# Up to 64 points: sorted, reversed or shuffled, repeated, or drawn freely.
+long_passes = st.one_of(
+    st.tuples(orders, st.integers(1, 5)).map(lambda o: list(o[0]) * o[1]),
+    st.lists(st.one_of(st.sampled_from(EVERY), sample_points), min_size=1, max_size=64),
+)
+# Mostly 1; a rare 2**62 puts the plan over the static bound.
+small_or_rare_huge = st.sampled_from((1,) * 40 + (-1, -1, -1, 2, -2, 3) + HUGE[:1])
+# Valuations that mostly give every parameter a value, often the value of
+# another parameter or of a literal end.
+tied_valuations = st.one_of(
+    st.fixed_dictionaries({p: st.sampled_from(LEVELS) for p in PARAMS}).map(Valuation),
+    st.sampled_from(LEVELS).map(lambda v: Valuation({p: v for p in PARAMS})),
+    valuations,
+)
+
+
+@st.composite
+def sweep_expressions(draw):
+    """Up to eight terms over up to eight shapes, mostly intervals, with
+    mostly small coefficients and exponents, so that most plans fall within
+    the static bound and an indicator vector flips a few terms at a time."""
+    intervals = st.builds(Interval1D, ends, ends, flags, flags)
+    drawn = draw(st.lists(st.one_of(intervals, intervals, shapes), min_size=3, max_size=8))
+    pool = [RegionAtom(f"R{i}", s) for i, s in enumerate(drawn)]
+    terms = []
+    for _ in range(draw(st.integers(2, 8))):
+        uses = draw(st.lists(st.tuples(st.sampled_from(range(len(pool))), small_or_rare_huge),
+                             min_size=1, max_size=3, unique_by=lambda u: u[0]))
+        w = FreeWord(draw(st.lists(st.tuples(st.sampled_from(mixed_atoms), small_or_rare_huge),
+                                   min_size=1, max_size=3, unique_by=lambda u: u[0].name)))
+        terms.append(HybridTerm(w, SymbolicHybridSet((pool[i], c) for i, c in uses)))
+    return HybridExpr(draw(st.sampled_from((None, PLUS, TIMES, MERGE))), tuple(terms))
+
+
+class TestSweep:
+    """Within the static bound, a new indicator vector's sums come from the
+    last vector's, updated by the terms whose shapes flip, or restarted
+    from the empty vector; outcomes, their order of atoms, and the first
+    error must be the reference's."""
+
+    @staticmethod
+    def counting(mp, hits):
+        """Count the sweep's updates from a nonempty vector, and its restarts."""
+        accumulate, restart = functions._Sweep.accumulate, functions._Sweep._restart
+
+        def counted_accumulate(sweep, key):
+            before, restarts = sweep.key, hits["restart"]
+            out = accumulate(sweep, key)
+            if before and hits["restart"] == restarts:
+                hits["neighbour"] += 1
+            return out
+
+        def counted_restart(sweep):
+            hits["restart"] += 1
+            return restart(sweep)
+
+        mp.setattr(functions._Sweep, "accumulate", counted_accumulate)
+        mp.setattr(functions._Sweep, "_restart", counted_restart)
+
+    def test_long_passes_agree_with_the_per_point_reference(self):
+        hits = Counter()
+
+        @seed(2012)
+        @settings(max_examples=300, deadline=None)
+        @given(sweep_expressions(), long_passes, tied_valuations)
+        def check(e, points, valuation):
+            want = _outcomes(_per_point_reference(e, points, valuation))
+            got = _outcomes(evaluate_many(HybridExpr(e.star, e.terms), points, valuation))
+            assert got == want
+            assert _rendered(got) == _rendered(want)
+            # one-point calls under one valuation object share the sweep,
+            # and go on past a point that raises
+            fresh, one_by_one, each = HybridExpr(e.star, e.terms), [], []
+            for p in points:
+                one_by_one += _outcomes(evaluate(fresh, q, valuation) for q in [p])
+                each += _outcomes(_per_point_reference(e, [p], valuation))
+            assert one_by_one == each
+            assert _rendered(one_by_one) == _rendered(each)
+
+        with pytest.MonkeyPatch.context() as mp:
+            self.counting(mp, hits)
+            check()
+        assert hits["neighbour"] > 0 and hits["restart"] > 0
+
+    @seed(2013)
+    @settings(max_examples=200, deadline=None)
+    @given(grid_expressions(st.one_of(grid_shapes, half_rects, shapes)),
+           st.permutations([F(n, 2) for n in range(-2, 9)]), st.permutations(range(-1, 5)),
+           tied_valuations)
+    def test_grid_passes_agree_with_the_per_point_reference(self, e, rows, cols, valuation):
+        product = [(r, c) for r in rows for c in cols]
+        want = _outcomes(_per_point_reference(e, product, valuation))
+        got = _outcomes(evaluate_grid(HybridExpr(e.star, e.terms), rows, cols, valuation))
+        assert got == want
+        assert _rendered(got) == _rendered(want)
+
+    M = 2**62
+    IA = RegionAtom("IA", Interval1D(F(0), F(2)))
+    IB = RegionAtom("IB", Interval1D(F(1), "b"))
+    SEVENTH = (2**63 - 1) // 7  # 2**63 - 1 is a multiple of 7
+
+    @pytest.mark.parametrize(
+        "terms, within",
+        [
+            ([(f, [(IA, M)]), (f, [(IB, M - 1)])], True),
+            ([(f, [(IA, M)]), (f, [(IB, M)])], False),
+            ([(f, [(IA, -M)]), (f, [(IB, 1 - M)])], True),
+            ([(word(f, g), [(IA, M - 1)]), (g, [(IB, 1)])], True),
+            ([(word(f, g), [(IA, M - 1)]), (g, [(IB, 2)])], False),
+            ([(word((f, 7)), [(IA, SEVENTH)])], True),
+            ([(word((f, 7)), [(IA, SEVENTH)]), (g, [(IB, 1)])], False),
+            ([(f, [(IA, -(2**63))])], False),
+            ([(word((u_op, 3), v_op), [(IA, M // 8), (IB, -M // 8)]), (v_op, [(IB, M - 1)])], True),
+            ([(word((u_op, 3), v_op), [(IA, M // 8), (IB, -M // 8)]), (v_op, [(IB, M)])], False),
+        ],
+    )
+    @pytest.mark.parametrize("star", [None, PLUS, MERGE])
+    def test_plans_at_the_static_bound_agree_with_the_reference(self, terms, within, star):
+        e = HybridExpr(star, tuple(term(w, SymbolicHybridSet(uses)) for w, uses in terms))
+        assert (e._plan.flips is not None) is within
+        v = Valuation({"b": F(3)})
+        points = [F(n, 2) for n in range(-2, 9)]
+        points += points[::-1] + points
+        for p in points:  # one point at a time: an error ends no pass early
+            want = _outcomes(_per_point_reference(e, [p], v))
+            got = _outcomes(evaluate_many(e, [p], v))
+            assert got == want
+            assert _rendered(got) == _rendered(want)
 
 
 def _graph_values(gr):

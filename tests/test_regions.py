@@ -27,6 +27,7 @@ from hybridsets import (
     rational_grid,
     term,
 )
+from hybridsets import regions
 
 F = Fraction
 
@@ -251,3 +252,38 @@ class TestPointsAreNumbers:
             rational_grid("0", 1, 3)
         with pytest.raises(ContractError):
             constant_atom("c", "3")
+
+
+class TestIntervalPlacement:
+    """Scalars are placed among the interval endpoints scaled to integers
+    by the lcm of their denominators; each point's bits must be what
+    ``_contains`` says, on, just below and just above every endpoint."""
+
+    BIG = 10**30 + 1
+    ENDS = (F(1, 3), F(2, 7), F(1, BIG), F(-5, BIG), F(0), F(2))
+    TINY = F(1, 10**70)
+
+    @pytest.mark.parametrize("lo_closed", [True, False])
+    @pytest.mark.parametrize("hi_closed", [True, False])
+    @pytest.mark.parametrize("with_params", [False, True])
+    def test_points_near_coprime_endpoints(self, lo_closed, hi_closed, with_params):
+        ends = self.ENDS
+        values = {f"e{i}": v for i, v in enumerate(ends)}
+        names = list(values) if with_params else list(ends)
+        pairs = [(names[i], names[j]) for i in range(len(ends)) for j in range(len(ends))]
+        shapes = [Interval1D(lo, hi, lo_closed, hi_closed) for lo, hi in pairs]
+        shapes += [Interval1D(lo, hi, not lo_closed, hi_closed) for lo, hi in pairs[::5]]
+        layout = regions._Layout(
+            [SymbolicHybridSet.from_atom(RegionAtom(f"I{k}", s)) for k, s in enumerate(shapes)]
+        )
+        valuation = Valuation(values)
+        near = [F(1, 3 * self.BIG), F(1, 7), F(3, 10), -F(1, 2)]
+        for e in ends:
+            near += [e - self.TINY, e, e + self.TINY]
+            near += [e - F(1, 3 * self.BIG), e + F(1, 7 * self.BIG)]
+        table = regions.IndicatorTable(layout, valuation)
+        resolve = lambda p: regions.resolve_param(p, valuation)
+        for x, key in table.keys(near + near[::-1] + [int(e) for e in ends if e.denominator == 1]):
+            want = sum(1 << k for k, s in enumerate(shapes) if regions._contains(s, x, resolve))
+            assert key == want, x
+        assert table._scale == 3 * 7 * self.BIG
