@@ -99,6 +99,8 @@ def _valuation(ws: Workspace, spec: Optional[str]) -> Optional[Valuation]:
         return None
     if spec in ws.valuations:
         return ws.valuations[spec]
+    if Cursor(spec).take_word(spec):  # a bare name, not an inline valuation
+        raise _Usage(f"no valuation {spec!r} in the workspace")
     with _reading("valuation", spec) as cur:
         return Valuation.read(cur)
 

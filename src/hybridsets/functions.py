@@ -14,6 +14,7 @@ correct for every ordering of the symbolic breakpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -22,6 +23,7 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 from . import scalarexpr
 from .errors import (
     ContractError,
+    HybridError,
     NonEvaluableError,
     NotReducibleError,
     OpacityError,
@@ -383,14 +385,20 @@ class _Plan:
     raises.
     ``occurs`` lists each name's (term, rank) places in term order, rank
     counting every word entry of the expression.
+    ``additive`` holds when the star is ``PLUS``, the plan is within the
+    bound, and every atom has a body that does not name x.  The value at a
+    vector is then linear in the term multiplicities, the sum of m_t times
+    the value of term t's word, so a state whose atoms all evaluate keeps
+    that sum in an ``_AdditiveSweep`` instead of the exponent sums.
 
     ``slot`` holds the state of the last valuation used: its
-    ``IndicatorTable``, per indicator vector the accumulated sums and the
-    outcome once one is known to hold for every point with that vector,
-    and the ``_Sweep`` of the last vector accumulated, or None.
+    ``IndicatorTable``, per indicator vector the accumulated sums (or, on
+    the additive path, None) and the outcome once one is known to hold for
+    every point with that vector, and the sweep of the last vector
+    accumulated, or None.
     """
 
-    __slots__ = ("layout", "words", "atoms", "flips", "occurs", "slot")
+    __slots__ = ("layout", "words", "atoms", "flips", "occurs", "additive", "slot")
 
     def __init__(self, e: "HybridExpr"):
         self.layout = layout = _Layout([t.region for t in e.terms])
@@ -406,6 +414,7 @@ class _Plan:
         )
         if bound > scalarexpr.INT64_MAX:
             self.flips = self.occurs = None
+            self.additive = False
             return
         self.flips = flips = [0] * len(layout.shapes)
         for t, uses in enumerate(layout.uses):
@@ -419,6 +428,9 @@ class _Plan:
                 occurs[name] = [(t, rank)]
             else:
                 found.append((t, rank))
+        self.additive = e.star is PLUS and not any(
+            a.is_opaque or a.reads_point for a in atoms.values()
+        )
 
     def state(self, valuation: Optional[Valuation]):
         """(table, kept sums) of ``valuation``: the slot's when it holds this
@@ -428,9 +440,31 @@ class _Plan:
     def _slot(self, valuation: Optional[Valuation]):
         slot = self.slot
         if slot is None or slot[0] is not valuation:
-            sweep = None if self.flips is None else _Sweep(self)
-            slot = self.slot = (valuation, IndicatorTable(self.layout, valuation), {}, sweep)
+            table = IndicatorTable(self.layout, valuation)
+            slot = self.slot = (valuation, table, {}, self._sweep(valuation))
         return slot
+
+    def _sweep(self, valuation: Optional[Valuation]):
+        """The sweep of a new state: additive when the plan is and every
+        atom evaluates under ``valuation``, else the one over exponent
+        sums; None over the static bound."""
+        if self.flips is None:
+            return None
+        if self.additive:
+            try:
+                values = {name: a.value(None, valuation) for name, a in self.atoms.items()}
+            except HybridError:
+                pass  # raised again, by the reference, where the atom survives
+            else:
+                return _AdditiveSweep(self, values)
+        return _Sweep(self)
+
+
+def _entry(accumulated):
+    """The kept entry of an accumulation: the sums, whether no survivor
+    reads the point, and no outcome yet."""
+    _, surviving, atoms = accumulated
+    return accumulated, not any(atoms[n].reads_point for n in surviving), None
 
 
 class _Sweep:
@@ -445,21 +479,43 @@ class _Sweep:
     terms active at ``key`` are fewer entries than that, the sums restart
     from the empty vector and merge just those, so a vector never merges
     more word entries than accumulating it from scratch would.
+    ``sizes[t]`` is what moving term t costs: its word's length here.
     """
 
-    __slots__ = ("plan", "key", "ms", "net", "sums", "active")
+    __slots__ = ("plan", "sizes", "key", "ms", "net", "sums", "active")
 
-    def __init__(self, plan: _Plan):
+    def __init__(self, plan: _Plan, sizes=None):
         self.plan = plan
+        self.sizes = [len(w) for w in plan.words] if sizes is None else sizes
         self.key = 0  # every multiplicity is 0 at the empty vector
         self.ms = [0] * len(plan.words)
         self.net = 0
         self.sums: Dict[str, int] = {}
-        self.active = 0  # word entries of the terms with nonzero multiplicity
+        self.active = 0  # the sizes of the terms with nonzero multiplicity
+
+    def find(self, key: int):
+        """The kept entry of the finished vector ``key``."""
+        return _entry(self.accumulate(key))
 
     def accumulate(self, key: int):
-        plan, ms = self.plan, self.ms
-        flips, uses, words = plan.flips, plan.layout.uses, plan.words
+        moves = self._moves(key)
+        sums, net, words = self.sums, self.net, self.plan.words
+        for t, d in moves:
+            net += d
+            for name, k, _ in words[t]:
+                s = sums.get(name, 0) + d * k
+                if s:
+                    sums[name] = s
+                else:
+                    del sums[name]
+        self.net = net
+        return net, self._in_order(), self.plan.atoms
+
+    def _moves(self, key: int):
+        """Move the term multiplicities to ``key``, and return the (term,
+        change) pairs to apply, from the empty vector after a restart."""
+        plan, ms, sizes = self.plan, self.ms, self.sizes
+        flips, uses = plan.flips, plan.layout.uses
         changed, touched = key ^ self.key, 0
         while changed:
             low = changed & -changed
@@ -477,24 +533,14 @@ class _Sweep:
             old = ms[t]
             if m != old:
                 ms[t] = m
-                size = len(words[t])
+                size = sizes[t]
                 moves.append((t, m - old))
                 cost += size
                 active += size * ((m != 0) - (old != 0))
         self.key, self.active = key, active
         if cost > active:
             moves = self._restart()
-        sums, net = self.sums, self.net
-        for t, d in moves:
-            net += d
-            for name, k, _ in words[t]:
-                s = sums.get(name, 0) + d * k
-                if s:
-                    sums[name] = s
-                else:
-                    del sums[name]
-        self.net = net
-        return net, self._in_order(), plan.atoms
+        return moves
 
     def _restart(self):
         """Empty the sums, and list each term with a nonzero multiplicity
@@ -519,6 +565,41 @@ class _Sweep:
         return {name: sums[name] for name in sorted(sums, key=first)}
 
 
+class _AdditiveSweep(_Sweep):
+    """The sweep of an additive plan under a valuation where every atom
+    has a value: it keeps the value itself, ``total / scale``, the sum of
+    m_t times c_t, where c_t is the value of term t's word, held as an
+    integer over the common denominator ``scale`` of the atom values.
+    Moving a term costs one multiply-add whatever its word, so each term
+    has size 1, and a restart empties the total too.
+
+    ``find(key)`` is the kept entry with its outcome: ``UNDEFINED`` where
+    the net multiplicity is 0, else ``Defined(total / scale, net)``,
+    which is what ``_eval_marked`` folds from the surviving exponents."""
+
+    __slots__ = ("values", "scale", "total")
+
+    def __init__(self, plan: _Plan, values: Dict[str, Fraction]):
+        super().__init__(plan, [1] * len(plan.words))
+        self.scale = scale = math.lcm(*(v.denominator for v in values.values()))
+        whole = {name: v.numerator * (scale // v.denominator) for name, v in values.items()}
+        self.values = [sum(k * whole[name] for name, k, _ in w) for w in plan.words]
+        self.total = 0
+
+    def find(self, key: int):
+        moves = self._moves(key)  # a restart empties net and total first
+        net, total, values = self.net, self.total, self.values
+        for t, d in moves:
+            net += d
+            total += d * values[t]
+        self.net, self.total = net, total
+        return None, True, Defined(Fraction(total, self.scale), net) if net else UNDEFINED
+
+    def _restart(self):
+        self.total = 0
+        return super()._restart()
+
+
 def evaluate_many(
     e: HybridExpr, points: Iterable[Point], valuation: Optional[Valuation] = None
 ) -> Iterator[EvalOutcome]:
@@ -538,6 +619,10 @@ def evaluate_many(
     and sums of the last vector accumulated (a ``_Sweep``), when the plan
     is within its static bound: a new vector costs the words of the terms
     whose shapes flipped, or of the terms active there if that is less.
+    Under ``PLUS`` with atoms that read no point and all evaluate under
+    the valuation, the sweep keeps the value itself (an
+    ``_AdditiveSweep``): the atoms are evaluated once per state, and a new
+    vector costs one multiply-add per moved term.
     All of it is bounded by the expression, not by the points seen, and
     nothing about an error is kept.  A pass keeps the state it started
     with, and reads points one at a time, so the outcomes before a raising
@@ -575,13 +660,11 @@ def _outcomes(e: HybridExpr, valuation: Optional[Valuation], keys, source) -> It
         found = kept.get(key)
         if found is None:
             if sweep is not None and type(key) is int:
-                accumulated = sweep.accumulate(key)
+                found = sweep.find(key)
             else:
                 # An unfinished key raises here, so it is never kept.
-                accumulated = _accumulate(plan.words, plan.layout.multiplicities(key))
-            _, surviving, atoms = accumulated
-            fixed = not any(atoms[n].reads_point for n in surviving)
-            found = kept[key] = (accumulated, fixed, None)
+                found = _entry(_accumulate(plan.words, plan.layout.multiplicities(key)))
+            kept[key] = found
         accumulated, fixed, outcome = found
         if outcome is None:
             finish = _eval_plain if e.star is None else _eval_marked

@@ -1,5 +1,6 @@
 """Pointwise arithmetic over refinements, signed sums, linear operators."""
 
+import itertools
 import operator
 from collections import Counter
 from fractions import Fraction
@@ -35,6 +36,7 @@ from hybridsets import (
     common_strict_refinement,
     constant_atom,
     evaluate,
+    evaluate_many,
     is_strict,
     join,
     karr_split_check,
@@ -42,6 +44,7 @@ from hybridsets import (
     linear_operator,
     linearity_report,
     marked_join,
+    parse_workspace,
     pointwise_star,
     rational_grid,
     register_linear_operator,
@@ -225,6 +228,62 @@ class TestPointwiseStar:
         short = join(term(f1, A1))
         with pytest.raises(RefinementError):
             pointwise_star(TIMES, short, G_EXPR, refinement=product_refinement())
+
+
+def weak_orderings(p):
+    """Every weak ordering of p thresholds, as each threshold's level: the
+    levels used are exactly 0..L-1."""
+    return [r for r in itertools.product(range(p), repeat=p) if set(r) == set(range(max(r) + 1))]
+
+
+def steps_workspace(p):
+    """p fold-eval operands z_i^(U - R_i) ⊛ a_i^R_i with R_i = (k_i, t] and
+    U = [0, t], the amplitudes a_i = 2^i / 3 telling every subset apart."""
+    lines = ["param t, " + ", ".join(f"k{i}" for i in range(1, p + 1)),
+             "region U = interval[0, t]"]
+    for i in range(1, p + 1):
+        lines += [f"region R{i} = interval(k{i}, t]", f"fn z{i} = 0", f"fn a{i} = {2**i}/3",
+                  f"expr H{i} = join(z{i}^(U - R{i}), a{i}^R{i})"]
+    return parse_workspace("\n".join(lines) + "\n")
+
+
+class TestEveryOrdering:
+    """A combine of p step operands agrees with the closed-form step sum
+    for every weak ordering of the p thresholds, and for every placement
+    of the outer levels on or inside the ends of U, at every endpoint and
+    in every gap: the region multiplicities at x depend only on the weak
+    ordering of x and the resolved endpoints."""
+
+    @pytest.mark.parametrize("p, cases", [(1, 1), (2, 3), (3, 13), (4, 75)])
+    def test_the_combine_matches_the_step_sum(self, p, cases):
+        ws = steps_workspace(p)
+        operands = [ws.exprs[f"H{i}"] for i in range(1, p + 1)]
+        universe = ws.regions["U"]
+        fold = operands[0]
+        for op in operands[1:]:
+            fold = pointwise_star(PLUS, fold, op, universe=universe)
+        combines = (pointwise_star(PLUS, *operands, universe=universe), fold)
+        assert [len(e.terms) for e in combines] == [p + 1, p + 1]
+        amps = [F(2**i, 3) for i in range(1, p + 1)]
+        orderings = weak_orderings(p)
+        assert len(orderings) == cases
+        for levels in orderings:
+            # levels on the even integers from 0 or 2; t on the top level or
+            # two above it; the odd integers are the gaps
+            for low, high in itertools.product((0, 2), (0, 2)):
+                ks = [low + 2 * j for j in levels]
+                top = max(ks) + high
+                v = Valuation({"t": top, **{f"k{i}": k for i, k in enumerate(ks, start=1)}})
+                points = [F(x) for x in range(-1, top + 2)]
+                want = [
+                    Defined(sum((a for a, k in zip(amps, ks) if k < x), F(0)), 1)
+                    if 0 <= x <= top else UNDEFINED
+                    for x in points
+                ]
+                for e in combines:
+                    got = list(evaluate_many(e, points, v))
+                    assert got == want, (levels, low, high)
+                    assert all(type(o.value) is F for o in got if o is not UNDEFINED)
 
 
 class TestInverseIdentity:

@@ -444,6 +444,26 @@ class TestExitCodes:
         assert code == 2
         assert "unknown partition 'NOPE'" in err
 
+    # A bare name is a workspace valuation, and one the workspace lacks is
+    # named as such; a name followed by more text is read inline.
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["eval", PIECEWISE, "F", "--at", "0", "--with", "nope"],
+             "no valuation 'nope' in the workspace"),
+            (["eval", PIECEWISE, "F", "--at", "0", "--with", "a"],
+             "no valuation 'a' in the workspace"),
+            (["matrix-add", MATRIX, "M1", "M2", "--with", "v9"],
+             "no valuation 'v9' in the workspace"),
+            (["eval", PIECEWISE, "F", "--at", "0", "--with", " nope"],
+             "bad valuation ' nope': col 6: expected '='"),
+            (["eval", PIECEWISE, "F", "--at", "0", "--with", "nope x"],
+             "bad valuation 'nope x': col 6: expected '='"),
+        ],
+    )
+    def test_an_unknown_valuation_name_is_usage_error(self, capsys, argv, err):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n")
+
     def test_bad_cell_spec_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "matrix-add", MATRIX, "M1", "M2", "--cell", "oops"

@@ -49,6 +49,8 @@ from hybridsets import (
     join,
     marked_join,
     matrix_add,
+    parse_workspace,
+    pointwise_star,
     reduce_formally,
     term,
     word,
@@ -881,6 +883,199 @@ class TestSweep:
             got = _outcomes(evaluate_many(e, [p], v))
             assert got == want
             assert _rendered(got) == _rendered(want)
+
+
+# Atoms that read no point: constants, and bodies over parameters, one of
+# which raises where a is 0 or has no value.
+point_free_atoms = (
+    constant_atom("c2", 2), constant_atom("cq", F(-5, 7)), atom("pb", "b / 2"),
+    atom("ka", "a / 3"), atom("ia", "1 / a"),
+)
+# The parameter each point-free atom reads, if any.
+READS = {"c2": None, "cq": None, "pb": "b", "ka": "a", "ia": "a"}
+# Mostly point-free; an atom that reads x, an opaque atom and a python
+# function each keep a plan off the additive path.
+additive_word_atoms = point_free_atoms * 12 + (f, u_op, mixed_atoms[-1])
+
+
+@st.composite
+def additive_expressions(draw):
+    """Marked sums drawn as ``sweep_expressions`` draws its expressions,
+    with words over ``additive_word_atoms``."""
+    intervals = st.builds(Interval1D, ends, ends, flags, flags)
+    drawn = draw(st.lists(st.one_of(intervals, intervals, shapes), min_size=3, max_size=8))
+    pool = [RegionAtom(f"R{i}", s) for i, s in enumerate(drawn)]
+    terms = []
+    for _ in range(draw(st.integers(2, 8))):
+        uses = draw(st.lists(st.tuples(st.sampled_from(range(len(pool))), small_or_rare_huge),
+                             min_size=1, max_size=3, unique_by=lambda u: u[0]))
+        w = FreeWord(draw(st.lists(st.tuples(st.sampled_from(additive_word_atoms), small_or_rare_huge),
+                                   min_size=1, max_size=3, unique_by=lambda u: u[0].name)))
+        terms.append(HybridTerm(w, SymbolicHybridSet((pool[i], c) for i, c in uses)))
+    return marked_join(PLUS, terms)
+
+
+def _names(e):
+    return {a.name for t in e.terms for a, _ in t.word.items()}
+
+
+def _additive_plan(e):
+    """Whether e's plan should be additive, judged by its star, the static
+    bound and the names of its atoms."""
+    return e.star is PLUS and e._plan.flips is not None and _names(e) <= READS.keys()
+
+
+def _additive_state(e, valuation):
+    """Whether a state of e under ``valuation`` should keep the value: the
+    plan is additive and every parameter its atoms read has a value, which
+    is not 0 where ``1 / a`` is among them."""
+    if not _additive_plan(e):
+        return False
+    values = {} if valuation is None else dict(valuation.items())
+    names = _names(e)
+    if any(READS[n] is not None and READS[n] not in values for n in names):
+        return False
+    return not ("ia" in names and values["a"] == 0)
+
+
+def _exactly(outcomes):
+    """The outcomes with the type and text of each value, which the
+    equality of ``Defined`` does not compare."""
+    return [(o, type(o.value), str(o.value)) if isinstance(o, Defined) else o for o in outcomes]
+
+
+def _one_object_per_vector(e, points, valuation, outcomes):
+    """Every point with one indicator vector got the same outcome object,
+    up to the error that ends the outcomes."""
+    table = regions.IndicatorTable(regions._Layout([t.region for t in e.terms]), valuation)
+    seen = {}
+    for p, out in zip(points, outcomes):
+        if isinstance(out, tuple):
+            break
+        (_, key), = table.keys([p])
+        assert seen.setdefault(_key(key), out) is out
+
+
+class TestAdditiveSweep:
+    """Under + with atoms that read no point, a state whose atoms all
+    evaluate keeps the value itself.  Its outcomes must be the reference's
+    in value, value type, multiplicity and text, one object per indicator
+    vector; a plan or a state that may not keep the value takes the
+    exponent sums, and its outcomes and errors are the reference's too."""
+
+    @staticmethod
+    def tracking(mp, states):
+        """Count the new states by whether the plan is additive and by the
+        sweep they take."""
+        made = functions._Plan._sweep
+
+        def tracked(plan, valuation):
+            sweep = made(plan, valuation)
+            states[plan.additive, type(sweep).__name__] += 1
+            return sweep
+
+        mp.setattr(functions._Plan, "_sweep", tracked)
+
+    @staticmethod
+    def check_path(e, valuation):
+        additive = _additive_state(e, valuation)
+        assert e._plan.additive is _additive_plan(e)
+        assert isinstance(e._plan.slot[3], functions._AdditiveSweep) is additive
+        return additive
+
+    def run_tracked(self, check):
+        states = Counter()
+        with pytest.MonkeyPatch.context() as mp:
+            self.tracking(mp, states)
+            check()
+        # the additive path, an additive plan whose atom raises, and a plan
+        # that is not additive are each reached
+        assert states[True, "_AdditiveSweep"] > 0
+        assert states[True, "_Sweep"] > 0
+        assert states[False, "_Sweep"] > 0
+
+    def test_long_passes_agree_with_the_per_point_reference(self):
+        @seed(2014)
+        @settings(max_examples=300, deadline=None)
+        @given(additive_expressions(), long_passes, tied_valuations)
+        def check(e, points, valuation):
+            want = _exactly(_outcomes(_per_point_reference(e, points, valuation)))
+            fresh = HybridExpr(e.star, e.terms)
+            got = _outcomes(evaluate_many(fresh, points, valuation))
+            assert _exactly(got) == want
+            if self.check_path(fresh, valuation):
+                _one_object_per_vector(e, points, valuation, got)
+            # one-point calls under one valuation object share the state,
+            # and go on past a point that raises
+            fresh, one_by_one, each = HybridExpr(e.star, e.terms), [], []
+            for p in points:
+                one_by_one += _outcomes(evaluate(fresh, q, valuation) for q in [p])
+                each += _outcomes(_per_point_reference(e, [p], valuation))
+            assert _exactly(one_by_one) == _exactly(each)
+            if self.check_path(fresh, valuation):
+                _one_object_per_vector(e, points, valuation, one_by_one)
+
+        self.run_tracked(check)
+
+    def test_grid_passes_agree_with_the_per_point_reference(self):
+        sums = grid_expressions(st.one_of(grid_shapes, half_rects, shapes), additive_word_atoms)
+
+        @seed(2015)
+        @settings(max_examples=200, deadline=None)
+        @given(sums.map(lambda e: marked_join(PLUS, e.terms)),
+               st.permutations([F(n, 2) for n in range(-2, 9)]), st.permutations(range(-1, 5)),
+               tied_valuations)
+        def check(e, rows, cols, valuation):
+            product = [(r, c) for r in rows for c in cols]
+            want = _exactly(_outcomes(_per_point_reference(e, product, valuation)))
+            fresh = HybridExpr(e.star, e.terms)
+            got = _outcomes(evaluate_grid(fresh, rows, cols, valuation))
+            assert _exactly(got) == want
+            if self.check_path(fresh, valuation):
+                _one_object_per_vector(e, product, valuation, got)
+
+        self.run_tracked(check)
+
+    # The sum of two fold-eval steps, z^(U - R1) ⊛ f^R1 and z^(U - R2) ⊛ g^R2,
+    # with k1 = 2 and k2 = 5: f survives on (2, 15] and cancels below.
+    STEPS = """\
+param k1, k2, c
+region U = interval[0, 15]
+region R1 = interval(k1, 15]
+region R2 = interval(k2, 15]
+fn z = 0
+fn f = 1/c
+fn g = 2
+expr H1 = join(z^(U - R1), f^R1)
+expr H2 = join(z^(U - R2), g^R2)
+valuation zero: k1 = 2, k2 = 5, c = 0
+valuation unset: k1 = 2, k2 = 5
+valuation four: k1 = 2, k2 = 5, c = 4
+"""
+    DIVIDES = (ContractError, "division by zero in body expression")
+    UNSET = (ValuationError, "parameter 'c' has no value")
+
+    @pytest.mark.parametrize(
+        "name, outcomes",
+        [
+            ("zero", [Defined(F(0), 1), DIVIDES, DIVIDES, UNDEFINED]),
+            ("unset", [Defined(F(0), 1), UNSET, UNSET, UNDEFINED]),
+            ("four", [Defined(F(0), 1), Defined(F(1, 4), 1), Defined(F(9, 4), 1), UNDEFINED]),
+        ],
+    )
+    def test_an_atom_that_raises_raises_only_where_it_survives(self, name, outcomes):
+        ws = parse_workspace(self.STEPS)
+        e = pointwise_star(PLUS, ws.exprs["H1"], ws.exprs["H2"], universe=ws.regions["U"])
+        v = ws.valuations[name]
+        points = [F(1), F(3), F(6), F(16)]
+        got = [_outcomes(evaluate(e, x, v) for x in [p])[0] for p in points]
+        assert _exactly(got) == _exactly(outcomes)
+        assert e._plan.additive
+        assert isinstance(e._plan.slot[3], functions._AdditiveSweep) is (name == "four")
+        # a pass ends at its first raising point
+        end = next((i for i, o in enumerate(outcomes) if isinstance(o, tuple)), len(outcomes) - 1)
+        pass_ = _outcomes(evaluate_many(HybridExpr(e.star, e.terms), points, v))
+        assert _exactly(pass_) == _exactly(outcomes[: end + 1])
 
 
 def _graph_values(gr):
