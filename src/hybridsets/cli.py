@@ -27,7 +27,7 @@ import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .calculus import (
     apply_linear,
@@ -207,7 +207,7 @@ def _cmd_matrix_add(args) -> int:
         cols = resolve_param(m1.cols, v)
         if rows.denominator != 1 or cols.denominator != 1:
             raise _Usage("matrix dimensions must resolve to integers")
-        rows, cols = int(rows), int(cols)
+        rows, cols = max(0, int(rows)), max(0, int(cols))  # a negative count is empty
         if rows * cols > SIZE_CAP:
             raise _Usage(f"table too large; cap is {SIZE_CAP} cells")
         coords = [Fraction(k) for k in range(max(rows, cols) + 1)]  # one per value
@@ -249,7 +249,7 @@ def _cmd_spline_merge(args) -> int:
     if args.at is not None:
         v = _valuation(ws, args.valuation)
         with _reading("point", args.at) as cur:
-            x = read_point(cur)
+            x = cur.number()
         desc = spline_eval_region(expr, x, v)
         print(f"at {args.at}: {desc.render()}")
     return 0
@@ -303,28 +303,22 @@ def _cmd_check_linear(args) -> int:
     return 0 if report.passed else 1
 
 
-def _int_lo(v: Fraction, closed: bool) -> int:
-    n = math.ceil(v)
-    if not closed and n == v:
-        n += 1
-    return n
-
-
-def _int_hi(v: Fraction, closed: bool) -> int:
-    n = math.floor(v)
-    if not closed and n == v:
-        n -= 1
-    return n
+def _int_span(lo, hi, lo_closed: bool, hi_closed: bool, valuation) -> Tuple[int, int]:
+    """The first and last integers of a range, its endpoints resolved in order."""
+    lo, hi = resolve_param(lo, valuation), resolve_param(hi, valuation)
+    first = math.ceil(lo) if lo_closed else math.floor(lo) + 1
+    last = math.floor(hi) if hi_closed else math.ceil(hi) - 1
+    return first, last
 
 
 def _partition_sample(part, valuation, grid_spec: str):
     shape = part.universe.shape
     if isinstance(shape, GridRect):
-        r0 = _int_lo(resolve_param(shape.row_lo, valuation), shape.row_lo_closed)
-        r1 = _int_hi(resolve_param(shape.row_hi, valuation), shape.row_hi_closed)
-        c0 = _int_lo(resolve_param(shape.col_lo, valuation), shape.col_lo_closed)
-        c1 = _int_hi(resolve_param(shape.col_hi, valuation), shape.col_hi_closed)
-        if (r1 - r0 + 1) * (c1 - c0 + 1) > SIZE_CAP:
+        r0, r1 = _int_span(shape.row_lo, shape.row_hi, shape.row_lo_closed,
+                           shape.row_hi_closed, valuation)
+        c0, c1 = _int_span(shape.col_lo, shape.col_hi, shape.col_lo_closed,
+                           shape.col_hi_closed, valuation)
+        if max(0, r1 - r0 + 1) * max(0, c1 - c0 + 1) > SIZE_CAP:
             raise _Usage(f"universe grid too large; cap is {SIZE_CAP} cells")
         return [
             (Fraction(i), Fraction(j))

@@ -432,12 +432,9 @@ class _Plan:
             a.is_opaque or a.reads_point for a in atoms.values()
         )
 
-    def state(self, valuation: Optional[Valuation]):
-        """(table, kept sums) of ``valuation``: the slot's when it holds this
-        very object, else a new state that takes the slot."""
-        return self._slot(valuation)[1:3]
-
     def _slot(self, valuation: Optional[Valuation]):
+        """The slot when it holds this very valuation object, else a new
+        state that takes the slot."""
         slot = self.slot
         if slot is None or slot[0] is not valuation:
             table = IndicatorTable(self.layout, valuation)
@@ -609,11 +606,11 @@ def evaluate_many(
     The expression keeps a plan (region layout and flat words), made once,
     and the state of the last valuation object it was evaluated under, so
     that calls under that same object, one-point ``evaluate`` included,
-    share it.  The state holds the resolved endpoints, the interval tests
-    per cell between sorted endpoints scaled to integers (see
-    ``IndicatorTable``), and per distinct vector of atom indicators the
-    term multiplicities and exponent sums, and the outcome when no
-    surviving atom reads the point.  Such a point-independent outcome is
+    share it.  The state holds the resolved endpoints, the range tests per
+    cell between sorted endpoints scaled to integers on each of its three
+    lines: intervals, grid rows and grid columns (see ``IndicatorTable``),
+    and per distinct vector of atom indicators the term multiplicities and
+    exponent sums, and the outcome when no surviving atom reads the point.  Such a point-independent outcome is
     one object per indicator vector: every point with that vector gets the
     same object while the state lasts.  It also keeps the multiplicities
     and sums of the last vector accumulated (a ``_Sweep``), when the plan
@@ -639,8 +636,10 @@ def evaluate_grid(
 
     It shares ``evaluate_many``'s state and outcomes, but finds the cells'
     indicator vectors by row and column classes (``IndicatorTable.grid_keys``):
-    each row value and each column value is tested once, and a cell costs
-    one AND of their bits and a lookup of the vector.  A point-independent
+    each row value and each column value is placed once on the state's row
+    or column line, whose cells, like the interval line's, last as long as
+    the state, and a cell costs one AND of their bits and a lookup of the
+    vector.  A point-independent
     outcome is one object per indicator vector, so a caller can format it
     once per object.
     """

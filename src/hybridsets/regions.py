@@ -287,7 +287,8 @@ class _Layout:
     shapes of a sequence of combinations, numbered in the order the
     combinations first use them (combination, then coefficient in insertion
     order), each combination's (shape number, coefficient) uses, and the
-    shapes sorted by kind."""
+    shapes sorted by kind, with the ranges of each axis a ``_Line`` places
+    points on: intervals, grid rows and grid columns."""
 
     __slots__ = ("uses", "shapes", "universe", "intervals", "rows", "cols", "pointwise")
 
@@ -344,18 +345,17 @@ class IndicatorTable:
 
     ``keys(points)`` gives each point's indicator vector: an int whose bit
     k is the indicator of shape k.  Each endpoint is resolved once per
-    table, when a point first needs it.  The distinct interval endpoints
-    are scaled to integers by the lcm L of their denominators and sorted
-    once; a scalar p/q is placed among them by one ``divmod(p * L, q)`` and
-    an integer ``bisect``: the points in one gap, or on one endpoint, share
-    a cell, each interval holds a run of cells, and each cell's interval
-    bits are found once per table, so a table keeps at most 2E + 1 cells
-    for E endpoints however many points it sees.
-    Grid-rectangle tests are kept per row and per column value for one pass
-    only; ``grid_keys(rows, cols)`` keys a row-major grid of points from
-    them with one AND per cell.  Nothing about an error is kept beyond its
-    pass: a point whose test raises gets a key that raises the same error
-    from ``_Layout.multiplicities`` where ``SymbolicHybridSet.multiplicity``
+    table, when a point first needs it.  Three ``_Line``s, kept for the
+    life of the table, place a point among the resolved endpoints: one
+    for the intervals, one for the grid rectangles' row ranges and one for
+    their column ranges.  The points in one gap, or on one endpoint, of a
+    line share a cell whose bits are found once, so each line keeps at
+    most 2E + 1 cells for its E endpoints however many points it sees.
+    ``grid_keys(rows, cols)`` keys a row-major grid of points from one
+    placement per row and per column value, with one AND per cell.
+    Nothing about an error is kept beyond its pass: a point whose test
+    raises gets a key that raises the same error from
+    ``_Layout.multiplicities`` where ``SymbolicHybridSet.multiplicity``
     would.
     """
 
@@ -363,10 +363,8 @@ class IndicatorTable:
         self.layout = layout
         self._valuation = valuation
         self._params: Dict[Param, Fraction] = {}  # endpoint -> value, once resolved
-        self._ends: Optional[list] = None  # sorted distinct interval endpoints, scaled
-        self._scale = 1  # the lcm of the endpoints' denominators, once sorted
-        self._spans: list = []  # (bit, first cell, last cell) per interval
-        self._cells: Dict[int, int] = {}  # cell -> interval bits
+        self._intervals = _Line(layout.intervals)
+        self._rows, self._cols = _Line(layout.rows), _Line(layout.cols)
 
     def _resolver(self):
         """A ``resolve`` for one pass: endpoint values come from, and go to,
@@ -393,12 +391,9 @@ class IndicatorTable:
     def keys(self, points: Iterable[Point]) -> Iterator[Tuple[Point, object]]:
         """(point, indicator vector) for each point in order, in one pass."""
         resolve = self._resolver()
-        rows = cols = None  # made only for a layout with grid rectangles
-        if self.layout.rows:
-            rows, cols = _GridLine(self.layout.rows, resolve), _GridLine(self.layout.cols, resolve)
         for point in points:
             try:
-                key = self._bits(point, resolve, rows, cols)
+                key = self._bits(point, resolve)
             except Exception:
                 # Whatever the shortcut met, the reference order decides
                 # which shape raises first, and whether any does.
@@ -407,22 +402,29 @@ class IndicatorTable:
 
     def grid_keys(self, rows: Iterable, cols: Iterable) -> Iterator[Tuple[Point, object]]:
         """``keys`` over the points (r, c), r in ``rows`` and c in ``cols``,
-        row by row, in one pass that tests each row value and each column
+        row by row, in one pass that places each row value and each column
         value once: a cell's vector is the universe bits joined with the
         AND of its row's and its column's grid-range bits.  A row or column
-        whose test raises sends its cells to the reference order, which
-        decides the error.  Interval and point-set shapes take ``keys``."""
+        whose placement raises sends its cells to the reference order,
+        which decides the error.  Interval and point-set shapes take
+        ``keys``."""
         layout, cols = self.layout, tuple(cols)  # read once, whatever iterable it is
         if layout.intervals or layout.pointwise:
             yield from self.keys((r, c) for r in rows for c in cols)
             return
         resolve = self._resolver()
-        row_line, col_line = _GridLine(layout.rows, resolve), _GridLine(layout.cols, resolve)
+
+        def place(line: _Line, value) -> Optional[int]:
+            try:
+                return line.grid_bits(value, resolve)
+            except Exception:
+                return None
+
         universe, col_bits = layout.universe, None
         for r in rows:
-            row = row_line.bits(r)
+            row = place(self._rows, r)
             if col_bits is None:
-                col_bits = [col_line.bits(c) for c in cols]
+                col_bits = [place(self._cols, c) for c in cols]
             for c, col in zip(cols, col_bits):
                 point = (r, c)
                 if row is None or col is None:
@@ -430,64 +432,19 @@ class IndicatorTable:
                 else:
                     yield point, universe | (row & col)
 
-    def _bits(self, point: Point, resolve, rows: _GridLine, cols: _GridLine):
-        """The point's indicator vector by shape kind, or by the reference
-        order when a grid line test raises."""
+    def _bits(self, point: Point, resolve) -> int:
+        """The point's indicator vector by shape kind."""
         layout = self.layout
         bits = layout.universe
         if layout.intervals and not (isinstance(point, tuple) and len(point) != 1):
-            bits |= self._interval_bits(_as_scalar(point), resolve)
+            bits |= self._intervals.bits(_as_scalar(point), resolve)
         if layout.rows and isinstance(point, tuple) and len(point) == 2:
-            row, col = rows.bits(point[0]), cols.bits(point[1])
-            if row is None or col is None:
-                return self._bits_in_order(point, resolve)
-            bits |= row & col
+            row = self._rows.grid_bits(point[0], resolve)
+            bits |= row & self._cols.grid_bits(point[1], resolve)
         for k, shape in layout.pointwise:
             if _contains(shape, point, resolve):
                 bits |= 1 << k
         return bits
-
-    def _interval_bits(self, x: Fraction, resolve) -> int:
-        ends = self._ends
-        if ends is None:
-            ends = self._sort_ends(resolve)
-        # x * scale lies on the integer n, or strictly between n and n + 1
-        n, rest = divmod(x.numerator * self._scale, x.denominator)
-        if rest:
-            cell = 2 * bisect_right(ends, n)
-        else:
-            i = bisect_left(ends, n)
-            cell = 2 * i + 1 if i < len(ends) and ends[i] == n else 2 * i
-        bits = self._cells.get(cell)
-        if bits is None:
-            bits = 0
-            for k, first, last in self._spans:
-                if first <= cell <= last:
-                    bits |= 1 << k
-            self._cells[cell] = bits
-        return bits
-
-    def _sort_ends(self, resolve) -> list:
-        """Sort the distinct interval endpoints, each scaled by the lcm of
-        their denominators to an integer.  Cell 2i is the gap below
-        endpoint i and cell 2i + 1 the endpoint itself, so each interval
-        holds a run of cells, kept as (bit, first cell, last cell)."""
-        intervals = self.layout.intervals
-        values = [(resolve(lo), resolve(hi)) for _, lo, hi, _, _ in intervals]
-        scale = math.lcm(*(v.denominator for pair in values for v in pair))
-        values = [
-            (lo.numerator * (scale // lo.denominator), hi.numerator * (scale // hi.denominator))
-            for lo, hi in values
-        ]
-        ends = sorted({v for pair in values for v in pair})
-        rank = {v: i for i, v in enumerate(ends)}
-        self._spans = [
-            (k, 2 * rank[lo] + (1 if lo_closed else 2), 2 * rank[hi] + (1 if hi_closed else 0))
-            for (k, _, _, lo_closed, hi_closed), (lo, hi) in zip(intervals, values)
-        ]
-        self._scale = scale
-        self._ends = ends
-        return ends
 
     def _bits_in_order(self, point: Point, resolve):
         """The indicator vector computed shape by shape, in the reference
@@ -502,47 +459,67 @@ class IndicatorTable:
         return bits
 
 
-class _GridLine:
-    """Which grid rectangles' row (or column) ranges hold a coordinate, for
-    one pass.  At the first integer coordinate the ranges are resolved into
-    the integers they hold, (bit, first, last) each; every coordinate's bits
-    are kept."""
+class _Line:
+    """Which of one axis's ranges, (bit, lo, hi, lo_closed, hi_closed)
+    each, hold a coordinate.  At the first placement the endpoints are
+    resolved, scaled to integers by the lcm L of their denominators, and
+    sorted.  Cell 2i is the gap below endpoint i and cell 2i + 1 the
+    endpoint itself, so each range holds a run of cells, and a rational
+    p/q is placed in its cell by one ``divmod(p * L, q)`` and an integer
+    ``bisect``.  Each cell's bits are found once."""
 
-    __slots__ = ("ranges", "resolve", "spans", "found")
+    __slots__ = ("ranges", "ends", "scale", "spans", "cells")
 
-    def __init__(self, ranges, resolve):
-        self.ranges, self.resolve = ranges, resolve
-        self.spans: Optional[list] = None
-        self.found: Dict[object, int] = {}
+    def __init__(self, ranges: list):
+        self.ranges = ranges
+        self.ends: Optional[list] = None  # sorted distinct endpoints, scaled
+        self.scale = 1  # the lcm of the endpoints' denominators, once sorted
+        self.spans: list = []  # (bit, first cell, last cell) per range
+        self.cells: Dict[int, int] = {}  # cell -> bits of the ranges holding it
 
-    def bits(self, value) -> Optional[int]:
-        """The bits of the ranges that hold ``value``, none when it is not
-        an integer; None when the test raises."""
-        try:
-            found = self.found.get(value)
-            if found is None:
-                found = self.found[value] = self._test(value)
-            return found
-        except Exception:
-            return None
-
-    def _test(self, value) -> int:
-        v = as_fraction(value, "a point coordinate")
-        if v.denominator != 1:
-            return 0
-        if self.spans is None:
-            spans = []
-            for k, lo, hi, lo_closed, hi_closed in self.ranges:
-                lo, hi = self.resolve(lo), self.resolve(hi)
-                first = math.ceil(lo) if lo_closed else math.floor(lo) + 1
-                last = math.floor(hi) if hi_closed else math.ceil(hi) - 1
-                spans.append((1 << k, first, last))
-            self.spans = spans
-        n, bits = v.numerator, 0
-        for bit, first, last in self.spans:
-            if first <= n <= last:
-                bits |= bit
+    def bits(self, x: Fraction, resolve) -> int:
+        """The bits of the ranges that hold ``x``."""
+        ends = self.ends
+        if ends is None:
+            ends = self._sort(resolve)
+        # x * scale lies on the integer n, or strictly between n and n + 1
+        n, rest = divmod(x.numerator * self.scale, x.denominator)
+        if rest:
+            cell = 2 * bisect_right(ends, n)
+        else:
+            i = bisect_left(ends, n)
+            cell = 2 * i + 1 if i < len(ends) and ends[i] == n else 2 * i
+        bits = self.cells.get(cell)
+        if bits is None:
+            bits = 0
+            for k, first, last in self.spans:
+                if first <= cell <= last:
+                    bits |= 1 << k
+            self.cells[cell] = bits
         return bits
+
+    def grid_bits(self, value, resolve) -> int:
+        """``bits`` of a grid coordinate; none, with no endpoint resolved,
+        when it is not an integer."""
+        v = as_fraction(value, "a point coordinate")
+        return self.bits(v, resolve) if v.denominator == 1 else 0
+
+    def _sort(self, resolve) -> list:
+        values = [(resolve(lo), resolve(hi)) for _, lo, hi, _, _ in self.ranges]
+        scale = math.lcm(*(v.denominator for pair in values for v in pair))
+        values = [
+            (lo.numerator * (scale // lo.denominator), hi.numerator * (scale // hi.denominator))
+            for lo, hi in values
+        ]
+        ends = sorted({v for pair in values for v in pair})
+        rank = {v: i for i, v in enumerate(ends)}
+        self.spans = [
+            (k, 2 * rank[lo] + (1 if lo_closed else 2), 2 * rank[hi] + (1 if hi_closed else 0))
+            for (k, _, _, lo_closed, hi_closed), (lo, hi) in zip(self.ranges, values)
+        ]
+        self.scale = scale
+        self.ends = ends
+        return ends
 
 
 def multiplicities_many(

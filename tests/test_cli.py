@@ -565,6 +565,18 @@ class TestSizeCap:
         assert (code, out) == (2, "")
         assert err == f"error: summation span too large; cap is {SIZE_CAP} terms\n"
 
+    # Counts that are both negative multiply to a positive product; the grid
+    # is empty all the same.
+    @pytest.mark.parametrize("n, m", [(-100, -100), (-3, 5)])
+    def test_a_negative_count_is_an_empty_grid(self, capsys, n, m):
+        v = f"n={n},m={m},h1=1,k1=1,h2=2,k2=2"
+        table = ["matrix-add", MATRIX, "M1", "M2", "--table", "--with", v]
+        assert run_cli_within_a_second(capsys, *table) == (0, TestMatrixAdd.EXPR_LINE + "\n", "")
+        assert run_cli_within_a_second(capsys, *table, "--format", "json-lines") == (0, "", "")
+        assert run_cli_within_a_second(capsys, "check", "partition", MATRIX, "M1", "--with", v) == (
+            0, "partition M1: OK (0 points)\n", ""
+        )
+
     def test_karr_span_at_the_cap_runs(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "karr", STEPS, "--summand", "lin", "--bounds", f"0,{SIZE_CAP},0"
@@ -746,6 +758,8 @@ class TestNumberArguments:
             (CELL + ["oops"], "", "bad cell 'oops': expected i,j"),
             (KARR + ["0,+1,2"], "", "bad bounds '0,+1,2': expected lower,mid,upper"),
             (KARR + ["1/2,1,2"], "", "bad bounds '1/2,1,2': expected lower,mid,upper"),
+            (["spline-merge", SPLINE, "S", "T", "--with", "v1", "--at", "(1, 2)"], SPLINE_MERGE,
+             "bad point '(1, 2)': col 1: expected a number"),
         ],
     )
     def test_forms_outside_the_grammar_are_usage_errors(self, capsys, argv, out, err):
@@ -878,18 +892,18 @@ class TestTableByClasses:
         ws = tmp_path / "table.ws"
         ws.write_text(self.TABLE_WS)
         formatted, tested = [], []
-        value_text, test = cli._value_text, regions._GridLine._test
+        value_text, place = cli._value_text, regions._Line.bits
 
         def counting_value_text(v):
             formatted.append(v)
             return value_text(v)
 
-        def counting_test(line, value):
+        def counting_place(line, value, resolve):
             tested.append(value)
-            return test(line, value)
+            return place(line, value, resolve)
 
         monkeypatch.setattr(cli, "_value_text", counting_value_text)
-        monkeypatch.setattr(regions._GridLine, "_test", counting_test)
+        monkeypatch.setattr(regions._Line, "bits", counting_place)
         code, out, _ = run_cli(
             capsys, "matrix-add", str(ws), "M1", "M2", "--table", "--with", "v", "--format", fmt
         )

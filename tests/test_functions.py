@@ -535,8 +535,8 @@ class TestPlanAndState:
         assert list(evaluate_many(e, points[2048:], self.V)) == list(
             _per_point_reference(e, points[2048:], self.V)
         )
-        table, kept = e._plan.state(self.V)
-        assert len(table._cells) <= 2 * len(ends) + 1
+        _, table, kept, _ = e._plan._slot(self.V)
+        assert len(table._intervals.cells) <= 2 * len(ends) + 1
         assert len(kept) <= 2 * len(ends) + 1
 
     def test_a_started_pass_keeps_its_state(self):
@@ -740,6 +740,48 @@ class TestEvaluateGrid:
         got = _outcomes(evaluate_grid(HybridExpr(e.star, e.terms), iter(rows), iter(cols), None))
         assert got == want
         assert len(got) == 9
+
+    def test_grid_lines_are_kept_per_table_and_bounded(self, monkeypatch):
+        m1, m2 = (
+            block_matrix_2x2(f"M{i}", "n", "m", f"h{i}", f"k{i}", [b + str(i) for b in "ABCD"])
+            for i in (1, 2)
+        )
+        e = matrix_add(m1, m2)
+        splits = {"n": F(64), "m": F(64), "h1": F(20), "k1": F(7), "h2": F(33)}
+        v = Valuation({**splits, "k2": F(41)})
+        coords = [F(i) for i in range(1, 65)]
+        product = [(r, c) for r in coords for c in coords]
+        sorts = []
+        sort = regions._Line._sort
+
+        def counting_sort(line, resolve):
+            sorts.append(line)
+            return sort(line, resolve)
+
+        monkeypatch.setattr(regions._Line, "_sort", counting_sort)
+        first = list(evaluate_grid(e, coords, coords, v))
+        table = e._plan._slot(v)[1]
+        lines = (table._rows, table._cols)
+        cells = [dict(line.cells) for line in lines]
+        assert len(sorts) == 2
+        second = list(evaluate_grid(e, coords, coords, v))
+        assert len(sorts) == 2
+        assert [line.cells for line in lines] == cells
+        assert first == second == list(_per_point_reference(e, product, v))
+        layout = e._plan.layout
+        for line, ranges in zip(lines, (layout.rows, layout.cols)):
+            ends = {resolve_param(p, v) for _, lo, hi, _, _ in ranges for p in (lo, hi)}
+            assert len(line.cells) <= 2 * len(ends) + 1
+        # Without k2 the column line never sorts; the cells of the
+        # non-integer row come out before the first cell that needs k2.
+        lacking = Valuation(splits)
+        rows = [F(1, 2)] + coords
+        passes = [_outcomes(evaluate_grid(e, rows, coords, lacking)) for _ in range(2)]
+        assert passes[0] == passes[1] == _outcomes(
+            _per_point_reference(e, [(r, c) for r in rows for c in coords], lacking)
+        )
+        assert passes[0][64:] == [(ValuationError, "parameter 'k2' has no value")]
+        assert e._plan._slot(lacking)[1]._cols.ends is None
 
     def test_a_point_independent_outcome_is_one_object_per_indicator_vector(self):
         a = SymbolicHybridSet.from_atom(RegionAtom("A", GridRect(F(1), "h", F(1), "k")))

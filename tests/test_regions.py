@@ -286,4 +286,4 @@ class TestIntervalPlacement:
         for x, key in table.keys(near + near[::-1] + [int(e) for e in ends if e.denominator == 1]):
             want = sum(1 << k for k, s in enumerate(shapes) if regions._contains(s, x, resolve))
             assert key == want, x
-        assert table._scale == 3 * 7 * self.BIG
+        assert table._intervals.scale == 3 * 7 * self.BIG

@@ -31,6 +31,29 @@ def test_scalarexpr_is_the_only_module_that_imports_re():
     assert importers == ["scalarexpr.py"]
 
 
+def test_regions_line_is_the_only_caller_of_bisect():
+    # One placement routine: a point is placed among sorted endpoints by
+    # regions._Line alone, for intervals, grid rows and grid columns alike.
+    def callers(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)) and where.count(".") < 1:
+                inner = f"{where}.{child.name}"
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name.startswith("bisect"):
+                    yield where
+            yield from callers(child, inner)
+
+    found = {
+        where
+        for path in SOURCES
+        for where in callers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert found == {"regions._Line"}
+
+
 def test_every_name_the_benchmark_tracer_rebinds_exists():
     # perfbench/tracer.py rebinds library names during a traced run and needs
     # each one in its owner's own namespace; loading the module only reads
