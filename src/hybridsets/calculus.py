@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from .errors import ContractError, RefinementError
@@ -79,7 +80,11 @@ def pointwise_star(
 
     The result is a marked join with one term per refinement piece: the term
     word multiplies every operand word raised to its rewrite coefficient for
-    that piece, merged in operand order.
+    that piece, merged in operand order.  Each rewrite row is read once, and
+    a leading word with coefficient 1 seeds its piece's merge
+    (``FreeCombination.combine``).  So step N of a binary fold copies the
+    N + 1 running words, in C, and merges only the new operand's entries
+    into them: O(N) steps in Python, against O(N^2) entries copied.
     """
     if not star.is_ac:
         raise ContractError(f"star {star.name!r} is not declared AC")
@@ -108,15 +113,21 @@ def pointwise_star(
         raise RefinementError(
             f"{len(operands)} operands but the refinement has {count} partitions"
         )
-    rows = []  # (term, its rewrite row over the new pieces)
+    # groups[j]: the (word, coefficient) pairs of new piece j, in operand
+    # order, read off each rewrite row's nonzero entries in one pass
+    columns = range(refinement.size)
+    groups = [[] for _ in columns]
     for k, terms in enumerate(operand_terms):
         p = k if count > 1 else 0
         assignment = _match_terms(terms, refinement.partitions[p].pieces, f"operand {k + 1}")
-        rows.extend((t, refinement.coefficients[p][i]) for t, i in zip(terms, assignment))
+        for t, i in zip(terms, assignment):
+            row = refinement.coefficients[p][i]
+            for j in compress(columns, row):
+                groups[j].append((t.word, row[j]))
 
     out_terms = []
     for j, piece in enumerate(refinement.pieces):
-        w = FreeWord.combine((t.word, row[j]) for t, row in rows if row[j])
+        w = FreeWord.combine(groups[j])
         if w.is_empty:
             raise ContractError(
                 f"value word for refinement piece {refinement.labels[j]} cancelled away"

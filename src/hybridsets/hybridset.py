@@ -15,6 +15,7 @@ Multiplicities are kept inside the signed 64-bit range; leaving it raises
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from .errors import (
@@ -59,15 +60,24 @@ def bind(atoms: dict, name: str, atom, clash: str):
     return known
 
 
-def merge(groups, clash: str, drop_early: bool) -> Tuple[Dict[str, int], dict]:
-    """(coefficients, atoms) of the sum of ``n * entries`` over ``(entries,
-    n)`` groups of (name, coefficient, atom) triples, keyed by name in order
-    of first appearance.  Every name goes through ``bind``; the atoms list
-    the coefficients' names in their order, and may hold dropped names too.
-    With ``drop_early`` a zero sum leaves at once, so a name that returns is
-    last; otherwise zeros go at the end and every name keeps its place."""
-    coeffs: Dict[str, int] = {}
-    atoms: dict = {}
+def merge(groups, clash: str, drop_early: bool, seed=None) -> Tuple[Dict[str, int], dict]:
+    """(coefficients, atoms) of the sum of ``seed`` and of ``n * entries``
+    over ``(entries, n)`` groups of (name, coefficient, atom) triples, keyed
+    by name in order of first appearance.  Every name goes through ``bind``;
+    the atoms list the coefficients' names in their order, and may hold
+    dropped names too.  With ``drop_early`` a zero sum leaves at once, so a
+    name that returns is last; otherwise zeros go at the end and every name
+    keeps its place.
+
+    A ``seed`` combination is taken by copying its two dicts: it holds no
+    zero and its atoms are bound, so the copy is what merging it into empty
+    dicts would give, order included.  The work in Python is then one step
+    per entry of the groups alone."""
+    if seed is None:
+        coeffs: Dict[str, int] = {}
+        atoms: dict = {}
+    else:
+        coeffs, atoms = dict(seed._coeffs), dict(seed._atoms)
     get, known = coeffs.get, atoms.setdefault
     moved = False
     for entries, n in groups:
@@ -116,11 +126,12 @@ class FreeCombination:
             yield atom.name, coeff, atom
 
     @classmethod
-    def _from_checked(cls, groups):
-        """``merge`` of ``(entries, n)`` groups whose atoms and integers are
-        known to have the right types; names and sums are still checked."""
+    def _from_checked(cls, groups, seed=None):
+        """``merge`` of ``seed`` and ``(entries, n)`` groups whose atoms and
+        integers are known to have the right types; names and sums are
+        still checked."""
         self = object.__new__(cls)
-        coeffs, atoms = merge(groups, cls.CLASH, cls.DROP_EARLY)
+        coeffs, atoms = merge(groups, cls.CLASH, cls.DROP_EARLY, seed)
         self._coeffs = coeffs
         self._atoms = atoms if len(atoms) == len(coeffs) else {n: atoms[n] for n in coeffs}
         return self
@@ -131,8 +142,17 @@ class FreeCombination:
 
     @classmethod
     def combine(cls, terms: Iterable[Tuple["FreeCombination", int]]):
-        """The sum of ``n * c`` over (c, n) pairs, merged in one pass."""
-        return cls._from_checked(cls._groups(terms))
+        """The sum of ``n * c`` over (c, n) pairs, merged in one pass.
+
+        A leading pair whose scalar is the int 1 seeds the merge: its
+        combination is copied, not merged, so a sum costs Python work only
+        for the entries of the later pairs."""
+        terms = iter(terms)
+        for c, n in terms:  # the leading pair only
+            if type(n) is int and n == 1 and isinstance(c, cls):
+                return cls._from_checked(cls._groups(terms), c)
+            return cls._from_checked(cls._groups(chain(((c, n),), terms)))
+        return cls._from_checked(())
 
     @classmethod
     def _groups(cls, terms):

@@ -48,11 +48,7 @@ def determinant_and_adjugate(
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ContractError("determinant needs a square matrix")
-    m = [
-        [v if type(v) is int else _integer_entry(v, i, j) for j, v in enumerate(row)]
-        + [int(i == j) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(_integer_rows(rows))]
     sign, prev = 1, 1
     for k in range(n):
         pivot = next((i for i in range(k, n) if m[i][k]), None)
@@ -70,6 +66,14 @@ def determinant_and_adjugate(
                 m[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
         prev = p
     return sign * prev, [[sign * v for v in row[n:]] for row in m]
+
+
+def _integer_rows(rows) -> Tuple[Tuple[int, ...], ...]:
+    """``rows`` with every entry read by ``_integer_entry``."""
+    return tuple(
+        tuple(v if type(v) is int else _integer_entry(v, i, j) for j, v in enumerate(row))
+        for i, row in enumerate(rows)
+    )
 
 
 def _integer_entry(v, i: int, j: int) -> int:
@@ -137,6 +141,7 @@ class ChoiceMatrix:
         """A determinant-1 matrix whose inverse is already known."""
         choice = cls(entries, row_labels, col_labels)
         object.__setattr__(choice, "_solution", (1, inverse))
+        object.__setattr__(choice, "_rows", entries)
         return choice
 
     @cached_property
@@ -146,6 +151,12 @@ class ChoiceMatrix:
         if det not in (1, -1):
             return det, None
         return det, tuple(tuple((i, det * v) for i, v in enumerate(row) if v) for row in adj)
+
+    @cached_property
+    def _rows(self) -> Tuple[Tuple[int, ...], ...]:
+        """The entries as plain ints, read as ``determinant_and_adjugate``
+        reads them; a canonical matrix's entries already are."""
+        return _integer_rows(self.entries)
 
     @property
     def size(self) -> int:
@@ -363,20 +374,16 @@ def common_strict_refinement(
         for row in choice._inverse_rows()
     )
 
+    # Each row is read once: a kept piece's row as is, and the dropped final
+    # piece's as the all-ones universe row minus the kept rows' column sums.
+    entries = choice._rows
     coefficients = []
     row = 1  # row 0 is the universe
     for p in parts:
-        rows = []
-        kept = len(p.pieces) - 1
-        for i in range(kept):
-            rows.append(tuple(choice.entries[row + i]))
-        # the dropped final piece is universe minus the kept ones
-        dropped = list(choice.entries[0])
-        for i in range(kept):
-            dropped = [d - c for d, c in zip(dropped, choice.entries[row + i])]
-        rows.append(tuple(dropped))
-        coefficients.append(tuple(rows))
-        row += kept
+        kept = entries[row:row + len(p.pieces) - 1]
+        dropped = tuple([1 - s for s in map(sum, zip(*kept))]) if kept else (1,) * n
+        coefficients.append((*kept, dropped))
+        row += len(kept)
 
     labels = tuple(f"P{j}" for j in range(1, n + 1))
     return Refinement(universe, tuple(parts), pieces, labels, tuple(coefficients), choice)

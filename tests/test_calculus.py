@@ -53,7 +53,7 @@ from hybridsets import (
     verify_rewrite,
     word,
 )
-from hybridsets import regions
+from hybridsets import hybridset, regions
 from hybridsets.calculus import LinearOperatorSpec
 from hybridsets.regions import resolve_param
 
@@ -212,6 +212,30 @@ class TestPointwiseStar:
             "⊛+ (y + x^-1)^{B2}"
         )
 
+    @pytest.mark.parametrize("whole", [F(1), True], ids=["Fraction", "bool"])
+    def test_whole_non_int_matrix_entries_rewrite_as_ints(self, whole):
+        # determinant() reads a whole Fraction (or a bool) as its integer;
+        # the rewrite rows must carry that plain int too.
+        parts = [
+            GeneralisedPartition("F", U_ATOM, (A1, U - A1)),
+            GeneralisedPartition("G", U_ATOM, (B1, U - B1)),
+        ]
+        labels = (("U", "F.1", "G.1"), ("P1", "P2", "P3"))
+        plain, odd = (
+            common_strict_refinement(
+                parts, choice=ChoiceMatrix(((1, 1, 1), (e, 0, 0), (0, 1, 0)), *labels)
+            )
+            for e in (1, whole)
+        )
+        assert odd.choice.determinant() == 1
+        assert odd.coefficients == plain.coefficients
+        assert all(type(c) is int for rows in odd.coefficients for row in rows for c in row)
+        for k, part in enumerate(parts):
+            for i, piece in enumerate(part.pieces):
+                assert odd.rewrite(k, i) == plain.rewrite(k, i) == piece
+        rendered = [pointwise_star(PLUS, F_EXPR, G_EXPR, refinement=r).render() for r in (odd, plain)]
+        assert rendered == ["(f1 + g2)^{A1} ⊛+ (f2 + g1)^{B1} ⊛+ (f2 + g2)^{U - A1 - B1}"] * 2
+
     def test_needs_a_universe_to_refine_mismatched_partitions(self):
         with pytest.raises(ContractError):
             pointwise_star(TIMES, F_EXPR, G_EXPR)
@@ -284,6 +308,64 @@ class TestEveryOrdering:
                     got = list(evaluate_many(e, points, v))
                     assert got == want, (levels, low, high)
                     assert all(type(o.value) is F for o in got if o is not UNDEFINED)
+
+
+def step_fold(ws, n):
+    """H1 ⊛+ H2 ⊛+ ... ⊛+ Hn, one binary ``pointwise_star`` per step."""
+    fold = ws.exprs["H1"]
+    for i in range(2, n + 1):
+        fold = pointwise_star(PLUS, fold, ws.exprs[f"H{i}"], universe=ws.regions["U"])
+    return fold
+
+
+class TestFoldCost:
+    """A binary fold of the fold-eval operands z_i^(U - R_i) ⊛ a_i^R_i. Each
+    step copies the running words, which lead every merge with exponent 1,
+    and merges only the new operand's entries into them, so a fold of N
+    steps makes O(N^2) checked additions; merging every running entry at
+    every step would make O(N^3)."""
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_checked_additions_stay_within_two_n_squared(self, n, monkeypatch):
+        ws = steps_workspace(n)
+        calls = []
+        real = hybridset.checked_add
+        monkeypatch.setattr(hybridset, "checked_add", lambda a, b: calls.append(1) or real(a, b))
+        fold = step_fold(ws, n)
+        assert len(fold.terms) == n + 1
+        assert len(calls) <= 2 * n * n
+
+    def test_a_fold_of_twelve_renders_as_frozen_and_matches_the_step_sum(self):
+        ws = steps_workspace(12)
+        fold = step_fold(ws, 12)
+        assert fold.render() == (
+            "(a1 + z2 + z3 + z4 + z5 + z6 + z7 + z8 + z9 + z10 + z11 + a12)^{R12 - R11} ⊛+ "
+            "(a1 + z2 + z3 + z4 + z5 + z6 + z7 + z8 + z9 + z10 + a11 + a12)^{R11 - R10} ⊛+ "
+            "(a1 + z2 + z3 + z4 + z5 + z6 + z7 + z8 + z9 + a10 + a11 + a12)^{R10 - R9} ⊛+ "
+            "(a1 + z2 + z3 + z4 + z5 + z6 + z7 + z8 + a9 + a10 + a11 + a12)^{R9 - R8} ⊛+ "
+            "(a1 + z2 + z3 + z4 + z5 + z6 + z7 + a8 + a9 + a10 + a11 + a12)^{R8 - R7} ⊛+ "
+            "(a1 + z2 + z3 + z4 + z5 + z6 + a7 + a8 + a9 + a10 + a11 + a12)^{R7 - R6} ⊛+ "
+            "(a1 + z2 + z3 + z4 + z5 + a6 + a7 + a8 + a9 + a10 + a11 + a12)^{R6 - R5} ⊛+ "
+            "(a1 + z2 + z3 + z4 + a5 + a6 + a7 + a8 + a9 + a10 + a11 + a12)^{R5 - R4} ⊛+ "
+            "(a1 + z2 + z3 + a4 + a5 + a6 + a7 + a8 + a9 + a10 + a11 + a12)^{R4 - R3} ⊛+ "
+            "(a1 + z2 + a3 + a4 + a5 + a6 + a7 + a8 + a9 + a10 + a11 + a12)^{R3 - R2} ⊛+ "
+            "(a1 + a2 + a3 + a4 + a5 + a6 + a7 + a8 + a9 + a10 + a11 + a12)^{R1 + R2 - U} ⊛+ "
+            "(z1 + a2 + a3 + a4 + a5 + a6 + a7 + a8 + a9 + a10 + a11 + a12)^{U - R1} ⊛+ "
+            "(a1 + z2 + z3 + z4 + z5 + z6 + z7 + z8 + z9 + z10 + z11 + z12)^{U - R12}"
+        )
+        # thresholds on the even integers 0..12, with ties; t on the top one
+        # or two above it; the odd integers are the gaps
+        ks = [2 * (5 * i % 7) for i in range(1, 13)]
+        amps = [F(2**i, 3) for i in range(1, 13)]
+        for top in (max(ks), max(ks) + 2):
+            v = Valuation({"t": top, **{f"k{i}": k for i, k in enumerate(ks, start=1)}})
+            points = [F(x) for x in range(-1, top + 2)]
+            want = [
+                Defined(sum((a for a, k in zip(amps, ks) if k < x), F(0)), 1)
+                if 0 <= x <= top else UNDEFINED
+                for x in points
+            ]
+            assert list(evaluate_many(fold, points, v)) == want
 
 
 class TestInverseIdentity:

@@ -8,10 +8,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hybridsets import (
+    INT64_MAX,
     PLUS,
     ContractError,
     FreeWord,
     Interval1D,
+    MultiplicityOverflowError,
     RegionAtom,
     SymbolicHybridSet,
     Valuation,
@@ -93,6 +95,50 @@ class TestOrders:
         scaled = [(n, m * c) for pairs, m in terms if m for n, c in pairs]
         assert list(surviving.items()) == model(scaled, drop_early=False)
         assert all(atoms[n] is WORD_ATOMS[n] for n in surviving)
+
+
+KINDS = ((SymbolicHybridSet, REGION_ATOMS, False), (FreeWord, WORD_ATOMS, True))
+
+
+class TestSeededMerge:
+    """A leading pair whose scalar is the int 1 seeds ``combine``'s merge:
+    its dicts are copied, and every later pair is merged and checked."""
+
+    @given(entry_lists, st.lists(st.tuples(entry_lists, scalars), max_size=4))
+    @example([("a", 1), ("b", 1)], [([("a", -1), ("c", 1), ("a", 1)], 1)])
+    def test_a_seed_gives_the_unseeded_merge_in_both_orders(self, p, rest):
+        for cls, atoms, early in KINDS:
+            seed = cls((atoms[n], c) for n, c in p)
+            before = list(seed._coeffs.items()), list(seed._atoms.items())
+            later = [(cls((atoms[n], c) for n, c in q), m) for q, m in rest]
+            merged = cls.combine([(seed, 1), *later])
+            pairs = list(seed._coeffs.items())
+            pairs += [(n, m * c) for x, m in later for n, c in x._coeffs.items()]
+            assert list(merged._coeffs.items()) == model(pairs, early)
+            entries = [(n, c, seed._atoms[n]) for n, c in seed._coeffs.items()]
+            unseeded = cls._from_checked([(entries, 1), *cls._groups(later)])
+            assert list(merged._coeffs.items()) == list(unseeded._coeffs.items())
+            assert list(merged._atoms.items()) == list(unseeded._atoms.items())
+            assert (list(seed._coeffs.items()), list(seed._atoms.items())) == before
+            assert merged._coeffs is not seed._coeffs and merged._atoms is not seed._atoms
+
+    def test_later_pairs_are_checked_and_the_seed_is_left_alone(self):
+        clashes = (
+            (SymbolicHybridSet, RegionAtom("a", Interval1D(F(0), F(1))), "region name 'a'"),
+            (FreeWord, constant_atom("a", 1), "atom name 'a'"),
+        )
+        for (cls, atoms, _), (_, twin, message) in zip(KINDS, clashes):
+            seed = cls.from_atom(atoms["a"])
+            other = cls([(atoms["b"], 1), (twin, 1)])
+            with pytest.raises(ContractError, match=message):
+                cls.combine([(seed, 1), (other, 1)])
+            with pytest.raises(MultiplicityOverflowError):
+                cls.combine([(seed.scale(INT64_MAX), 1), (cls.from_atom(atoms["b"]), 1), (seed, 1)])
+            for scalar in (True, F(1)):
+                with pytest.raises(TypeError, match="scalar must be an int"):
+                    cls.combine([(seed, scalar), (other, 1)])
+            assert list(seed._coeffs.items()) == [("a", 1)]
+            assert list(seed._atoms.items()) == [("a", atoms["a"])]
 
 
 class TestTypes:

@@ -435,6 +435,26 @@ class TestLargeRefinement:
                 assert r.rewrite(k, i) == piece
 
 
+class TestOnePiecePartition:
+    # A one-piece partition keeps no piece, so its only rewrite row is the
+    # all-ones universe row, and the partitions after it start one row on.
+    C0, C1, C2 = chain_partitions(3, 3)
+    PARTS = [C0, GeneralisedPartition("W", U, (USET,)), C1, C2]
+
+    @pytest.mark.parametrize("style", [STYLE_ONES_TOP, STYLE_UPPER_TRIANGLE, "custom"])
+    def test_every_piece_rewrites_formally(self, style):
+        n = min_refinement_size([3, 1, 3, 3])
+        if style == "custom":
+            r = common_strict_refinement(self.PARTS, choice=scrambled_choice(n, 3))
+        else:
+            r = common_strict_refinement(self.PARTS, style=style)
+        assert r.size == n == 7
+        assert r.coefficients[1] == ((1,) * n,)
+        for k, part in enumerate(self.PARTS):
+            for i, piece in enumerate(part.pieces):
+                assert r.rewrite(k, i) == piece
+
+
 class TestChecksSurviveOptimisedMode:
     def test_non_unimodular_choices_raise_under_python_O(self):
         code = textwrap.dedent(

@@ -72,14 +72,39 @@ def test_every_name_the_benchmark_tracer_rebinds_exists():
     assert missing == []
 
 
-def test_combinations_share_one_merge():
+def test_combinations_share_one_merge(monkeypatch):
     # One merge loop, clash check and equality for every integer combination
     # of named atoms: a subclass that defines its own would start a second.
-    from hybridsets.functions import FreeWord
+    from fractions import Fraction
+
+    from hybridsets import hybridset
+    from hybridsets.functions import FreeWord, constant_atom
     from hybridsets.hybridset import FreeCombination
-    from hybridsets.regions import SymbolicHybridSet
+    from hybridsets.regions import Interval1D, RegionAtom, SymbolicHybridSet
 
     for cls in (SymbolicHybridSet, FreeWord):
         assert cls.__bases__ == (FreeCombination,)
         own = {"__init__", "__eq__", "__hash__", "combine"} & set(vars(cls))
         assert own == set(), cls.__name__
+
+    # A seeded combine goes through that same loop, once, like an unseeded
+    # one and the checked-input constructor: the seed is not a second path.
+    seeds = []
+    real = hybridset.merge
+    monkeypatch.setattr(
+        hybridset, "merge", lambda groups, clash, early, seed=None: seeds.append(seed)
+        or real(groups, clash, early, seed),
+    )
+    for cls, atom in (
+        (SymbolicHybridSet, RegionAtom("A", Interval1D(Fraction(0), Fraction(1)))),
+        (FreeWord, constant_atom("f", 2)),
+    ):
+        x = cls.from_atom(atom)
+        for build, seed in (
+            (lambda: cls.combine([(x, 1), (x, 2)]), x),
+            (lambda: cls.combine([(x, 2), (x, 1)]), None),
+            (lambda: cls._from_checked([([(atom.name, 1, atom)], 1)]), None),
+        ):
+            seeds.clear()
+            build()
+            assert len(seeds) == 1 and seeds[0] is seed, cls.__name__
