@@ -108,7 +108,6 @@ from .splines import (
     SymbolicSpline,
     spline_eval_region,
     spline_merge,
-    spline_merge_with_refinement,
 )
 from .workspace import (
     Workspace,

@@ -53,7 +53,7 @@ from .regions import (
     resolve_param,
 )
 from .scalarexpr import Cursor
-from .splines import spline_eval_region, spline_merge_with_refinement
+from .splines import spline_eval_region, spline_merge
 from .workspace import Workspace, parse_expr_text, parse_term_text, parse_workspace, read_point
 
 DEFAULT_GRID = "-5,5,101"
@@ -244,7 +244,7 @@ def _cmd_spline_merge(args) -> int:
     ws = _load(args.workspace)
     s = _lookup(ws.splines, args.s, "spline")
     t = _lookup(ws.splines, args.t, "spline")
-    expr, _ = spline_merge_with_refinement(s, t)
+    expr = spline_merge(s, t)
     print(expr.render())
     if args.at is not None:
         v = _valuation(ws, args.valuation)

@@ -28,7 +28,7 @@ from .errors import (
     NotReducibleError,
     OpacityError,
 )
-from .hybridset import FreeCombination, HybridSet, bind, checked_add, merge
+from .hybridset import FreeCombination, HybridSet, bind, checked_add, element_sort_key, merge
 from .regions import IndicatorTable, Point, SymbolicHybridSet, Valuation, _Layout, as_fraction
 
 
@@ -701,10 +701,10 @@ def hybrid_graph(values, region: HybridSet, universe_tag: Optional[str] = None) 
     of definition, or a callable taken to be total on the region support.
     """
     if isinstance(values, dict):
-        domain = sorted(values.keys(), key=_graph_key)
+        domain = sorted(values.keys(), key=element_sort_key)
         lookup = values.__getitem__
     elif callable(values):
-        domain = sorted(region.support(), key=_graph_key)
+        domain = sorted(region.support(), key=element_sort_key)
         lookup = values
     else:
         raise TypeError(f"values must be a dict or callable, got {values!r}")
@@ -715,12 +715,6 @@ def hybrid_graph(values, region: HybridSet, universe_tag: Optional[str] = None) 
         if m:
             entries.append(((x, lookup(x)), m))
     return HybridSet(entries, tag)
-
-
-def _graph_key(x):
-    from .hybridset import element_sort_key
-
-    return element_sort_key(x)
 
 
 def graph_function(h: HybridSet) -> dict:

@@ -248,18 +248,21 @@ def _read_entry(cur: Cursor):
 
 
 class HybridSet:
-    """An immutable finite-support map element -> nonzero integer multiplicity."""
+    """An immutable finite-support map element -> nonzero integer multiplicity:
+    the free abelian group over them, summed by ``merge``, each its own name, no atom."""
 
     __slots__ = ("_entries", "universe_tag")
 
     def __init__(self, entries=(), universe_tag: str = "U"):
-        merged: dict = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
-        for el, mult in items:
-            mult = checked_int(require_int(mult, "multiplicity"))
-            merged[el] = checked_add(merged.get(el, 0), mult)
-        self._entries = {el: m for el, m in merged.items() if m != 0}
+        self._entries = self._sum(
+            (el, checked_int(require_int(m, "multiplicity"))) for el, m in items
+        )
         self.universe_tag = universe_tag
+
+    @staticmethod
+    def _sum(pairs) -> dict:
+        return merge(((((el, m, None) for el, m in pairs), 1),), "element {!r}", False)[0]
 
     @classmethod
     def empty(cls, universe_tag: str = "U") -> "HybridSet":
@@ -296,18 +299,14 @@ class HybridSet:
     def oplus(self, other: "HybridSet") -> "HybridSet":
         """Pointwise sum of multiplicities."""
         self._require_same_universe(other)
-        out = dict(self._entries)
-        for el, m in other._entries.items():
-            out[el] = checked_add(out.get(el, 0), m)
-        return HybridSet(out, self.universe_tag)
+        return HybridSet(chain(self._entries.items(), other._entries.items()), self.universe_tag)
 
     def ominus(self, other: "HybridSet") -> "HybridSet":
         """Pointwise difference of multiplicities."""
         self._require_same_universe(other)
-        out = dict(self._entries)
-        for el, m in other._entries.items():
-            out[el] = checked_add(out.get(el, 0), -m)
-        return HybridSet(out, self.universe_tag)
+        # -INT64_MIN is out of range where a difference need not be: sum before the check
+        negated = ((el, -m) for el, m in other._entries.items())
+        return HybridSet(self._sum(chain(self._entries.items(), negated)), self.universe_tag)
 
     def otimes(self, other: "HybridSet") -> "HybridSet":
         """Pointwise product; empty exactly when the operands are disjoint."""
@@ -321,10 +320,8 @@ class HybridSet:
 
     def scale(self, n: int) -> "HybridSet":
         require_int(n, "scalar")
-        return HybridSet(
-            {el: checked_mul(n, m) for el, m in self._entries.items()},
-            self.universe_tag,
-        )
+        scaled = ((el, checked_mul(n, m)) for el, m in self._entries.items())
+        return HybridSet(scaled, self.universe_tag)
 
     def is_disjoint(self, other: "HybridSet") -> bool:
         return not self.otimes(other)

@@ -303,18 +303,6 @@ class Refinement:
             (self.pieces[j], c) for j, c in enumerate(self.coefficients[k][i]) if c
         )
 
-    def reordered(self, order: Sequence[int]) -> "Refinement":
-        """Permute the new pieces; labels are reissued in the new order."""
-        if sorted(order) != list(range(self.size)):
-            raise ContractError(f"not a permutation of 0..{self.size - 1}: {order!r}")
-        pieces = tuple(self.pieces[j] for j in order)
-        labels = tuple(f"P{j + 1}" for j in range(self.size))
-        coeffs = tuple(
-            tuple(tuple(rows[i][j] for j in order) for i in range(len(rows)))
-            for rows in self.coefficients
-        )
-        return Refinement(self.universe, self.partitions, pieces, labels, coeffs, None)
-
     @classmethod
     def trivial(cls, partition: GeneralisedPartition) -> "Refinement":
         """A partition refines itself."""

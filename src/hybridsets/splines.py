@@ -25,9 +25,10 @@ from .functions import (
     UNDEFINED,
     evaluate,
     join,
+    marked_join,
     term,
 )
-from .refine import Refinement, GeneralisedPartition, common_strict_refinement
+from .refine import GeneralisedPartition, common_strict_refinement
 from .regions import (
     Interval1D,
     Param,
@@ -120,13 +121,6 @@ class SymbolicSpline:
 
 
 def spline_merge(s: SymbolicSpline, t: SymbolicSpline) -> HybridExpr:
-    expr, _ = spline_merge_with_refinement(s, t)
-    return expr
-
-
-def spline_merge_with_refinement(
-    s: SymbolicSpline, t: SymbolicSpline
-) -> Tuple[HybridExpr, Refinement]:
     """Merge two splines over one interval: one term per refinement piece,
     with the kept pieces of each spline first and the leftover region last."""
     if s.universe_atom() != t.universe_atom():
@@ -134,11 +128,9 @@ def spline_merge_with_refinement(
             f"splines {s.name!r} and {t.name!r} span different intervals"
         )
     refinement = common_strict_refinement([s.partition(), t.partition()])
+    terms = pointwise_star(MERGE, s.expr(), t.expr(), refinement=refinement).terms
     # canonical order puts the leftover piece first; present it last
-    order = list(range(1, refinement.size)) + [0]
-    refinement = refinement.reordered(order)
-    expr = pointwise_star(MERGE, s.expr(), t.expr(), refinement=refinement)
-    return expr, refinement
+    return marked_join(MERGE, terms[1:] + terms[:1])
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from hybridsets import (
     pointwise_star,
     rational_grid,
     spline_eval_region,
-    spline_merge_with_refinement,
+    spline_merge,
     term,
     word,
 )
@@ -335,7 +335,7 @@ def test_criterion_6_spline_merge(capsys):
     with criterion(capsys, 6, "spline merge pairs segments over knot intervals"):
         s = SymbolicSpline.build("S", ("a", "c", "b"))
         t = SymbolicSpline.build("T", ("a", "d", "b"))
-        expr, _ = spline_merge_with_refinement(s, t)
+        expr = spline_merge(s, t)
         assert expr.render() == (
             "(S[a,c] ⋈ T[d,b])^{S.P1} ⊛⋈ (S[c,b] ⋈ T[a,d])^{T.P1}"
             " ⊛⋈ (S[c,b] ⋈ T[d,b])^{U[a,b] - S.P1 - T.P1}"

@@ -236,6 +236,18 @@ class TestPointwiseStar:
         rendered = [pointwise_star(PLUS, F_EXPR, G_EXPR, refinement=r).render() for r in (odd, plain)]
         assert rendered == ["(f1 + g2)^{A1} ⊛+ (f2 + g1)^{B1} ⊛+ (f2 + g2)^{U - A1 - B1}"] * 2
 
+    def test_a_bare_term_is_an_operand_of_one_piece(self):
+        e = pointwise_star(PLUS, term(f1, A1), term(g1, A1))
+        assert e.render() == "(f1 + g1)^{A1}"
+        with pytest.raises(TypeError, match="^expected an expression or term, got 3$"):
+            pointwise_star(PLUS, term(f1, A1), 3)
+
+    def test_a_word_that_cancels_away_is_an_error(self):
+        with pytest.raises(
+            ContractError, match="^value word for refinement piece 1 cancelled away$"
+        ):
+            pointwise_star(PLUS, term(f1, A1), term(word((f1, -1)), A1))
+
     def test_needs_a_universe_to_refine_mismatched_partitions(self):
         with pytest.raises(ContractError):
             pointwise_star(TIMES, F_EXPR, G_EXPR)

@@ -577,6 +577,22 @@ class TestSizeCap:
             0, "partition M1: OK (0 points)\n", ""
         )
 
+    @pytest.mark.parametrize("count", [65, 10**9])
+    def test_matrix_grid_above_the_cap_is_a_usage_error(self, capsys, count):
+        v = f"n={count},m={count},h1=1,k1=1,h2=2,k2=2"
+        assert run_cli_within_a_second(
+            capsys, "matrix-add", MATRIX, "M1", "M2", "--table", "--with", v
+        ) == (2, TestMatrixAdd.EXPR_LINE + "\n", f"error: table too large; cap is {SIZE_CAP} cells\n")
+        assert run_cli_within_a_second(capsys, "check", "partition", MATRIX, "M1", "--with", v) == (
+            2, "", f"error: universe grid too large; cap is {SIZE_CAP} cells\n"
+        )
+
+    def test_matrix_table_needs_integer_dimensions(self, capsys):
+        v = "n=7/2,m=4,h1=1,k1=1,h2=2,k2=2"
+        assert run_cli_within_a_second(
+            capsys, "matrix-add", MATRIX, "M1", "M2", "--table", "--with", v
+        ) == (2, TestMatrixAdd.EXPR_LINE + "\n", "error: matrix dimensions must resolve to integers\n")
+
     def test_karr_span_at_the_cap_runs(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "karr", STEPS, "--summand", "lin", "--bounds", f"0,{SIZE_CAP},0"

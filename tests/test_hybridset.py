@@ -134,6 +134,20 @@ def test_multiplicity_overflow_is_detected():
     assert big.multiplicity("a") == INT64_MAX
 
 
+def test_sums_check_each_multiplicity_and_each_total():
+    # each given multiplicity must fit, even where the total would
+    with pytest.raises(MultiplicityOverflowError):
+        HybridSet([("a", -1), ("a", INT64_MAX + 1)])
+    # a difference that fits is fine although -INT64_MIN does not
+    low = HybridSet([("a", INT64_MIN)])
+    assert HybridSet([("a", -1)]).ominus(low) == HybridSet([("a", INT64_MAX)])
+    with pytest.raises(MultiplicityOverflowError):
+        HybridSet.empty().ominus(low)
+    # equal elements of different types are one element
+    mixed = [(1, 1), (Fraction(1), 1), ((Fraction(2), "t"), 1), ((2, "t"), -1)]
+    assert HybridSet(mixed) == HybridSet([(1, 2)])
+
+
 def test_multiplicities_must_be_ints():
     with pytest.raises(TypeError):
         HybridSet([("a", 1.5)])

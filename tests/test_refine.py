@@ -349,16 +349,6 @@ class TestCommonRefinement:
         for k, part in enumerate(r.partitions):
             assert verify_rewrite(r.pieces, part, r.coefficients[k], v, GRID)
 
-    def test_reordered_moves_pieces_and_relabels(self):
-        r = common_strict_refinement([P, Q]).reordered([1, 2, 0])
-        assert r.pieces == (A1, B1, USET - A1 - B1)
-        assert r.labels == ("P1", "P2", "P3")
-        v = Valuation({"a": F(1, 3), "b": F(2, 3)})
-        for k, part in enumerate(r.partitions):
-            assert verify_rewrite(r.pieces, part, r.coefficients[k], v, GRID)
-        with pytest.raises(ContractError):
-            r.reordered([0, 0, 1])
-
     def test_universe_mismatch_is_an_error(self):
         other_u = RegionAtom("V", Interval1D(F(0), F(2)))
         other = GeneralisedPartition(

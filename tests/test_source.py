@@ -54,6 +54,36 @@ def test_regions_line_is_the_only_caller_of_bisect():
     assert found == {"regions._Line"}
 
 
+def test_checked_add_has_only_the_merge_and_evaluation_callers():
+    # One term-merging helper: a sum of named multiplicities goes through
+    # hybridset.merge, so a second merge loop cannot come back unseen.  The
+    # other callers add one integer per term, not per name.  A call is named
+    # by its module, class and function; nested functions count as their host.
+    def callers(node, where, in_def=False):
+        for child in ast.iter_child_nodes(node):
+            inner, inner_def = where, in_def
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)) and not in_def:
+                inner, inner_def = f"{where}.{child.name}", isinstance(child, ast.FunctionDef)
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name == "checked_add":
+                    yield where
+            yield from callers(child, inner, inner_def)
+
+    found = {
+        where
+        for path in SOURCES
+        for where in callers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert found == {
+        "hybridset.merge",
+        "functions._accumulate",
+        "regions.SymbolicHybridSet.multiplicity",
+        "regions._Layout.multiplicities",
+    }
+
+
 def test_every_name_the_benchmark_tracer_rebinds_exists():
     # perfbench/tracer.py rebinds library names during a traced run and needs
     # each one in its owner's own namespace; loading the module only reads

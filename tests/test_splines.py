@@ -16,10 +16,10 @@ from hybridsets import (
     SymbolicSpline,
     Valuation,
     atom,
+    common_strict_refinement,
     marked_join,
     spline_eval_region,
     spline_merge,
-    spline_merge_with_refinement,
     term,
     word,
 )
@@ -64,7 +64,8 @@ class TestSplineConstruction:
 
 class TestMergeStructure:
     def test_one_term_per_refinement_piece_kept_pieces_first(self):
-        e, refinement = spline_merge_with_refinement(S, T)
+        e = spline_merge(S, T)
+        refinement = common_strict_refinement([S.partition(), T.partition()])
         assert refinement.size == 3
         assert e.render() == (
             "(S[a,c] ⋈ T[d,b])^{S.P1}"
@@ -73,10 +74,11 @@ class TestMergeStructure:
         )
 
     def test_rewrites_follow_the_reordering(self):
-        _, refinement = spline_merge_with_refinement(S, T)
+        refinement = common_strict_refinement([S.partition(), T.partition()])
+        # columns (leftover, S.P1, T.P1); the merge presents the leftover last
         # S.P2 = T.P1 + leftover, T.P2 = S.P1 + leftover
-        assert refinement.coefficients[0] == ((1, 0, 0), (0, 1, 1))
-        assert refinement.coefficients[1] == ((0, 1, 0), (1, 0, 1))
+        assert refinement.coefficients[0] == ((0, 1, 0), (1, 0, 1))
+        assert refinement.coefficients[1] == ((0, 0, 1), (1, 1, 0))
 
     def test_mismatched_spans_are_rejected(self):
         w = SymbolicSpline.build("W", ("a", "c", "e"))

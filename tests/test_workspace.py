@@ -291,6 +291,29 @@ class TestRendering:
         assert parse_workspace(text) == ws
         assert render_workspace(parse_workspace(text)) == text
 
+    def test_universe_points_rects_and_opaque_fns_round_trip(self):
+        # every open/closed pair of range ends; a range closed at both ends
+        # renders bare
+        ws = parse_workspace(
+            "param h, k\n"
+            "region U = universe\n"
+            "region Q = points(0, -1/2, (2, 3))\n"
+            "region R1 = rect([1..h], (1..k))\n"
+            "region R2 = rect([1..h), (1..k])\n"
+            "fn g\n"
+        )
+        text = render_workspace(ws)
+        assert text.splitlines()[2:] == [
+            "region U = universe",
+            "region Q = points(0, -1/2, (2, 3))",
+            "region R1 = rect(1..h, (1..k))",
+            "region R2 = rect([1..h), (1..k])",
+            "fn g",
+        ]
+        again = parse_workspace(text)
+        assert again == ws
+        assert render_workspace(again) == text
+
     def test_matrix_line_round_trips_the_splits(self):
         text = "param n, m, h1, k1\nmatrix M1 = dims(n, m) split(h1, k1) blocks(A1, B1, C1, D1)"
         ws = parse_workspace(text)
