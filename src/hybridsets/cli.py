@@ -465,10 +465,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
-    except _Usage as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ParseError as e:
+    except (_Usage, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except HybridError as e:

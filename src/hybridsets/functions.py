@@ -610,20 +610,24 @@ def evaluate_many(
     cell between sorted endpoints scaled to integers on each of its three
     lines: intervals, grid rows and grid columns (see ``IndicatorTable``),
     and per distinct vector of atom indicators the term multiplicities and
-    exponent sums, and the outcome when no surviving atom reads the point.  Such a point-independent outcome is
-    one object per indicator vector: every point with that vector gets the
-    same object while the state lasts.  It also keeps the multiplicities
-    and sums of the last vector accumulated (a ``_Sweep``), when the plan
-    is within its static bound: a new vector costs the words of the terms
-    whose shapes flipped, or of the terms active there if that is less.
+    exponent sums, and the outcome when no surviving atom reads the point.
+    Such a point-independent outcome is one object per indicator vector:
+    every point with that vector gets the same object while the state
+    lasts.  It also keeps the multiplicities and sums of the last vector
+    accumulated (a ``_Sweep``), when the plan is within its static bound:
+    a new vector costs the words of the terms whose shapes flipped, or of
+    the terms active there if that is less.
     Under ``PLUS`` with atoms that read no point and all evaluate under
     the valuation, the sweep keeps the value itself (an
     ``_AdditiveSweep``): the atoms are evaluated once per state, and a new
     vector costs one multiply-add per moved term.
+    A point the fast placement cannot key, because its placement raised,
+    is evaluated by the reference itself, ``SymbolicHybridSet.multiplicity``
+    term by term, and leaves nothing in the state.
     All of it is bounded by the expression, not by the points seen, and
-    nothing about an error is kept.  A pass keeps the state it started
-    with, and reads points one at a time, so the outcomes before a raising
-    point come out first.
+    nothing about an error is kept, within a pass or across passes.  A
+    pass keeps the state it started with, and reads points one at a time,
+    so the outcomes before a raising point come out first.
     """
     return _outcomes(e, valuation, IndicatorTable.keys, points)
 
@@ -649,6 +653,10 @@ def evaluate_grid(
 def _outcomes(e: HybridExpr, valuation: Optional[Valuation], keys, source) -> Iterator[EvalOutcome]:
     """The outcome of each (point, indicator vector) pair that
     ``keys(table, source)`` yields for the valuation's ``IndicatorTable``.
+    A point with the key None, which the fast placement could not key,
+    takes each term's multiplicity from ``SymbolicHybridSet.multiplicity``
+    in term order, so it raises, or does not, as a point-by-point loop
+    does; nothing is kept for it.
     The one-point ``evaluate`` runs through here, so the setup is kept to
     what a kept outcome needs: the arity is fixed (unpacking arguments
     costs measurably more), and the words and the finish are looked up
@@ -658,17 +666,18 @@ def _outcomes(e: HybridExpr, valuation: Optional[Valuation], keys, source) -> It
     for point, key in keys(table, source):
         found = kept.get(key)
         if found is None:
-            if sweep is not None and type(key) is int:
-                found = sweep.find(key)
+            if key is None:  # the reference decides the point, and nothing is kept
+                ms = (t.region.multiplicity(point, valuation) for t in e.terms)
+                found = _entry(_accumulate(plan.words, ms))
+            elif sweep is not None:
+                found = kept[key] = sweep.find(key)
             else:
-                # An unfinished key raises here, so it is never kept.
-                found = _entry(_accumulate(plan.words, plan.layout.multiplicities(key)))
-            kept[key] = found
+                found = kept[key] = _entry(_accumulate(plan.words, plan.layout.multiplicities(key)))
         accumulated, fixed, outcome = found
         if outcome is None:
             finish = _eval_plain if e.star is None else _eval_marked
             outcome = finish(e.star, accumulated, point, valuation)
-            if fixed:
+            if fixed and key is not None:
                 kept[key] = (accumulated, fixed, outcome)
         yield outcome
 

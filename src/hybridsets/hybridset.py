@@ -260,9 +260,16 @@ class HybridSet:
         )
         self.universe_tag = universe_tag
 
+    @classmethod
+    def _of(cls, entries: dict, universe_tag: str) -> "HybridSet":
+        """A set of entries already checked and summed: nonzero, 64-bit, one per element."""
+        self = object.__new__(cls)
+        self._entries, self.universe_tag = entries, universe_tag
+        return self
+
     @staticmethod
-    def _sum(pairs) -> dict:
-        return merge(((((el, m, None) for el, m in pairs), 1),), "element {!r}", False)[0]
+    def _sum(pairs, n: int = 1) -> dict:
+        return merge(((((el, m, None) for el, m in pairs), n),), "element {!r}", False)[0]
 
     @classmethod
     def empty(cls, universe_tag: str = "U") -> "HybridSet":
@@ -299,14 +306,15 @@ class HybridSet:
     def oplus(self, other: "HybridSet") -> "HybridSet":
         """Pointwise sum of multiplicities."""
         self._require_same_universe(other)
-        return HybridSet(chain(self._entries.items(), other._entries.items()), self.universe_tag)
+        return self._of(self._sum(chain(self._entries.items(), other._entries.items())),
+                        self.universe_tag)
 
     def ominus(self, other: "HybridSet") -> "HybridSet":
         """Pointwise difference of multiplicities."""
         self._require_same_universe(other)
         # -INT64_MIN is out of range where a difference need not be: sum before the check
         negated = ((el, -m) for el, m in other._entries.items())
-        return HybridSet(self._sum(chain(self._entries.items(), negated)), self.universe_tag)
+        return self._of(self._sum(chain(self._entries.items(), negated)), self.universe_tag)
 
     def otimes(self, other: "HybridSet") -> "HybridSet":
         """Pointwise product; empty exactly when the operands are disjoint."""
@@ -316,12 +324,11 @@ class HybridSet:
             n = other._entries.get(el, 0)
             if n:
                 out[el] = checked_mul(m, n)
-        return HybridSet(out, self.universe_tag)
+        return self._of(out, self.universe_tag)
 
     def scale(self, n: int) -> "HybridSet":
         require_int(n, "scalar")
-        scaled = ((el, checked_mul(n, m)) for el, m in self._entries.items())
-        return HybridSet(scaled, self.universe_tag)
+        return self._of(self._sum(self._entries.items(), n), self.universe_tag)
 
     def is_disjoint(self, other: "HybridSet") -> bool:
         return not self.otimes(other)

@@ -272,16 +272,6 @@ class SymbolicHybridSet(FreeCombination):
         )
 
 
-class _Unfinished:
-    """The indicator vector of a point whose test of shape ``index`` raised
-    ``error``: only the bits below ``index`` are known."""
-
-    __slots__ = ("bits", "index", "error")
-
-    def __init__(self, bits: int, index: int, error: Exception):
-        self.bits, self.index, self.error = bits, index, error
-
-
 class _Layout:
     """The valuation-free half of an ``IndicatorTable``: the distinct atom
     shapes of a sequence of combinations, numbered in the order the
@@ -322,20 +312,14 @@ class _Layout:
             (k, s.col_lo, s.col_hi, s.col_lo_closed, s.col_hi_closed) for k, s in kinds[GridRect]
         ]
 
-    def multiplicities(self, key) -> Iterator[int]:
-        """Each combination's multiplicity at a point with indicator vector
-        ``key``, one at a time, summed and checked as
+    def multiplicities(self, key: int) -> Iterator[int]:
+        """Each combination's multiplicity at a point with the indicator
+        vector ``key``, an int, one at a time, summed and checked as
         ``SymbolicHybridSet.multiplicity`` sums and checks it."""
-        if isinstance(key, _Unfinished):
-            bits, stop, error = key.bits, key.index, key.error
-        else:
-            bits, stop, error = key, -1, None
         for uses in self.uses:
             total = 0
             for k, coeff in uses:
-                if k == stop:
-                    raise error
-                total = checked_add(total, checked_mul(coeff, bits >> k & 1))
+                total = checked_add(total, checked_mul(coeff, key >> k & 1))
             yield total
 
 
@@ -353,10 +337,10 @@ class IndicatorTable:
     most 2E + 1 cells for its E endpoints however many points it sees.
     ``grid_keys(rows, cols)`` keys a row-major grid of points from one
     placement per row and per column value, with one AND per cell.
-    Nothing about an error is kept beyond its pass: a point whose test
-    raises gets a key that raises the same error from
-    ``_Layout.multiplicities`` where ``SymbolicHybridSet.multiplicity``
-    would.
+    A point whose placement raises gets the key None: the fast placement
+    cannot key it, so the caller takes its multiplicities from
+    ``SymbolicHybridSet.multiplicity``, which raises, or does not, as a
+    point-by-point loop does.  Nothing about an error is kept.
     """
 
     def __init__(self, layout: _Layout, valuation: Optional[Valuation]):
@@ -366,57 +350,38 @@ class IndicatorTable:
         self._intervals = _Line(layout.intervals)
         self._rows, self._cols = _Line(layout.rows), _Line(layout.cols)
 
-    def _resolver(self):
-        """A ``resolve`` for one pass: endpoint values come from, and go to,
-        the table; a failed resolution raises its error again wherever the
-        pass needs that endpoint."""
-        params, valuation = self._params, self._valuation
-        failed: Dict[Param, Exception] = {}
+    def _resolve(self, p: Param) -> Fraction:
+        """The endpoint's value, resolved the first time it is asked for."""
+        value = self._params.get(p)
+        if value is None:
+            value = self._params[p] = resolve_param(p, self._valuation)
+        return value
 
-        def resolve(p: Param) -> Fraction:
-            value = params.get(p)
-            if value is None:
-                error = failed.get(p)
-                if error is not None:
-                    raise error
-                try:
-                    value = params[p] = resolve_param(p, valuation)
-                except Exception as e:
-                    failed[p] = e
-                    raise
-            return value
-
-        return resolve
-
-    def keys(self, points: Iterable[Point]) -> Iterator[Tuple[Point, object]]:
-        """(point, indicator vector) for each point in order, in one pass."""
-        resolve = self._resolver()
+    def keys(self, points: Iterable[Point]) -> Iterator[Tuple[Point, Optional[int]]]:
+        """(point, indicator vector, or None) for each point in order, in
+        one pass."""
         for point in points:
             try:
-                key = self._bits(point, resolve)
+                key = self._bits(point)
             except Exception:
-                # Whatever the shortcut met, the reference order decides
-                # which shape raises first, and whether any does.
-                key = self._bits_in_order(point, resolve)
+                key = None
             yield point, key
 
-    def grid_keys(self, rows: Iterable, cols: Iterable) -> Iterator[Tuple[Point, object]]:
+    def grid_keys(self, rows: Iterable, cols: Iterable) -> Iterator[Tuple[Point, Optional[int]]]:
         """``keys`` over the points (r, c), r in ``rows`` and c in ``cols``,
         row by row, in one pass that places each row value and each column
         value once: a cell's vector is the universe bits joined with the
-        AND of its row's and its column's grid-range bits.  A row or column
-        whose placement raises sends its cells to the reference order,
-        which decides the error.  Interval and point-set shapes take
+        AND of its row's and its column's grid-range bits, or None when the
+        placement of either raises.  Interval and point-set shapes take
         ``keys``."""
         layout, cols = self.layout, tuple(cols)  # read once, whatever iterable it is
         if layout.intervals or layout.pointwise:
             yield from self.keys((r, c) for r in rows for c in cols)
             return
-        resolve = self._resolver()
 
         def place(line: _Line, value) -> Optional[int]:
             try:
-                return line.grid_bits(value, resolve)
+                return line.grid_bits(value, self._resolve)
             except Exception:
                 return None
 
@@ -426,15 +391,11 @@ class IndicatorTable:
             if col_bits is None:
                 col_bits = [place(self._cols, c) for c in cols]
             for c, col in zip(cols, col_bits):
-                point = (r, c)
-                if row is None or col is None:
-                    yield point, self._bits_in_order(point, resolve)
-                else:
-                    yield point, universe | (row & col)
+                yield (r, c), None if row is None or col is None else universe | (row & col)
 
-    def _bits(self, point: Point, resolve) -> int:
+    def _bits(self, point: Point) -> int:
         """The point's indicator vector by shape kind."""
-        layout = self.layout
+        layout, resolve = self.layout, self._resolve
         bits = layout.universe
         if layout.intervals and not (isinstance(point, tuple) and len(point) != 1):
             bits |= self._intervals.bits(_as_scalar(point), resolve)
@@ -444,18 +405,6 @@ class IndicatorTable:
         for k, shape in layout.pointwise:
             if _contains(shape, point, resolve):
                 bits |= 1 << k
-        return bits
-
-    def _bits_in_order(self, point: Point, resolve):
-        """The indicator vector computed shape by shape, in the reference
-        order, up to the first shape whose test raises."""
-        bits = 0
-        for k, shape in enumerate(self.layout.shapes):
-            try:
-                if _contains(shape, point, resolve):
-                    bits |= 1 << k
-            except Exception as e:
-                return _Unfinished(bits, k, e)
         return bits
 
 
@@ -529,10 +478,15 @@ def multiplicities_many(
 ) -> Iterator[Tuple[Point, Tuple[int, ...]]]:
     """(point, multiplicities of the regions there) for each point in order,
     equal to ``r.multiplicity(point, valuation)`` for each region r, raised
-    errors included.  The sums are made once per distinct indicator vector."""
+    errors included.  The sums are made once per distinct indicator vector;
+    a point ``IndicatorTable.keys`` cannot key is summed by the reference
+    itself, and nothing is kept for it."""
     layout = _Layout(regions)
     sums: dict = {}
     for p, key in IndicatorTable(layout, valuation).keys(points):
+        if key is None:
+            yield p, tuple(r.multiplicity(p, valuation) for r in regions)
+            continue
         found = sums.get(key)
         if found is None:
             found = sums[key] = tuple(layout.multiplicities(key))

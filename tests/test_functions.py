@@ -611,16 +611,10 @@ def grid_expressions(draw, shape_pool, word_atoms=mixed_atoms):
     return HybridExpr(draw(st.sampled_from((None, PLUS, TIMES, MERGE))), tuple(terms))
 
 
-def _key(key):
-    """An indicator vector, with an unfinished one's error as type and text."""
-    if isinstance(key, regions._Unfinished):
-        return key.bits, key.index, type(key.error), str(key.error)
-    return key
-
-
 def _reference_key(layout, point, valuation):
-    """``_key`` of the point's indicator vector, shape by shape through
-    ``RegionAtom.indicator``, up to the first shape whose test raises."""
+    """The point's indicator vector, shape by shape through
+    ``RegionAtom.indicator``, or, at the first shape whose test raises, the
+    bits so far, that shape's index and the error's type and message."""
     bits = 0
     for k, shape in enumerate(layout.shapes):
         try:
@@ -701,7 +695,11 @@ class TestEvaluateGrid:
         ]
 
     # Every cell's indicator vector, also after a cell whose outcome raises,
-    # by rows and columns and point by point, against the shape-by-shape one.
+    # by rows and columns and point by point, against the shape-by-shape
+    # one: a vector found is the reference's, and a cell where the reference
+    # raises gets None, which sends it to the reference.  A cell the
+    # reference decides may get None too (a text column where no shape is
+    # a grid rectangle is not placed by rows and columns).
     @seed(2009)
     @settings(max_examples=300, deadline=None)
     @given(grid_expressions(st.one_of(grid_shapes, half_rects)), st.lists(grid_coords, max_size=2),
@@ -711,11 +709,18 @@ class TestEvaluateGrid:
         rows, cols = every + extra_rows, every + extra_cols
         layout = regions._Layout([t.region for t in e.terms])
         product = [(r, c) for r in rows for c in cols]
-        reference = [(p, _reference_key(layout, p, valuation)) for p in product]
-        grid = regions.IndicatorTable(layout, valuation).grid_keys(rows, cols)
-        assert [(p, _key(k)) for p, k in grid] == reference
-        one_by_one = regions.IndicatorTable(layout, valuation).keys(product)
-        assert [(p, _key(k)) for p, k in one_by_one] == reference
+        reference = [_reference_key(layout, p, valuation) for p in product]
+        for keys in (
+            regions.IndicatorTable(layout, valuation).grid_keys(rows, cols),
+            regions.IndicatorTable(layout, valuation).keys(product),
+        ):
+            keys = list(keys)
+            assert [p for p, _ in keys] == product
+            for (_, key), want in zip(keys, reference):
+                if isinstance(want, tuple):
+                    assert key is None
+                elif key is not None:
+                    assert key == want
 
     def test_a_missing_parameter_ends_the_grid_where_evaluate_many_ends(self):
         # p bounds the rows of the second rectangle: the cells of the
@@ -792,6 +797,69 @@ class TestEvaluateGrid:
         assert len(outcomes) == 25
         assert len({id(o) for o in outcomes}) == 2
         assert outcomes[0] == Defined(FormalValue(FreeWord.from_atom(u_op), None), 1)
+
+
+@st.composite
+def region_lists(draw):
+    """Up to four combinations of up to five shapes drawn from the interval,
+    grid and point-set pools, with coefficients that may overflow."""
+    drawn = draw(st.lists(st.one_of(shapes, grid_shapes, half_rects, cell_sets),
+                          min_size=1, max_size=5))
+    pool = [RegionAtom(f"R{i}", s) for i, s in enumerate(drawn)]
+    uses = st.lists(st.tuples(st.sampled_from(range(len(pool))), small_or_huge),
+                    max_size=3, unique_by=lambda u: u[0])
+    return [SymbolicHybridSet((pool[i], c) for i, c in draw(uses))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+# Numbers, pairs with non-integer rows, text coordinates and text points.
+mixed_points = st.one_of(
+    sample_points,
+    st.tuples(grid_coords, st.one_of(grid_coords, st.just("c"))),
+    st.sampled_from(("1/2", ("1", F(1)), (F(1, 2),))),
+)
+
+
+class TestMultiplicitiesMany:
+    """``multiplicities_many`` is ``r.multiplicity(p, valuation)`` for each
+    region r, point by point: the tuples before the first error, then that
+    error's type and message."""
+
+    @seed(2016)
+    @settings(max_examples=200, deadline=None)
+    @given(region_lists(), st.lists(mixed_points, max_size=12), valuations)
+    def test_agrees_with_the_per_point_reference(self, rs, points, valuation):
+        want = _outcomes(
+            (p, tuple(r.multiplicity(p, valuation) for r in rs)) for p in points
+        )
+        assert _outcomes(regions.multiplicities_many(rs, points, valuation)) == want
+
+
+class TestErrorsAreNotKept:
+    """A pass keeps nothing about an error: the error that ends a long pass
+    is a new one, as short as the error a one-point pass ends in, whatever
+    the number of points before it whose placement raised."""
+
+    R = SymbolicHybridSet.from_atom(RegionAtom("R", GridRect(F(1), F(2), F(1), "p")))
+    POINTS = [(F(1, 2), F(1))] * 10_000 + [(F(1), F(1))]
+
+    @pytest.mark.parametrize("which", ["evaluate_many", "multiplicities_many"])
+    def test_a_long_pass_ends_in_a_short_error(self, which):
+        if which == "evaluate_many":
+            results = evaluate_many(join(term(u_op, self.R)), self.POINTS, Valuation())
+            before = UNDEFINED
+        else:
+            results = regions.multiplicities_many((self.R,), self.POINTS, Valuation())
+            before = (self.POINTS[0], (0,))
+        got = []
+        with pytest.raises(ValuationError, match="^parameter 'p' has no value$") as info:
+            for out in results:
+                got.append(out)
+        assert got == [before] * 10_000
+        entries, tb = 0, info.value.__traceback__
+        while tb is not None:
+            entries, tb = entries + 1, tb.tb_next
+        assert entries < 50
 
 
 # Every level, a point in every gap between levels, and one beyond each end.
@@ -995,7 +1063,8 @@ def _one_object_per_vector(e, points, valuation, outcomes):
         if isinstance(out, tuple):
             break
         (_, key), = table.keys([p])
-        assert seen.setdefault(_key(key), out) is out
+        if key is not None:
+            assert seen.setdefault(key, out) is out
 
 
 class TestAdditiveSweep:

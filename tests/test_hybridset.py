@@ -239,3 +239,34 @@ def test_operator_sugar_matches_named_ops():
     assert a - b == a.ominus(b)
     assert 3 * a == a.scale(3) == a * 3
     assert -a == a.scale(-1)
+
+
+def test_each_operation_merges_at_most_once(monkeypatch):
+    # The operands are checked sums already, so a result is one merge of
+    # their entries (none for a product), not merged again to be checked.
+    from hybridsets import hybridset
+
+    a = HybridSet.parse("{a^2, b^-1, (1, 2)^3}")
+    b = HybridSet.parse("{b^4, c}")
+    want = {
+        "oplus": HybridSet.parse("{a^2, b^3, c, (1, 2)^3}"),
+        "ominus": HybridSet.parse("{a^2, b^-5, c^-1, (1, 2)^3}"),
+        "scale": HybridSet.parse("{a^6, b^-3, (1, 2)^9}"),
+        "otimes": HybridSet.parse("{b^-4}"),
+    }
+    empty = HybridSet.empty()
+    calls = []
+    real = hybridset.merge
+    monkeypatch.setattr(hybridset, "merge", lambda *args: calls.append(args) or real(*args))
+    for name, build in (
+        ("oplus", lambda: a.oplus(b)),
+        ("ominus", lambda: a.ominus(b)),
+        ("scale", lambda: a.scale(3)),
+        ("otimes", lambda: a.otimes(b)),
+    ):
+        calls.clear()
+        assert build() == want[name]
+        assert len(calls) <= 1, name
+    calls.clear()
+    assert a.scale(0) == empty
+    assert len(calls) == 1

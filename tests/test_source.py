@@ -84,6 +84,38 @@ def test_checked_add_has_only_the_merge_and_evaluation_callers():
     }
 
 
+def test_the_library_keeps_no_caught_exception():
+    # A caught exception holds its traceback, and each raise of that same
+    # object makes the traceback longer: a handler that keeps it, in a store
+    # or in another object, lets an error grow with the points that raised
+    # it.  So a handler reads the name it binds only to raise, in an
+    # f-string, or in str(name).
+    def stray(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Raise, ast.JoinedStr)):
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "str"
+                and all(isinstance(a, ast.Name) for a in child.args)
+            ):
+                continue
+            if isinstance(child, ast.Name) and child.id == name:
+                yield child.lineno
+            yield from stray(child, name)
+
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ExceptHandler) and node.name
+        for statement in node.body
+        for line in stray(ast.Module([statement], []), node.name)
+    ]
+    assert found == []
+
+
 def test_every_name_the_benchmark_tracer_rebinds_exists():
     # perfbench/tracer.py rebinds library names during a traced run and needs
     # each one in its owner's own namespace; loading the module only reads
