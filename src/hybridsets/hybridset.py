@@ -297,7 +297,11 @@ class HybridSet:
     def support(self) -> frozenset:
         return frozenset(self._entries)
 
-    def _require_same_universe(self, other: "HybridSet") -> None:
+    def _require_peer(self, other: "HybridSet") -> None:
+        """A ContractError unless ``other`` is a HybridSet, and a
+        UniverseMismatchError unless it has this set's universe."""
+        if not isinstance(other, HybridSet):
+            raise ContractError(f"the operand must be a HybridSet, got {type(other).__name__}")
         if self.universe_tag != other.universe_tag:
             raise UniverseMismatchError(
                 f"universe {self.universe_tag!r} does not match {other.universe_tag!r}"
@@ -305,20 +309,20 @@ class HybridSet:
 
     def oplus(self, other: "HybridSet") -> "HybridSet":
         """Pointwise sum of multiplicities."""
-        self._require_same_universe(other)
+        self._require_peer(other)
         return self._of(self._sum(chain(self._entries.items(), other._entries.items())),
                         self.universe_tag)
 
     def ominus(self, other: "HybridSet") -> "HybridSet":
         """Pointwise difference of multiplicities."""
-        self._require_same_universe(other)
+        self._require_peer(other)
         # -INT64_MIN is out of range where a difference need not be: sum before the check
         negated = ((el, -m) for el, m in other._entries.items())
         return self._of(self._sum(chain(self._entries.items(), negated)), self.universe_tag)
 
     def otimes(self, other: "HybridSet") -> "HybridSet":
         """Pointwise product; empty exactly when the operands are disjoint."""
-        self._require_same_universe(other)
+        self._require_peer(other)
         out = {}
         for el, m in self._entries.items():
             n = other._entries.get(el, 0)
@@ -346,8 +350,11 @@ class HybridSet:
         return frozenset(self._entries)
 
     # operators
-    __add__ = oplus
-    __sub__ = ominus
+    def __add__(self, other):
+        return self.oplus(other) if isinstance(other, HybridSet) else NotImplemented
+
+    def __sub__(self, other):
+        return self.ominus(other) if isinstance(other, HybridSet) else NotImplemented
 
     def __mul__(self, n: int) -> "HybridSet":
         return self.scale(n)

@@ -12,8 +12,11 @@ a canonical refinement builds each new piece straight from the inputs
 its inverse row names, with no elimination at all.  A custom matrix is
 inverted by one fraction-free integer elimination on [A | I] (Bareiss,
 1968), which yields the determinant and the adjugate together; when the
-determinant is +-1 the inverse is +-adj.  The matrix keeps the result, so
-asking for its determinant after refining costs nothing.
+determinant is +-1 the inverse is +-adj.  The elimination keeps its rows
+sparse and picks pivots as Markowitz (1957) did, so on a custom choice
+matrix, a few +-1 entries per row, the work follows the nonzeros, not n^3.
+The matrix keeps the result, so asking for its determinant after refining
+costs nothing.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ContractError, RefinementError, UnimodularError
@@ -35,43 +39,79 @@ def determinant_and_adjugate(
 ) -> Tuple[int, Optional[List[List[int]]]]:
     """Determinant and adjugate of a square integer matrix, exactly.
 
-    One fraction-free Gauss-Jordan elimination on [A | I]: each step
-    replaces every other row by (p * row - a * pivot row) / q, where p is
-    the pivot, a the row's entry in the pivot column and q the previous
-    pivot; by Sylvester's identity every division is exact.  Once every
-    column has had its pivot, the left block is d * I and the right block
-    d * A^-1, where d is the last pivot, which is det A up to the sign of
-    the row swaps.  The adjugate is None when the matrix is singular:
-    elimination stops at the first column without a pivot.  Each entry
-    must be an int or a Fraction with denominator 1.
+    One fraction-free Gauss-Jordan elimination on [A | I], each row sparse
+    ({column: value}).  Column k's pivot is, of the rows not yet pivots with
+    an entry there (a column -> rows index finds them), a unit one (|p| the
+    previous pivot q) if any, else the one with the fewest nonzeros
+    (Markowitz); a negative one is negated, with the sign.  Only the rows
+    with an entry a in column k change, to (p * row - a * pivot row) / q,
+    exact by Sylvester's identity, and only p != q scales all the others by
+    p / q.  So with unit pivots the work follows the nonzeros, not n^3.  The
+    pivot rows end as d * I | d * A^-1, d the last pivot, and det A is d
+    times the sign of the negations and of the pivot-row order.  The
+    adjugate is None when the matrix is singular: elimination stops at the
+    first column without a pivot.  Each entry must be an int or a Fraction
+    with denominator 1.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ContractError("determinant needs a square matrix")
-    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(_integer_rows(rows))]
+    columns = range(n)
+    m = [dict(zip(compress(columns, row), compress(row, row))) for row in _integer_rows(rows)]
+    holders = [set() for _ in range(2 * n)]  # column -> rows with a nonzero there
+    for i, row in enumerate(m):
+        row[n + i] = 1
+        for c in row:
+            holders[c].add(i)
+    # order[k:] are the rows not yet pivots, and at[i] is row i's place in order
+    order, at = list(columns), list(columns)
     sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
+    for k in columns:
+        pick = min((i for i in holders[k] if at[i] >= k), default=None,
+                   key=lambda i: (abs(m[i][k]) != prev, len(m[i])))
+        if pick is None:
             return 0, None
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
+        if at[pick] != k:
+            j, other = at[pick], order[k]
+            order[k], order[j], at[pick], at[other] = pick, other, k, j
             sign = -sign
-        top = m[k]
+        top = m[pick]
         p = top[k]
-        for i, row in enumerate(m):
-            a = row[k]
-            # a row with no entry in this column is unchanged while p == prev
-            if i != k and (a or p != prev):
-                m[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        if p < 0:
+            top = m[pick] = {c: -y for c, y in top.items()}
+            p, sign = -p, -sign
+        rest = [(c, y) for c, y in top.items() if c != k]
+        for i in holders[k] - {pick} if p == prev else [i for i in columns if i != pick]:
+            row = m[i]
+            a = row.pop(k, 0)
+            if p != prev:
+                # outside the pivot row's columns, p * x / q is exact on its own
+                for c in row.keys() - (top.keys() if a else ()):
+                    row[c] = p * row[c] // prev
+            if a:
+                for c, y in rest:
+                    v = (p * row.get(c, 0) - a * y) // prev
+                    if v:
+                        row[c] = v
+                        holders[c].add(i)
+                    else:
+                        del row[c]
+                        holders[c].discard(i)
+        holders[k] = {pick}
         prev = p
-    return sign * prev, [[sign * v for v in row[n:]] for row in m]
+    adjugate = [[0] * n for _ in columns]
+    for k, i in enumerate(order):
+        del m[i][k]
+        for c, v in m[i].items():
+            adjugate[k][c - n] = sign * v
+    return sign * prev, adjugate
 
 
 def _integer_rows(rows) -> Tuple[Tuple[int, ...], ...]:
-    """``rows`` with every entry read by ``_integer_entry``."""
+    """``rows`` with every entry read by ``_integer_entry``, after one check of a row's types."""
     return tuple(
-        tuple(v if type(v) is int else _integer_entry(v, i, j) for j, v in enumerate(row))
+        tuple(row) if set(map(type, row)) == {int}
+        else tuple(v if type(v) is int else _integer_entry(v, i, j) for j, v in enumerate(row))
         for i, row in enumerate(rows)
     )
 
@@ -150,7 +190,8 @@ class ChoiceMatrix:
         det, adj = determinant_and_adjugate(self.entries)
         if det not in (1, -1):
             return det, None
-        return det, tuple(tuple((i, det * v) for i, v in enumerate(row) if v) for row in adj)
+        cols = range(len(adj))
+        return det, tuple(tuple(zip(compress(cols, r), map(det.__mul__, compress(r, r)))) for r in adj)
 
     @cached_property
     def _rows(self) -> Tuple[Tuple[int, ...], ...]:
@@ -186,6 +227,8 @@ class ChoiceMatrix:
         return tuple(out)
 
     def render(self) -> str:
+        if not self.entries:
+            return ""
         values = set().union(*self.entries)
         width = max(len(str(v)) for v in values)
         cell = {v: str(v).rjust(width) for v in values}

@@ -1,5 +1,6 @@
 """Signed-multiplicity sets: construction, rendering, and the module laws."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hybridsets import (
+    ContractError,
     HybridSet,
     INT64_MAX,
     INT64_MIN,
@@ -116,6 +118,18 @@ def test_universe_tags_must_match():
         a.oplus(b)
     with pytest.raises(UniverseMismatchError):
         a.otimes(b)
+
+
+def test_an_operand_that_is_not_a_hybrid_set_is_refused_by_type():
+    h = HybridSet.parse("{a}")
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError):
+            op(h, 3)
+        with pytest.raises(TypeError):
+            op(3, h)
+    for method in (h.oplus, h.ominus, h.otimes):
+        with pytest.raises(ContractError, match="must be a HybridSet, got int"):
+            method(3)
 
 
 def test_multiplicity_overflow_is_detected():

@@ -238,6 +238,10 @@ class TestCanonicalChoiceMatrices:
             "2.1: [0 0 1]",
         ]
 
+    def test_the_empty_matrix_renders_as_no_lines(self):
+        c = ChoiceMatrix((), (), ())
+        assert (c.determinant(), c.inverse(), c.render()) == (1, (), "")
+
 
 U = RegionAtom("U", Interval1D(F(0), F(1), hi_closed=False))
 A1 = SymbolicHybridSet.from_atom(
@@ -423,6 +427,62 @@ class TestLargeRefinement:
         for k, part in enumerate(self.PARTS):
             for i, piece in enumerate(part.pieces):
                 assert r.rewrite(k, i) == piece
+
+
+def check_elimination(m):
+    """``determinant_and_adjugate(m)`` against the fraction reference, and
+    adj * m == det * I when m is not singular; returns the determinant."""
+    det, adj = determinant_and_adjugate(m)
+    assert det == fraction_determinant(m)
+    if det == 0:
+        assert adj is None
+    else:
+        assert matmul(adj, m) == [[det * v for v in row] for row in identity(len(m))]
+    return det
+
+
+class TestSparseElimination:
+    SIZES = (2, 3, 4, 6, 9, 13, 19, 28, 42, 64)
+
+    def test_sparse_unit_matrices_match_the_fraction_reference(self):
+        rng = random.Random(18)
+        for n in self.SIZES:
+            m = [list(row) for row in scrambled_choice(n, rng.randrange(10**6)).entries]
+            assert check_elimination(m) in (1, -1)
+            # the last row made the sum of two others: singular, and still sparse
+            i, j = rng.sample(range(n - 1), 2) if n > 2 else (0, 0)
+            m[-1] = [a + b for a, b in zip(m[i], m[j])]
+            assert check_elimination(m) == 0
+
+    @pytest.mark.parametrize(
+        "m, det",
+        [
+            # column 0's only candidate is -1: the pivot row is negated
+            ([[0, 1], [-1, 0]], 1),
+            # the pivot of column 2 is -2 after a pivot of 2 (p = -prev)
+            ([[0, 1, 1, 1], [0, 0, -1, 0], [0, 0, 0, -2], [2, 0, 0, 0]], -4),
+            # a unit pivot, then pivots 2 and 4: every row is rescaled,
+            # those with and those without an entry in the pivot column
+            ([[2, -1, -2], [0, 2, 0], [1, 1, -2]], -4),
+        ],
+    )
+    def test_negated_and_non_unit_pivots(self, m, det):
+        assert check_elimination(m) == det
+
+    def test_a_matrix_that_turns_singular_partway(self):
+        # columns 0 and 1 take pivots; column 2 then has entries only in rows
+        # that already are pivots, since row 1 has become zero
+        assert determinant_and_adjugate([[1, 1, 1], [1, 1, 1], [0, 1, 2]]) == (0, None)
+
+    def test_size_241_inverse_times_the_matrix_is_the_identity(self):
+        choice = scrambled_choice(241, 11)
+        inverse = choice._inverse_rows()
+        for i, row in enumerate(choice.entries):
+            product = {}
+            for k, a in enumerate(row):
+                for j, v in inverse[k] if a else ():
+                    product[j] = product.get(j, 0) + a * v
+            assert {j: v for j, v in product.items() if v} == {i: 1}
 
 
 class TestOnePiecePartition:

@@ -116,6 +116,30 @@ def test_the_library_keeps_no_caught_exception():
     assert found == []
 
 
+def test_refine_holds_one_elimination():
+    # One exact elimination routine: only determinant_and_adjugate does row
+    # arithmetic with //, and the two older entry points only delegate to it,
+    # so a dense twin of the sparse elimination cannot come back unseen.
+    tree = ast.parse(next(p for p in SOURCES if p.name == "refine.py").read_text(encoding="utf-8"))
+    owners = {
+        top.name
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(top)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.FloorDiv)
+    }
+    assert owners == {"determinant_and_adjugate"}
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("bareiss_determinant", "exact_integer_inverse"):
+        calls = [
+            node.func.id
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        ]
+        loops = [node for node in ast.walk(functions[name]) if isinstance(node, (ast.For, ast.While))]
+        assert "determinant_and_adjugate" in calls and loops == [], name
+
+
 def test_every_name_the_benchmark_tracer_rebinds_exists():
     # perfbench/tracer.py rebinds library names during a traced run and needs
     # each one in its owner's own namespace; loading the module only reads
