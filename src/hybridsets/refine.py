@@ -15,8 +15,9 @@ inverted by one fraction-free integer elimination on [A | I] (Bareiss,
 determinant is +-1 the inverse is +-adj.  The elimination keeps its rows
 sparse and picks pivots as Markowitz (1957) did, so on a custom choice
 matrix, a few +-1 entries per row, the work follows the nonzeros, not n^3.
-The matrix keeps the result, so asking for its determinant after refining
-costs nothing.
+A matrix's entries are read once, into plain ints, when it is made; its
+inverse stays sparse from the elimination to the new pieces, and the
+matrix keeps it, so asking for its determinant after refining is free.
 """
 
 from __future__ import annotations
@@ -30,13 +31,17 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .errors import ContractError, RefinementError, UnimodularError
 from .regions import Point, RegionAtom, SymbolicHybridSet, multiplicities_many
 
-# Nonzero (column, value) pairs of each row of an inverse.
+# Nonzero (column, value) pairs of each row of an inverse, by ascending column.
 SparseRows = Tuple[Tuple[Tuple[int, int], ...], ...]
+
+
+class _IntRows(tuple):
+    """Rows of plain ints, which ``_integer_rows`` made and will not read again."""
 
 
 def determinant_and_adjugate(
     rows: Sequence[Sequence[int]],
-) -> Tuple[int, Optional[List[List[int]]]]:
+) -> Tuple[int, Optional[SparseRows]]:
     """Determinant and adjugate of a square integer matrix, exactly.
 
     One fraction-free Gauss-Jordan elimination on [A | I], each row sparse
@@ -49,9 +54,9 @@ def determinant_and_adjugate(
     p / q.  So with unit pivots the work follows the nonzeros, not n^3.  The
     pivot rows end as d * I | d * A^-1, d the last pivot, and det A is d
     times the sign of the negations and of the pivot-row order.  The
-    adjugate is None when the matrix is singular: elimination stops at the
-    first column without a pivot.  Each entry must be an int or a Fraction
-    with denominator 1.
+    adjugate comes back as sparse rows; it is None when the matrix is
+    singular: elimination stops at the first column without a pivot.  Each
+    entry must be an int or a Fraction with denominator 1.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -99,17 +104,18 @@ def determinant_and_adjugate(
                         holders[c].discard(i)
         holders[k] = {pick}
         prev = p
-    adjugate = [[0] * n for _ in columns]
-    for k, i in enumerate(order):
-        del m[i][k]
-        for c, v in m[i].items():
-            adjugate[k][c - n] = sign * v
+    adjugate = tuple(
+        tuple([(c - n, sign * v) for c, v in sorted(m[i].items()) if c >= n]) for i in order
+    )
     return sign * prev, adjugate
 
 
-def _integer_rows(rows) -> Tuple[Tuple[int, ...], ...]:
-    """``rows`` with every entry read by ``_integer_entry``, after one check of a row's types."""
-    return tuple(
+def _integer_rows(rows) -> _IntRows:
+    """``rows`` with every entry read by ``_integer_entry``, after one check
+    of a row's types; rows that already are ``_IntRows`` are not read again."""
+    if isinstance(rows, _IntRows):
+        return rows
+    return _IntRows(
         tuple(row) if set(map(type, row)) == {int}
         else tuple(v if type(v) is int else _integer_entry(v, i, j) for j, v in enumerate(row))
         for i, row in enumerate(rows)
@@ -143,7 +149,16 @@ def exact_integer_inverse(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     """
     det, adj = determinant_and_adjugate(rows)
     _require_unimodular(det)
-    return [[det * v for v in row] for row in adj]
+    return _dense(adj, len(rows), det)
+
+
+def _dense(rows: SparseRows, n: int, scale: int = 1) -> List[List[int]]:
+    """``scale`` times the sparse ``rows``, written out as n-entry lists."""
+    out = [[0] * n for _ in rows]
+    for dense, row in zip(out, rows):
+        for c, v in row:
+            dense[c] = scale * v
+    return out
 
 
 def min_refinement_size(sizes: Sequence[int]) -> int:
@@ -160,7 +175,8 @@ class ChoiceMatrix:
 
     Rows are labelled by the universe followed by the kept pieces of each
     partition; columns by the new refinement pieces.  The first row is all
-    ones (the universe is the sum of all new pieces).
+    ones (the universe is the sum of all new pieces).  The entries are read
+    into plain ints once, when the matrix is made.
     """
 
     entries: Tuple[Tuple[int, ...], ...]
@@ -175,14 +191,7 @@ class ChoiceMatrix:
             raise ContractError("label count must match matrix size")
         if n and any(v != 1 for v in self.entries[0]):
             raise ContractError("first row of a choice matrix must be all ones")
-
-    @classmethod
-    def _with_inverse(cls, entries, row_labels, col_labels, inverse: SparseRows):
-        """A determinant-1 matrix whose inverse is already known."""
-        choice = cls(entries, row_labels, col_labels)
-        object.__setattr__(choice, "_solution", (1, inverse))
-        object.__setattr__(choice, "_rows", entries)
-        return choice
+        object.__setattr__(self, "entries", _integer_rows(self.entries))
 
     @cached_property
     def _solution(self) -> Tuple[int, Optional[SparseRows]]:
@@ -190,14 +199,7 @@ class ChoiceMatrix:
         det, adj = determinant_and_adjugate(self.entries)
         if det not in (1, -1):
             return det, None
-        cols = range(len(adj))
-        return det, tuple(tuple(zip(compress(cols, r), map(det.__mul__, compress(r, r)))) for r in adj)
-
-    @cached_property
-    def _rows(self) -> Tuple[Tuple[int, ...], ...]:
-        """The entries as plain ints, read as ``determinant_and_adjugate``
-        reads them; a canonical matrix's entries already are."""
-        return _integer_rows(self.entries)
+        return det, adj if det == 1 else tuple(tuple([(c, -v) for c, v in row]) for row in adj)
 
     @property
     def size(self) -> int:
@@ -218,13 +220,7 @@ class ChoiceMatrix:
 
         Canonical matrices carry it in closed form; any other matrix gets it
         from one fraction-free elimination, done once per matrix."""
-        out = []
-        for row in self._inverse_rows():
-            dense = [0] * self.size
-            for i, v in row:
-                dense[i] = v
-            out.append(tuple(dense))
-        return tuple(out)
+        return tuple(map(tuple, _dense(self._inverse_rows(), self.size)))
 
     def render(self) -> str:
         if not self.entries:
@@ -258,11 +254,11 @@ def canonical_choice_matrix(
     """
     n = min_refinement_size(sizes)
     if style == STYLE_ONES_TOP:
-        entries = ((1,) * n,) + tuple((0,) * j + (1,) + (0,) * (n - j - 1) for j in range(1, n))
+        entries = _IntRows(((1,) * n, *((0,) * j + (1,) + (0,) * (n - j - 1) for j in range(1, n))))
         inverse = (((0, 1),) + tuple((j, -1) for j in range(1, n)),)
         inverse += tuple(((j, 1),) for j in range(1, n))
     elif style == STYLE_UPPER_TRIANGLE:
-        entries = tuple((0,) * i + (1,) * (n - i) for i in range(n))
+        entries = _IntRows((0,) * i + (1,) * (n - i) for i in range(n))
         inverse = tuple(((j, 1), (j + 1, -1)) for j in range(n - 1)) + (((n - 1, 1),),)
     else:
         raise ContractError(f"unknown choice-matrix style {style!r}")
@@ -272,7 +268,9 @@ def canonical_choice_matrix(
             labels.extend(f"{k}.{i}" for i in range(1, size))
         row_labels = labels
     col_labels = tuple(f"P{j}" for j in range(1, n + 1))
-    return ChoiceMatrix._with_inverse(entries, tuple(row_labels), col_labels, inverse)
+    choice = ChoiceMatrix(entries, tuple(row_labels), col_labels)
+    object.__setattr__(choice, "_solution", (1, inverse))  # determinant 1, inverse known
+    return choice
 
 
 def _default_labels(count: int) -> Tuple[str, ...]:
@@ -407,7 +405,7 @@ def common_strict_refinement(
 
     # Each row is read once: a kept piece's row as is, and the dropped final
     # piece's as the all-ones universe row minus the kept rows' column sums.
-    entries = choice._rows
+    entries = choice.entries
     coefficients = []
     row = 1  # row 0 is the universe
     for p in parts:

@@ -57,6 +57,15 @@ def matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def dense(rows, n):
+    """Sparse (column, value) rows, nonzero and by ascending column, as n-entry lists."""
+    out = []
+    for row in rows:
+        assert [c for c, _ in row] == sorted({c for c, _ in row}) and all(v for _, v in row)
+        out.append([dict(row).get(c, 0) for c in range(n)])
+    return out
+
+
 def fraction_determinant(rows):
     """Reference determinant: plain Gaussian elimination over Fractions."""
     m = [[F(v) for v in row] for row in rows]
@@ -125,6 +134,7 @@ class TestIntegerLinearAlgebra:
             if trial % 5 == 0 and n > 2:
                 m[-1] = [a - 2 * b for a, b in zip(m[0], m[1])]  # dependent rows
             det, adj = determinant_and_adjugate(m)
+            adj = adj if adj is None else dense(adj, n)
             assert det == fraction_determinant(m)
             assert bareiss_determinant(m) == det
             swaps += m[0][0] == 0 and any(row[0] for row in m)
@@ -137,23 +147,29 @@ class TestIntegerLinearAlgebra:
         assert swaps > 50 and singular > 30
 
     def test_empty_matrix(self):
-        assert determinant_and_adjugate([]) == (1, [])
+        det, adj = determinant_and_adjugate([])
+        assert (det, dense(adj, 0)) == (1, [])
         assert exact_integer_inverse([]) == []
 
     def test_a_fraction_entry_is_refused_not_truncated(self):
-        choice = ChoiceMatrix(((1, 1), (Fraction(1, 2), 1)), ("U", "a"), ("p", "q"))
         message = r"row 1, column 0 must be an integer, got Fraction\(1, 2\)"
         with pytest.raises(ContractError, match=message):
-            choice.determinant()
+            ChoiceMatrix(((1, 1), (Fraction(1, 2), 1)), ("U", "a"), ("p", "q"))
 
     def test_a_text_entry_is_refused_not_read(self):
         with pytest.raises(ContractError, match="row 1, column 0 must be an integer, got '0'"):
             determinant_and_adjugate(((1, 1), ("0", 1)))
 
     def test_whole_fractions_read_as_their_integers(self):
-        assert determinant_and_adjugate(((Fraction(2), 3), (1, Fraction(4, 2)))) == (
-            1, [[2, -3], [-1, 2]],
-        )
+        det, adj = determinant_and_adjugate(((Fraction(2), 3), (1, Fraction(4, 2))))
+        assert (det, dense(adj, 2)) == (1, [[2, -3], [-1, 2]])
+
+    def test_entries_are_plain_ints_from_the_start(self):
+        # render() shows the ints the entries are read as, not an equal bool
+        c = ChoiceMatrix(((True, 1), (0, Fraction(1))), ("U", "a"), ("p", "q"))
+        assert c.render() == "U: [1 1]\na: [0 1]"
+        assert c.determinant() == 1
+        assert {type(v) for row in c.entries for v in row} == {int}
 
 
 class TestMinRefinementSize:
@@ -345,6 +361,26 @@ class TestCommonRefinement:
         assert c.inverse() == ((0, 1, 0), (0, -1, 1), (1, 0, -1))
         assert calls == [c.entries]
 
+    def test_a_custom_matrix_is_read_once_and_a_canonical_one_never(self, monkeypatch):
+        reads = []
+        real = refine_module._integer_rows
+
+        def counting(rows):
+            out = real(rows)
+            if out is not rows:  # handed back as given: not read
+                reads.append(rows)
+            return out
+
+        monkeypatch.setattr(refine_module, "_integer_rows", counting)
+        custom = ChoiceMatrix(
+            ((1, 1, 1), (1, 0, 0), (1, 1, 0)), ("U", "P.1", "Q.1"), ("P1", "P2", "P3")
+        )
+        styles = (STYLE_ONES_TOP, STYLE_UPPER_TRIANGLE)
+        for c in (custom, *(canonical_choice_matrix([2, 2], style) for style in styles)):
+            common_strict_refinement([P, Q], choice=c)
+            assert (c.determinant(), len(c.inverse()), len(c.render().splitlines())) == (1, 3, 3)
+        assert reads == [custom.entries]
+
     def test_upper_triangle_style(self):
         r = common_strict_refinement([P, Q], style=STYLE_UPPER_TRIANGLE)
         assert r.size == 3
@@ -437,7 +473,7 @@ def check_elimination(m):
     if det == 0:
         assert adj is None
     else:
-        assert matmul(adj, m) == [[det * v for v in row] for row in identity(len(m))]
+        assert matmul(dense(adj, len(m)), m) == [[det * v for v in row] for row in identity(len(m))]
     return det
 
 
