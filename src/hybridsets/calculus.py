@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 from .errors import ContractError, RefinementError
 from .functions import (
@@ -40,27 +40,6 @@ def _as_terms(operand) -> tuple:
     raise TypeError(f"expected an expression or term, got {operand!r}")
 
 
-def _match_terms(terms, pieces, who: str) -> List[int]:
-    """Assign each term the index of its partition piece, bijectively:
-    equal pieces are handed out in order, one per term."""
-    if len(terms) != len(pieces):
-        raise RefinementError(
-            f"{who} has {len(terms)} terms but the partition has {len(pieces)} pieces"
-        )
-    free: Dict[SymbolicHybridSet, List[int]] = {}
-    for j in reversed(range(len(pieces))):
-        free.setdefault(pieces[j], []).append(j)
-    assignment = []
-    for t in terms:
-        slots = free.get(t.region)
-        if not slots:
-            raise RefinementError(
-                f"{who}: term region {t.region.render()!r} is not a partition piece"
-            )
-        assignment.append(slots.pop())
-    return assignment
-
-
 def pointwise_star(
     star: StarOp,
     *operands,
@@ -71,8 +50,10 @@ def pointwise_star(
 
     Operand k must be a join of terms whose regions are exactly the pieces
     of partition k of the refinement, or of its only partition when it has
-    one; any other partition count is a ``RefinementError``.  When no
-    refinement is given and all operands share their region list, the
+    one, in that partition's piece order: term i is read as piece i.  A
+    term whose region is not its piece, a term count that is not the piece
+    count, and any other partition count are a ``RefinementError``.  When
+    no refinement is given and all operands share their region list, the
     shared partition refines itself; otherwise the canonical minimal
     refinement of all the operands' partitions is built, which needs the
     universe atom.  For r partitions of n_1..n_r pieces it has
@@ -117,11 +98,20 @@ def pointwise_star(
     # order, read off each rewrite row's nonzero entries in one pass
     columns = range(refinement.size)
     groups = [[] for _ in columns]
-    for k, terms in enumerate(operand_terms):
-        p = k if count > 1 else 0
-        assignment = _match_terms(terms, refinement.partitions[p].pieces, f"operand {k + 1}")
-        for t, i in zip(terms, assignment):
-            row = refinement.coefficients[p][i]
+    for k, terms in enumerate(operand_terms, start=1):
+        p = k - 1 if count > 1 else 0
+        pieces = refinement.partitions[p].pieces
+        if len(terms) != len(pieces):
+            raise RefinementError(
+                f"operand {k} has {len(terms)} terms but the partition has {len(pieces)} pieces"
+            )
+        rows = refinement.coefficients[p]
+        for i, (t, piece, row) in enumerate(zip(terms, pieces, rows), start=1):
+            if t.region != piece:
+                raise RefinementError(
+                    f"operand {k}: term {i} has region {t.region.render()!r}, "
+                    f"but piece {i} of the partition is {piece.render()!r}"
+                )
             for j in compress(columns, row):
                 groups[j].append((t.word, row[j]))
 

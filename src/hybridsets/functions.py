@@ -310,16 +310,16 @@ def _eval_plain(star, accumulated, point, valuation) -> EvalOutcome:
             f"graph point carries multiplicity {k} for {name!r}, not 1"
         )
     # Several distinct atoms survive: group by scalar value (compatibility).
-    by_value: Dict[Fraction, int] = {}
-    for name, k in surviving.items():
-        a = atoms[name]
-        if a.is_opaque:
-            raise OpacityError(
-                f"atom {name!r} is opaque; cannot check value compatibility"
-            )
-        v = a.value(point, valuation)
-        by_value[v] = by_value.get(v, 0) + k
-    by_value = {v: k for v, k in by_value.items() if k != 0}
+    def values():
+        for name, k in surviving.items():
+            a = atoms[name]
+            if a.is_opaque:
+                raise OpacityError(
+                    f"atom {name!r} is opaque; cannot check value compatibility"
+                )
+            yield a.value(point, valuation), k
+
+    by_value = HybridSet._sum(values())
     if not by_value:
         return UNDEFINED
     if len(by_value) == 1:
@@ -472,23 +472,21 @@ class _Sweep:
     ``accumulate(key)`` moves the record to ``key`` and returns what
     ``_accumulate`` returns there.  Only the terms whose region uses a
     shape whose bit flips are tested, and only those whose multiplicity
-    changes merge their word, scaled by the change; when the words of the
-    terms active at ``key`` are fewer entries than that, the sums restart
-    from the empty vector and merge just those, so a vector never merges
-    more word entries than accumulating it from scratch would.
-    ``sizes[t]`` is what moving term t costs: its word's length here.
+    changes merge their word, scaled by the change.  Such a term is active
+    (has a nonzero multiplicity) at ``key`` or at the vector before, so a
+    new vector merges at most the words of the terms active at either, and
+    a pass at most twice the word entries of accumulating each of its
+    vectors from scratch.
     """
 
-    __slots__ = ("plan", "sizes", "key", "ms", "net", "sums", "active")
+    __slots__ = ("plan", "key", "ms", "net", "sums")
 
-    def __init__(self, plan: _Plan, sizes=None):
+    def __init__(self, plan: _Plan):
         self.plan = plan
-        self.sizes = [len(w) for w in plan.words] if sizes is None else sizes
         self.key = 0  # every multiplicity is 0 at the empty vector
         self.ms = [0] * len(plan.words)
         self.net = 0
         self.sums: Dict[str, int] = {}
-        self.active = 0  # the sizes of the terms with nonzero multiplicity
 
     def find(self, key: int):
         """The kept entry of the finished vector ``key``."""
@@ -510,15 +508,14 @@ class _Sweep:
 
     def _moves(self, key: int):
         """Move the term multiplicities to ``key``, and return the (term,
-        change) pairs to apply, from the empty vector after a restart."""
-        plan, ms, sizes = self.plan, self.ms, self.sizes
-        flips, uses = plan.flips, plan.layout.uses
+        change) pairs to apply."""
+        ms, flips, uses = self.ms, self.plan.flips, self.plan.layout.uses
         changed, touched = key ^ self.key, 0
         while changed:
             low = changed & -changed
             touched |= flips[low.bit_length() - 1]
             changed ^= low
-        moves, cost, active = [], 0, self.active
+        moves = []
         while touched:
             low = touched & -touched
             touched ^= low
@@ -527,24 +524,11 @@ class _Sweep:
             for k, c in uses[t]:
                 if key >> k & 1:
                     m += c
-            old = ms[t]
-            if m != old:
+            if m != ms[t]:
+                moves.append((t, m - ms[t]))
                 ms[t] = m
-                size = sizes[t]
-                moves.append((t, m - old))
-                cost += size
-                active += size * ((m != 0) - (old != 0))
-        self.key, self.active = key, active
-        if cost > active:
-            moves = self._restart()
+        self.key = key
         return moves
-
-    def _restart(self):
-        """Empty the sums, and list each term with a nonzero multiplicity
-        as a move from 0 to it."""
-        self.sums.clear()
-        self.net = 0
-        return [(t, m) for t, m in enumerate(self.ms) if m]
 
     def _in_order(self) -> Dict[str, int]:
         """The nonzero sums in ``_accumulate``'s order: by first place among
@@ -567,8 +551,7 @@ class _AdditiveSweep(_Sweep):
     has a value: it keeps the value itself, ``total / scale``, the sum of
     m_t times c_t, where c_t is the value of term t's word, held as an
     integer over the common denominator ``scale`` of the atom values.
-    Moving a term costs one multiply-add whatever its word, so each term
-    has size 1, and a restart empties the total too.
+    Moving a term costs one multiply-add whatever its word.
 
     ``find(key)`` is the kept entry with its outcome: ``UNDEFINED`` where
     the net multiplicity is 0, else ``Defined(total / scale, net)``,
@@ -577,24 +560,19 @@ class _AdditiveSweep(_Sweep):
     __slots__ = ("values", "scale", "total")
 
     def __init__(self, plan: _Plan, values: Dict[str, Fraction]):
-        super().__init__(plan, [1] * len(plan.words))
+        super().__init__(plan)
         self.scale = scale = math.lcm(*(v.denominator for v in values.values()))
         whole = {name: v.numerator * (scale // v.denominator) for name, v in values.items()}
         self.values = [sum(k * whole[name] for name, k, _ in w) for w in plan.words]
         self.total = 0
 
     def find(self, key: int):
-        moves = self._moves(key)  # a restart empties net and total first
         net, total, values = self.net, self.total, self.values
-        for t, d in moves:
+        for t, d in self._moves(key):
             net += d
             total += d * values[t]
         self.net, self.total = net, total
         return None, True, Defined(Fraction(total, self.scale), net) if net else UNDEFINED
-
-    def _restart(self):
-        self.total = 0
-        return super()._restart()
 
 
 def evaluate_many(
@@ -615,8 +593,9 @@ def evaluate_many(
     every point with that vector gets the same object while the state
     lasts.  It also keeps the multiplicities and sums of the last vector
     accumulated (a ``_Sweep``), when the plan is within its static bound:
-    a new vector costs the words of the terms whose shapes flipped, or of
-    the terms active there if that is less.
+    a new vector merges the words of the terms whose multiplicity changed,
+    each active at it or at the vector before, so a pass merges at most
+    twice the word entries of accumulating each vector from scratch.
     Under ``PLUS`` with atoms that read no point and all evaluate under
     the valuation, the sweep keeps the value itself (an
     ``_AdditiveSweep``): the atoms are evaluated once per state, and a new

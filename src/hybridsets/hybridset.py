@@ -64,10 +64,9 @@ def merge(groups, clash: str, drop_early: bool, seed=None) -> Tuple[Dict[str, in
     """(coefficients, atoms) of the sum of ``seed`` and of ``n * entries``
     over ``(entries, n)`` groups of (name, coefficient, atom) triples, keyed
     by name in order of first appearance.  Every name goes through ``bind``;
-    the atoms list the coefficients' names in their order, and may hold
-    dropped names too.  With ``drop_early`` a zero sum leaves at once, so a
-    name that returns is last; otherwise zeros go at the end and every name
-    keeps its place.
+    the atoms list exactly the coefficients' names, in their order.  With
+    ``drop_early`` a zero sum leaves at once, so a name that returns is
+    last; otherwise zeros go at the end and every name keeps its place.
 
     A ``seed`` combination is taken by copying its two dicts: it holds no
     zero and its atoms are bound, so the copy is what merging it into empty
@@ -92,6 +91,7 @@ def merge(groups, clash: str, drop_early: bool, seed=None) -> Tuple[Dict[str, in
                 moved = True
     if not drop_early and 0 in coeffs.values():
         coeffs = {name: c for name, c in coeffs.items() if c}
+        moved = True
     if moved:
         atoms = {name: atoms[name] for name in coeffs}
     return coeffs, atoms
@@ -112,9 +112,8 @@ class FreeCombination:
 
     def __init__(self, entries: Iterable[Tuple[object, int]] = ()):
         """The sum of (atom, coefficient) pairs, each one checked."""
-        coeffs, atoms = merge(((self._checked(entries), 1),), self.CLASH, self.DROP_EARLY)
-        self._coeffs = coeffs
-        self._atoms = atoms if len(atoms) == len(coeffs) else {n: atoms[n] for n in coeffs}
+        groups = ((self._checked(entries), 1),)
+        self._coeffs, self._atoms = merge(groups, self.CLASH, self.DROP_EARLY)
 
     def _checked(self, entries):
         atom_type = self.ATOM
@@ -131,9 +130,7 @@ class FreeCombination:
         integers are known to have the right types; names and sums are
         still checked."""
         self = object.__new__(cls)
-        coeffs, atoms = merge(groups, cls.CLASH, cls.DROP_EARLY, seed)
-        self._coeffs = coeffs
-        self._atoms = atoms if len(atoms) == len(coeffs) else {n: atoms[n] for n in coeffs}
+        self._coeffs, self._atoms = merge(groups, cls.CLASH, cls.DROP_EARLY, seed)
         return self
 
     @classmethod

@@ -64,22 +64,8 @@ class Workspace:
     matrices: Dict[str, SymbolicBlockMatrix] = field(default_factory=dict)
     splines: Dict[str, SymbolicSpline] = field(default_factory=dict)
     valuations: Dict[str, Valuation] = field(default_factory=dict)
-    decls: List[Tuple[str, str]] = field(default_factory=list)
-
-    def __eq__(self, other):
-        if not isinstance(other, Workspace):
-            return NotImplemented
-        # declaration order is presentation, not meaning
-        return (
-            set(self.params) == set(other.params)
-            and self.regions == other.regions
-            and self.atoms == other.atoms
-            and self.partitions == other.partitions
-            and self.exprs == other.exprs
-            and self.matrices == other.matrices
-            and self.splines == other.splines
-            and self.valuations == other.valuations
-        )
+    # declaration order is presentation, not meaning
+    decls: List[Tuple[str, str]] = field(default_factory=list, compare=False)
 
 
 _REGISTRIES = {

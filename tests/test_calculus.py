@@ -22,6 +22,7 @@ from hybridsets import (
     STYLE_ONES_TOP,
     MERGE,
     PLUS,
+    Refinement,
     RefinementError,
     RegionAtom,
     STYLE_UPPER_TRIANGLE,
@@ -164,9 +165,15 @@ class TestPointwiseStar:
         h1, h2, h3 = (constant_atom(f"h{i}", i) for i in range(1, 4))
         left = join(term(f1, A1), term(f2, A1), term(g1, U - A1 - A1))
         right = join(term(h1, A1), term(h2, A1), term(h3, U - A1 - A1))
-        e = pointwise_star(PLUS, left, right)
-        assert [t.word for t in e.terms] == [word(f1, h1), word(f2, h2), word(g1, h3)]
-        assert [t.region for t in e.terms] == [A1, A1, U - A1 - A1]
+        twice = GeneralisedPartition("D", U_ATOM, (A1, A1, U - A1 - A1), assumed=True)
+        for refinement in (None, Refinement.trivial(twice)):
+            e = pointwise_star(PLUS, left, right, refinement=refinement)
+            assert [t.word for t in e.terms] == [word(f1, h1), word(f2, h2), word(g1, h3)]
+            assert [t.region for t in e.terms] == [A1, A1, U - A1 - A1]
+        # the same terms out of order do not match their pieces
+        message = r"^operand 2: term 1 has region 'U - 2\*A1', but piece 1 .* is 'A1'$"
+        with pytest.raises(RefinementError, match=message):
+            pointwise_star(PLUS, left, join(*right.terms[::-1]), refinement=refinement)
 
     def test_three_operands_over_a_shared_partition(self):
         h1 = constant_atom("h1", 3)
@@ -264,6 +271,11 @@ class TestPointwiseStar:
         short = join(term(f1, A1))
         with pytest.raises(RefinementError):
             pointwise_star(TIMES, short, G_EXPR, refinement=product_refinement())
+        # term i is read as piece i: the pieces out of order do not match
+        swapped = join(term(f2, U - A1), term(f1, A1))
+        message = r"^operand 1: term 1 has region 'U - A1', but piece 1 of the partition is 'A1'$"
+        with pytest.raises(RefinementError, match=message):
+            pointwise_star(TIMES, swapped, G_EXPR, refinement=product_refinement())
 
 
 def weak_orderings(p):

@@ -17,6 +17,7 @@ from hybridsets import (
     FreeWord,
     FunctionAtom,
     GridRect,
+    HybridError,
     HybridExpr,
     HybridSet,
     HybridTerm,
@@ -203,6 +204,19 @@ class TestPlainEvaluation:
     def test_opaque_overlap_cannot_be_checked(self):
         e = join(term(u_op, A), term(f, A))
         with pytest.raises(OpacityError):
+            evaluate(e, F(1, 2))
+
+    def test_grouped_value_multiplicities_stay_in_the_64_bit_range(self):
+        one, also_one = constant_atom("one", 1), constant_atom("also_one", 1)
+        e = join(term(word((one, 2**62), (also_one, 2**62)), A))
+        with pytest.raises(MultiplicityOverflowError, match="leaves the 64-bit range"):
+            evaluate(e, F(1, 2))
+        # in range, the grouped values still cancel or name the relation
+        e = join(term(word((one, 2**62), (also_one, 1 - 2**62)), A))
+        assert evaluate(e, F(1, 2)) == Defined(F(1))
+        e = join(term(word((one, 2**62), (also_one, 2**62 - 1)), A))
+        relation = r"^hybrid relation at point: values 1 \(x9223372036854775807\)$"
+        with pytest.raises(NonEvaluableError, match=relation):
             evaluate(e, F(1, 2))
 
 
@@ -901,28 +915,22 @@ def sweep_expressions(draw):
 
 class TestSweep:
     """Within the static bound, a new indicator vector's sums come from the
-    last vector's, updated by the terms whose shapes flip, or restarted
-    from the empty vector; outcomes, their order of atoms, and the first
-    error must be the reference's."""
+    last vector's, updated by the terms whose shapes flip; outcomes, their
+    order of atoms, and the first error must be the reference's."""
 
     @staticmethod
     def counting(mp, hits):
-        """Count the sweep's updates from a nonempty vector, and its restarts."""
-        accumulate, restart = functions._Sweep.accumulate, functions._Sweep._restart
+        """Count the sweep's updates from a nonempty vector."""
+        accumulate = functions._Sweep.accumulate
 
         def counted_accumulate(sweep, key):
-            before, restarts = sweep.key, hits["restart"]
+            before = sweep.key
             out = accumulate(sweep, key)
-            if before and hits["restart"] == restarts:
+            if before:
                 hits["neighbour"] += 1
             return out
 
-        def counted_restart(sweep):
-            hits["restart"] += 1
-            return restart(sweep)
-
         mp.setattr(functions._Sweep, "accumulate", counted_accumulate)
-        mp.setattr(functions._Sweep, "_restart", counted_restart)
 
     def test_long_passes_agree_with_the_per_point_reference(self):
         hits = Counter()
@@ -947,7 +955,50 @@ class TestSweep:
         with pytest.MonkeyPatch.context() as mp:
             self.counting(mp, hits)
             check()
-        assert hits["neighbour"] > 0 and hits["restart"] > 0
+        assert hits["neighbour"] > 0
+
+    def test_a_new_vector_merges_at_most_the_words_active_at_it_and_before(self):
+        """Count the word entries each accumulation merges, as reads of the
+        sums, against the words of the terms with a nonzero multiplicity at
+        the new vector or at the vector before."""
+        hits = Counter()
+
+        class CountedSums(dict):
+            def get(self, name, default=None):
+                hits["entries"] += 1
+                return dict.get(self, name, default)
+
+        init, accumulate = functions._Sweep.__init__, functions._Sweep.accumulate
+
+        def counted_init(sweep, plan):
+            init(sweep, plan)
+            sweep.sums = CountedSums()
+
+        def counted_accumulate(sweep, key):
+            layout, words = sweep.plan.layout, sweep.plan.words
+            before, after = layout.multiplicities(sweep.key), layout.multiplicities(key)
+            active = sum(len(w) for w, m, n in zip(words, before, after) if m or n)
+            start = hits["entries"]
+            out = accumulate(sweep, key)
+            assert hits["entries"] - start <= active
+            hits["vectors"] += 1
+            return out
+
+        @seed(2014)
+        @settings(max_examples=150, deadline=None)
+        @given(sweep_expressions(), long_passes, tied_valuations)
+        def check(e, points, valuation):
+            try:
+                for _ in evaluate_many(e, points, valuation):
+                    pass
+            except HybridError:
+                pass
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(functions._Sweep, "__init__", counted_init)
+            mp.setattr(functions._Sweep, "accumulate", counted_accumulate)
+            check()
+        assert hits["vectors"] > 0 and hits["entries"] > 0
 
     @seed(2013)
     @settings(max_examples=200, deadline=None)

@@ -44,6 +44,17 @@ class TestFixtures:
         # canonical text is a fixed point
         assert render_workspace(parse_workspace(rendered)) == rendered
 
+    def test_declaration_order_is_not_compared(self):
+        lines = [
+            "param b", "param a", "region U = interval[0, 1)", "region A = interval[0, a)",
+            "fn f = 2*x", "fn g = b", "valuation v: a = 1/3, b = 2/3",
+        ]
+        ws = parse_workspace("\n".join(lines))
+        reordered = parse_workspace("\n".join([lines[1], lines[0], *lines[5:1:-1], lines[6]]))
+        assert reordered.decls != ws.decls
+        assert reordered == ws
+        assert parse_workspace("\n".join(lines).replace("b = 2/3", "b = 3/4")) != ws
+
     def test_matrix_demo_declares_eight_regions_and_atoms(self):
         ws = parse_fixture("matrix_demo.ws")
         assert len(ws.regions) == 8
