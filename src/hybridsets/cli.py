@@ -212,29 +212,38 @@ def _cmd_matrix_add(args) -> int:
             raise _Usage(f"table too large; cap is {SIZE_CAP} cells")
         coords = [Fraction(k) for k in range(max(rows, cols) + 1)]  # one per value
         outcomes = evaluate_grid(expr, coords[1:rows + 1], coords[1:cols + 1], v)
-        cells = ((i, j) for i in range(1, rows + 1) for j in range(1, cols + 1))
         json_lines, label = args.format == "json-lines", f"{args.m1}+{args.m2}"
         # Each distinct outcome object is formatted once: as its text, or as
-        # its json record after the "at" field, which sorts first.  The entry
-        # keeps the outcome alive, so its id is not reused meanwhile.  The
-        # lines are written in one piece: after the last cell, or before the
-        # error of the cell that raises.
-        texts, lines = {}, []
+        # its json record after the "at" field, which sorts first.  Each
+        # distinct row object's cells are formatted once too, as the line
+        # after its "(i, " prefix, and a row is written as one join of them.
+        # The entries keep their objects alive, so no id is reused meanwhile.
+        # The lines are written in one piece: after the last row, or before
+        # the error of the cell that raises, the cells of its row before it
+        # included.
+        texts, rows_seen, lines, cells = {}, {}, [], []
         try:
-            for (i, j), out in zip(cells, outcomes):
-                found = texts.get(id(out))
+            for i, row in enumerate(outcomes, 1):
+                prefix = f'{{"at": "({i}, ' if json_lines else f"({i}, "
+                found = rows_seen.get(id(row))
                 if found is None:
-                    text = (
-                        json.dumps(_outcome_record(label, out), sort_keys=True,
-                                   ensure_ascii=False)[1:]
-                        if json_lines else _outcome_text(out)
-                    )
-                    found = texts[id(out)] = (out, text)
-                if json_lines:
-                    lines.append(f'{{"at": "({i}, {j})", {found[1]}')
-                else:
-                    lines.append(f"({i}, {j}): {found[1]}")
+                    for j, out in enumerate(row, 1):
+                        text = texts.get(id(out))
+                        if text is None:
+                            text = texts[id(out)] = (
+                                out,
+                                json.dumps(_outcome_record(label, out), sort_keys=True,
+                                           ensure_ascii=False)[1:]
+                                if json_lines else _outcome_text(out),
+                            )
+                        cells.append(f'{j})", {text[1]}' if json_lines else f"{j}): {text[1]}")
+                    found = rows_seen[id(row)] = (row, cells)
+                    cells = []
+                if row:
+                    lines.append(prefix + ("\n" + prefix).join(found[1]))
         finally:
+            if cells:  # the cells of a row before one whose text raised
+                lines.append(prefix + ("\n" + prefix).join(cells))
             if lines:
                 print("\n".join(lines))
     return 0

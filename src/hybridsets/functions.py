@@ -613,20 +613,75 @@ def evaluate_many(
 
 def evaluate_grid(
     e: HybridExpr, rows: Iterable, cols: Iterable, valuation: Optional[Valuation] = None
-) -> Iterator[EvalOutcome]:
+) -> Iterator[Tuple[EvalOutcome, ...]]:
     """``evaluate_many`` over the points (r, c), r in ``rows`` and c in
-    ``cols``, row by row, raised errors included.
+    ``cols``, cut into rows: one tuple per row value, the outcomes of its
+    cells in column order.  When a cell raises, its row's tuple holds the
+    cells before it, and the next ``next()`` raises.
 
     It shares ``evaluate_many``'s state and outcomes, but finds the cells'
     indicator vectors by row and column classes (``IndicatorTable.grid_keys``):
     each row value and each column value is placed once on the state's row
     or column line, whose cells, like the interval line's, last as long as
-    the state, and a cell costs one AND of their bits and a lookup of the
-    vector.  A point-independent
-    outcome is one object per indicator vector, so a caller can format it
-    once per object.
+    the state, and the rows of one row class share one tuple of vectors.
+    Such a tuple costs one outcome per distinct vector, kept or made as
+    ``evaluate_many`` makes it, and one fill of the row from them; when
+    every outcome in it is point-independent and keyed, the rows of the
+    class share the filled tuple, so a caller can format it once per
+    tuple, and a point-independent outcome once per object.  A row with a
+    cell the fast placement cannot key, or with an outcome that reads the
+    point, goes through ``evaluate_many``'s loop cell by cell, in order.
     """
-    return _outcomes(e, valuation, lambda table, grid: table.grid_keys(*grid), (rows, cols))
+    cols = tuple(cols)  # read once, whatever iterable it is
+    plan = e._plan
+    _, table, kept, sweep = plan._slot(valuation)
+    finish = _eval_plain if e.star is None else _eval_marked
+
+    def by_vectors(r, keys):
+        """The row filled from one outcome per distinct vector, when each
+        is keyed and point-independent, else None.  A vector that raises
+        gives None too: the cell-by-cell loop raises it again, in order."""
+        outcomes = dict.fromkeys(keys)  # the vectors in order of first cell
+        try:
+            for key in outcomes:
+                found = key is not None and (kept.get(key) or _find(plan, kept, sweep, key))
+                if not found:
+                    return None
+                accumulated, fixed, outcome = found
+                if outcome is None:
+                    if not fixed:
+                        return None
+                    outcome = finish(e.star, accumulated, (r, cols[keys.index(key)]), valuation)
+                    kept[key] = (accumulated, fixed, outcome)
+                outcomes[key] = outcome
+        except Exception:
+            return None
+        return tuple(map(outcomes.__getitem__, keys))
+
+    shared: Dict[int, tuple] = {}  # id(vectors) -> (vectors, their row or None)
+    for r, keys in table.grid_keys(rows, cols):
+        found = shared.get(id(keys))
+        if found is None:
+            found = shared[id(keys)] = (keys, by_vectors(r, keys))
+        if found[1] is not None:
+            yield found[1]
+            continue
+        row, cells = [], zip([(r, c) for c in cols], keys)
+        try:
+            row.extend(_outcomes(e, valuation, lambda _, pairs: pairs, cells))
+        except Exception:
+            yield tuple(row)
+            raise
+        yield tuple(row)
+
+
+def _find(plan: _Plan, kept: dict, sweep, key: int):
+    """The entry of the indicator vector ``key``, made and kept."""
+    if sweep is not None:
+        found = kept[key] = sweep.find(key)
+    else:
+        found = kept[key] = _entry(_accumulate(plan.words, plan.layout.multiplicities(key)))
+    return found
 
 
 def _outcomes(e: HybridExpr, valuation: Optional[Valuation], keys, source) -> Iterator[EvalOutcome]:
@@ -648,10 +703,8 @@ def _outcomes(e: HybridExpr, valuation: Optional[Valuation], keys, source) -> It
             if key is None:  # the reference decides the point, and nothing is kept
                 ms = (t.region.multiplicity(point, valuation) for t in e.terms)
                 found = _entry(_accumulate(plan.words, ms))
-            elif sweep is not None:
-                found = kept[key] = sweep.find(key)
             else:
-                found = kept[key] = _entry(_accumulate(plan.words, plan.layout.multiplicities(key)))
+                found = _find(plan, kept, sweep, key)
         accumulated, fixed, outcome = found
         if outcome is None:
             finish = _eval_plain if e.star is None else _eval_marked

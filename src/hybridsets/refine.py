@@ -371,7 +371,8 @@ def common_strict_refinement(
     the supplied or canonical choice matrix says how the new pieces combine
     into universe and kept pieces, and its exact inverse defines the new
     pieces themselves: each is one merge over the nonzero entries of its
-    inverse row.
+    inverse row, or, when that row is the single entry (i, 1), the i-th
+    universe or kept piece itself.
     """
     parts = list(parts)
     if not parts:
@@ -399,7 +400,8 @@ def common_strict_refinement(
             f"choice matrix is {choice.size}x{choice.size}, refinement needs {n}"
         )
     pieces = tuple(
-        SymbolicHybridSet.combine((rhs[i], c) for i, c in row)
+        rhs[row[0][0]] if len(row) == 1 and row[0][1] == 1
+        else SymbolicHybridSet.combine((rhs[i], c) for i, c in row)
         for row in choice._inverse_rows()
     )
 

@@ -82,6 +82,8 @@ class Valuation:
 def as_fraction(value, what: str) -> Fraction:
     """``value``, an int or a Fraction, as a Fraction.  Text, floats and the
     rest are a ContractError: only ``scalarexpr.Cursor`` reads number text."""
+    if type(value) is Fraction:
+        return value
     if not isinstance(value, (int, Fraction)):
         raise ContractError(f"{what} must be an int or a Fraction, got {value!r}")
     return Fraction(value)
@@ -335,8 +337,9 @@ class IndicatorTable:
     their column ranges.  The points in one gap, or on one endpoint, of a
     line share a cell whose bits are found once, so each line keeps at
     most 2E + 1 cells for its E endpoints however many points it sees.
-    ``grid_keys(rows, cols)`` keys a row-major grid of points from one
-    placement per row and per column value, with one AND per cell.
+    ``grid_keys(rows, cols)`` keys a grid of points row by row, from one
+    placement per row and per column value, with one AND per cell of
+    each row class.
     A point whose placement raises gets the key None: the fast placement
     cannot key it, so the caller takes its multiplicities from
     ``SymbolicHybridSet.multiplicity``, which raises, or does not, as a
@@ -367,16 +370,19 @@ class IndicatorTable:
                 key = None
             yield point, key
 
-    def grid_keys(self, rows: Iterable, cols: Iterable) -> Iterator[Tuple[Point, Optional[int]]]:
-        """``keys`` over the points (r, c), r in ``rows`` and c in ``cols``,
-        row by row, in one pass that places each row value and each column
-        value once: a cell's vector is the universe bits joined with the
-        AND of its row's and its column's grid-range bits, or None when the
-        placement of either raises.  Interval and point-set shapes take
-        ``keys``."""
-        layout, cols = self.layout, tuple(cols)  # read once, whatever iterable it is
+    def grid_keys(self, rows: Iterable, cols: Sequence) -> Iterator[Tuple[object, tuple]]:
+        """(r, keys) for each r in ``rows``, in order, where keys holds the
+        indicator vector, or None, of each cell (r, c), c in ``cols``, as
+        ``keys`` gives it.  Each row value and each column value is placed
+        once: a cell's vector is the universe bits joined with the AND of
+        its row's and its column's grid-range bits, or None when the
+        placement of either raises.  The rows of one row class, which have
+        the same row bits, share one keys tuple, made once.  Interval and
+        point-set shapes take ``keys``, row by row."""
+        layout = self.layout
         if layout.intervals or layout.pointwise:
-            yield from self.keys((r, c) for r in rows for c in cols)
+            for r in rows:
+                yield r, tuple([key for _, key in self.keys([(r, c) for c in cols])])
             return
 
         def place(line: _Line, value) -> Optional[int]:
@@ -385,13 +391,18 @@ class IndicatorTable:
             except Exception:
                 return None
 
-        universe, col_bits = layout.universe, None
+        universe, col_bits, classes = layout.universe, None, {}
         for r in rows:
             row = place(self._rows, r)
             if col_bits is None:
                 col_bits = [place(self._cols, c) for c in cols]
-            for c, col in zip(cols, col_bits):
-                yield (r, c), None if row is None or col is None else universe | (row & col)
+            keys = classes.get(row)
+            if keys is None:
+                keys = classes[row] = tuple([
+                    None if row is None or col is None else universe | (row & col)
+                    for col in col_bits
+                ])
+            yield r, keys
 
     def _bits(self, point: Point) -> int:
         """The point's indicator vector by shape kind."""

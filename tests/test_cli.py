@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from hybridsets import HybridError, NonEvaluableError, cli, regions
+from hybridsets import HybridError, NonEvaluableError, cli, functions, regions
 from hybridsets.cli import SIZE_CAP, main
 from hybridsets.matrices import matrix_add_with_refinement
 from hybridsets.hybridset import render_element
@@ -893,8 +893,15 @@ class TestTableByClasses:
     @pytest.mark.parametrize("fmt", ["text", "json-lines"])
     @pytest.mark.parametrize(
         "valuation",
-        ["v1", "v2", "v3", "n=5, m=3, h1=0, k1=3, h2=5, k2=0", "n=4, m=6, h1=2, k1=2, h2=2, k2=2",
-         "n=3, m=3, h1=1, k1=1, h2=2"],
+        ["v1", "v2", "v3",
+         # splits at 0 and at n
+         "n=5, m=3, h1=0, k1=3, h2=5, k2=0", "n=4, m=4, h1=4, k1=0, h2=0, k2=4",
+         # tied splits, within one matrix and across the two
+         "n=4, m=6, h1=2, k1=2, h2=2, k2=2", "n=5, m=5, h1=3, k1=2, h2=3, k2=2",
+         # a negative count is an empty table
+         "n=-2, m=3, h1=1, k1=1, h2=1, k2=1", "n=3, m=-1, h1=1, k1=1, h2=1, k2=1",
+         # an unset split parameter, of the columns and of the rows
+         "n=3, m=3, h1=1, k1=1, h2=2", "n=4, m=4, k1=1, h2=2, k2=2"],
     )
     def test_the_table_equals_a_per_cell_loop(self, capsys, fmt, valuation):
         got = run_cli(capsys, "matrix-add", MATRIX, "M1", "M2", "--table", "--with", valuation,
@@ -932,17 +939,67 @@ class TestTableByClasses:
         assert len(tested) == 64 + 64
 
 
+    @pytest.mark.parametrize("fmt", ["text", "json-lines"])
+    def test_outcome_work_grows_with_classes_not_cells(self, capsys, tmp_path, monkeypatch, fmt):
+        # Rows split at n/4 and n/2, columns at n/8 and 5n/8: three row
+        # classes and three column classes at every n.  The outcomes are
+        # made and formatted once per class pair, and the vectors come one
+        # tuple per row, so the work is the same at every n.
+        work = {}
+
+        def counting(name, fn):
+            def counted(*args):
+                work[name] = work.get(name, 0) + 1
+                return fn(*args)
+            return counted
+
+        places = [(functions._Sweep, "find"), (functions._AdditiveSweep, "find"),
+                  (functions, "_entry"), (functions, "_eval_plain"), (functions, "_eval_marked"),
+                  (cli, "_outcome_text"), (cli, "_outcome_record")]
+        for owner, name in places:
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        grid_keys = regions.IndicatorTable.grid_keys
+
+        def counting_rows(table, rows, cols):
+            for row in grid_keys(table, rows, cols):
+                work["rows keyed"] = work.get("rows keyed", 0) + 1
+                yield row
+
+        monkeypatch.setattr(regions.IndicatorTable, "grid_keys", counting_rows)
+        head = "".join(line + "\n" for line in self.TABLE_WS.splitlines()[:3])
+        seen = []
+        for n in (8, 16, 32, 64):
+            ws = tmp_path / f"table{n}.ws"
+            ws.write_text(head + f"valuation v: n = {n}, m = {n}, h1 = {n // 4}, "
+                                 f"k1 = {5 * n // 8}, h2 = {n // 2}, k2 = {n // 8}\n")
+            work.clear()
+            code, out, _ = run_cli(capsys, "matrix-add", str(ws), "M1", "M2", "--table",
+                                   "--with", "v", "--format", fmt)
+            assert code == 0
+            assert len(out.splitlines()) == n * n + (fmt == "text")
+            assert work.pop("rows keyed") == n
+            assert all(0 < count <= n + n + 3 * 3 for count in work.values()), work
+            seen.append(dict(work))
+        assert seen[0] == seen[1] == seen[2] == seen[3]
+        assert seen[0][{"text": "_outcome_text", "json-lines": "_outcome_record"}[fmt]] == 9
+
+
 class TestTableWrite:
     @pytest.mark.parametrize("fmt", ["text", "json-lines"])
-    @pytest.mark.parametrize("k", [0, 1, 7])
+    @pytest.mark.parametrize("k", [0, 1, 7, 10])
     def test_an_error_mid_table_follows_the_cells_before_it(self, capsys, monkeypatch, fmt, k):
         real_grid = cli.evaluate_grid
 
         def failing_grid(expr, rows, cols, valuation):
-            outcomes = real_grid(expr, rows, cols, valuation)
-            for _ in range(k):
-                yield next(outcomes)
-            raise NonEvaluableError("cell broke")
+            # cell k + 1 raises: its row holds the cells before it, and the
+            # next row raises (v1 is 4 by 4, so cell 11 is mid-row)
+            left = k
+            for row in real_grid(expr, rows, cols, valuation):
+                if len(row) > left:
+                    yield row[:left]
+                    raise NonEvaluableError("cell broke")
+                yield row
+                left -= len(row)
 
         monkeypatch.setattr(cli, "evaluate_grid", failing_grid)
         got = run_cli(capsys, "matrix-add", MATRIX, "M1", "M2", "--table", "--with", "v1",

@@ -669,7 +669,8 @@ class TestEvaluateGrid:
     def both(e, rows, cols, valuation):
         product = [(r, c) for r in rows for c in cols]
         return (
-            _outcomes(evaluate_grid(HybridExpr(e.star, e.terms), rows, cols, valuation)),
+            _outcomes(itertools.chain.from_iterable(
+                evaluate_grid(HybridExpr(e.star, e.terms), rows, cols, valuation))),
             _outcomes(evaluate_many(HybridExpr(e.star, e.terms), product, valuation)),
         )
 
@@ -699,6 +700,31 @@ class TestEvaluateGrid:
         got, want = self.both(e, rows, cols, valuation)
         assert got == want
 
+    # The rows: one tuple per row value with a cell per column, up to the
+    # row a raising cell ends early, which the error follows; on every
+    # layout, the interval and point-set ones that key cell by cell included.
+    @seed(2010)
+    @settings(max_examples=300, deadline=None)
+    @given(grid_expressions(st.one_of(grid_shapes, shapes, cell_sets)),
+           st.lists(grid_coords, max_size=4),
+           st.lists(st.one_of(grid_coords, st.just("c")), max_size=4), valuations)
+    def test_rows_hold_a_cell_per_column_up_to_the_error(self, e, rows, cols, valuation):
+        product = [(r, c) for r in rows for c in cols]
+        want = _outcomes(evaluate_many(HybridExpr(e.star, e.terms), product, valuation))
+        cut, error = [], []
+        try:
+            for row in evaluate_grid(HybridExpr(e.star, e.terms), rows, cols, valuation):
+                assert type(row) is tuple
+                cut.append(row)
+        except Exception as raised:
+            error.append((type(raised), str(raised)))
+        assert all(len(row) == len(cols) for row in cut[:-1])
+        if error:
+            assert len(cut[-1]) < len(cols)
+        else:
+            assert len(cut) == len(rows) and all(len(row) == len(cols) for row in cut)
+        assert [cell for row in cut for cell in row] + error == want
+
     def test_a_cell_in_a_point_set_is_found(self):
         cell = SymbolicHybridSet.from_atom(RegionAtom("S", FinitePointSet(((F(1), F(2)),))))
         box = SymbolicHybridSet.from_atom(RegionAtom("G", GridRect(F(1), F(1), F(1), F(1))))
@@ -724,8 +750,9 @@ class TestEvaluateGrid:
         layout = regions._Layout([t.region for t in e.terms])
         product = [(r, c) for r in rows for c in cols]
         reference = [_reference_key(layout, p, valuation) for p in product]
+        by_rows = regions.IndicatorTable(layout, valuation).grid_keys(rows, cols)
         for keys in (
-            regions.IndicatorTable(layout, valuation).grid_keys(rows, cols),
+            (((r, c), key) for r, row in by_rows for c, key in zip(cols, row)),
             regions.IndicatorTable(layout, valuation).keys(product),
         ):
             keys = list(keys)
@@ -756,7 +783,8 @@ class TestEvaluateGrid:
         rows, cols = [F(1), F(2), F(3)], [F(1), F(2), F(3)]
         product = [(r, c) for r in rows for c in cols]
         want = _outcomes(evaluate_many(HybridExpr(e.star, e.terms), product, None))
-        got = _outcomes(evaluate_grid(HybridExpr(e.star, e.terms), iter(rows), iter(cols), None))
+        got = _outcomes(itertools.chain.from_iterable(
+            evaluate_grid(HybridExpr(e.star, e.terms), iter(rows), iter(cols), None)))
         assert got == want
         assert len(got) == 9
 
@@ -778,12 +806,12 @@ class TestEvaluateGrid:
             return sort(line, resolve)
 
         monkeypatch.setattr(regions._Line, "_sort", counting_sort)
-        first = list(evaluate_grid(e, coords, coords, v))
+        first = list(itertools.chain.from_iterable(evaluate_grid(e, coords, coords, v)))
         table = e._plan._slot(v)[1]
         lines = (table._rows, table._cols)
         cells = [dict(line.cells) for line in lines]
         assert len(sorts) == 2
-        second = list(evaluate_grid(e, coords, coords, v))
+        second = list(itertools.chain.from_iterable(evaluate_grid(e, coords, coords, v)))
         assert len(sorts) == 2
         assert [line.cells for line in lines] == cells
         assert first == second == list(_per_point_reference(e, product, v))
@@ -795,7 +823,10 @@ class TestEvaluateGrid:
         # non-integer row come out before the first cell that needs k2.
         lacking = Valuation(splits)
         rows = [F(1, 2)] + coords
-        passes = [_outcomes(evaluate_grid(e, rows, coords, lacking)) for _ in range(2)]
+        passes = [
+            _outcomes(itertools.chain.from_iterable(evaluate_grid(e, rows, coords, lacking)))
+            for _ in range(2)
+        ]
         assert passes[0] == passes[1] == _outcomes(
             _per_point_reference(e, [(r, c) for r in rows for c in coords], lacking)
         )
@@ -807,7 +838,7 @@ class TestEvaluateGrid:
         e = join(term(u_op, a), term(v_op, U - a))
         v = Valuation({"h": F(2), "k": F(3)})
         coords = [F(i) for i in range(1, 6)]
-        outcomes = list(evaluate_grid(e, coords, coords, v))
+        outcomes = list(itertools.chain.from_iterable(evaluate_grid(e, coords, coords, v)))
         assert len(outcomes) == 25
         assert len({id(o) for o in outcomes}) == 2
         assert outcomes[0] == Defined(FormalValue(FreeWord.from_atom(u_op), None), 1)
@@ -1008,7 +1039,8 @@ class TestSweep:
     def test_grid_passes_agree_with_the_per_point_reference(self, e, rows, cols, valuation):
         product = [(r, c) for r in rows for c in cols]
         want = _outcomes(_per_point_reference(e, product, valuation))
-        got = _outcomes(evaluate_grid(HybridExpr(e.star, e.terms), rows, cols, valuation))
+        got = _outcomes(itertools.chain.from_iterable(
+            evaluate_grid(HybridExpr(e.star, e.terms), rows, cols, valuation)))
         assert got == want
         assert _rendered(got) == _rendered(want)
 
@@ -1191,7 +1223,7 @@ class TestAdditiveSweep:
             product = [(r, c) for r in rows for c in cols]
             want = _exactly(_outcomes(_per_point_reference(e, product, valuation)))
             fresh = HybridExpr(e.star, e.terms)
-            got = _outcomes(evaluate_grid(fresh, rows, cols, valuation))
+            got = _outcomes(itertools.chain.from_iterable(evaluate_grid(fresh, rows, cols, valuation)))
             assert _exactly(got) == want
             if self.check_path(fresh, valuation):
                 _one_object_per_vector(e, product, valuation, got)

@@ -465,6 +465,43 @@ class TestLargeRefinement:
                 assert r.rewrite(k, i) == piece
 
 
+class TestUnitRowPieces:
+    """A new piece whose inverse row is the single entry (i, 1) is the i-th
+    universe or kept piece itself; every other row is one merge."""
+
+    PARTS = chain_partitions(3, 4)  # 10 new pieces
+
+    @staticmethod
+    def merged(parts, rows):
+        """Each inverse row's piece, as a merge over the universe and kept pieces."""
+        rhs = [USET] + [piece for part in parts for piece in part.pieces[:-1]]
+        return tuple(SymbolicHybridSet.combine((rhs[i], c) for i, c in row) for row in rows)
+
+    @pytest.mark.parametrize("style", [STYLE_ONES_TOP, STYLE_UPPER_TRIANGLE, "custom"])
+    def test_the_pieces_are_the_merged_ones(self, style):
+        if style == "custom":
+            r = common_strict_refinement(self.PARTS, choice=scrambled_choice(10, 3))
+        else:
+            r = common_strict_refinement(self.PARTS, style=style)
+        assert r.pieces == self.merged(self.PARTS, r.choice._inverse_rows())
+
+    def test_a_ones_top_row_refinement_merges_each_non_unit_row_once(self, monkeypatch):
+        from hybridsets import hybridset
+
+        merges = []
+        real = hybridset.merge
+        monkeypatch.setattr(hybridset, "merge", lambda *args: merges.append(1) or real(*args))
+        r = common_strict_refinement(self.PARTS, style=STYLE_ONES_TOP)
+        rows = r.choice._inverse_rows()
+        unit = [j for j, row in enumerate(rows) if len(row) == 1 and row[0][1] == 1]
+        # the inverse is 1, -1, ..., -1 above the identity: nine unit rows
+        assert unit == list(range(1, 10))
+        kept = [piece for part in self.PARTS for piece in part.pieces[:-1]]
+        assert all(r.pieces[j] is kept[j - 1] for j in unit)
+        # one merge makes the universe's combination, one each non-unit row
+        assert len(merges) == 1 + len(rows) - len(unit)
+
+
 def check_elimination(m):
     """``determinant_and_adjugate(m)`` against the fraction reference, and
     adj * m == det * I when m is not singular; returns the determinant."""

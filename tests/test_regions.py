@@ -254,6 +254,33 @@ class TestPointsAreNumbers:
             constant_atom("c", "3")
 
 
+class TestAsFraction:
+    """``as_fraction`` hands a Fraction back as it is and makes every other
+    number a Fraction; anything else is a ContractError."""
+
+    def test_a_fraction_is_returned_as_it_is(self):
+        x = F(3, 4)
+        assert regions.as_fraction(x, "x") is x
+
+    @pytest.mark.parametrize("value, want", [(7, F(7)), (-2, F(-2)), (True, F(1)), (False, F(0))])
+    def test_an_int_or_a_bool_becomes_a_fraction(self, value, want):
+        got = regions.as_fraction(value, "x")
+        assert type(got) is Fraction and got == want
+
+    def test_a_fraction_subclass_is_normalised(self):
+        class Half(Fraction):
+            pass
+
+        got = regions.as_fraction(Half(1, 2), "x")
+        assert type(got) is Fraction and got == F(1, 2)
+
+    @pytest.mark.parametrize("value", ["1/2", 0.5, None, (1,)])
+    def test_text_floats_and_the_rest_are_contract_errors(self, value):
+        with pytest.raises(ContractError) as err:
+            regions.as_fraction(value, "the value of 'a'")
+        assert str(err.value) == f"the value of 'a' must be an int or a Fraction, got {value!r}"
+
+
 class TestIntervalPlacement:
     """Scalars are placed among the interval endpoints scaled to integers
     by the lcm of their denominators; each point's bits must be what

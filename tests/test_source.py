@@ -84,6 +84,48 @@ def test_checked_add_has_only_the_merge_and_evaluation_callers():
     }
 
 
+def test_tables_are_evaluated_by_blocks_in_one_place():
+    # One table evaluator: IndicatorTable.grid_keys keys a grid by row and
+    # column classes and only functions.evaluate_grid reads it, and the CLI
+    # evaluates a table through evaluate_grid alone, with no evaluation in a
+    # loop of its own, so a second per-cell path cannot come back beside the
+    # block one.  A call is named by its module, class and function; nested
+    # functions count as their host.
+    evaluators = {
+        "grid_keys", "evaluate_grid", "evaluate_many", "evaluate", "eval_expr", "_outcomes",
+        "multiplicities_many", "multiplicity", "indicator", "instantiate",
+    }
+
+    def calls(node, where, in_def=False, in_loop=False):
+        for child in ast.iter_child_nodes(node):
+            inner, inner_def = where, in_def
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)) and not in_def:
+                inner, inner_def = f"{where}.{child.name}", isinstance(child, ast.FunctionDef)
+            loop = in_loop or isinstance(
+                child, (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+            )
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name in evaluators:
+                    yield where, name, in_loop
+            yield from calls(child, inner, inner_def, loop)
+
+    found = {
+        call
+        for path in SOURCES
+        for call in calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert {where for where, name, _ in found if name == "grid_keys"} == {
+        "functions.evaluate_grid"
+    }
+    assert {call for call in found if call[0].startswith("cli.")} == {
+        ("cli._cmd_eval", "eval_expr", False),
+        ("cli._cmd_matrix_add", "eval_expr", False),  # the one --cell
+        ("cli._cmd_matrix_add", "evaluate_grid", False),
+    }
+
+
 def test_the_library_keeps_no_caught_exception():
     # A caught exception holds its traceback, and each raise of that same
     # object makes the traceback longer: a handler that keeps it, in a store
