@@ -60,7 +60,6 @@ from .functions import (
     evaluate_many,
     graph_function,
     hybrid_graph,
-    is_reducible,
     join,
     marked_join,
     reduce_formally,

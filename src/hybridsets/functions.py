@@ -608,7 +608,8 @@ def evaluate_many(
     pass keeps the state it started with, and reads points one at a time,
     so the outcomes before a raising point come out first.
     """
-    return _outcomes(e, valuation, IndicatorTable.keys, points)
+    slot = e._plan._slot(valuation)
+    yield from _outcomes(e, slot, slot[1].keys(points))
 
 
 def evaluate_grid(
@@ -619,92 +620,68 @@ def evaluate_grid(
     cells in column order.  When a cell raises, its row's tuple holds the
     cells before it, and the next ``next()`` raises.
 
-    It shares ``evaluate_many``'s state and outcomes, but finds the cells'
-    indicator vectors by row and column classes (``IndicatorTable.grid_keys``):
-    each row value and each column value is placed once on the state's row
-    or column line, whose cells, like the interval line's, last as long as
-    the state, and the rows of one row class share one tuple of vectors.
-    Such a tuple costs one outcome per distinct vector, kept or made as
-    ``evaluate_many`` makes it, and one fill of the row from them; when
-    every outcome in it is point-independent and keyed, the rows of the
-    class share the filled tuple, so a caller can format it once per
-    tuple, and a point-independent outcome once per object.  A row with a
-    cell the fast placement cannot key, or with an outcome that reads the
-    point, goes through ``evaluate_many``'s loop cell by cell, in order.
+    It shares ``evaluate_many``'s state and outcomes, and its loop, but
+    finds the cells' indicator vectors by row and column classes
+    (``IndicatorTable.grid_keys``): each row value and each column value
+    is placed once on the state's row or column line, whose cells, like
+    the interval line's, last as long as the state, and the rows of one
+    row class share one tuple of vectors.  The first row of a class runs
+    through the loop cell by cell; when every vector in it is keyed and
+    its kept entry holds an outcome, which then holds for every point with
+    that vector, the later rows of the class share that row's tuple, so a
+    caller can format it once per tuple, and a point-independent outcome
+    once per object.  Other rows run through the loop cell by cell, in
+    order.  A pass reads and fills the one state it started with.
     """
     cols = tuple(cols)  # read once, whatever iterable it is
-    plan = e._plan
-    _, table, kept, sweep = plan._slot(valuation)
-    finish = _eval_plain if e.star is None else _eval_marked
-
-    def by_vectors(r, keys):
-        """The row filled from one outcome per distinct vector, when each
-        is keyed and point-independent, else None.  A vector that raises
-        gives None too: the cell-by-cell loop raises it again, in order."""
-        outcomes = dict.fromkeys(keys)  # the vectors in order of first cell
-        try:
-            for key in outcomes:
-                found = key is not None and (kept.get(key) or _find(plan, kept, sweep, key))
-                if not found:
-                    return None
-                accumulated, fixed, outcome = found
-                if outcome is None:
-                    if not fixed:
-                        return None
-                    outcome = finish(e.star, accumulated, (r, cols[keys.index(key)]), valuation)
-                    kept[key] = (accumulated, fixed, outcome)
-                outcomes[key] = outcome
-        except Exception:
-            return None
-        return tuple(map(outcomes.__getitem__, keys))
-
-    shared: Dict[int, tuple] = {}  # id(vectors) -> (vectors, their row or None)
-    for r, keys in table.grid_keys(rows, cols):
+    slot = e._plan._slot(valuation)
+    kept = slot[2]
+    shared: Dict[int, tuple] = {}  # id(vectors) -> (vectors, the row they share or None)
+    for r, keys in slot[1].grid_keys(rows, cols):
         found = shared.get(id(keys))
-        if found is None:
-            found = shared[id(keys)] = (keys, by_vectors(r, keys))
-        if found[1] is not None:
+        if found is not None and found[1] is not None:
             yield found[1]
             continue
-        row, cells = [], zip([(r, c) for c in cols], keys)
+        row = []
         try:
-            row.extend(_outcomes(e, valuation, lambda _, pairs: pairs, cells))
+            row.extend(_outcomes(e, slot, zip([(r, c) for c in cols], keys)))
         except Exception:
             yield tuple(row)
             raise
-        yield tuple(row)
+        row = tuple(row)
+        if found is None:
+            fixed = all(key is not None and kept[key][2] is not None for key in keys)
+            shared[id(keys)] = (keys, row if fixed else None)
+        yield row
 
 
-def _find(plan: _Plan, kept: dict, sweep, key: int):
-    """The entry of the indicator vector ``key``, made and kept."""
-    if sweep is not None:
-        found = kept[key] = sweep.find(key)
-    else:
-        found = kept[key] = _entry(_accumulate(plan.words, plan.layout.multiplicities(key)))
-    return found
-
-
-def _outcomes(e: HybridExpr, valuation: Optional[Valuation], keys, source) -> Iterator[EvalOutcome]:
-    """The outcome of each (point, indicator vector) pair that
-    ``keys(table, source)`` yields for the valuation's ``IndicatorTable``.
-    A point with the key None, which the fast placement could not key,
-    takes each term's multiplicity from ``SymbolicHybridSet.multiplicity``
-    in term order, so it raises, or does not, as a point-by-point loop
-    does; nothing is kept for it.
+def _outcomes(e: HybridExpr, slot, pairs) -> Iterator[EvalOutcome]:
+    """The outcome of each (point, indicator vector) pair in ``pairs``,
+    keyed by the ``IndicatorTable`` of ``slot``, the state of one
+    valuation, which the pass reads and fills whatever takes the plan's
+    slot meanwhile.  The entry of a new vector is made by the state's
+    sweep, or accumulated when the plan has none, and kept.  A point with
+    the key None, which the fast placement could not key, takes each
+    term's multiplicity from ``SymbolicHybridSet.multiplicity`` in term
+    order, so it raises, or does not, as a point-by-point loop does;
+    nothing is kept for it.
     The one-point ``evaluate`` runs through here, so the setup is kept to
     what a kept outcome needs: the arity is fixed (unpacking arguments
     costs measurably more), and the words and the finish are looked up
     only when an outcome must be computed."""
-    plan = e._plan
-    _, table, kept, sweep = plan._slot(valuation)
-    for point, key in keys(table, source):
+    valuation, _, kept, sweep = slot
+    for point, key in pairs:
         found = kept.get(key)
         if found is None:
+            plan = e._plan
             if key is None:  # the reference decides the point, and nothing is kept
                 ms = (t.region.multiplicity(point, valuation) for t in e.terms)
                 found = _entry(_accumulate(plan.words, ms))
+            elif sweep is not None:
+                found = kept[key] = sweep.find(key)
             else:
-                found = _find(plan, kept, sweep, key)
+                ms = plan.layout.multiplicities(key)
+                found = kept[key] = _entry(_accumulate(plan.words, ms))
         accumulated, fixed, outcome = found
         if outcome is None:
             finish = _eval_plain if e.star is None else _eval_marked
@@ -720,23 +697,14 @@ def evaluate(e: HybridExpr, point: Point, valuation: Optional[Valuation] = None)
     Returns UNDEFINED when the point falls outside the effective domain;
     raises NonEvaluableError when the residue is not a function value.
     """
-    return next(_outcomes(e, valuation, IndicatorTable.keys, (point,)))
-
-
-def is_reducible(e: HybridExpr, valuation, sample: Iterable[Point]) -> bool:
-    """True when every sampled point carries net multiplicity 0 or 1
-    with compatible values, i.e. the expression reads back as a function."""
-    try:
-        return all(
-            out is UNDEFINED or out.multiplicity == 1
-            for out in evaluate_many(e, sample, valuation)
-        )
-    except (NonEvaluableError, OpacityError):
-        return False
+    slot = e._plan._slot(valuation)
+    return next(_outcomes(e, slot, slot[1].keys((point,))))
 
 
 def hybrid_graph(values, region: HybridSet, universe_tag: Optional[str] = None) -> HybridSet:
-    """The graph of a function weighted by a concrete hybrid set.
+    """The graph of a function weighted by a concrete hybrid set: the set
+    of (x, f(x)) pairs that acceptance criterion 2's join laws on graphs
+    are stated over.
 
     ``values`` is either a mapping point -> value whose keys are the domain
     of definition, or a callable taken to be total on the region support.
@@ -759,7 +727,8 @@ def hybrid_graph(values, region: HybridSet, universe_tag: Optional[str] = None) 
 
 
 def graph_function(h: HybridSet) -> dict:
-    """Read a graph hybrid set back as a function, point -> value."""
+    """Read a graph hybrid set back as a function, point -> value, or raise
+    where it is a relation: acceptance criterion 2 reads joins back so."""
     out = {}
     for (pair, m) in h.items():
         if not (isinstance(pair, tuple) and len(pair) == 2):

@@ -272,10 +272,6 @@ class HybridSet:
     def empty(cls, universe_tag: str = "U") -> "HybridSet":
         return cls((), universe_tag)
 
-    @classmethod
-    def from_elements(cls, elements: Iterable, universe_tag: str = "U") -> "HybridSet":
-        return cls(((el, 1) for el in elements), universe_tag)
-
     def multiplicity(self, el) -> int:
         return self._entries.get(el, 0)
 
@@ -332,6 +328,8 @@ class HybridSet:
         return self._of(self._sum(self._entries.items(), n), self.universe_tag)
 
     def is_disjoint(self, other: "HybridSet") -> bool:
+        """No common element: acceptance criterion 2's condition for the
+        join of two graphs of everywhere-distinct functions to be one."""
         return not self.otimes(other)
 
     def is_reducible(self) -> bool:

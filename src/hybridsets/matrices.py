@@ -30,8 +30,6 @@ from .regions import (
     Param,
     RegionAtom,
     SymbolicHybridSet,
-    Valuation,
-    as_fraction,
     render_param,
 )
 
@@ -73,15 +71,6 @@ class SymbolicBlockMatrix:
 
     def expr(self) -> HybridExpr:
         return join(*(term(b.symbol, b.piece) for b in self.blocks))
-
-    def block_at(self, i, j, valuation: Optional[Valuation]) -> Optional[Block]:
-        point = (as_fraction(i, "a row"), as_fraction(j, "a column"))
-        hits = [b for b in self.blocks if b.region.indicator(point, valuation)]
-        if len(hits) > 1:
-            raise ContractError(
-                f"cell ({i}, {j}) lies in several blocks of {self.name!r}"
-            )
-        return hits[0] if hits else None
 
 
 def block_matrix_2x2(

@@ -46,7 +46,6 @@ from hybridsets import (
     evaluate_many,
     graph_function,
     hybrid_graph,
-    is_reducible,
     join,
     marked_join,
     matrix_add,
@@ -285,23 +284,6 @@ class TestMarkedEvaluation:
         assert isinstance(out.value, FormalValue)
         assert out.value.render() == "u ⋈ v"
         assert out.multiplicity == 2
-
-
-class TestReducibility:
-    sample = [F(n, 10) for n in range(-5, 25)]
-
-    def test_single_cover_is_reducible(self):
-        assert is_reducible(join(term(f, A)), None, self.sample)
-
-    def test_double_cover_is_not(self):
-        assert not is_reducible(join(term(f, 2 * A)), None, self.sample)
-
-    def test_disagreeing_overlap_is_not(self):
-        assert not is_reducible(join(term(f, A), term(g, A)), None, self.sample)
-
-    def test_marked_join_over_a_partition_is_reducible(self):
-        e = marked_join(TIMES, [term(word(f, g), A), term(word(f, h), B)])
-        assert is_reducible(e, None, self.sample)
 
 
 PARAMS = ("a", "b", "c")
@@ -833,6 +815,31 @@ class TestEvaluateGrid:
         assert passes[0][64:] == [(ValuationError, "parameter 'k2' has no value")]
         assert e._plan._slot(lacking)[1]._cols.ends is None
 
+    # One pass reads and fills the one state it started with, whatever
+    # takes the expression's slot between two rows: here a one-point
+    # evaluate under another valuation object, before every row but the
+    # first and before the end.
+    @pytest.mark.parametrize("star", [PLUS, MERGE])
+    @pytest.mark.parametrize("bodies", [None, (1, 2, 3, 5)])
+    def test_a_pass_keeps_its_state_when_another_valuation_takes_the_slot(self, star, bodies):
+        m1, m2 = (
+            block_matrix_2x2(f"M{i}", "n", "m", f"h{i}", f"k{i}", [b + str(i) for b in "ABCD"], bodies)
+            for i in (1, 2)
+        )
+        e = matrix_add(m1, m2, star)
+        v1 = Valuation({"n": F(4), "m": F(4), "h1": F(1), "k1": F(1), "h2": F(2), "k2": F(2)})
+        v3 = Valuation({"n": F(8), "m": F(8), "h1": F(3), "k1": F(5), "h2": F(6), "k2": F(2)})
+        coords = [F(i) for i in range(1, 9)]
+        cells = list(_per_point_reference(e, [(r, c) for r in coords for c in coords], v3))
+        rows = evaluate_grid(e, coords, coords, v3)
+        got = [next(rows)]
+        for _ in coords[1:]:
+            evaluate(e, (F(1), F(1)), v1)
+            got.append(next(rows))
+        evaluate(e, (F(1), F(1)), v1)
+        assert next(rows, None) is None
+        assert got == [tuple(cells[i:i + 8]) for i in range(0, 64, 8)]
+
     def test_a_point_independent_outcome_is_one_object_per_indicator_vector(self):
         a = SymbolicHybridSet.from_atom(RegionAtom("A", GridRect(F(1), "h", F(1), "k")))
         e = join(term(u_op, a), term(v_op, U - a))
@@ -1337,7 +1344,7 @@ class TestJoinLaws:
         assert joined == hybrid_graph({**f1, **f2}, h1 + h2)
 
     def test_graph_round_trip(self):
-        a = HybridSet.from_elements([F(0), F(2), F(4)])
+        a = HybridSet((el, 1) for el in [F(0), F(2), F(4)])
         gr = hybrid_graph(fn_f, a)
         assert graph_function(gr) == {x: fn_f(x) for x in a.support()}
 

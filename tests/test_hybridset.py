@@ -91,7 +91,7 @@ def test_empty_set_renders_as_braces():
 
 
 def test_from_elements_builds_classical_set():
-    h = HybridSet.from_elements(["x", "y"])
+    h = HybridSet((el, 1) for el in ["x", "y"])
     assert h.reduce() == frozenset({"x", "y"})
     assert h.is_reducible()
 

@@ -5,14 +5,10 @@ from fractions import Fraction
 import pytest
 
 from hybridsets import (
-    Block,
     ContractError,
     Defined,
     FormalValue,
-    FunctionAtom,
     GridRect,
-    RegionAtom,
-    SymbolicBlockMatrix,
     UNDEFINED,
     Valuation,
     block_matrix_2x2,
@@ -67,26 +63,6 @@ class TestBlockGeometry:
             sample = grid_cells(rows, cols)
             for mat in (M1, M2):
                 assert mat.partition(u).validate_by_sampling(v, sample) == []
-
-    def test_block_at_finds_the_unique_block(self):
-        assert M1.block_at(1, 1, V1).name == "A1"
-        assert M1.block_at(2, 1, V1).name == "B1"
-        assert M1.block_at(1, 2, V1).name == "C1"
-        assert M1.block_at(4, 4, V1).name == "D1"
-        assert M1.block_at(9, 9, V1) is None
-
-    def test_overlapping_blocks_are_reported(self):
-        overlapping = SymbolicBlockMatrix(
-            "bad",
-            F(2),
-            F(2),
-            (
-                Block(RegionAtom("X", GridRect(1, 2, 1, 2)), FunctionAtom("X")),
-                Block(RegionAtom("Y", GridRect(1, 1, 1, 1)), FunctionAtom("Y")),
-            ),
-        )
-        with pytest.raises(ContractError):
-            overlapping.block_at(1, 1, None)
 
     def test_four_names_required(self):
         with pytest.raises(ContractError):

@@ -126,6 +126,85 @@ def test_tables_are_evaluated_by_blocks_in_one_place():
     }
 
 
+def test_outcomes_are_made_and_finished_in_one_loop():
+    # One outcome path: an indicator vector's entry is made (a sweep's find
+    # or _accumulate) and finished (_eval_plain or _eval_marked) only in
+    # functions._outcomes, the loop behind evaluate, evaluate_many and
+    # evaluate_grid, so a second outcome loop cannot come back beside it.
+    # A use is named by its module, class and function; nested functions
+    # count as their host.
+    names = {"_eval_plain", "_eval_marked", "_accumulate"}
+
+    def uses(node, where, in_def=False):
+        for child in ast.iter_child_nodes(node):
+            inner, inner_def = where, in_def
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)) and not in_def:
+                inner, inner_def = f"{where}.{child.name}", isinstance(child, ast.FunctionDef)
+            if isinstance(child, ast.Name) and child.id in names:
+                yield where, child.id
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", "") == "find":
+                yield where, "find"
+            yield from uses(child, inner, inner_def)
+
+    found = {
+        use
+        for path in SOURCES
+        for use in uses(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert found == {("functions._outcomes", name) for name in names | {"find"}}
+
+
+def test_every_exported_name_is_used_or_kept_for_a_reason():
+    # Code the library does not call is put to use or deleted: each name the
+    # package exports is read by library code (the CLI included) or by the
+    # benchmark harness, whose tracer names what it rebinds in strings, or
+    # it is kept below with its reason.  A name's own definition does not
+    # count as a use.
+    kept = {
+        "matrix_add": "the entry point that sums of r block matrices are to go through",
+        "verify_rewrite": "the check of a combine over every ordering is to run it",
+        "is_strict": "the check of a combine over every ordering is to run it",
+        "render_workspace": "the scanner's round trip: a workspace parses back from its text",
+        "hybrid_graph": "acceptance criterion 2, the join laws on graphs",
+        "graph_function": "acceptance criterion 2, the join laws on graphs",
+        "instantiate": "only tests call it yet; to be put to use or deleted",
+        "grid_cells": "only tests call it yet; to be put to use or deleted",
+    }
+    package = SOURCES[0].parent
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    bench = sorted((package.parent.parent / "perfbench").glob("*.py"))
+
+    def reads(node, skip, strings):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == skip:
+                continue
+            if isinstance(child, ast.Name):
+                yield child.id
+            elif isinstance(child, ast.Attribute):
+                yield child.attr
+            elif strings and isinstance(child, ast.Constant) and isinstance(child.value, str):
+                yield child.value
+            yield from reads(child, skip, strings)
+
+    trees = [
+        (ast.parse(path.read_text(encoding="utf-8")), path in bench)
+        for path in [*SOURCES, *bench]
+        if path.name != "__init__.py"
+    ]
+    unused = {
+        name
+        for name in exported
+        if not any(name in reads(tree, name, strings) for tree, strings in trees)
+    }
+    assert unused == set(kept)
+
+
 def test_the_library_keeps_no_caught_exception():
     # A caught exception holds its traceback, and each raise of that same
     # object makes the traceback longer: a handler that keeps it, in a store
