@@ -36,8 +36,6 @@ from .regions import (
     SymbolicHybridSet,
     Universe,
     Valuation,
-    grid_cells,
-    instantiate,
     rational_grid,
 )
 from .functions import (
@@ -80,9 +78,7 @@ from .refine import (
 )
 from .calculus import (
     CheckReport,
-    KarrSum,
     LinearOperatorSpec,
-    SUMMATION,
     apply_linear,
     karr_split_check,
     karr_sum,
@@ -102,7 +98,6 @@ from .matrices import (
 )
 from .splines import (
     SegmentAtom,
-    SegmentMerge,
     SplineRegionValue,
     SymbolicSpline,
     spline_eval_region,

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from .errors import ContractError, RefinementError
 from .functions import (
@@ -191,15 +191,6 @@ def star_inverse_identity_check(
     return report
 
 
-@dataclass(frozen=True)
-class KarrSum:
-    """A half-open signed sum over integers: bounds may be parameters."""
-
-    lower: Union[int, str, Fraction]
-    upper: Union[int, str, Fraction]
-    summand: FunctionAtom
-
-
 def summation_bound(value, valuation) -> int:
     """A summation bound, resolved through the valuation; it must be an integer."""
     resolved = resolve_param(value if isinstance(value, str) else Fraction(value), valuation)
@@ -208,17 +199,20 @@ def summation_bound(value, valuation) -> int:
     return int(resolved)
 
 
-def karr_sum(s: KarrSum, valuation: Optional[Valuation] = None) -> Fraction:
-    """Sum over lower <= i < upper, with the reversed-bounds convention
-    that swapping the bounds negates the sum."""
-    lo = summation_bound(s.lower, valuation)
-    hi = summation_bound(s.upper, valuation)
+def karr_sum(
+    f: FunctionAtom, lower, upper, valuation: Optional[Valuation] = None
+) -> Fraction:
+    """Sum of f(i) over lower <= i < upper, as in Karr's "Summation in finite
+    terms" (JACM 1981): a bound may be a parameter, and swapping the bounds
+    negates the sum."""
+    lo = summation_bound(lower, valuation)
+    hi = summation_bound(upper, valuation)
     sign = 1
     if lo > hi:
         lo, hi, sign = hi, lo, -1
     total = Fraction(0)
     for i in range(lo, hi):
-        total += s.summand.value(Fraction(i), valuation)
+        total += f.value(Fraction(i), valuation)
     return sign * total
 
 
@@ -232,9 +226,9 @@ def karr_split_check(
     """Verify the split and telescoping identities for arbitrary bound order."""
     report = CheckReport(f"signed-sum identities for {f.name!r}")
 
-    whole = karr_sum(KarrSum(lower, upper, f), valuation)
-    left = karr_sum(KarrSum(lower, mid, f), valuation)
-    right = karr_sum(KarrSum(mid, upper, f), valuation)
+    whole = karr_sum(f, lower, upper, valuation)
+    left = karr_sum(f, lower, mid, valuation)
+    right = karr_sum(f, mid, upper, valuation)
     report.checked += 1
     if whole != left + right:
         report.record(
@@ -244,7 +238,7 @@ def karr_split_check(
     step = FunctionAtom(
         f"{f.name}'", func=lambda x, v: f.value(x + 1, v) - f.value(x, v)
     )
-    tele = karr_sum(KarrSum(mid, upper, step), valuation)
+    tele = karr_sum(step, mid, upper, valuation)
     direct = f.value(Fraction(summation_bound(upper, valuation)), valuation) - f.value(
         Fraction(summation_bound(mid, valuation)), valuation
     )
@@ -294,30 +288,26 @@ def register_linear_operator(spec: LinearOperatorSpec) -> LinearOperatorSpec:
 
 
 def linear_operator(name: str) -> LinearOperatorSpec:
-    try:
-        return _OPERATORS[name]
-    except KeyError:
-        raise ContractError(f"linear operator {name!r} is not declared") from None
+    """The spec registered under ``name``; anything else is a ContractError."""
+    spec = _OPERATORS.get(name) if isinstance(name, str) else None
+    if spec is None:
+        raise ContractError(f"linear operator {name!r} is not declared")
+    return spec
 
 
-SUMMATION = register_linear_operator(
-    LinearOperatorSpec("sum", lambda values: sum(values, Fraction(0)))
-)
+register_linear_operator(LinearOperatorSpec("sum", lambda values: sum(values, Fraction(0))))
 
 
 def apply_linear(
-    op: Union[LinearOperatorSpec, str],
+    name: str,
     f: HybridTerm,
     valuation: Optional[Valuation],
     sample: Iterable[Point],
 ) -> Fraction:
-    """Apply a declared linear operator to a region-weighted function:
-    the operand at x is multiplicity(region, x) * f(x), and 0 where the
-    multiplicity is 0, without reading f(x) there."""
-    if isinstance(op, str):
-        op = linear_operator(op)
-    elif op.name not in _OPERATORS:
-        raise ContractError(f"linear operator {op.name!r} is not declared")
+    """Apply the linear operator declared as ``name`` to a region-weighted
+    function: the operand at x is multiplicity(region, x) * f(x), and 0
+    where the multiplicity is 0, without reading f(x) there."""
+    op = linear_operator(name)
     items = f.word.items()
     if len(items) != 1 or items[0][1] != 1:
         raise ContractError("apply_linear expects a single-atom term")

@@ -332,9 +332,6 @@ class HybridSet:
         join of two graphs of everywhere-distinct functions to be one."""
         return not self.otimes(other)
 
-    def is_reducible(self) -> bool:
-        return all(m == 1 for m in self._entries.values())
-
     def reduce(self) -> frozenset:
         """The underlying classical set, if every multiplicity is exactly 1."""
         for el, m in self._entries.items():

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ContractError, ValuationError
-from .hybridset import FreeCombination, HybridSet, checked_add, checked_mul
+from .hybridset import FreeCombination, checked_add, checked_mul
 from .scalarexpr import Cursor
 
 # An endpoint: either an exact rational or the name of a parameter.
@@ -244,10 +244,6 @@ class SymbolicHybridSet(FreeCombination):
     __slots__ = ()
     ATOM = RegionAtom
     CLASH = "region name {!r} bound to two shapes"
-
-    @classmethod
-    def zero(cls) -> "SymbolicHybridSet":
-        return cls()
 
     def items(self):
         """(atom, coefficient) pairs sorted by atom name."""
@@ -504,17 +500,6 @@ def multiplicities_many(
         yield p, found
 
 
-def instantiate(
-    s: SymbolicHybridSet,
-    valuation: Optional[Valuation],
-    sample: Iterable[Point],
-    universe_tag: str = "U",
-) -> HybridSet:
-    """Concrete hybrid set of a symbolic combination over sampled points."""
-    entries = [(p, m) for p, (m,) in multiplicities_many((s,), sample, valuation) if m]
-    return HybridSet(entries, universe_tag)
-
-
 def rational_grid(lo, hi, count: int, include_hi: bool = False) -> Tuple[Fraction, ...]:
     """Evenly spaced exact rationals in [lo, hi) or [lo, hi]."""
     lo, hi = as_fraction(lo, "a grid end"), as_fraction(hi, "a grid end")
@@ -527,34 +512,3 @@ def rational_grid(lo, hi, count: int, include_hi: bool = False) -> Tuple[Fractio
         return tuple(lo + step * k for k in range(count))
     step = (hi - lo) / count
     return tuple(lo + step * k for k in range(count))
-
-
-def grid_cells(rows: int, cols: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
-    """All integer cells (i, j) with 1 <= i <= rows, 1 <= j <= cols."""
-    return tuple(
-        (Fraction(i), Fraction(j))
-        for i in range(1, rows + 1)
-        for j in range(1, cols + 1)
-    )
-
-
-__all__ = [
-    "Param",
-    "Point",
-    "Valuation",
-    "as_fraction",
-    "resolve_param",
-    "render_param",
-    "Universe",
-    "Interval1D",
-    "GridRect",
-    "FinitePointSet",
-    "Shape",
-    "RegionAtom",
-    "SymbolicHybridSet",
-    "IndicatorTable",
-    "multiplicities_many",
-    "instantiate",
-    "rational_grid",
-    "grid_cells",
-]

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from .calculus import pointwise_star
 from .errors import ContractError
@@ -50,24 +49,6 @@ class SegmentAtom(FunctionAtom):
 
     def knot_interval(self, valuation: Optional[Valuation]) -> Tuple[Fraction, Fraction]:
         return resolve_param(self.lo, valuation), resolve_param(self.hi, valuation)
-
-
-@dataclass(frozen=True)
-class SegmentMerge:
-    """A pairwise merge: the result spans the intersection of the operands.
-    Either operand may itself be a merge, so ``reduce`` merges many."""
-
-    left: Union[SegmentAtom, "SegmentMerge"]
-    right: Union[SegmentAtom, "SegmentMerge"]
-
-    def knot_interval(self, valuation: Optional[Valuation]) -> Tuple[Fraction, Fraction]:
-        l_lo, l_hi = self.left.knot_interval(valuation)
-        r_lo, r_hi = self.right.knot_interval(valuation)
-        return max(l_lo, r_lo), min(l_hi, r_hi)
-
-    def is_empty(self, valuation: Optional[Valuation]) -> bool:
-        lo, hi = self.knot_interval(valuation)
-        return lo > hi
 
 
 @dataclass(frozen=True)
@@ -184,7 +165,8 @@ def spline_eval_region(
         raise ContractError(f"merge evaluation produced a scalar {value!r}")
     items = value.combination.items()
     segments = [a for a, k in items if isinstance(a, SegmentAtom) and k == 1]
-    interval = reduce(SegmentMerge, segments).knot_interval(valuation) if segments else None
+    spans = [s.knot_interval(valuation) for s in segments]
+    interval = (max(lo for lo, _ in spans), min(hi for _, hi in spans)) if spans else None
     return SplineRegionValue(
         defined=True,
         segments=value.combination,

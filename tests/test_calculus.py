@@ -18,7 +18,6 @@ from hybridsets import (
     GeneralisedPartition,
     GridRect,
     Interval1D,
-    KarrSum,
     STYLE_ONES_TOP,
     MERGE,
     PLUS,
@@ -444,19 +443,19 @@ class TestSignedSums:
     ident = atom("i", "x")
 
     def test_forward_sum(self):
-        assert karr_sum(KarrSum(0, 5, self.ident)) == 10
+        assert karr_sum(self.ident, 0, 5) == 10
 
     def test_reversed_bounds_negate(self):
-        assert karr_sum(KarrSum(5, 3, self.ident)) == -7
-        assert karr_sum(KarrSum(3, 5, self.ident)) == 7
+        assert karr_sum(self.ident, 5, 3) == -7
+        assert karr_sum(self.ident, 3, 5) == 7
 
     def test_empty_range(self):
-        assert karr_sum(KarrSum(4, 4, self.ident)) == 0
+        assert karr_sum(self.ident, 4, 4) == 0
 
     def test_split_holds_with_a_mid_outside_the_range(self):
-        whole = karr_sum(KarrSum(0, 3, self.ident))
-        left = karr_sum(KarrSum(0, 5, self.ident))
-        right = karr_sum(KarrSum(5, 3, self.ident))
+        whole = karr_sum(self.ident, 0, 3)
+        left = karr_sum(self.ident, 0, 5)
+        right = karr_sum(self.ident, 5, 3)
         assert (whole, left, right) == (3, 10, -7)
         assert whole == left + right
 
@@ -475,13 +474,12 @@ class TestSignedSums:
         assert report.passed, report.render()
 
     def test_parametric_bounds_resolve_through_the_valuation(self):
-        s = KarrSum("l", "u", self.ident)
         v = Valuation({"l": F(2), "u": F(6)})
-        assert karr_sum(s, v) == 2 + 3 + 4 + 5
+        assert karr_sum(self.ident, "l", "u", v) == 2 + 3 + 4 + 5
 
     def test_fractional_bound_is_an_error(self):
         with pytest.raises(ContractError):
-            karr_sum(KarrSum(F(1, 2), 3, self.ident))
+            karr_sum(self.ident, F(1, 2), 3)
 
 
 class TestLinearOperators:
@@ -697,15 +695,24 @@ class TestSampledChecks:
         with pytest.raises(ValuationError, match="'b' has no value"):
             apply_linear("sum", term(atom("f", "b + 1"), U), no_value, [F(1, 2)])
 
-    def test_a_spec_passed_in_is_used_as_given(self):
+    def test_the_registered_spec_is_applied_by_name(self):
         f = atom("f", "x")
         p = SymbolicHybridSet.from_atom(RegionAtom("P", Interval1D(F(0), F(10))))
         sample = [F(n) for n in range(0, 11)]
-        assert apply_linear(linear_operator("sum"), term(f, p), None, sample) == 55
-        stray = LinearOperatorSpec("sum", lambda values: sum(values, Fraction(0)))
-        assert apply_linear(stray, term(f, p), None, sample) == 55
+        assert apply_linear("sum", term(f, p), None, sample) == 55
         with pytest.raises(ContractError, match="'stray' is not declared"):
-            apply_linear(LinearOperatorSpec("stray", stray.combine), term(f, p), None, sample)
+            apply_linear("stray", term(f, p), None, sample)
+
+    def test_a_callers_spec_is_refused(self):
+        # A spec carries its own combine, which the registry's linearity
+        # self-test never saw, so only a declared name is applied: a spec
+        # under the name "sum" that takes the max is refused, not applied.
+        f = term(constant_atom("f", 3), U)
+        sample = rational_grid(0, 1, 4)
+        assert apply_linear("sum", f, None, sample) == 12
+        for spec in (LinearOperatorSpec("sum", lambda vs: max(vs)), linear_operator("sum")):
+            with pytest.raises(ContractError, match="is not declared"):
+                apply_linear(spec, f, None, sample)
 
 
 class TestSampledCheckCost:

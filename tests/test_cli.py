@@ -310,6 +310,18 @@ class TestSplineMerge:
             ("v1", "3/2", "S[c,b] ⋈ T[a,d] on [1, 2]"),
             ("v1", "5/2", "S[c,b] ⋈ T[d,b] on [2, 3]"),
             ("v2", "3/2", "S[a,c] ⋈ T[d,b] on [1, 2]"),
+            # interior knots, both end knots, and points outside U
+            ("v1", "1", "S[a,c] ⋈ T[a,d] on [0, 1]"),
+            ("v1", "2", "S[c,b] ⋈ T[a,d] on [1, 2]"),
+            ("v1", "0", "S[a,c] ⋈ T[a,d] on [0, 1]"),
+            ("v1", "3", "S[c,b] ⋈ T[d,b] on [2, 3]"),
+            ("v1", "4", "undefined"),
+            ("v1", "-1/2", "undefined"),
+            # the empty-intersection and degenerate valuations of the spline tests
+            ("a=0, c=1, d=2, b=3", "5/2", "S[c,b] ⋈ T[d,b] on [2, 3]"),
+            ("a=0, c=1, d=1, b=3", "1", "S[a,c] ⋈ T[a,d] on [0, 1]"),
+            ("a=0, c=1, d=1, b=3", "3", "S[c,b] ⋈ T[d,b] on [1, 3]"),
+            ("a=0, c=0, d=0, b=0", "0", "S[a,c] ⋈ T[a,d] on [0, 0] (degenerate)"),
         ],
     )
     def test_merge_evaluation(self, capsys, valuation, at, described):

@@ -93,11 +93,9 @@ def test_empty_set_renders_as_braces():
 def test_from_elements_builds_classical_set():
     h = HybridSet((el, 1) for el in ["x", "y"])
     assert h.reduce() == frozenset({"x", "y"})
-    assert h.is_reducible()
 
 
 def test_reduce_refuses_nonunit_multiplicity():
-    assert not HybridSet.parse("{a^2}").is_reducible()
     with pytest.raises(NotReducibleError):
         HybridSet.parse("{a^2}").reduce()
     with pytest.raises(NotReducibleError):

@@ -13,7 +13,6 @@ from hybridsets import (
     Valuation,
     block_matrix_2x2,
     evaluate,
-    grid_cells,
     grid_universe,
     matrix_add,
     matrix_add_with_refinement,
@@ -60,7 +59,7 @@ class TestBlockGeometry:
         for v in (V1, V2, V3):
             rows = int(v.resolve("n"))
             cols = int(v.resolve("m"))
-            sample = grid_cells(rows, cols)
+            sample = [(F(i), F(j)) for i in range(1, rows + 1) for j in range(1, cols + 1)]
             for mat in (M1, M2):
                 assert mat.partition(u).validate_by_sampling(v, sample) == []
 
@@ -104,7 +103,7 @@ class TestSevenTermSum:
         assert refinement.coefficients[1][3] == (1, 1, 1, 1, 0, 0, 0)
         for v in (V1, V2, V3):
             rows = int(v.resolve("n"))
-            sample = grid_cells(rows, rows)
+            sample = [(F(i), F(j)) for i in range(1, rows + 1) for j in range(1, rows + 1)]
             for k, part in enumerate(refinement.partitions):
                 assert verify_rewrite(
                     refinement.pieces, part, refinement.coefficients[k], v, sample

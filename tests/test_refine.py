@@ -303,7 +303,7 @@ class TestCommonRefinement:
         assert r.size == 3 == min_refinement_size([2, 2])
         assert r.labels == ("P1", "P2", "P3")
         assert r.pieces == (USET - A1 - B1, A1, B1)
-        assert sum(r.pieces, SymbolicHybridSet.zero()) == USET
+        assert sum(r.pieces, SymbolicHybridSet()) == USET
 
     def test_rewrites_reproduce_the_originals_formally(self):
         r = common_strict_refinement([P, Q])
@@ -384,7 +384,7 @@ class TestCommonRefinement:
     def test_upper_triangle_style(self):
         r = common_strict_refinement([P, Q], style=STYLE_UPPER_TRIANGLE)
         assert r.size == 3
-        assert sum(r.pieces, SymbolicHybridSet.zero()) == USET
+        assert sum(r.pieces, SymbolicHybridSet()) == USET
         v = Valuation({"a": F(1, 4), "b": F(3, 4)})
         for k, part in enumerate(r.partitions):
             assert verify_rewrite(r.pieces, part, r.coefficients[k], v, GRID)

@@ -10,7 +10,6 @@ from hybridsets import (
     ContractError,
     FinitePointSet,
     GridRect,
-    HybridSet,
     Interval1D,
     RegionAtom,
     SymbolicHybridSet,
@@ -21,8 +20,6 @@ from hybridsets import (
     constant_atom,
     evaluate,
     evaluate_many,
-    grid_cells,
-    instantiate,
     join,
     rational_grid,
     term,
@@ -171,18 +168,6 @@ class TestSymbolicHybridSet:
         assert (2 * SymbolicHybridSet.from_atom(a)).render() == "2*A1"
         assert (-SymbolicHybridSet.from_atom(a)).render() == "-A1"
 
-    def test_instantiate_matches_brute_force(self):
-        a = interval("A", F(0), "a", hi_closed=False)
-        u = interval("U", F(0), F(1), hi_closed=False)
-        s = SymbolicHybridSet([(u, 1), (a, -1)])
-        v = Valuation({"a": F(1, 3)})
-        sample = rational_grid(0, 1, 12)
-        got = instantiate(s, v, sample)
-        expected = HybridSet(
-            [(x, 1) for x in sample if F(1, 3) <= x < 1]
-        )
-        assert got == expected
-
     @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-40, 40))
     def test_multiplicity_is_linear_in_coefficients(self, m, n, num):
         x = F(num, 10)
@@ -211,12 +196,6 @@ class TestGrids:
     def test_rational_grid_needs_points(self):
         with pytest.raises(ContractError):
             rational_grid(0, 1, 0)
-
-    def test_grid_cells_enumerates_rows_then_columns(self):
-        cells = grid_cells(2, 3)
-        assert len(cells) == 6
-        assert cells[0] == (F(1), F(1))
-        assert cells[-1] == (F(2), F(3))
 
 
 class TestPointsAreNumbers:

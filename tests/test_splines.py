@@ -11,7 +11,6 @@ from hybridsets import (
     NonEvaluableError,
     PLUS,
     SegmentAtom,
-    SegmentMerge,
     SymbolicHybridSet,
     SymbolicSpline,
     Valuation,
@@ -43,10 +42,12 @@ class TestSplineConstruction:
     def test_segment_knot_intervals_resolve(self):
         lo, hi = S.segments[0].knot_interval(V_CD)
         assert (lo, hi) == (0, 1)
-        merged = SegmentMerge(S.segments[0], T.segments[1])
-        assert merged.knot_interval(V_CD) == (2, 1)
-        assert merged.is_empty(V_CD)
-        assert not merged.is_empty(V_DC)
+        # the intersection of two segments' intervals, as a merge reads it
+        whole = SymbolicHybridSet.from_atom(S.universe_atom())
+        merged = marked_join(MERGE, [term(word(S.segments[0], T.segments[1]), whole)])
+        assert spline_eval_region(merged, F(1, 2), V_CD).interval == (2, 1)
+        assert spline_eval_region(merged, F(1, 2), V_CD).empty
+        assert not spline_eval_region(merged, F(1, 2), V_DC).empty
 
     def test_two_knots_minimum(self):
         with pytest.raises(ContractError):
