@@ -85,7 +85,6 @@ from .calculus import (
     linear_operator,
     linearity_report,
     pointwise_star,
-    register_linear_operator,
     star_inverse_identity_check,
 )
 from .matrices import (

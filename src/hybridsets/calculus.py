@@ -273,29 +273,17 @@ def linearity_report(spec: LinearOperatorSpec) -> CheckReport:
     return report
 
 
-_OPERATORS: dict = {}
-
-
-def register_linear_operator(spec: LinearOperatorSpec) -> LinearOperatorSpec:
-    report = linearity_report(spec)
-    if not report.passed:
-        raise ContractError(
-            f"operator {spec.name!r} failed the linearity self-test: "
-            + "; ".join(report.violations)
-        )
-    _OPERATORS[spec.name] = spec
-    return spec
+# The declared linear operators, fixed at import: summation alone.
+_OPERATORS = {"sum": LinearOperatorSpec("sum", lambda values: sum(values, Fraction(0)))}
 
 
 def linear_operator(name: str) -> LinearOperatorSpec:
-    """The spec registered under ``name``; anything else is a ContractError."""
+    """The spec declared under ``name`` in ``_OPERATORS``, whose linearity
+    ``linearity_report`` probes; anything else is a ContractError."""
     spec = _OPERATORS.get(name) if isinstance(name, str) else None
     if spec is None:
         raise ContractError(f"linear operator {name!r} is not declared")
     return spec
-
-
-register_linear_operator(LinearOperatorSpec("sum", lambda values: sum(values, Fraction(0))))
 
 
 def apply_linear(
@@ -304,7 +292,7 @@ def apply_linear(
     valuation: Optional[Valuation],
     sample: Iterable[Point],
 ) -> Fraction:
-    """Apply the linear operator declared as ``name`` to a region-weighted
+    """Apply the operator ``linear_operator(name)`` to a region-weighted
     function: the operand at x is multiplicity(region, x) * f(x), and 0
     where the multiplicity is 0, without reading f(x) there."""
     op = linear_operator(name)

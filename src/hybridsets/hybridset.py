@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from operator import neg
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     NotReducibleError,
     UniverseMismatchError,
 )
-from .scalarexpr import ELEMENT_TOKEN, INT64_MAX, INT64_MIN, MAX_NESTING, Cursor
+from .scalarexpr import INT64_MAX, INT64_MIN
 
 Element = Union[Fraction, int, str, Tuple["Element", ...]]
 
@@ -156,9 +157,11 @@ class FreeCombination:
         for c, n in terms:
             if not isinstance(c, cls):
                 raise TypeError(f"expected {cls.__name__}, got {c!r}")
+            n = n if type(n) is int else require_int(n, "scalar")
             coeffs = c._coeffs
-            entries = zip(coeffs, coeffs.values(), c._atoms.values())
-            yield entries, n if type(n) is int else require_int(n, "scalar")
+            # a scalar -1 negates the coefficients: a difference may fit where -INT64_MIN does not
+            values, n = (map(neg, coeffs.values()), 1) if n == -1 else (coeffs.values(), n)
+            yield zip(coeffs, values, c._atoms.values()), n
 
     def coefficient(self, name: str) -> int:
         return self._coeffs.get(name, 0)
@@ -217,31 +220,6 @@ def render_element(el) -> str:
     if isinstance(el, (int, Fraction)):
         return str(Fraction(el))
     return str(el)
-
-
-def _read_element(cur: Cursor, depth: int = 0):
-    """A number, a token or a parenthesised tuple of elements, read from
-    ``cur``; tuples nest at most ``MAX_NESTING`` deep."""
-    start = cur.pos
-    if cur.take("("):
-        if depth == MAX_NESTING:
-            cur.error(f"tuple elements nest more than {MAX_NESTING} deep", start)
-        if cur.take(")"):
-            return ()
-        parts = cur.comma_list(lambda c: _read_element(c, depth + 1))
-        cur.expect(")")
-        return tuple(parts)
-    if cur.at_number():
-        return cur.number()
-    token = cur.scan(ELEMENT_TOKEN)
-    if token is None:
-        cur.error("expected an element")
-    return token
-
-
-def _read_entry(cur: Cursor):
-    """``element^multiplicity``, the multiplicity 1 when it is left out."""
-    return _read_element(cur), cur.integer(1) if cur.take("^") else 1
 
 
 class HybridSet:
@@ -377,16 +355,3 @@ class HybridSet:
 
     def __repr__(self) -> str:
         return f"HybridSet({self.render()}, universe_tag={self.universe_tag!r})"
-
-    @classmethod
-    def parse(cls, text: str, universe_tag: str = "U") -> "HybridSet":
-        """Read ``{elem^mult, ...}``.  Accepts unsorted, unnormalised input;
-        numbers and spacing follow the workspace's lexical rules."""
-        cur = Cursor(text)
-        cur.expect("{")
-        entries = []
-        if not cur.take("}"):
-            entries = cur.comma_list(_read_entry)
-            cur.expect("}")
-        cur.finish()
-        return cls(entries, universe_tag)

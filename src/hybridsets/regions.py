@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ContractError, ValuationError
-from .hybridset import FreeCombination, checked_add, checked_mul
+from .hybridset import FreeCombination, checked_add
 from .scalarexpr import Cursor
 
 # An endpoint: either an exact rational or the name of a parameter.
@@ -258,9 +258,8 @@ class SymbolicHybridSet(FreeCombination):
         """Coefficient-weighted sum of the atom indicators at the point."""
         total = 0
         for name, coeff in self._coeffs.items():
-            total = checked_add(
-                total, checked_mul(coeff, self._atoms[name].indicator(point, valuation))
-            )
+            if self._atoms[name].indicator(point, valuation):
+                total = checked_add(total, coeff)
         return total
 
     def render(self) -> str:
@@ -317,7 +316,8 @@ class _Layout:
         for uses in self.uses:
             total = 0
             for k, coeff in uses:
-                total = checked_add(total, checked_mul(coeff, key >> k & 1))
+                if key >> k & 1:
+                    total = checked_add(total, coeff)
             yield total
 
 

@@ -1,8 +1,8 @@
 """The package's one text scanner, and the exact-arithmetic body language.
 
 ``Cursor`` reads workspace lines, inline expression and term text,
-function-atom bodies, command-line numbers, points and valuations, and
-hybrid-set literals; it is the only code that turns text into a number.
+function-atom bodies, command-line numbers, points and valuations; it is
+the only code that turns text into a number.
 Tokens are separated by spaces and tabs; names are ASCII
 (``[A-Za-z_][A-Za-z0-9_]*``), numbers are ``-?\\d+(/\\d+)?`` with no inner
 spaces, a nonzero denominator and no part longer than the interpreter
@@ -36,9 +36,6 @@ _SPACE = re.compile(r"[ \t]*")
 _IDENT = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)[ \t]*")
 _NUMBER = re.compile(r"(-?\d+(?:/\d+)?)[ \t]*")
 _INTEGER = re.compile(r"(-?\d+)[ \t]*")
-# A hybrid-set element that is not a number: a name that may also hold
-# dots and brackets, such as ``S.P1`` or ``a[2]``.
-ELEMENT_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_.\[\]]*)[ \t]*")
 
 
 class Cursor:
@@ -96,19 +93,13 @@ class Cursor:
         if not self.take(literal):
             self.error(f"expected {literal!r}")
 
-    def scan(self, pattern: re.Pattern) -> Optional[str]:
-        """The text ``pattern`` matches at the cursor, consumed, or None."""
+    def _token(self, pattern: re.Pattern, what: str) -> str:
+        """The text ``pattern`` matches at the cursor, consumed; none is an error."""
         m = pattern.match(self.text, self.pos)
         if m is None:
-            return None
+            self.error(f"expected {what}")
         self.pos = m.end()
         return m.group(1)
-
-    def _token(self, pattern: re.Pattern, what: str) -> str:
-        text = self.scan(pattern)
-        if text is None:
-            self.error(f"expected {what}")
-        return text
 
     def ident(self, what: str = "a name") -> str:
         return self._token(_IDENT, what)

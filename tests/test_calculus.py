@@ -47,7 +47,6 @@ from hybridsets import (
     parse_workspace,
     pointwise_star,
     rational_grid,
-    register_linear_operator,
     star_inverse_identity_check,
     term,
     verify_rewrite,
@@ -490,11 +489,21 @@ class TestLinearOperators:
         assert report.checked == 10
 
     def test_nonlinear_operator_fails_the_probe(self):
-        biggest = LinearOperatorSpec("max", lambda vs: max(vs))
-        report = linearity_report(biggest)
+        report = linearity_report(LinearOperatorSpec("max", lambda vs: max(vs)))
         assert not report.passed
-        with pytest.raises(ContractError):
-            register_linear_operator(biggest)
+        assert report.checked == 10
+        assert report.violations == [
+            "additivity fails on vectors of length 7",
+            "additivity fails on vectors of length 4",
+            "scaling by -4 fails on a vector of length 4",
+            "additivity fails on vectors of length 7",
+            "additivity fails on vectors of length 4",
+            "scaling by -5 fails on a vector of length 4",
+            "scaling by -1 fails on a vector of length 4",
+        ]
+        assert linearity_report(linear_operator("sum")).passed
+        with pytest.raises(ContractError, match="linear operator 'max' is not declared"):
+            linear_operator("max")
 
     def test_unknown_operator_name(self):
         with pytest.raises(ContractError):

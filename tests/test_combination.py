@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from hybridsets import (
     INT64_MAX,
+    INT64_MIN,
+    HybridSet,
     PLUS,
     ContractError,
     FreeWord,
@@ -139,6 +141,24 @@ class TestSeededMerge:
                     cls.combine([(seed, scalar), (other, 1)])
             assert list(seed._coeffs.items()) == [("a", 1)]
             assert list(seed._atoms.items()) == [("a", atoms["a"])]
+
+
+class TestDifferences:
+    def test_a_difference_that_fits_is_not_refused_for_its_negation(self):
+        # -INT64_MIN leaves the 64-bit range, but a - b may fit where -b
+        # does not: a scalar -1 is checked in the sum, as ominus checks it
+        low = HybridSet([("a", INT64_MIN)])
+        assert HybridSet([("a", INT64_MIN), ("b", 1)]).ominus(low).render() == "{b^1}"
+        for cls, atoms, _ in KINDS:
+            low = cls([(atoms["a"], INT64_MIN)])
+            both = cls([(atoms["a"], INT64_MIN), (atoms["b"], 1)])
+            b = cls.from_atom(atoms["b"])
+            assert both - low == b
+            assert cls.combine([(both, 1), (low, -1)]) == b
+            assert cls.combine([(b, 2), (low, 1), (both, -1)]) == b
+            for negate in (lambda: -low, lambda: low.scale(-1), lambda: cls.combine([(low, -1)])):
+                with pytest.raises(MultiplicityOverflowError):
+                    negate()
 
 
 class TestTypes:

@@ -14,7 +14,6 @@ from hybridsets import (
     INT64_MIN,
     MultiplicityOverflowError,
     NotReducibleError,
-    ParseError,
     UniverseMismatchError,
     checked_add,
     checked_mul,
@@ -27,6 +26,8 @@ elements = st.one_of(
 )
 
 multiplicities = st.integers(-1000, 1000)
+
+PAIR = (Fraction(1), Fraction(2))
 
 
 @st.composite
@@ -42,52 +43,54 @@ def test_zero_multiplicities_vanish():
     assert len(h) == 1
 
 
-def test_parse_merges_and_render_sorts():
-    h = HybridSet.parse("{a^2, b, a^-3, b^4}")
+def test_construction_merges_and_render_sorts():
+    h = HybridSet([("a", 2), ("b", 1), ("a", -3), ("b", 4)])
     assert h.render() == "{a^-1, b^5}"
     assert h.multiplicity("a") == -1
     assert h.multiplicity("b") == 5
 
 
-def test_parse_round_trip_mixed_elements():
-    text = "{-1/2^3, a^-2, (1, 2)^4}"
-    h = HybridSet.parse(text)
-    assert HybridSet.parse(h.render()) == h
+def test_render_writes_mixed_elements_in_order():
+    h = HybridSet([("a", -2), (PAIR, 4), (Fraction(-1, 2), 3)])
+    assert h.render() == "{-1/2^3, a^-2, (1, 2)^4}"
     assert h.multiplicity(Fraction(-1, 2)) == 3
-    assert h.multiplicity((Fraction(1), Fraction(2))) == 4
+    assert h.multiplicity(PAIR) == 4
 
 
-def test_parse_rejects_garbage():
-    with pytest.raises(ParseError):
-        HybridSet.parse("a^2, b")
-    with pytest.raises(ParseError):
-        HybridSet.parse("{a^x}")
-    with pytest.raises(ParseError):
-        HybridSet.parse("{a^2, , b}")
+def test_render_writes_a_tuple_nested_200_deep():
+    el = Fraction(1)
+    for _ in range(200):
+        el = (el,)
+    assert HybridSet([(el, 2)]).render() == "{" + "(" * 200 + "1" + ")" * 200 + "^2}"
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["{+1}", "{1.5}", "{1e100000000}", "{1_0}", "{a^+2}", "{1/0}", "{(1, 2/0)}",
-     "{a^99999999999999999999}"],
+    "entries, text",
+    [
+        ([("a", 1)], "{a^1}"),
+        ([("a", -1)], "{a^-1}"),
+        ([(Fraction(3), 2)], "{3^2}"),
+        ([(3, 2)], "{3^2}"),
+        ([(Fraction(-7, 3), 1)], "{-7/3^1}"),
+        ([(("x", Fraction(1, 2)), -5)], "{(x, 1/2)^-5}"),
+        ([((), 1)], "{()^1}"),
+        ([("b", 1), ("a", 1)], "{a^1, b^1}"),
+        ([(Fraction(2), 1), (Fraction(-1), 1)], "{-1^1, 2^1}"),
+        ([((Fraction(1),), 1), (Fraction(1), 1), ("a", 1)], "{1^1, a^1, (1)^1}"),
+        ([("a", INT64_MIN), ("b", INT64_MAX)],
+         "{a^-9223372036854775808, b^9223372036854775807}"),
+    ],
 )
-def test_parse_reads_numbers_as_a_workspace_does(text):
-    with pytest.raises(ParseError):
-        HybridSet.parse(text)
-
-
-def test_parse_bounds_how_deep_tuples_nest():
-    with pytest.raises(ParseError, match="nest more than 200 deep") as exc:
-        HybridSet.parse("{" + "(" * 3000 + "1" + ")" * 3000 + "}")
-    assert exc.value.column == 202
-    nested = HybridSet.parse("{" + "(" * 200 + "1" + ")" * 200 + "^2}")
-    assert nested.render() == "{" + "(" * 200 + "1" + ")" * 200 + "^2}"
+def test_render_writes_each_element_kind(entries, text):
+    # numbers before names before tuples; an int element renders as the
+    # fraction it equals, and every multiplicity is written, 1 included
+    assert HybridSet(entries).render() == text
 
 
 def test_empty_set_renders_as_braces():
     assert HybridSet.empty().render() == "{}"
     assert not HybridSet.empty()
-    assert HybridSet.parse("{}") == HybridSet.empty()
+    assert HybridSet([("a", 1), ("a", -1)]) == HybridSet.empty()
 
 
 def test_from_elements_builds_classical_set():
@@ -97,21 +100,21 @@ def test_from_elements_builds_classical_set():
 
 def test_reduce_refuses_nonunit_multiplicity():
     with pytest.raises(NotReducibleError):
-        HybridSet.parse("{a^2}").reduce()
+        HybridSet([("a", 2)]).reduce()
     with pytest.raises(NotReducibleError):
-        HybridSet.parse("{a^-1, b}").reduce()
+        HybridSet([("a", -1), ("b", 1)]).reduce()
 
 
 def test_negative_multiplicities_are_first_class():
-    h = HybridSet.parse("{a^-1, b^5}")
+    h = HybridSet([("a", -1), ("b", 5)])
     assert h.multiplicity("a") == -1
     assert h.support() == frozenset({"a", "b"})
-    assert (h + HybridSet.parse("{a}")).support() == frozenset({"b"})
+    assert (h + HybridSet([("a", 1)])).support() == frozenset({"b"})
 
 
 def test_universe_tags_must_match():
-    a = HybridSet.parse("{a}", universe_tag="U")
-    b = HybridSet.parse("{a}", universe_tag="V")
+    a = HybridSet([("a", 1)], universe_tag="U")
+    b = HybridSet([("a", 1)], universe_tag="V")
     with pytest.raises(UniverseMismatchError):
         a.oplus(b)
     with pytest.raises(UniverseMismatchError):
@@ -119,7 +122,7 @@ def test_universe_tags_must_match():
 
 
 def test_an_operand_that_is_not_a_hybrid_set_is_refused_by_type():
-    h = HybridSet.parse("{a}")
+    h = HybridSet([("a", 1)])
     for op in (operator.add, operator.sub):
         with pytest.raises(TypeError):
             op(h, 3)
@@ -166,7 +169,7 @@ def test_multiplicities_must_be_ints():
     with pytest.raises(TypeError):
         HybridSet([("a", True)])
     with pytest.raises(TypeError):
-        HybridSet.parse("{a}").scale("2")
+        HybridSet([("a", 1)]).scale("2")
 
 
 @given(hybrid_sets(), hybrid_sets())
@@ -233,11 +236,6 @@ def test_disjointness_is_empty_product(a, b):
     assert a.is_disjoint(b) == (a.otimes(b) == HybridSet.empty())
 
 
-@given(hybrid_sets())
-def test_render_parse_round_trip(a):
-    assert HybridSet.parse(a.render()) == a
-
-
 @given(hybrid_sets(), hybrid_sets())
 def test_equality_agrees_with_hash(a, b):
     if a == b:
@@ -245,8 +243,8 @@ def test_equality_agrees_with_hash(a, b):
 
 
 def test_operator_sugar_matches_named_ops():
-    a = HybridSet.parse("{a^2, b^-1}")
-    b = HybridSet.parse("{b^4}")
+    a = HybridSet([("a", 2), ("b", -1)])
+    b = HybridSet([("b", 4)])
     assert a + b == a.oplus(b)
     assert a - b == a.ominus(b)
     assert 3 * a == a.scale(3) == a * 3
@@ -258,13 +256,13 @@ def test_each_operation_merges_at_most_once(monkeypatch):
     # their entries (none for a product), not merged again to be checked.
     from hybridsets import hybridset
 
-    a = HybridSet.parse("{a^2, b^-1, (1, 2)^3}")
-    b = HybridSet.parse("{b^4, c}")
+    a = HybridSet([("a", 2), ("b", -1), (PAIR, 3)])
+    b = HybridSet([("b", 4), ("c", 1)])
     want = {
-        "oplus": HybridSet.parse("{a^2, b^3, c, (1, 2)^3}"),
-        "ominus": HybridSet.parse("{a^2, b^-5, c^-1, (1, 2)^3}"),
-        "scale": HybridSet.parse("{a^6, b^-3, (1, 2)^9}"),
-        "otimes": HybridSet.parse("{b^-4}"),
+        "oplus": HybridSet([("a", 2), ("b", 3), ("c", 1), (PAIR, 3)]),
+        "ominus": HybridSet([("a", 2), ("b", -5), ("c", -1), (PAIR, 3)]),
+        "scale": HybridSet([("a", 6), ("b", -3), (PAIR, 9)]),
+        "otimes": HybridSet([("b", -4)]),
     }
     empty = HybridSet.empty()
     calls = []

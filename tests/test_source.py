@@ -84,6 +84,64 @@ def test_checked_add_has_only_the_merge_and_evaluation_callers():
     }
 
 
+def test_text_is_read_only_where_the_program_reads_it():
+    # Every input surface is one the program reads: a workspace line, an
+    # inline expression or term, a command-line argument or valuation, and
+    # two one-line entries over the readers a workspace uses.  So a
+    # scalarexpr.Cursor is made only there, and a text format that nothing
+    # reads cannot come back unseen.  A call is named by its module, class
+    # and function; nested functions count as their host.
+    def makers(node, where, in_def=False):
+        for child in ast.iter_child_nodes(node):
+            inner, inner_def = where, in_def
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)) and not in_def:
+                inner, inner_def = f"{where}.{child.name}", isinstance(child, ast.FunctionDef)
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")) == "Cursor":
+                    yield where
+            yield from makers(child, inner, inner_def)
+
+    found = {
+        where
+        for path in SOURCES
+        for where in makers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert found == {
+        "workspace.parse_workspace",
+        "workspace.parse_expr_text",
+        "workspace.parse_term_text",
+        "cli._reading",
+        "cli._valuation",
+        "regions.Valuation.parse",
+        "scalarexpr.parse_scalar",
+    }
+    # The declared linear operators are one table fixed at import: library
+    # code assigns calculus._OPERATORS once, at module level, and never
+    # stores into it, by item or by a mutating method.
+    mutators = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+    def writes(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(t, ast.Name) and t.id == "_OPERATORS" for t in targets):
+                    yield "assign", node.col_offset
+            owner = node.value if isinstance(node, (ast.Subscript, ast.Attribute)) else None
+            if isinstance(owner, ast.Name) and owner.id == "_OPERATORS" and (
+                isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr in mutators
+            ):
+                yield "store", node.lineno
+
+    found = [
+        (path.name, *write)
+        for path in SOURCES
+        for write in writes(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [("calculus.py", "assign", 0)]
+
+
 def test_tables_are_evaluated_by_blocks_in_one_place():
     # One table evaluator: IndicatorTable.grid_keys keys a grid by row and
     # column classes and only functions.evaluate_grid reads it, and the CLI
