@@ -105,7 +105,6 @@ from .splines import (
 from .workspace import (
     Workspace,
     parse_workspace,
-    render_workspace,
 )
 
 __version__ = "0.1.0"

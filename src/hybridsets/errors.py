@@ -14,7 +14,7 @@ class MultiplicityOverflowError(HybridError, ArithmeticError):
 
 
 class NotReducibleError(HybridError):
-    """A hybrid set with a multiplicity other than 0 or 1 was reduced."""
+    """A graph hybrid set read back as a function is a relation instead."""
 
 
 class ValuationError(HybridError):

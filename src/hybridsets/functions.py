@@ -88,8 +88,6 @@ class FreeWord(FreeCombination):
     DROP_EARLY = True
 
     is_empty = FreeCombination.is_zero
-    exponent = FreeCombination.coefficient
-    pow = FreeCombination.scale
 
     def items(self):
         """(atom, exponent) pairs in first-appearance order."""

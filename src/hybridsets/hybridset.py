@@ -22,7 +22,6 @@ from typing import Dict, Iterable, Mapping, Tuple, Union
 from .errors import (
     ContractError,
     MultiplicityOverflowError,
-    NotReducibleError,
     UniverseMismatchError,
 )
 from .scalarexpr import INT64_MAX, INT64_MIN
@@ -309,15 +308,6 @@ class HybridSet:
         """No common element: acceptance criterion 2's condition for the
         join of two graphs of everywhere-distinct functions to be one."""
         return not self.otimes(other)
-
-    def reduce(self) -> frozenset:
-        """The underlying classical set, if every multiplicity is exactly 1."""
-        for el, m in self._entries.items():
-            if m != 1:
-                raise NotReducibleError(
-                    f"element {render_element(el)} has multiplicity {m}, not 1"
-                )
-        return frozenset(self._entries)
 
     # operators
     def __add__(self, other):

@@ -261,31 +261,6 @@ def eval_scalar(expr: BodyExpr, x: Optional[Fraction], valuation) -> Fraction:
     raise TypeError(f"not a body expression: {expr!r}")
 
 
-def render_scalar(expr: BodyExpr) -> str:
-    """Canonical text that parses back to ``expr``.  A sign keeps the
-    parentheses around a chain or another sign; a chain inside a chain
-    keeps them unless it is multiplicative inside an additive chain; and so
-    does a sign after ``/``."""
-    if isinstance(expr, Num):
-        return str(expr.value)
-    if isinstance(expr, Ref):
-        return expr.name
-    if isinstance(expr, Neg):
-        inner = render_scalar(expr.operand)
-        return f"-({inner})" if isinstance(expr.operand, (Neg, Chain)) else f"-{inner}"
-    if isinstance(expr, Chain):
-        parts = []
-        for op, operand in ((None, expr.first), *expr.rest):
-            text = render_scalar(operand)
-            if isinstance(operand, Chain) and (operand.additive or not expr.additive) or (
-                op == "/" and isinstance(operand, Neg)
-            ):
-                text = f"({text})"
-            parts.append(text if op is None else f"{op} {text}")
-        return " ".join(parts)
-    raise TypeError(f"not a body expression: {expr!r}")
-
-
 def body_names(expr: BodyExpr) -> Iterator[str]:
     """The names a body refers to, ``x`` included, in reading order."""
     if isinstance(expr, Ref):

@@ -15,14 +15,14 @@ One declaration per line, ``#`` starts a comment:
     valuation v1: a = 1/3, b = 2
 
 Every name must be declared before use and is unique within its kind.
-Errors carry line and column.  ``render_workspace`` emits canonical text
-that parses back to an equal workspace.
+Errors carry line and column.  The format is read, not written: what the
+CLI prints of an expression comes from ``HybridExpr.render``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from . import scalarexpr
 from .errors import ContractError
@@ -36,7 +36,6 @@ from .functions import (
     join,
     marked_join,
 )
-from .hybridset import render_element
 from .matrices import SymbolicBlockMatrix, block_matrix_2x2, grid_universe
 from .refine import GeneralisedPartition
 from .regions import (
@@ -48,7 +47,6 @@ from .regions import (
     SymbolicHybridSet,
     Universe,
     Valuation,
-    render_param,
 )
 from .scalarexpr import Cursor
 from .splines import SymbolicSpline
@@ -64,8 +62,6 @@ class Workspace:
     matrices: Dict[str, SymbolicBlockMatrix] = field(default_factory=dict)
     splines: Dict[str, SymbolicSpline] = field(default_factory=dict)
     valuations: Dict[str, Valuation] = field(default_factory=dict)
-    # declaration order is presentation, not meaning
-    decls: List[Tuple[str, str]] = field(default_factory=list, compare=False)
 
 
 _REGISTRIES = {
@@ -85,7 +81,6 @@ def _register(ws: Workspace, kind: str, name: str, value, cur: Cursor, pos: int)
     if name in registry:
         cur.error(f"duplicate {kind} name {name!r}", pos)
     registry[name] = value
-    ws.decls.append((kind, name))
 
 
 def _param(ws: Workspace, cur: Cursor) -> Param:
@@ -126,7 +121,6 @@ def _decl_fn(ws: Workspace, cur: Cursor):
             if ref != "x" and ref not in ws.params:
                 cur.error(f"unresolved name {ref!r} in body", start)
     _register(ws, "atom", name, FunctionAtom(name, body), cur, pos)
-    ws.decls[-1] = ("fn", name)
 
 
 def _parse_bounds(ws: Workspace, cur: Cursor, sep: str):
@@ -387,96 +381,3 @@ def parse_expr_text(ws: Workspace, text: str) -> HybridExpr:
 def parse_term_text(ws: Workspace, text: str) -> HybridTerm:
     return Cursor(text).read_all(lambda cur: _parse_term(ws, cur))
 
-
-# --- canonical rendering -------------------------------------------------
-
-
-def _render_range(lo, hi, lo_closed, hi_closed) -> str:
-    body = f"{render_param(lo)}..{render_param(hi)}"
-    if lo_closed and hi_closed:
-        return body
-    return ("[" if lo_closed else "(") + body + ("]" if hi_closed else ")")
-
-
-def render_shape(shape) -> str:
-    if isinstance(shape, Universe):
-        return "universe"
-    if isinstance(shape, Interval1D):
-        return (
-            "interval"
-            + ("[" if shape.lo_closed else "(")
-            + f"{render_param(shape.lo)}, {render_param(shape.hi)}"
-            + ("]" if shape.hi_closed else ")")
-        )
-    if isinstance(shape, GridRect):
-        rows = _render_range(
-            shape.row_lo, shape.row_hi, shape.row_lo_closed, shape.row_hi_closed
-        )
-        cols = _render_range(
-            shape.col_lo, shape.col_hi, shape.col_lo_closed, shape.col_hi_closed
-        )
-        return f"rect({rows}, {cols})"
-    if isinstance(shape, FinitePointSet):
-        return "points(" + ", ".join(render_element(p) for p in shape.points) + ")"
-    raise TypeError(f"not a shape: {shape!r}")
-
-
-def _render_operand(c) -> str:
-    """A combination of one atom with coefficient 1 as the atom's name,
-    any other in parentheses."""
-    items = c.items()
-    if len(items) == 1 and items[0][1] == 1:
-        return items[0][0].name
-    return f"({c.render()})"
-
-
-def render_term(t: HybridTerm) -> str:
-    return f"{_render_operand(t.word)}^{_render_operand(t.region)}"
-
-
-def render_expr_body(e: HybridExpr) -> str:
-    inner = ", ".join(render_term(t) for t in e.terms)
-    if e.star is None:
-        return f"join({inner})"
-    return f"mjoin({e.star.name}, {inner})"
-
-
-def render_workspace(ws: Workspace) -> str:
-    lines = []
-    for kind, name in ws.decls:
-        if kind == "param":
-            lines.append(f"param {name}")
-        elif kind == "fn":
-            a = ws.atoms[name]
-            if a.body is None:
-                lines.append(f"fn {name}")
-            else:
-                lines.append(f"fn {name} = {scalarexpr.render_scalar(a.body)}")
-        elif kind == "region":
-            lines.append(f"region {name} = {render_shape(ws.regions[name].shape)}")
-        elif kind == "partition":
-            p = ws.partitions[name]
-            pieces = ", ".join(piece.render() for piece in p.pieces)
-            suffix = " assumed" if p.assumed else ""
-            lines.append(f"partition {name} of {p.universe.name} = {pieces}{suffix}")
-        elif kind == "expr":
-            lines.append(f"expr {name} = {render_expr_body(ws.exprs[name])}")
-        elif kind == "matrix":
-            m = ws.matrices[name]
-            top_left = m.blocks[0].region.shape
-            dims = f"dims({render_param(m.rows)}, {render_param(m.cols)})"
-            split = (
-                f"split({render_param(top_left.row_hi)}, "
-                f"{render_param(top_left.col_hi)})"
-            )
-            blocks = "blocks(" + ", ".join(b.name for b in m.blocks) + ")"
-            lines.append(f"matrix {name} = {dims} {split} {blocks}")
-        elif kind == "spline":
-            sp = ws.splines[name]
-            knots = ", ".join(render_param(k) for k in sp.knots)
-            lines.append(f"spline {name} = knots({knots})")
-        elif kind == "valuation":
-            v = ws.valuations[name]
-            pairs = ", ".join(f"{k} = {val}" for k, val in v.items())
-            lines.append(f"valuation {name}: {pairs}")
-    return "\n".join(lines) + ("\n" if lines else "")

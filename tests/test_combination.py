@@ -168,7 +168,7 @@ class TestTypes:
         with pytest.raises(TypeError, match="must be an int"):
             FreeWord([(f, k)])
         with pytest.raises(TypeError, match="must be an int"):
-            FreeWord.from_atom(f).pow(k)
+            FreeWord.from_atom(f).scale(k)
 
     def test_coefficients_must_be_ints(self):
         a = REGION_ATOMS["a"]
@@ -213,7 +213,7 @@ class TestNameClash:
     def test_equal_atoms_under_one_name_merge(self):
         again = FreeWord.from_atom(constant_atom("f", 5))
         assert again is not self.F5
-        assert self.F5.mul(again) == self.F5.pow(2)
+        assert self.F5.mul(again) == self.F5.scale(2)
 
 
 class TestClashAcrossTerms:

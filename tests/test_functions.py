@@ -91,14 +91,14 @@ class TestFunctionAtoms:
 class TestFreeWord:
     def test_cancellation(self):
         w = word((f, 2), (g, 1), (f, -2))
-        assert w.exponent("f") == 0
-        assert w.exponent("g") == 1
+        assert w.coefficient("f") == 0
+        assert w.coefficient("g") == 1
         assert w.items() == [(g, 1)]
 
-    def test_mul_and_pow(self):
+    def test_mul_and_scale(self):
         w = word(f, g)
-        assert w.mul(w.pow(-1)).is_empty
-        assert w.pow(3).exponent("f") == 3
+        assert w.mul(w.scale(-1)).is_empty
+        assert w.scale(3).coefficient("f") == 3
 
     def test_equality_ignores_order(self):
         assert word(f, g) == word(g, f)

@@ -13,7 +13,6 @@ from hybridsets import (
     INT64_MAX,
     INT64_MIN,
     MultiplicityOverflowError,
-    NotReducibleError,
     UniverseMismatchError,
     checked_add,
     checked_mul,
@@ -95,14 +94,8 @@ def test_empty_set_renders_as_braces():
 
 def test_from_elements_builds_classical_set():
     h = HybridSet((el, 1) for el in ["x", "y"])
-    assert h.reduce() == frozenset({"x", "y"})
-
-
-def test_reduce_refuses_nonunit_multiplicity():
-    with pytest.raises(NotReducibleError):
-        HybridSet([("a", 2)]).reduce()
-    with pytest.raises(NotReducibleError):
-        HybridSet([("a", -1), ("b", 1)]).reduce()
+    assert h.support() == frozenset({"x", "y"})
+    assert h.multiplicity("x") == h.multiplicity("y") == 1
 
 
 def test_negative_multiplicities_are_first_class():

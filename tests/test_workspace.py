@@ -1,4 +1,4 @@
-"""Workspace text: parsing, canonical rendering, and error positions."""
+"""Workspace text: parsing, equal spellings, and error positions."""
 
 import re
 import sys
@@ -14,13 +14,14 @@ from hybridsets import (
     MultiplicityOverflowError,
     GridRect,
     Interval1D,
+    ContractError,
     ParseError,
     Universe,
+    Valuation,
     Workspace,
     parse_workspace,
-    render_workspace,
 )
-from hybridsets.scalarexpr import parse_scalar
+from hybridsets.scalarexpr import eval_scalar, parse_scalar
 from hybridsets.workspace import parse_expr_text, parse_term_text
 
 F = Fraction
@@ -33,17 +34,6 @@ def parse_fixture(name):
 
 
 class TestFixtures:
-    @pytest.mark.parametrize(
-        "name",
-        ["matrix_demo.ws", "piecewise_demo.ws", "spline_demo.ws", "steps_demo.ws"],
-    )
-    def test_fixtures_parse_and_round_trip(self, name):
-        ws = parse_fixture(name)
-        rendered = render_workspace(ws)
-        assert parse_workspace(rendered) == ws
-        # canonical text is a fixed point
-        assert render_workspace(parse_workspace(rendered)) == rendered
-
     def test_declaration_order_is_not_compared(self):
         lines = [
             "param b", "param a", "region U = interval[0, 1)", "region A = interval[0, a)",
@@ -51,7 +41,6 @@ class TestFixtures:
         ]
         ws = parse_workspace("\n".join(lines))
         reordered = parse_workspace("\n".join([lines[1], lines[0], *lines[5:1:-1], lines[6]]))
-        assert reordered.decls != ws.decls
         assert reordered == ws
         assert parse_workspace("\n".join(lines).replace("b = 2/3", "b = 3/4")) != ws
 
@@ -133,9 +122,9 @@ class TestParsing:
         ws = parse_workspace(text)
         assert len(ws.exprs["E1"].terms) == 2
         assert ws.exprs["E2"].star.name == "*"
-        assert ws.exprs["E2"].terms[1].word.exponent("f") == 2
-        assert ws.exprs["E2"].terms[1].word.exponent("g") == -1
-        assert ws.exprs["E3"].terms[0].word.exponent("f") == 1
+        assert ws.exprs["E2"].terms[1].word.coefficient("f") == 2
+        assert ws.exprs["E2"].terms[1].word.coefficient("g") == -1
+        assert ws.exprs["E3"].terms[0].word.coefficient("f") == 1
         assert ws.exprs["E0"].terms == ()
 
     def test_matrix_declaration_registers_blocks_and_partition(self):
@@ -227,7 +216,7 @@ class TestInlineExpressions:
     def test_term_text(self):
         ws = self.make_ws()
         t = parse_term_text(ws, "(f * g)^(U - A)")
-        assert t.word.exponent("f") == 1
+        assert t.word.coefficient("f") == 1
         assert t.region.coefficient("A") == -1
 
     def test_inline_errors_have_no_line_number(self):
@@ -238,6 +227,9 @@ class TestInlineExpressions:
 
 
 class TestRendering:
+    # Each written text parses to the same workspace as its canonical
+    # spelling: one declaration per line, names one by one, a space around
+    # each binary operator and after each comma.
     def test_rendered_lines_are_canonical(self):
         text = (
             "param a,b\n"
@@ -248,8 +240,7 @@ class TestRendering:
             "expr E = join(f^A)\n"
             "valuation v: b=2, a=1/3"
         )
-        ws = parse_workspace(text)
-        assert render_workspace(ws).splitlines() == [
+        canonical = [
             "param a",
             "param b",
             "fn f = 2 * x + 1",
@@ -259,6 +250,7 @@ class TestRendering:
             "expr E = join(f^A)",
             "valuation v: a = 1/3, b = 2",
         ]
+        assert parse_workspace(text) == parse_workspace("\n".join(canonical))
 
     # written body -> canonical body; parentheses stay where dropping them
     # would parse to a different body
@@ -281,10 +273,11 @@ class TestRendering:
         ],
     )
     def test_fn_bodies_round_trip(self, body, canonical):
-        ws = parse_workspace(f"param a, b, c\nfn f = {body}")
-        text = render_workspace(ws)
-        assert text.splitlines()[-1] == f"fn f = {canonical}"
-        assert parse_workspace(text) == ws
+        written = parse_workspace(f"param a, b, c\nfn f = {body}")
+        assert written == parse_workspace(f"param a, b, c\nfn f = {canonical}")
+
+    # a, b and x at each valuation; the third makes a - b, a - x and x - 2 zero
+    VALUES = [(F(1, 3), F(-2), F(5, 7)), (F(0), F(2), F(-1, 2)), (F(2), F(2), F(2))]
 
     @settings(max_examples=200, deadline=None)
     @given(st.recursive(
@@ -296,16 +289,25 @@ class TestRendering:
         ),
         max_leaves=12,
     ))
-    def test_any_body_round_trips(self, body):
-        ws = parse_workspace(f"param a, b\nfn f = {body}")
-        text = render_workspace(ws)
-        assert parse_workspace(text) == ws
-        assert render_workspace(parse_workspace(text)) == text
+    def test_any_body_evaluates_as_python_does(self, body):
+        # Python reads the same text with the same precedence, unary signs
+        # and left-to-right chains, so it is the reference for the value
+        expr = parse_scalar(body)
+        python_text = body.replace("2", "Fraction(2)")
+        for a, b, x in self.VALUES:
+            v = Valuation({"a": a, "b": b})
+            try:
+                expected = eval(python_text, {"Fraction": Fraction, "a": a, "b": b, "x": x})
+            except ZeroDivisionError:
+                with pytest.raises(ContractError, match="division by zero"):
+                    eval_scalar(expr, x, v)
+            else:
+                assert eval_scalar(expr, x, v) == expected
 
     def test_universe_points_rects_and_opaque_fns_round_trip(self):
         # every open/closed pair of range ends; a range closed at both ends
-        # renders bare
-        ws = parse_workspace(
+        # may go bare
+        written = parse_workspace(
             "param h, k\n"
             "region U = universe\n"
             "region Q = points(0, -1/2, (2, 3))\n"
@@ -313,43 +315,37 @@ class TestRendering:
             "region R2 = rect([1..h), (1..k])\n"
             "fn g\n"
         )
-        text = render_workspace(ws)
-        assert text.splitlines()[2:] == [
+        canonical = [
+            "param h",
+            "param k",
             "region U = universe",
             "region Q = points(0, -1/2, (2, 3))",
             "region R1 = rect(1..h, (1..k))",
             "region R2 = rect([1..h), (1..k])",
             "fn g",
         ]
-        again = parse_workspace(text)
-        assert again == ws
-        assert render_workspace(again) == text
-
-    def test_matrix_line_round_trips_the_splits(self):
-        text = "param n, m, h1, k1\nmatrix M1 = dims(n, m) split(h1, k1) blocks(A1, B1, C1, D1)"
-        ws = parse_workspace(text)
-        assert (
-            "matrix M1 = dims(n, m) split(h1, k1) blocks(A1, B1, C1, D1)"
-            in render_workspace(ws).splitlines()
-        )
+        assert written == parse_workspace("\n".join(canonical))
 
 
 # A token the scanner must never see split: a number such as -1/2, the
 # range mark "..", a name, or any other single character.
 _TOKEN = re.compile(r"-?\d+(?:/\d+)?|\.\.|[A-Za-z_][A-Za-z0-9_]*|\S")
-_CANONICAL = {
-    name: render_workspace(parse_fixture(name))
+_FIXTURES = {
+    name: (FIXTURES / name).read_text()
     for name in ("matrix_demo.ws", "piecewise_demo.ws", "spline_demo.ws", "steps_demo.ws")
 }
 
 
 class TestScanner:
     @settings(max_examples=60, deadline=None)
-    @given(name=st.sampled_from(sorted(_CANONICAL)), data=st.data())
+    @given(name=st.sampled_from(sorted(_FIXTURES)), data=st.data())
     def test_respaced_canonical_text_parses_to_an_equal_workspace(self, name, data):
-        canonical = _CANONICAL[name]
+        # each fixture line, its comment removed, with its tokens respaced:
+        # tokens that touch may be spaced, and tokens apart stay apart
+        original = _FIXTURES[name]
         lines = []
-        for line in canonical.splitlines():
+        for line in original.splitlines():
+            line = line.split("#", 1)[0]
             tokens = list(_TOKEN.finditer(line))
             out = data.draw(st.text(" \t", max_size=2))
             for prev, tok in zip([None] + tokens, tokens):
@@ -358,9 +354,7 @@ class TestScanner:
                     out += data.draw(st.text(" \t", min_size=int(spaced), max_size=3))
                 out += tok.group()
             lines.append(out + data.draw(st.text(" \t", max_size=2)))
-        respaced = parse_workspace("\n".join(lines))
-        assert respaced == parse_workspace(canonical)
-        assert render_workspace(respaced) == canonical
+        assert parse_workspace("\n".join(lines)) == parse_workspace(original)
 
     PRELUDE = (
         "param a, n, m, h, k\nregion U = interval[0, 1)\n"
@@ -460,16 +454,17 @@ class TestScanner:
         ws = parse_workspace(
             self.PRELUDE + "expr E = join(f^(U - 9223372036854775807*A - A))"
         )
-        rendered = render_workspace(ws)
-        assert "expr E = join(f^(U - 9223372036854775808*A))" in rendered.splitlines()
-        assert parse_workspace(rendered) == ws
+        assert ws.exprs["E"].terms[0].region.coefficient("A") == -(2**63)
+        assert ws == parse_workspace(
+            self.PRELUDE + "expr E = join(f^(U - 9223372036854775808*A))"
+        )
 
     def test_the_64_bit_limits_themselves_are_accepted(self):
         ws = parse_workspace(
             self.PRELUDE
             + "expr E = join((f^9223372036854775807)^A, (f^-9223372036854775808)^U)"
         )
-        assert ws.exprs["E"].terms[0].word.exponent("f") == 2**63 - 1
+        assert ws.exprs["E"].terms[0].word.coefficient("f") == 2**63 - 1
 
     def test_in_range_literals_that_overflow_together_stay_overflow_errors(self):
         with pytest.raises(MultiplicityOverflowError):
