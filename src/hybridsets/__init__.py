@@ -25,8 +25,6 @@ from .hybridset import (
     HybridSet,
     INT64_MAX,
     INT64_MIN,
-    checked_add,
-    checked_mul,
 )
 from .regions import (
     FinitePointSet,

@@ -27,7 +27,7 @@ from .functions import (
     marked_join,
 )
 from .regions import (
-    Point, RegionAtom, SymbolicHybridSet, Universe, Valuation, multiplicities_many, resolve_param
+    Point, RegionAtom, Universe, Valuation, multiplicities_many, resolve_param
 )
 from .refine import GeneralisedPartition, Refinement, common_strict_refinement
 

@@ -28,7 +28,7 @@ from .errors import (
     NotReducibleError,
     OpacityError,
 )
-from .hybridset import FreeCombination, HybridSet, bind, checked_add, element_sort_key, merge
+from .hybridset import FreeCombination, HybridSet, bind, checked_int, element_sort_key, merge
 from .regions import IndicatorTable, Point, SymbolicHybridSet, Valuation, _Layout, as_fraction
 
 
@@ -279,18 +279,19 @@ def _accumulate(words, multiplicities: Iterable[int]):
     """(net region multiplicity, surviving exponents, atoms): the terms'
     words, as (name, exponent, atom) tuples, merged with their region
     multiplicities as scalars and zeros dropped at the end.  The
-    multiplicities are drawn one term at a time, between the words' merges."""
+    multiplicities are drawn one term at a time, between the words' merges;
+    the surviving exponents, then the net, are checked once all are read."""
     net = 0
 
     def scaled():
         nonlocal net
         for word, m in zip(words, multiplicities):
-            net = checked_add(net, m)
+            net += m
             if m:
                 yield word, m
 
     surviving, atoms = merge(scaled(), FreeWord.CLASH, False)
-    return net, surviving, atoms
+    return checked_int(net), surviving, atoms
 
 
 def _eval_plain(star, accumulated, point, valuation) -> EvalOutcome:
@@ -377,10 +378,9 @@ class _Plan:
     the union over the shapes whose bits differ.  It is None when the
     static bound, the sum over terms of (sum of |region coefficients|)
     times (sum of |word exponents|), exceeds ``INT64_MAX``.  Within the
-    bound no multiplicity, product or partial sum of ``_accumulate`` can
-    leave the 64-bit range, so a ``_Sweep`` may skip the checks; above it
-    every vector is accumulated by ``_accumulate``, which raises what it
-    raises.
+    bound every multiplicity, exponent and net that ``_accumulate`` checks
+    fits in 64 bits, so a ``_Sweep`` may skip the checks; above it every
+    vector is accumulated by ``_accumulate``, which raises what it raises.
     ``occurs`` lists each name's (term, rank) places in term order, rank
     counting every word entry of the expression.
     ``additive`` holds when the star is ``PLUS``, the plan is within the

@@ -8,15 +8,16 @@ and doubles as a disjointness test (disjoint iff the product is empty).
 
 Elements may be rationals, opaque string tokens, or tuples of elements
 (tuples cover both symbolic points and graph pairs ``(x, value)``).
-Multiplicities are kept inside the signed 64-bit range; leaving it raises
-``MultiplicityOverflowError`` rather than silently relying on bignums.
+Multiplicities are kept inside the signed 64-bit range by one rule: a sum
+is taken in Python ints, whatever the order of its pairs, and each value it
+stores or returns is checked once, by ``checked_int``.  A sum that fits
+never raises; one that does not raises ``MultiplicityOverflowError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from operator import neg
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from .errors import (
@@ -34,14 +35,6 @@ def checked_int(n: int) -> int:
     if not INT64_MIN <= n <= INT64_MAX:
         raise MultiplicityOverflowError(f"multiplicity {n} leaves the 64-bit range")
     return n
-
-
-def checked_add(a: int, b: int) -> int:
-    return checked_int(a + b)
-
-
-def checked_mul(a: int, b: int) -> int:
-    return checked_int(a * b)
 
 
 def require_int(value, what: str) -> int:
@@ -71,24 +64,33 @@ def merge(groups, clash: str, drop_early: bool, seed=None) -> Tuple[Dict[str, in
     A ``seed`` combination is taken by copying its two dicts: it holds no
     zero and its atoms are bound, so the copy is what merging it into empty
     dicts would give, order included.  The work in Python is then one step
-    per entry of the groups alone."""
+    per entry of the groups alone.
+
+    Sums are taken in Python ints, so a partial sum may leave the 64-bit
+    range and come back; when one left it, each kept coefficient is then
+    checked by ``checked_int``."""
     if seed is None:
         coeffs: Dict[str, int] = {}
         atoms: dict = {}
     else:
         coeffs, atoms = dict(seed._coeffs), dict(seed._atoms)
     get, known = coeffs.get, atoms.setdefault
-    moved = False
+    moved = wide = False
     for entries, n in groups:
         for name, c, atom in entries:
             if known(name, atom) is not atom:
                 bind(atoms, name, atom, clash)
-            total = checked_add(get(name, 0), c if n == 1 else checked_mul(n, c))
+            total = get(name, 0) + (c if n == 1 else n * c)
+            if not INT64_MIN <= total <= INT64_MAX:
+                wide = True
             if total or not drop_early:
                 coeffs[name] = total
             else:
                 coeffs.pop(name, None)
                 moved = True
+    if wide:
+        for c in coeffs.values():
+            checked_int(c)
     if not drop_early and 0 in coeffs.values():
         coeffs = {name: c for name, c in coeffs.items() if c}
         moved = True
@@ -158,9 +160,7 @@ class FreeCombination:
                 raise TypeError(f"expected {cls.__name__}, got {c!r}")
             n = n if type(n) is int else require_int(n, "scalar")
             coeffs = c._coeffs
-            # a scalar -1 negates the coefficients: a difference may fit where -INT64_MIN does not
-            values, n = (map(neg, coeffs.values()), 1) if n == -1 else (coeffs.values(), n)
-            yield zip(coeffs, values, c._atoms.values()), n
+            yield zip(coeffs, coeffs.values(), c._atoms.values()), n
 
     def coefficient(self, name: str) -> int:
         return self._coeffs.get(name, 0)
@@ -286,19 +286,15 @@ class HybridSet:
     def ominus(self, other: "HybridSet") -> "HybridSet":
         """Pointwise difference of multiplicities."""
         self._require_peer(other)
-        # -INT64_MIN is out of range where a difference need not be: sum before the check
         negated = ((el, -m) for el, m in other._entries.items())
         return self._of(self._sum(chain(self._entries.items(), negated)), self.universe_tag)
 
     def otimes(self, other: "HybridSet") -> "HybridSet":
         """Pointwise product; empty exactly when the operands are disjoint."""
         self._require_peer(other)
-        out = {}
-        for el, m in self._entries.items():
-            n = other._entries.get(el, 0)
-            if n:
-                out[el] = checked_mul(m, n)
-        return self._of(out, self.universe_tag)
+        theirs = other._entries
+        products = ((el, m * theirs[el]) for el, m in self._entries.items() if el in theirs)
+        return self._of(self._sum(products), self.universe_tag)
 
     def scale(self, n: int) -> "HybridSet":
         require_int(n, "scalar")

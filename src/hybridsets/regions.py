@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ContractError, ValuationError
-from .hybridset import FreeCombination, checked_add
+from .hybridset import FreeCombination, checked_int
 from .scalarexpr import Cursor
 
 # An endpoint: either an exact rational or the name of a parameter.
@@ -259,8 +259,8 @@ class SymbolicHybridSet(FreeCombination):
         total = 0
         for name, coeff in self._coeffs.items():
             if self._atoms[name].indicator(point, valuation):
-                total = checked_add(total, coeff)
-        return total
+                total += coeff
+        return checked_int(total)
 
     def render(self) -> str:
         """Positive coefficients first, then negative ones, each by name."""
@@ -317,8 +317,8 @@ class _Layout:
             total = 0
             for k, coeff in uses:
                 if key >> k & 1:
-                    total = checked_add(total, coeff)
-            yield total
+                    total += coeff
+            yield checked_int(total)
 
 
 class IndicatorTable:

@@ -344,18 +344,27 @@ class TestFoldCost:
     """A binary fold of the fold-eval operands z_i^(U - R_i) ⊛ a_i^R_i. Each
     step copies the running words, which lead every merge with exponent 1,
     and merges only the new operand's entries into them, so a fold of N
-    steps makes O(N^2) checked additions; merging every running entry at
-    every step would make O(N^3)."""
+    steps makes ``hybridset.merge`` read O(N^2) entries in Python; merging
+    every running entry at every step would make O(N^3)."""
 
     @pytest.mark.parametrize("n", [20, 40])
-    def test_checked_additions_stay_within_two_n_squared(self, n, monkeypatch):
+    def test_entries_merged_in_python_stay_within_two_n_squared(self, n, monkeypatch):
         ws = steps_workspace(n)
-        calls = []
-        real = hybridset.checked_add
-        monkeypatch.setattr(hybridset, "checked_add", lambda a, b: calls.append(1) or real(a, b))
+        reads = []
+        real = hybridset.merge
+
+        def counted(entries):
+            for entry in entries:
+                reads.append(1)
+                yield entry
+
+        def merge(groups, *args):
+            return real(((counted(entries), k) for entries, k in groups), *args)
+
+        monkeypatch.setattr(hybridset, "merge", merge)
         fold = step_fold(ws, n)
         assert len(fold.terms) == n + 1
-        assert len(calls) <= 2 * n * n
+        assert len(reads) <= 2 * n * n
 
     def test_a_fold_of_twelve_renders_as_frozen_and_matches_the_step_sum(self):
         ws = steps_workspace(12)

@@ -1,10 +1,12 @@
 """The free-abelian core shared by region combinations and value words:
 type checks, the name-clash check, and the two item orders."""
 
+import re
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from hybridsets import (
@@ -146,7 +148,7 @@ class TestSeededMerge:
 class TestDifferences:
     def test_a_difference_that_fits_is_not_refused_for_its_negation(self):
         # -INT64_MIN leaves the 64-bit range, but a - b may fit where -b
-        # does not: a scalar -1 is checked in the sum, as ominus checks it
+        # does not: a sum is checked on its result, not on -b
         low = HybridSet([("a", INT64_MIN)])
         assert HybridSet([("a", INT64_MIN), ("b", 1)]).ominus(low).render() == "{b^1}"
         for cls, atoms, _ in KINDS:
@@ -155,10 +157,69 @@ class TestDifferences:
             b = cls.from_atom(atoms["b"])
             assert both - low == b
             assert cls.combine([(both, 1), (low, -1)]) == b
+            assert cls.combine([(low, -1), (both, 1)]) == b
             assert cls.combine([(b, 2), (low, 1), (both, -1)]) == b
             for negate in (lambda: -low, lambda: low.scale(-1), lambda: cls.combine([(low, -1)])):
                 with pytest.raises(MultiplicityOverflowError):
                     negate()
+
+
+near_the_limits = st.one_of(
+    st.integers(INT64_MIN, INT64_MIN + 2), st.integers(-2, 2), st.integers(INT64_MAX - 2, INT64_MAX)
+)
+OVERFLOW = re.compile(r"multiplicity (-?\d+) leaves the 64-bit range")
+
+
+def outcome(sum_of, items):
+    """``sum_of(items)``, or MultiplicityOverflowError and the value it names."""
+    try:
+        return sum_of(items)
+    except MultiplicityOverflowError as e:
+        return MultiplicityOverflowError, int(OVERFLOW.fullmatch(str(e)).group(1))
+
+
+class TestOrderFreeSums:
+    """A combination is an element of a free abelian group, so a sum's value,
+    and whether it fits in 64 bits, does not depend on the order of its
+    pairs: a sum that fits never raises, and one that does not raises
+    MultiplicityOverflowError for a value of its result."""
+
+    @seed(1990)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from("ab"), near_the_limits), max_size=6),
+        st.lists(
+            st.tuples(
+                st.dictionaries(st.sampled_from("ab"), near_the_limits, max_size=2),
+                st.integers(-2, 2),
+            ),
+            max_size=6,
+        ),
+    )
+    @example([("a", INT64_MAX), ("a", 1), ("a", -1)], [])
+    @example([], [({"a": INT64_MIN, "b": 1}, 1), ({"a": INT64_MIN}, -1)])
+    def test_every_order_of_the_pairs_gives_one_result(self, pairs, terms):
+        for cls, atoms, _ in [(HybridSet, {n: n for n in NAMES}, None), *KINDS]:
+            def make(items, cls=cls, atoms=atoms):
+                return cls([(atoms[n], c) for n, c in items])
+
+            cases = [(make, pairs, pairs)]
+            if cls is not HybridSet:
+                combos = [(make(coeffs.items()), k) for coeffs, k in terms]
+                scaled = [(n, k * c) for coeffs, k in terms for n, c in coeffs.items()]
+                cases.append((cls.combine, combos, scaled))
+            for sum_of, items, flat in cases:
+                totals = {}
+                for n, c in flat:
+                    totals[n] = totals.get(n, 0) + c
+                wide = {t for t in totals.values() if not INT64_MIN <= t <= INT64_MAX}
+                want = None if wide else make(totals.items())
+                for order in permutations(items):
+                    got = outcome(sum_of, list(order))
+                    if wide:
+                        assert got[0] is MultiplicityOverflowError and got[1] in wide
+                    else:
+                        assert got == want
 
 
 class TestTypes:

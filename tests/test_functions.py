@@ -38,8 +38,6 @@ from hybridsets import (
     ValuationError,
     atom,
     block_matrix_2x2,
-    checked_add,
-    checked_mul,
     constant_atom,
     evaluate,
     evaluate_grid,
@@ -57,6 +55,7 @@ from hybridsets import (
 )
 from hybridsets import functions, regions
 from hybridsets.functions import _eval_marked, _eval_plain
+from hybridsets.hybridset import checked_int
 from hybridsets.regions import resolve_param
 
 F = Fraction
@@ -346,19 +345,21 @@ def _rendered(outcomes):
 
 def _per_point_reference(e, points, valuation):
     """evaluate(e, p) point by point, summing each term's region
-    multiplicity as ``SymbolicHybridSet.multiplicity`` gives it."""
+    multiplicity as ``SymbolicHybridSet.multiplicity`` gives it.  Sums are
+    taken in ints; each surviving exponent, then the net, is checked once
+    every multiplicity at the point is read."""
     finish = _eval_plain if e.star is None else _eval_marked
     for p in points:
         net, exps, atoms = 0, {}, {}
         for t in e.terms:
             m = t.region.multiplicity(p, valuation)
-            net = checked_add(net, m)
+            net += m
             if m:
                 for a, k in t.word.items():
-                    exps[a.name] = checked_add(exps.get(a.name, 0), checked_mul(m, k))
+                    exps[a.name] = exps.get(a.name, 0) + m * k
                     atoms.setdefault(a.name, a)
-        surviving = {n: k for n, k in exps.items() if k}
-        yield finish(e.star, (net, surviving, atoms), p, valuation)
+        surviving = {n: checked_int(k) for n, k in exps.items() if k}
+        yield finish(e.star, (checked_int(net), surviving, atoms), p, valuation)
 
 
 class TestEvaluateMany:
@@ -393,8 +394,10 @@ class TestEvaluateMany:
         pts = [*coords, *((i, j) for i in coords for j in coords)]
         assert list(evaluate_many(e, pts, v)) == list(_per_point_reference(e, pts, v))
 
-    # An overflow and a missing parameter at one point: the first one met in
-    # the order term, then coefficient, is the one raised.
+    # An overflow and a missing parameter at one point: an overflow is
+    # decided only once every value at the point is read, so the missing
+    # parameter is raised wherever it comes in the order term, then
+    # coefficient.
     U0 = RegionAtom("U0", Universe())
     U1 = RegionAtom("U1", Universe())
     P = RegionAtom("P", Interval1D(F(0), "p"))
@@ -402,13 +405,13 @@ class TestEvaluateMany:
     @pytest.mark.parametrize(
         "terms, error",
         [
-            ([(word((f, 2)), [(U0, 2**62)]), (g, [(P, 1)])], MultiplicityOverflowError),
+            ([(word((f, 2)), [(U0, 2**62)]), (g, [(P, 1)])], ValuationError),
             ([(g, [(P, 1)]), (word((f, 2)), [(U0, 2**62)])], ValuationError),
-            ([(f, [(U0, 2**62), (U1, 2**62), (P, 1)])], MultiplicityOverflowError),
+            ([(f, [(U0, 2**62), (U1, 2**62), (P, 1)])], ValuationError),
             ([(f, [(U0, 2**62), (P, 1), (U1, 2**62)])], ValuationError),
         ],
     )
-    def test_the_first_error_in_term_order_is_raised(self, terms, error):
+    def test_an_overflow_is_decided_after_every_value_at_the_point(self, terms, error):
         e = HybridExpr(None, tuple(term(w, SymbolicHybridSet(uses)) for w, uses in terms))
         reference = _outcomes(_per_point_reference(e, [F(1, 2)], Valuation()))
         assert reference[-1][0] is error

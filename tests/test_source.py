@@ -55,11 +55,14 @@ def test_regions_line_is_the_only_caller_of_bisect():
     assert found == {"regions._Line"}
 
 
-def test_checked_add_has_only_the_merge_and_evaluation_callers():
-    # One term-merging helper: a sum of named multiplicities goes through
-    # hybridset.merge, so a second merge loop cannot come back unseen.  The
-    # other callers add one integer per term, not per name.  A call is named
-    # by its module, class and function; nested functions count as their host.
+def test_checked_int_is_called_only_where_a_value_is_stored_or_returned():
+    # One overflow rule: sums are taken in Python ints, whatever the order
+    # of their pairs, and checked_int checks each value once, where it is
+    # stored or returned: a coefficient merge keeps, a multiplicity given to
+    # HybridSet, a net multiplicity, and a region's multiplicity at a point.
+    # So a check on a partial sum, which makes the result depend on the
+    # order of the sum, cannot come back unseen.  A call is named by its
+    # module, class and function; nested functions count as their host.
     def callers(node, where, in_def=False):
         for child in ast.iter_child_nodes(node):
             inner, inner_def = where, in_def
@@ -68,7 +71,7 @@ def test_checked_add_has_only_the_merge_and_evaluation_callers():
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-                if name == "checked_add":
+                if name == "checked_int":
                     yield where
             yield from callers(child, inner, inner_def)
 
@@ -79,10 +82,41 @@ def test_checked_add_has_only_the_merge_and_evaluation_callers():
     }
     assert found == {
         "hybridset.merge",
+        "hybridset.HybridSet.__init__",
         "functions._accumulate",
         "regions.SymbolicHybridSet.multiplicity",
         "regions._Layout.multiplicities",
     }
+
+
+def test_every_imported_name_is_read_in_its_module():
+    # An import that nothing reads is code the module does not use.  The
+    # only exceptions are names the benchmark harness rebinds in the module
+    # by name: perfbench/tracer.py patches ``evaluate`` in calculus and in
+    # matrices so that a traced run counts every call, wherever it is made.
+    kept = {
+        ("calculus", "evaluate"): "perfbench/tracer.py rebinds it in this module",
+        ("matrices", "evaluate"): "perfbench/tracer.py rebinds it in this module",
+    }
+    unread = set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread.update((path.stem, name) for name in imported if name not in read)
+    assert unread == set(kept)
 
 
 def test_text_is_read_only_where_the_program_reads_it():

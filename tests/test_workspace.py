@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridsets import (
@@ -270,6 +270,7 @@ class TestRendering:
             ("(a * b) / c", "a * b / c"),
             ("a + (b * c)", "a + b * c"),
             ("-(a * b) - c", "-(a * b) - c"),
+            ("a / -b * x", "a / (-b) * x"),
         ],
     )
     def test_fn_bodies_round_trip(self, body, canonical):
@@ -289,6 +290,8 @@ class TestRendering:
         ),
         max_leaves=12,
     ))
+    @example("a / -b * x")
+    @example("x - 2 / -a * b / -x")
     def test_any_body_evaluates_as_python_does(self, body):
         # Python reads the same text with the same precedence, unary signs
         # and left-to-right chains, so it is the reference for the value
