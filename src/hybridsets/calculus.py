@@ -26,9 +26,7 @@ from .functions import (
     evaluate_many,
     marked_join,
 )
-from .regions import (
-    Point, RegionAtom, Universe, Valuation, multiplicities_many, resolve_param
-)
+from .regions import Point, RegionAtom, Valuation, multiplicities_many, resolve_param
 from .refine import GeneralisedPartition, Refinement, common_strict_refinement
 
 
@@ -49,18 +47,18 @@ def pointwise_star(
     """Combine piecewise operands with an AC star over one common refinement.
 
     Operand k must be a join of terms whose regions are exactly the pieces
-    of partition k of the refinement, or of its only partition when it has
-    one, in that partition's piece order: term i is read as piece i.  A
-    term whose region is not its piece, a term count that is not the piece
-    count, and any other partition count are a ``RefinementError``.  When
-    no refinement is given and all operands share their region list, the
-    shared partition refines itself; otherwise the canonical minimal
-    refinement of all the operands' partitions is built, which needs the
-    universe atom.  For r partitions of n_1..n_r pieces it has
+    of partition k of the refinement, in that partition's piece order: term
+    i is read as piece i.  A term whose region is not its piece, a term
+    count that is not the piece count, and a partition count that is not
+    the operand count are a ``RefinementError``.  When no refinement is
+    given and all operands share their region list, piece i of that shared
+    partition takes term i of every operand; otherwise the canonical
+    minimal refinement of all the operands' partitions is built, which
+    needs the universe atom.  For r partitions of n_1..n_r pieces it has
     (sum n_i) + 1 - r pieces.
 
-    The result is a marked join with one term per refinement piece: the term
-    word multiplies every operand word raised to its rewrite coefficient for
+    The result is a marked join with one term per piece: the term word
+    multiplies every operand word raised to its rewrite coefficient for
     that piece, merged in operand order.  Each rewrite row is read once, and
     a leading word with coefficient 1 seeds its piece's merge
     (``FreeCombination.combine``).  So step N of a binary fold copies the
@@ -72,56 +70,55 @@ def pointwise_star(
     if not operands:
         raise ContractError("pointwise_star needs at least one operand")
     operand_terms = [_as_terms(op) for op in operands]
+    regions = [tuple(t.region for t in terms) for terms in operand_terms]
 
-    if refinement is None:
-        regions = [tuple(t.region for t in terms) for terms in operand_terms]
-        if all(r == regions[0] for r in regions):
-            universe = universe or RegionAtom("U", Universe())
-            shared = GeneralisedPartition("shared", universe, regions[0], assumed=True)
-            refinement = Refinement.trivial(shared)
-        elif universe is None:
-            raise ContractError(
-                "pointwise_star needs a universe atom to build the canonical refinement"
-            )
-        else:
+    if refinement is None and all(r == regions[0] for r in regions):
+        if not regions[0]:
+            raise ContractError("a partition needs at least one piece")
+        pieces, labels = regions[0], range(1, len(regions[0]) + 1)
+        groups = [[(t.word, 1) for t in column] for column in zip(*operand_terms)]
+    else:
+        if refinement is None:
+            if universe is None:
+                raise ContractError(
+                    "pointwise_star needs a universe atom to build the canonical refinement"
+                )
             refinement = common_strict_refinement([
                 GeneralisedPartition(f"operand {k}", universe, r, assumed=True)
                 for k, r in enumerate(regions, start=1)
             ])
-
-    count = len(refinement.partitions)
-    if count not in (1, len(operands)):
-        raise RefinementError(
-            f"{len(operands)} operands but the refinement has {count} partitions"
-        )
-    # groups[j]: the (word, coefficient) pairs of new piece j, in operand
-    # order, read off each rewrite row's nonzero entries in one pass
-    columns = range(refinement.size)
-    groups = [[] for _ in columns]
-    for k, terms in enumerate(operand_terms, start=1):
-        p = k - 1 if count > 1 else 0
-        pieces = refinement.partitions[p].pieces
-        if len(terms) != len(pieces):
+        count = len(refinement.partitions)
+        if count != len(operands):
             raise RefinementError(
-                f"operand {k} has {len(terms)} terms but the partition has {len(pieces)} pieces"
+                f"{len(operands)} operands but the refinement has {count} partitions"
             )
-        rows = refinement.coefficients[p]
-        for i, (t, piece, row) in enumerate(zip(terms, pieces, rows), start=1):
-            if t.region != piece:
+        # groups[j]: the (word, coefficient) pairs of new piece j, in operand
+        # order, read off each rewrite row's nonzero entries in one pass
+        pieces, labels = refinement.pieces, refinement.labels
+        columns = range(refinement.size)
+        groups = [[] for _ in columns]
+        for k, (terms, partition, rows) in enumerate(
+            zip(operand_terms, refinement.partitions, refinement.coefficients), start=1
+        ):
+            if len(terms) != len(partition.pieces):
                 raise RefinementError(
-                    f"operand {k}: term {i} has region {t.region.render()!r}, "
-                    f"but piece {i} of the partition is {piece.render()!r}"
+                    f"operand {k} has {len(terms)} terms but the partition has "
+                    f"{len(partition.pieces)} pieces"
                 )
-            for j in compress(columns, row):
-                groups[j].append((t.word, row[j]))
+            for i, (t, piece, row) in enumerate(zip(terms, partition.pieces, rows), start=1):
+                if t.region != piece:
+                    raise RefinementError(
+                        f"operand {k}: term {i} has region {t.region.render()!r}, "
+                        f"but piece {i} of the partition is {piece.render()!r}"
+                    )
+                for j in compress(columns, row):
+                    groups[j].append((t.word, row[j]))
 
     out_terms = []
-    for j, piece in enumerate(refinement.pieces):
-        w = FreeWord.combine(groups[j])
+    for piece, label, group in zip(pieces, labels, groups):
+        w = FreeWord.combine(group)
         if w.is_empty:
-            raise ContractError(
-                f"value word for refinement piece {refinement.labels[j]} cancelled away"
-            )
+            raise ContractError(f"value word for refinement piece {label} cancelled away")
         out_terms.append(HybridTerm(w, piece))
     return marked_join(star, out_terms)
 
@@ -158,18 +155,21 @@ def star_inverse_identity_check(
     sample: Iterable[Point],
 ) -> CheckReport:
     """Check that f combined with its star-inverse collapses to the unit
-    with the region's own multiplicity, and vanishes off the region."""
+    with the region's own multiplicity, and vanishes off the region.
+
+    The combination is the marked join ``(f * ~f^-1)^R``, where ``~f`` is f
+    under another name, so the free group keeps it apart from f and the
+    evaluation applies ``star.invert`` to its value, through its negative
+    exponent."""
     if not star.has_inverse or star.unit is None or star.apply is None:
         raise ContractError(f"star {star.name!r} has no declared inverse and unit")
     items = f.word.items()
     if len(items) != 1 or items[0][1] != 1:
         raise ContractError("inverse check expects a single-atom term")
     base = items[0][0]
-    mirrored = FunctionAtom(
-        f"~{base.name}", func=lambda p, v: star.invert(base.value(p, v))
-    )
+    mirrored = FunctionAtom(f"~{base.name}", base.body)
     expr = marked_join(
-        star, [HybridTerm(f.word.mul(FreeWord.from_atom(mirrored)), f.region)]
+        star, [HybridTerm(f.word.mul(FreeWord.from_atom(mirrored, -1)), f.region)]
     )
     report = CheckReport(f"inverse identity for {base.name!r} under {star.name!r}")
     sample = list(sample)
@@ -223,7 +223,12 @@ def karr_split_check(
     upper: int,
     valuation: Optional[Valuation] = None,
 ) -> CheckReport:
-    """Verify the split and telescoping identities for arbitrary bound order."""
+    """Verify the split and telescoping identities for arbitrary bound order.
+
+    With m and u the resolved mid and upper bounds, the telescoping sum of
+    f(i + 1) - f(i) over m <= i < u is taken as two sums of f itself,
+    ``karr_sum(f, m + 1, u + 1) - karr_sum(f, m, u)``, and must equal
+    f(u) - f(m)."""
     report = CheckReport(f"signed-sum identities for {f.name!r}")
 
     whole = karr_sum(f, lower, upper, valuation)
@@ -235,13 +240,10 @@ def karr_split_check(
             f"split ({lower},{mid},{upper}): {whole} != {left} + {right}"
         )
 
-    step = FunctionAtom(
-        f"{f.name}'", func=lambda x, v: f.value(x + 1, v) - f.value(x, v)
-    )
-    tele = karr_sum(step, mid, upper, valuation)
-    direct = f.value(Fraction(summation_bound(upper, valuation)), valuation) - f.value(
-        Fraction(summation_bound(mid, valuation)), valuation
-    )
+    m = summation_bound(mid, valuation)
+    u = summation_bound(upper, valuation)
+    tele = karr_sum(f, m + 1, u + 1, valuation) - karr_sum(f, m, u, valuation)
+    direct = f.value(Fraction(u), valuation) - f.value(Fraction(m), valuation)
     report.checked += 1
     if tele != direct:
         report.record(f"telescoping ({mid},{upper}): {tele} != {direct}")

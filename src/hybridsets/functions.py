@@ -35,33 +35,25 @@ from .regions import IndicatorTable, Point, SymbolicHybridSet, Valuation, _Layou
 @dataclass(frozen=True)
 class FunctionAtom:
     """A named scalar function.  ``body`` is an exact expression in x and
-    parameters; atoms without a body (and without a python fallback) are
-    opaque and evaluate formally only."""
+    parameters; an atom without a body is opaque and evaluates formally only."""
 
     name: str
     body: Optional[scalarexpr.BodyExpr] = None
-    func: Optional[Callable[..., Fraction]] = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def is_opaque(self) -> bool:
-        return self.body is None and self.func is None
+        return self.body is None
 
     @cached_property
     def reads_point(self) -> bool:
-        """Whether the value can depend on the point: a python function may
-        read it, a body reads it when it names x.  The body is walked once."""
-        if self.body is not None:
-            return "x" in scalarexpr.body_names(self.body)
-        return self.func is not None
+        """Whether the value can depend on the point: the body names x.
+        The body is walked once."""
+        return self.body is not None and "x" in scalarexpr.body_names(self.body)
 
     def value(self, point: Point, valuation: Optional[Valuation] = None) -> Fraction:
-        if self.body is not None:
-            return scalarexpr.eval_scalar(self.body, point, valuation)
-        if self.func is not None:
-            return as_fraction(self.func(point, valuation), f"the value of {self.name!r}")
-        raise OpacityError(f"atom {self.name!r} has no body to evaluate")
+        if self.body is None:
+            raise OpacityError(f"atom {self.name!r} has no body to evaluate")
+        return scalarexpr.eval_scalar(self.body, point, valuation)
 
 
 def atom(name: str, body: Optional[str] = None) -> FunctionAtom:

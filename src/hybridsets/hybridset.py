@@ -124,6 +124,8 @@ class FreeCombination:
                 raise TypeError(f"expected {atom_type.__name__}, got {atom!r}")
             if type(coeff) is not int:
                 require_int(coeff, "coefficient")
+            if not INT64_MIN <= coeff <= INT64_MAX:
+                checked_int(coeff)
             yield atom.name, coeff, atom
 
     @classmethod

@@ -332,7 +332,7 @@ class Refinement:
     pieces: Tuple[SymbolicHybridSet, ...]
     labels: Tuple[str, ...]
     coefficients: Tuple[Tuple[Tuple[int, ...], ...], ...]
-    choice: Optional[ChoiceMatrix] = None
+    choice: ChoiceMatrix
 
     @property
     def size(self) -> int:
@@ -342,21 +342,6 @@ class Refinement:
         """Piece i of partition k expanded over the new pieces."""
         return SymbolicHybridSet.combine(
             (self.pieces[j], c) for j, c in enumerate(self.coefficients[k][i]) if c
-        )
-
-    @classmethod
-    def trivial(cls, partition: GeneralisedPartition) -> "Refinement":
-        """A partition refines itself."""
-        n = len(partition.pieces)
-        identity = tuple(
-            tuple(int(i == j) for j in range(n)) for i in range(n)
-        )
-        return cls(
-            partition.universe,
-            (partition,),
-            partition.pieces,
-            partition.labels,
-            (identity,),
         )
 
 

@@ -21,7 +21,6 @@ from hybridsets import (
     STYLE_ONES_TOP,
     MERGE,
     PLUS,
-    Refinement,
     RefinementError,
     RegionAtom,
     STYLE_UPPER_TRIANGLE,
@@ -164,11 +163,11 @@ class TestPointwiseStar:
         left = join(term(f1, A1), term(f2, A1), term(g1, U - A1 - A1))
         right = join(term(h1, A1), term(h2, A1), term(h3, U - A1 - A1))
         twice = GeneralisedPartition("D", U_ATOM, (A1, A1, U - A1 - A1), assumed=True)
-        for refinement in (None, Refinement.trivial(twice)):
-            e = pointwise_star(PLUS, left, right, refinement=refinement)
-            assert [t.word for t in e.terms] == [word(f1, h1), word(f2, h2), word(g1, h3)]
-            assert [t.region for t in e.terms] == [A1, A1, U - A1 - A1]
+        e = pointwise_star(PLUS, left, right)
+        assert [t.word for t in e.terms] == [word(f1, h1), word(f2, h2), word(g1, h3)]
+        assert [t.region for t in e.terms] == [A1, A1, U - A1 - A1]
         # the same terms out of order do not match their pieces
+        refinement = common_strict_refinement([twice, twice])
         message = r"^operand 2: term 1 has region 'U - 2\*A1', but piece 1 .* is 'A1'$"
         with pytest.raises(RefinementError, match=message):
             pointwise_star(PLUS, left, join(*right.terms[::-1]), refinement=refinement)
@@ -190,8 +189,14 @@ class TestPointwiseStar:
         three = common_strict_refinement([p, q, p])
         with pytest.raises(RefinementError):
             pointwise_star(TIMES, F_EXPR, G_EXPR, refinement=three)
+        # one partition is not shared out among several operands
+        one = common_strict_refinement([p])
+        with pytest.raises(RefinementError, match="^2 operands but the refinement has 1 partitions$"):
+            pointwise_star(TIMES, F_EXPR, F_EXPR, refinement=one)
         with pytest.raises(ContractError):
             pointwise_star(TIMES)
+        with pytest.raises(ContractError, match="^a partition needs at least one piece$"):
+            pointwise_star(PLUS, join(), join())
 
     def test_an_atom_that_cancels_and_returns_is_listed_last(self):
         # In piece A2 - B1 the x of left piece 1 cancels against the
@@ -420,6 +425,22 @@ class TestInverseIdentity:
         report = star_inverse_identity_check(PLUS, term(f, q1 + q2), None, grid)
         assert report.passed
 
+    @pytest.mark.parametrize("star", [PLUS, "reciprocal"])
+    def test_negative_multiplicities_collapse_to_the_unit(self, star):
+        # f^-m * ~f^m at multiplicity -m: the renamed copy carries the
+        # inverse through its negative exponent, so f meets its inverse
+        # whatever the sign of the multiplicity
+        star = RECIPROCAL if star == "reciprocal" else star
+        f = atom("f", "x + 2")
+        q1 = SymbolicHybridSet.from_atom(RegionAtom("Q1", Interval1D(F(0), F(4))))
+        q2 = SymbolicHybridSet.from_atom(RegionAtom("Q2", Interval1D(F(2), F(6))))
+        grid = rational_grid(0, 6, 25, include_hi=True)
+        report = star_inverse_identity_check(star, term(f, -q1 - q2), None, grid)
+        assert report.passed, report.render()
+        assert report.checked == 25
+        seen = {m for _, (m,) in regions.multiplicities_many((-q1 - q2,), grid, None)}
+        assert seen == {-1, -2}
+
     def test_star_without_inverse_is_rejected(self):
         f = atom("f", "x")
         a = SymbolicHybridSet.from_atom(RegionAtom("A", Interval1D(F(0), F(1))))
@@ -445,6 +466,54 @@ class TestInverseIdentity:
         )
         assert not report.passed
         assert "expected 0" in report.violations[0]
+
+
+# A square, a pole at 2, a parameter that may be missing, and an opaque atom;
+# bounds are integers or parameter names, whose values may not be integers.
+KARR_SUMMANDS = (atom("sq", "x*x"), atom("pole", "1 / (x - 2)"), atom("pa", "a * x + 1"), atom("g"))
+KARR_BOUNDS = st.one_of(st.integers(-4, 5), st.sampled_from(("p", "q")))
+KARR_VALUES = st.sampled_from([F(n) for n in range(-4, 6)] + [F(1, 2)])
+
+
+def _reference_bound(b, valuation):
+    resolved = resolve_param(b if isinstance(b, str) else F(b), valuation)
+    if resolved.denominator != 1:
+        raise ContractError(f"summation bound {resolved} is not an integer")
+    return int(resolved)
+
+
+def _reference_signed_sum(g, lo, hi):
+    """g(i) summed point by point over lo <= i < hi; swapping the bounds
+    negates the sum (Karr 1981)."""
+    if lo > hi:
+        return -_reference_signed_sum(g, hi, lo)
+    total = F(0)
+    for i in range(lo, hi):
+        total += g(i)
+    return total
+
+
+def _reference_karr_split_check(f, lower, mid, upper, valuation):
+    def value(i):
+        return f.value(F(i), valuation)
+
+    def signed(lo, hi):
+        return _reference_signed_sum(
+            value, _reference_bound(lo, valuation), _reference_bound(hi, valuation)
+        )
+
+    report = CheckReport(f"signed-sum identities for {f.name!r}")
+    whole, left, right = signed(lower, upper), signed(lower, mid), signed(mid, upper)
+    report.checked += 1
+    if whole != left + right:
+        report.record(f"split ({lower},{mid},{upper}): {whole} != {left} + {right}")
+    m, u = _reference_bound(mid, valuation), _reference_bound(upper, valuation)
+    tele = _reference_signed_sum(lambda i: value(i + 1) - value(i), m, u)
+    direct = value(u) - value(m)
+    report.checked += 1
+    if tele != direct:
+        report.record(f"telescoping ({mid},{upper}): {tele} != {direct}")
+    return report
 
 
 class TestSignedSums:
@@ -488,6 +557,20 @@ class TestSignedSums:
     def test_fractional_bound_is_an_error(self):
         with pytest.raises(ContractError):
             karr_sum(self.ident, F(1, 2), 3)
+
+    @seed(1981)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(KARR_SUMMANDS),
+        st.tuples(*[KARR_BOUNDS] * 3),
+        st.one_of(st.none(), st.dictionaries(st.sampled_from(("a", "p", "q")), KARR_VALUES, min_size=2)),
+    )
+    def test_split_check_agrees_with_the_per_point_reference(self, f, bounds, values):
+        v = None if values is None else Valuation(values)
+        for lower, mid, upper in itertools.permutations(bounds):
+            assert _outcome(karr_split_check, f, lower, mid, upper, v) == _outcome(
+                _reference_karr_split_check, f, lower, mid, upper, v
+            )
 
 
 class TestLinearOperators:
@@ -586,8 +669,8 @@ def _reference_is_strict(*args):
 
 def _reference_inverse_check(star, f, valuation, sample):
     base = f.word.items()[0][0]
-    mirrored = FunctionAtom(f"~{base.name}", func=lambda p, v: star.invert(base.value(p, v)))
-    expr = marked_join(star, [term(word(base, mirrored), f.region)])
+    mirrored = FunctionAtom(f"~{base.name}", base.body)
+    expr = marked_join(star, [term(word(base, (mirrored, -1)), f.region)])
     report = CheckReport(f"inverse identity for {base.name!r} under {star.name!r}")
     for p in sample:
         report.checked += 1

@@ -370,6 +370,22 @@ class TestChecks:
         assert code == 0
         assert out == "inverse identity for 'one' under '+': OK (101 checks)\n"
 
+    def test_invert_on_an_opaque_atom_lists_the_formal_residue(self, capsys, tmp_path):
+        # ~g is g renamed, so the free group keeps g + ~g^-1 apart
+        ws = tmp_path / "opaque.ws"
+        ws.write_text("fn g\nregion Q1 = interval[0, 4]\nregion Q2 = interval[2, 6]\n")
+        code, out, err = run_cli(
+            capsys, "check", "invert", str(ws), "--term", "g^(Q1 + Q2)", "--grid", "0,6,4"
+        )
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "inverse identity for 'g' under '+': FAIL (4 checks)",
+            "  at 0: expected 0 with multiplicity 1, got g + ~g^-1 with multiplicity 1",
+            "  at 2: expected 0 with multiplicity 2, got g^2 + ~g^-2 with multiplicity 2",
+            "  at 4: expected 0 with multiplicity 2, got g^2 + ~g^-2 with multiplicity 2",
+            "  at 6: expected 0 with multiplicity 1, got g + ~g^-1 with multiplicity 1",
+        ]
+
     def test_invert_rejects_star_without_inverse(self, capsys):
         code, _, err = run_cli(
             capsys, "check", "invert", STEPS, "--term", "one^P", "--star", "⋈"

@@ -221,6 +221,22 @@ class TestOrderFreeSums:
                     else:
                         assert got == want
 
+    def test_every_constructor_checks_each_coefficient_it_is_given(self):
+        # A given coefficient is a stored value, so one outside the 64-bit
+        # range is refused even where the sum would fit; a sum that leaves
+        # the range and comes back is not.
+        assert outcome(HybridSet, [("a", -1), ("a", INT64_MAX + 1)]) == (
+            MultiplicityOverflowError, INT64_MAX + 1
+        )
+        for cls, atoms, _ in KINDS:
+            a = atoms["a"]
+            assert outcome(cls, [(a, -1), (a, INT64_MAX + 1)]) == (
+                MultiplicityOverflowError, INT64_MAX + 1
+            )
+            assert cls([(a, INT64_MAX), (a, 1), (a, -1)]) == cls.from_atom(a, INT64_MAX)
+        a = REGION_ATOMS["a"]
+        assert str(SymbolicHybridSet([(a, INT64_MAX), (a, 1), (a, -1)])) == "9223372036854775807*a"
+
 
 class TestTypes:
     @pytest.mark.parametrize("k", [F(1, 2), F(2), True, 1.0])

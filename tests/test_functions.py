@@ -15,7 +15,6 @@ from hybridsets import (
     FinitePointSet,
     FormalValue,
     FreeWord,
-    FunctionAtom,
     GridRect,
     HybridError,
     HybridExpr,
@@ -442,11 +441,10 @@ class TestEvaluateMany:
 
 
 # Atoms whose value reads x, reads only a parameter (and may raise there),
-# reads nothing, or comes from a python function of the point.
+# or reads nothing.
 mixed_atoms = value_atoms + (
     atom("pb", "b / 2"),
     atom("ia", "1 / a"),
-    FunctionAtom("fp", func=lambda p, v: F(len(p)) if isinstance(p, tuple) else 2 * F(p)),
 )
 
 
@@ -1096,9 +1094,9 @@ point_free_atoms = (
 )
 # The parameter each point-free atom reads, if any.
 READS = {"c2": None, "cq": None, "pb": "b", "ka": "a", "ia": "a"}
-# Mostly point-free; an atom that reads x, an opaque atom and a python
-# function each keep a plan off the additive path.
-additive_word_atoms = point_free_atoms * 12 + (f, u_op, mixed_atoms[-1])
+# Mostly point-free; an atom that reads x and an opaque atom each keep a
+# plan off the additive path.
+additive_word_atoms = point_free_atoms * 12 + (f, u_op)
 
 
 @st.composite

@@ -17,7 +17,6 @@ from hybridsets import (
     ContractError,
     GeneralisedPartition,
     Interval1D,
-    Refinement,
     RefinementError,
     RegionAtom,
     STYLE_ONES_TOP,
@@ -619,8 +618,8 @@ class TestChecksSurviveOptimisedMode:
 
 
 class TestStrictness:
-    def test_trivial_refinement_is_strict(self):
-        r = Refinement.trivial(P)
+    def test_one_partition_refines_itself_strictly(self):
+        r = common_strict_refinement([P])
         v = Valuation({"a": F(1, 2)})
         assert verify_rewrite(r.pieces, P, r.coefficients[0], v, GRID)
         assert is_strict(r.pieces, P, r.coefficients[0], v, GRID)

@@ -59,7 +59,8 @@ def test_checked_int_is_called_only_where_a_value_is_stored_or_returned():
     # One overflow rule: sums are taken in Python ints, whatever the order
     # of their pairs, and checked_int checks each value once, where it is
     # stored or returned: a coefficient merge keeps, a multiplicity given to
-    # HybridSet, a net multiplicity, and a region's multiplicity at a point.
+    # HybridSet, a coefficient given to a combination, a net multiplicity,
+    # and a region's multiplicity at a point.
     # So a check on a partial sum, which makes the result depend on the
     # order of the sum, cannot come back unseen.  A call is named by its
     # module, class and function; nested functions count as their host.
@@ -83,6 +84,7 @@ def test_checked_int_is_called_only_where_a_value_is_stored_or_returned():
     assert found == {
         "hybridset.merge",
         "hybridset.HybridSet.__init__",
+        "hybridset.FreeCombination._checked",
         "functions._accumulate",
         "regions.SymbolicHybridSet.multiplicity",
         "regions._Layout.multiplicities",
