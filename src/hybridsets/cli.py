@@ -207,7 +207,9 @@ def _cmd_matrix_add(args) -> int:
         cols = resolve_param(m1.cols, v)
         if rows.denominator != 1 or cols.denominator != 1:
             raise _Usage("matrix dimensions must resolve to integers")
-        rows, cols = max(0, int(rows)), max(0, int(cols))  # a negative count is empty
+        rows, cols = int(rows), int(cols)
+        if rows <= 0 or cols <= 0:  # an empty axis: no cell, and no coordinate built
+            return 0
         if rows * cols > SIZE_CAP:
             raise _Usage(f"table too large; cap is {SIZE_CAP} cells")
         coords = [Fraction(k) for k in range(max(rows, cols) + 1)]  # one per value
@@ -221,12 +223,13 @@ def _cmd_matrix_add(args) -> int:
         # The lines are written in one piece: after the last row, or before
         # the error of the cell that raises, the cells of its row before it
         # included.
-        texts, rows_seen, lines, cells = {}, {}, [], []
+        texts, rows_seen, lines = {}, {}, []
         try:
             for i, row in enumerate(outcomes, 1):
                 prefix = f'{{"at": "({i}, ' if json_lines else f"({i}, "
                 found = rows_seen.get(id(row))
                 if found is None:
+                    cells = []
                     for j, out in enumerate(row, 1):
                         text = texts.get(id(out))
                         if text is None:
@@ -238,12 +241,9 @@ def _cmd_matrix_add(args) -> int:
                             )
                         cells.append(f'{j})", {text[1]}' if json_lines else f"{j}): {text[1]}")
                     found = rows_seen[id(row)] = (row, cells)
-                    cells = []
                 if row:
                     lines.append(prefix + ("\n" + prefix).join(found[1]))
         finally:
-            if cells:  # the cells of a row before one whose text raised
-                lines.append(prefix + ("\n" + prefix).join(cells))
             if lines:
                 print("\n".join(lines))
     return 0
@@ -327,7 +327,9 @@ def _partition_sample(part, valuation, grid_spec: str):
                            shape.row_hi_closed, valuation)
         c0, c1 = _int_span(shape.col_lo, shape.col_hi, shape.col_lo_closed,
                            shape.col_hi_closed, valuation)
-        if max(0, r1 - r0 + 1) * max(0, c1 - c0 + 1) > SIZE_CAP:
+        if r1 < r0 or c1 < c0:  # an empty axis: no row or column is walked
+            return []
+        if (r1 - r0 + 1) * (c1 - c0 + 1) > SIZE_CAP:
             raise _Usage(f"universe grid too large; cap is {SIZE_CAP} cells")
         return [
             (Fraction(i), Fraction(j))

@@ -370,25 +370,22 @@ class _Plan:
     the union over the shapes whose bits differ.  It is None when the
     static bound, the sum over terms of (sum of |region coefficients|)
     times (sum of |word exponents|), exceeds ``INT64_MAX``.  Within the
-    bound every multiplicity, exponent and net that ``_accumulate`` checks
-    fits in 64 bits, so a ``_Sweep`` may skip the checks; above it every
-    vector is accumulated by ``_accumulate``, which raises what it raises.
-    ``occurs`` lists each name's (term, rank) places in term order, rank
-    counting every word entry of the expression.
+    bound every multiplicity and net fits in 64 bits.
     ``additive`` holds when the star is ``PLUS``, the plan is within the
     bound, and every atom has a body that does not name x.  The value at a
     vector is then linear in the term multiplicities, the sum of m_t times
     the value of term t's word, so a state whose atoms all evaluate keeps
-    that sum in an ``_AdditiveSweep`` instead of the exponent sums.
+    that sum in an ``_AdditiveSweep``.  Every other state accumulates the
+    exponents of each new indicator vector from scratch, by
+    ``_accumulate``, which raises what it raises.
 
     ``slot`` holds the state of the last valuation used: its
     ``IndicatorTable``, per indicator vector the accumulated sums (or, on
     the additive path, None) and the outcome once one is known to hold for
-    every point with that vector, and the sweep of the last vector
-    accumulated, or None.
+    every point with that vector, and the ``_AdditiveSweep``, or None.
     """
 
-    __slots__ = ("layout", "words", "atoms", "flips", "occurs", "additive", "slot")
+    __slots__ = ("layout", "words", "atoms", "flips", "additive", "slot")
 
     def __init__(self, e: "HybridExpr"):
         self.layout = layout = _Layout([t.region for t in e.terms])
@@ -403,21 +400,13 @@ class _Plan:
             for t in e.terms
         )
         if bound > scalarexpr.INT64_MAX:
-            self.flips = self.occurs = None
+            self.flips = None
             self.additive = False
             return
         self.flips = flips = [0] * len(layout.shapes)
         for t, uses in enumerate(layout.uses):
             for k, _ in uses:
                 flips[k] |= 1 << t
-        self.occurs = occurs = {}
-        places = [(name, t) for t, w in enumerate(self.words) for name, _, _ in w]
-        for rank, (name, t) in enumerate(places):
-            found = occurs.get(name)
-            if found is None:
-                occurs[name] = [(t, rank)]
-            else:
-                found.append((t, rank))
         self.additive = e.star is PLUS and not any(
             a.is_opaque or a.reads_point for a in atoms.values()
         )
@@ -432,19 +421,15 @@ class _Plan:
         return slot
 
     def _sweep(self, valuation: Optional[Valuation]):
-        """The sweep of a new state: additive when the plan is and every
-        atom evaluates under ``valuation``, else the one over exponent
-        sums; None over the static bound."""
-        if self.flips is None:
+        """The ``_AdditiveSweep`` of a new state, when the plan is additive
+        and every atom evaluates under ``valuation``, else None."""
+        if not self.additive:
             return None
-        if self.additive:
-            try:
-                values = {name: a.value(None, valuation) for name, a in self.atoms.items()}
-            except HybridError:
-                pass  # raised again, by the reference, where the atom survives
-            else:
-                return _AdditiveSweep(self, values)
-        return _Sweep(self)
+        try:
+            values = {name: a.value(None, valuation) for name, a in self.atoms.items()}
+        except HybridError:
+            return None  # raised again where the atom survives, by the finish
+        return _AdditiveSweep(self, values)
 
 
 def _entry(accumulated):
@@ -454,58 +439,39 @@ def _entry(accumulated):
     return accumulated, not any(atoms[n].reads_point for n in surviving), None
 
 
-class _Sweep:
-    """The term multiplicities, net multiplicity and nonzero exponent sums
-    at the last finished indicator vector accumulated under one valuation,
-    for a plan within its static bound.
+class _AdditiveSweep:
+    """The state of an additive plan under a valuation where every atom
+    has a value: the term multiplicities at the last indicator vector
+    found, their net, and the value there, ``total / scale``, the sum of
+    m_t times c_t, where c_t is the value of term t's word, held as an
+    integer over the common denominator ``scale`` of the atom values.
 
-    ``accumulate(key)`` moves the record to ``key`` and returns what
-    ``_accumulate`` returns there.  Only the terms whose region uses a
-    shape whose bit flips are tested, and only those whose multiplicity
-    changes merge their word, scaled by the change.  Such a term is active
-    (has a nonzero multiplicity) at ``key`` or at the vector before, so a
-    new vector merges at most the words of the terms active at either, and
-    a pass at most twice the word entries of accumulating each of its
-    vectors from scratch.
-    """
+    ``find(key)`` moves the state to ``key`` and returns its kept entry
+    with its outcome: ``UNDEFINED`` where the net multiplicity is 0, else
+    ``Defined(total / scale, net)``, which is what ``_eval_marked`` folds
+    from the surviving exponents.  Only the terms whose region uses a
+    shape whose bit flips are tested, and a term whose multiplicity
+    changes costs one multiply-add whatever its word."""
 
-    __slots__ = ("plan", "key", "ms", "net", "sums")
+    __slots__ = ("plan", "key", "ms", "net", "values", "scale", "total")
 
-    def __init__(self, plan: _Plan):
+    def __init__(self, plan: _Plan, values: Dict[str, Fraction]):
         self.plan = plan
         self.key = 0  # every multiplicity is 0 at the empty vector
         self.ms = [0] * len(plan.words)
-        self.net = 0
-        self.sums: Dict[str, int] = {}
+        self.net = self.total = 0
+        self.scale = scale = math.lcm(*(v.denominator for v in values.values()))
+        whole = {name: v.numerator * (scale // v.denominator) for name, v in values.items()}
+        self.values = [sum(k * whole[name] for name, k, _ in w) for w in plan.words]
 
     def find(self, key: int):
-        """The kept entry of the finished vector ``key``."""
-        return _entry(self.accumulate(key))
-
-    def accumulate(self, key: int):
-        moves = self._moves(key)
-        sums, net, words = self.sums, self.net, self.plan.words
-        for t, d in moves:
-            net += d
-            for name, k, _ in words[t]:
-                s = sums.get(name, 0) + d * k
-                if s:
-                    sums[name] = s
-                else:
-                    del sums[name]
-        self.net = net
-        return net, self._in_order(), self.plan.atoms
-
-    def _moves(self, key: int):
-        """Move the term multiplicities to ``key``, and return the (term,
-        change) pairs to apply."""
         ms, flips, uses = self.ms, self.plan.flips, self.plan.layout.uses
         changed, touched = key ^ self.key, 0
         while changed:
             low = changed & -changed
             touched |= flips[low.bit_length() - 1]
             changed ^= low
-        moves = []
+        net, total, values = self.net, self.total, self.values
         while touched:
             low = touched & -touched
             touched ^= low
@@ -514,54 +480,12 @@ class _Sweep:
             for k, c in uses[t]:
                 if key >> k & 1:
                     m += c
-            if m != ms[t]:
-                moves.append((t, m - ms[t]))
+            d = m - ms[t]
+            if d:
+                net += d
+                total += d * values[t]
                 ms[t] = m
-        self.key = key
-        return moves
-
-    def _in_order(self) -> Dict[str, int]:
-        """The nonzero sums in ``_accumulate``'s order: by first place among
-        the terms with nonzero multiplicity, in term order."""
-        sums = self.sums
-        if len(sums) < 2:
-            return dict(sums)
-        occurs, ms = self.plan.occurs, self.ms
-
-        def first(name):
-            for t, rank in occurs[name]:
-                if ms[t]:
-                    return rank
-
-        return {name: sums[name] for name in sorted(sums, key=first)}
-
-
-class _AdditiveSweep(_Sweep):
-    """The sweep of an additive plan under a valuation where every atom
-    has a value: it keeps the value itself, ``total / scale``, the sum of
-    m_t times c_t, where c_t is the value of term t's word, held as an
-    integer over the common denominator ``scale`` of the atom values.
-    Moving a term costs one multiply-add whatever its word.
-
-    ``find(key)`` is the kept entry with its outcome: ``UNDEFINED`` where
-    the net multiplicity is 0, else ``Defined(total / scale, net)``,
-    which is what ``_eval_marked`` folds from the surviving exponents."""
-
-    __slots__ = ("values", "scale", "total")
-
-    def __init__(self, plan: _Plan, values: Dict[str, Fraction]):
-        super().__init__(plan)
-        self.scale = scale = math.lcm(*(v.denominator for v in values.values()))
-        whole = {name: v.numerator * (scale // v.denominator) for name, v in values.items()}
-        self.values = [sum(k * whole[name] for name, k, _ in w) for w in plan.words]
-        self.total = 0
-
-    def find(self, key: int):
-        net, total, values = self.net, self.total, self.values
-        for t, d in self._moves(key):
-            net += d
-            total += d * values[t]
-        self.net, self.total = net, total
+        self.key, self.net, self.total = key, net, total
         return None, True, Defined(Fraction(total, self.scale), net) if net else UNDEFINED
 
 
@@ -577,19 +501,21 @@ def evaluate_many(
     share it.  The state holds the resolved endpoints, the range tests per
     cell between sorted endpoints scaled to integers on each of its three
     lines: intervals, grid rows and grid columns (see ``IndicatorTable``),
-    and per distinct vector of atom indicators the term multiplicities and
-    exponent sums, and the outcome when no surviving atom reads the point.
-    Such a point-independent outcome is one object per indicator vector:
-    every point with that vector gets the same object while the state
-    lasts.  It also keeps the multiplicities and sums of the last vector
-    accumulated (a ``_Sweep``), when the plan is within its static bound:
-    a new vector merges the words of the terms whose multiplicity changed,
-    each active at it or at the vector before, so a pass merges at most
-    twice the word entries of accumulating each vector from scratch.
-    Under ``PLUS`` with atoms that read no point and all evaluate under
-    the valuation, the sweep keeps the value itself (an
-    ``_AdditiveSweep``): the atoms are evaluated once per state, and a new
-    vector costs one multiply-add per moved term.
+    and per distinct vector of atom indicators its entry, and the outcome
+    when no surviving atom reads the point.  Such a point-independent
+    outcome is one object per indicator vector: every point with that
+    vector gets the same object while the state lasts.
+    An outcome comes by one of three routes.  Under ``PLUS``
+    with atoms that read no point and all evaluate under the valuation,
+    the state keeps the value itself (an ``_AdditiveSweep``): the atoms
+    are evaluated once per state, and a new vector costs one multiply-add
+    per moved term.  Any other state accumulates the vector's exponents
+    from scratch (``_accumulate``) and keeps them, which merges the words
+    of the terms active at it.  For an n-ary step combine of N operands
+    that is about N^2 / 2 word entries per vector, so a pass that meets
+    all of its vectors merges O(N^3).  Atoms that read x take this route:
+    at 201 sorted points it took about 22 ms at N = 20 and 430 ms at
+    N = 160, on a shared 2-vCPU x86-64 host with Python 3.11.
     A point the fast placement cannot key, because its placement raised,
     is evaluated by the reference itself, ``SymbolicHybridSet.multiplicity``
     term by term, and leaves nothing in the state.
@@ -649,8 +575,9 @@ def _outcomes(e: HybridExpr, slot, pairs) -> Iterator[EvalOutcome]:
     """The outcome of each (point, indicator vector) pair in ``pairs``,
     keyed by the ``IndicatorTable`` of ``slot``, the state of one
     valuation, which the pass reads and fills whatever takes the plan's
-    slot meanwhile.  The entry of a new vector is made by the state's
-    sweep, or accumulated when the plan has none, and kept.  A point with
+    slot meanwhile.  The entry of a new vector is found by the state's
+    ``_AdditiveSweep``, or, when it has none, accumulated from the
+    vector's multiplicities by ``_accumulate``, and kept.  A point with
     the key None, which the fast placement could not key, takes each
     term's multiplicity from ``SymbolicHybridSet.multiplicity`` in term
     order, so it raises, or does not, as a point-by-point loop does;

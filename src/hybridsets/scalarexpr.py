@@ -246,7 +246,7 @@ def eval_scalar(expr: BodyExpr, x: Optional[Fraction], valuation) -> Fraction:
                 raise ContractError(f"x must be a scalar here, got {x!r}")
             return Fraction(x)
         if valuation is None:
-            raise ValuationError(f"no valuation supplied for parameter {expr.name!r}")
+            raise ValuationError(f"parameter {expr.name!r} has no value")
         return valuation.resolve(expr.name)
     if isinstance(expr, Neg):
         return -eval_scalar(expr.operand, x, valuation)

@@ -492,6 +492,43 @@ class TestExitCodes:
     def test_an_unknown_valuation_name_is_usage_error(self, capsys, argv, err):
         assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n")
 
+    RARE_WORKSPACES = {
+        "rare": "param c\nregion U = universe\nregion A = interval[0, 2]\n"
+                "region S = points(1, 2, (3, 4))\npartition PS of S = S\n"
+                "fn f = 3\nfn g = 3\nfn h = x * c\nfn p = +x\n",
+        "duplicate": "param n, m, h, k\nregion U = universe\npartition M of U = U\n"
+                     "matrix M = dims(n, m) split(h, k) blocks(A, B, C, D)\n",
+    }
+
+    # Inputs that reach a path no other test runs, each with its whole
+    # output; "WS" stands for the workspace path.
+    @pytest.mark.parametrize(
+        "name, argv, want",
+        [
+            ("rare", ["eval", "WS", "join(f^Nope)", "--at", "1"],
+             (2, "", "error: col 8: unresolved name 'Nope'\n")),
+            ("rare", ["eval", "WS", "join((f * f^-1)^U)", "--at", "1"],
+             (2, "", "error: col 6: term value word must be non-empty\n")),
+            ("duplicate", ["eval", "WS", "X", "--at", "1"],
+             (2, "", "error: line 4, col 8: duplicate partition name 'M'\n")),
+            ("rare", ["check", "invert", "WS", "--term", "f^A", "--star", "nope"],
+             (2, "", "error: unknown star 'nope'\n")),
+            ("rare", ["check", "partition", "WS", "PS"], (0, "partition PS: OK (3 points)\n", "")),
+            # equal values of distinct atoms cancel in a plain join
+            ("rare", ["eval", "WS", "join(f^A, g^(-A))", "--at", "1"], (0, "undefined\n", "")),
+            ("rare", ["eval", "WS", "join(p^U)", "--at", "7/2"], (0, "7/2\n", "")),
+            # a body's parameter without a value, with no valuation or another
+            ("rare", ["eval", "WS", "join(h^U)", "--at", "1"],
+             (1, "", "error: parameter 'c' has no value\n")),
+            ("rare", ["eval", "WS", "join(h^U)", "--at", "1", "--with", "d=1"],
+             (1, "", "error: parameter 'c' has no value\n")),
+        ],
+    )
+    def test_rare_inputs_give_their_frozen_output(self, capsys, tmp_path, name, argv, want):
+        ws = tmp_path / f"{name}.ws"
+        ws.write_text(self.RARE_WORKSPACES[name])
+        assert run_cli(capsys, *[str(ws) if a == "WS" else a for a in argv]) == want
+
     def test_bad_cell_spec_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "matrix-add", MATRIX, "M1", "M2", "--cell", "oops"
@@ -594,8 +631,8 @@ class TestSizeCap:
         assert err == f"error: summation span too large; cap is {SIZE_CAP} terms\n"
 
     # Counts that are both negative multiply to a positive product; the grid
-    # is empty all the same.
-    @pytest.mark.parametrize("n, m", [(-100, -100), (-3, 5)])
+    # is empty all the same.  An empty axis costs nothing in the other's value.
+    @pytest.mark.parametrize("n, m", [(-100, -100), (-3, 5), (0, 10**12), (10**12, 0)])
     def test_a_negative_count_is_an_empty_grid(self, capsys, n, m):
         v = f"n={n},m={m},h1=1,k1=1,h2=2,k2=2"
         table = ["matrix-add", MATRIX, "M1", "M2", "--table", "--with", v]
@@ -981,7 +1018,7 @@ class TestTableByClasses:
                 return fn(*args)
             return counted
 
-        places = [(functions._Sweep, "find"), (functions._AdditiveSweep, "find"),
+        places = [(functions._AdditiveSweep, "find"),
                   (functions, "_entry"), (functions, "_eval_plain"), (functions, "_eval_marked"),
                   (cli, "_outcome_text"), (cli, "_outcome_record")]
         for owner, name in places:

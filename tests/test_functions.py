@@ -953,27 +953,11 @@ def sweep_expressions(draw):
 
 
 class TestSweep:
-    """Within the static bound, a new indicator vector's sums come from the
-    last vector's, updated by the terms whose shapes flip; outcomes, their
+    """A plan that keeps no value accumulates each new indicator vector's
+    exponents by ``_accumulate`` and keeps them per vector; outcomes, their
     order of atoms, and the first error must be the reference's."""
 
-    @staticmethod
-    def counting(mp, hits):
-        """Count the sweep's updates from a nonempty vector."""
-        accumulate = functions._Sweep.accumulate
-
-        def counted_accumulate(sweep, key):
-            before = sweep.key
-            out = accumulate(sweep, key)
-            if before:
-                hits["neighbour"] += 1
-            return out
-
-        mp.setattr(functions._Sweep, "accumulate", counted_accumulate)
-
     def test_long_passes_agree_with_the_per_point_reference(self):
-        hits = Counter()
-
         @seed(2012)
         @settings(max_examples=300, deadline=None)
         @given(sweep_expressions(), long_passes, tied_valuations)
@@ -982,7 +966,7 @@ class TestSweep:
             got = _outcomes(evaluate_many(HybridExpr(e.star, e.terms), points, valuation))
             assert got == want
             assert _rendered(got) == _rendered(want)
-            # one-point calls under one valuation object share the sweep,
+            # one-point calls under one valuation object share the state,
             # and go on past a point that raises
             fresh, one_by_one, each = HybridExpr(e.star, e.terms), [], []
             for p in points:
@@ -991,34 +975,35 @@ class TestSweep:
             assert one_by_one == each
             assert _rendered(one_by_one) == _rendered(each)
 
-        with pytest.MonkeyPatch.context() as mp:
-            self.counting(mp, hits)
-            check()
-        assert hits["neighbour"] > 0
+        check()
 
     def test_a_new_vector_merges_at_most_the_words_active_at_it_and_before(self):
-        """Count the word entries each accumulation merges, as reads of the
-        sums, against the words of the terms with a nonzero multiplicity at
-        the new vector or at the vector before."""
+        """Count the word entries ``hybridset.merge`` reads in each
+        accumulation against the words of the terms with a nonzero
+        multiplicity at the vector, a bound tighter than the words active
+        at it or at the vector before."""
         hits = Counter()
+        merge, accumulate = functions.merge, functions._accumulate
 
-        class CountedSums(dict):
-            def get(self, name, default=None):
+        def counted(entries):
+            for entry in entries:
                 hits["entries"] += 1
-                return dict.get(self, name, default)
+                yield entry
 
-        init, accumulate = functions._Sweep.__init__, functions._Sweep.accumulate
+        def counted_merge(groups, *args):
+            return merge(((counted(entries), k) for entries, k in groups), *args)
 
-        def counted_init(sweep, plan):
-            init(sweep, plan)
-            sweep.sums = CountedSums()
+        def counted_accumulate(words, multiplicities):
+            drawn = []
 
-        def counted_accumulate(sweep, key):
-            layout, words = sweep.plan.layout, sweep.plan.words
-            before, after = layout.multiplicities(sweep.key), layout.multiplicities(key)
-            active = sum(len(w) for w, m, n in zip(words, before, after) if m or n)
+            def recorded():
+                for m in multiplicities:
+                    drawn.append(m)
+                    yield m
+
             start = hits["entries"]
-            out = accumulate(sweep, key)
+            out = accumulate(words, recorded())
+            active = sum(len(w) for w, m in zip(words, drawn) if m)
             assert hits["entries"] - start <= active
             hits["vectors"] += 1
             return out
@@ -1034,8 +1019,8 @@ class TestSweep:
                 pass
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(functions._Sweep, "__init__", counted_init)
-            mp.setattr(functions._Sweep, "accumulate", counted_accumulate)
+            mp.setattr(functions, "merge", counted_merge)
+            mp.setattr(functions, "_accumulate", counted_accumulate)
             check()
         assert hits["vectors"] > 0 and hits["entries"] > 0
 
@@ -1162,8 +1147,8 @@ class TestAdditiveSweep:
     """Under + with atoms that read no point, a state whose atoms all
     evaluate keeps the value itself.  Its outcomes must be the reference's
     in value, value type, multiplicity and text, one object per indicator
-    vector; a plan or a state that may not keep the value takes the
-    exponent sums, and its outcomes and errors are the reference's too."""
+    vector; a plan or a state that may not keep the value accumulates each
+    vector, and its outcomes and errors are the reference's too."""
 
     @staticmethod
     def tracking(mp, states):
@@ -1191,10 +1176,10 @@ class TestAdditiveSweep:
             self.tracking(mp, states)
             check()
         # the additive path, an additive plan whose atom raises, and a plan
-        # that is not additive are each reached
+        # that is not additive are each reached; the last two keep no sweep
         assert states[True, "_AdditiveSweep"] > 0
-        assert states[True, "_Sweep"] > 0
-        assert states[False, "_Sweep"] > 0
+        assert states[True, "NoneType"] > 0
+        assert states[False, "NoneType"] > 0
 
     def test_long_passes_agree_with_the_per_point_reference(self):
         @seed(2014)

@@ -245,6 +245,15 @@ class TestCanonicalChoiceMatrices:
         with pytest.raises(ContractError):
             ChoiceMatrix(((1, 1), (0, 1)), ("U",), ("P1", "P2"))
 
+    def test_a_custom_matrix_of_determinant_two_is_refused(self):
+        c = ChoiceMatrix(((1, 1, 1), (0, 2, 0), (0, 0, 1)), ("U", "P.1", "Q.1"), ("p", "q", "r"))
+        assert c.determinant() == 2
+        message = r"^determinant is 2, expected \+1 or -1$"
+        with pytest.raises(UnimodularError, match=message):
+            c.inverse()
+        with pytest.raises(UnimodularError, match=message):
+            common_strict_refinement([P, Q], choice=c)
+
     def test_render_lines_up_rows_with_labels(self):
         c = canonical_choice_matrix([2, 2])
         assert c.render().splitlines() == [

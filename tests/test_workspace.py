@@ -380,6 +380,7 @@ class TestScanner:
             ("partition P of U = A, 2/3*U", "expected '*'", 24),
             ("expr E = mjoin(-, f^A)", "expected a star operation (+, *, merge)", 16),
             ("matrix M = dims(n, m) split(h, k) blocks(A2, B2, C2)", "expected ','", 52),
+            ("matrix M = dims(n, m) splitt(h, k) blocks(A2, B2, C2, D2)", "expected 'split'", 23),
             ("spline S = knots(a b)", "expected ')'", 20),
             ("valuation v: a == 1", "expected a number", 17),
         ],
