@@ -76,11 +76,9 @@ from .refine import (
 )
 from .calculus import (
     CheckReport,
-    LinearOperatorSpec,
     apply_linear,
     karr_split_check,
     karr_sum,
-    linear_operator,
     linearity_report,
     pointwise_star,
     star_inverse_identity_check,

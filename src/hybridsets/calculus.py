@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional
 
 from .errors import ContractError, RefinementError
 from .functions import (
@@ -250,60 +250,42 @@ def karr_split_check(
     return report
 
 
-@dataclass(frozen=True)
-class LinearOperatorSpec:
-    """A declared linear operator acting on sampled values."""
-
-    name: str
-    combine: Callable[[Sequence[Fraction]], Fraction] = field(compare=False)
+def summation(values: Iterable[Fraction]) -> Fraction:
+    """The one linear operator: the sum of the sampled values."""
+    return sum(values, Fraction(0))
 
 
-def linearity_report(spec: LinearOperatorSpec) -> CheckReport:
-    """Probe additivity and scaling on seeded random value vectors."""
+def linearity_report(name: str, combine: Callable[[List[Fraction]], Fraction]) -> CheckReport:
+    """Probe the additivity and scaling of ``combine``, reported under
+    ``name``, on seeded random value vectors."""
     rng = random.Random(20240915)
-    report = CheckReport(f"linearity of {spec.name!r}")
+    report = CheckReport(f"linearity of {name!r}")
     for _ in range(5):
         n = rng.randint(1, 8)
         a = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
         b = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
         c = Fraction(rng.randint(-5, 5))
         report.checked += 2
-        if spec.combine([x + y for x, y in zip(a, b)]) != spec.combine(a) + spec.combine(b):
+        if combine([x + y for x, y in zip(a, b)]) != combine(a) + combine(b):
             report.record(f"additivity fails on vectors of length {n}")
-        if spec.combine([c * x for x in a]) != c * spec.combine(a):
+        if combine([c * x for x in a]) != c * combine(a):
             report.record(f"scaling by {c} fails on a vector of length {n}")
     return report
 
 
-# The declared linear operators, fixed at import: summation alone.
-_OPERATORS = {"sum": LinearOperatorSpec("sum", lambda values: sum(values, Fraction(0)))}
-
-
-def linear_operator(name: str) -> LinearOperatorSpec:
-    """The spec declared under ``name`` in ``_OPERATORS``, whose linearity
-    ``linearity_report`` probes; anything else is a ContractError."""
-    spec = _OPERATORS.get(name) if isinstance(name, str) else None
-    if spec is None:
-        raise ContractError(f"linear operator {name!r} is not declared")
-    return spec
-
-
 def apply_linear(
-    name: str,
     f: HybridTerm,
     valuation: Optional[Valuation],
     sample: Iterable[Point],
 ) -> Fraction:
-    """Apply the operator ``linear_operator(name)`` to a region-weighted
-    function: the operand at x is multiplicity(region, x) * f(x), and 0
-    where the multiplicity is 0, without reading f(x) there."""
-    op = linear_operator(name)
+    """Apply ``summation`` to a region-weighted function: the operand at x
+    is multiplicity(region, x) * f(x), and 0 where the multiplicity is 0,
+    without reading f(x) there."""
     items = f.word.items()
     if len(items) != 1 or items[0][1] != 1:
         raise ContractError("apply_linear expects a single-atom term")
     base = items[0][0]
-    values = [
+    return summation(
         Fraction(m) * base.value(p, valuation) if m else Fraction(0)
         for p, (m,) in multiplicities_many((f.region,), sample, valuation)
-    ]
-    return op.combine(values)
+    )

@@ -32,9 +32,9 @@ from typing import List, Optional, Tuple
 from .calculus import (
     apply_linear,
     karr_split_check,
-    linear_operator,
     linearity_report,
     star_inverse_identity_check,
+    summation,
     summation_bound,
 )
 from .errors import ContractError, HybridError, ParseError
@@ -102,7 +102,7 @@ def _valuation(ws: Workspace, spec: Optional[str]) -> Optional[Valuation]:
     if Cursor(spec).take_word(spec):  # a bare name, not an inline valuation
         raise _Usage(f"no valuation {spec!r} in the workspace")
     with _reading("valuation", spec) as cur:
-        return Valuation.read(cur)
+        return Valuation.read(cur, ws.params)
 
 
 def _grid(spec: str):
@@ -114,7 +114,7 @@ def _grid(spec: str):
         count = cur.integer(1)
         if count > SIZE_CAP:
             raise ContractError(f"count {count} is above the cap of {SIZE_CAP} points")
-        return rational_grid(lo, hi, count, include_hi=True)
+        return rational_grid(lo, hi, count)
 
 
 def _value_text(v) -> str:
@@ -302,12 +302,14 @@ def _cmd_check_invert(args) -> int:
 
 def _cmd_check_linear(args) -> int:
     ws = _load(args.workspace)
-    report = linearity_report(linear_operator(args.op))
+    if args.op != "sum":
+        raise ContractError(f"linear operator {args.op!r} is not declared")
+    report = linearity_report(args.op, summation)
     print(report.render())
     if args.term:
         t = parse_term_text(ws, args.term)
         v = _valuation(ws, args.valuation)
-        value = apply_linear(args.op, t, v, _grid(args.grid))
+        value = apply_linear(t, v, _grid(args.grid))
         print(f"{args.op} over {args.term} = {_value_text(value)}")
     return 0 if report.passed else 1
 
@@ -339,7 +341,7 @@ def _partition_sample(part, valuation, grid_spec: str):
     if isinstance(shape, Interval1D):
         lo = resolve_param(shape.lo, valuation)
         hi = resolve_param(shape.hi, valuation)
-        pts = set(rational_grid(lo, hi, 101, include_hi=True))
+        pts = set(rational_grid(lo, hi, 101))
         for piece in part.pieces:
             for atom in piece.atoms():
                 if isinstance(atom.shape, Interval1D):

@@ -365,19 +365,20 @@ class _Plan:
     with one atom object per name across the expression; a name bound to
     two definitions in different terms is a ContractError here, once.
 
+    ``additive`` holds when the star is ``PLUS``, every atom has a body
+    that does not name x, and the plan is within the static bound: the sum
+    over terms of (sum of |region coefficients|) times (sum of |word
+    exponents|) is at most ``INT64_MAX``, so every multiplicity and net
+    fits in 64 bits.  The bound is summed only when the first two hold.
+    The value at a vector is then linear in the term multiplicities, the
+    sum of m_t times the value of term t's word, so a state whose atoms
+    all evaluate keeps that sum in an ``_AdditiveSweep``.  Every other
+    state accumulates the exponents of each new indicator vector from
+    scratch, by ``_accumulate``, which raises what it raises.
     ``flips[k]`` has bit t set when term t's region uses shape k, so the
     terms whose multiplicity can change between two indicator vectors are
-    the union over the shapes whose bits differ.  It is None when the
-    static bound, the sum over terms of (sum of |region coefficients|)
-    times (sum of |word exponents|), exceeds ``INT64_MAX``.  Within the
-    bound every multiplicity and net fits in 64 bits.
-    ``additive`` holds when the star is ``PLUS``, the plan is within the
-    bound, and every atom has a body that does not name x.  The value at a
-    vector is then linear in the term multiplicities, the sum of m_t times
-    the value of term t's word, so a state whose atoms all evaluate keeps
-    that sum in an ``_AdditiveSweep``.  Every other state accumulates the
-    exponents of each new indicator vector from scratch, by
-    ``_accumulate``, which raises what it raises.
+    the union over the shapes whose bits differ.  Only an additive plan
+    builds it; it is None otherwise.
 
     ``slot`` holds the state of the last valuation used: its
     ``IndicatorTable``, per indicator vector the accumulated sums (or, on
@@ -394,22 +395,20 @@ class _Plan:
             tuple((a.name, k, bind(atoms, a.name, a, FreeWord.CLASH)) for a, k in t.word.items())
             for t in e.terms
         )
-        self.slot = None
-        bound = sum(
-            sum(map(abs, t.region._coeffs.values())) * sum(map(abs, t.word._coeffs.values()))
-            for t in e.terms
+        self.slot = self.flips = None
+        self.additive = (
+            e.star is PLUS
+            and not any(a.is_opaque or a.reads_point for a in atoms.values())
+            and sum(
+                sum(map(abs, t.region._coeffs.values())) * sum(map(abs, t.word._coeffs.values()))
+                for t in e.terms
+            ) <= scalarexpr.INT64_MAX
         )
-        if bound > scalarexpr.INT64_MAX:
-            self.flips = None
-            self.additive = False
-            return
-        self.flips = flips = [0] * len(layout.shapes)
-        for t, uses in enumerate(layout.uses):
-            for k, _ in uses:
-                flips[k] |= 1 << t
-        self.additive = e.star is PLUS and not any(
-            a.is_opaque or a.reads_point for a in atoms.values()
-        )
+        if self.additive:
+            self.flips = flips = [0] * len(layout.shapes)
+            for t, uses in enumerate(layout.uses):
+                for k, _ in uses:
+                    flips[k] |= 1 << t
 
     def _slot(self, valuation: Optional[Valuation]):
         """The slot when it holds this very valuation object, else a new
@@ -618,7 +617,7 @@ def evaluate(e: HybridExpr, point: Point, valuation: Optional[Valuation] = None)
     return next(_outcomes(e, slot, slot[1].keys((point,))))
 
 
-def hybrid_graph(values, region: HybridSet, universe_tag: Optional[str] = None) -> HybridSet:
+def hybrid_graph(values, region: HybridSet) -> HybridSet:
     """The graph of a function weighted by a concrete hybrid set: the set
     of (x, f(x)) pairs that acceptance criterion 2's join laws on graphs
     are stated over.
@@ -634,13 +633,12 @@ def hybrid_graph(values, region: HybridSet, universe_tag: Optional[str] = None) 
         lookup = values
     else:
         raise TypeError(f"values must be a dict or callable, got {values!r}")
-    tag = universe_tag if universe_tag is not None else region.universe_tag + "*S"
     entries = []
     for x in domain:
         m = region.multiplicity(x)
         if m:
             entries.append(((x, lookup(x)), m))
-    return HybridSet(entries, tag)
+    return HybridSet(entries, region.universe_tag + "*S")
 
 
 def graph_function(h: HybridSet) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .calculus import pointwise_star
 from .errors import ContractError
@@ -19,7 +19,6 @@ from .functions import (
     HybridExpr,
     PLUS,
     StarOp,
-    constant_atom,
     evaluate,  # unused here, but a name the perfbench tracer rebinds in this module
     join,
     term,
@@ -58,12 +57,12 @@ class SymbolicBlockMatrix:
     cols: Param
     blocks: Tuple[Block, ...]
 
-    def partition(self, universe: RegionAtom) -> GeneralisedPartition:
+    def partition(self) -> GeneralisedPartition:
         # Coverage depends on how the split parameters compare with the
         # dimensions, so the partition is assumed and validated by sampling.
         return GeneralisedPartition(
             self.name,
-            universe,
+            grid_universe(self.rows, self.cols),
             tuple(b.piece for b in self.blocks),
             labels=tuple(b.name for b in self.blocks),
             assumed=True,
@@ -80,7 +79,6 @@ def block_matrix_2x2(
     row_split: Param,
     col_split: Param,
     block_names: Sequence[str],
-    bodies: Optional[Sequence] = None,
 ) -> SymbolicBlockMatrix:
     """Build the standard 2x2 split: top-left block up to (row_split,
     col_split) inclusive, the lower and right blocks taking the open side."""
@@ -93,16 +91,15 @@ def block_matrix_2x2(
         c: GridRect(1, row_split, col_split, cols, col_lo_closed=False),
         d: GridRect(row_split, rows, col_split, cols, row_lo_closed=False, col_lo_closed=False),
     }
-    blocks = []
-    for idx, block_name in enumerate(block_names):
-        body = bodies[idx] if bodies is not None else None
-        symbol = FunctionAtom(block_name) if body is None else constant_atom(block_name, body)
-        blocks.append(Block(RegionAtom(block_name, shapes[block_name]), symbol))
-    return SymbolicBlockMatrix(name, rows, cols, tuple(blocks))
+    blocks = tuple(
+        Block(RegionAtom(block_name, shapes[block_name]), FunctionAtom(block_name))
+        for block_name in block_names
+    )
+    return SymbolicBlockMatrix(name, rows, cols, blocks)
 
 
-def grid_universe(rows: Param, cols: Param, name: str = "U") -> RegionAtom:
-    return RegionAtom(name, GridRect(1, rows, 1, cols))
+def grid_universe(rows: Param, cols: Param) -> RegionAtom:
+    return RegionAtom("U", GridRect(1, rows, 1, cols))
 
 
 def matrix_add(
@@ -127,10 +124,7 @@ def matrix_add_with_refinement(
             f"dimension symbols differ: {render_param(m1.rows)}x{render_param(m1.cols)} "
             f"vs {render_param(m2.rows)}x{render_param(m2.cols)}"
         )
-    universe = grid_universe(m1.rows, m1.cols)
-    refinement = common_strict_refinement(
-        [m1.partition(universe), m2.partition(universe)]
-    )
+    refinement = common_strict_refinement([m1.partition(), m2.partition()])
     expr = pointwise_star(star, m1.expr(), m2.expr(), refinement=refinement)
     return expr, refinement
 

@@ -327,7 +327,6 @@ class Refinement:
     rewrite of piece i of partition k (rows for dropped pieces included).
     """
 
-    universe: RegionAtom
     partitions: Tuple[GeneralisedPartition, ...]
     pieces: Tuple[SymbolicHybridSet, ...]
     labels: Tuple[str, ...]
@@ -402,7 +401,7 @@ def common_strict_refinement(
         row += len(kept)
 
     labels = tuple(f"P{j}" for j in range(1, n + 1))
-    return Refinement(universe, tuple(parts), pieces, labels, tuple(coefficients), choice)
+    return Refinement(tuple(parts), pieces, labels, tuple(coefficients), choice)
 
 
 def _rows_hold(holds, refined, original, rewrite, valuation, sample) -> bool:

@@ -500,15 +500,13 @@ def multiplicities_many(
         yield p, found
 
 
-def rational_grid(lo, hi, count: int, include_hi: bool = False) -> Tuple[Fraction, ...]:
-    """Evenly spaced exact rationals in [lo, hi) or [lo, hi]."""
+def rational_grid(lo, hi, count: int) -> Tuple[Fraction, ...]:
+    """``count`` evenly spaced exact rationals in [lo, hi], both ends
+    included; one point is lo alone."""
     lo, hi = as_fraction(lo, "a grid end"), as_fraction(hi, "a grid end")
     if count < 1:
         raise ContractError("grid needs at least one point")
-    if include_hi:
-        if count == 1:
-            return (lo,)
-        step = (hi - lo) / (count - 1)
-        return tuple(lo + step * k for k in range(count))
-    step = (hi - lo) / count
+    if count == 1:
+        return (lo,)
+    step = (hi - lo) / (count - 1)
     return tuple(lo + step * k for k in range(count))

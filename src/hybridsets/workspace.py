@@ -36,7 +36,7 @@ from .functions import (
     join,
     marked_join,
 )
-from .matrices import SymbolicBlockMatrix, block_matrix_2x2, grid_universe
+from .matrices import SymbolicBlockMatrix, block_matrix_2x2
 from .refine import GeneralisedPartition
 from .regions import (
     FinitePointSet,
@@ -319,7 +319,7 @@ def _decl_matrix(ws: Workspace, cur: Cursor):
         ws.regions[blk.name] = blk.region
         ws.atoms[blk.name] = blk.symbol
     # the block partition under the matrix name, for the refine subcommand
-    ws.partitions[name] = mat.partition(grid_universe(rows, cols))
+    ws.partitions[name] = mat.partition()
 
 
 def _decl_spline(ws: Workspace, cur: Cursor):

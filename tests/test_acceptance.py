@@ -358,7 +358,7 @@ def test_criterion_6_spline_merge(capsys):
         v_dc = Valuation.parse("a=0, d=1, c=2, b=3")
         for v in (v_cd, v_dc):
             intervals = set()
-            for x in rational_grid(F(0), F(3), 61, include_hi=True):
+            for x in rational_grid(F(0), F(3), 61):
                 desc = spline_eval_region(expr, x, v)
                 assert desc.defined and not desc.residual and not desc.empty
                 intervals.add(desc.interval)
@@ -381,7 +381,7 @@ def test_criterion_7_signed_sums_and_linearity(capsys):
 
         u_atom = RegionAtom("U", Interval1D(F(0), F(10)))
         u = SymbolicHybridSet.from_atom(u_atom)
-        grid = rational_grid(F(0), F(10), 21, include_hi=True)
+        grid = rational_grid(F(0), F(10), 21)
         for trial in range(50):
             a, b = F(rng.randint(0, 10)), F(rng.randint(0, 10))
             p1 = interval_region("P1", F(0), a)
@@ -389,8 +389,8 @@ def test_criterion_7_signed_sums_and_linearity(capsys):
             pieces = (p1, p2 - p1, u - p2)  # signed when b < a
             GeneralisedPartition("split", u_atom, pieces)
             f = sq if trial % 2 else lin
-            whole = apply_linear("sum", term(f, u), None, grid)
-            parts = sum(apply_linear("sum", term(f, r), None, grid) for r in pieces)
+            whole = apply_linear(term(f, u), None, grid)
+            parts = sum(apply_linear(term(f, r), None, grid) for r in pieces)
             assert whole == parts
 
 
@@ -400,7 +400,7 @@ def test_criterion_8_refinement_invariance(capsys):
         u_atom = RegionAtom("U", Interval1D(F(0), F(1), hi_closed=False))
         u = SymbolicHybridSet.from_atom(u_atom)
         pool = [atom("p", "2*x + 1"), atom("q", "x * x"), constant_atom("c3", 3)]
-        base_grid = rational_grid(F(0), F(1), 17, include_hi=True)
+        base_grid = rational_grid(F(0), F(1), 17)
 
         for trial in range(100):
             a = F(rng.randint(1, 7), 8)

@@ -40,7 +40,6 @@ from hybridsets import (
     join,
     karr_split_check,
     karr_sum,
-    linear_operator,
     linearity_report,
     marked_join,
     parse_workspace,
@@ -51,8 +50,8 @@ from hybridsets import (
     verify_rewrite,
     word,
 )
-from hybridsets import hybridset, regions
-from hybridsets.calculus import LinearOperatorSpec
+from hybridsets import hybridset, oracle, regions
+from hybridsets.calculus import summation
 from hybridsets.regions import resolve_param
 
 F = Fraction
@@ -130,7 +129,7 @@ class TestPointwiseStar:
     def test_product_evaluates_classically_for_every_ordering(self, params):
         e = pointwise_star(TIMES, F_EXPR, G_EXPR, refinement=product_refinement())
         v = Valuation(params)
-        for x in rational_grid(F(-1, 4), F(5, 4), 40):
+        for x in oracle.rational_grid_points(F(-1, 4), F(5, 4), 40):
             expect = classical_product(x, params["a"], params["b"])
             got = evaluate(e, x, v)
             if expect is None:
@@ -143,7 +142,7 @@ class TestPointwiseStar:
         assert len(e.terms) == 3
         assert [t.region for t in e.terms] == [U - A1 - B1, A1, B1]
         v = Valuation(ORDERINGS[0])
-        for x in rational_grid(0, 1, 30):
+        for x in oracle.rational_grid_points(0, 1, 30):
             expect = classical_product(x, v.resolve("a"), v.resolve("b"))
             assert evaluate(e, x, v) == Defined(expect)
 
@@ -405,7 +404,7 @@ class TestFoldCost:
 
 
 class TestInverseIdentity:
-    grid = rational_grid(F(-1, 2), F(3, 2), 41, include_hi=True)
+    grid = rational_grid(F(-1, 2), F(3, 2), 41)
 
     def test_additive_inverse_collapses_to_zero(self):
         f = atom("f", "2*x + 1")
@@ -421,7 +420,7 @@ class TestInverseIdentity:
         f = atom("f", "x")
         q1 = SymbolicHybridSet.from_atom(RegionAtom("Q1", Interval1D(F(0), F(4))))
         q2 = SymbolicHybridSet.from_atom(RegionAtom("Q2", Interval1D(F(2), F(6))))
-        grid = rational_grid(0, 6, 25, include_hi=True)
+        grid = rational_grid(0, 6, 25)
         report = star_inverse_identity_check(PLUS, term(f, q1 + q2), None, grid)
         assert report.passed
 
@@ -434,7 +433,7 @@ class TestInverseIdentity:
         f = atom("f", "x + 2")
         q1 = SymbolicHybridSet.from_atom(RegionAtom("Q1", Interval1D(F(0), F(4))))
         q2 = SymbolicHybridSet.from_atom(RegionAtom("Q2", Interval1D(F(2), F(6))))
-        grid = rational_grid(0, 6, 25, include_hi=True)
+        grid = rational_grid(0, 6, 25)
         report = star_inverse_identity_check(star, term(f, -q1 - q2), None, grid)
         assert report.passed, report.render()
         assert report.checked == 25
@@ -462,7 +461,7 @@ class TestInverseIdentity:
         f = atom("f", "2*x")
         a = SymbolicHybridSet.from_atom(RegionAtom("A", Interval1D(F(1), F(2))))
         report = star_inverse_identity_check(
-            broken, term(f, a), None, rational_grid(1, 2, 10)
+            broken, term(f, a), None, oracle.rational_grid_points(1, 2, 10)
         )
         assert not report.passed
         assert "expected 0" in report.violations[0]
@@ -575,13 +574,12 @@ class TestSignedSums:
 
 class TestLinearOperators:
     def test_summation_is_registered_and_linear(self):
-        assert linear_operator("sum").name == "sum"
-        report = linearity_report(linear_operator("sum"))
+        report = linearity_report("sum", summation)
         assert report.passed
         assert report.checked == 10
 
     def test_nonlinear_operator_fails_the_probe(self):
-        report = linearity_report(LinearOperatorSpec("max", lambda vs: max(vs)))
+        report = linearity_report("max", max)
         assert not report.passed
         assert report.checked == 10
         assert report.violations == [
@@ -593,35 +591,25 @@ class TestLinearOperators:
             "scaling by -5 fails on a vector of length 4",
             "scaling by -1 fails on a vector of length 4",
         ]
-        assert linearity_report(linear_operator("sum")).passed
-        with pytest.raises(ContractError, match="linear operator 'max' is not declared"):
-            linear_operator("max")
-
-    def test_unknown_operator_name(self):
-        with pytest.raises(ContractError):
-            linear_operator("integral")
-        f = atom("f", "x")
-        a = SymbolicHybridSet.from_atom(RegionAtom("A", Interval1D(F(0), F(1))))
-        with pytest.raises(ContractError):
-            apply_linear("integral", term(f, a), None, [F(0)])
+        assert linearity_report("sum", summation).passed
 
     def test_sum_of_ones_counts_the_sampled_region(self):
         one = constant_atom("one", 1)
         p = SymbolicHybridSet.from_atom(RegionAtom("P", Interval1D(F(0), F(10))))
         sample = [F(n) for n in range(-2, 13)]
-        assert apply_linear("sum", term(one, p), None, sample) == 11
+        assert apply_linear(term(one, p), None, sample) == 11
 
     def test_region_multiplicity_weights_the_values(self):
         one = constant_atom("one", 1)
         p = SymbolicHybridSet.from_atom(RegionAtom("P", Interval1D(F(0), F(10))))
         sample = [F(n) for n in range(0, 11)]
-        assert apply_linear("sum", term(one, 3 * p), None, sample) == 33
+        assert apply_linear(term(one, 3 * p), None, sample) == 33
 
     def test_multi_atom_terms_are_rejected(self):
         f, g = atom("f", "x"), atom("g", "2*x")
         p = SymbolicHybridSet.from_atom(RegionAtom("P", Interval1D(F(0), F(1))))
         with pytest.raises(ContractError):
-            apply_linear("sum", term(word(f, g), p), None, [F(0)])
+            apply_linear(term(word(f, g), p), None, [F(0)])
 
 
 # --- sampled checks against a per-point reference ----------------------
@@ -689,13 +677,13 @@ def _reference_inverse_check(star, f, valuation, sample):
     return report
 
 
-def _reference_apply_linear(name, f, valuation, sample):
+def _reference_apply_linear(f, valuation, sample):
     base = f.word.items()[0][0]
     values = []
     for p in sample:
         m = f.region.multiplicity(p, valuation)
         values.append(F(m) * base.value(p, valuation) if m else F(0))
-    return linear_operator(name).combine(values)
+    return sum(values, F(0))
 
 
 def _outcome(check, *args):
@@ -775,8 +763,8 @@ class TestSampledChecks:
             _reference_inverse_check, star, f, v, points
         )
         sample = iter(points) if one_shot else points
-        assert _outcome(apply_linear, "sum", f, v, sample) == _outcome(
-            _reference_apply_linear, "sum", f, v, points
+        assert _outcome(apply_linear, f, v, sample) == _outcome(
+            _reference_apply_linear, f, v, points
         )
 
     def test_the_first_error_in_point_then_region_order_is_raised(self):
@@ -792,28 +780,17 @@ class TestSampledChecks:
         f = term(atom("f", "b + 1"), ua)
         for check in (apply_linear, _reference_apply_linear):
             with pytest.raises(ValuationError, match="'a' has no value"):
-                check("sum", f, no_value, [F(1, 2)])
+                check(f, no_value, [F(1, 2)])
         with pytest.raises(ValuationError, match="'b' has no value"):
-            apply_linear("sum", term(atom("f", "b + 1"), U), no_value, [F(1, 2)])
+            apply_linear(term(atom("f", "b + 1"), U), no_value, [F(1, 2)])
 
     def test_the_registered_spec_is_applied_by_name(self):
         f = atom("f", "x")
         p = SymbolicHybridSet.from_atom(RegionAtom("P", Interval1D(F(0), F(10))))
         sample = [F(n) for n in range(0, 11)]
-        assert apply_linear("sum", term(f, p), None, sample) == 55
-        with pytest.raises(ContractError, match="'stray' is not declared"):
-            apply_linear("stray", term(f, p), None, sample)
-
-    def test_a_callers_spec_is_refused(self):
-        # A spec carries its own combine, which the registry's linearity
-        # self-test never saw, so only a declared name is applied: a spec
-        # under the name "sum" that takes the max is refused, not applied.
-        f = term(constant_atom("f", 3), U)
-        sample = rational_grid(0, 1, 4)
-        assert apply_linear("sum", f, None, sample) == 12
-        for spec in (LinearOperatorSpec("sum", lambda vs: max(vs)), linear_operator("sum")):
-            with pytest.raises(ContractError, match="is not declared"):
-                apply_linear(spec, f, None, sample)
+        assert apply_linear(term(f, p), None, sample) == 55
+        sample = oracle.rational_grid_points(0, 1, 4)
+        assert apply_linear(term(constant_atom("f", 3), U), None, sample) == 12
 
 
 class TestSampledCheckCost:
@@ -823,7 +800,7 @@ class TestSampledCheckCost:
     A = SymbolicHybridSet.from_atom(RegionAtom("A", Interval1D(F(0), "a", hi_closed=False)))
     B = SymbolicHybridSet.from_atom(RegionAtom("B", Interval1D(F(0), "b", hi_closed=False)))
     V = Valuation({"a": F(1, 3), "b": F(2, 3)})
-    SAMPLE = rational_grid(-1, 2, 4096)
+    SAMPLE = oracle.rational_grid_points(-1, 2, 4096)
 
     def count_resolutions(self, monkeypatch, check, *args):
         resolved = Counter()
@@ -851,7 +828,7 @@ class TestSampledCheckCost:
 
     def test_apply_linear_resolves_each_endpoint_once(self, monkeypatch):
         f = term(atom("f", "x"), self.A + self.B)
-        resolved = self.count_resolutions(monkeypatch, apply_linear, "sum", f, self.V, self.SAMPLE)
+        resolved = self.count_resolutions(monkeypatch, apply_linear, f, self.V, self.SAMPLE)
         assert resolved == Counter({F(0): 1, "a": 1, "b": 1})
 
     def test_the_inverse_check_resolves_each_endpoint_at_most_twice(self, monkeypatch):

@@ -473,7 +473,8 @@ class TestExitCodes:
         assert "unknown partition 'NOPE'" in err
 
     # A bare name is a workspace valuation, and one the workspace lacks is
-    # named as such; a name followed by more text is read inline.
+    # named as such; a name followed by more text is read inline, where
+    # every name must be a declared parameter.
     @pytest.mark.parametrize(
         "argv, err",
         [
@@ -484,9 +485,9 @@ class TestExitCodes:
             (["matrix-add", MATRIX, "M1", "M2", "--with", "v9"],
              "no valuation 'v9' in the workspace"),
             (["eval", PIECEWISE, "F", "--at", "0", "--with", " nope"],
-             "bad valuation ' nope': col 6: expected '='"),
+             "bad valuation ' nope': col 2: unresolved name 'nope'"),
             (["eval", PIECEWISE, "F", "--at", "0", "--with", "nope x"],
-             "bad valuation 'nope x': col 6: expected '='"),
+             "bad valuation 'nope x': col 1: unresolved name 'nope'"),
         ],
     )
     def test_an_unknown_valuation_name_is_usage_error(self, capsys, argv, err):
@@ -517,11 +518,16 @@ class TestExitCodes:
             # equal values of distinct atoms cancel in a plain join
             ("rare", ["eval", "WS", "join(f^A, g^(-A))", "--at", "1"], (0, "undefined\n", "")),
             ("rare", ["eval", "WS", "join(p^U)", "--at", "7/2"], (0, "7/2\n", "")),
-            # a body's parameter without a value, with no valuation or another
+            # a body's parameter without a value; an inline valuation may
+            # name declared parameters only
             ("rare", ["eval", "WS", "join(h^U)", "--at", "1"],
              (1, "", "error: parameter 'c' has no value\n")),
             ("rare", ["eval", "WS", "join(h^U)", "--at", "1", "--with", "d=1"],
-             (1, "", "error: parameter 'c' has no value\n")),
+             (2, "", "error: bad valuation 'd=1': col 1: unresolved name 'd'\n")),
+            # an undeclared operator is refused before the term or grid is read
+            ("rare", ["check", "linear", STEPS, "--op", "max", "--term", "one^P",
+                      "--grid", "0,10,-2"],
+             (1, "", "error: linear operator 'max' is not declared\n")),
         ],
     )
     def test_rare_inputs_give_their_frozen_output(self, capsys, tmp_path, name, argv, want):

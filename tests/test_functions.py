@@ -1,5 +1,6 @@
 """Value words, joins, marked joins, evaluation, and the join laws."""
 
+import dataclasses
 import itertools
 import time
 from collections import Counter
@@ -621,6 +622,17 @@ def _reference_key(layout, point, valuation):
     return bits
 
 
+def with_bodies(m, values):
+    """Block matrix ``m`` with each block's symbol swapped for a constant
+    atom of the same name and the next of ``values``; ``m`` when ``values``
+    is None."""
+    if values is None:
+        return m
+    blocks = tuple(dataclasses.replace(b, symbol=constant_atom(b.name, value))
+                   for b, value in zip(m.blocks, values))
+    return dataclasses.replace(m, blocks=blocks)
+
+
 @st.composite
 def block_sums(draw):
     """The sum of two 2x2 block matrices of n x m, splits tied, at 0 and at
@@ -635,7 +647,8 @@ def block_sums(draw):
     k2 = k1 if draw(st.booleans()) else split(m)
     names = (("A1", "B1", "C1", "D1"), ("A2", "B2", "C2", "D2"))
     bodies = draw(st.sampled_from((None, (1, 2, 3, 5))))
-    m1, m2 = (block_matrix_2x2(f"M{i + 1}", "n", "m", f"h{i + 1}", f"k{i + 1}", names[i], bodies)
+    m1, m2 = (with_bodies(block_matrix_2x2(f"M{i + 1}", "n", "m", f"h{i + 1}", f"k{i + 1}",
+                                           names[i]), bodies)
               for i in range(2))
     values = {"n": n, "m": m, "h1": h1, "k1": k1, "h2": h2, "k2": k2}
     if draw(st.integers(0, 4)) == 0:
@@ -824,7 +837,8 @@ class TestEvaluateGrid:
     @pytest.mark.parametrize("bodies", [None, (1, 2, 3, 5)])
     def test_a_pass_keeps_its_state_when_another_valuation_takes_the_slot(self, star, bodies):
         m1, m2 = (
-            block_matrix_2x2(f"M{i}", "n", "m", f"h{i}", f"k{i}", [b + str(i) for b in "ABCD"], bodies)
+            with_bodies(block_matrix_2x2(f"M{i}", "n", "m", f"h{i}", f"k{i}",
+                                         [b + str(i) for b in "ABCD"]), bodies)
             for i in (1, 2)
         )
         e = matrix_add(m1, m2, star)
@@ -1041,6 +1055,7 @@ class TestSweep:
     IA = RegionAtom("IA", Interval1D(F(0), F(2)))
     IB = RegionAtom("IB", Interval1D(F(1), "b"))
     SEVENTH = (2**63 - 1) // 7  # 2**63 - 1 is a multiple of 7
+    CONSTANTS = {n: constant_atom(n, c) for n, c in (("f", 2), ("g", F(-5, 7)), ("u", 3), ("v", 1))}
 
     @pytest.mark.parametrize(
         "terms, within",
@@ -1058,9 +1073,18 @@ class TestSweep:
         ],
     )
     @pytest.mark.parametrize("star", [None, PLUS, MERGE])
-    def test_plans_at_the_static_bound_agree_with_the_reference(self, terms, within, star):
-        e = HybridExpr(star, tuple(term(w, SymbolicHybridSet(uses)) for w, uses in terms))
-        assert (e._plan.flips is not None) is within
+    @pytest.mark.parametrize("constants", [False, True])
+    def test_plans_at_the_static_bound_agree_with_the_reference(
+        self, terms, within, star, constants
+    ):
+        # Given, each word reads x or is opaque; swapped, each atom is a
+        # constant of the same name, so only the star and the bound decide.
+        terms = [term(w, SymbolicHybridSet(uses)) for w, uses in terms]
+        if constants:
+            terms = [HybridTerm(FreeWord([(self.CONSTANTS[a.name], k) for a, k in t.word.items()]),
+                                t.region) for t in terms]
+        e = HybridExpr(star, tuple(terms))
+        assert e._plan.additive is (constants and star is PLUS and within)
         v = Valuation({"b": F(3)})
         points = [F(n, 2) for n in range(-2, 9)]
         points += points[::-1] + points
@@ -1108,7 +1132,9 @@ def _names(e):
 def _additive_plan(e):
     """Whether e's plan should be additive, judged by its star, the static
     bound and the names of its atoms."""
-    return e.star is PLUS and e._plan.flips is not None and _names(e) <= READS.keys()
+    bound = sum(sum(abs(c) for _, c in t.region.items()) * sum(abs(k) for _, k in t.word.items())
+                for t in e.terms)
+    return e.star is PLUS and bound <= 2**63 - 1 and _names(e) <= READS.keys()
 
 
 def _additive_state(e, valuation):

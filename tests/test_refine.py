@@ -279,7 +279,7 @@ USET = SymbolicHybridSet.from_atom(U)
 P = GeneralisedPartition("P", U, (A1, USET - A1), ("1", "2"))
 Q = GeneralisedPartition("Q", U, (B1, USET - B1), ("1", "2"))
 
-GRID = rational_grid(0, 1, 40, include_hi=True)
+GRID = rational_grid(0, 1, 40)
 
 
 class TestGeneralisedPartition:
@@ -650,7 +650,7 @@ class TestStrictness:
             (shs("RA", 0, 1), shs("RB", 1, 3, lo_closed=False)),
             assumed=True,
         )
-        grid = rational_grid(0, 3, 60, include_hi=True)
+        grid = rational_grid(0, 3, 60)
         refined = [i1, i2, i3]
         assert verify_rewrite(refined, left, [(1, 1, 0), (0, 0, 1)], None, grid)
         assert is_strict(refined, left, [(1, 1, 0), (0, 0, 1)], None, grid)
@@ -669,7 +669,7 @@ class TestStrictness:
             -shs("I2", 1, 2, lo_closed=False),
             shs("I3", -1, 2),
         ]
-        grid = rational_grid(-2, 3, 100, include_hi=True)
+        grid = rational_grid(-2, 3, 100)
         rewrite = [(1, 1, 1)]
         assert verify_rewrite(refined, original, rewrite, None, grid)
         assert not is_strict(refined, original, rewrite, None, grid)

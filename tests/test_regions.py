@@ -179,14 +179,10 @@ class TestSymbolicHybridSet:
 
 
 class TestGrids:
-    def test_rational_grid_half_open(self):
-        g = rational_grid(0, 1, 4)
-        assert g == (F(0), F(1, 4), F(1, 2), F(3, 4))
-
     def test_rational_grid_closed(self):
-        g = rational_grid(0, 1, 5, include_hi=True)
+        g = rational_grid(0, 1, 5)
         assert g == (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
-        assert rational_grid(2, 7, 1, include_hi=True) == (F(2),)
+        assert rational_grid(2, 7, 1) == (F(2),)
 
     def test_rational_grid_denominators_stay_exact(self):
         g = rational_grid(0, 1, 100)
