@@ -314,21 +314,19 @@ def _cmd_check_linear(args) -> int:
     return 0 if report.passed else 1
 
 
-def _int_span(lo, hi, lo_closed: bool, hi_closed: bool, valuation) -> Tuple[int, int]:
+def _int_span(interval: Interval1D, valuation) -> Tuple[int, int]:
     """The first and last integers of a range, its endpoints resolved in order."""
-    lo, hi = resolve_param(lo, valuation), resolve_param(hi, valuation)
-    first = math.ceil(lo) if lo_closed else math.floor(lo) + 1
-    last = math.floor(hi) if hi_closed else math.ceil(hi) - 1
+    lo, hi = resolve_param(interval.lo, valuation), resolve_param(interval.hi, valuation)
+    first = math.ceil(lo) if interval.lo_closed else math.floor(lo) + 1
+    last = math.floor(hi) if interval.hi_closed else math.ceil(hi) - 1
     return first, last
 
 
 def _partition_sample(part, valuation, grid_spec: str):
     shape = part.universe.shape
     if isinstance(shape, GridRect):
-        r0, r1 = _int_span(shape.row_lo, shape.row_hi, shape.row_lo_closed,
-                           shape.row_hi_closed, valuation)
-        c0, c1 = _int_span(shape.col_lo, shape.col_hi, shape.col_lo_closed,
-                           shape.col_hi_closed, valuation)
+        r0, r1 = _int_span(shape.rows, valuation)
+        c0, c1 = _int_span(shape.cols, valuation)
         if r1 < r0 or c1 < c0:  # an empty axis: no row or column is walked
             return []
         if (r1 - r0 + 1) * (c1 - c0 + 1) > SIZE_CAP:

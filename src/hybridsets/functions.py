@@ -370,15 +370,11 @@ class _Plan:
     over terms of (sum of |region coefficients|) times (sum of |word
     exponents|) is at most ``INT64_MAX``, so every multiplicity and net
     fits in 64 bits.  The bound is summed only when the first two hold.
-    The value at a vector is then linear in the term multiplicities, the
-    sum of m_t times the value of term t's word, so a state whose atoms
-    all evaluate keeps that sum in an ``_AdditiveSweep``.  Every other
-    state accumulates the exponents of each new indicator vector from
-    scratch, by ``_accumulate``, which raises what it raises.
-    ``flips[k]`` has bit t set when term t's region uses shape k, so the
-    terms whose multiplicity can change between two indicator vectors are
-    the union over the shapes whose bits differ.  Only an additive plan
-    builds it; it is None otherwise.
+    The net and the value at a vector are then linear in the shape
+    indicators, a sum of one weight per set shape, so a state whose atoms
+    all evaluate keeps them in an ``_AdditiveSweep``.  Every other state
+    accumulates the exponents of each new indicator vector from scratch,
+    by ``_accumulate``, which raises what it raises.
 
     ``slot`` holds the state of the last valuation used: its
     ``IndicatorTable``, per indicator vector the accumulated sums (or, on
@@ -386,16 +382,16 @@ class _Plan:
     every point with that vector, and the ``_AdditiveSweep``, or None.
     """
 
-    __slots__ = ("layout", "words", "atoms", "flips", "additive", "slot")
+    __slots__ = ("layout", "words", "atoms", "additive", "slot")
 
     def __init__(self, e: "HybridExpr"):
-        self.layout = layout = _Layout([t.region for t in e.terms])
+        self.layout = _Layout([t.region for t in e.terms])
         self.atoms = atoms = {}
         self.words = tuple(
             tuple((a.name, k, bind(atoms, a.name, a, FreeWord.CLASH)) for a, k in t.word.items())
             for t in e.terms
         )
-        self.slot = self.flips = None
+        self.slot = None
         self.additive = (
             e.star is PLUS
             and not any(a.is_opaque or a.reads_point for a in atoms.values())
@@ -404,11 +400,6 @@ class _Plan:
                 for t in e.terms
             ) <= scalarexpr.INT64_MAX
         )
-        if self.additive:
-            self.flips = flips = [0] * len(layout.shapes)
-            for t, uses in enumerate(layout.uses):
-                for k, _ in uses:
-                    flips[k] |= 1 << t
 
     def _slot(self, valuation: Optional[Valuation]):
         """The slot when it holds this very valuation object, else a new
@@ -440,50 +431,47 @@ def _entry(accumulated):
 
 class _AdditiveSweep:
     """The state of an additive plan under a valuation where every atom
-    has a value: the term multiplicities at the last indicator vector
-    found, their net, and the value there, ``total / scale``, the sum of
-    m_t times c_t, where c_t is the value of term t's word, held as an
-    integer over the common denominator ``scale`` of the atom values.
+    has a value, linear in the shape indicators.  Shape k has a net,
+    ``nets[k]``, the sum of the coefficients c of its uses (k, c), and a
+    weight, ``weights[k]``, the sum of c times the value of the using
+    term's word, held as an integer over the common denominator ``scale``
+    of the atom values.  The net and the value at a vector are the sums of
+    the nets and of the weights of its set shapes; the state keeps them,
+    ``net`` and ``total``, at the last vector found, ``key``.
 
     ``find(key)`` moves the state to ``key`` and returns its kept entry
     with its outcome: ``UNDEFINED`` where the net multiplicity is 0, else
     ``Defined(total / scale, net)``, which is what ``_eval_marked`` folds
-    from the surviving exponents.  Only the terms whose region uses a
-    shape whose bit flips are tested, and a term whose multiplicity
-    changes costs one multiply-add whatever its word."""
+    from the surviving exponents.  Each shape whose bit changed adds its
+    net and weight, or takes them away, whatever the terms and words."""
 
-    __slots__ = ("plan", "key", "ms", "net", "values", "scale", "total")
+    __slots__ = ("key", "nets", "weights", "net", "scale", "total")
 
     def __init__(self, plan: _Plan, values: Dict[str, Fraction]):
-        self.plan = plan
-        self.key = 0  # every multiplicity is 0 at the empty vector
-        self.ms = [0] * len(plan.words)
-        self.net = self.total = 0
+        self.key = self.net = self.total = 0  # no shape is set at the empty vector
         self.scale = scale = math.lcm(*(v.denominator for v in values.values()))
         whole = {name: v.numerator * (scale // v.denominator) for name, v in values.items()}
-        self.values = [sum(k * whole[name] for name, k, _ in w) for w in plan.words]
+        self.nets = nets = [0] * len(plan.layout.shapes)
+        self.weights = weights = [0] * len(plan.layout.shapes)
+        for w, uses in zip(plan.words, plan.layout.uses):
+            value = sum(k * whole[name] for name, k, _ in w)
+            for k, c in uses:
+                nets[k] += c
+                weights[k] += c * value
 
     def find(self, key: int):
-        ms, flips, uses = self.ms, self.plan.flips, self.plan.layout.uses
-        changed, touched = key ^ self.key, 0
+        nets, weights = self.nets, self.weights
+        changed, net, total = key ^ self.key, self.net, self.total
         while changed:
             low = changed & -changed
-            touched |= flips[low.bit_length() - 1]
             changed ^= low
-        net, total, values = self.net, self.total, self.values
-        while touched:
-            low = touched & -touched
-            touched ^= low
-            t = low.bit_length() - 1
-            m = 0
-            for k, c in uses[t]:
-                if key >> k & 1:
-                    m += c
-            d = m - ms[t]
-            if d:
-                net += d
-                total += d * values[t]
-                ms[t] = m
+            k = low.bit_length() - 1
+            if key & low:
+                net += nets[k]
+                total += weights[k]
+            else:
+                net -= nets[k]
+                total -= weights[k]
         self.key, self.net, self.total = key, net, total
         return None, True, Defined(Fraction(total, self.scale), net) if net else UNDEFINED
 
@@ -507,12 +495,13 @@ def evaluate_many(
     An outcome comes by one of three routes.  Under ``PLUS``
     with atoms that read no point and all evaluate under the valuation,
     the state keeps the value itself (an ``_AdditiveSweep``): the atoms
-    are evaluated once per state, and a new vector costs one multiply-add
-    per moved term.  Any other state accumulates the vector's exponents
-    from scratch (``_accumulate``) and keeps them, which merges the words
-    of the terms active at it.  For an n-ary step combine of N operands
-    that is about N^2 / 2 word entries per vector, so a pass that meets
-    all of its vectors merges O(N^3).  Atoms that read x take this route:
+    are evaluated once per state, into one net and one weight per shape,
+    and a new vector adds or takes away the net and the weight of each
+    shape whose bit changed.  Any other state accumulates the vector's
+    exponents from scratch (``_accumulate``) and keeps them, which merges
+    the words of the terms active at it.  For an n-ary step combine of N
+    operands that is about N^2 / 2 word entries per vector, so a pass that
+    meets all of its vectors merges O(N^3).  Atoms that read x take this route:
     at 201 sorted points it took about 22 ms at N = 20 and 430 ms at
     N = 160, on a shared 2-vCPU x86-64 host with Python 3.11.
     A point the fast placement cannot key, because its placement raised,

@@ -26,6 +26,7 @@ from .functions import (
 from .refine import GeneralisedPartition, Refinement, common_strict_refinement
 from .regions import (
     GridRect,
+    Interval1D,
     Param,
     RegionAtom,
     SymbolicHybridSet,
@@ -85,11 +86,13 @@ def block_matrix_2x2(
     if len(block_names) != 4:
         raise ContractError("a 2x2 block matrix needs exactly 4 block names")
     a, b, c, d = block_names
+    top, bottom = Interval1D(1, row_split), Interval1D(row_split, rows, lo_closed=False)
+    left, right = Interval1D(1, col_split), Interval1D(col_split, cols, lo_closed=False)
     shapes = {
-        a: GridRect(1, row_split, 1, col_split),
-        b: GridRect(row_split, rows, 1, col_split, row_lo_closed=False),
-        c: GridRect(1, row_split, col_split, cols, col_lo_closed=False),
-        d: GridRect(row_split, rows, col_split, cols, row_lo_closed=False, col_lo_closed=False),
+        a: GridRect(top, left),
+        b: GridRect(bottom, left),
+        c: GridRect(top, right),
+        d: GridRect(bottom, right),
     }
     blocks = tuple(
         Block(RegionAtom(block_name, shapes[block_name]), FunctionAtom(block_name))
@@ -99,7 +102,7 @@ def block_matrix_2x2(
 
 
 def grid_universe(rows: Param, cols: Param) -> RegionAtom:
-    return RegionAtom("U", GridRect(1, rows, 1, cols))
+    return RegionAtom("U", GridRect(Interval1D(1, rows), Interval1D(1, cols)))
 
 
 def matrix_add(

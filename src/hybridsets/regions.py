@@ -118,21 +118,13 @@ class Interval1D:
 
 @dataclass(frozen=True)
 class GridRect:
-    """Axis-aligned rectangle of integer grid points (row, column).
+    """Axis-aligned rectangle of integer grid points (row, column): a row
+    range and a column range, each an ``Interval1D``.  An open end excludes
+    its endpoint, which is how rectangles such as rows h+1..n are written
+    without compound endpoint arithmetic."""
 
-    Bounds are inclusive unless the matching ``*_closed`` flag is cleared;
-    an open bound excludes the endpoint, which is how rectangles such as
-    rows h+1..n are written without compound endpoint arithmetic.
-    """
-
-    row_lo: Param
-    row_hi: Param
-    col_lo: Param
-    col_hi: Param
-    row_lo_closed: bool = True
-    row_hi_closed: bool = True
-    col_lo_closed: bool = True
-    col_hi_closed: bool = True
+    rows: Interval1D
+    cols: Interval1D
 
 
 @dataclass(frozen=True)
@@ -151,32 +143,31 @@ def _as_scalar(p: Point) -> Optional[Fraction]:
     return as_fraction(p, "a point")
 
 
-def _within(lo, hi, lo_closed, hi_closed, x) -> bool:
-    if lo_closed:
-        if x < lo:
-            return False
-    elif x <= lo:
+def _ends(interval: Interval1D, resolve) -> Tuple[Fraction, Fraction]:
+    """The interval's two endpoints, resolved lo first."""
+    return resolve(interval.lo), resolve(interval.hi)
+
+
+def _within(interval: Interval1D, ends: Tuple[Fraction, Fraction], x) -> bool:
+    """Whether ``x`` lies in the interval, whose resolved ``ends`` are given."""
+    lo, hi = ends
+    if (x < lo) if interval.lo_closed else (x <= lo):
         return False
-    if hi_closed:
-        if x > hi:
-            return False
-    elif x >= hi:
-        return False
-    return True
+    return not ((x > hi) if interval.hi_closed else (x >= hi))
 
 
 def _contains(shape: Shape, point: Point, resolve) -> bool:
     """Whether the shape contains the point; ``resolve`` maps an endpoint to
-    its value and is asked only for the endpoints the point needs, in order."""
+    its value.  For a point of the shape's kind every endpoint is resolved
+    before any range is tested: an interval's lo, then its hi, and a
+    rectangle's row ends, then its column ends."""
     if isinstance(shape, Universe):
         return True
     if isinstance(shape, Interval1D):
         x = _as_scalar(point)
         if x is None:
             return False
-        lo = resolve(shape.lo)
-        hi = resolve(shape.hi)
-        return _within(lo, hi, shape.lo_closed, shape.hi_closed, x)
+        return _within(shape, _ends(shape, resolve), x)
     if isinstance(shape, GridRect):
         if not (isinstance(point, tuple) and len(point) == 2):
             return False
@@ -184,13 +175,8 @@ def _contains(shape: Shape, point: Point, resolve) -> bool:
         j = as_fraction(point[1], "a point coordinate")
         if i.denominator != 1 or j.denominator != 1:
             return False
-        row_lo = resolve(shape.row_lo)
-        row_hi = resolve(shape.row_hi)
-        col_lo = resolve(shape.col_lo)
-        col_hi = resolve(shape.col_hi)
-        return _within(row_lo, row_hi, shape.row_lo_closed, shape.row_hi_closed, i) and (
-            _within(col_lo, col_hi, shape.col_lo_closed, shape.col_hi_closed, j)
-        )
+        rows, cols = _ends(shape.rows, resolve), _ends(shape.cols, resolve)
+        return _within(shape.rows, rows, i) and _within(shape.cols, cols, j)
     if isinstance(shape, FinitePointSet):
         return any(_points_equal(point, q) for q in shape.points)
     raise TypeError(f"not a shape: {shape!r}")
@@ -274,8 +260,9 @@ class _Layout:
     shapes of a sequence of combinations, numbered in the order the
     combinations first use them (combination, then coefficient in insertion
     order), each combination's (shape number, coefficient) uses, and the
-    shapes sorted by kind, with the ranges of each axis a ``_Line`` places
-    points on: intervals, grid rows and grid columns."""
+    shapes sorted by kind.  Each axis a ``_Line`` places points on gets
+    (shape number, ``Interval1D``) pairs: the intervals themselves, and
+    the row and the column range of each grid rectangle."""
 
     __slots__ = ("uses", "shapes", "universe", "intervals", "rows", "cols", "pointwise")
 
@@ -299,15 +286,9 @@ class _Layout:
         for k, shape in enumerate(shapes):
             kinds.get(type(shape), self.pointwise).append((k, shape))
         self.universe = sum(1 << k for k, _ in kinds[Universe])
-        # (bit, lo, hi, lo_closed, hi_closed) per interval, grid row range
-        # and grid column range
-        self.intervals = [(k, s.lo, s.hi, s.lo_closed, s.hi_closed) for k, s in kinds[Interval1D]]
-        self.rows = [
-            (k, s.row_lo, s.row_hi, s.row_lo_closed, s.row_hi_closed) for k, s in kinds[GridRect]
-        ]
-        self.cols = [
-            (k, s.col_lo, s.col_hi, s.col_lo_closed, s.col_hi_closed) for k, s in kinds[GridRect]
-        ]
+        self.intervals = kinds[Interval1D]
+        self.rows = [(k, s.rows) for k, s in kinds[GridRect]]
+        self.cols = [(k, s.cols) for k, s in kinds[GridRect]]
 
     def multiplicities(self, key: int) -> Iterator[int]:
         """Each combination's multiplicity at a point with the indicator
@@ -416,12 +397,12 @@ class IndicatorTable:
 
 
 class _Line:
-    """Which of one axis's ranges, (bit, lo, hi, lo_closed, hi_closed)
-    each, hold a coordinate.  At the first placement the endpoints are
-    resolved, scaled to integers by the lcm L of their denominators, and
-    sorted.  Cell 2i is the gap below endpoint i and cell 2i + 1 the
-    endpoint itself, so each range holds a run of cells, and a rational
-    p/q is placed in its cell by one ``divmod(p * L, q)`` and an integer
+    """Which of one axis's ranges, (bit, ``Interval1D``) pairs, hold a
+    coordinate.  At the first placement the endpoints are resolved,
+    scaled to integers by the lcm L of their denominators, and sorted.
+    Cell 2i is the gap below endpoint i and cell 2i + 1 the endpoint
+    itself, so each range holds a run of cells, and a rational p/q is
+    placed in its cell by one ``divmod(p * L, q)`` and an integer
     ``bisect``.  Each cell's bits are found once."""
 
     __slots__ = ("ranges", "ends", "scale", "spans", "cells")
@@ -461,7 +442,7 @@ class _Line:
         return self.bits(v, resolve) if v.denominator == 1 else 0
 
     def _sort(self, resolve) -> list:
-        values = [(resolve(lo), resolve(hi)) for _, lo, hi, _, _ in self.ranges]
+        values = [_ends(interval, resolve) for _, interval in self.ranges]
         scale = math.lcm(*(v.denominator for pair in values for v in pair))
         values = [
             (lo.numerator * (scale // lo.denominator), hi.numerator * (scale // hi.denominator))
@@ -470,8 +451,8 @@ class _Line:
         ends = sorted({v for pair in values for v in pair})
         rank = {v: i for i, v in enumerate(ends)}
         self.spans = [
-            (k, 2 * rank[lo] + (1 if lo_closed else 2), 2 * rank[hi] + (1 if hi_closed else 0))
-            for (k, _, _, lo_closed, hi_closed), (lo, hi) in zip(self.ranges, values)
+            (k, 2 * rank[lo] + (1 if s.lo_closed else 2), 2 * rank[hi] + (1 if s.hi_closed else 0))
+            for (k, s), (lo, hi) in zip(self.ranges, values)
         ]
         self.scale = scale
         self.ends = ends

@@ -123,7 +123,7 @@ def _decl_fn(ws: Workspace, cur: Cursor):
     _register(ws, "atom", name, FunctionAtom(name, body), cur, pos)
 
 
-def _parse_bounds(ws: Workspace, cur: Cursor, sep: str):
+def _parse_bounds(ws: Workspace, cur: Cursor, sep: str) -> Interval1D:
     """``lo<sep>hi`` between brackets: ``[``/``]`` closed, ``(``/``)`` open.
 
     An interval (sep ``,``) needs the brackets; a range (sep ``..``) may go
@@ -136,11 +136,11 @@ def _parse_bounds(ws: Workspace, cur: Cursor, sep: str):
     cur.expect(sep)
     hi = _param(ws, cur)
     if opener is None:
-        return lo, hi, True, True
+        return Interval1D(lo, hi)
     closer = cur.take_any("])")
     if closer is None:
         cur.error("expected ']' or ')'")
-    return lo, hi, opener == "[", closer == "]"
+    return Interval1D(lo, hi, opener == "[", closer == "]")
 
 
 def read_point(cur: Cursor):
@@ -160,14 +160,14 @@ def _parse_shape(ws: Workspace, cur: Cursor):
     if kind == "universe":
         return Universe()
     if kind == "interval":
-        return Interval1D(*_parse_bounds(ws, cur, ","))
+        return _parse_bounds(ws, cur, ",")
     if kind == "rect":
         cur.expect("(")
-        r_lo, r_hi, r_lc, r_hc = _parse_bounds(ws, cur, "..")
+        rows = _parse_bounds(ws, cur, "..")
         cur.expect(",")
-        c_lo, c_hi, c_lc, c_hc = _parse_bounds(ws, cur, "..")
+        cols = _parse_bounds(ws, cur, "..")
         cur.expect(")")
-        return GridRect(r_lo, r_hi, c_lo, c_hi, r_lc, r_hc, c_lc, c_hc)
+        return GridRect(rows, cols)
     if kind == "points":
         cur.expect("(")
         pts = cur.comma_list(read_point)

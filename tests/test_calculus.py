@@ -698,7 +698,10 @@ def _outcome(check, *args):
 _ENDPOINTS = st.sampled_from(PARAMS + LEVELS)
 shapes = st.one_of(
     st.builds(Interval1D, _ENDPOINTS, _ENDPOINTS, st.booleans(), st.booleans()),
-    st.builds(GridRect, _ENDPOINTS, _ENDPOINTS, _ENDPOINTS, _ENDPOINTS),
+    st.builds(
+        lambda r_lo, r_hi, c_lo, c_hi: GridRect(Interval1D(r_lo, r_hi), Interval1D(c_lo, c_hi)),
+        _ENDPOINTS, _ENDPOINTS, _ENDPOINTS, _ENDPOINTS,
+    ),
 )
 
 

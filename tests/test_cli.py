@@ -499,6 +499,9 @@ class TestExitCodes:
                 "fn f = 3\nfn g = 3\nfn h = x * c\nfn p = +x\n",
         "duplicate": "param n, m, h, k\nregion U = universe\npartition M of U = U\n"
                      "matrix M = dims(n, m) split(h, k) blocks(A, B, C, D)\n",
+        "eager": "param k\nfn f = 1\nregion G = rect(1..2, 1..k)\nregion I = interval[1, k]\n",
+        "span": "param a, b\nregion G = rect((0..a], [1..b))\nregion H = rect(1..1, 1..1)\n"
+                "partition W of G = H, G - H\n",
     }
 
     # Inputs that reach a path no other test runs, each with its whole
@@ -528,6 +531,18 @@ class TestExitCodes:
             ("rare", ["check", "linear", STEPS, "--op", "max", "--term", "one^P",
                       "--grid", "0,10,-2"],
              (1, "", "error: linear operator 'max' is not declared\n")),
+            # a shape resolves all its ends before it tests a range: a cell
+            # outside the rows 1..2, or a point below 1, still needs k
+            ("eager", ["eval", "WS", "join(f^G)", "--at", "(5, 1)"],
+             (1, "", "error: parameter 'k' has no value\n")),
+            ("eager", ["eval", "WS", "join(f^I)", "--at", "0"],
+             (1, "", "error: parameter 'k' has no value\n")),
+            # the sampled grid of a rectangle universe holds the integers
+            # strictly inside its open, rational ends: rows 1..3, columns 1..2
+            ("span", ["check", "partition", "WS", "W", "--with", "a=7/2, b=3"],
+             (0, "partition W: OK (6 points)\n", "")),
+            ("span", ["check", "partition", "WS", "W", "--with", "a=3, b=5/2"],
+             (0, "partition W: OK (6 points)\n", "")),
         ],
     )
     def test_rare_inputs_give_their_frozen_output(self, capsys, tmp_path, name, argv, want):

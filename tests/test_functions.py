@@ -292,10 +292,20 @@ sample_points = st.one_of(coords, st.tuples(coords, coords), st.tuples(coords))
 ends = st.one_of(st.sampled_from(PARAMS), st.sampled_from(LEVELS))
 grid_ends = st.one_of(st.sampled_from(PARAMS), st.integers(0, 3).map(F))
 flags = st.booleans()
+
+
+def rect_of_draws(r_lo, r_hi, c_lo, c_hi, rlc, rhc, clc, chc):
+    """A grid rectangle from eight draws: the four ends, then the four
+    closed flags, rows before columns."""
+    return GridRect(Interval1D(r_lo, r_hi, rlc, rhc), Interval1D(c_lo, c_hi, clc, chc))
+
+
 shapes = st.one_of(
     st.just(Universe()),
     st.builds(Interval1D, ends, ends, flags, flags),
-    st.builds(GridRect, grid_ends, grid_ends, grid_ends, grid_ends, flags, flags, flags, flags),
+    st.builds(
+        rect_of_draws, grid_ends, grid_ends, grid_ends, grid_ends, flags, flags, flags, flags
+    ),
     st.lists(sample_points, max_size=3).map(lambda ps: FinitePointSet(tuple(ps))),
 )
 # Coefficients and exponents: mostly 1, some other small ones, and about one
@@ -387,7 +397,8 @@ class TestEvaluateMany:
     @pytest.mark.parametrize("closed", list(itertools.product((True, False), repeat=4)))
     def test_grid_and_interval_ends_open_and_closed(self, closed):
         v = Valuation({"h": F(2), "k": F(2)})
-        grid = SymbolicHybridSet.from_atom(RegionAtom("G", GridRect(1, "h", 1, "k", *closed)))
+        rect = GridRect(Interval1D(1, "h", *closed[:2]), Interval1D(1, "k", *closed[2:]))
+        grid = SymbolicHybridSet.from_atom(RegionAtom("G", rect))
         line = SymbolicHybridSet.from_atom(RegionAtom("I", Interval1D(F(1), "h", *closed[2:])))
         e = marked_join(MERGE, [term(u_op, grid), term(v_op, line)])
         coords = (F(0), F(1, 2), F(1), F(3, 2), F(2), F(3))
@@ -574,7 +585,9 @@ grid_coords = st.one_of(
 )
 grid_shapes = st.one_of(
     st.just(Universe()),
-    st.builds(GridRect, grid_ends, grid_ends, grid_ends, grid_ends, flags, flags, flags, flags),
+    st.builds(
+        rect_of_draws, grid_ends, grid_ends, grid_ends, grid_ends, flags, flags, flags, flags
+    ),
 )
 # Grid rectangles with whole and half-integer ends, and valuations that
 # mostly give every parameter a value.
@@ -582,7 +595,7 @@ half_ends = st.one_of(
     st.sampled_from(PARAMS), st.sampled_from((F(-1), F(0), F(1, 2), F(1), F(3, 2), F(2), F(3))),
 )
 half_rects = st.builds(
-    GridRect, half_ends, half_ends, half_ends, half_ends, flags, flags, flags, flags
+    rect_of_draws, half_ends, half_ends, half_ends, half_ends, flags, flags, flags, flags
 )
 full_valuations = st.one_of(
     valuations, st.fixed_dictionaries({p: st.sampled_from(LEVELS) for p in PARAMS}).map(Valuation),
@@ -723,7 +736,9 @@ class TestEvaluateGrid:
 
     def test_a_cell_in_a_point_set_is_found(self):
         cell = SymbolicHybridSet.from_atom(RegionAtom("S", FinitePointSet(((F(1), F(2)),))))
-        box = SymbolicHybridSet.from_atom(RegionAtom("G", GridRect(F(1), F(1), F(1), F(1))))
+        box = SymbolicHybridSet.from_atom(
+            RegionAtom("G", GridRect(Interval1D(F(1), F(1)), Interval1D(F(1), F(1))))
+        )
         e = join(term(u_op, cell), term(v_op, box))
         got, want = self.both(e, [F(1)], [F(1), F(2)], None)
         assert got == want == [
@@ -762,8 +777,12 @@ class TestEvaluateGrid:
     def test_a_missing_parameter_ends_the_grid_where_evaluate_many_ends(self):
         # p bounds the rows of the second rectangle: the cells of the
         # non-integer row come out before a cell's test needs p
-        first = SymbolicHybridSet.from_atom(RegionAtom("G", GridRect(F(2), F(3), F(1), F(2))))
-        second = SymbolicHybridSet.from_atom(RegionAtom("H", GridRect(F(1), "p", F(1), F(2))))
+        first = SymbolicHybridSet.from_atom(
+            RegionAtom("G", GridRect(Interval1D(F(2), F(3)), Interval1D(F(1), F(2))))
+        )
+        second = SymbolicHybridSet.from_atom(
+            RegionAtom("H", GridRect(Interval1D(F(1), "p"), Interval1D(F(1), F(2))))
+        )
         e = join(term(u_op, first), term(v_op, second))
         rows, cols = [F(1, 2), F(5), F(2)], [F(1), F(2)]
         got, want = self.both(e, rows, cols, Valuation())
@@ -774,7 +793,9 @@ class TestEvaluateGrid:
     # (the per-point path) and without one (the row and column classes).
     @pytest.mark.parametrize("with_interval", [True, False])
     def test_columns_may_be_a_one_shot_iterator(self, with_interval):
-        box = SymbolicHybridSet.from_atom(RegionAtom("G", GridRect(F(1), F(2), F(2), F(3))))
+        box = SymbolicHybridSet.from_atom(
+            RegionAtom("G", GridRect(Interval1D(F(1), F(2)), Interval1D(F(2), F(3))))
+        )
         e = join(term(u_op, box), term(v_op, A if with_interval else U - box))
         rows, cols = [F(1), F(2), F(3)], [F(1), F(2), F(3)]
         product = [(r, c) for r in rows for c in cols]
@@ -813,7 +834,7 @@ class TestEvaluateGrid:
         assert first == second == list(_per_point_reference(e, product, v))
         layout = e._plan.layout
         for line, ranges in zip(lines, (layout.rows, layout.cols)):
-            ends = {resolve_param(p, v) for _, lo, hi, _, _ in ranges for p in (lo, hi)}
+            ends = {resolve_param(p, v) for _, s in ranges for p in (s.lo, s.hi)}
             assert len(line.cells) <= 2 * len(ends) + 1
         # Without k2 the column line never sorts; the cells of the
         # non-integer row come out before the first cell that needs k2.
@@ -856,7 +877,9 @@ class TestEvaluateGrid:
         assert got == [tuple(cells[i:i + 8]) for i in range(0, 64, 8)]
 
     def test_a_point_independent_outcome_is_one_object_per_indicator_vector(self):
-        a = SymbolicHybridSet.from_atom(RegionAtom("A", GridRect(F(1), "h", F(1), "k")))
+        a = SymbolicHybridSet.from_atom(
+            RegionAtom("A", GridRect(Interval1D(F(1), "h"), Interval1D(F(1), "k")))
+        )
         e = join(term(u_op, a), term(v_op, U - a))
         v = Valuation({"h": F(2), "k": F(3)})
         coords = [F(i) for i in range(1, 6)]
@@ -907,7 +930,9 @@ class TestErrorsAreNotKept:
     is a new one, as short as the error a one-point pass ends in, whatever
     the number of points before it whose placement raised."""
 
-    R = SymbolicHybridSet.from_atom(RegionAtom("R", GridRect(F(1), F(2), F(1), "p")))
+    R = SymbolicHybridSet.from_atom(
+        RegionAtom("R", GridRect(Interval1D(F(1), F(2)), Interval1D(F(1), "p")))
+    )
     POINTS = [(F(1, 2), F(1))] * 10_000 + [(F(1), F(1))]
 
     @pytest.mark.parametrize("which", ["evaluate_many", "multiplicities_many"])
@@ -952,7 +977,8 @@ tied_valuations = st.one_of(
 def sweep_expressions(draw):
     """Up to eight terms over up to eight shapes, mostly intervals, with
     mostly small coefficients and exponents, so that most plans fall within
-    the static bound and an indicator vector flips a few terms at a time."""
+    the static bound and a new indicator vector changes a few shapes' bits
+    at a time."""
     intervals = st.builds(Interval1D, ends, ends, flags, flags)
     drawn = draw(st.lists(st.one_of(intervals, intervals, shapes), min_size=3, max_size=8))
     pool = [RegionAtom(f"R{i}", s) for i, s in enumerate(drawn)]

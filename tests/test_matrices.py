@@ -10,6 +10,7 @@ from hybridsets import (
     Defined,
     FormalValue,
     GridRect,
+    Interval1D,
     UNDEFINED,
     Valuation,
     block_matrix_2x2,
@@ -53,14 +54,18 @@ class TestBlockGeometry:
     def test_top_left_block_is_doubly_closed(self):
         a1 = M1.blocks[0]
         assert a1.name == "A1"
-        assert a1.region.shape == GridRect(1, "h1", 1, "k1")
+        assert a1.region.shape == GridRect(Interval1D(1, "h1"), Interval1D(1, "k1"))
 
     def test_side_blocks_open_toward_the_split(self):
         b1, c1, d1 = M1.blocks[1], M1.blocks[2], M1.blocks[3]
-        assert b1.region.shape == GridRect("h1", "n", 1, "k1", row_lo_closed=False)
-        assert c1.region.shape == GridRect(1, "h1", "k1", "m", col_lo_closed=False)
+        assert b1.region.shape == GridRect(
+            Interval1D("h1", "n", lo_closed=False), Interval1D(1, "k1")
+        )
+        assert c1.region.shape == GridRect(
+            Interval1D(1, "h1"), Interval1D("k1", "m", lo_closed=False)
+        )
         assert d1.region.shape == GridRect(
-            "h1", "n", "k1", "m", row_lo_closed=False, col_lo_closed=False
+            Interval1D("h1", "n", lo_closed=False), Interval1D("k1", "m", lo_closed=False)
         )
 
     def test_blocks_partition_the_grid_under_sampling(self):

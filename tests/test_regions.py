@@ -96,7 +96,7 @@ class TestShapes:
 
     def test_grid_rect_membership(self):
         # rows 1..h1, columns 1..k1 under h1=5, k1=4
-        r = RegionAtom("A1", GridRect(F(1), "h1", F(1), "k1"))
+        r = RegionAtom("A1", GridRect(Interval1D(F(1), "h1"), Interval1D(F(1), "k1")))
         v = Valuation({"h1": F(5), "k1": F(4)})
         assert r.indicator((F(2), F(3)), v) == 1
         assert r.indicator((F(5), F(4)), v) == 1
@@ -106,15 +106,29 @@ class TestShapes:
     def test_grid_rect_open_low_bounds(self):
         # rows h+1..n written as (h..n] x [1..k]
         r = RegionAtom(
-            "B1", GridRect("h", "n", F(1), "k", row_lo_closed=False)
+            "B1", GridRect(Interval1D("h", "n", lo_closed=False), Interval1D(F(1), "k"))
         )
         v = Valuation({"h": F(2), "n": F(4), "k": F(3)})
         assert r.indicator((F(2), F(1)), v) == 0
         assert r.indicator((F(3), F(1)), v) == 1
         assert r.indicator((F(4), F(3)), v) == 1
 
+    # Every endpoint of a shape that can hold the point is resolved before
+    # any range is tested, so a point outside the known row range, or
+    # below the known lo, still needs the missing end.
+    @pytest.mark.parametrize(
+        "shape, point",
+        [
+            (GridRect(Interval1D(F(1), F(2)), Interval1D(F(1), "k")), (F(5), F(1))),
+            (Interval1D(F(1), "k"), F(0)),
+        ],
+    )
+    def test_every_end_is_resolved_before_a_range_is_tested(self, shape, point):
+        with pytest.raises(ValuationError, match="parameter 'k' has no value"):
+            RegionAtom("R", shape).indicator(point)
+
     def test_grid_rect_wants_integer_pairs(self):
-        r = RegionAtom("A", GridRect(F(1), F(3), F(1), F(3)))
+        r = RegionAtom("A", GridRect(Interval1D(F(1), F(3)), Interval1D(F(1), F(3))))
         assert r.indicator((F(1, 2), F(1))) == 0
         assert r.indicator(F(2)) == 0
 
@@ -199,7 +213,7 @@ class TestPointsAreNumbers:
     the per-point reference and on the table path alike."""
 
     A = interval("A", F(0), F(1))
-    G = RegionAtom("G", GridRect(1, 4, 1, 4))
+    G = RegionAtom("G", GridRect(Interval1D(1, 4), Interval1D(1, 4)))
 
     @pytest.mark.parametrize(
         "atom, point",

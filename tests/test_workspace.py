@@ -80,10 +80,10 @@ class TestParsing:
 
     def test_rect_ranges_default_to_closed(self):
         ws = parse_workspace("param h, k\nregion A = rect(1..h, 1..k)")
-        assert ws.regions["A"].shape == GridRect(F(1), "h", F(1), "k")
+        assert ws.regions["A"].shape == GridRect(Interval1D(F(1), "h"), Interval1D(F(1), "k"))
         ws = parse_workspace("param h, n\nregion B = rect((h..n], 1..3)")
         assert ws.regions["B"].shape == GridRect(
-            "h", "n", F(1), F(3), row_lo_closed=False
+            Interval1D("h", "n", lo_closed=False), Interval1D(F(1), F(3))
         )
 
     def test_point_sets_and_universe(self):
