@@ -64,6 +64,13 @@ def pointwise_star(
     (``FreeCombination.combine``).  So step N of a binary fold copies the
     N + 1 running words, in C, and merges only the new operand's entries
     into them: O(N) steps in Python, against O(N^2) entries copied.
+
+    The canonical refinement's choice matrix and rewrite rows depend only on
+    the operands' piece counts, so ``common_strict_refinement`` memoizes
+    them by shape (up to 32 shapes of O(n^2) small ints each); the pieces
+    and the words are still built per call.  A fold step of N pieces thus
+    pays for its N + 1 words and one region merge, once a process has
+    refined that shape before; a single combine gains nothing.
     """
     if not star.is_ac:
         raise ContractError(f"star {star.name!r} is not declared AC")

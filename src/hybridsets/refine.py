@@ -18,13 +18,19 @@ matrix, a few +-1 entries per row, the work follows the nonzeros, not n^3.
 A matrix's entries are read once, into plain ints, when it is made; its
 inverse stays sparse from the elimination to the new pieces, and the
 matrix keeps it, so asking for its determinant after refining is free.
+
+A canonical refinement's matrix, its inverse and the rewrite rows depend
+only on the style and on each partition's name, labels and piece count.
+``common_strict_refinement`` memoizes them by that key, for up to 32 shapes
+of O(n^2) small ints each; the new pieces are built per call from that
+call's regions.  Only a process that refines one shape again gains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -344,6 +350,36 @@ class Refinement:
         )
 
 
+def _rewrite_rows(sizes: Sequence[int], entries) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """The rewrite coefficients of every original piece, partition by
+    partition, read off a choice matrix's ``entries`` (row 0 is the
+    universe).  Each row is read once: a kept piece's row as is, and the
+    dropped final piece's as the all-ones universe row minus the kept rows'
+    column sums."""
+    n = len(entries)
+    coefficients = []
+    row = 1
+    for size in sizes:
+        kept = entries[row:row + size - 1]
+        dropped = tuple([1 - s for s in map(sum, zip(*kept))]) if kept else (1,) * n
+        coefficients.append((*kept, dropped))
+        row += len(kept)
+    return tuple(coefficients)
+
+
+@lru_cache(maxsize=32)
+def _canonical_skeleton(style: str, shape) -> Tuple[ChoiceMatrix, Tuple]:
+    """The canonical choice matrix of ``style`` and the rewrite rows for
+    partitions of ``shape``, each partition's (name, labels, piece count).
+    Every hit shares them, so both are immutable."""
+    row_labels = ["U"]
+    for name, labels, _ in shape:
+        row_labels.extend(f"{name}.{label}" for label in labels[:-1])
+    sizes = [size for _, _, size in shape]
+    choice = canonical_choice_matrix(sizes, style, row_labels)
+    return choice, _rewrite_rows(sizes, choice.entries)
+
+
 def common_strict_refinement(
     parts: Sequence[GeneralisedPartition],
     choice: Optional[ChoiceMatrix] = None,
@@ -356,7 +392,16 @@ def common_strict_refinement(
     into universe and kept pieces, and its exact inverse defines the new
     pieces themselves: each is one merge over the nonzero entries of its
     inverse row, or, when that row is the single entry (i, 1), the i-th
-    universe or kept piece itself.
+    universe or kept piece itself.  The new pieces are labelled by the
+    matrix's columns.
+
+    A canonical matrix and the rewrite rows depend only on the style and
+    on each partition's name, labels and piece count, never on a region.
+    So they are built once per such shape and memoized, up to 32 shapes of
+    O(n^2) small ints each; the new pieces are still built from each
+    call's own regions.  Only a process that refines one shape again gains:
+    step k of every binary fold of like operands has one shape.  A custom
+    matrix is not memoized.
     """
     parts = list(parts)
     if not parts:
@@ -370,38 +415,26 @@ def common_strict_refinement(
     sizes = [len(p.pieces) for p in parts]
     n = min_refinement_size(sizes)
 
-    row_labels = ["U"]
-    rhs = [SymbolicHybridSet.from_atom(universe)]
-    for p in parts:
-        for label, piece in list(zip(p.labels, p.pieces))[:-1]:
-            row_labels.append(f"{p.name}.{label}")
-            rhs.append(piece)
-
     if choice is None:
-        choice = canonical_choice_matrix(sizes, style, row_labels)
-    if choice.size != n:
+        choice, coefficients = _canonical_skeleton(style, tuple(
+            (str(p.name), tuple(map(str, p.labels)), size) for p, size in zip(parts, sizes)
+        ))
+    elif choice.size != n:
         raise RefinementError(
             f"choice matrix is {choice.size}x{choice.size}, refinement needs {n}"
         )
+    else:
+        coefficients = _rewrite_rows(sizes, choice.entries)
+
+    rhs = [SymbolicHybridSet.from_atom(universe)]
+    for p in parts:
+        rhs.extend(p.pieces[:-1])
     pieces = tuple(
         rhs[row[0][0]] if len(row) == 1 and row[0][1] == 1
         else SymbolicHybridSet.combine((rhs[i], c) for i, c in row)
         for row in choice._inverse_rows()
     )
-
-    # Each row is read once: a kept piece's row as is, and the dropped final
-    # piece's as the all-ones universe row minus the kept rows' column sums.
-    entries = choice.entries
-    coefficients = []
-    row = 1  # row 0 is the universe
-    for p in parts:
-        kept = entries[row:row + len(p.pieces) - 1]
-        dropped = tuple([1 - s for s in map(sum, zip(*kept))]) if kept else (1,) * n
-        coefficients.append((*kept, dropped))
-        row += len(kept)
-
-    labels = tuple(f"P{j}" for j in range(1, n + 1))
-    return Refinement(tuple(parts), pieces, labels, tuple(coefficients), choice)
+    return Refinement(tuple(parts), pieces, tuple(choice.col_labels), coefficients, choice)
 
 
 def _rows_hold(holds, refined, original, rewrite, valuation, sample) -> bool:

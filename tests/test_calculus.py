@@ -50,7 +50,7 @@ from hybridsets import (
     verify_rewrite,
     word,
 )
-from hybridsets import hybridset, oracle, regions
+from hybridsets import hybridset, oracle, refine, regions
 from hybridsets.calculus import summation
 from hybridsets.regions import resolve_param
 
@@ -257,6 +257,19 @@ class TestPointwiseStar:
         ):
             pointwise_star(PLUS, term(f1, A1), term(word((f1, -1)), A1))
 
+    def test_a_custom_matrix_labels_the_pieces_by_its_columns(self):
+        p = GeneralisedPartition("F", U_ATOM, (A1, U - A1))
+        q = GeneralisedPartition("G", U_ATOM, (B1, U - B1))
+        choice = ChoiceMatrix(PRODUCT_MATRIX.entries, PRODUCT_MATRIX.row_labels, ("X", "Y", "Z"))
+        ref = common_strict_refinement([p, q], choice=choice)
+        assert ref.labels == ("X", "Y", "Z")
+        # piece Y is B1 - A1, where f2 meets its inverse
+        inverted = join(term(word((f2, -1)), B1), term(g2, U - B1))
+        with pytest.raises(
+            ContractError, match="^value word for refinement piece Y cancelled away$"
+        ):
+            pointwise_star(PLUS, F_EXPR, inverted, refinement=ref)
+
     def test_needs_a_universe_to_refine_mismatched_partitions(self):
         with pytest.raises(ContractError):
             pointwise_star(TIMES, F_EXPR, G_EXPR)
@@ -401,6 +414,45 @@ class TestFoldCost:
                 for x in points
             ]
             assert list(evaluate_many(fold, points, v)) == want
+
+
+class TestCanonicalMemoCost:
+    """A canonical refinement's matrix and rewrite rows are built once per
+    shape and kept for up to 32 shapes; a custom matrix is never kept."""
+
+    def built(self, monkeypatch):
+        calls = []
+        real = refine.canonical_choice_matrix
+        monkeypatch.setattr(
+            refine, "canonical_choice_matrix", lambda *args: calls.append(args) or real(*args)
+        )
+        refine._canonical_skeleton.cache_clear()
+        return calls
+
+    def test_a_fold_builds_each_matrix_once_and_a_second_fold_none(self, monkeypatch):
+        calls = self.built(monkeypatch)
+        ws = steps_workspace(20)
+        first = step_fold(ws, 20)
+        assert len(calls) <= 20 - 1
+        del calls[:]
+        assert step_fold(ws, 20) == first
+        assert calls == []
+
+    def test_the_memo_keeps_at_most_its_bound(self, monkeypatch):
+        calls = self.built(monkeypatch)
+        for i in range(100):
+            common_strict_refinement([GeneralisedPartition(f"S{i}", U_ATOM, (A1, U - A1))])
+        info = refine._canonical_skeleton.cache_info()
+        assert len(calls) == 100
+        assert info.maxsize == 32
+        assert info.currsize <= info.maxsize
+
+    def test_a_custom_matrix_never_enters_the_memo(self, monkeypatch):
+        calls = self.built(monkeypatch)
+        ref = product_refinement()
+        assert ref.choice is PRODUCT_MATRIX
+        assert calls == []
+        assert refine._canonical_skeleton.cache_info().currsize == 0
 
 
 class TestInverseIdentity:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridsets import (
@@ -584,6 +584,109 @@ class TestOnePiecePartition:
         for k, part in enumerate(self.PARTS):
             for i, piece in enumerate(part.pieces):
                 assert r.rewrite(k, i) == piece
+
+
+V = RegionAtom("V", Interval1D(F(0), F(2)))
+
+
+def named_chain(name, universe, pieces, labels):
+    """A partition ``name`` of ``universe`` into ``pieces`` intervals, with
+    ``labels`` as given (None for the default ones)."""
+    whole = SymbolicHybridSet.from_atom(universe)
+    cuts = [
+        SymbolicHybridSet.from_atom(
+            RegionAtom(f"{universe.name}{i}", Interval1D(F(0), f"c{i}", hi_closed=False))
+        )
+        for i in range(1, pieces)
+    ]
+    chain = [b - a for a, b in zip([SymbolicHybridSet(), *cuts], cuts)] + [
+        whole - cuts[-1] if cuts else whole
+    ]
+    return GeneralisedPartition(name, universe, tuple(chain), labels or ())
+
+
+def assert_same_refinement(got, want):
+    assert got.choice.entries == want.choice.entries
+    assert (got.choice.row_labels, got.choice.col_labels) == (
+        want.choice.row_labels, want.choice.col_labels
+    )
+    assert got.choice.determinant() == want.choice.determinant()
+    assert got.choice.inverse() == want.choice.inverse()
+    assert got.coefficients == want.coefficients
+    assert got.labels == want.labels
+    assert got.pieces == want.pieces
+    for k, part in enumerate(got.partitions):
+        for i in range(len(part.pieces)):
+            assert got.rewrite(k, i) == want.rewrite(k, i)
+
+
+SHAPE_PARTITIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["P", "Q", "operand 1", "a.b", ""]),
+        st.integers(1, 8),
+        st.sampled_from(["default", "tuple", "list"]),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestCanonicalMemo:
+    """A canonical refinement's matrix and rewrite rows are memoized by
+    shape; a refinement built on a warm memo equals one built cold."""
+
+    @settings(max_examples=60, deadline=None)
+    @example(  # same sizes, other names and labels; then the first shape over V
+        [[("P", 2, "default")], [("Q", 2, "list")]],
+        [(0, STYLE_ONES_TOP, U), (1, STYLE_ONES_TOP, U), (0, STYLE_ONES_TOP, V)],
+    )
+    @given(
+        st.lists(SHAPE_PARTITIONS, min_size=1, max_size=3),
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.sampled_from([STYLE_ONES_TOP, STYLE_UPPER_TRIANGLE]),
+                st.sampled_from([U, V]),
+            ),
+            min_size=2,
+            max_size=8,
+        ),
+    )
+    def test_a_memoized_refinement_equals_a_cold_one(self, shapes, calls):
+        def partitions(shape, universe):
+            out = []
+            for name, pieces, kind in shape:
+                labels = [f"{name}{chr(97 + i)}" for i in range(pieces)]
+                labels = {"default": None, "tuple": tuple(labels), "list": labels}[kind]
+                out.append(named_chain(name, universe, pieces, labels))
+            return out
+
+        memo = refine_module._canonical_skeleton
+        memo.cache_clear()
+        keys, warm = [], []
+        for index, style, universe in calls:
+            parts = partitions(shapes[index % len(shapes)], universe)
+            keys.append((style, tuple((p.name, tuple(p.labels), len(p.pieces)) for p in parts)))
+            warm.append((parts, style, common_strict_refinement(parts, style=style)))
+        assert memo.cache_info().hits == len(keys) - len(set(keys))
+        for parts, style, got in warm:
+            want_rows = ["U"] + [f"{p.name}.{label}" for p in parts for label in p.labels[:-1]]
+            assert got.choice.row_labels == tuple(want_rows)
+            universe = parts[0].universe  # the same shape over U and V: each its own pieces
+            assert SymbolicHybridSet.combine((q, 1) for q in got.pieces) == (
+                SymbolicHybridSet.from_atom(universe)
+            )
+            assert {a.name[0] for q in got.pieces for a in q.atoms()} == {universe.name}
+            memo.cache_clear()
+            assert_same_refinement(got, common_strict_refinement(parts, style=style))
+
+    def test_an_unknown_style_raises_the_same_error_on_every_call(self):
+        memo = refine_module._canonical_skeleton
+        before = memo.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ContractError, match="^unknown choice-matrix style 'diagonal'$"):
+                common_strict_refinement([P, Q], style="diagonal")
+        assert memo.cache_info().currsize == before
 
 
 class TestChecksSurviveOptimisedMode:
