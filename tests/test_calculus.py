@@ -50,7 +50,7 @@ from hybridsets import (
     verify_rewrite,
     word,
 )
-from hybridsets import hybridset, oracle, refine, regions
+from hybridsets import calculus, hybridset, oracle, refine, regions
 from hybridsets.calculus import summation
 from hybridsets.regions import resolve_param
 
@@ -101,6 +101,38 @@ ORDERINGS = [
     {"a": F(3, 2), "b": F(1, 2)},   # a beyond the interval
     {"a": F(1, 4), "b": F(5, 4)},   # b beyond the interval
 ]
+
+
+def over_explicit_refinement(star, operands, universe):
+    """``pointwise_star`` over the canonical refinement built by
+    ``common_strict_refinement``, one partition per operand."""
+    refinement = common_strict_refinement([
+        GeneralisedPartition(f"operand {k}", universe, tuple(t.region for t in op.terms), assumed=True)
+        for k, op in enumerate(operands, start=1)
+    ])
+    return pointwise_star(star, *operands, refinement=refinement)
+
+
+def _outcome_of(call):
+    """The render and terms of a combine, or its error's type and message."""
+    try:
+        e = call()
+    except (ContractError, RefinementError) as exc:
+        return type(exc), str(exc)
+    return e.render(), e.terms
+
+
+# Words over three shared atoms with exponents +-1 and +-2, so that a word
+# can cancel and come back; regions with repeats and combinations.
+DIFF_ATOMS = tuple(constant_atom(name, i) for i, name in enumerate("fgh", start=1))
+DIFF_WORDS = st.lists(
+    st.tuples(st.sampled_from(DIFF_ATOMS), st.sampled_from([1, -1, 2, -2])),
+    min_size=1, max_size=2, unique_by=lambda pair: pair[0].name,
+).map(lambda pairs: word(*pairs))
+DIFF_REGIONS = st.sampled_from([A1, A1, B1, U - A1, U - B1, A1 + B1, U - A1 - B1, A1 - B1, U])
+DIFF_OPERANDS = st.lists(st.tuples(DIFF_WORDS, DIFF_REGIONS), min_size=1, max_size=6).map(
+    lambda pairs: join(*(term(w, r) for w, r in pairs))
+)
 
 
 class TestPointwiseStar:
@@ -274,6 +306,31 @@ class TestPointwiseStar:
         with pytest.raises(ContractError):
             pointwise_star(TIMES, F_EXPR, G_EXPR)
 
+    @pytest.mark.parametrize("operands, message", [
+        # piece P3 is B1, where f2 meets its inverse
+        ((F_EXPR, join(term(word((f2, -1)), B1), term(g2, U - B1))),
+         "^value word for refinement piece P3 cancelled away$"),
+        ((join(), F_EXPR), "^a partition needs at least one piece$"),
+    ], ids=["cancelled", "no terms"])
+    def test_the_closed_form_errors_are_frozen(self, operands, message):
+        with pytest.raises(ContractError, match=message):
+            pointwise_star(PLUS, *operands, universe=U_ATOM)
+
+    @seed(32)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([PLUS, TIMES]),
+        st.integers(1, 5).flatmap(lambda n: st.lists(DIFF_OPERANDS, min_size=n, max_size=n)),
+    )
+    def test_the_closed_form_matches_an_explicit_refinement(self, star, operands):
+        regions = [tuple(t.region for t in op.terms) for op in operands]
+        if all(r == regions[0] for r in regions):
+            # a shared partition: the universe is not read
+            want = _outcome_of(lambda: pointwise_star(star, *operands))
+        else:
+            want = _outcome_of(lambda: over_explicit_refinement(star, operands, U_ATOM))
+        assert _outcome_of(lambda: pointwise_star(star, *operands, universe=U_ATOM)) == want
+
     def test_rejects_non_ac_stars(self):
         lopsided = StarOp("-", apply=lambda a, b: a - b, is_ac=False)
         with pytest.raises(ContractError):
@@ -416,43 +473,35 @@ class TestFoldCost:
             assert list(evaluate_many(fold, points, v)) == want
 
 
-class TestCanonicalMemoCost:
-    """A canonical refinement's matrix and rewrite rows are built once per
-    shape and kept for up to 32 shapes; a custom matrix is never kept."""
+class TestClosedFormCost:
+    """A binary fold reads each step's terms off the canonical refinement's
+    closed form: it makes no choice matrix, partition or refinement, however
+    many operands it folds, and equals the fold over explicit refinements."""
 
-    def built(self, monkeypatch):
-        calls = []
-        real = refine.canonical_choice_matrix
-        monkeypatch.setattr(
-            refine, "canonical_choice_matrix", lambda *args: calls.append(args) or real(*args)
-        )
-        refine._canonical_skeleton.cache_clear()
-        return calls
+    @pytest.mark.parametrize("n", [20, 56])
+    def test_a_fold_builds_no_matrix_partition_or_refinement(self, n, monkeypatch):
+        ws = steps_workspace(n)
+        made = Counter()
 
-    def test_a_fold_builds_each_matrix_once_and_a_second_fold_none(self, monkeypatch):
-        calls = self.built(monkeypatch)
-        ws = steps_workspace(20)
-        first = step_fold(ws, 20)
-        assert len(calls) <= 20 - 1
-        del calls[:]
-        assert step_fold(ws, 20) == first
-        assert calls == []
+        def counted(name, real):
+            return lambda *args, **kwargs: made.update([name]) or real(*args, **kwargs)
 
-    def test_the_memo_keeps_at_most_its_bound(self, monkeypatch):
-        calls = self.built(monkeypatch)
-        for i in range(100):
-            common_strict_refinement([GeneralisedPartition(f"S{i}", U_ATOM, (A1, U - A1))])
-        info = refine._canonical_skeleton.cache_info()
-        assert len(calls) == 100
-        assert info.maxsize == 32
-        assert info.currsize <= info.maxsize
-
-    def test_a_custom_matrix_never_enters_the_memo(self, monkeypatch):
-        calls = self.built(monkeypatch)
-        ref = product_refinement()
-        assert ref.choice is PRODUCT_MATRIX
-        assert calls == []
-        assert refine._canonical_skeleton.cache_info().currsize == 0
+        for cls in (refine.ChoiceMatrix, refine.GeneralisedPartition):
+            monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+        for module in (refine, calculus):
+            monkeypatch.setattr(
+                module, "common_strict_refinement",
+                counted("common_strict_refinement", module.common_strict_refinement),
+            )
+        fold = step_fold(ws, n)
+        assert len(fold.terms) == n + 1
+        assert made == Counter()
+        monkeypatch.undo()
+        explicit = ws.exprs["H1"]
+        for i in range(2, n + 1):
+            explicit = over_explicit_refinement(PLUS, (explicit, ws.exprs[f"H{i}"]), ws.regions["U"])
+        assert fold == explicit
+        assert fold.render() == explicit.render()
 
 
 class TestInverseIdentity:
