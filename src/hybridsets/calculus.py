@@ -3,7 +3,10 @@
 ``pointwise_star`` is the reason the whole layering exists: combining
 piecewise functions produces one term per refinement piece, so repeated
 combination grows linearly in the number of pieces instead of doubling the
-case analysis at every step.
+case analysis at every step.  The build grows the same way: a step of a
+binary fold extends the compact form of the running result, at O(size of
+the new operand) in Python, and the result's terms are built once, when
+they are first read.
 """
 
 from __future__ import annotations
@@ -11,10 +14,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
-from typing import Callable, Iterable, List, Optional
+from itertools import accumulate, compress
+from typing import Callable, Iterable, List, NamedTuple, Optional
 
-from .errors import ContractError, RefinementError
+from .errors import ContractError, MultiplicityOverflowError, RefinementError
 from .functions import (
     FreeWord,
     FunctionAtom,
@@ -29,6 +32,7 @@ from .functions import (
 from .regions import Point, RegionAtom, SymbolicHybridSet, Valuation, multiplicities_many, resolve_param
 from .refine import Refinement
 from .refine import common_strict_refinement  # unused here, but a name the perfbench tracer rebinds in this module
+from .scalarexpr import INT64_MAX
 
 
 def _as_terms(operand) -> tuple:
@@ -63,16 +67,28 @@ def pointwise_star(
     multiplies every operand word raised to its rewrite coefficient for
     that piece, merged in operand order, and a leading word with
     coefficient 1 seeds its piece's merge (``FreeCombination.combine``).
-    So step N of a binary fold copies the N + 1 running words, in C, and
-    merges only the new operand's entries into them: O(N) steps in Python.
+    A closed-form result keeps a compact form (``_Compact``).  A binary
+    step whose first operand has one, over the same universe atom, extends
+    it: it builds P1's word and region and the new operand's kept pieces,
+    and leaves every older term's record as it is, so the step costs
+    O(size of the new operand) in Python, however many terms run.  The
+    terms are built once, on first read, one merge each.  A step that the
+    compact form cannot certify to build the same words and raise nothing
+    runs the eager loop, which raises what it raises.
     """
     if not star.is_ac:
         raise ContractError(f"star {star.name!r} is not declared AC")
     if not operands:
         raise ContractError("pointwise_star needs at least one operand")
+    source = operands[0]._source if isinstance(operands[0], HybridExpr) else None
+    if source is not None and refinement is None and len(operands) == 2:
+        form = source.extend(universe, operands[1])
+        if form is not None:
+            return HybridExpr.deferred(star, form)
     operand_terms = [_as_terms(op) for op in operands]
     regions = [tuple(t.region for t in terms) for terms in operand_terms]
 
+    closed_form = False
     if refinement is None and all(r == regions[0] for r in regions):
         if not regions[0]:
             raise ContractError("a partition needs at least one piece")
@@ -83,6 +99,7 @@ def pointwise_star(
             raise ContractError("pointwise_star needs a universe atom to build the canonical refinement")
         if not all(regions):
             raise ContractError("a partition needs at least one piece")
+        closed_form = True
         lasts = [(terms[-1].word, 1) for terms in operand_terms]
         kept = [(k, t) for k, terms in enumerate(operand_terms) for t in terms[:-1]]
         pieces = [SymbolicHybridSet.from_atom(universe), *(t.region for _, t in kept)]
@@ -123,7 +140,174 @@ def pointwise_star(
         if w.is_empty:
             raise ContractError(f"value word for refinement piece {label} cancelled away")
         out_terms.append(HybridTerm(w, piece))
+    if closed_form:
+        return HybridExpr.deferred(star, _Compact(universe, tuple(out_terms)))
     return marked_join(star, out_terms)
+
+
+def _size(w: FreeWord) -> int:
+    """The sum of the word's absolute exponents."""
+    return sum(map(abs, w._coeffs.values()))
+
+
+def _named(known: dict, combinations) -> Optional[dict]:
+    """A copy of ``known``, name -> atom, with the atoms of ``combinations``
+    added, or None where one of them binds a name to another atom."""
+    atoms = dict(known)
+    for c in combinations:
+        for name, a in c._atoms.items():
+            bound = atoms.setdefault(name, a)
+            if bound is not a and bound != a:
+                return None
+    return atoms
+
+
+class _State(NamedTuple):
+    """What the next step of a compact form reads.
+
+    Term t's word is ``total - offset_t``: ``total`` sums the words added
+    since the base, and the offset is the word's part that was there
+    before them, so a step's new total cancels exactly the older words
+    whose offset it equals, which ``offsets`` holds, and a term that takes
+    another's place takes its offset.  ``last`` is the last term's (word,
+    region, offset); it is born at the form's own step, so its word is its
+    birth word.  ``atoms`` and ``regions`` bind every name that a word or
+    a region of the fold has used; ``ranks`` orders the region names by
+    first appearance in the universe and the regions of every term but the
+    last, the order in which the eager merge of P1 meets them.  ``bound``
+    sums the absolute exponents of every word that entered the fold, and
+    bounds every partial sum of every word merge the form makes or defers.
+    ``count`` is the number of terms."""
+
+    count: int
+    last: tuple
+    total: FreeWord
+    offsets: frozenset
+    atoms: dict
+    regions: dict
+    ranks: dict
+    bound: int
+
+
+class _Compact:
+    """The compact form of a closed-form result of ``pointwise_star``.
+
+    It holds the universe atom, the terms of the eager result it starts
+    from (``base``, step 0) and, per later binary step s, ``steps[s - 1]``:
+    the new operand's last word, which the step adds to every older term,
+    and the (birth word, region) records of P1 and of the new operand's
+    kept pieces.  A record born at step b has, at step s, its birth word
+    merged with the words added at steps b + 1 .. s, in order: one merge
+    seeded by the birth word, which builds the word that the eager loop
+    builds by a chain of seeded merges (``hybridset.merge``).  The terms
+    at step s are P1 of steps s, s - 1, .., 1, the base's terms but its
+    last, each earlier step's kept pieces but its last, and step s's kept
+    pieces: a step drops the last term, whose region P1 takes over.
+    """
+
+    __slots__ = ("universe", "base", "steps", "state")
+
+    def __init__(self, universe: RegionAtom, base: tuple, steps: tuple = (), state=None):
+        self.universe, self.base, self.steps, self.state = universe, base, steps, state
+
+    def terms(self) -> tuple:
+        """The terms, one merge each."""
+        steps = self.steps
+        if not steps:
+            return self.base
+        added = [a for a, _, _ in steps]
+        # the entries of the added words in step order; those of steps b + 1
+        # on start at starts[b]
+        entries = [e for group, _ in FreeWord._groups((a, 1) for a in added) for e in group]
+        starts = [0, *accumulate(len(a._coeffs) for a in added)]
+        records = [(p1, b) for b, (_, p1, _) in enumerate(steps, start=1)][::-1]
+        records += [((t.word, t.region), 0) for t in self.base[:-1]]
+        for b, (_, _, kept) in enumerate(steps, start=1):
+            records += [(r, b) for r in (kept if b == len(steps) else kept[:-1])]
+        return tuple(
+            HybridTerm(FreeWord._from_checked(((entries[starts[b]:], 1),), w), region)
+            for (w, region), b in records
+        )
+
+    def _base_state(self) -> Optional[_State]:
+        """A base's state, or None where its words bind a name to two atoms
+        or their bound is above ``INT64_MAX``."""
+        base, u = self.base, self.universe
+        words = [t.word for t in base]
+        bound = sum(map(_size, words))
+        atoms = _named({}, words)
+        regions = _named({u.name: u}, (t.region for t in base))
+        if bound > INT64_MAX or atoms is None or regions is None:
+            return None
+        ranks = {u.name: (0, 0)}
+        for t in base[:-1]:
+            for name in t.region._coeffs:
+                ranks.setdefault(name, (0, len(ranks)))
+        offsets = [FreeWord.combine(((w, -1),)) for w in words]
+        last = (base[-1].word, base[-1].region, offsets[-1])
+        return _State(len(base), last, FreeWord(), frozenset(offsets), atoms, regions, ranks, bound)
+
+    def extend(self, universe: Optional[RegionAtom], operand) -> Optional["_Compact"]:
+        """The compact form of the binary step that combines this form's
+        result with ``operand`` over ``universe``, or None where the step
+        runs the eager loop: another universe atom; an operand that is not
+        an expression of at least two terms, or has as many terms as this
+        result, so that the two may share their region list; a name bound
+        to another atom than the fold's; a ``bound`` above ``INT64_MAX``;
+        an older word or P1's cancelled, which ``offsets`` shows; a new
+        word cancelled; or P1's region merge raising."""
+        if universe is not self.universe or not isinstance(operand, HybridExpr):
+            return None
+        state = self.state or self._base_state()
+        if state is None:
+            return None
+        terms = operand.terms
+        if len(terms) < 2 or len(terms) == state.count:
+            return None
+        added, kept = terms[-1].word, terms[:-1]
+        words = [t.word for t in kept]
+        bound = state.bound + sum(map(_size, (added, *words)))
+        atoms = _named(state.atoms, (added, *words))
+        regions = _named(state.regions, (t.region for t in kept))
+        if bound > INT64_MAX or atoms is None or regions is None:
+            return None
+        total = FreeWord.combine(((state.total, 1), (added, 1)))
+        if total in state.offsets:
+            return None
+        last, last_region, offset = state.last
+        born = [FreeWord.combine(((last, 1), (w, 1))) for w in words]
+        if any(w.is_empty for w in born):
+            return None
+        # P1 is the last term's region less the kept pieces: the universe
+        # less every other term's region, as the pieces sum to the universe
+        try:
+            p1 = SymbolicHybridSet.combine([(last_region, 1), *((t.region, -1) for t in kept)])
+        except MultiplicityOverflowError:
+            return None  # the eager merge raises too, naming its own first coefficient
+        ranks = state.ranks
+        fresh = {}  # names new to the ranks, after them by first appearance
+        for t in kept:
+            for name in t.region._coeffs:
+                if name not in ranks:
+                    fresh.setdefault(name, (1, len(fresh)))
+        order = sorted(p1._coeffs, key=lambda name: ranks.get(name) or fresh[name])
+        if order != list(p1._coeffs):
+            p1 = SymbolicHybridSet._from_checked(
+                ((((name, p1._coeffs[name], p1._atoms[name]) for name in order), 1),)
+            )
+        step = len(self.steps) + 1
+        ranks = dict(ranks)
+        for i, name in enumerate((universe.name, *order)):
+            ranks[name] = (-step, i)
+        for t in kept[:-1]:
+            for name in t.region._coeffs:
+                ranks.setdefault(name, (0, len(ranks)))
+        offsets = [FreeWord.combine(((offset, 1), (added, 1), (w, -1))) for w in words]
+        records = tuple(zip(born, (t.region for t in kept)))
+        state = _State(state.count + len(kept), (*records[-1], offsets[-1]), total,
+                       state.offsets.union(offsets), atoms, regions, ranks, bound)
+        p1_record = (FreeWord.combine(((last, 1), (added, 1))), p1)
+        return _Compact(universe, self.base, (*self.steps, (added, p1_record, records)), state)
 
 
 @dataclass

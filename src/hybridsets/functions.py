@@ -153,12 +153,38 @@ def term(value, region: SymbolicHybridSet) -> HybridTerm:
     return HybridTerm(value, region)
 
 
+class _BuiltOnFirstRead:
+    """The ``terms`` field of ``HybridExpr``.  An expression made by
+    ``HybridExpr.deferred`` holds no terms until the first read, which
+    builds them by ``_source.terms()`` and stores them as the field's
+    value; every other expression stores them when it is made, so this is
+    never called for it.  Read on the class, it raises AttributeError, so
+    the dataclass gives the field no default."""
+
+    def __get__(self, e, owner=None):
+        if e is None:
+            raise AttributeError("terms")
+        terms = e.__dict__["terms"] = e._source.terms()
+        return terms
+
+
 @dataclass(frozen=True)
 class HybridExpr:
     """A join (star is None) or marked join (star set) of hybrid terms."""
 
     star: Optional[StarOp]
-    terms: Tuple[HybridTerm, ...]
+    terms: Tuple[HybridTerm, ...] = _BuiltOnFirstRead()
+    _source = None  # not a field: what a deferred expression builds its terms from
+
+    @classmethod
+    def deferred(cls, star: StarOp, source) -> "HybridExpr":
+        """The marked join whose terms ``source.terms()`` builds, once, on
+        first read; ``source`` is kept as ``_source``.  Equality, hash and
+        repr read the terms, so they equal those of ``marked_join(star,
+        source.terms())``."""
+        e = object.__new__(cls)
+        e.__dict__.update(star=star, _source=source)
+        return e
 
     @property
     def is_marked(self) -> bool:

@@ -64,7 +64,11 @@ def merge(groups, clash: str, drop_early: bool, seed=None) -> Tuple[Dict[str, in
     A ``seed`` combination is taken by copying its two dicts: it holds no
     zero and its atoms are bound, so the copy is what merging it into empty
     dicts would give, order included.  The work in Python is then one step
-    per entry of the groups alone.
+    per entry of the groups alone.  So one merge of unit groups g1 .. gk
+    seeded by w gives, order included, the combination that a chain of k
+    merges gives, each seeded by the one before and merging the next group,
+    when every name is bound to one atom throughout and no partial sum
+    leaves the 64-bit range.
 
     Sums are taken in Python ints, so a partial sum may leave the 64-bit
     range and come back; when one left it, each kept coefficient is then

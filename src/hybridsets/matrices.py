@@ -105,6 +105,14 @@ def grid_universe(rows: Param, cols: Param) -> RegionAtom:
     return RegionAtom("U", GridRect(Interval1D(1, rows), Interval1D(1, cols)))
 
 
+def _same_dimensions(m1: SymbolicBlockMatrix, m2: SymbolicBlockMatrix) -> None:
+    if m1.rows != m2.rows or m1.cols != m2.cols:
+        raise ContractError(
+            f"dimension symbols differ: {render_param(m1.rows)}x{render_param(m1.cols)} "
+            f"vs {render_param(m2.rows)}x{render_param(m2.cols)}"
+        )
+
+
 def matrix_add(
     m1: SymbolicBlockMatrix,
     m2: SymbolicBlockMatrix,
@@ -112,9 +120,10 @@ def matrix_add(
 ) -> HybridExpr:
     """Sum expression over the minimal common refinement of the two block
     partitions.  For 2x2 operands this is the seven-term form with the
-    leftover region first, then the kept blocks of each operand."""
-    expr, _ = matrix_add_with_refinement(m1, m2, star)
-    return expr
+    leftover region first, then the kept blocks of each operand.  The terms
+    come off the refinement's closed form; no refinement is built."""
+    _same_dimensions(m1, m2)
+    return pointwise_star(star, m1.expr(), m2.expr(), universe=grid_universe(m1.rows, m1.cols))
 
 
 def matrix_add_with_refinement(
@@ -122,11 +131,9 @@ def matrix_add_with_refinement(
     m2: SymbolicBlockMatrix,
     star: StarOp = PLUS,
 ) -> Tuple[HybridExpr, Refinement]:
-    if m1.rows != m2.rows or m1.cols != m2.cols:
-        raise ContractError(
-            f"dimension symbols differ: {render_param(m1.rows)}x{render_param(m1.cols)} "
-            f"vs {render_param(m2.rows)}x{render_param(m2.cols)}"
-        )
+    """``matrix_add``'s expression, combined over the refinement built by
+    ``common_strict_refinement``, and that refinement."""
+    _same_dimensions(m1, m2)
     refinement = common_strict_refinement([m1.partition(), m2.partition()])
     expr = pointwise_star(star, m1.expr(), m2.expr(), refinement=refinement)
     return expr, refinement

@@ -17,6 +17,9 @@ from hybridsets import (
     FunctionAtom,
     GeneralisedPartition,
     GridRect,
+    HybridError,
+    HybridTerm,
+    MultiplicityOverflowError,
     Interval1D,
     STYLE_ONES_TOP,
     MERGE,
@@ -416,10 +419,12 @@ def step_fold(ws, n):
 
 class TestFoldCost:
     """A binary fold of the fold-eval operands z_i^(U - R_i) ⊛ a_i^R_i. Each
-    step copies the running words, which lead every merge with exponent 1,
-    and merges only the new operand's entries into them, so a fold of N
-    steps makes ``hybridset.merge`` read O(N^2) entries in Python; merging
-    every running entry at every step would make O(N^3)."""
+    step extends the running result's compact form by P1 and the new
+    operand's kept pieces, and the N + 1 terms are built once, on first
+    read, each by one merge seeded by its birth word, which copies it, and
+    reading only the words added since.  So a fold of N steps makes
+    ``hybridset.merge`` read O(N^2) entries in Python; merging every
+    running entry at every step would make O(N^3)."""
 
     @pytest.mark.parametrize("n", [20, 40])
     def test_entries_merged_in_python_stay_within_two_n_squared(self, n, monkeypatch):
@@ -502,6 +507,157 @@ class TestClosedFormCost:
             explicit = over_explicit_refinement(PLUS, (explicit, ws.exprs[f"H{i}"]), ws.regions["U"])
         assert fold == explicit
         assert fold.render() == explicit.render()
+
+
+    @pytest.mark.parametrize("n", [20, 40, 80, 160])
+    def test_a_fold_step_pays_only_for_its_new_operand(self, n, monkeypatch):
+        # A step builds P1 and the new operand's kept pieces, and leaves the
+        # older terms' records alone; the terms are built once, on first
+        # read.  Rebuilding all N + 1 running terms at every step made
+        # 266 / 936 / 3476 / 13356 merges here.
+        ws = steps_workspace(n)
+        merges, made = [], []
+        real_merge, real_post_init = hybridset.merge, HybridTerm.__post_init__
+        monkeypatch.setattr(
+            hybridset, "merge", lambda *args: merges.append(1) or real_merge(*args)
+        )
+        monkeypatch.setattr(
+            HybridTerm, "__post_init__", lambda t: made.append(1) or real_post_init(t)
+        )
+        fold = step_fold(ws, n)
+        assert len(fold.terms) == n + 1
+        assert len(merges) <= 8 * n and len(made) <= 2 * n
+        merges.clear(), made.clear()
+        assert len(fold.terms) == n + 1
+        assert merges == made == []
+
+
+# Binary folds for the compact-form differential: words over shared atoms
+# with exponents +-1 and +-2, so that words cancel, and in some examples a
+# name bound to a second definition, exponents near 2^62 or a second
+# universe atom; regions over three thresholds, with repeats and
+# combinations.
+C1 = SymbolicHybridSet.from_atom(RegionAtom("C1", Interval1D(F(0), "c", hi_closed=False)))
+FOLD_REGIONS = st.sampled_from(
+    [A1, B1, C1, U - A1, U - B1, U - C1, A1 + B1, U - A1 - B1, A1 - B1, B1 - C1, U, C1 - U]
+)
+V_ATOM = RegionAtom("V", Interval1D(F(0), F(1), hi_closed=False))
+FA, GA, HA = DIFF_ATOMS
+
+
+@st.composite
+def binary_folds(draw):
+    """A first operand, 1-7 steps of (operand, star, universe atom) and one
+    more step to take from an accumulator that was extended already."""
+    atoms, exponents, universes = list(DIFF_ATOMS), [1, -1, 2, -2], [U_ATOM]
+    if draw(st.integers(0, 3)) == 0:
+        atoms.append(constant_atom("f", 9))
+    if draw(st.integers(0, 3)) == 0:
+        exponents += [2**62, -(2**62), 2**62 + 1]
+    if draw(st.integers(0, 3)) == 0:
+        universes.append(V_ATOM)
+    words = st.lists(
+        st.tuples(st.sampled_from(atoms), st.sampled_from(exponents)),
+        min_size=1, max_size=2, unique_by=lambda pair: pair[0].name,
+    ).map(lambda pairs: word(*pairs))
+    operands = st.sampled_from([1, 2, 2, 3, 3]).flatmap(
+        lambda n: st.lists(st.tuples(words, FOLD_REGIONS), min_size=n, max_size=n)
+    ).map(lambda pairs: join(*(term(w, r) for w, r in pairs)))
+    steps = st.tuples(operands, st.sampled_from([PLUS, TIMES]), st.sampled_from(universes))
+    return draw(operands), draw(st.lists(steps, min_size=1, max_size=7)), draw(steps)
+
+
+FOLD_POINTS = [F(k, 8) for k in range(-1, 10)]
+FOLD_VALUATIONS = [Valuation({"a": F(1, 3), "b": F(2, 3), "c": F(1, 2)}), Valuation()]
+
+
+def _fold_outcome(call):
+    try:
+        return call()
+    except HybridError as exc:
+        return type(exc), str(exc)
+
+
+def _snapshot(e):
+    """What a combine shows: its render, each term's word and region
+    coefficients in order, and its values or errors at the sample points
+    under each sample valuation, one point at a time."""
+    return (
+        e.render(),
+        [(list(t.word._coeffs.items()), list(t.region._coeffs.items())) for t in e.terms],
+        [_fold_outcome(lambda: evaluate(e, x, v)) for v in FOLD_VALUATIONS for x in FOLD_POINTS],
+    )
+
+
+def _fold(first, steps, eager):
+    """Each accumulator of the binary fold of ``first`` by ``steps``, or,
+    at the step that raises, the step number and the error's type and
+    message.  The eager fold rebuilds each result as a plain marked join,
+    which has no compact form to extend."""
+    accs = [first]
+    for k, (operand, star, universe) in enumerate(steps, start=1):
+        try:
+            acc = pointwise_star(star, accs[-1], operand, universe=universe)
+        except HybridError as exc:
+            return accs, (k, type(exc), str(exc))
+        accs.append(marked_join(star, acc.terms) if eager else acc)
+    return accs, None
+
+
+class TestCompactFold:
+    """A binary fold over compact forms builds what a fold that rebuilds
+    all running terms at every step builds, and raises what it raises at
+    the same step, with the same message."""
+
+    @seed(33)
+    @settings(max_examples=300, deadline=None)
+    @given(binary_folds(), st.data())
+    def test_the_compact_fold_matches_the_eager_fold(self, fold, data):
+        first, steps, side = fold
+        compact, raised = _fold(first, steps, eager=False)
+        eager, eager_raised = _fold(first, steps, eager=True)
+        assert raised == eager_raised
+        shown = [_snapshot(e) for e in compact]
+        assert shown == [_snapshot(e) for e in eager]
+        assert compact == eager
+        assert [(hash(e), repr(e)) for e in compact] == [(hash(e), repr(e)) for e in eager]
+        # an accumulator that was extended already is extended again
+        j = data.draw(st.integers(0, len(compact) - 1))
+        again, again_raised = _fold(compact[j], [side], eager=False)
+        want, want_raised = _fold(eager[j], [side], eager=True)
+        assert again_raised == want_raised
+        assert [_snapshot(e) for e in again[1:]] == [_snapshot(e) for e in want[1:]]
+        assert [_snapshot(e) for e in compact] == shown
+
+    # The first step is eager and gives (g * h)^{U - A1 - B1} ⊛ (f * h)^{A1}
+    # ⊛ (g^2)^{B1}; the second extends its compact form where it can.
+    @pytest.mark.parametrize("second, universe, raised", [
+        (join(term(FA, C1), term(word((FA, -1), (HA, -1)), U - C1)), U_ATOM,
+         (2, ContractError, "value word for refinement piece P3 cancelled away")),
+        (join(term(FA, C1), term(word((GA, -2)), U - C1)), U_ATOM,
+         (2, ContractError, "value word for refinement piece P1 cancelled away")),
+        (join(term(word((GA, -2)), C1), term(FA, U - C1)), U_ATOM,
+         (2, ContractError, "value word for refinement piece P4 cancelled away")),
+        (join(term(HA, C1), term(word((FA, 2**63 - 1)), U - C1)), U_ATOM,
+         (2, MultiplicityOverflowError, f"multiplicity {2**63} leaves the 64-bit range")),
+        (join(term(FA, C1), term(constant_atom("h", 9), U - C1)), U_ATOM,
+         (2, ContractError, "atom name 'h' bound to two definitions")),
+        (join(term(constant_atom("h", 9), C1), term(GA, U - C1)), U_ATOM, None),
+        (join(term(FA, SymbolicHybridSet.from_atom(RegionAtom("A1", Interval1D(F(0), "c")))),
+              term(GA, U - C1)), U_ATOM,
+         (2, ContractError, "region name 'A1' bound to two shapes")),
+        (join(term(FA, C1), term(GA, U - C1)), V_ATOM, None),
+        (join(term(FA, C1)), U_ATOM, None),
+    ], ids=["older word cancelled", "P1 cancelled", "new word cancelled", "exponent overflow",
+            "atom name rebound", "atom name rebound where no word has it", "region name rebound",
+            "another universe", "one-term operand"])
+    def test_a_step_it_cannot_certify_runs_the_eager_loop(self, second, universe, raised):
+        first = join(term(FA, A1), term(GA, U - A1))
+        steps = [(join(term(GA, B1), term(HA, U - B1)), PLUS, U_ATOM), (second, PLUS, universe)]
+        compact, compact_raised = _fold(first, steps, eager=False)
+        eager, eager_raised = _fold(first, steps, eager=True)
+        assert compact_raised == eager_raised == raised
+        assert [_snapshot(e) for e in compact] == [_snapshot(e) for e in eager]
 
 
 class TestInverseIdentity:

@@ -16,6 +16,7 @@ from hybridsets import (
     FinitePointSet,
     FormalValue,
     FreeWord,
+    GeneralisedPartition,
     GridRect,
     HybridError,
     HybridExpr,
@@ -164,6 +165,27 @@ class TestTermsAndJoins:
         e = marked_join(TIMES, [term(word(f, g), A)])
         assert e.render() == "(f * g)^{A}"
         assert join().render() == "(empty)"
+
+
+def _branch_outcome(call):
+    """The render of what ``call`` returns, or its error's type and message."""
+    try:
+        return call().render()
+    except HybridError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: join(marked_join(PLUS, [term(f, A)]), term(g, B)),
+     (ContractError, "cannot splice a marked join into a plain join")),
+    (lambda: join(join(term(f, A), term(g, B)), term(f, B)), "f^{A + B} ⊛ g^{B}"),
+    (lambda: GeneralisedPartition("P", RegionAtom("U", Universe()), (A, U - A), labels=("a",)),
+     (ContractError, "piece labels must match piece count")),
+    (lambda: f.value(None),
+     (ContractError, "expression uses x but no point was supplied")),
+], ids=["marked join spliced", "plain join spliced", "labels and pieces", "x without a point"])
+def test_branches_that_no_other_test_runs_are_frozen(call, outcome):
+    assert _branch_outcome(call) == outcome
 
 
 class TestPlainEvaluation:
