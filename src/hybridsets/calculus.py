@@ -172,12 +172,10 @@ class _State(NamedTuple):
     another's place takes its offset.  ``last`` is the last term's (word,
     region, offset); it is born at the form's own step, so its word is its
     birth word.  ``atoms`` and ``regions`` bind every name that a word or
-    a region of the fold has used; ``ranks`` orders the region names by
-    first appearance in the universe and the regions of every term but the
-    last, the order in which the eager merge of P1 meets them.  ``bound``
-    sums the absolute exponents of every word that entered the fold, and
-    bounds every partial sum of every word merge the form makes or defers.
-    ``count`` is the number of terms."""
+    a region of the fold has used.  ``bound`` sums the absolute exponents
+    of every word that entered the fold, and bounds every partial sum of
+    every word merge the form makes or defers.  ``count`` is the number of
+    terms."""
 
     count: int
     last: tuple
@@ -185,7 +183,6 @@ class _State(NamedTuple):
     offsets: frozenset
     atoms: dict
     regions: dict
-    ranks: dict
     bound: int
 
 
@@ -202,7 +199,8 @@ class _Compact:
     builds by a chain of seeded merges (``hybridset.merge``).  The terms
     at step s are P1 of steps s, s - 1, .., 1, the base's terms but its
     last, each earlier step's kept pieces but its last, and step s's kept
-    pieces: a step drops the last term, whose region P1 takes over.
+    pieces: a step drops the last term, whose region P1 takes over.  P1's
+    region keeps its own merge's order, which no output reads.
     """
 
     __slots__ = ("universe", "base", "steps", "state")
@@ -239,13 +237,9 @@ class _Compact:
         regions = _named({u.name: u}, (t.region for t in base))
         if bound > INT64_MAX or atoms is None or regions is None:
             return None
-        ranks = {u.name: (0, 0)}
-        for t in base[:-1]:
-            for name in t.region._coeffs:
-                ranks.setdefault(name, (0, len(ranks)))
         offsets = [FreeWord.combine(((w, -1),)) for w in words]
         last = (base[-1].word, base[-1].region, offsets[-1])
-        return _State(len(base), last, FreeWord(), frozenset(offsets), atoms, regions, ranks, bound)
+        return _State(len(base), last, FreeWord(), frozenset(offsets), atoms, regions, bound)
 
     def extend(self, universe: Optional[RegionAtom], operand) -> Optional["_Compact"]:
         """The compact form of the binary step that combines this form's
@@ -284,28 +278,10 @@ class _Compact:
             p1 = SymbolicHybridSet.combine([(last_region, 1), *((t.region, -1) for t in kept)])
         except MultiplicityOverflowError:
             return None  # the eager merge raises too, naming its own first coefficient
-        ranks = state.ranks
-        fresh = {}  # names new to the ranks, after them by first appearance
-        for t in kept:
-            for name in t.region._coeffs:
-                if name not in ranks:
-                    fresh.setdefault(name, (1, len(fresh)))
-        order = sorted(p1._coeffs, key=lambda name: ranks.get(name) or fresh[name])
-        if order != list(p1._coeffs):
-            p1 = SymbolicHybridSet._from_checked(
-                ((((name, p1._coeffs[name], p1._atoms[name]) for name in order), 1),)
-            )
-        step = len(self.steps) + 1
-        ranks = dict(ranks)
-        for i, name in enumerate((universe.name, *order)):
-            ranks[name] = (-step, i)
-        for t in kept[:-1]:
-            for name in t.region._coeffs:
-                ranks.setdefault(name, (0, len(ranks)))
         offsets = [FreeWord.combine(((offset, 1), (added, 1), (w, -1))) for w in words]
         records = tuple(zip(born, (t.region for t in kept)))
         state = _State(state.count + len(kept), (*records[-1], offsets[-1]), total,
-                       state.offsets.union(offsets), atoms, regions, ranks, bound)
+                       state.offsets.union(offsets), atoms, regions, bound)
         p1_record = (FreeWord.combine(((last, 1), (added, 1))), p1)
         return _Compact(universe, self.base, (*self.steps, (added, p1_record, records)), state)
 

@@ -224,8 +224,9 @@ def render_combination(pairs: Iterable[Tuple[str, int]]) -> str:
 
 class SymbolicHybridSet(FreeCombination):
     """Formal integer combination of region atoms, the symbolic face of a
-    hybrid set.  Coefficients keep the order in which their atoms first
-    appear, and zeros are dropped at the end of a merge."""
+    hybrid set.  Coefficients are stored in the order their atoms first
+    appear, zeros dropped at the end of a merge; ``items`` lists them by
+    name, and ``render`` and ``multiplicity`` read them in print order."""
 
     __slots__ = ()
     ATOM = RegionAtom
@@ -240,19 +241,23 @@ class SymbolicHybridSet(FreeCombination):
 
     __mul__ = __rmul__ = FreeCombination.scale
 
+    def _in_print_order(self) -> list:
+        """(name, coefficient) pairs: positive coefficients first, then
+        negative ones, each by name, whatever order built the region."""
+        return sorted(self._coeffs.items(), key=lambda kv: (kv[1] < 0, kv[0]))
+
     def multiplicity(self, point: Point, valuation: Optional[Valuation] = None) -> int:
-        """Coefficient-weighted sum of the atom indicators at the point."""
+        """Coefficient-weighted sum of the atom indicators at the point, read
+        in print order: an error names the first unset parameter it meets."""
         total = 0
-        for name, coeff in self._coeffs.items():
+        for name, coeff in self._in_print_order():
             if self._atoms[name].indicator(point, valuation):
                 total += coeff
         return checked_int(total)
 
     def render(self) -> str:
-        """Positive coefficients first, then negative ones, each by name."""
-        return render_combination(
-            sorted(self._coeffs.items(), key=lambda kv: (kv[1] < 0, kv[0]))
-        )
+        """The signed sum in print order."""
+        return render_combination(self._in_print_order())
 
 
 class _Layout:
@@ -354,10 +359,10 @@ class IndicatorTable:
         once: a cell's vector is the universe bits joined with the AND of
         its row's and its column's grid-range bits, or None when the
         placement of either raises.  The rows of one row class, which have
-        the same row bits, share one keys tuple, made once.  Interval and
-        point-set shapes take ``keys``, row by row."""
+        the same row bits, share one keys tuple, made once.  Intervals hold
+        no 2-D point; point-set shapes take ``keys``, row by row."""
         layout = self.layout
-        if layout.intervals or layout.pointwise:
+        if layout.pointwise:
             for r in rows:
                 yield r, tuple([key for _, key in self.keys([(r, c) for c in cols])])
             return

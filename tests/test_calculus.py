@@ -579,12 +579,14 @@ def _fold_outcome(call):
 
 
 def _snapshot(e):
-    """What a combine shows: its render, each term's word and region
-    coefficients in order, and its values or errors at the sample points
-    under each sample valuation, one point at a time."""
+    """What a combine shows: its render, each term's word coefficients in
+    order and region coefficients by name (a region is read in print
+    order, so its storage order shows nowhere), and its values or errors
+    at the sample points under each sample valuation, one point at a
+    time."""
     return (
         e.render(),
-        [(list(t.word._coeffs.items()), list(t.region._coeffs.items())) for t in e.terms],
+        [(list(t.word._coeffs.items()), dict(t.region._coeffs)) for t in e.terms],
         [_fold_outcome(lambda: evaluate(e, x, v)) for v in FOLD_VALUATIONS for x in FOLD_POINTS],
     )
 

@@ -16,6 +16,7 @@ from hybridsets import (
     PLUS,
     ContractError,
     FreeWord,
+    HybridError,
     Interval1D,
     MultiplicityOverflowError,
     RegionAtom,
@@ -89,6 +90,35 @@ class TestOrders:
             raw = [(name, m * c) for name, c in p] + [(name, n * c) for name, c in q]
             assert merged == cls((atoms[name], c) for name, c in raw)
             assert x.scale(m) - y == cls.combine(((x, m), (y, -1)))
+
+    # One region built from 1-4 (interval atom, coefficient) pairs over the
+    # parameters a, b, c and t, in the drawn order and in a shuffled one,
+    # under a valuation that may leave any of them unset.
+    @seed(34)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("PQRS"), st.sampled_from("abct"), st.sampled_from("abct"),
+                      st.sampled_from([-2, -1, 1, 2])),
+            min_size=1, max_size=4, unique_by=lambda pair: pair[0],
+        ).flatmap(lambda pairs: st.tuples(st.just(pairs), st.permutations(pairs))),
+        st.dictionaries(st.sampled_from("abct"), st.integers(0, 3).map(F)),
+    )
+    def test_a_region_is_read_in_print_order_whatever_built_it(self, orders, values):
+        built = [
+            SymbolicHybridSet((RegionAtom(name, Interval1D(lo, hi)), c) for name, lo, hi, c in pairs)
+            for pairs in orders
+        ]
+        valuation = Valuation(values)
+
+        def outcome(region, x):
+            try:
+                return region.multiplicity(x, valuation)
+            except HybridError as exc:
+                return type(exc), str(exc)
+
+        for x in (F(k, 2) for k in range(-1, 8)):
+            assert outcome(built[0], x) == outcome(built[1], x)
 
     @given(st.lists(st.tuples(entry_lists, st.integers(-2, 2)), max_size=5))
     def test_accumulate_drops_zeros_at_the_end(self, terms):

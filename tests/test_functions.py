@@ -183,7 +183,11 @@ def _branch_outcome(call):
      (ContractError, "piece labels must match piece count")),
     (lambda: f.value(None),
      (ContractError, "expression uses x but no point was supplied")),
-], ids=["marked join spliced", "plain join spliced", "labels and pieces", "x without a point"])
+    (lambda: HybridSet([(None, 1), ("a", 1), (True, 2)]), "{1^2, a^1, None^1}"),
+    (lambda: GeneralisedPartition("P", RegionAtom("U", Universe()), ()),
+     (ContractError, "a partition needs at least one piece")),
+], ids=["marked join spliced", "plain join spliced", "labels and pieces", "x without a point",
+        "a bool and a None sorted", "no pieces"])
 def test_branches_that_no_other_test_runs_are_frozen(call, outcome):
     assert _branch_outcome(call) == outcome
 
@@ -812,7 +816,7 @@ class TestEvaluateGrid:
         assert got == [UNDEFINED, UNDEFINED, (ValuationError, "parameter 'p' has no value")]
 
     # The columns may be any iterable, read once: with an interval shape
-    # (the per-point path) and without one (the row and column classes).
+    # beside the rectangle and without one (both by row and column classes).
     @pytest.mark.parametrize("with_interval", [True, False])
     def test_columns_may_be_a_one_shot_iterator(self, with_interval):
         box = SymbolicHybridSet.from_atom(
@@ -826,6 +830,47 @@ class TestEvaluateGrid:
             evaluate_grid(HybridExpr(e.star, e.terms), iter(rows), iter(cols), None)))
         assert got == want
         assert len(got) == 9
+
+    # mjoin(+, a^(U - G), b^G, c^I) over grid rectangles U and G and an
+    # interval I: the interval holds no cell, so the grid is keyed by row
+    # and column classes, and r, which only I reads, is never resolved.
+    @pytest.mark.parametrize("values, shared", [
+        ({"p": F(3), "q": F(2), "r": F(1)}, True),
+        ({"p": F(3), "q": F(2)}, True),
+        ({}, False),
+    ], ids=["full", "interval end unset", "empty"])
+    def test_a_grid_beside_an_interval_is_keyed_by_classes(self, values, shared):
+        whole = RegionAtom("U", GridRect(Interval1D(F(1), F(4)), Interval1D(F(1), F(3))))
+        box = RegionAtom("G", GridRect(Interval1D(F(2), "p"), Interval1D(F(1), "q")))
+        line = RegionAtom("I", Interval1D(F(0), "r"))
+        grid, block = SymbolicHybridSet.from_atom(whole), SymbolicHybridSet.from_atom(box)
+        e = marked_join(PLUS, [
+            term(constant_atom("a", 1), grid - block),
+            term(constant_atom("b", 2), block),
+            term(constant_atom("c", 3), SymbolicHybridSet.from_atom(line)),
+        ])
+        valuation = Valuation(values)
+        rows, cols = [F(1, 2), F(1), F(2), F(3), F(4), F(2)], [F(0), F(1), F(2), F(3)]
+        want, want_error = [], None  # cell by cell, up to the first error
+        for r in rows:
+            want.append([])
+            try:
+                want[-1].extend(evaluate(e, (r, c), valuation) for c in cols)
+            except HybridError as exc:
+                want_error = type(exc), str(exc)
+                break
+        got, error = [], None
+        try:
+            for row in evaluate_grid(HybridExpr(e.star, e.terms), rows, cols, valuation):
+                got.append(row)
+        except HybridError as exc:
+            error = type(exc), str(exc)
+        assert [list(row) for row in got] == want and error == want_error
+        if shared:  # rows 1 and 4 are one row class, and rows 2, 3 and 2 another
+            assert got[1] is got[4] and got[2] is got[3] is got[5]
+            assert len({id(row) for row in got}) == 3
+        else:
+            assert error == (ValuationError, "parameter 'p' has no value")
 
     def test_grid_lines_are_kept_per_table_and_bounded(self, monkeypatch):
         m1, m2 = (
