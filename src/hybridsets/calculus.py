@@ -4,9 +4,9 @@
 piecewise functions produces one term per refinement piece, so repeated
 combination grows linearly in the number of pieces instead of doubling the
 case analysis at every step.  The build grows the same way: a step of a
-binary fold extends the compact form of the running result, at O(size of
-the new operand) in Python, and the result's terms are built once, when
-they are first read.
+binary fold extends the compact form of the running result, one record
+per term, at O(size of the new operand) in Python, and the result's terms
+are built once, when they are first read.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress
-from typing import Callable, Iterable, List, NamedTuple, Optional
+from typing import Callable, Iterable, List, Optional
 
 from .errors import ContractError, MultiplicityOverflowError, RefinementError
 from .functions import (
@@ -67,14 +67,16 @@ def pointwise_star(
     multiplies every operand word raised to its rewrite coefficient for
     that piece, merged in operand order, and a leading word with
     coefficient 1 seeds its piece's merge (``FreeCombination.combine``).
-    A closed-form result keeps a compact form (``_Compact``).  A binary
-    step whose first operand has one, over the same universe atom, extends
-    it: it builds P1's word and region and the new operand's kept pieces,
-    and leaves every older term's record as it is, so the step costs
-    O(size of the new operand) in Python, however many terms run.  The
-    terms are built once, on first read, one merge each.  A step that the
-    compact form cannot certify to build the same words and raise nothing
-    runs the eager loop, which raises what it raises.
+    A closed-form result keeps a compact form (``_Compact``): a (birth
+    word, birth step, region) record per term.  A binary step whose first
+    operand has one, over the same universe atom, extends it: it builds
+    P1's word and region and the new operand's kept pieces, and leaves
+    every older term's record as it is, so the step costs O(size of the
+    new operand) in Python, however many terms run.  The terms are built
+    once, on first read, one merge each; a form that no step extends
+    returns the terms it was made from.  A step that the compact form
+    cannot certify to build the same words and raise nothing runs the
+    eager loop, which raises what it raises.
     """
     if not star.is_ac:
         raise ContractError(f"star {star.name!r} is not declared AC")
@@ -162,84 +164,52 @@ def _named(known: dict, combinations) -> Optional[dict]:
     return atoms
 
 
-class _State(NamedTuple):
-    """What the next step of a compact form reads.
-
-    Term t's word is ``total - offset_t``: ``total`` sums the words added
-    since the base, and the offset is the word's part that was there
-    before them, so a step's new total cancels exactly the older words
-    whose offset it equals, which ``offsets`` holds, and a term that takes
-    another's place takes its offset.  ``last`` is the last term's (word,
-    region, offset); it is born at the form's own step, so its word is its
-    birth word.  ``atoms`` and ``regions`` bind every name that a word or
-    a region of the fold has used.  ``bound`` sums the absolute exponents
-    of every word that entered the fold, and bounds every partial sum of
-    every word merge the form makes or defers.  ``count`` is the number of
-    terms."""
-
-    count: int
-    last: tuple
-    total: FreeWord
-    offsets: frozenset
-    atoms: dict
-    regions: dict
-    bound: int
-
-
 class _Compact:
     """The compact form of a closed-form result of ``pointwise_star``.
 
-    It holds the universe atom, the terms of the eager result it starts
-    from (``base``, step 0) and, per later binary step s, ``steps[s - 1]``:
-    the new operand's last word, which the step adds to every older term,
-    and the (birth word, region) records of P1 and of the new operand's
-    kept pieces.  A record born at step b has, at step s, its birth word
-    merged with the words added at steps b + 1 .. s, in order: one merge
-    seeded by the birth word, which builds the word that the eager loop
-    builds by a chain of seeded merges (``hybridset.merge``).  The terms
-    at step s are P1 of steps s, s - 1, .., 1, the base's terms but its
-    last, each earlier step's kept pieces but its last, and step s's kept
-    pieces: a step drops the last term, whose region P1 takes over.  P1's
-    region keeps its own merge's order, which no output reads.
+    ``records`` holds, per term in term order, its birth word, birth step
+    and region; ``added`` holds the word that each binary step s merged
+    into every older term (its new operand's last word), at ``added[s -
+    1]``.  A term born at step b has, at step s, its birth word merged with
+    the words added at steps b + 1 .. s, in order: one merge seeded by the
+    birth word, which builds the word that the eager loop builds by a chain
+    of seeded merges (``hybridset.merge``).  A step puts P1 first, drops
+    the last term, whose region P1 takes over, and appends the new
+    operand's kept pieces, so the last record is born at the latest step
+    and its birth word is its word.  A form with no step returns the eager
+    terms it was made from, and holds nothing else: its first step
+    certifies them.
+
+    Term t's word is ``total - offset_t``: ``total`` sums the added words,
+    and the offset is the word's part that was there before them, so a
+    step's new total cancels exactly the older words whose offset it
+    equals, which ``offsets`` holds, and P1 takes the last term's offset,
+    ``offset``.  ``atoms`` and ``regions`` bind every name that a word or a
+    region of the fold has used.  ``bound`` sums the absolute exponents of
+    every word that entered the fold, and bounds every partial sum of every
+    word merge the form makes or defers.  P1's region keeps its own
+    merge's order, which no output reads.
     """
 
-    __slots__ = ("universe", "base", "steps", "state")
+    __slots__ = ("universe", "eager", "records", "added", "total", "offsets", "offset",
+                 "atoms", "regions", "bound")
 
-    def __init__(self, universe: RegionAtom, base: tuple, steps: tuple = (), state=None):
-        self.universe, self.base, self.steps, self.state = universe, base, steps, state
+    def __init__(self, universe: RegionAtom, eager: tuple):
+        self.universe, self.eager, self.added = universe, eager, ()
 
     def terms(self) -> tuple:
         """The terms, one merge each."""
-        steps = self.steps
-        if not steps:
-            return self.base
-        added = [a for a, _, _ in steps]
+        added = self.added
+        if not added:
+            return self.eager
         # the entries of the added words in step order; those of steps b + 1
         # on start at starts[b]
         entries = [e for group, _ in FreeWord._groups((a, 1) for a in added) for e in group]
         starts = [0, *accumulate(len(a._coeffs) for a in added)]
-        records = [(p1, b) for b, (_, p1, _) in enumerate(steps, start=1)][::-1]
-        records += [((t.word, t.region), 0) for t in self.base[:-1]]
-        for b, (_, _, kept) in enumerate(steps, start=1):
-            records += [(r, b) for r in (kept if b == len(steps) else kept[:-1])]
         return tuple(
             HybridTerm(FreeWord._from_checked(((entries[starts[b]:], 1),), w), region)
-            for (w, region), b in records
+            for w, b, region in self.records
         )
-
-    def _base_state(self) -> Optional[_State]:
-        """A base's state, or None where its words bind a name to two atoms
-        or their bound is above ``INT64_MAX``."""
-        base, u = self.base, self.universe
-        words = [t.word for t in base]
-        bound = sum(map(_size, words))
-        atoms = _named({}, words)
-        regions = _named({u.name: u}, (t.region for t in base))
-        if bound > INT64_MAX or atoms is None or regions is None:
-            return None
-        offsets = [FreeWord.combine(((w, -1),)) for w in words]
-        last = (base[-1].word, base[-1].region, offsets[-1])
-        return _State(len(base), last, FreeWord(), frozenset(offsets), atoms, regions, bound)
 
     def extend(self, universe: Optional[RegionAtom], operand) -> Optional["_Compact"]:
         """The compact form of the binary step that combines this form's
@@ -252,24 +222,33 @@ class _Compact:
         word cancelled; or P1's region merge raising."""
         if universe is not self.universe or not isinstance(operand, HybridExpr):
             return None
-        state = self.state or self._base_state()
-        if state is None:
-            return None
-        terms = operand.terms
-        if len(terms) < 2 or len(terms) == state.count:
+        step, terms = len(self.added) + 1, operand.terms
+        records = self.records if self.added else [(t.word, 0, t.region) for t in self.eager]
+        if len(terms) < 2 or len(terms) == len(records):
             return None
         added, kept = terms[-1].word, terms[:-1]
-        words = [t.word for t in kept]
-        bound = state.bound + sum(map(_size, (added, *words)))
-        atoms = _named(state.atoms, (added, *words))
-        regions = _named(state.regions, (t.region for t in kept))
+        words = [added, *(t.word for t in kept)]
+        if self.added:
+            bound, atoms, regions = self.bound, self.atoms, self.regions
+            shapes = [t.region for t in kept]
+        else:  # the first step certifies the eager terms too
+            bound, atoms, regions = 0, {}, {universe.name: universe}
+            words += (w for w, _, _ in records)
+            shapes = [*(t.region for t in kept), *(r for _, _, r in records)]
+        bound += sum(map(_size, words))
+        atoms, regions = _named(atoms, words), _named(regions, shapes)
         if bound > INT64_MAX or atoms is None or regions is None:
             return None
-        total = FreeWord.combine(((state.total, 1), (added, 1)))
-        if total in state.offsets:
+        if self.added:
+            offsets, offset = self.offsets, self.offset
+            total = FreeWord.combine(((self.total, 1), (added, 1)))
+        else:  # before the first step the total is empty: an offset is its word negated
+            negated = [FreeWord.combine(((w, -1),)) for w, _, _ in records]
+            total, offsets, offset = added, frozenset(negated), negated[-1]
+        if total in offsets:
             return None
-        last, last_region, offset = state.last
-        born = [FreeWord.combine(((last, 1), (w, 1))) for w in words]
+        last, _, last_region = records[-1]
+        born = [FreeWord.combine(((last, 1), (t.word, 1))) for t in kept]
         if any(w.is_empty for w in born):
             return None
         # P1 is the last term's region less the kept pieces: the universe
@@ -278,12 +257,14 @@ class _Compact:
             p1 = SymbolicHybridSet.combine([(last_region, 1), *((t.region, -1) for t in kept)])
         except MultiplicityOverflowError:
             return None  # the eager merge raises too, naming its own first coefficient
-        offsets = [FreeWord.combine(((offset, 1), (added, 1), (w, -1))) for w in words]
-        records = tuple(zip(born, (t.region for t in kept)))
-        state = _State(state.count + len(kept), (*records[-1], offsets[-1]), total,
-                       state.offsets.union(offsets), atoms, regions, bound)
-        p1_record = (FreeWord.combine(((last, 1), (added, 1))), p1)
-        return _Compact(universe, self.base, (*self.steps, (added, p1_record, records)), state)
+        fresh = [FreeWord.combine(((offset, 1), (added, 1), (t.word, -1))) for t in kept]
+        form = _Compact(universe, None)
+        form.records = [(FreeWord.combine(((last, 1), (added, 1))), step, p1), *records[:-1],
+                        *((w, step, t.region) for w, t in zip(born, kept))]
+        form.added, form.total, form.atoms, form.regions, form.bound = (
+            (*self.added, added), total, atoms, regions, bound)
+        form.offsets, form.offset = offsets.union(fresh), fresh[-1]
+        return form
 
 
 @dataclass

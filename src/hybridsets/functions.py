@@ -153,38 +153,32 @@ def term(value, region: SymbolicHybridSet) -> HybridTerm:
     return HybridTerm(value, region)
 
 
-class _BuiltOnFirstRead:
-    """The ``terms`` field of ``HybridExpr``.  An expression made by
-    ``HybridExpr.deferred`` holds no terms until the first read, which
-    builds them by ``_source.terms()`` and stores them as the field's
-    value; every other expression stores them when it is made, so this is
-    never called for it.  Read on the class, it raises AttributeError, so
-    the dataclass gives the field no default."""
-
-    def __get__(self, e, owner=None):
-        if e is None:
-            raise AttributeError("terms")
-        terms = e.__dict__["terms"] = e._source.terms()
-        return terms
-
-
 @dataclass(frozen=True)
 class HybridExpr:
     """A join (star is None) or marked join (star set) of hybrid terms."""
 
     star: Optional[StarOp]
-    terms: Tuple[HybridTerm, ...] = _BuiltOnFirstRead()
+    terms: Tuple[HybridTerm, ...]
     _source = None  # not a field: what a deferred expression builds its terms from
 
     @classmethod
     def deferred(cls, star: StarOp, source) -> "HybridExpr":
-        """The marked join whose terms ``source.terms()`` builds, once, on
-        first read; ``source`` is kept as ``_source``.  Equality, hash and
-        repr read the terms, so they equal those of ``marked_join(star,
-        source.terms())``."""
+        """The marked join whose terms ``source.terms()`` builds; ``source``
+        is kept as ``_source``.  The expression holds no terms until their
+        first read, which ``__getattr__`` answers and stores.  Equality,
+        hash and repr read the terms, so they equal those of
+        ``marked_join(star, source.terms())``."""
         e = object.__new__(cls)
         e.__dict__.update(star=star, _source=source)
         return e
+
+    def __getattr__(self, name):
+        """A deferred expression's terms, built and stored on first read;
+        any other name that the normal lookup misses is an AttributeError."""
+        if name != "terms" or self._source is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        terms = self.__dict__["terms"] = self._source.terms()
+        return terms
 
     @property
     def is_marked(self) -> bool:

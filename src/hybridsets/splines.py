@@ -27,7 +27,7 @@ from .functions import (
     marked_join,
     term,
 )
-from .refine import GeneralisedPartition, common_strict_refinement
+from .refine import GeneralisedPartition
 from .regions import (
     Interval1D,
     Param,
@@ -108,9 +108,8 @@ def spline_merge(s: SymbolicSpline, t: SymbolicSpline) -> HybridExpr:
         raise ContractError(
             f"splines {s.name!r} and {t.name!r} span different intervals"
         )
-    refinement = common_strict_refinement([s.partition(), t.partition()])
-    terms = pointwise_star(MERGE, s.expr(), t.expr(), refinement=refinement).terms
-    # canonical order puts the leftover piece first; present it last
+    terms = pointwise_star(MERGE, s.expr(), t.expr(), universe=s.universe_atom()).terms
+    # the closed form puts the leftover piece first; present it last
     return marked_join(MERGE, terms[1:] + terms[:1])
 
 

@@ -4,6 +4,7 @@ import itertools
 import operator
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
@@ -39,6 +40,7 @@ from hybridsets import (
     constant_atom,
     evaluate,
     evaluate_many,
+    grid_universe,
     is_strict,
     join,
     karr_split_check,
@@ -531,10 +533,25 @@ class TestClosedFormCost:
         assert len(fold.terms) == n + 1
         assert merges == made == []
 
+    def test_a_form_that_is_never_extended_costs_no_more_than_its_eager_build(self, monkeypatch):
+        # one closed-form combine of the two fixture matrices, as matrix-add
+        # makes per call, and one read of its terms: a form that no step
+        # extends makes no offset, name map or bound
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "matrix_demo.ws"
+        ws = parse_workspace(fixture.read_text())
+        m1, m2 = ws.matrices["M1"], ws.matrices["M2"]
+        operands, universe = (m1.expr(), m2.expr()), grid_universe(m1.rows, m1.cols)
+        merges, real_merge = [], hybridset.merge
+        monkeypatch.setattr(
+            hybridset, "merge", lambda *args: merges.append(1) or real_merge(*args)
+        )
+        assert len(pointwise_star(PLUS, *operands, universe=universe).terms) == 7
+        assert len(merges) <= 9
+
 
 # Binary folds for the compact-form differential: words over shared atoms
 # with exponents +-1 and +-2, so that words cancel, and in some examples a
-# name bound to a second definition, exponents near 2^62 or a second
+# name bound to a second definition, exponents near 2^62 or -2^63, or a second
 # universe atom; regions over three thresholds, with repeats and
 # combinations.
 C1 = SymbolicHybridSet.from_atom(RegionAtom("C1", Interval1D(F(0), "c", hi_closed=False)))
@@ -553,7 +570,7 @@ def binary_folds(draw):
     if draw(st.integers(0, 3)) == 0:
         atoms.append(constant_atom("f", 9))
     if draw(st.integers(0, 3)) == 0:
-        exponents += [2**62, -(2**62), 2**62 + 1]
+        exponents += [2**62, -(2**62), 2**62 + 1, -(2**63)]
     if draw(st.integers(0, 3)) == 0:
         universes.append(V_ATOM)
     words = st.lists(
@@ -660,6 +677,20 @@ class TestCompactFold:
         eager, eager_raised = _fold(first, steps, eager=True)
         assert compact_raised == eager_raised == raised
         assert [_snapshot(e) for e in compact] == [_snapshot(e) for e in eager]
+
+    def test_an_exponent_of_int64_min_on_a_kept_piece_folds_as_the_eager_fold(self):
+        # Step 2 puts f^(-2^63) on a kept piece and step 3 extends its
+        # result.  Each finds a bound above INT64_MAX and runs the eager
+        # loop; negating that word into an offset would raise.
+        first = join(term(FA, A1), term(GA, U - A1))
+        steps = [(join(term(GA, B1), term(HA, U - B1)), PLUS, U_ATOM),
+                 (join(term(word((FA, -(2**63))), C1), term(GA, U - C1)), PLUS, U_ATOM),
+                 (join(term(HA, A1), term(GA, U - A1)), PLUS, U_ATOM)]
+        compact, compact_raised = _fold(first, steps, eager=False)
+        eager, eager_raised = _fold(first, steps, eager=True)
+        assert compact_raised is None and eager_raised is None
+        assert [_snapshot(e) for e in compact] == [_snapshot(e) for e in eager]
+        assert "f^-9223372036854775808" in compact[-1].render()
 
 
 class TestInverseIdentity:

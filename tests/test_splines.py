@@ -1,5 +1,6 @@
 """Spline merging with symbolically ordered knots."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from hybridsets import (
     term,
     word,
 )
+from hybridsets import calculus, refine
 
 F = Fraction
 
@@ -73,6 +75,22 @@ class TestMergeStructure:
             " ⊛⋈ (S[c,b] ⋈ T[a,d])^{T.P1}"
             " ⊛⋈ (S[c,b] ⋈ T[d,b])^{U[a,b] - S.P1 - T.P1}"
         )
+
+    def test_a_merge_reads_the_closed_form_and_builds_no_refinement(self, monkeypatch):
+        made = Counter()
+
+        def counted(name, real):
+            return lambda *args, **kwargs: made.update([name]) or real(*args, **kwargs)
+
+        for cls in (refine.ChoiceMatrix, refine.GeneralisedPartition):
+            monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+        for module in (refine, calculus):
+            monkeypatch.setattr(
+                module, "common_strict_refinement",
+                counted("common_strict_refinement", module.common_strict_refinement),
+            )
+        assert len(spline_merge(S, T).terms) == 3
+        assert made == Counter()
 
     def test_rewrites_follow_the_reordering(self):
         refinement = common_strict_refinement([S.partition(), T.partition()])
