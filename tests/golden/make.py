@@ -1,0 +1,120 @@
+"""The golden corpus: what every case in ``cases.txt`` prints.
+
+Each line of ``cases.txt`` is one case: a CLI argument vector in shell
+quoting, run by ``cli.main`` in-process from the repository root under the
+one-second ``SIGALRM`` guard of ``tests/test_cli.py``, or a library case
+``fold binary P`` / ``fold nary P``, which folds the P operands of
+``steps_workspace(P)`` (``tests/test_calculus.py``) by binary steps or by
+one n-ary ``pointwise_star`` and prints the render, each term's word and
+region coefficients in ``items()`` order, and the values at every integer
+point around the universe under one valuation with tied thresholds.
+
+``outputs.txt`` holds one block per case, in case order: ``$ <case>``,
+then for a CLI case ``[exit <code>]``, its stdout and, when it wrote any,
+``[stderr]`` and its stderr.  ``tests/test_golden.py`` compares a fresh
+run with it.  Write it again with::
+
+    python tests/golden/make.py
+
+A change that alters an output regenerates the file and lists each changed
+line in CHANGES.md as intended; a failing comparison is not mended by
+regenerating without that listing.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import re
+import shlex
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent.parent
+CASES = HERE / "cases.txt"
+OUTPUTS = HERE / "outputs.txt"
+
+if __name__ == "__main__":
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from hybridsets import PLUS, UNDEFINED, Valuation, evaluate_many, pointwise_star  # noqa: E402
+from test_calculus import step_fold, steps_workspace  # noqa: E402
+from test_cli import run_cli_within_a_second  # noqa: E402
+
+
+def read_cases() -> list:
+    """The cases of ``cases.txt`` in order: every line that is not blank or a comment."""
+    lines = CASES.read_text(encoding="utf-8").splitlines()
+    return [line for line in lines if line.strip() and not line.startswith("#")]
+
+
+def read_outputs() -> dict:
+    """``outputs.txt`` as case -> block, in case order."""
+    text = OUTPUTS.read_text(encoding="utf-8")
+    blocks = re.split(r"^(?=\$ )", text, flags=re.M)[1:]
+    return {b.split("\n", 1)[0][2:]: b for b in blocks}
+
+
+def block(case: str, capsys) -> str:
+    """The block of one case; ``capsys`` reads what the CLI wrote, as
+    pytest's fixture of that name does."""
+    argv = shlex.split(case)
+    if argv[0] == "fold":
+        return f"$ {case}\n{_fold(argv[1], int(argv[2]))}"
+    code, out, err = run_cli_within_a_second(capsys, *argv)
+    return f"$ {case}\n[exit {code}]\n{out}" + (f"[stderr]\n{err}" if err else "")
+
+
+def _fold(how: str, p: int) -> str:
+    ws = steps_workspace(p)
+    if how == "binary":
+        e = step_fold(ws, p)
+    else:
+        e = pointwise_star(PLUS, *(ws.exprs[f"H{i}"] for i in range(1, p + 1)),
+                           universe=ws.regions["U"])
+    lines = [f"render {e.render()}"]
+    for i, t in enumerate(e.terms, 1):
+        word = ", ".join(f"{a.name} {k}" for a, k in t.word.items())
+        region = ", ".join(f"{a.name} {c}" for a, c in t.region.items())
+        lines.append(f"term {i}: word {word} | region {region}")
+    # thresholds on the even integers, with ties; t two above the top one
+    ks = [2 * (5 * i % 7) for i in range(1, p + 1)]
+    top = max(ks) + 2
+    v = Valuation({"t": top, **{f"k{i}": k for i, k in enumerate(ks, start=1)}})
+    lines.append(f"under {v}")
+    points = [Fraction(x) for x in range(-1, top + 2)]
+    for x, out in zip(points, evaluate_many(e, points, v)):
+        text = "undefined" if out is UNDEFINED else f"{out.value} (multiplicity {out.multiplicity})"
+        lines.append(f"at {x}: {text}")
+    return "\n".join(lines) + "\n"
+
+
+class _Capture:
+    """What pytest's ``capsys`` gives: the text written since the last read."""
+
+    def __init__(self):
+        self.out, self.err = io.StringIO(), io.StringIO()
+
+    def readouterr(self):
+        captured = SimpleNamespace(out=self.out.getvalue(), err=self.err.getvalue())
+        for stream in (self.out, self.err):
+            stream.seek(0)
+            stream.truncate()
+        return captured
+
+
+def main() -> None:
+    os.chdir(ROOT)
+    capsys = _Capture()
+    with redirect_stdout(capsys.out), redirect_stderr(capsys.err):
+        blocks = [block(case, capsys) for case in read_cases()]
+    OUTPUTS.write_text("".join(blocks), encoding="utf-8")
+    print(f"wrote {len(blocks)} cases to {OUTPUTS.relative_to(ROOT)}")
+
+
+if __name__ == "__main__":
+    main()
