@@ -65,8 +65,8 @@ def pointwise_star(
 
     The result is a marked join with one term per piece: the term word
     multiplies every operand word raised to its rewrite coefficient for
-    that piece, merged in operand order, and a leading word with
-    coefficient 1 seeds its piece's merge (``FreeCombination.combine``).
+    that piece, and a leading word with coefficient 1 seeds its piece's
+    merge (``FreeCombination.combine``).
     A closed-form result keeps a compact form (``_Compact``): a (birth
     word, birth step, region) record per term.  A binary step whose first
     operand has one, over the same universe atom, extends it: it builds
@@ -171,9 +171,9 @@ class _Compact:
     and region; ``added`` holds the word that each binary step s merged
     into every older term (its new operand's last word), at ``added[s -
     1]``.  A term born at step b has, at step s, its birth word merged with
-    the words added at steps b + 1 .. s, in order: one merge seeded by the
-    birth word, which builds the word that the eager loop builds by a chain
-    of seeded merges (``hybridset.merge``).  A step puts P1 first, drops
+    the words added at steps b + 1 .. s: one merge seeded by the birth
+    word, which builds the word that the eager loop builds by a chain of
+    seeded merges (``hybridset.merge``).  A step puts P1 first, drops
     the last term, whose region P1 takes over, and appends the new
     operand's kept pieces, so the last record is born at the latest step
     and its birth word is its word.  A form with no step returns the eager
@@ -187,8 +187,7 @@ class _Compact:
     ``offset``.  ``atoms`` and ``regions`` bind every name that a word or a
     region of the fold has used.  ``bound`` sums the absolute exponents of
     every word that entered the fold, and bounds every partial sum of every
-    word merge the form makes or defers.  P1's region keeps its own
-    merge's order, which no output reads.
+    word merge the form makes or defers.
     """
 
     __slots__ = ("universe", "eager", "records", "added", "total", "offsets", "offset",

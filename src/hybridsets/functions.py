@@ -28,7 +28,15 @@ from .errors import (
     NotReducibleError,
     OpacityError,
 )
-from .hybridset import FreeCombination, HybridSet, bind, checked_int, element_sort_key, merge
+from .hybridset import (
+    FreeCombination,
+    HybridSet,
+    bind,
+    checked_int,
+    element_sort_key,
+    merge,
+    print_order,
+)
 from .regions import IndicatorTable, Point, SymbolicHybridSet, Valuation, _Layout, as_fraction
 
 
@@ -69,21 +77,20 @@ def constant_atom(name: str, value) -> FunctionAtom:
 class FreeWord(FreeCombination):
     """Element of the free abelian group over function atoms.
 
-    Exponents are kept in insertion order for readable output; equality
-    ignores order.  A zero exponent is dropped as soon as it appears, so an
-    atom that cancels and then comes back is listed last.
+    A word lists, prints and is evaluated in ``print_order``: positive
+    exponents first, then negative ones, each by atom name, whatever order
+    of merges built it.  A zero exponent is dropped as soon as it appears.
     """
 
     __slots__ = ()
     ATOM = FunctionAtom
     CLASH = "atom name {!r} bound to two definitions"
-    DROP_EARLY = True
 
     is_empty = FreeCombination.is_zero
 
     def items(self):
-        """(atom, exponent) pairs in first-appearance order."""
-        return list(zip(self._atoms.values(), self._coeffs.values()))
+        """(atom, exponent) pairs in print order."""
+        return [(self._atoms[name], k) for name, k in print_order(self._coeffs)]
 
     def mul(self, other: "FreeWord") -> "FreeWord":
         return self.combine(((self, 1), (other, 1)))
@@ -91,7 +98,7 @@ class FreeWord(FreeCombination):
     def render(self, joiner: str = " * ") -> str:
         if not self._coeffs:
             return "1"
-        return joiner.join([name if k == 1 else f"{name}^{k}" for name, k in self._coeffs.items()])
+        return joiner.join([name if k == 1 else f"{name}^{k}" for name, k in print_order(self._coeffs)])
 
 
 def word(*atoms_and_exps) -> FreeWord:
@@ -138,7 +145,7 @@ class HybridTerm:
 
     def render(self, joiner: str = " * ") -> str:
         w = self.word.render(joiner)
-        if len(self.word.items()) > 1 or any(k != 1 for _, k in self.word.items()):
+        if list(self.word._coeffs.values()) != [1]:  # not one atom to the power 1
             w = f"({w})"
         return f"{w}^{{{self.region.render()}}}"
 
@@ -290,7 +297,7 @@ EvalOutcome = Union[Defined, _Undefined]
 def _accumulate(words, multiplicities: Iterable[int]):
     """(net region multiplicity, surviving exponents, atoms): the terms'
     words, as (name, exponent, atom) tuples, merged with their region
-    multiplicities as scalars and zeros dropped at the end.  The
+    multiplicities as scalars.  The
     multiplicities are drawn one term at a time, between the words' merges;
     the surviving exponents, then the net, are checked once all are read."""
     net = 0
@@ -302,7 +309,7 @@ def _accumulate(words, multiplicities: Iterable[int]):
             if m:
                 yield word, m
 
-    surviving, atoms = merge(scaled(), FreeWord.CLASH, False)
+    surviving, atoms = merge(scaled(), FreeWord.CLASH)
     return checked_int(net), surviving, atoms
 
 
@@ -322,7 +329,7 @@ def _eval_plain(star, accumulated, point, valuation) -> EvalOutcome:
         )
     # Several distinct atoms survive: group by scalar value (compatibility).
     def values():
-        for name, k in surviving.items():
+        for name, k in print_order(surviving):
             a = atoms[name]
             if a.is_opaque:
                 raise OpacityError(
@@ -360,15 +367,14 @@ def _eval_marked(star, accumulated, point, valuation) -> EvalOutcome:
                 f"empty combination and star {star.name!r} has no unit"
             )
         return Defined(star.unit, net)
-    flat = all(k == 1 for k in surviving.values())
-    if not flat and not star.has_inverse:
-        residue = ", ".join(f"{n}^{k}" for n, k in surviving.items())
+    if not star.has_inverse and any(k != 1 for k in surviving.values()):
+        residue = ", ".join(f"{n}^{k}" for n, k in print_order(surviving))
         raise NonEvaluableError(
             f"residual exponents {residue} and star {star.name!r} has no inverse"
         )
     if star.apply is not None and all(not atoms[n].is_opaque for n in surviving):
         acc = None
-        for name, k in surviving.items():
+        for name, k in print_order(surviving):
             v = atoms[name].value(point, valuation)
             if k < 0:
                 v, k = star.invert(v), -k
@@ -408,7 +414,10 @@ class _Plan:
         self.layout = _Layout([t.region for t in e.terms])
         self.atoms = atoms = {}
         self.words = tuple(
-            tuple((a.name, k, bind(atoms, a.name, a, FreeWord.CLASH)) for a, k in t.word.items())
+            tuple(
+                (name, k, bind(atoms, name, a, FreeWord.CLASH))
+                for (name, k), a in zip(t.word._coeffs.items(), t.word._atoms.values())
+            )
             for t in e.terms
         )
         self.slot = None

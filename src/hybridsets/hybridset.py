@@ -53,26 +53,26 @@ def bind(atoms: dict, name: str, atom, clash: str):
     return known
 
 
-def merge(groups, clash: str, drop_early: bool, seed=None) -> Tuple[Dict[str, int], dict]:
+def merge(groups, clash: str, seed=None) -> Tuple[Dict[str, int], dict]:
     """(coefficients, atoms) of the sum of ``seed`` and of ``n * entries``
     over ``(entries, n)`` groups of (name, coefficient, atom) triples, keyed
-    by name in order of first appearance.  Every name goes through ``bind``;
-    the atoms list exactly the coefficients' names, in their order.  With
-    ``drop_early`` a zero sum leaves at once, so a name that returns is
-    last; otherwise zeros go at the end and every name keeps its place.
+    by name.  Every name goes through ``bind``, and a zero sum leaves at
+    once; the atoms list exactly the coefficients' names, in their order.
+    No output reads that order: a combination is printed and read in
+    ``print_order``.
 
     A ``seed`` combination is taken by copying its two dicts: it holds no
     zero and its atoms are bound, so the copy is what merging it into empty
-    dicts would give, order included.  The work in Python is then one step
-    per entry of the groups alone.  So one merge of unit groups g1 .. gk
-    seeded by w gives, order included, the combination that a chain of k
-    merges gives, each seeded by the one before and merging the next group,
-    when every name is bound to one atom throughout and no partial sum
-    leaves the 64-bit range.
+    dicts would give.  The work in Python is then one step per entry of the
+    groups alone.  So one merge of unit groups g1 .. gk seeded by w gives
+    the combination that a chain of k merges gives, each seeded by the one
+    before and merging the next group, when every name is bound to one atom
+    throughout and no partial sum leaves the 64-bit range.
 
     Sums are taken in Python ints, so a partial sum may leave the 64-bit
-    range and come back; when one left it, each kept coefficient is then
-    checked by ``checked_int``."""
+    range and come back; when one left it, the least and then the greatest
+    kept coefficient are checked by ``checked_int``, so which value an
+    overflow names does not depend on the order of the groups."""
     if seed is None:
         coeffs: Dict[str, int] = {}
         atoms: dict = {}
@@ -87,20 +87,25 @@ def merge(groups, clash: str, drop_early: bool, seed=None) -> Tuple[Dict[str, in
             total = get(name, 0) + (c if n == 1 else n * c)
             if not INT64_MIN <= total <= INT64_MAX:
                 wide = True
-            if total or not drop_early:
+            if total:
                 coeffs[name] = total
             else:
                 coeffs.pop(name, None)
                 moved = True
-    if wide:
-        for c in coeffs.values():
-            checked_int(c)
-    if not drop_early and 0 in coeffs.values():
-        coeffs = {name: c for name, c in coeffs.items() if c}
-        moved = True
+    if wide and coeffs:
+        checked_int(min(coeffs.values()))
+        checked_int(max(coeffs.values()))
     if moved:
         atoms = {name: atoms[name] for name in coeffs}
     return coeffs, atoms
+
+
+def print_order(coeffs: Mapping[str, int]) -> list:
+    """(name, coefficient) pairs of ``coeffs``: positive coefficients first,
+    then negative ones, each by name.  A combination's atoms have no order
+    of their own, so every combination, and every value made from one, is
+    printed and read in this order, whatever order built it."""
+    return sorted(coeffs.items(), key=lambda kv: (kv[1] < 0, kv[0]))
 
 
 class FreeCombination:
@@ -108,18 +113,18 @@ class FreeCombination:
     group over them, keyed by atom name.
 
     ``_coeffs`` maps each name to its nonzero coefficient and ``_atoms`` each
-    name to its atom, in the same order.  A subclass gives the atom class
-    (``ATOM``), the message for one name bound to two unequal atoms
-    (``CLASH``), and when a zero is dropped (``DROP_EARLY``, see ``merge``).
+    name to its atom, in one storage order that no output reads: a
+    combination prints in ``print_order``.  A subclass gives the atom class
+    (``ATOM``) and the message for one name bound to two unequal atoms
+    (``CLASH``).
     """
 
     __slots__ = ("_coeffs", "_atoms")
-    DROP_EARLY = False
 
     def __init__(self, entries: Iterable[Tuple[object, int]] = ()):
         """The sum of (atom, coefficient) pairs, each one checked."""
         groups = ((self._checked(entries), 1),)
-        self._coeffs, self._atoms = merge(groups, self.CLASH, self.DROP_EARLY)
+        self._coeffs, self._atoms = merge(groups, self.CLASH)
 
     def _checked(self, entries):
         atom_type = self.ATOM
@@ -138,7 +143,7 @@ class FreeCombination:
         integers are known to have the right types; names and sums are
         still checked."""
         self = object.__new__(cls)
-        self._coeffs, self._atoms = merge(groups, cls.CLASH, cls.DROP_EARLY, seed)
+        self._coeffs, self._atoms = merge(groups, cls.CLASH, seed)
         return self
 
     @classmethod
@@ -249,7 +254,7 @@ class HybridSet:
 
     @staticmethod
     def _sum(pairs, n: int = 1) -> dict:
-        return merge(((((el, m, None) for el, m in pairs), n),), "element {!r}", False)[0]
+        return merge(((((el, m, None) for el, m in pairs), n),), "element {!r}")[0]
 
     @classmethod
     def empty(cls, universe_tag: str = "U") -> "HybridSet":

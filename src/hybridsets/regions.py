@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ContractError, ValuationError
-from .hybridset import FreeCombination, checked_int
+from .hybridset import FreeCombination, checked_int, print_order
 from .scalarexpr import Cursor
 
 # An endpoint: either an exact rational or the name of a parameter.
@@ -224,9 +224,9 @@ def render_combination(pairs: Iterable[Tuple[str, int]]) -> str:
 
 class SymbolicHybridSet(FreeCombination):
     """Formal integer combination of region atoms, the symbolic face of a
-    hybrid set.  Coefficients are stored in the order their atoms first
-    appear, zeros dropped at the end of a merge; ``items`` lists them by
-    name, and ``render`` and ``multiplicity`` read them in print order."""
+    hybrid set.  ``items`` lists its coefficients by name, and ``render``
+    and ``multiplicity`` read them in ``print_order``, whatever order built
+    the region."""
 
     __slots__ = ()
     ATOM = RegionAtom
@@ -241,23 +241,18 @@ class SymbolicHybridSet(FreeCombination):
 
     __mul__ = __rmul__ = FreeCombination.scale
 
-    def _in_print_order(self) -> list:
-        """(name, coefficient) pairs: positive coefficients first, then
-        negative ones, each by name, whatever order built the region."""
-        return sorted(self._coeffs.items(), key=lambda kv: (kv[1] < 0, kv[0]))
-
     def multiplicity(self, point: Point, valuation: Optional[Valuation] = None) -> int:
         """Coefficient-weighted sum of the atom indicators at the point, read
         in print order: an error names the first unset parameter it meets."""
         total = 0
-        for name, coeff in self._in_print_order():
+        for name, coeff in print_order(self._coeffs):
             if self._atoms[name].indicator(point, valuation):
                 total += coeff
         return checked_int(total)
 
     def render(self) -> str:
         """The signed sum in print order."""
-        return render_combination(self._in_print_order())
+        return render_combination(print_order(self._coeffs))
 
 
 class _Layout:

@@ -27,7 +27,6 @@ from .functions import (
     marked_join,
     term,
 )
-from .refine import GeneralisedPartition
 from .regions import (
     Interval1D,
     Param,
@@ -79,17 +78,6 @@ class SymbolicSpline:
         lo, hi = self.knots[0], self.knots[-1]
         return RegionAtom(
             f"U[{render_param(lo)},{render_param(hi)}]", Interval1D(lo, hi)
-        )
-
-    def partition(self) -> GeneralisedPartition:
-        # Closed pieces double-count interior knots, so the partition is
-        # declared assumed; interior cancellation keeps evaluation right.
-        return GeneralisedPartition(
-            self.name,
-            self.universe_atom(),
-            tuple(SymbolicHybridSet.from_atom(r) for r in self.piece_regions),
-            labels=tuple(f"P{i + 1}" for i in range(len(self.piece_regions))),
-            assumed=True,
         )
 
     def expr(self) -> HybridExpr:

@@ -304,7 +304,7 @@ def test_criterion_5_block_matrix_addition(capsys):
         block_mults = tuple(t.region.multiplicity(cell, v1) for t in expr.terms[1:])
         assert block_mults == (0, 1, 0, 1, 0, 0)
         assert expr.terms[0].region.multiplicity(cell, v1) == -1
-        assert evaluate(expr, (F(2), F(1)), v1).value.render() == "B1 + A2"
+        assert evaluate(expr, (F(2), F(1)), v1).value.render() == "A2 + B1"
         assert evaluate(expr, (F(2), F(1)), v2).value.render() == "A1 + B2"
         assert evaluate(expr, (F(4), F(4)), v1).value.render() == "D1 + D2"
 

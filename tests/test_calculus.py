@@ -234,9 +234,10 @@ class TestPointwiseStar:
         with pytest.raises(ContractError, match="^a partition needs at least one piece$"):
             pointwise_star(PLUS, join(), join())
 
-    def test_an_atom_that_cancels_and_returns_is_listed_last(self):
+    def test_an_atom_that_cancels_and_returns_prints_in_print_order(self):
         # In piece A2 - B1 the x of left piece 1 cancels against the
-        # inverted left piece 3 and comes back with right piece 3.
+        # inverted left piece 3 and comes back with right piece 3; it prints
+        # where print order puts it, positive exponents first, each by name.
         def below(name, param):
             return SymbolicHybridSet.from_atom(
                 RegionAtom(name, Interval1D(F(0), param, hi_closed=False))
@@ -253,8 +254,8 @@ class TestPointwiseStar:
         refinement = common_strict_refinement(parts, style=STYLE_UPPER_TRIANGLE)
         e = pointwise_star(PLUS, left, right, refinement=refinement)
         assert e.render() == (
-            "(x^2 + w + z)^{U - A1} ⊛+ (x^2 + z)^{A1 - A2} "
-            "⊛+ (y + w^-1 + x + z)^{A2 - B1} ⊛+ (y + w^-1 + z)^{B1 - B2} "
+            "(w + x^2 + z)^{U - A1} ⊛+ (x^2 + z)^{A1 - A2} "
+            "⊛+ (x + y + z + w^-1)^{A2 - B1} ⊛+ (y + z + w^-1)^{B1 - B2} "
             "⊛+ (y + x^-1)^{B2}"
         )
 
@@ -451,19 +452,19 @@ class TestFoldCost:
         ws = steps_workspace(12)
         fold = step_fold(ws, 12)
         assert fold.render() == (
-            "(a1 + z2 + z3 + z4 + z5 + z6 + z7 + z8 + z9 + z10 + z11 + a12)^{R12 - R11} ⊛+ "
-            "(a1 + z2 + z3 + z4 + z5 + z6 + z7 + z8 + z9 + z10 + a11 + a12)^{R11 - R10} ⊛+ "
-            "(a1 + z2 + z3 + z4 + z5 + z6 + z7 + z8 + z9 + a10 + a11 + a12)^{R10 - R9} ⊛+ "
-            "(a1 + z2 + z3 + z4 + z5 + z6 + z7 + z8 + a9 + a10 + a11 + a12)^{R9 - R8} ⊛+ "
-            "(a1 + z2 + z3 + z4 + z5 + z6 + z7 + a8 + a9 + a10 + a11 + a12)^{R8 - R7} ⊛+ "
-            "(a1 + z2 + z3 + z4 + z5 + z6 + a7 + a8 + a9 + a10 + a11 + a12)^{R7 - R6} ⊛+ "
-            "(a1 + z2 + z3 + z4 + z5 + a6 + a7 + a8 + a9 + a10 + a11 + a12)^{R6 - R5} ⊛+ "
-            "(a1 + z2 + z3 + z4 + a5 + a6 + a7 + a8 + a9 + a10 + a11 + a12)^{R5 - R4} ⊛+ "
-            "(a1 + z2 + z3 + a4 + a5 + a6 + a7 + a8 + a9 + a10 + a11 + a12)^{R4 - R3} ⊛+ "
-            "(a1 + z2 + a3 + a4 + a5 + a6 + a7 + a8 + a9 + a10 + a11 + a12)^{R3 - R2} ⊛+ "
-            "(a1 + a2 + a3 + a4 + a5 + a6 + a7 + a8 + a9 + a10 + a11 + a12)^{R1 + R2 - U} ⊛+ "
-            "(z1 + a2 + a3 + a4 + a5 + a6 + a7 + a8 + a9 + a10 + a11 + a12)^{U - R1} ⊛+ "
-            "(a1 + z2 + z3 + z4 + z5 + z6 + z7 + z8 + z9 + z10 + z11 + z12)^{U - R12}"
+            "(a1 + a12 + z10 + z11 + z2 + z3 + z4 + z5 + z6 + z7 + z8 + z9)^{R12 - R11} ⊛+ "
+            "(a1 + a11 + a12 + z10 + z2 + z3 + z4 + z5 + z6 + z7 + z8 + z9)^{R11 - R10} ⊛+ "
+            "(a1 + a10 + a11 + a12 + z2 + z3 + z4 + z5 + z6 + z7 + z8 + z9)^{R10 - R9} ⊛+ "
+            "(a1 + a10 + a11 + a12 + a9 + z2 + z3 + z4 + z5 + z6 + z7 + z8)^{R9 - R8} ⊛+ "
+            "(a1 + a10 + a11 + a12 + a8 + a9 + z2 + z3 + z4 + z5 + z6 + z7)^{R8 - R7} ⊛+ "
+            "(a1 + a10 + a11 + a12 + a7 + a8 + a9 + z2 + z3 + z4 + z5 + z6)^{R7 - R6} ⊛+ "
+            "(a1 + a10 + a11 + a12 + a6 + a7 + a8 + a9 + z2 + z3 + z4 + z5)^{R6 - R5} ⊛+ "
+            "(a1 + a10 + a11 + a12 + a5 + a6 + a7 + a8 + a9 + z2 + z3 + z4)^{R5 - R4} ⊛+ "
+            "(a1 + a10 + a11 + a12 + a4 + a5 + a6 + a7 + a8 + a9 + z2 + z3)^{R4 - R3} ⊛+ "
+            "(a1 + a10 + a11 + a12 + a3 + a4 + a5 + a6 + a7 + a8 + a9 + z2)^{R3 - R2} ⊛+ "
+            "(a1 + a10 + a11 + a12 + a2 + a3 + a4 + a5 + a6 + a7 + a8 + a9)^{R1 + R2 - U} ⊛+ "
+            "(a10 + a11 + a12 + a2 + a3 + a4 + a5 + a6 + a7 + a8 + a9 + z1)^{U - R1} ⊛+ "
+            "(a1 + z10 + z11 + z12 + z2 + z3 + z4 + z5 + z6 + z7 + z8 + z9)^{U - R12}"
         )
         # thresholds on the even integers 0..12, with ties; t on the top one
         # or two above it; the odd integers are the gaps
@@ -596,14 +597,13 @@ def _fold_outcome(call):
 
 
 def _snapshot(e):
-    """What a combine shows: its render, each term's word coefficients in
-    order and region coefficients by name (a region is read in print
-    order, so its storage order shows nowhere), and its values or errors
-    at the sample points under each sample valuation, one point at a
-    time."""
+    """What a combine shows: its render, each term's word and region
+    coefficients by name (both are read in print order, so their storage
+    order shows nowhere), and its values or errors at the sample points
+    under each sample valuation, one point at a time."""
     return (
         e.render(),
-        [(list(t.word._coeffs.items()), dict(t.region._coeffs)) for t in e.terms],
+        [(dict(t.word._coeffs), dict(t.region._coeffs)) for t in e.terms],
         [_fold_outcome(lambda: evaluate(e, x, v)) for v in FOLD_VALUATIONS for x in FOLD_POINTS],
     )
 

@@ -215,7 +215,7 @@ class TestMatrixAdd:
     EXPR_LINE = (
         "(D1 + D2)^{U - A1 - A2 - B1 - B2 - C1 - C2}"
         " ⊛+ (A1 + D2)^{A1} ⊛+ (B1 + D2)^{B1} ⊛+ (C1 + D2)^{C1}"
-        " ⊛+ (D1 + A2)^{A2} ⊛+ (D1 + B2)^{B2} ⊛+ (D1 + C2)^{C2}"
+        " ⊛+ (A2 + D1)^{A2} ⊛+ (B2 + D1)^{B2} ⊛+ (C2 + D1)^{C2}"
     )
 
     def test_expression_render(self, capsys):
@@ -228,7 +228,7 @@ class TestMatrixAdd:
             capsys, "matrix-add", MATRIX, "M1", "M2", "--cell", "2,1", "--with", "v1"
         )
         assert code == 0
-        assert out.splitlines() == [self.EXPR_LINE, "cell (2, 1): B1 + A2"]
+        assert out.splitlines() == [self.EXPR_LINE, "cell (2, 1): A2 + B1"]
 
     def test_cell_under_swapped_ordering(self, capsys):
         code, out, _ = run_cli(
@@ -257,7 +257,7 @@ class TestMatrixAdd:
             "expr": "M1+M2",
             "at": "(2, 1)",
             "defined": True,
-            "value": "B1 + A2",
+            "value": "A2 + B1",
             "multiplicity": 1,
         }
 

@@ -1,5 +1,5 @@
 """The free-abelian core shared by region combinations and value words:
-type checks, the name-clash check, and the two item orders."""
+type checks, the name-clash check, sums, and the one print order."""
 
 import re
 from fractions import Fraction
@@ -12,9 +12,13 @@ from hypothesis import strategies as st
 from hybridsets import (
     INT64_MAX,
     INT64_MIN,
+    MERGE,
     HybridSet,
     PLUS,
+    TIMES,
     ContractError,
+    Defined,
+    FormalValue,
     FreeWord,
     HybridError,
     Interval1D,
@@ -22,6 +26,7 @@ from hybridsets import (
     RegionAtom,
     SymbolicHybridSet,
     Valuation,
+    atom,
     constant_atom,
     evaluate,
     evaluate_many,
@@ -37,57 +42,130 @@ F = Fraction
 NAMES = "abcd"
 REGION_ATOMS = {n: RegionAtom(n, Interval1D(F(0), F(ord(n)))) for n in NAMES}
 WORD_ATOMS = {n: constant_atom(n, ord(n)) for n in NAMES}
+KINDS = ((SymbolicHybridSet, REGION_ATOMS), (FreeWord, WORD_ATOMS))
 
 entry_lists = st.lists(st.tuples(st.sampled_from(NAMES), st.integers(-2, 2)), max_size=12)
 scalars = st.integers(-3, 3)
-
-
-def model(pairs, drop_early):
-    """(name, coefficient) pairs summed in a plain dict, in the order the
-    names are first inserted; with ``drop_early`` a zero sum deletes the
-    name at once, otherwise zeros go at the end."""
-    out = {}
-    for name, c in pairs:
-        total = out.get(name, 0) + c
-        if total or not drop_early:
-            out[name] = total
-        else:
-            out.pop(name, None)
-    return [(name, c) for name, c in out.items() if c]
 
 
 def names_of(items):
     return [(a.name, c) for a, c in items]
 
 
-class TestOrders:
-    @given(entry_lists)
-    @example([("a", 1), ("b", 1), ("a", -1), ("a", 1)])
-    def test_regions_keep_first_appearance_and_list_by_name(self, pairs):
-        s = SymbolicHybridSet((REGION_ATOMS[n], c) for n, c in pairs)
-        expected = model(pairs, drop_early=False)
-        assert list(s._coeffs.items()) == expected
-        assert names_of(s.items()) == sorted(expected)
+def totals_of(pairs) -> dict:
+    """(name, coefficient) pairs summed in a plain dict, zeros dropped."""
+    out = {}
+    for name, c in pairs:
+        out[name] = out.get(name, 0) + c
+    return {name: c for name, c in out.items() if c}
 
-    @given(entry_lists)
-    @example([("a", 1), ("b", 1), ("a", -1), ("a", 1)])
-    def test_words_list_an_atom_that_cancels_and_returns_last(self, pairs):
-        w = FreeWord((WORD_ATOMS[n], c) for n, c in pairs)
-        assert names_of(w.items()) == model(pairs, drop_early=True)
 
+def outcome_of(make):
+    """``make()``, or the type and message of the HybridError it raises."""
+    try:
+        return make()
+    except HybridError as exc:
+        return type(exc), str(exc)
+
+
+near_the_limits = st.one_of(
+    st.integers(INT64_MIN, INT64_MIN + 2), st.integers(-2, 2), st.integers(INT64_MAX - 2, INT64_MAX)
+)
+# one entry list per term; each term's word built from its own list
+limit_lists = st.lists(st.tuples(st.sampled_from(NAMES), near_the_limits), min_size=1, max_size=6)
+# region atoms whose ends are parameters q_a .. q_d, which a valuation may leave unset
+PARAM_REGIONS = {n: RegionAtom(n, Interval1D(F(0), f"q_{n}")) for n in NAMES}
+UNIVERSE = SymbolicHybridSet.from_atom(RegionAtom("U", Interval1D(F(-10), F(10))))
+
+
+class TestPrintOrder:
+    """A combination is an element of a free abelian group, so its atoms
+    have no order of their own (Blizard 1990): a word, a region and a
+    formal value print, list and are read in print order, positive
+    coefficients first, then negative ones, each by name, whatever order
+    of entries, merges and terms built them."""
+
+    @staticmethod
+    def builds(cls, atoms, pairs, shuffled):
+        """``cls`` from ``pairs`` three ways: in the drawn order, in a
+        shuffled one, and by a combine that cancels every atom and brings
+        it back in the shuffled order."""
+        drawn = [(atoms[n], c) for n, c in pairs]
+        again = [(atoms[n], c) for n, c in shuffled]
+        return (
+            lambda: cls(drawn),
+            lambda: cls(again),
+            lambda: cls.combine([(cls(drawn), 1), (cls(drawn), -1), (cls(again), 1)]),
+        )
+
+    @seed(36)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(limit_lists.flatmap(lambda p: st.tuples(st.just(p), st.permutations(p))),
+                 min_size=1, max_size=3),
+        st.lists(st.sampled_from([-1, 1, 2]), min_size=3, max_size=3),
+        st.booleans(),
+        st.dictionaries(st.sampled_from([f"p_{n}" for n in NAMES] + [f"q_{n}" for n in NAMES]),
+                        st.integers(0, 3).map(F)),
+        st.permutations(range(3)),
+    )
+    @example([([("a", 1), ("b", 1), ("a", -1), ("a", 1)], [("a", 1), ("a", -1), ("b", 1), ("a", 1)])],
+             [1, 1, 1], True, {}, [0, 1, 2])
+    @example([([("a", INT64_MAX), ("b", INT64_MIN), ("b", -1), ("a", 1)],
+               [("b", -1), ("a", 1), ("b", INT64_MIN), ("a", INT64_MAX)])], [1, 1, 1], False, {}, [0, 1, 2])
+    def test_every_build_order_prints_lists_evaluates_and_raises_alike(
+        self, words, ms, opaque, values, perm
+    ):
+        valuation = Valuation(values)
+        word_atoms = {n: atom(n) if opaque else atom(n, f"p_{n}") for n in NAMES}
+        for cls, atoms in ((SymbolicHybridSet, PARAM_REGIONS), (FreeWord, word_atoms)):
+            for pairs, shuffled in words:
+                seen = [outcome_of(build) for build in self.builds(cls, atoms, pairs, shuffled)]
+                totals = totals_of(pairs)
+                if not any(INT64_MIN > c or c > INT64_MAX for c in totals.values()):
+                    want = sorted(totals.items(), key=lambda kv: (kv[1] < 0, kv[0]))
+                    if cls is SymbolicHybridSet:
+                        want.sort()  # a region lists its atoms by name
+                    assert names_of(seen[0].items()) == want
+                shown = [
+                    x if isinstance(x, tuple) else (
+                        x.render(), names_of(x.items()),
+                        [outcome_of(lambda: x.multiplicity(F(k, 2), valuation)) for k in range(-1, 8)]
+                        if cls is SymbolicHybridSet else None,
+                    )
+                    for x in seen
+                ]
+                assert shown[1:] == shown[:1] * 2
+
+        # formal values and values: one term per word, over U scaled by its
+        # multiplicity, the terms in the drawn order and in a shuffled one
+        built = [[outcome_of(b) for b in self.builds(FreeWord, word_atoms, p, q)] for p, q in words]
+        if any(isinstance(w, tuple) or w.is_empty for ws in built for w in ws):
+            return
+        order = [i for i in perm if i < len(words)]
+        for star in (None, PLUS, TIMES, MERGE):
+            def value(ws, order, star=star):
+                terms = [term(ws[i], UNIVERSE.scale(ms[i])) for i in order]
+                e = join(*terms) if star is None else marked_join(star, terms)
+                out = outcome_of(lambda: evaluate(e, F(0), valuation))
+                if isinstance(out, Defined) and isinstance(out.value, FormalValue):
+                    return out.value.render(), names_of(out.value.combination.items())
+                return out
+
+            drawn = value([ws[0] for ws in built], range(len(words)))
+            for k in (1, 2):
+                assert value([ws[k] for ws in built], order) == drawn, (star, k)
+
+
+class TestSums:
     @given(entry_lists, entry_lists, scalars, scalars)
-    def test_combine_scales_then_merges_in_order(self, p, q, m, n):
-        for cls, atoms, early in (
-            (SymbolicHybridSet, REGION_ATOMS, False),
-            (FreeWord, WORD_ATOMS, True),
-        ):
+    def test_combine_scales_then_merges(self, p, q, m, n):
+        for cls, atoms in KINDS:
             x = cls((atoms[name], c) for name, c in p)
             y = cls((atoms[name], c) for name, c in q)
             merged = cls.combine(((x, m), (y, n)))
-            scaled = [(name, m * c) for name, c in x._coeffs.items()]
-            scaled += [(name, n * c) for name, c in y._coeffs.items()]
-            assert list(merged._coeffs.items()) == model(scaled, early)
             raw = [(name, m * c) for name, c in p] + [(name, n * c) for name, c in q]
+            assert dict(merged._coeffs) == totals_of(raw)
             assert merged == cls((atoms[name], c) for name, c in raw)
             assert x.scale(m) - y == cls.combine(((x, m), (y, -1)))
 
@@ -121,17 +199,15 @@ class TestOrders:
             assert outcome(built[0], x) == outcome(built[1], x)
 
     @given(st.lists(st.tuples(entry_lists, st.integers(-2, 2)), max_size=5))
-    def test_accumulate_drops_zeros_at_the_end(self, terms):
+    def test_accumulate_sums_the_scaled_words(self, terms):
         words = [tuple((n, c, WORD_ATOMS[n]) for n, c in pairs) for pairs, _ in terms]
         ms = [m for _, m in terms]
         net, surviving, atoms = _accumulate(words, iter(ms))
         assert net == sum(ms)
         scaled = [(n, m * c) for pairs, m in terms if m for n, c in pairs]
-        assert list(surviving.items()) == model(scaled, drop_early=False)
+        assert surviving == totals_of(scaled)
+        assert list(atoms) == list(surviving)
         assert all(atoms[n] is WORD_ATOMS[n] for n in surviving)
-
-
-KINDS = ((SymbolicHybridSet, REGION_ATOMS, False), (FreeWord, WORD_ATOMS, True))
 
 
 class TestSeededMerge:
@@ -141,18 +217,17 @@ class TestSeededMerge:
     @given(entry_lists, st.lists(st.tuples(entry_lists, scalars), max_size=4))
     @example([("a", 1), ("b", 1)], [([("a", -1), ("c", 1), ("a", 1)], 1)])
     def test_a_seed_gives_the_unseeded_merge_in_both_orders(self, p, rest):
-        for cls, atoms, early in KINDS:
+        for cls, atoms in KINDS:
             seed = cls((atoms[n], c) for n, c in p)
             before = list(seed._coeffs.items()), list(seed._atoms.items())
             later = [(cls((atoms[n], c) for n, c in q), m) for q, m in rest]
             merged = cls.combine([(seed, 1), *later])
             pairs = list(seed._coeffs.items())
             pairs += [(n, m * c) for x, m in later for n, c in x._coeffs.items()]
-            assert list(merged._coeffs.items()) == model(pairs, early)
+            assert dict(merged._coeffs) == totals_of(pairs)
             entries = [(n, c, seed._atoms[n]) for n, c in seed._coeffs.items()]
             unseeded = cls._from_checked([(entries, 1), *cls._groups(later)])
-            assert list(merged._coeffs.items()) == list(unseeded._coeffs.items())
-            assert list(merged._atoms.items()) == list(unseeded._atoms.items())
+            assert merged == unseeded
             assert (list(seed._coeffs.items()), list(seed._atoms.items())) == before
             assert merged._coeffs is not seed._coeffs and merged._atoms is not seed._atoms
 
@@ -161,7 +236,7 @@ class TestSeededMerge:
             (SymbolicHybridSet, RegionAtom("a", Interval1D(F(0), F(1))), "region name 'a'"),
             (FreeWord, constant_atom("a", 1), "atom name 'a'"),
         )
-        for (cls, atoms, _), (_, twin, message) in zip(KINDS, clashes):
+        for (cls, atoms), (_, twin, message) in zip(KINDS, clashes):
             seed = cls.from_atom(atoms["a"])
             other = cls([(atoms["b"], 1), (twin, 1)])
             with pytest.raises(ContractError, match=message):
@@ -181,7 +256,7 @@ class TestDifferences:
         # does not: a sum is checked on its result, not on -b
         low = HybridSet([("a", INT64_MIN)])
         assert HybridSet([("a", INT64_MIN), ("b", 1)]).ominus(low).render() == "{b^1}"
-        for cls, atoms, _ in KINDS:
+        for cls, atoms in KINDS:
             low = cls([(atoms["a"], INT64_MIN)])
             both = cls([(atoms["a"], INT64_MIN), (atoms["b"], 1)])
             b = cls.from_atom(atoms["b"])
@@ -194,9 +269,6 @@ class TestDifferences:
                     negate()
 
 
-near_the_limits = st.one_of(
-    st.integers(INT64_MIN, INT64_MIN + 2), st.integers(-2, 2), st.integers(INT64_MAX - 2, INT64_MAX)
-)
 OVERFLOW = re.compile(r"multiplicity (-?\d+) leaves the 64-bit range")
 
 
@@ -229,7 +301,7 @@ class TestOrderFreeSums:
     @example([("a", INT64_MAX), ("a", 1), ("a", -1)], [])
     @example([], [({"a": INT64_MIN, "b": 1}, 1), ({"a": INT64_MIN}, -1)])
     def test_every_order_of_the_pairs_gives_one_result(self, pairs, terms):
-        for cls, atoms, _ in [(HybridSet, {n: n for n in NAMES}, None), *KINDS]:
+        for cls, atoms in [(HybridSet, {n: n for n in NAMES}), *KINDS]:
             def make(items, cls=cls, atoms=atoms):
                 return cls([(atoms[n], c) for n, c in items])
 
@@ -258,7 +330,7 @@ class TestOrderFreeSums:
         assert outcome(HybridSet, [("a", -1), ("a", INT64_MAX + 1)]) == (
             MultiplicityOverflowError, INT64_MAX + 1
         )
-        for cls, atoms, _ in KINDS:
+        for cls, atoms in KINDS:
             a = atoms["a"]
             assert outcome(cls, [(a, -1), (a, INT64_MAX + 1)]) == (
                 MultiplicityOverflowError, INT64_MAX + 1

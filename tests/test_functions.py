@@ -104,13 +104,15 @@ class TestFreeWord:
         assert word(f, g) == word(g, f)
         assert hash(word(f, g)) == hash(word(g, f))
 
-    def test_render_keeps_first_appearance_order(self):
-        assert word(g, f).render() == "g * f"
+    def test_render_reads_print_order(self):
+        # positive exponents first, then negative ones, each by name
+        assert word(g, f).render() == "f * g"
         assert word((f, 2), g).render(" + ") == "f^2 + g"
+        assert word((f, -1), g).render() == "g * f^-1"
         assert FreeWord().render() == "1"
 
-    def test_an_atom_that_cancels_and_returns_goes_last(self):
-        assert FreeWord([(f, 1), (g, 1), (f, -1), (f, 1)]).render() == "g * f"
+    def test_an_atom_that_cancels_and_returns_prints_in_print_order(self):
+        assert FreeWord([(f, 1), (g, 1), (f, -1), (f, 1)]).render() == "f * g"
         assert word(f, g, (f, -1), f) == word(f, g)
 
     def test_same_name_two_bodies_rejected(self):
@@ -382,8 +384,8 @@ def _rendered(outcomes):
 def _per_point_reference(e, points, valuation):
     """evaluate(e, p) point by point, summing each term's region
     multiplicity as ``SymbolicHybridSet.multiplicity`` gives it.  Sums are
-    taken in ints; each surviving exponent, then the net, is checked once
-    every multiplicity at the point is read."""
+    taken in ints; the least surviving exponent, then the greatest, then
+    the net, are checked once every multiplicity at the point is read."""
     finish = _eval_plain if e.star is None else _eval_marked
     for p in points:
         net, exps, atoms = 0, {}, {}
@@ -394,7 +396,9 @@ def _per_point_reference(e, points, valuation):
                 for a, k in t.word.items():
                     exps[a.name] = exps.get(a.name, 0) + m * k
                     atoms.setdefault(a.name, a)
-        surviving = {n: checked_int(k) for n, k in exps.items() if k}
+        surviving = {n: k for n, k in exps.items() if k}
+        if surviving:
+            checked_int(min(surviving.values())), checked_int(max(surviving.values()))
         yield finish(e.star, (checked_int(net), surviving, atoms), p, valuation)
 
 

@@ -124,7 +124,7 @@ class TestSevenTermSum:
 
     @pytest.mark.parametrize(
         "cell, expect",
-        [((2, 1), "B1 + A2"), ((1, 2), "C1 + A2"), ((1, 1), "A1 + A2"), ((4, 4), "D1 + D2")],
+        [((2, 1), "A2 + B1"), ((1, 2), "A2 + C1"), ((1, 1), "A1 + A2"), ((4, 4), "D1 + D2")],
     )
     def test_cell_values_under_the_first_split(self, cell, expect):
         e = matrix_add(M1, M2)

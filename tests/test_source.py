@@ -468,8 +468,8 @@ def test_combinations_share_one_merge(monkeypatch):
     seeds = []
     real = hybridset.merge
     monkeypatch.setattr(
-        hybridset, "merge", lambda groups, clash, early, seed=None: seeds.append(seed)
-        or real(groups, clash, early, seed),
+        hybridset, "merge", lambda groups, clash, seed=None: seeds.append(seed)
+        or real(groups, clash, seed),
     )
     for cls, atom in (
         (SymbolicHybridSet, RegionAtom("A", Interval1D(Fraction(0), Fraction(1)))),
