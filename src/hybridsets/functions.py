@@ -297,9 +297,9 @@ EvalOutcome = Union[Defined, _Undefined]
 def _accumulate(words, multiplicities: Iterable[int]):
     """(net region multiplicity, surviving exponents, atoms): the terms'
     words, as (name, exponent, atom) tuples, merged with their region
-    multiplicities as scalars.  The
-    multiplicities are drawn one term at a time, between the words' merges;
-    the surviving exponents, then the net, are checked once all are read."""
+    multiplicities as scalars.  The multiplicities are drawn one term at a
+    time, between the words' merges; the surviving exponents (see
+    ``merge``), then the net, are checked once all are read."""
     net = 0
 
     def scaled():
