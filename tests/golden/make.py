@@ -8,6 +8,10 @@ one-second ``SIGALRM`` guard of ``tests/test_cli.py``, or a library case
 one n-ary ``pointwise_star`` and prints the render, each term's word and
 region coefficients in ``items()`` order, and the values at every integer
 point around the universe under one valuation with tied thresholds.
+``fold points P`` folds them by binary steps and prints one-point
+``evaluate`` calls at every half-integer point around the universe, under
+three valuation objects in turn, one with tied thresholds, and then the
+first object again.
 
 ``outputs.txt`` holds one block per case, in case order: ``$ <case>``,
 then for a CLI case ``[exit <code>]``, its stdout and, when it wrote any,
@@ -41,7 +45,7 @@ OUTPUTS = HERE / "outputs.txt"
 if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from hybridsets import PLUS, UNDEFINED, Valuation, evaluate_many, pointwise_star  # noqa: E402
+from hybridsets import PLUS, UNDEFINED, Valuation, evaluate, evaluate_many, pointwise_star  # noqa: E402
 from test_calculus import step_fold, steps_workspace  # noqa: E402
 from test_cli import run_cli_within_a_second  # noqa: E402
 
@@ -71,6 +75,8 @@ def block(case: str, capsys) -> str:
 
 def _fold(how: str, p: int) -> str:
     ws = steps_workspace(p)
+    if how == "points":
+        return _points(step_fold(ws, p), p)
     if how == "binary":
         e = step_fold(ws, p)
     else:
@@ -88,9 +94,32 @@ def _fold(how: str, p: int) -> str:
     lines.append(f"under {v}")
     points = [Fraction(x) for x in range(-1, top + 2)]
     for x, out in zip(points, evaluate_many(e, points, v)):
-        text = "undefined" if out is UNDEFINED else f"{out.value} (multiplicity {out.multiplicity})"
-        lines.append(f"at {x}: {text}")
+        lines.append(f"at {x}: {_outcome(out)}")
     return "\n".join(lines) + "\n"
+
+
+def _points(e, p: int) -> str:
+    """One ``evaluate`` call per line under each valuation object in
+    turn: thresholds 1..p; even thresholds 0, 2, 2, 4, 4, ..., tied in
+    pairs and with the universe's low end; half-integer thresholds in
+    falling order; then the first object again.  Each sets t two above its
+    top threshold."""
+    rows = ([Fraction(i) for i in range(1, p + 1)],
+            [Fraction(i // 2 * 2) for i in range(1, p + 1)],
+            [Fraction(2 * (p - i) + 1, 2) for i in range(1, p + 1)])
+    vs = [Valuation({"t": max(ks) + 2, **{f"k{i}": k for i, k in enumerate(ks, start=1)}})
+          for ks in rows]
+    lines = []
+    for v in (*vs, vs[0]):
+        lines.append(f"under {v}")
+        top = v.resolve("t")
+        for x in (Fraction(j, 2) for j in range(-2, int(2 * top) + 3)):
+            lines.append(f"at {x}: {_outcome(evaluate(e, x, v))}")
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(out) -> str:
+    return "undefined" if out is UNDEFINED else f"{out.value} (multiplicity {out.multiplicity})"
 
 
 class _Capture:
