@@ -35,6 +35,7 @@ from .hybridset import (
     checked_int,
     element_sort_key,
     merge,
+    no_clash,
     print_order,
 )
 from .regions import IndicatorTable, Point, SymbolicHybridSet, Valuation, _Layout, as_fraction
@@ -389,7 +390,8 @@ class _Plan:
     """What evaluating an expression needs whatever the valuation: the
     region layout and each term's word as (name, exponent, atom) tuples,
     with one atom object per name across the expression; a name bound to
-    two definitions in different terms is a ContractError here, once.
+    two definitions in different terms is a ContractError here, once,
+    naming the least such name.
 
     ``additive`` holds when the star is ``PLUS``, every atom has a body
     that does not name x, and the plan is within the static bound: the sum
@@ -398,7 +400,10 @@ class _Plan:
     fits in 64 bits.  The bound is summed only when the first two hold.
     The net and the value at a vector are then linear in the shape
     indicators, a sum of one weight per set shape, so a state whose atoms
-    all evaluate keeps them in an ``_AdditiveSweep``.  Every other state
+    all evaluate keeps them in an ``_AdditiveSweep``.  When no atom names
+    a parameter either, the plan makes that sweep once, ``shared`` (False
+    when an atom raises), and each state moves its own position over it;
+    else ``shared`` is None and each state makes its own.  Every other state
     accumulates the exponents of each new indicator vector from scratch,
     by ``_accumulate``, which raises what it raises.
 
@@ -408,19 +413,21 @@ class _Plan:
     every point with that vector, and the ``_AdditiveSweep``, or None.
     """
 
-    __slots__ = ("layout", "words", "atoms", "additive", "slot")
+    __slots__ = ("layout", "words", "atoms", "additive", "shared", "slot")
 
     def __init__(self, e: "HybridExpr"):
         self.layout = _Layout([t.region for t in e.terms])
         self.atoms = atoms = {}
+        clashes: list = []
         self.words = tuple(
             tuple(
-                (name, k, bind(atoms, name, a, FreeWord.CLASH))
+                (name, k, bind(atoms, name, a, clashes))
                 for (name, k), a in zip(t.word._coeffs.items(), t.word._atoms.values())
             )
             for t in e.terms
         )
-        self.slot = None
+        no_clash(clashes, FreeWord.CLASH)
+        self.slot = self.shared = None
         self.additive = (
             e.star is PLUS
             and not any(a.is_opaque or a.reads_point for a in atoms.values())
@@ -429,6 +436,8 @@ class _Plan:
                 for t in e.terms
             ) <= scalarexpr.INT64_MAX
         )
+        if self.additive and not any(any(scalarexpr.body_names(a.body)) for a in atoms.values()):
+            self.shared = self._sweep(None) or False
 
     def _slot(self, valuation: Optional[Valuation]):
         """The slot when it holds this very valuation object, else a new
@@ -441,7 +450,11 @@ class _Plan:
 
     def _sweep(self, valuation: Optional[Valuation]):
         """The ``_AdditiveSweep`` of a new state, when the plan is additive
-        and every atom evaluates under ``valuation``, else None."""
+        and every atom evaluates under ``valuation``, else None: a new
+        position over the ``shared`` sweep when the plan has one."""
+        shared = self.shared
+        if shared is not None:
+            return shared.start() if shared else None
         if not self.additive:
             return None
         try:
@@ -466,7 +479,8 @@ class _AdditiveSweep:
     term's word, held as an integer over the common denominator ``scale``
     of the atom values.  The net and the value at a vector are the sums of
     the nets and of the weights of its set shapes; the state keeps them,
-    ``net`` and ``total``, at the last vector found, ``key``.
+    ``net`` and ``total``, at the last vector found, ``key``; ``start()``
+    is a new position, at the empty vector, over the same three.
 
     ``find(key)`` moves the state to ``key`` and returns its kept entry
     with its outcome: ``UNDEFINED`` where the net multiplicity is 0, else
@@ -487,6 +501,12 @@ class _AdditiveSweep:
             for k, c in uses:
                 nets[k] += c
                 weights[k] += c * value
+
+    def start(self) -> "_AdditiveSweep":
+        position = object.__new__(_AdditiveSweep)
+        position.nets, position.weights, position.scale = self.nets, self.weights, self.scale
+        position.key = position.net = position.total = 0
+        return position
 
     def find(self, key: int):
         nets, weights = self.nets, self.weights
@@ -514,19 +534,20 @@ def evaluate_many(
     The expression keeps a plan (region layout and flat words), made once,
     and the state of the last valuation object it was evaluated under, so
     that calls under that same object, one-point ``evaluate`` included,
-    share it.  The state holds the resolved endpoints, the range tests per
-    cell between sorted endpoints scaled to integers on each of its three
-    lines: intervals, grid rows and grid columns (see ``IndicatorTable``),
-    and per distinct vector of atom indicators its entry, and the outcome
-    when no surviving atom reads the point.  Such a point-independent
-    outcome is one object per indicator vector: every point with that
-    vector gets the same object while the state lasts.
+    share it.  The state holds the resolved endpoints, the bits of every
+    cell between sorted endpoints scaled to integers, made by the sort, on
+    each of its three lines: intervals, grid rows and grid columns (see
+    ``IndicatorTable``), and per distinct vector of atom indicators its
+    entry, and the outcome when no surviving atom reads the point.  Such a
+    point-independent outcome is one object per indicator vector: every
+    point with that vector gets the same object while the state lasts.
     An outcome comes by one of three routes.  Under ``PLUS``
     with atoms that read no point and all evaluate under the valuation,
     the state keeps the value itself (an ``_AdditiveSweep``): the atoms
-    are evaluated once per state, into one net and one weight per shape,
-    and a new vector adds or takes away the net and the weight of each
-    shape whose bit changed.  Any other state accumulates the vector's
+    are evaluated into one net and one weight per shape, once per plan
+    when no atom names a parameter and else once per state, and a new
+    vector adds or takes away the net and the weight of each shape whose
+    bit changed.  Any other state accumulates the vector's
     exponents from scratch (``_accumulate``) and keeps them, which merges
     the words of the terms active at it.  For an n-ary step combine of N
     operands that is about N^2 / 2 word entries per vector, so a pass that
@@ -630,9 +651,21 @@ def evaluate(e: HybridExpr, point: Point, valuation: Optional[Valuation] = None)
 
     Returns UNDEFINED when the point falls outside the effective domain;
     raises NonEvaluableError when the residue is not a function value.
+
+    It shares ``evaluate_many``'s state.  ``IndicatorTable._bits`` places
+    the point, and an outcome the state keeps for its vector is returned at
+    once; any other point, or one whose placement raises (key None, as
+    ``keys`` gives it), runs through ``_outcomes``, the one outcome loop.
     """
     slot = e._plan._slot(valuation)
-    return next(_outcomes(e, slot, slot[1].keys((point,))))
+    try:
+        key = slot[1]._bits(point)
+    except Exception:
+        key = None
+    found = slot[2].get(key)
+    if found is not None and found[2] is not None:
+        return found[2]
+    return next(_outcomes(e, slot, ((point, key),)))
 
 
 def hybrid_graph(values, region: HybridSet) -> HybridSet:

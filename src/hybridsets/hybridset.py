@@ -44,13 +44,19 @@ def require_int(value, what: str) -> int:
     return value
 
 
-def bind(atoms: dict, name: str, atom, clash: str):
+def bind(atoms: dict, name: str, atom, clashes: list):
     """The atom bound to ``name`` in ``atoms``, which binds ``atom`` if none
-    is; an unequal one (identity is compared first) is a ContractError."""
+    is; an unequal one (identity is compared first) adds ``name`` to ``clashes``."""
     known = atoms.setdefault(name, atom)
     if known is not atom and known != atom:
-        raise ContractError(clash.format(name))
+        clashes.append(name)
     return known
+
+
+def no_clash(clashes: list, clash: str) -> None:
+    """A ContractError naming the least of ``clashes``, whatever order met them."""
+    if clashes:
+        raise ContractError(clash.format(min(clashes)))
 
 
 def merge(groups, clash: str, seed=None) -> Tuple[Dict[str, int], dict]:
@@ -58,6 +64,7 @@ def merge(groups, clash: str, seed=None) -> Tuple[Dict[str, int], dict]:
     over ``(entries, n)`` groups of (name, coefficient, atom) triples, keyed
     by name.  Every name goes through ``bind``, and a zero sum leaves at
     once; the atoms list exactly the coefficients' names, in their order.
+    Clashes are raised by ``no_clash`` once every entry is read.
     No output reads that order: a combination is printed and read in
     ``print_order``.
 
@@ -80,10 +87,11 @@ def merge(groups, clash: str, seed=None) -> Tuple[Dict[str, int], dict]:
         coeffs, atoms = dict(seed._coeffs), dict(seed._atoms)
     get, known = coeffs.get, atoms.setdefault
     moved = wide = False
+    clashes: list = []
     for entries, n in groups:
         for name, c, atom in entries:
             if known(name, atom) is not atom:
-                bind(atoms, name, atom, clash)
+                bind(atoms, name, atom, clashes)
             total = get(name, 0) + (c if n == 1 else n * c)
             if not INT64_MIN <= total <= INT64_MAX:
                 wide = True
@@ -92,6 +100,7 @@ def merge(groups, clash: str, seed=None) -> Tuple[Dict[str, int], dict]:
             else:
                 coeffs.pop(name, None)
                 moved = True
+    no_clash(clashes, clash)
     if wide and coeffs:
         checked_int(min(coeffs.values()))
         checked_int(max(coeffs.values()))

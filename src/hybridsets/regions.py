@@ -14,6 +14,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import xor
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ContractError, ValuationError
@@ -312,8 +314,9 @@ class IndicatorTable:
     life of the table, place a point among the resolved endpoints: one
     for the intervals, one for the grid rectangles' row ranges and one for
     their column ranges.  The points in one gap, or on one endpoint, of a
-    line share a cell whose bits are found once, so each line keeps at
-    most 2E + 1 cells for its E endpoints however many points it sees.
+    line share a cell; a line makes the bits of all its 2E + 1 cells, for
+    its E endpoints, when it sorts them, however many points it sees.
+    ``_bits(point)`` places one point, raising what its placement raises.
     ``grid_keys(rows, cols)`` keys a grid of points row by row, from one
     placement per row and per column value, with one AND per cell of
     each row class.
@@ -403,16 +406,17 @@ class _Line:
     Cell 2i is the gap below endpoint i and cell 2i + 1 the endpoint
     itself, so each range holds a run of cells, and a rational p/q is
     placed in its cell by one ``divmod(p * L, q)`` and an integer
-    ``bisect``.  Each cell's bits are found once."""
+    ``bisect``.  The sort makes every cell's bits: a range toggles its bit
+    at its first cell and after its last, unless it is empty (first >
+    last), and a prefix XOR sums the toggles.  A placement then indexes."""
 
-    __slots__ = ("ranges", "ends", "scale", "spans", "cells")
+    __slots__ = ("ranges", "ends", "scale", "cells")
 
     def __init__(self, ranges: list):
         self.ranges = ranges
         self.ends: Optional[list] = None  # sorted distinct endpoints, scaled
         self.scale = 1  # the lcm of the endpoints' denominators, once sorted
-        self.spans: list = []  # (bit, first cell, last cell) per range
-        self.cells: Dict[int, int] = {}  # cell -> bits of the ranges holding it
+        self.cells: list = []  # per cell, the bits of the ranges holding it, once sorted
 
     def bits(self, x: Fraction, resolve) -> int:
         """The bits of the ranges that hold ``x``."""
@@ -426,14 +430,7 @@ class _Line:
         else:
             i = bisect_left(ends, n)
             cell = 2 * i + 1 if i < len(ends) and ends[i] == n else 2 * i
-        bits = self.cells.get(cell)
-        if bits is None:
-            bits = 0
-            for k, first, last in self.spans:
-                if first <= cell <= last:
-                    bits |= 1 << k
-            self.cells[cell] = bits
-        return bits
+        return self.cells[cell]
 
     def grid_bits(self, value, resolve) -> int:
         """``bits`` of a grid coordinate; none, with no endpoint resolved,
@@ -450,10 +447,14 @@ class _Line:
         ]
         ends = sorted({v for pair in values for v in pair})
         rank = {v: i for i, v in enumerate(ends)}
-        self.spans = [
-            (k, 2 * rank[lo] + (1 if s.lo_closed else 2), 2 * rank[hi] + (1 if s.hi_closed else 0))
-            for (k, s), (lo, hi) in zip(self.ranges, values)
-        ]
+        toggles = [0] * (2 * len(ends) + 1)  # a last cell is at most 2E - 1
+        for (k, s), (lo, hi) in zip(self.ranges, values):
+            first = 2 * rank[lo] + (1 if s.lo_closed else 2)
+            last = 2 * rank[hi] + (1 if s.hi_closed else 0)
+            if first <= last:
+                toggles[first] ^= 1 << k
+                toggles[last + 1] ^= 1 << k
+        self.cells = list(accumulate(toggles, xor))
         self.scale = scale
         self.ends = ends
         return ends

@@ -426,3 +426,35 @@ class TestClashAcrossTerms:
         e = marked_join(PLUS, [term(self.f5, self.B), term(twin, self.C)])
         out = evaluate(e, F(1, 2), self.V)
         assert (out.value, out.multiplicity) == (10, 2)
+
+    # Two words that both print f * g, bound to other definitions of f and
+    # g than x's, built in either order: the error names the least
+    # clashing name, f, whichever order built them.
+    f1, g1, f2, g2 = (constant_atom(n, v) for v in (1, 2) for n in "fg")
+    X = FreeWord([(f1, 1), (g1, 1)])
+    ORDERS = ([(g2, 1), (f2, 1)], [(f2, 1), (g2, 1)])
+
+    @pytest.mark.parametrize("built", ORDERS, ids=["g-first", "f-first"])
+    def test_a_merge_names_the_least_clashing_name_whatever_the_order(self, built):
+        y = FreeWord(built)
+        for attempt in (lambda: self.X.mul(y), lambda: y.mul(self.X),
+                        lambda: FreeWord([*built, (self.f1, 1), (self.g1, 1)])):
+            with pytest.raises(ContractError, match="atom name 'f' bound to two definitions"):
+                attempt()
+        a, b = RegionAtom("a", Interval1D(F(0), F(1))), RegionAtom("b", Interval1D(F(0), F(1)))
+        a2, b2 = RegionAtom("a", Interval1D(F(0), F(2))), RegionAtom("b", Interval1D(F(0), F(2)))
+        twice = [(b2, 1), (a2, 1)] if built[0][0] is self.g2 else [(a2, 1), (b2, 1)]
+        with pytest.raises(ContractError, match="region name 'a' bound to two shapes"):
+            SymbolicHybridSet([(a, 1), (b, 1)]) + SymbolicHybridSet(twice)
+
+    @pytest.mark.parametrize("built", ORDERS, ids=["g-first", "f-first"])
+    @pytest.mark.parametrize("star", [None, PLUS, MERGE])
+    def test_a_plan_names_the_least_clashing_name_whatever_the_order(self, built, star):
+        y = FreeWord(built)
+        for words in ((self.X, y), (y, self.X)):
+            terms = [term(w, r) for w, r in zip(words, (self.B, self.C))]
+            e = join(*terms) if star is None else marked_join(star, terms)
+            for call in (lambda: evaluate(e, F(1, 2), self.V),
+                         lambda: list(evaluate_many(e, [F(1, 2)], self.V))):
+                with pytest.raises(ContractError, match="atom name 'f' bound to two definitions"):
+                    call()

@@ -897,7 +897,7 @@ class TestEvaluateGrid:
         first = list(itertools.chain.from_iterable(evaluate_grid(e, coords, coords, v)))
         table = e._plan._slot(v)[1]
         lines = (table._rows, table._cols)
-        cells = [dict(line.cells) for line in lines]
+        cells = [list(line.cells) for line in lines]
         assert len(sorts) == 2
         second = list(itertools.chain.from_iterable(evaluate_grid(e, coords, coords, v)))
         assert len(sorts) == 2
@@ -1386,6 +1386,81 @@ valuation four: k1 = 2, k2 = 5, c = 4
         end = next((i for i, o in enumerate(outcomes) if isinstance(o, tuple)), len(outcomes) - 1)
         pass_ = _outcomes(evaluate_many(HybridExpr(e.star, e.terms), points, v))
         assert _exactly(pass_) == _exactly(outcomes[: end + 1])
+
+
+
+class TestSharedSweep:
+    """A + plan whose atoms name no parameter makes its one
+    ``_AdditiveSweep`` with the plan, and every valuation state moves a
+    position of its own over it; a plan whose atom names a parameter makes
+    one per state.  The one-point and the many-point outcomes are the
+    reference's either way, and a kept outcome is one object."""
+
+    def steps(self, last, star=PLUS):
+        """Steps a_i on (k_i, 15] over U = [0, 15], as in
+        ``TestPlanAndState``, the last with the body ``last``."""
+        universe = SymbolicHybridSet.from_atom(RegionAtom("U", Interval1D(F(0), F(15))))
+        terms = [term(constant_atom("z", 0), universe)]
+        for i, body in enumerate(("3/2", "-2", "1/3", last), start=1):
+            step = RegionAtom(f"R{i}", Interval1D(f"k{i}", F(15), lo_closed=False))
+            terms.append(term(atom(f"a{i}", body), SymbolicHybridSet.from_atom(step)))
+        return marked_join(star, terms)
+
+    # Three valuation objects, the last with every threshold tied; c is 0
+    # under the second.
+    V = (Valuation({"k1": 2, "k2": F(15, 2), "k3": 2, "k4": 0, "c": 4}),
+         Valuation({"k1": 5, "k2": 1, "k3": 9, "k4": 12, "c": 0}),
+         Valuation({"k1": 3, "k2": 3, "k3": 3, "k4": 3, "c": F(1, 2)}))
+    POINTS = [F(j - 2, 2) for j in range(36)]  # -1 to 33/2, ties included
+
+    @pytest.mark.parametrize(
+        "last, builds, shared",
+        [("3", 1, True), ("c / 2", 3, None), ("1 / c", 2, None), ("1/0", 0, False)],
+        ids=["constant", "parameter", "parameter-raises", "constant-raises"],
+    )
+    def test_sweeps_are_built_per_plan_or_per_state(self, monkeypatch, last, builds, shared):
+        made = []
+        build = functions._AdditiveSweep.__init__
+
+        def counting(sweep, plan, values):
+            made.append(plan)
+            build(sweep, plan, values)
+
+        monkeypatch.setattr(functions._AdditiveSweep, "__init__", counting)
+        e = self.steps(last)
+        for v in self.V:
+            one = [_outcomes(evaluate(e, x, v) for x in [p])[0] for p in self.POINTS]
+            each = [_outcomes(_per_point_reference(e, [p], v))[0] for p in self.POINTS]
+            assert _exactly(one) == _exactly(each)
+            many = _outcomes(evaluate_many(e, self.POINTS, v))
+            assert _exactly(many) == _exactly(_outcomes(_per_point_reference(e, self.POINTS, v)))
+        assert len(made) == builds and set(map(id, made)) <= {id(e._plan)}
+        assert e._plan.additive and (e._plan.shared if shared else e._plan.shared is shared)
+        if last == "1/0":  # under the last valuation, a4 survives on (3, 15] and raises there
+            assert [isinstance(o, tuple) for o in one] == [x > 3 and x <= 15 for x in self.POINTS]
+
+    @pytest.mark.parametrize("star", [PLUS, TIMES])
+    def test_a_kept_outcome_is_the_object_evaluate_many_returns(self, star):
+        e = self.steps("3", star)
+        for v in self.V:
+            one = [evaluate(e, x, v) for x in self.POINTS]
+            many = list(evaluate_many(e, self.POINTS, v))
+            again = [evaluate(e, x, v) for x in self.POINTS]
+            assert all(a is b is c for a, b, c in zip(one, many, again))
+            assert one == list(_per_point_reference(e, self.POINTS, v))
+
+    @pytest.mark.parametrize(
+        "point, valuation, error",
+        [("not a point", V[0], ContractError), (F(1), Valuation({"k1": 2}), ValuationError)],
+        ids=["text", "unset-endpoint"],
+    )
+    def test_an_unkeyable_point_raises_alike_on_every_repeat(self, point, valuation, error):
+        e = self.steps("3")
+        want = _outcomes(_per_point_reference(e, [point], valuation))
+        assert want[0][0] is error
+        for _ in range(3):
+            assert _outcomes(evaluate(e, x, valuation) for x in [point]) == want
+            assert _outcomes(evaluate_many(e, [point], valuation)) == want
 
 
 def _graph_values(gr):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from hybridsets import (
@@ -303,3 +303,38 @@ class TestIntervalPlacement:
             want = sum(1 << k for k, s in enumerate(shapes) if regions._contains(s, x, resolve))
             assert key == want, x
         assert table._intervals.scale == 3 * 7 * self.BIG
+
+
+# Endpoints from a small pool with mixed denominators, so that ranges tie
+# at either end, with open and closed ends; a drawn range may be empty:
+# (a, a) with an open end, or lo > hi.
+line_ends = st.sampled_from((F(-1), F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(7, 6), F(5, 4), F(2)))
+line_ranges = st.lists(st.builds(Interval1D, line_ends, line_ends, st.booleans(), st.booleans()),
+                       min_size=1, max_size=8)
+
+
+class TestLineCells:
+    """A line makes the bits of every cell in the pass that sorts its
+    endpoints.  Each must be the ranges whose ``_within`` holds at a point
+    of that cell, and placing the point must give the same bits."""
+
+    @seed(2037)
+    @settings(max_examples=300, deadline=None)
+    @given(line_ranges)
+    def test_the_bits_made_by_the_sort_agree_with_within(self, intervals):
+        ranges = list(enumerate(intervals))
+        line = regions._Line(ranges)
+        resolve = lambda p: regions.resolve_param(p, None)
+        line.bits(F(0), resolve)  # the first placement sorts
+        ends = [F(v, line.scale) for v in line.ends]
+        assert len(line.cells) == 2 * len(ends) + 1
+        # a point of each cell in turn: below the lowest endpoint, then
+        # each endpoint after the middle of the gap below it, then above
+        points = [ends[0] - 1, ends[0]]
+        for lo, hi in zip(ends, ends[1:]):
+            points += [(lo + hi) / 2, hi]
+        points.append(ends[-1] + 1)
+        for cell, x in enumerate(points):
+            want = sum(1 << k for k, s in ranges if regions._within(s, regions._ends(s, resolve), x))
+            assert line.cells[cell] == want, (cell, x)
+            assert line.bits(x, resolve) == want, x
