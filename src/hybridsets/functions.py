@@ -238,17 +238,14 @@ def marked_join(star: StarOp, terms: Iterable[HybridTerm]) -> HybridExpr:
 
 
 def reduce_formally(e: HybridExpr) -> HybridExpr:
-    """Merge terms with equal value words by region sum, dropping empty regions."""
-    merged: Dict[FreeWord, SymbolicHybridSet] = {}
-    order = []
+    """Merge terms with equal value words by region sum, dropping empty regions.
+    Each word is hashed twice, for one lookup and one store, and a term
+    whose word meets no other is kept as it is."""
+    merged: Dict[FreeWord, HybridTerm] = {}
     for t in e.terms:
-        if t.word in merged:
-            merged[t.word] = merged[t.word] + t.region
-        else:
-            merged[t.word] = t.region
-            order.append(t.word)
-    terms = tuple(HybridTerm(w, merged[w]) for w in order if not merged[w].is_zero)
-    return HybridExpr(e.star, terms)
+        first = merged.get(t.word)
+        merged[t.word] = t if first is None else HybridTerm(first.word, first.region + t.region)
+    return HybridExpr(e.star, tuple(t for t in merged.values() if not t.region.is_zero))
 
 
 class _Undefined:

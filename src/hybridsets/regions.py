@@ -309,8 +309,9 @@ class IndicatorTable:
     across points and across passes.
 
     ``keys(points)`` gives each point's indicator vector: an int whose bit
-    k is the indicator of shape k.  Each endpoint is resolved once per
-    table, when a point first needs it.  Three ``_Line``s, kept for the
+    k is the indicator of shape k.  Each parameter endpoint is resolved
+    once per table, when a point first needs it; a number endpoint is
+    taken as it is, with no cache lookup.  Three ``_Line``s, kept for the
     life of the table, place a point among the resolved endpoints: one
     for the intervals, one for the grid rectangles' row ranges and one for
     their column ranges.  The points in one gap, or on one endpoint, of a
@@ -329,12 +330,15 @@ class IndicatorTable:
     def __init__(self, layout: _Layout, valuation: Optional[Valuation]):
         self.layout = layout
         self._valuation = valuation
-        self._params: Dict[Param, Fraction] = {}  # endpoint -> value, once resolved
+        self._params: Dict[str, Fraction] = {}  # parameter name -> value, once resolved
         self._intervals = _Line(layout.intervals)
         self._rows, self._cols = _Line(layout.rows), _Line(layout.cols)
 
     def _resolve(self, p: Param) -> Fraction:
-        """The endpoint's value, resolved the first time it is asked for."""
+        """The endpoint's value: a number at once, a parameter resolved the
+        first time it is asked for."""
+        if not isinstance(p, str):
+            return p if type(p) is Fraction else Fraction(p)
         value = self._params.get(p)
         if value is None:
             value = self._params[p] = resolve_param(p, self._valuation)

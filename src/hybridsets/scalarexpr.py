@@ -2,9 +2,12 @@
 
 ``Cursor`` reads workspace lines, inline expression and term text,
 function-atom bodies, command-line numbers, points and valuations; it is
-the only code that turns text into a number.
+the only code that turns text into a number.  It reads each token in
+place: a name or a number by one pattern match, any other token by a
+prefix test or, in ``take_any``, a one-character peek.
 Tokens are separated by spaces and tabs; names are ASCII
-(``[A-Za-z_][A-Za-z0-9_]*``), numbers are ``-?\\d+(/\\d+)?`` with no inner
+(``[A-Za-z_][A-Za-z0-9_]*``), numbers are ``-?\\d+(/\\d+)?``, where ``\\d``
+is any Unicode decimal digit (``str.isdecimal``), with no inner
 spaces, a nonzero denominator and no part longer than the interpreter
 converts from text (``sys.get_int_max_str_digits()``), and a coefficient,
 exponent or multiplicity literal, with its sign, must fit in a signed
@@ -42,17 +45,21 @@ class Cursor:
     """Scanner over one line that reports 1-based columns in errors.
 
     ``pos`` always rests on the next token: whitespace is skipped once,
-    when the cursor is made and right after each token is consumed.
+    when the cursor is made and right after each token is consumed.  Each
+    reader consumes its token itself, with at most one pattern match.
+    ``take_any`` peeks at the one character at the cursor, so its
+    candidates are single characters.  ``at_number`` tests characters
+    too: a number starts at a decimal digit, or at a ``-`` right before
+    one, and ``str.isdecimal`` holds for exactly the characters that
+    ``\\d`` matches in a text pattern (the Unicode decimal digits,
+    category Nd), so the test answers as a match of ``_NUMBER`` would.
     ``line_no`` is None for text that is not a workspace line.
     """
 
     def __init__(self, text: str, line_no: Optional[int] = None):
         self.text = text
         self.line_no = line_no
-        self._advance(0)
-
-    def _advance(self, end: int):
-        self.pos = _SPACE.match(self.text, end).end()
+        self.pos = _SPACE.match(text).end()
 
     def error(self, message: str, pos: Optional[int] = None):
         at = self.pos if pos is None else pos
@@ -70,16 +77,20 @@ class Cursor:
         return value
 
     def take(self, literal: str) -> bool:
-        if self.text.startswith(literal, self.pos):
-            self._advance(self.pos + len(literal))
+        text, pos = self.text, self.pos
+        if text.startswith(literal, pos):
+            self.pos = _SPACE.match(text, pos + len(literal)).end()
             return True
         return False
 
     def take_any(self, chars: str) -> Optional[str]:
-        """The one of ``chars`` found at the cursor, consumed, or None."""
-        for ch in chars:
-            if self.take(ch):
-                return ch
+        """The character at the cursor, consumed, if it is one of ``chars``;
+        else None."""
+        text, pos = self.text, self.pos
+        ch = text[pos:pos + 1]
+        if ch and ch in chars:
+            self.pos = _SPACE.match(text, pos + 1).end()
+            return ch
         return None
 
     def comma_list(self, read) -> list:
@@ -90,19 +101,17 @@ class Cursor:
         return items
 
     def expect(self, literal: str):
-        if not self.take(literal):
+        text, pos = self.text, self.pos
+        if not text.startswith(literal, pos):
             self.error(f"expected {literal!r}")
+        self.pos = _SPACE.match(text, pos + len(literal)).end()
 
-    def _token(self, pattern: re.Pattern, what: str) -> str:
-        """The text ``pattern`` matches at the cursor, consumed; none is an error."""
-        m = pattern.match(self.text, self.pos)
+    def ident(self, what: str = "a name") -> str:
+        m = _IDENT.match(self.text, self.pos)
         if m is None:
             self.error(f"expected {what}")
         self.pos = m.end()
         return m.group(1)
-
-    def ident(self, what: str = "a name") -> str:
-        return self._token(_IDENT, what)
 
     def take_word(self, wanted: str) -> bool:
         m = _IDENT.match(self.text, self.pos)
@@ -116,13 +125,20 @@ class Cursor:
             self.error(f"expected {wanted!r}")
 
     def at_number(self) -> bool:
-        return _NUMBER.match(self.text, self.pos) is not None
+        text, pos = self.text, self.pos
+        if text.startswith("-", pos):
+            pos += 1
+        return text[pos:pos + 1].isdecimal()
 
     def _literal(self, pattern: re.Pattern, what: str) -> Tuple[int, int]:
         """Numerator and denominator of the number ``pattern`` matches at the
         cursor, consumed: the one conversion of number text in the package."""
         start = self.pos
-        num, slash, den = self._token(pattern, what).partition("/")
+        m = pattern.match(self.text, start)
+        if m is None:
+            self.error(f"expected {what}")
+        self.pos = m.end()
+        num, slash, den = m.group(1).partition("/")
         try:
             n, d = int(num), int(den) if slash else 1
         except ValueError:  # past sys.get_int_max_str_digits()
@@ -188,21 +204,20 @@ def read_scalar(cur: Cursor, depth: int = 0) -> BodyExpr:
     node, rest = _term(cur, depth), []
     while op := cur.take_any("+-"):
         rest.append((op, _term(cur, depth)))
-    return _chain(node, rest)
+    return _chain(node, rest) if rest else node
 
 
 def _term(cur: Cursor, depth: int) -> BodyExpr:
     node, rest = _factor(cur, depth), []
     while op := cur.take_any("*/"):
         rest.append((op, _factor(cur, depth)))
-    return _chain(node, rest)
+    return _chain(node, rest) if rest else node
 
 
 def _chain(first: BodyExpr, rest: list) -> BodyExpr:
-    """The run ``first rest...``; a parenthesised run of the same kind in
-    front is merged in, since ``(a + b) + c`` means ``a + b + c``."""
-    if not rest:
-        return first
+    """The run ``first rest...``, ``rest`` not empty; a parenthesised run of
+    the same kind in front is merged in, since ``(a + b) + c`` means
+    ``a + b + c``."""
     if isinstance(first, Chain) and first.additive == (rest[0][0] in "+-"):
         return Chain(first.first, first.rest + tuple(rest))
     return Chain(first, tuple(rest))

@@ -64,20 +64,7 @@ class Workspace:
     valuations: Dict[str, Valuation] = field(default_factory=dict)
 
 
-_REGISTRIES = {
-    "param": "params",
-    "atom": "atoms",
-    "region": "regions",
-    "partition": "partitions",
-    "expr": "exprs",
-    "matrix": "matrices",
-    "spline": "splines",
-    "valuation": "valuations",
-}
-
-
-def _register(ws: Workspace, kind: str, name: str, value, cur: Cursor, pos: int):
-    registry = getattr(ws, _REGISTRIES[kind])
+def _register(registry: dict, kind: str, name: str, value, cur: Cursor, pos: int):
     if name in registry:
         cur.error(f"duplicate {kind} name {name!r}", pos)
     registry[name] = value
@@ -102,10 +89,13 @@ def _lookup(cur: Cursor, registry: dict, what: str):
 
 
 def _decl_param(ws: Workspace, cur: Cursor):
+    params = ws.params
     while True:
         pos = cur.pos
         name = cur.ident()
-        _register(ws, "param", name, None, cur, pos)
+        if name in params:
+            cur.error(f"duplicate param name {name!r}", pos)
+        params[name] = None
         if not cur.take(","):
             break
 
@@ -120,7 +110,7 @@ def _decl_fn(ws: Workspace, cur: Cursor):
         for ref in scalarexpr.body_names(body):
             if ref != "x" and ref not in ws.params:
                 cur.error(f"unresolved name {ref!r} in body", start)
-    _register(ws, "atom", name, FunctionAtom(name, body), cur, pos)
+    _register(ws.atoms, "atom", name, FunctionAtom(name, body), cur, pos)
 
 
 def _parse_bounds(ws: Workspace, cur: Cursor, sep: str) -> Interval1D:
@@ -181,7 +171,7 @@ def _decl_region(ws: Workspace, cur: Cursor):
     name = cur.ident()
     cur.expect("=")
     shape = _parse_shape(ws, cur)
-    _register(ws, "region", name, RegionAtom(name, shape), cur, pos)
+    _register(ws.regions, "region", name, RegionAtom(name, shape), cur, pos)
 
 
 def _parse_combo(ws: Workspace, cur: Cursor) -> SymbolicHybridSet:
@@ -194,12 +184,10 @@ def _parse_combo(ws: Workspace, cur: Cursor) -> SymbolicHybridSet:
             cur.expect("*")
         region = _lookup(cur, ws.regions, "a region name")
         terms.append((region.name, coeff, region))
-        if cur.take("+"):
-            sign = 1
-        elif cur.take("-"):
-            sign = -1
-        else:
+        op = cur.take_any("+-")
+        if op is None:
             return SymbolicHybridSet._from_checked(((terms, 1),))
+        sign = 1 if op == "+" else -1
 
 
 def _decl_partition(ws: Workspace, cur: Cursor):
@@ -215,21 +203,26 @@ def _decl_partition(ws: Workspace, cur: Cursor):
         part = GeneralisedPartition(name, universe, tuple(pieces), assumed=assumed)
     except ContractError as e:
         cur.error(str(e), body_pos)
-    _register(ws, "partition", name, part, cur, pos)
+    _register(ws.partitions, "partition", name, part, cur, pos)
+
+
+def _single(cls, atom):
+    """The combination ``atom`` alone, for an atom read from a registry."""
+    return cls._from_checked(((((atom.name, 1, atom),), 1),))
 
 
 def _parse_word(ws: Workspace, cur: Cursor) -> FreeWord:
     if not cur.take("("):
-        return FreeWord.from_atom(_lookup(cur, ws.atoms, "a function name"))
+        return _single(FreeWord, _lookup(cur, ws.atoms, "a function name"))
     entries = []
     while True:
         a = _lookup(cur, ws.atoms, "a function name")
         k = cur.integer(1) if cur.take("^") else 1
-        entries.append((a, k))
+        entries.append((a.name, k, a))
         if not cur.take("*"):
             break
     cur.expect(")")
-    return FreeWord(entries)
+    return FreeWord._from_checked(((entries, 1),))
 
 
 def _parse_term(ws: Workspace, cur: Cursor) -> HybridTerm:
@@ -240,7 +233,7 @@ def _parse_term(ws: Workspace, cur: Cursor) -> HybridTerm:
         region = _parse_combo(ws, cur)
         cur.expect(")")
     else:
-        region = SymbolicHybridSet.from_atom(_lookup(cur, ws.regions, "a region name"))
+        region = _single(SymbolicHybridSet, _lookup(cur, ws.regions, "a region name"))
     try:
         return HybridTerm(w, region)
     except ContractError as e:
@@ -280,7 +273,7 @@ def _decl_expr(ws: Workspace, cur: Cursor):
     name = cur.ident()
     cur.expect("=")
     e = _parse_expr_body(ws, cur)
-    _register(ws, "expr", name, e, cur, pos)
+    _register(ws.exprs, "expr", name, e, cur, pos)
 
 
 def _decl_matrix(ws: Workspace, cur: Cursor):
@@ -314,7 +307,7 @@ def _decl_matrix(ws: Workspace, cur: Cursor):
     mat = block_matrix_2x2(name, rows, cols, row_split, col_split, names)
     if name in ws.partitions:
         cur.error(f"duplicate partition name {name!r}", pos)
-    _register(ws, "matrix", name, mat, cur, pos)
+    _register(ws.matrices, "matrix", name, mat, cur, pos)
     for blk in mat.blocks:
         ws.regions[blk.name] = blk.region
         ws.atoms[blk.name] = blk.symbol
@@ -334,14 +327,14 @@ def _decl_spline(ws: Workspace, cur: Cursor):
         sp = SymbolicSpline.build(name, knots)
     except ContractError as e:
         cur.error(str(e), pos)
-    _register(ws, "spline", name, sp, cur, pos)
+    _register(ws.splines, "spline", name, sp, cur, pos)
 
 
 def _decl_valuation(ws: Workspace, cur: Cursor):
     pos = cur.pos
     name = cur.ident()
     cur.expect(":")
-    _register(ws, "valuation", name, Valuation.read(cur, ws.params), cur, pos)
+    _register(ws.valuations, "valuation", name, Valuation.read(cur, ws.params), cur, pos)
 
 
 _HANDLERS = {
@@ -359,8 +352,8 @@ _HANDLERS = {
 def parse_workspace(text: str) -> Workspace:
     ws = Workspace()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).rstrip()
+        if not line:
             continue
         cur = Cursor(line, line_no)
         start = cur.pos

@@ -1087,8 +1087,9 @@ class TestSampledChecks:
 
 
 class TestSampledCheckCost:
-    """Each check resolves a region endpoint once per table, not once per
-    point: 4096 points cost a handful of resolutions."""
+    """Each check resolves a parameter endpoint once per table, not once per
+    point, and a number endpoint not at all: 4096 points cost a handful of
+    resolutions."""
 
     A = SymbolicHybridSet.from_atom(RegionAtom("A", Interval1D(F(0), "a", hi_closed=False)))
     B = SymbolicHybridSet.from_atom(RegionAtom("B", Interval1D(F(0), "b", hi_closed=False)))
@@ -1117,17 +1118,17 @@ class TestSampledCheckCost:
             for k, part in enumerate(parts):
                 args = (r.pieces, part, r.coefficients[k], self.V, self.SAMPLE)
                 resolved = self.count_resolutions(monkeypatch, check, *args)
-                assert resolved == Counter({F(0): 1, F(1): 1, "a": 1, "b": 1})
+                assert resolved == Counter({"a": 1, "b": 1})
 
     def test_apply_linear_resolves_each_endpoint_once(self, monkeypatch):
         f = term(atom("f", "x"), self.A + self.B)
         resolved = self.count_resolutions(monkeypatch, apply_linear, f, self.V, self.SAMPLE)
-        assert resolved == Counter({F(0): 1, "a": 1, "b": 1})
+        assert resolved == Counter({"a": 1, "b": 1})
 
     def test_the_inverse_check_resolves_each_endpoint_at_most_twice(self, monkeypatch):
         f = term(atom("f", "x"), self.A + self.B)
         resolved = self.count_resolutions(
             monkeypatch, star_inverse_identity_check, PLUS, f, self.V, self.SAMPLE
         )
-        assert set(resolved) == {F(0), "a", "b"}
+        assert set(resolved) == {"a", "b"}
         assert max(resolved.values()) <= 2

@@ -21,7 +21,7 @@ from hybridsets import (
     Workspace,
     parse_workspace,
 )
-from hybridsets.scalarexpr import eval_scalar, parse_scalar
+from hybridsets.scalarexpr import Cursor, eval_scalar, parse_scalar
 from hybridsets.workspace import parse_expr_text, parse_term_text
 
 F = Fraction
@@ -383,6 +383,19 @@ class TestScanner:
             ("matrix M = dims(n, m) splitt(h, k) blocks(A2, B2, C2, D2)", "expected 'split'", 23),
             ("spline S = knots(a b)", "expected ')'", 20),
             ("valuation v: a == 1", "expected a number", 17),
+            # a number's minus touches its digits
+            ("valuation v: a = - 3", "expected a number", 18),
+            ("valuation v: a = -\t3", "expected a number", 18),
+            ("region R = interval[- 1, 2]", "expected a number or parameter name", 21),
+            ("valuation v: a = ٣/0", "zero denominator", 18),
+            # lines that end right after '('
+            ("region R = rect(", "expected a number or parameter name", 17),
+            ("region R = points(", "expected a number", 19),
+            ("expr E = join(", "expected a function name", 15),
+            ("expr E = join((", "expected a function name", 16),
+            ("fn g = (", "expected a number, a name or '('", 9),
+            # a combination's first sign is a minus or none
+            ("expr E = join(f^(+A))", "expected a region name", 18),
         ],
     )
     def test_malformed_lines_report_message_line_and_column(self, line, message, column):
@@ -391,6 +404,65 @@ class TestScanner:
         err = exc.value
         assert (err.line, err.column) == (5, column)
         assert str(err) == f"line 5, col {column}: {message}"
+
+    # what each accepted line declares, after the prelude
+    @pytest.mark.parametrize(
+        "line, registry, name, declared",
+        [
+            ("param b,\tc", "params", None, "a, n, m, h, k, b, c"),
+            ("fn g = 2\t*\tx", "atoms", "g",
+             "FunctionAtom(name='g', body=Chain(first=Num(value=Fraction(2, 1)), "
+             "rest=(('*', Ref(name='x')),)))"),
+            ("valuation v: a = -3", "valuations", "v", "Valuation(a=-3)"),
+            # Unicode decimal digits are digits
+            ("valuation v: a = ٣/٤", "valuations", "v", "Valuation(a=3/4)"),
+            ("valuation v: a = -٣", "valuations", "v", "Valuation(a=-3)"),
+            ("region R = interval[0, ٣]", "regions", "R",
+             "RegionAtom(name='R', shape=Interval1D(lo=Fraction(0, 1), hi=Fraction(3, 1), "
+             "lo_closed=True, hi_closed=True))"),
+            ("fn g = -٣", "atoms", "g", "FunctionAtom(name='g', body=Neg(operand=Num(value=Fraction(3, 1))))"),
+            ("partition P of U = ٢*A, U - ٢*A", "partitions", "P", "2*A | U - 2*A"),
+            ("expr E = mjoin(⋈, f^A, f^U)", "exprs", "E", "⋈: f^{A} ⊛⋈ f^{U}"),
+            ("expr E = mjoin(merge, f^A)", "exprs", "E", "⋈: f^{A}"),
+            ("expr E = join(f^(-A + U))", "exprs", "E", "join: f^{U - A}"),
+            ("region R = rect(1..h, 1..k)", "regions", "R",
+             "RegionAtom(name='R', shape=GridRect(rows=Interval1D(lo=Fraction(1, 1), hi='h', "
+             "lo_closed=True, hi_closed=True), cols=Interval1D(lo=Fraction(1, 1), hi='k', "
+             "lo_closed=True, hi_closed=True)))"),
+            ("region R = rect(1..h, [1..k))", "regions", "R",
+             "RegionAtom(name='R', shape=GridRect(rows=Interval1D(lo=Fraction(1, 1), hi='h', "
+             "lo_closed=True, hi_closed=True), cols=Interval1D(lo=Fraction(1, 1), hi='k', "
+             "lo_closed=True, hi_closed=False)))"),
+            ("fn g = 2 # a comment", "atoms", "g", "FunctionAtom(name='g', body=Num(value=Fraction(2, 1)))"),
+            ("fn g = 2# a comment", "atoms", "g", "FunctionAtom(name='g', body=Num(value=Fraction(2, 1)))"),
+            ("fn g = x\t# after a tab", "atoms", "g", "FunctionAtom(name='g', body=Ref(name='x'))"),
+            ("param b # c, d", "params", None, "a, n, m, h, k, b"),
+        ],
+    )
+    def test_accepted_lines_declare_what_they_say(self, line, registry, name, declared):
+        ws = parse_workspace(self.PRELUDE + line)
+        if registry == "params":
+            assert ", ".join(ws.params) == declared
+            return
+        value = getattr(ws, registry)[name]
+        if registry == "exprs":
+            value = f"{value.star.name if value.is_marked else 'join'}: {value.render()}"
+        elif registry == "partitions":
+            value = " | ".join(piece.render() for piece in value.pieces)
+        else:
+            value = repr(value)
+        assert value == declared
+
+    def test_a_number_starts_at_exactly_the_characters_backslash_d_matches(self):
+        # Cursor.at_number tests characters, not the number pattern; the two
+        # agree on every code point, with or without a minus in front.
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        digits = re.findall(r"\d", every)
+        assert digits == [c for c in every if c.isdecimal()]
+        digit_set = set(digits)
+        for c in digits + ["²", "½", "Ⅻ", "٫", "a", "-", "/", " ", "\t"]:
+            assert Cursor(c).at_number() == (c in digit_set) == Cursor("-" + c).at_number()
+            assert not Cursor("- " + c).at_number()
 
     def test_malformed_inline_expression_has_a_column_but_no_line(self):
         ws = parse_workspace(self.PRELUDE)
