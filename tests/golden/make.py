@@ -11,7 +11,14 @@ point around the universe under one valuation with tied thresholds.
 ``fold points P`` folds them by binary steps and prints one-point
 ``evaluate`` calls at every half-integer point around the universe, under
 three valuation objects in turn, one with tied thresholds, and then the
-first object again.
+first object again.  ``chain STYLE N1 N2 ...`` refines chain partitions
+P1, P2, ... of N1, N2, ... pieces (piece i of Pk is Ak_i - Ak_(i-1), the
+last U - Ak_(Nk-1)) under a canonical choice matrix or one of two custom
+ones, and prints the new pieces, the rewrite rows, the choice matrix's
+render and determinant, and its inverse.  ``custom-unit`` applies +-1 row
+operations between disjoint pairs of unit rows and swaps of neighbouring
+columns to the ones-top-row matrix; ``custom-wide`` adds multiples such as
+10 and -1 of an earlier row, the all-ones one included, to each later row.
 
 ``outputs.txt`` holds one block per case, in case order: ``$ <case>``,
 then for a CLI case ``[exit <code>]``, its stdout and, when it wrote any,
@@ -45,7 +52,17 @@ OUTPUTS = HERE / "outputs.txt"
 if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from hybridsets import PLUS, UNDEFINED, Valuation, evaluate, evaluate_many, pointwise_star  # noqa: E402
+from hybridsets import (  # noqa: E402
+    PLUS,
+    UNDEFINED,
+    ChoiceMatrix,
+    Valuation,
+    common_strict_refinement,
+    evaluate,
+    evaluate_many,
+    parse_workspace,
+    pointwise_star,
+)
 from test_calculus import step_fold, steps_workspace  # noqa: E402
 from test_cli import run_cli_within_a_second  # noqa: E402
 
@@ -69,6 +86,8 @@ def block(case: str, capsys) -> str:
     argv = shlex.split(case)
     if argv[0] == "fold":
         return f"$ {case}\n{_fold(argv[1], int(argv[2]))}"
+    if argv[0] == "chain":
+        return f"$ {case}\n{_chain(argv[1], [int(a) for a in argv[2:]])}"
     code, out, err = run_cli_within_a_second(capsys, *argv)
     return f"$ {case}\n[exit {code}]\n{out}" + (f"[stderr]\n{err}" if err else "")
 
@@ -115,6 +134,65 @@ def _points(e, p: int) -> str:
         top = v.resolve("t")
         for x in (Fraction(j, 2) for j in range(-2, int(2 * top) + 3)):
             lines.append(f"at {x}: {_outcome(evaluate(e, x, v))}")
+    return "\n".join(lines) + "\n"
+
+
+def chain_text(sizes) -> str:
+    """A workspace of chain partitions P1, P2, ... of U = [0, 1): piece i
+    of Pk is Ak_i - Ak_(i-1), with Ak_i = [0, ak_i), closed at every
+    fourth ak_i; a one-piece partition is U itself."""
+    params, regions, partitions = [], [], []
+    for k, n in enumerate(sizes, start=1):
+        names = [f"A{k}_{i}" for i in range(1, n)]
+        for i, name in enumerate(names, start=1):
+            params.append(f"a{k}_{i}")
+            regions.append(f"region {name} = interval[0, a{k}_{i}{']' if (k + i) % 4 == 0 else ')'}")
+        pieces = names[:1] + [f"{b} - {a}" for a, b in zip(names, names[1:])]
+        pieces.append(f"U - {names[-1]}" if names else "U")
+        partitions.append(f"partition P{k} of U = " + ", ".join(pieces))
+    lines = ["param " + ", ".join(params)] if params else []
+    return "\n".join(lines + ["region U = interval[0, 1)"] + regions + partitions) + "\n"
+
+
+def chain_entries(style: str, n: int):
+    """The rows of a custom choice matrix of size n (see the module docstring)."""
+    m = [[int(i == 0 or i == j) for j in range(n)] for i in range(n)]
+    if style == "custom-unit":
+        order = sorted(range(1, n), key=lambda i: (7 * i) % n)
+        for t, (a, b) in enumerate(zip(order[0::2], order[1::2])):
+            m[b] = [x + (-1) ** t * y for x, y in zip(m[b], m[a])]
+        swaps = range(0, n - 1, 3)
+    else:
+        ones = [row[:] for row in m]
+        for b in range(1, n):
+            a = (b - 1, 0, b // 2)[b % 3]
+            c = (10, -1, 3, -12)[b % 4]
+            m[b] = [x + c * y for x, y in zip(m[b], ones[a])]
+        swaps = range(1, n - 1, 4)
+    for j in swaps:
+        for row in m:
+            row[j], row[j + 1] = row[j + 1], row[j]
+    return tuple(map(tuple, m))
+
+
+def _chain(style: str, sizes) -> str:
+    ws = parse_workspace(chain_text(sizes))
+    parts = [ws.partitions[f"P{k}"] for k in range(1, len(sizes) + 1)]
+    if style.startswith("custom-"):
+        rows = ["U", *(f"P{k}.{i}" for k, n in enumerate(sizes, start=1) for i in range(1, n))]
+        cols = [f"P{j}" for j in range(1, len(rows) + 1)]
+        choice = ChoiceMatrix(chain_entries(style, len(rows)), tuple(rows), tuple(cols))
+        r = common_strict_refinement(parts, choice=choice)
+    else:
+        r = common_strict_refinement(parts, style=style)
+    lines = [f"{label} = {piece.render()}" for label, piece in zip(r.labels, r.pieces)]
+    lines.append("rewrites:")
+    for part, rows in zip(parts, r.coefficients):
+        lines += [f"{part.name}.{lab}: {' '.join(map(str, row))}" for lab, row in zip(part.labels, rows)]
+    lines.append(f"choice matrix (det {r.choice.determinant()}):")
+    lines += r.choice.render().splitlines()
+    lines.append("inverse:")
+    lines += [f"{label}: {' '.join(map(str, row))}" for label, row in zip(r.labels, r.choice.inverse())]
     return "\n".join(lines) + "\n"
 
 
