@@ -17,10 +17,13 @@ elimination on [A | I] (Bareiss, 1968), which yields the determinant and
 the adjugate together; when the determinant is +-1 the inverse is +-adj.
 The elimination keeps its rows sparse and picks pivots as Markowitz (1957)
 did, so on a custom choice matrix, a few +-1 entries per row, the work
-follows the nonzeros, not n^3.  A matrix's entries are read once, into
-plain ints, when it is made; its inverse stays sparse from the elimination
-to the new pieces, and the matrix keeps it, so asking for its determinant
-after refining is free.
+follows the nonzeros, not n^3.  A matrix is held as runs, (start, stop,
+value) of one nonzero value over consecutive columns: built so in O(n) when
+canonical, and read once from a custom matrix's entries.  The elimination,
+the render and the rewrite rows work from the runs; the dense entries and
+rewrite rows are written out on first read.  The inverse stays sparse from
+the elimination to the new pieces, and the matrix keeps it, so asking for
+its determinant after refining is free.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ContractError, RefinementError, UnimodularError
@@ -36,10 +39,12 @@ from .regions import Point, RegionAtom, SymbolicHybridSet, multiplicities_many
 
 # Nonzero (column, value) pairs of each row of an inverse, by ascending column.
 SparseRows = Tuple[Tuple[Tuple[int, int], ...], ...]
+# Each row's maximal runs (start, stop, value) of one nonzero value, by column.
+Runs = Tuple[Tuple[Tuple[int, int, int], ...], ...]
 
 
-class _IntRows(tuple):
-    """Rows of plain ints, which ``_integer_rows`` made and will not read again."""
+class _RunRows(tuple):
+    """Runs that ``_read_runs`` or a canonical builder made; never read again."""
 
 
 def determinant_and_adjugate(
@@ -59,13 +64,16 @@ def determinant_and_adjugate(
     times the sign of the negations and of the pivot-row order.  The
     adjugate comes back as sparse rows; it is None when the matrix is
     singular: elimination stops at the first column without a pivot.  Each
-    entry must be an int or a Fraction with denominator 1.
+    entry must be an int or a Fraction with denominator 1; rows that are
+    already runs (a ``ChoiceMatrix``'s) are taken as they are.
     """
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ContractError("determinant needs a square matrix")
+    if not isinstance(rows, _RunRows):
+        if any(len(r) != n for r in rows):
+            raise ContractError("determinant needs a square matrix")
+        rows = _read_runs(rows)
     columns = range(n)
-    m = [dict(zip(compress(columns, row), compress(row, row))) for row in _integer_rows(rows)]
+    m = [{c: v for start, stop, v in row for c in range(start, stop)} for row in rows]
     holders = [set() for _ in range(2 * n)]  # column -> rows with a nonzero there
     for i, row in enumerate(m):
         row[n + i] = 1
@@ -113,16 +121,26 @@ def determinant_and_adjugate(
     return sign * prev, adjugate
 
 
-def _integer_rows(rows) -> _IntRows:
-    """``rows`` with every entry read by ``_integer_entry``, after one check
-    of a row's types; rows that already are ``_IntRows`` are not read again."""
-    if isinstance(rows, _IntRows):
-        return rows
-    return _IntRows(
-        tuple(row) if set(map(type, row)) == {int}
-        else tuple(v if type(v) is int else _integer_entry(v, i, j) for j, v in enumerate(row))
-        for i, row in enumerate(rows)
-    )
+def _read_runs(rows) -> _RunRows:
+    """The runs of the square ``rows``, each read once: an all-int row after
+    one check of its types, any other by ``_integer_entry``, so a falsy entry
+    of another type (``0.0``) is refused, not skipped as a zero."""
+    out, ints, columns = [], {int}, range(len(rows))
+    for i, row in enumerate(rows):
+        if set(map(type, row)) != ints:
+            row = [v if type(v) is int else _integer_entry(v, i, j) for j, v in enumerate(row)]
+        runs, start, stop, last = [], 0, 0, 0
+        for c in compress(columns, row):
+            v = row[c]
+            if c != stop or v != last:
+                if last:
+                    runs.append((start, stop, last))
+                start, last = c, v
+            stop = c + 1
+        if last:
+            runs.append((start, stop, last))
+        out.append(tuple(runs))
+    return _RunRows(out)
 
 
 def _integer_entry(v, i: int, j: int) -> int:
@@ -172,41 +190,54 @@ def min_refinement_size(sizes: Sequence[int]) -> int:
     return sum(sizes) + 1 - len(sizes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChoiceMatrix:
     """Unimodular matrix selecting a common refinement.
 
     Rows are labelled by the universe followed by the kept pieces of each
     partition; columns by the new refinement pieces.  The first row is all
-    ones (the universe is the sum of all new pieces).  The entries are read
-    into plain ints once, when the matrix is made.
+    ones (the universe is the sum of all new pieces).  It is made from its
+    dense ``entries``, read once into ``runs`` of plain ints.
     """
 
-    entries: Tuple[Tuple[int, ...], ...]
+    runs: Runs
     row_labels: Tuple[str, ...]
     col_labels: Tuple[str, ...]
 
-    def __post_init__(self):
-        n = len(self.entries)
-        if any(len(r) != n for r in self.entries):
+    def __init__(self, entries, row_labels, col_labels):
+        n, dense = len(entries), not isinstance(entries, _RunRows)
+        if dense and any(len(r) != n for r in entries):
             raise ContractError("choice matrix must be square")
-        if len(self.row_labels) != n or len(self.col_labels) != n:
+        if len(row_labels) != n or len(col_labels) != n:
             raise ContractError("label count must match matrix size")
-        if n and any(v != 1 for v in self.entries[0]):
+        if dense and n and any(v != 1 for v in entries[0]):
             raise ContractError("first row of a choice matrix must be all ones")
-        object.__setattr__(self, "entries", _integer_rows(self.entries))
+        object.__setattr__(self, "runs", _read_runs(entries) if dense else entries)
+        object.__setattr__(self, "row_labels", row_labels)
+        object.__setattr__(self, "col_labels", col_labels)
+
+    @cached_property
+    def entries(self) -> Tuple[Tuple[int, ...], ...]:
+        """The rows as n-entry tuples, written out from the runs once."""
+        out, n = [], self.size
+        for row in self.runs:
+            dense = [0] * n
+            for start, stop, v in row:
+                dense[start:stop] = (v,) * (stop - start)
+            out.append(tuple(dense))
+        return tuple(out)
 
     @cached_property
     def _solution(self) -> Tuple[int, Optional[SparseRows]]:
         """(determinant, sparse inverse rows), the rows only when unimodular."""
-        det, adj = determinant_and_adjugate(self.entries)
+        det, adj = determinant_and_adjugate(self.runs)
         if det not in (1, -1):
             return det, None
         return det, adj if det == 1 else tuple(tuple([(c, -v) for c, v in row]) for row in adj)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.runs)
 
     def determinant(self) -> int:
         return self._solution[0]
@@ -226,15 +257,19 @@ class ChoiceMatrix:
         return tuple(map(tuple, _dense(self._inverse_rows(), self.size)))
 
     def render(self) -> str:
-        if not self.entries:
-            return ""
-        values = set().union(*self.entries)
-        width = max(len(str(v)) for v in values)
-        cell = {v: str(v).rjust(width) for v in values}
-        lines = []
-        for label, row in zip(self.row_labels, self.entries):
-            cells = " ".join(map(cell.__getitem__, row))
-            lines.append(f"{label}: [{cells}]")
+        """Each row as ``label: [cells]``, written from its runs by repetition."""
+        values = {v for row in self.runs for _, _, v in row}
+        values.add(0)
+        width = max(map(len, map(str, values)))
+        cell = {v: str(v).rjust(width) + " " for v in values}
+        zero, n, lines = cell[0], self.size, []
+        for label, row in zip(self.row_labels, self.runs):
+            cells, at = "", 0
+            for start, stop, v in row:
+                cells += zero * (start - at) + cell[v] * (stop - start)
+                at = stop
+            cells += zero * (n - at)
+            lines.append(f"{label}: [{cells[:-1]}]")
         return "\n".join(lines)
 
 
@@ -257,18 +292,18 @@ def canonical_choice_matrix(
     """
     n = min_refinement_size(sizes)
     if style == STYLE_ONES_TOP:
-        entries = _IntRows(((1,) * n, *((0,) * j + (1,) + (0,) * (n - j - 1) for j in range(1, n))))
+        runs = _RunRows((((0, n, 1),), *(((j, j + 1, 1),) for j in range(1, n))))
         inverse = (((0, 1),) + tuple((j, -1) for j in range(1, n)),)
         inverse += tuple(((j, 1),) for j in range(1, n))
     elif style == STYLE_UPPER_TRIANGLE:
-        entries = _IntRows((0,) * i + (1,) * (n - i) for i in range(n))
+        runs = _RunRows(((i, n, 1),) for i in range(n))
         inverse = tuple(((j, 1), (j + 1, -1)) for j in range(n - 1)) + (((n - 1, 1),),)
     else:
         raise ContractError(f"unknown choice-matrix style {style!r}")
     if row_labels is None:
         row_labels = ["U", *(f"{k}.{i}" for k, size in enumerate(sizes, start=1) for i in range(1, size))]
     col_labels = tuple(f"P{j}" for j in range(1, n + 1))
-    choice = ChoiceMatrix(entries, tuple(row_labels), col_labels)
+    choice = ChoiceMatrix(runs, tuple(row_labels), col_labels)
     object.__setattr__(choice, "_solution", (1, inverse))  # determinant 1, inverse known
     return choice
 
@@ -320,12 +355,12 @@ class Refinement:
     """A common refinement: new pieces plus rewrite data for every original.
 
     ``coefficients[k][i][j]`` is the coefficient of new piece j in the
-    rewrite of piece i of partition k (rows for dropped pieces included).
+    rewrite of piece i of partition k (rows for dropped pieces included),
+    written out from the choice matrix's runs on first read.
     """
 
     partitions: Tuple[GeneralisedPartition, ...]
     pieces: Tuple[SymbolicHybridSet, ...]
-    coefficients: Tuple[Tuple[Tuple[int, ...], ...], ...]
     choice: ChoiceMatrix
 
     @property
@@ -335,6 +370,22 @@ class Refinement:
     @property
     def size(self) -> int:
         return len(self.pieces)
+
+    @cached_property
+    def coefficients(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        """A kept piece's rewrite row is its choice-matrix row; the dropped
+        piece's is the all-ones row minus the kept rows' column sums, taken
+        by a difference array over their runs."""
+        out, row = [], 1  # row 0 is the universe
+        for p in self.partitions:
+            stop = row + len(p.pieces) - 1
+            diff = [1] + [0] * self.size
+            for start, end, v in (run for r in self.choice.runs[row:stop] for run in r):
+                diff[start] -= v
+                diff[end] += v
+            out.append((*self.choice.entries[row:stop], tuple(accumulate(diff[:-1]))))
+            row = stop
+        return tuple(out)
 
     def rewrite(self, k: int, i: int) -> SymbolicHybridSet:
         """Piece i of partition k expanded over the new pieces."""
@@ -385,17 +436,7 @@ def common_strict_refinement(
         else SymbolicHybridSet.combine((rhs[i], c) for i, c in row)
         for row in choice._inverse_rows()
     )
-
-    # Each row is read once: a kept piece's row as is, and the dropped final
-    # piece's as the all-ones universe row minus the kept rows' column sums.
-    coefficients = []
-    row = 1  # row 0 is the universe
-    for size in sizes:
-        kept = choice.entries[row:row + size - 1]
-        dropped = tuple([1 - s for s in map(sum, zip(*kept))]) if kept else (1,) * n
-        coefficients.append((*kept, dropped))
-        row += len(kept)
-    return Refinement(tuple(parts), pieces, tuple(coefficients), choice)
+    return Refinement(tuple(parts), pieces, choice)
 
 
 def _rows_hold(holds, refined, original, rewrite, valuation, sample) -> bool:

@@ -495,7 +495,7 @@ class TestClosedFormCost:
             return lambda *args, **kwargs: made.update([name]) or real(*args, **kwargs)
 
         for cls in (refine.ChoiceMatrix, refine.GeneralisedPartition):
-            monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+            monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
         for module in (refine, calculus):
             monkeypatch.setattr(
                 module, "common_strict_refinement",

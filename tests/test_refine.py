@@ -2,9 +2,11 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -367,27 +369,35 @@ class TestCommonRefinement:
         common_strict_refinement([P, Q], choice=c)
         assert c.determinant() == 1
         assert c.inverse() == ((0, 1, 0), (0, -1, 1), (1, 0, -1))
-        assert calls == [c.entries]
+        assert calls == [c.runs]
 
     def test_a_custom_matrix_is_read_once_and_a_canonical_one_never(self, monkeypatch):
         reads = []
-        real = refine_module._integer_rows
-
-        def counting(rows):
-            out = real(rows)
-            if out is not rows:  # handed back as given: not read
-                reads.append(rows)
-            return out
-
-        monkeypatch.setattr(refine_module, "_integer_rows", counting)
-        custom = ChoiceMatrix(
-            ((1, 1, 1), (1, 0, 0), (1, 1, 0)), ("U", "P.1", "Q.1"), ("P1", "P2", "P3")
-        )
+        real = refine_module._read_runs
+        monkeypatch.setattr(refine_module, "_read_runs", lambda rows: reads.append(rows) or real(rows))
+        rows = ((1, 1, 1), (1, 0, 0), (1, 1, 0))
+        custom = ChoiceMatrix(rows, ("U", "P.1", "Q.1"), ("P1", "P2", "P3"))
         styles = (STYLE_ONES_TOP, STYLE_UPPER_TRIANGLE)
         for c in (custom, *(canonical_choice_matrix([2, 2], style) for style in styles)):
-            common_strict_refinement([P, Q], choice=c)
+            r = common_strict_refinement([P, Q], choice=c)
             assert (c.determinant(), len(c.inverse()), len(c.render().splitlines())) == (1, 3, 3)
-        assert reads == [custom.entries]
+            assert len(c.entries) == len(r.coefficients) + 1 == 3
+        assert reads == [rows]
+
+    @pytest.mark.parametrize("style", [STYLE_ONES_TOP, STYLE_UPPER_TRIANGLE, None])
+    def test_refining_and_rendering_never_write_out_dense_rows(self, style):
+        # A refinement, the matrix's render and its determinant work from the
+        # runs; the dense entries and rewrite rows are written on first read.
+        if style is None:
+            c = ChoiceMatrix(((1, 1, 1), (1, 0, 0), (1, 1, 0)), ("U", "P.1", "Q.1"), ("a", "b", "c"))
+            r = common_strict_refinement([P, Q], choice=c)
+        else:
+            r = common_strict_refinement(chain_partitions(3, 5), style=style)
+        assert (r.choice.determinant(), len(r.choice.render().splitlines())) == (1, r.size)
+        assert "entries" not in vars(r.choice) and "coefficients" not in vars(r)
+        assert r.coefficients[0][0] == r.choice.entries[1]
+        assert vars(r)["coefficients"] is r.coefficients
+        assert vars(r.choice)["entries"] is r.choice.entries
 
     def test_upper_triangle_style(self):
         r = common_strict_refinement([P, Q], style=STYLE_UPPER_TRIANGLE)
@@ -564,6 +574,157 @@ class TestSparseElimination:
                 for j, v in inverse[k] if a else ():
                     product[j] = product.get(j, 0) + a * v
             assert {j: v for j, v in product.items() if v} == {i: 1}
+
+
+def dense_render(labels, rows):
+    """The choice-matrix render, cell by cell from the dense rows."""
+    width = max((len(str(v)) for row in rows for v in row), default=0)
+    return "\n".join(
+        f"{label}: [{' '.join(str(v).rjust(width) for v in row)}]" for label, row in zip(labels, rows)
+    )
+
+
+def fraction_inverse(rows):
+    """Reference inverse: Gauss-Jordan over Fractions, None when singular."""
+    n = len(rows)
+    m = [[F(v) for v in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return None
+        m[k], m[pivot] = m[pivot], m[k]
+        m[k] = [v / m[k][k] for v in m[k]]
+        for i in range(n):
+            if i != k and m[i][k]:
+                m[i] = [a - m[i][k] * b for a, b in zip(m[i], m[k])]
+    return [row[n:] for row in m]
+
+
+def one_top_rows(n):
+    return [[int(i == 0 or i == j) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def choice_rows(draw):
+    """An n x n integer matrix, n <= 12, with an all-ones first row: either
+    any entries below it, or a unimodular one made from the ones-top-row
+    matrix by row additions and column swaps."""
+    n = draw(st.integers(0, 12))
+    entry = st.sampled_from((0, 0, 0, 1, 1, -1, 2, 10, -12))
+    if n and draw(st.booleans()):
+        return [[1] * n] + [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n - 1)]
+    m = one_top_rows(n)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(1, max(n - 1, 1)))
+        if n > 1 and a != b:
+            c = draw(entry)
+            m[b] = [x + c * y for x, y in zip(m[b], m[a])]
+    for _ in range(draw(st.integers(0, n))):
+        j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        for row in m:
+            row[j], row[k] = row[k], row[j]
+    return m
+
+
+class TestRuns:
+    """A choice matrix is held as runs of equal nonzero entries; what it
+    shows must be what a dense matrix shows."""
+
+    @pytest.mark.parametrize("zero", [0.0, Decimal(0), F(1, 2)])
+    @pytest.mark.parametrize("i, j", [(1, 0), (1, 2), (2, 1), (2, 3)])
+    def test_a_foreign_zero_is_refused_where_it_sits(self, zero, i, j):
+        # 0.0 == 0, so a read that grouped equal entries would drop it unseen
+        rows = [[1, 1, 1, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        rows[i][j] = zero
+        message = rf"^matrix entry at row {i}, column {j} must be an integer, got {re.escape(repr(zero))}$"
+        with pytest.raises(ContractError, match=message):
+            ChoiceMatrix(rows, ("U", "a", "b", "c"), ("p", "q", "r", "s"))
+        with pytest.raises(ContractError, match=message):
+            determinant_and_adjugate(rows)
+
+    @pytest.mark.parametrize("one", [1.0, Decimal(1)])
+    def test_a_foreign_entry_in_the_first_row_is_refused(self, one):
+        rows = ((1, 1, one), (0, 1, 0), (0, 0, 1))
+        message = rf"^matrix entry at row 0, column 2 must be an integer, got {re.escape(repr(one))}$"
+        with pytest.raises(ContractError, match=message):
+            ChoiceMatrix(rows, ("U", "a", "b"), ("p", "q", "r"))
+        with pytest.raises(ContractError, match=message):
+            determinant_and_adjugate(rows)
+
+    def test_the_first_bad_entry_of_a_row_is_named(self):
+        rows = ((1, 1, 1, 1), (1, 1.0, 1, F(1, 2)), (0, 0, 1, 0), (0, 0, 0, 1))
+        with pytest.raises(ContractError, match=r"row 1, column 1 must be an integer, got 1\.0$"):
+            ChoiceMatrix(rows, ("U", "a", "b", "c"), ("p", "q", "r", "s"))
+
+    def test_false_reads_as_0_and_true_as_1(self):
+        c = ChoiceMatrix(
+            ((True, True, 1), (False, 1, False), (0, F(0), True)), ("U", "1.1", "1.2"), ("P1", "P2", "P3")
+        )
+        assert c.runs == (((0, 3, 1),), ((1, 2, 1),), ((2, 3, 1),))
+        assert {type(v) for row in c.runs for run in row for v in run} == {int}
+        assert c == canonical_choice_matrix([3])
+        assert c.render() == "U: [1 1 1]\n1.1: [0 1 0]\n1.2: [0 0 1]"
+
+    def test_a_matrix_without_zeros_renders_no_empty_cell(self):
+        c = ChoiceMatrix(((1, 1, 1), (10, 10, 11), (-1, 2, 2)), ("U", "a", "b"), ("p", "q", "r"))
+        assert c.runs == (((0, 3, 1),), ((0, 2, 10), (2, 3, 11)), ((0, 1, -1), (1, 3, 2)))
+        assert c.render() == "U: [ 1  1  1]\na: [10 10 11]\nb: [-1  2  2]"
+        assert c.determinant() == fraction_determinant(c.entries) == -3
+        two = ChoiceMatrix(((1, 1), (2, 1)), ("U", "a"), ("p", "q"))
+        assert (two.render(), two.determinant(), two.inverse()) == ("U: [1 1]\na: [2 1]", -1, ((-1, 1), (2, -1)))
+
+    def test_sizes_0_and_1(self):
+        empty = ChoiceMatrix((), (), ())
+        assert (empty.runs, empty.entries, empty.render(), empty.determinant()) == ((), (), "", 1)
+        one = ChoiceMatrix(((1,),), ("U",), ("P1",))
+        assert (one.runs, one.entries, one.render(), one.inverse()) == ((((0, 1, 1),),), ((1,),), "U: [1]", ((1,),))
+        assert one == canonical_choice_matrix([1]) == canonical_choice_matrix([1], STYLE_UPPER_TRIANGLE)
+        part = GeneralisedPartition("P", U, (USET,))
+        r = common_strict_refinement([part], choice=one)
+        assert (r.pieces, r.coefficients) == ((USET,), (((1,),),))
+
+    def test_negative_entries(self):
+        c = ChoiceMatrix(((1, 1, 1), (-1, -1, 0), (0, -1, -1)), ("U", "a", "b"), ("p", "q", "r"))
+        assert c.runs == (((0, 3, 1),), ((0, 2, -1),), ((1, 3, -1),))
+        assert c.render() == "U: [ 1  1  1]\na: [-1 -1  0]\nb: [ 0 -1 -1]"
+        assert c.determinant() == 1
+        assert [list(row) for row in c.inverse()] == fraction_inverse(c.entries)
+
+    @settings(max_examples=150, deadline=None)
+    @seed(3901)
+    @given(choice_rows())
+    def test_every_view_equals_a_dense_reference(self, rows):
+        n = len(rows)
+        labels = ("U", *(f"r{i}" for i in range(1, n)))[:n]
+        c = ChoiceMatrix(rows, labels, tuple(f"P{j}" for j in range(1, n + 1)))
+        assert c.entries == tuple(map(tuple, rows))
+        assert all(v and start < stop for row in c.runs for start, stop, v in row)
+        assert c.render() == dense_render(labels, rows)
+        det = fraction_determinant(rows)
+        assert c.determinant() == det
+        if det not in (1, -1):
+            with pytest.raises(UnimodularError):
+                c.inverse()
+            return
+        assert [list(row) for row in c.inverse()] == fraction_inverse(rows)
+        if not n:
+            return
+        # one partition of n pieces; rows 1..n-1 are its kept pieces
+        part = GeneralisedPartition("P", U, tuple(shs(f"A{i}", 0, 1) for i in range(n)), assumed=True)
+        r = common_strict_refinement([part], choice=c)
+        dropped = tuple(1 - sum(col) for col in zip(*rows[1:])) if n > 1 else (1,)
+        assert r.coefficients == ((*map(tuple, rows[1:]), dropped),)
+
+    def test_the_canonical_styles_equal_their_dense_formulas_up_to_size_130(self):
+        for n in range(1, 131):
+            for style, rows in (
+                (STYLE_ONES_TOP, one_top_rows(n)),
+                (STYLE_UPPER_TRIANGLE, [[int(j >= i) for j in range(n)] for i in range(n)]),
+            ):
+                c = canonical_choice_matrix([n], style)
+                assert c.entries == tuple(map(tuple, rows))
+                assert c == ChoiceMatrix(rows, c.row_labels, c.col_labels)
+                assert c.render() == dense_render(c.row_labels, rows)
 
 
 class TestOnePiecePartition:

@@ -411,8 +411,9 @@ def test_refine_holds_one_elimination():
         ]
         loops = [node for node in ast.walk(functions[name]) if isinstance(node, (ast.For, ast.While))]
         assert "determinant_and_adjugate" in calls and loops == [], name
-    # A choice matrix's entries are read in one place: made into plain ints
-    # when the matrix is made, and by the elimination for bare rows.
+    # A choice matrix's entries are read in one place: made into runs of
+    # plain ints when the matrix is made, and by the elimination for bare
+    # rows.
     scopes = dict(functions)
     for top in tree.body:
         if isinstance(top, ast.ClassDef):
@@ -426,8 +427,8 @@ def test_refine_holds_one_elimination():
             if any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
         }
 
-    assert users("_integer_entry") == {"_integer_rows"}
-    assert users("_integer_rows") == {"ChoiceMatrix.__post_init__", "determinant_and_adjugate"}
+    assert users("_integer_entry") == {"_read_runs"}
+    assert users("_read_runs") == {"ChoiceMatrix.__init__", "determinant_and_adjugate"}
 
 
 def test_every_name_the_benchmark_tracer_rebinds_exists():
