@@ -699,6 +699,8 @@ class TestRuns:
         c = ChoiceMatrix(rows, labels, tuple(f"P{j}" for j in range(1, n + 1)))
         assert c.entries == tuple(map(tuple, rows))
         assert all(v and start < stop for row in c.runs for start, stop, v in row)
+        # maximal and in column order: a run ends at a gap or a new value
+        assert all(a[1] < b[0] or a[1] == b[0] and a[2] != b[2] for row in c.runs for a, b in zip(row, row[1:]))
         assert c.render() == dense_render(labels, rows)
         det = fraction_determinant(rows)
         assert c.determinant() == det
