@@ -11,7 +11,17 @@ point around the universe under one valuation with tied thresholds.
 ``fold points P`` folds them by binary steps and prints one-point
 ``evaluate`` calls at every half-integer point around the universe, under
 three valuation objects in turn, one with tied thresholds, and then the
-first object again.  ``chain STYLE N1 N2 ...`` refines chain partitions
+first object again.  ``fold cancel ROUTE G P`` folds P >= 3 step operands
+by binary steps (``cancel_workspace``) in which the atom g, of kind G
+(``none``: no g; ``const``, ``opaque``, ``x``: a body that reads x;
+``zero``: one that divides by a parameter set to 0; ``unset``: one that
+names a parameter with no value), enters by the first operand's words and
+leaves by the third's, so it cancels out of every term word of the
+result, and prints the render and, at every half-integer point around the
+universe, one ``evaluate_many`` pass and one-point ``evaluate`` calls,
+errors included.  ROUTE is ``plus`` (under + with atoms that read no
+point), ``times`` (under *) or ``xplus`` (under + with steps that read x).
+``chain STYLE N1 N2 ...`` refines chain partitions
 P1, P2, ... of N1, N2, ... pieces (piece i of Pk is Ak_i - Ak_(i-1), the
 last U - Ak_(Nk-1)) under a canonical choice matrix or one of two custom
 ones, and prints the new pieces, the rewrite rows, the choice matrix's
@@ -54,6 +64,7 @@ if __name__ == "__main__":
 
 from hybridsets import (  # noqa: E402
     PLUS,
+    TIMES,
     UNDEFINED,
     ChoiceMatrix,
     Valuation,
@@ -85,17 +96,20 @@ def block(case: str, capsys) -> str:
     pytest's fixture of that name does."""
     argv = shlex.split(case)
     if argv[0] == "fold":
-        return f"$ {case}\n{_fold(argv[1], int(argv[2]))}"
+        return f"$ {case}\n{_fold(*argv[1:])}"
     if argv[0] == "chain":
         return f"$ {case}\n{_chain(argv[1], [int(a) for a in argv[2:]])}"
     code, out, err = run_cli_within_a_second(capsys, *argv)
     return f"$ {case}\n[exit {code}]\n{out}" + (f"[stderr]\n{err}" if err else "")
 
 
-def _fold(how: str, p: int) -> str:
+def _fold(how: str, *args: str) -> str:
+    p = int(args[-1])
     ws = steps_workspace(p)
     if how == "points":
         return _points(step_fold(ws, p), p)
+    if how == "cancel":
+        return _cancel(*args)
     if how == "binary":
         e = step_fold(ws, p)
     else:
@@ -134,6 +148,55 @@ def _points(e, p: int) -> str:
         top = v.resolve("t")
         for x in (Fraction(j, 2) for j in range(-2, int(2 * top) + 3)):
             lines.append(f"at {x}: {_outcome(evaluate(e, x, v))}")
+    return "\n".join(lines) + "\n"
+
+
+# the body of g per kind; d is a parameter that no valuation sets
+CANCEL_BODIES = {"const": " = 5", "opaque": "", "x": " = x", "zero": " = 1/c", "unset": " = d"}
+
+
+def cancel_workspace(route: str, kind: str, p: int):
+    """p step operands H_i = z_i^(U - R_i) ⊛ a_i^R_i over U = [0, t], as
+    in ``steps_workspace``, with z_i = 1/(i + 1) and, on the ``xplus``
+    route, a_i = x + 2^i/3.  Unless ``kind`` is ``none``, H1's words
+    carry g and H3's carry g^-1: the third operand's last word, added to
+    every older term, cancels g in each, and P1 and the new pieces are
+    born from the dropped last record's word, which holds g."""
+    lines = ["param t, c, d, " + ", ".join(f"k{i}" for i in range(1, p + 1)),
+             "region U = interval[0, t]"]
+    if kind != "none":
+        lines.append(f"fn g{CANCEL_BODIES[kind]}")
+    for i in range(1, p + 1):
+        amp = f"x + {2**i}/3" if route == "xplus" else f"{2**i}/3"
+        lines += [f"region R{i} = interval(k{i}, t]", f"fn z{i} = 1/{i + 1}", f"fn a{i} = {amp}"]
+        g = {1: "g * ", 3: "g^-1 * "}.get(i, "") if kind != "none" else ""
+        lines.append(f"expr H{i} = join(({g}z{i})^(U - R{i}), ({g}a{i})^R{i})")
+    return parse_workspace("\n".join(lines) + "\n")
+
+
+def _cancel(route: str, kind: str, p: str) -> str:
+    p = int(p)
+    ws = cancel_workspace(route, kind, p)
+    star = TIMES if route == "times" else PLUS
+    e = ws.exprs["H1"]
+    for i in range(2, p + 1):
+        e = pointwise_star(star, e, ws.exprs[f"H{i}"], universe=ws.regions["U"])
+    ks = [2 * (5 * i % 7) for i in range(1, p + 1)]
+    top = max(ks) + 2
+    v = Valuation({"t": top, "c": 0, **{f"k{i}": k for i, k in enumerate(ks, start=1)}})
+    points = [Fraction(j, 2) for j in range(-2, 2 * top + 3)]
+    lines = [f"render {e.render()}", f"under {v}", "many:"]
+    try:
+        for x, out in zip(points, evaluate_many(e, points, v)):
+            lines.append(f"at {x}: {_outcome(out)}")
+    except Exception as exc:  # the pass ends at its first raising point
+        lines.append(f"raises {type(exc).__name__}: {exc}")
+    lines.append("one by one:")
+    for x in points:
+        try:
+            lines.append(f"at {x}: {_outcome(evaluate(e, x, v))}")
+        except Exception as exc:
+            lines.append(f"at {x}: raises {type(exc).__name__}: {exc}")
     return "\n".join(lines) + "\n"
 
 
