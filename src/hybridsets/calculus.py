@@ -6,7 +6,8 @@ combination grows linearly in the number of pieces instead of doubling the
 case analysis at every step.  The build grows the same way: a step of a
 binary fold extends the compact form of the running result, one record
 per term, at O(size of the new operand) in Python, and the result's terms
-are built once, when they are first read.
+are built once, when they are first read.  Evaluating the result reads
+the records, not the terms, so it never builds them either.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .functions import (
     HybridTerm,
     StarOp,
     UNDEFINED,
+    _size,
     evaluate,  # unused here, but a name the perfbench tracer rebinds in this module
     evaluate_many,
     marked_join,
@@ -73,7 +75,8 @@ def pointwise_star(
     P1's word and region and the new operand's kept pieces, and leaves
     every older term's record as it is, so the step costs O(size of the
     new operand) in Python, however many terms run.  The terms are built
-    once, on first read, one merge each; a form that no step extends
+    once, on first read, one merge each, and evaluation does not read them
+    (``functions._Plan`` reads the records); a form that no step extends
     returns the terms it was made from.  A step that the compact form
     cannot certify to build the same words and raise nothing runs the
     eager loop, which raises what it raises.
@@ -147,11 +150,6 @@ def pointwise_star(
     return marked_join(star, out_terms)
 
 
-def _size(w: FreeWord) -> int:
-    """The sum of the word's absolute exponents."""
-    return sum(map(abs, w._coeffs.values()))
-
-
 def _named(known: dict, combinations) -> Optional[dict]:
     """A copy of ``known``, name -> atom, with the atoms of ``combinations``
     added, or None where one of them binds a name to another atom."""
@@ -178,7 +176,8 @@ class _Compact:
     operand's kept pieces, so the last record is born at the latest step
     and its birth word is its word.  A form with no step returns the eager
     terms it was made from, and holds nothing else: its first step
-    certifies them.
+    certifies them.  ``functions._Plan`` evaluates a stepped form from its
+    ``records`` and ``added``, without its terms.
 
     Term t's word is ``total - offset_t``: ``total`` sums the added words,
     and the offset is the word's part that was there before them, so a

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from . import scalarexpr
@@ -49,15 +51,16 @@ class FunctionAtom:
     name: str
     body: Optional[scalarexpr.BodyExpr] = None
 
+    def __post_init__(self):
+        """Walk the body once for ``names``, the names it reads, x included,
+        in reading order, and ``reads_point``; neither is a field."""
+        names = () if self.body is None else tuple(dict.fromkeys(scalarexpr.body_names(self.body)))
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "reads_point", "x" in names)
+
     @property
     def is_opaque(self) -> bool:
         return self.body is None
-
-    @cached_property
-    def reads_point(self) -> bool:
-        """Whether the value can depend on the point: the body names x.
-        The body is walked once."""
-        return self.body is not None and "x" in scalarexpr.body_names(self.body)
 
     def value(self, point: Point, valuation: Optional[Valuation] = None) -> Fraction:
         if self.body is None:
@@ -175,7 +178,9 @@ class HybridExpr:
         is kept as ``_source``.  The expression holds no terms until their
         first read, which ``__getattr__`` answers and stores.  Equality,
         hash and repr read the terms, so they equal those of
-        ``marked_join(star, source.terms())``."""
+        ``marked_join(star, source.terms())``.  A source whose ``added``
+        is not empty gives its ``records`` too, which ``_Plan`` reads
+        in place of the terms."""
         e = object.__new__(cls)
         e.__dict__.update(star=star, _source=source)
         return e
@@ -383,26 +388,45 @@ def _eval_marked(star, accumulated, point, valuation) -> EvalOutcome:
     return Defined(FormalValue(combo, star), net)
 
 
+def _size(w: FreeWord) -> int:
+    """The sum of the word's absolute exponents."""
+    return sum(map(abs, w._coeffs.values()))
+
+
+def _value(w: FreeWord, whole: Dict[str, int]) -> int:
+    coeffs = w._coeffs
+    return sum(map(mul, coeffs.values(), map(whole.__getitem__, coeffs)))
+
+
+def _suffix_sums(values: list) -> list:
+    return [*accumulate(reversed(values), initial=0)][::-1]  # [b] sums values[b:]
+
+
 class _Plan:
-    """What evaluating an expression needs whatever the valuation: the
-    region layout and each term's word as (name, exponent, atom) tuples,
-    with one atom object per name across the expression; a name bound to
-    two definitions in different terms is a ContractError here, once,
-    naming the least such name.
+    """What evaluating an expression needs whatever the valuation, read
+    from per-term records (birth word, birth step b, region), the word
+    being the birth word plus the words ``added[b:]``: a source that has
+    taken a step gives its ``records`` and ``added``, any other expression
+    one record (word, 0, region) per term and no added word.  ``layout``
+    numbers the records' regions; ``atoms`` binds each name of a record or
+    added word to its first atom, and a name bound to two definitions is a
+    ContractError here, once, naming the least such name.  A name that
+    cancels out of every term word changes only the route a state takes.
+    ``flat(e)`` writes the terms' words out when a state first needs them.
 
     ``additive`` holds when the star is ``PLUS``, every atom has a body
     that does not name x, and the plan is within the static bound: the sum
-    over terms of (sum of |region coefficients|) times (sum of |word
-    exponents|) is at most ``INT64_MAX``, so every multiplicity and net
-    fits in 64 bits.  The bound is summed only when the first two hold.
-    The net and the value at a vector are then linear in the shape
-    indicators, a sum of one weight per set shape, so a state whose atoms
-    all evaluate keeps them in an ``_AdditiveSweep``.  When no atom names
-    a parameter either, the plan makes that sweep once, ``shared`` (False
-    when an atom raises), and each state moves its own position over it;
-    else ``shared`` is None and each state makes its own.  Every other state
-    accumulates the exponents of each new indicator vector from scratch,
-    by ``_accumulate``, which raises what it raises.
+    over records of (sum of |region coefficients|) times (|birth word| plus
+    the sizes of the words added after it), which bounds the sum of |word
+    exponents|, is at most ``INT64_MAX``, so every multiplicity and net
+    fits in 64 bits.  The net and the value at a vector are then linear in
+    the shape indicators, a sum of one weight per set shape, so a state
+    whose atoms all evaluate keeps them in an ``_AdditiveSweep``.  When no
+    atom names a parameter either, the plan makes that sweep once,
+    ``shared`` (False when an atom raises), and each state moves its own
+    position over it; else ``shared`` is None and each state makes its own.
+    Every other state accumulates the exponents of each new indicator
+    vector from scratch, by ``_accumulate``, which raises what it raises.
 
     ``slot`` holds the state of the last valuation used: its
     ``IndicatorTable``, per indicator vector the accumulated sums (or, on
@@ -410,31 +434,45 @@ class _Plan:
     every point with that vector, and the ``_AdditiveSweep``, or None.
     """
 
-    __slots__ = ("layout", "words", "atoms", "additive", "shared", "slot")
+    __slots__ = ("layout", "records", "added", "words", "atoms", "additive", "shared", "slot")
 
     def __init__(self, e: "HybridExpr"):
-        self.layout = _Layout([t.region for t in e.terms])
+        source = e._source
+        if source is not None and source.added:
+            records, added = source.records, source.added
+        else:
+            records, added = [(t.word, 0, t.region) for t in e.terms], ()
+        self.records, self.added, self.words = records, added, None
+        self.layout = _Layout([region for _, _, region in records])
+        words = [*(w for w, _, _ in records), *added]
         self.atoms = atoms = {}
-        clashes: list = []
-        self.words = tuple(
-            tuple(
-                (name, k, bind(atoms, name, a, clashes))
-                for (name, k), a in zip(t.word._coeffs.items(), t.word._atoms.values())
-            )
-            for t in e.terms
-        )
-        no_clash(clashes, FreeWord.CLASH)
+        for w in reversed(words):  # the first word to bind a name keeps it
+            atoms.update(w._atoms)
+        if not all(w._atoms.items() <= atoms.items() for w in words):
+            clashes: list = []  # name the least clash, as binding one by one does
+            for w in words:
+                for name, a in w._atoms.items():
+                    bind(atoms, name, a, clashes)
+            no_clash(clashes, FreeWord.CLASH)
         self.slot = self.shared = None
-        self.additive = (
-            e.star is PLUS
-            and not any(a.is_opaque or a.reads_point for a in atoms.values())
-            and sum(
-                sum(map(abs, t.region._coeffs.values())) * sum(map(abs, t.word._coeffs.values()))
-                for t in e.terms
-            ) <= scalarexpr.INT64_MAX
-        )
-        if self.additive and not any(any(scalarexpr.body_names(a.body)) for a in atoms.values()):
+        self.additive = e.star is PLUS and not any(
+            a.is_opaque or a.reads_point for a in atoms.values())
+        if self.additive:
+            tail = _suffix_sums(list(map(_size, added)))
+            self.additive = sum(_size(region) * (_size(w) + tail[b])
+                                for w, b, region in records) <= scalarexpr.INT64_MAX
+        if self.additive and not any(a.names for a in atoms.values()):
             self.shared = self._sweep(None) or False
+
+    def flat(self, e: "HybridExpr") -> tuple:
+        """The words of ``e``'s terms as (name, exponent, atom) tuples, made once."""
+        words = self.words
+        if words is None:
+            atom = self.atoms.__getitem__
+            words = self.words = tuple(
+                tuple(zip(c, c.values(), map(atom, c))) for c in (t.word._coeffs for t in e.terms)
+            )
+        return words
 
     def _slot(self, valuation: Optional[Valuation]):
         """The slot when it holds this very valuation object, else a new
@@ -474,8 +512,10 @@ class _AdditiveSweep:
     ``nets[k]``, the sum of the coefficients c of its uses (k, c), and a
     weight, ``weights[k]``, the sum of c times the value of the using
     term's word, held as an integer over the common denominator ``scale``
-    of the atom values.  The net and the value at a vector are the sums of
-    the nets and of the weights of its set shapes; the state keeps them,
+    of the atom values, and taken from the plan's records: its birth
+    word's value plus a suffix sum of the added words' values, each word
+    summed in C.  The net and the value at a vector are the sums of the
+    nets and of the weights of its set shapes; the state keeps them,
     ``net`` and ``total``, at the last vector found, ``key``; ``start()``
     is a new position, at the empty vector, over the same three.
 
@@ -493,8 +533,9 @@ class _AdditiveSweep:
         whole = {name: v.numerator * (scale // v.denominator) for name, v in values.items()}
         self.nets = nets = [0] * len(plan.layout.shapes)
         self.weights = weights = [0] * len(plan.layout.shapes)
-        for w, uses in zip(plan.words, plan.layout.uses):
-            value = sum(k * whole[name] for name, k, _ in w)
+        tail = _suffix_sums([_value(a, whole) for a in plan.added])
+        for (w, b, _), uses in zip(plan.records, plan.layout.uses):
+            value = _value(w, whole) + tail[b]
             for k, c in uses:
                 nets[k] += c
                 weights[k] += c * value
@@ -528,29 +569,28 @@ def evaluate_many(
     """``evaluate(e, p, valuation)`` for each point p in order, raised errors
     included, computed in one pass.
 
-    The expression keeps a plan (region layout and flat words), made once,
-    and the state of the last valuation object it was evaluated under, so
-    that calls under that same object, one-point ``evaluate`` included,
-    share it.  The state holds the resolved endpoints, the bits of every
-    cell between sorted endpoints scaled to integers, made by the sort, on
-    each of its three lines: intervals, grid rows and grid columns (see
-    ``IndicatorTable``), and per distinct vector of atom indicators its
-    entry, and the outcome when no surviving atom reads the point.  Such a
-    point-independent outcome is one object per indicator vector: every
-    point with that vector gets the same object while the state lasts.
-    An outcome comes by one of three routes.  Under ``PLUS``
-    with atoms that read no point and all evaluate under the valuation,
-    the state keeps the value itself (an ``_AdditiveSweep``): the atoms
-    are evaluated into one net and one weight per shape, once per plan
-    when no atom names a parameter and else once per state, and a new
-    vector adds or takes away the net and the weight of each shape whose
-    bit changed.  Any other state accumulates the vector's
-    exponents from scratch (``_accumulate``) and keeps them, which merges
-    the words of the terms active at it.  For an n-ary step combine of N
-    operands that is about N^2 / 2 word entries per vector, so a pass that
-    meets all of its vectors merges O(N^3).  Atoms that read x take this route:
-    at 201 sorted points it took about 22 ms at N = 20 and 430 ms at
-    N = 160, on a shared 2-vCPU x86-64 host with Python 3.11.
+    The expression keeps a plan (region layout, atoms and per-term
+    records, see ``_Plan``), made once, and the state of the last valuation
+    object it was evaluated under, so that calls under that same object,
+    one-point ``evaluate`` included, share it.  The state holds the
+    resolved endpoints, the bits of every cell between sorted endpoints
+    scaled to integers, made by the sort, on each of its three lines:
+    intervals, grid rows and grid columns (see ``IndicatorTable``), and per
+    distinct vector of atom indicators its entry, and the outcome when no
+    surviving atom reads the point.  Such a point-independent outcome is
+    one object per indicator vector: every point with that vector gets the
+    same object while the state lasts.  An outcome comes by one of three
+    routes.  Under ``PLUS`` with atoms that read no point and all evaluate
+    under the valuation, the state keeps the value itself (an
+    ``_AdditiveSweep``): the atoms are evaluated into one net and one
+    weight per shape, once per plan when no atom names a parameter and
+    else once per state, and a new vector adds or takes away the net and
+    the weight of each shape whose bit changed.  Any other state
+    accumulates the vector's exponents from scratch (``_accumulate``) and
+    keeps them, which merges the words of the terms active at it, written
+    out on the first such vector.  For an n-ary step combine of N operands
+    that is about N^2 / 2 word entries per vector, so a pass that meets all
+    of its vectors merges O(N^3); atoms that read x take this route.
     A point the fast placement cannot key, because its placement raised,
     is evaluated by the reference itself, ``SymbolicHybridSet.multiplicity``
     term by term, and leaves nothing in the state.
@@ -628,12 +668,12 @@ def _outcomes(e: HybridExpr, slot, pairs) -> Iterator[EvalOutcome]:
             plan = e._plan
             if key is None:  # the reference decides the point, and nothing is kept
                 ms = (t.region.multiplicity(point, valuation) for t in e.terms)
-                found = _entry(_accumulate(plan.words, ms))
+                found = _entry(_accumulate(plan.flat(e), ms))
             elif sweep is not None:
                 found = kept[key] = sweep.find(key)
             else:
                 ms = plan.layout.multiplicities(key)
-                found = kept[key] = _entry(_accumulate(plan.words, ms))
+                found = kept[key] = _entry(_accumulate(plan.flat(e), ms))
         accumulated, fixed, outcome = found
         if outcome is None:
             finish = _eval_plain if e.star is None else _eval_marked
@@ -654,7 +694,10 @@ def evaluate(e: HybridExpr, point: Point, valuation: Optional[Valuation] = None)
     once; any other point, or one whose placement raises (key None, as
     ``keys`` gives it), runs through ``_outcomes``, the one outcome loop.
     """
-    slot = e._plan._slot(valuation)
+    plan = e._plan
+    slot = plan.slot
+    if slot is None or slot[0] is not valuation:
+        slot = plan._slot(valuation)
     try:
         key = slot[1]._bits(point)
     except Exception:

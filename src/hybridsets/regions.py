@@ -392,9 +392,10 @@ class IndicatorTable:
         """The point's indicator vector by shape kind."""
         layout, resolve = self.layout, self._resolve
         bits = layout.universe
-        if layout.intervals and not (isinstance(point, tuple) and len(point) != 1):
-            bits |= self._intervals.bits(_as_scalar(point), resolve)
-        if layout.rows and isinstance(point, tuple) and len(point) == 2:
+        scalar = type(point) is Fraction  # tested first: no grid range holds it
+        if layout.intervals and (scalar or not (isinstance(point, tuple) and len(point) != 1)):
+            bits |= self._intervals.bits(point if scalar else _as_scalar(point), resolve)
+        if layout.rows and not scalar and isinstance(point, tuple) and len(point) == 2:
             row = self._rows.grid_bits(point[0], resolve)
             bits |= row & self._cols.grid_bits(point[1], resolve)
         for k, shape in layout.pointwise:
@@ -443,16 +444,14 @@ class _Line:
         return self.bits(v, resolve) if v.denominator == 1 else 0
 
     def _sort(self, resolve) -> list:
-        values = [_ends(interval, resolve) for _, interval in self.ranges]
-        scale = math.lcm(*(v.denominator for pair in values for v in pair))
-        values = [
-            (lo.numerator * (scale // lo.denominator), hi.numerator * (scale // hi.denominator))
-            for lo, hi in values
-        ]
-        ends = sorted({v for pair in values for v in pair})
-        rank = {v: i for i, v in enumerate(ends)}
+        """Resolve, lo then hi per range, and scale the endpoints in flat passes."""
+        values = [resolve(p) for _, s in self.ranges for p in (s.lo, s.hi)]
+        scale = math.lcm(*(v.denominator for v in values))
+        values = [v.numerator * (scale // v.denominator) for v in values]
+        ends = sorted(set(values))
+        rank = dict(zip(ends, range(len(ends))))
         toggles = [0] * (2 * len(ends) + 1)  # a last cell is at most 2E - 1
-        for (k, s), (lo, hi) in zip(self.ranges, values):
+        for (k, s), lo, hi in zip(self.ranges, values[0::2], values[1::2]):
             first = 2 * rank[lo] + (1 if s.lo_closed else 2)
             last = 2 * rank[hi] + (1 if s.hi_closed else 0)
             if first <= last:

@@ -103,14 +103,15 @@ def _decl_param(ws: Workspace, cur: Cursor):
 def _decl_fn(ws: Workspace, cur: Cursor):
     pos = cur.pos
     name = cur.ident()
-    body = None
+    body = start = None
     if cur.take("="):
         start = cur.pos
         body = scalarexpr.read_scalar(cur)
-        for ref in scalarexpr.body_names(body):
-            if ref != "x" and ref not in ws.params:
-                cur.error(f"unresolved name {ref!r} in body", start)
-    _register(ws.atoms, "atom", name, FunctionAtom(name, body), cur, pos)
+    fn = FunctionAtom(name, body)
+    for ref in fn.names:
+        if ref != "x" and ref not in ws.params:
+            cur.error(f"unresolved name {ref!r} in body", start)
+    _register(ws.atoms, "atom", name, fn, cur, pos)
 
 
 def _parse_bounds(ws: Workspace, cur: Cursor, sep: str) -> Interval1D:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -29,6 +30,7 @@ from hybridsets import (
     NotReducibleError,
     OpacityError,
     PLUS,
+    ParseError,
     RegionAtom,
     StarOp,
     SymbolicHybridSet,
@@ -54,7 +56,7 @@ from hybridsets import (
     term,
     word,
 )
-from hybridsets import functions, regions
+from hybridsets import functions, regions, scalarexpr
 from hybridsets.functions import _eval_marked, _eval_plain
 from hybridsets.hybridset import FreeCombination, checked_int
 from hybridsets.regions import resolve_param
@@ -86,6 +88,69 @@ class TestFunctionAtoms:
         assert u_op.is_opaque
         with pytest.raises(OpacityError):
             u_op.value(F(0))
+
+    def test_names_are_not_fields(self):
+        # equality, hash and repr read the name and the body alone
+        body = scalarexpr.parse_scalar("a * x + b")
+        one, other = functions.FunctionAtom("p", body), functions.FunctionAtom("p", body)
+        assert [fl.name for fl in dataclasses.fields(one)] == ["name", "body"]
+        assert one == other and hash(one) == hash(("p", body))
+        assert repr(one) == f"FunctionAtom(name='p', body={body!r})"
+        assert one.names == ("a", "x", "b") and one.reads_point
+        assert repr(u_op) == "FunctionAtom(name='u', body=None)"
+        assert u_op.names == () and not u_op.reads_point
+        assert dataclasses.replace(one, body=None).names == ()
+
+    def test_reads_point_is_whether_the_body_names_x(self):
+        rng = random.Random(2040)
+        leaves = ["x", "a", "b", "1", "2/3"]
+        for _ in range(300):
+            text = rng.choice(leaves)
+            for _ in range(rng.randint(0, 4)):
+                text = f"({text}) {rng.choice('+-*/')} {rng.choice(leaves)}"
+            body = scalarexpr.parse_scalar(text)
+            a = functions.FunctionAtom("r", body)
+            assert a.reads_point is ("x" in scalarexpr.body_names(body)), text
+            assert a.names == tuple(dict.fromkeys(scalarexpr.body_names(body))), text
+
+    def test_each_body_is_walked_once_across_parse_plan_and_evaluate(self, monkeypatch):
+        walks, depth = [], [0]
+        real = scalarexpr.body_names
+
+        def counted(expr):
+            depth[0] += 1
+            try:
+                if depth[0] == 1:
+                    walks.append(expr)
+                yield from real(expr)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(scalarexpr, "body_names", counted)
+        ws = parse_workspace(CANCEL_STEPS)
+        e = pointwise_star(PLUS, ws.exprs["H1"], ws.exprs["H2"], universe=ws.regions["U"])
+        e = pointwise_star(PLUS, e, ws.exprs["H3"], universe=ws.regions["U"])
+        for name in ("v", "w"):
+            list(evaluate_many(e, [F(n, 2) for n in range(-2, 14)], ws.valuations[name]))
+            evaluate(e, F(3), ws.valuations[name])
+        bodies = [a.body for a in ws.atoms.values() if a.body is not None]
+        assert len(walks) == len(bodies) == 7
+        assert {id(b) for b in walks} == {id(b) for b in bodies}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("param a\nfn f = b * x + c\n", "line 2, col 8: unresolved name 'b' in body"),
+            ("param a\nfn f = (x + a) / (c - b) + b\n", "line 2, col 8: unresolved name 'c' in body"),
+            ("param a\nfn  f =  -q + a\n", "line 2, col 10: unresolved name 'q' in body"),
+        ],
+    )
+    def test_an_unresolved_body_name_is_reported_first_in_reading_order(self, text, message):
+        # the messages and columns are those of a check that walks the body
+        # in reading order before the atom is made
+        with pytest.raises(ParseError) as err:
+            parse_workspace(text)
+        assert str(err.value) == message
 
 
 class TestFreeWord:
@@ -1481,6 +1546,164 @@ class TestSharedSweep:
         for _ in range(3):
             assert _outcomes(evaluate(e, x, valuation) for x in [point]) == want
             assert _outcomes(evaluate_many(e, [point], valuation)) == want
+
+
+# Three fold-eval steps whose atoms read the parameter c.  g enters with
+# H1's words and leaves with H3's: the third step's added word holds g^-1,
+# and the record it drops holds g, so g cancels out of every term word of
+# the fold but stays in its records and added words.
+CANCEL_STEPS = """\
+param k1, k2, k3, c
+region U = interval[0, 6]
+region R1 = interval(k1, 6]
+region R2 = interval(k2, 6]
+region R3 = interval(k3, 6]
+fn z1 = 0
+fn a1 = 1/2
+fn z2 = c
+fn a2 = 2 * c
+fn z3 = 0
+fn a3 = 3
+fn g = 1/c
+expr H1 = join((g * z1)^(U - R1), (g * a1)^R1)
+expr H2 = join(z2^(U - R2), a2^R2)
+expr H3 = join((g^-1 * z3)^(U - R3), (g^-1 * a3)^R3)
+valuation v: k1 = 1, k2 = 3, k3 = 3, c = 2
+valuation w: k1 = 4, k2 = 2, k3 = 0, c = 0
+"""
+
+
+def _steps(ws, star=PLUS):
+    e = ws.exprs["H1"]
+    for name in ("H2", "H3"):
+        e = pointwise_star(star, e, ws.exprs[name], universe=ws.regions["U"])
+    return e
+
+
+# Atoms that the operands of a drawn fold share: constants, bodies over
+# parameters (b may have no value, 1 / a divides by 0 where a is 0, and d
+# never has one), one that reads x and an opaque one.
+shared_atoms = (constant_atom("c2", 2), constant_atom("cq", F(-5, 7)), atom("pb", "b / 2"),
+                atom("ia", "1 / a"), atom("ud", "d"), atom("xr", "x + 1"), atom("op"))
+shared_exponents = st.sampled_from((1, -1, 2, -2))
+# Thresholds on a few levels, so that they tie with each other, with the
+# universe's ends and with the sample points.
+fold_levels = st.sampled_from((F(0), F(1), F(5, 2), F(3), F(4)))
+fold_valuations = st.builds(
+    lambda ks, a, b: Valuation({**{f"k{i}": k for i, k in enumerate(ks, start=1)}, "a": a,
+                                **({} if b is None else {"b": b})}),
+    st.lists(fold_levels, min_size=10, max_size=10), st.sampled_from((F(0), F(1, 2), F(3))),
+    st.sampled_from((None, F(1), F(-4, 3))),
+)
+FOLD_COORDS = (F(-1), F(0), F(1, 2), F(1), F(2), F(5, 2), F(3), F(4), F(5))
+
+
+@st.composite
+def stepped_folds(draw):
+    """(star, operands, universe atom): N <= 10 step operands
+    z_i^(U - R_i) ⊛ a_i^R_i, R_i = (k_i, 4] over U = [0, 4] or the grid
+    rectangle of rows R_i by the columns of U, whose words carry up to two
+    shared atoms each; often one shared atom g enters with the first
+    operand's words and leaves with the third's."""
+    n = draw(st.integers(3, 10))
+    grid = draw(st.booleans())
+    top = Interval1D(F(0), F(4))
+    universe = RegionAtom("U", GridRect(top, top) if grid else top)
+    extra = st.one_of(st.just(()), st.just(()), st.just(()), st.lists(
+        st.tuples(st.sampled_from(shared_atoms), shared_exponents), max_size=2,
+        unique_by=lambda u: u[0].name))
+    cancel = draw(st.one_of(st.none(), st.tuples(st.sampled_from(shared_atoms), shared_exponents)))
+    operands = []
+    for i in range(1, n + 1):
+        rows = Interval1D(f"k{i}", F(4), lo_closed=False)
+        r = SymbolicHybridSet.from_atom(RegionAtom(f"R{i}", GridRect(rows, top) if grid else rows))
+        words = []
+        for base in (constant_atom(f"z{i}", F(1, i + 1)), constant_atom(f"a{i}", i)):
+            entries = [(base, 1), *draw(extra)]
+            if cancel is not None and i in (1, 3):
+                entries.append((cancel[0], cancel[1] if i == 1 else -cancel[1]))
+            words.append(FreeWord(entries))
+        u = SymbolicHybridSet.from_atom(universe)
+        operands.append(join(HybridTerm(words[0], u - r), HybridTerm(words[1], r)))
+    return draw(st.sampled_from((PLUS, PLUS, TIMES))), operands, universe
+
+
+class TestRecordPlan:
+    """A stepped fold's plan is made from its records and added words and
+    never reads its terms; its outcomes are those of the plain marked join
+    of its terms, whose plan has one record per term."""
+
+    def test_a_cancelled_atom_changes_the_route_not_the_outcome(self):
+        ws = parse_workspace(CANCEL_STEPS)
+        e = _steps(ws)
+        points = [F(j, 2) for j in range(-2, 15)]
+        got = {"v": _outcomes(evaluate_many(e, points, ws.valuations["v"]))}
+        assert "terms" not in e.__dict__  # the additive route built no term
+        got["w"] = _outcomes(evaluate_many(e, points, ws.valuations["w"]))
+        reference = marked_join(PLUS, e.terms)
+        assert all("g" not in t.word._coeffs for t in e.terms)
+        assert "g" in e._plan.atoms and "g" not in reference._plan.atoms
+        for v in "vw":
+            want = _outcomes(evaluate_many(reference, points, ws.valuations[v]))
+            assert _exactly(got[v]) == _exactly(want)
+            assert _exactly([evaluate(e, p, ws.valuations[v]) for p in points]) == _exactly(want)
+        # under c = 0, g raises: the fold's state accumulates, the reference's sweeps
+        assert e._plan.slot[3] is None
+        assert isinstance(reference._plan.slot[3], functions._AdditiveSweep)
+
+    def test_the_flat_words_are_made_when_a_state_first_accumulates(self):
+        ws = parse_workspace(CANCEL_STEPS)
+        e = _steps(ws, TIMES)
+        assert e._plan.words is None and "terms" not in e.__dict__
+        evaluate(e, F(-1), ws.valuations["v"])  # outside U: no vector accumulates yet
+        got = [evaluate(e, F(j, 2), ws.valuations["v"]) for j in range(-2, 15)]
+        assert len(e._plan.words) == len(e.terms) == 4
+        reference = marked_join(TIMES, e.terms)
+        assert got == [evaluate(reference, F(j, 2), ws.valuations["v"]) for j in range(-2, 15)]
+
+    def test_outcomes_and_errors_are_the_reference_plans(self):
+        counts = Counter()
+
+        @seed(2040)
+        @settings(max_examples=200, deadline=None)
+        @given(stepped_folds(), st.lists(fold_valuations, min_size=1, max_size=2),
+               st.permutations(FOLD_COORDS), st.permutations(FOLD_COORDS[1:6]))
+        def check(drawn, valuations, coords, cols):
+            star, operands, universe = drawn
+            e = operands[0]
+            for op in operands[1:]:
+                e = pointwise_star(star, e, op, universe=universe)
+            grid = isinstance(universe.shape, GridRect)
+            points = [(r, c) for r in coords[:4] for c in cols] if grid else list(coords)
+            points += [(F(1),), "1/2"]
+
+            def run(e):
+                """Every outcome under each valuation, and the sweep each state took."""
+                outcomes, routes = [], []
+                for v in valuations:
+                    outcomes.append(_outcomes(evaluate_many(e, points, v)))
+                    routes.append(type(e._plan.slot[3]))
+                    outcomes.append([_outcomes(evaluate(e, q, v) for q in [p])[0] for p in points])
+                    if grid:
+                        outcomes.append(_outcomes(itertools.chain.from_iterable(
+                            evaluate_grid(e, coords, cols, v))))
+                return outcomes, routes
+
+            got, routes = run(e)
+            counts["stepped"] += bool(e._source.added)
+            reference = marked_join(star, e.terms)
+            want, reference_routes = run(reference)
+            assert [_exactly(r) for r in got] == [_exactly(w) for w in want]
+            assert [_rendered(r) for r in got] == [_rendered(w) for w in want]
+            counts["more atoms"] += e._plan.atoms.keys() > reference._plan.atoms.keys()
+            counts["other route"] += routes != reference_routes
+
+        check()
+        # stepped folds, cancelled atoms in their records, and states whose
+        # route the cancelled atom changed are each met
+        assert counts["stepped"] > 150
+        assert counts["more atoms"] > 20
+        assert counts["other route"] > 5
 
 
 def _graph_values(gr):

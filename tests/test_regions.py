@@ -338,3 +338,50 @@ class TestLineCells:
             want = sum(1 << k for k, s in ranges if regions._within(s, regions._ends(s, resolve), x))
             assert line.cells[cell] == want, (cell, x)
             assert line.bits(x, resolve) == want, x
+
+
+# Shapes over the parameters p and q and a few literal ends, and points of
+# every kind a caller may pass: Fractions, ints, 1-tuples, pairs and text.
+place_ends = st.one_of(st.sampled_from(("p", "q")), st.sampled_from((F(-1), F(0), F(1, 2), F(2))))
+place_ranges = st.builds(Interval1D, place_ends, place_ends, st.booleans(), st.booleans())
+place_coords = st.one_of(st.sampled_from((F(-1), F(0), F(1, 3), F(1, 2), F(2), F(3))),
+                         st.integers(-1, 3))
+place_points = st.one_of(
+    place_coords, st.tuples(place_coords), st.tuples(place_coords, place_coords),
+    st.sampled_from(("1/2", ("1",), ("1", 2), (F(1), "2"))),
+)
+place_layouts = st.one_of(
+    st.lists(place_ranges, min_size=1, max_size=5),  # interval-only
+    st.lists(st.one_of(st.builds(GridRect, place_ranges, place_ranges), st.just(Universe())),
+             min_size=1, max_size=5),  # grid
+    st.lists(st.one_of(place_ranges, st.builds(FinitePointSet, st.lists(place_points, max_size=3)
+                                               .map(tuple))), min_size=1, max_size=5),  # point sets
+)
+
+
+class TestPlacementKinds:
+    """``IndicatorTable._bits`` places every kind of point as ``_contains``
+    does shape by shape, and raises where it raises, with the same error."""
+
+    @seed(2041)
+    @settings(max_examples=300, deadline=None)
+    @given(place_layouts, st.lists(place_points, min_size=1, max_size=12),
+           st.sampled_from((F(0), F(1, 2), F(5, 3))))
+    def test_bits_agree_with_contains_for_every_point_kind(self, shapes, points, q):
+        layout = regions._Layout(
+            [SymbolicHybridSet.from_atom(RegionAtom(f"S{k}", s)) for k, s in enumerate(shapes)]
+        )
+        valuation = Valuation({"p": F(1), "q": q})
+        table = regions.IndicatorTable(layout, valuation)
+        resolve = lambda p: regions.resolve_param(p, valuation)
+        for point in points:
+            try:
+                want = sum(1 << k for k, s in enumerate(layout.shapes)
+                           if regions._contains(s, point, resolve))
+            except ContractError as e:
+                want = str(e)
+            try:
+                got = table._bits(point)
+            except ContractError as e:
+                got = str(e)
+            assert got == want, point
