@@ -429,7 +429,8 @@ class _Line:
         if ends is None:
             ends = self._sort(resolve)
         # x * scale lies on the integer n, or strictly between n and n + 1
-        n, rest = divmod(x.numerator * self.scale, x.denominator)
+        p, q = x.as_integer_ratio()
+        n, rest = divmod(p * self.scale, q)
         if rest:
             cell = 2 * bisect_right(ends, n)
         else:
@@ -445,9 +446,9 @@ class _Line:
 
     def _sort(self, resolve) -> list:
         """Resolve, lo then hi per range, and scale the endpoints in flat passes."""
-        values = [resolve(p) for _, s in self.ranges for p in (s.lo, s.hi)]
-        scale = math.lcm(*(v.denominator for v in values))
-        values = [v.numerator * (scale // v.denominator) for v in values]
+        values = [resolve(p).as_integer_ratio() for _, s in self.ranges for p in (s.lo, s.hi)]
+        scale = math.lcm(*(q for _, q in values))
+        values = [p * (scale // q) for p, q in values]
         ends = sorted(set(values))
         rank = dict(zip(ends, range(len(ends))))
         toggles = [0] * (2 * len(ends) + 1)  # a last cell is at most 2E - 1
