@@ -388,9 +388,9 @@ def _eval_marked(star, accumulated, point, valuation) -> EvalOutcome:
     return Defined(FormalValue(combo, star), net)
 
 
-def _size(w: FreeWord) -> int:
-    """The sum of the word's absolute exponents."""
-    return sum(map(abs, w._coeffs.values()))
+def _size(c: FreeCombination) -> int:
+    """The sum of the combination's absolute coefficients."""
+    return sum(map(abs, c._coeffs.values()))
 
 
 def _value(w: FreeWord, whole: Dict[str, int]) -> int:
