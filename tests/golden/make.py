@@ -104,12 +104,12 @@ def block(case: str, capsys) -> str:
 
 
 def _fold(how: str, *args: str) -> str:
-    p = int(args[-1])
+    if how == "cancel":
+        return _cancel(*args)
+    p = int(args[0])
     ws = steps_workspace(p)
     if how == "points":
         return _points(step_fold(ws, p), p)
-    if how == "cancel":
-        return _cancel(*args)
     if how == "binary":
         e = step_fold(ws, p)
     else:

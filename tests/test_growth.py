@@ -7,7 +7,7 @@ for frames whose code lies under ``src/hybridsets`` only, so a library line
 counts once each time it runs, and test, standard-library and C work
 count nothing.  The fold is built before the trace starts.  The exponent
 is log2(events at 2N / events at N) for N = 40; it read 1.77 when the plan
-wrote out and walked the N(N + 1) term-word entries, and reads about 0.95
+wrote out and walked the N(N + 1) term-word entries, and reads about 0.97
 when the plan is made from the fold's records.
 """
 
@@ -17,23 +17,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import hybridsets
-from hybridsets import PLUS, Valuation, evaluate, hybridset, parse_workspace, pointwise_star
+from hybridsets import Valuation, evaluate, hybridset
 from hybridsets import calculus, functions
+from test_calculus import step_fold, steps_workspace
 
 LIBRARY = str(Path(hybridsets.__file__).resolve().parent)
 
 
 def _fold(n):
-    """The binary fold of n operands z_i^(U - R_i) ⊛ a_i^R_i, R_i = (k_i, t],
-    U = [0, t], and a valuation with tied thresholds."""
-    lines = ["param t, " + ", ".join(f"k{i}" for i in range(1, n + 1)), "region U = interval[0, t]"]
-    for i in range(1, n + 1):
-        lines += [f"region R{i} = interval(k{i}, t]", f"fn z{i} = 0", f"fn a{i} = {i}/3",
-                  f"expr H{i} = join(z{i}^(U - R{i}), a{i}^R{i})"]
-    ws = parse_workspace("\n".join(lines) + "\n")
-    e = ws.exprs["H1"]
-    for i in range(2, n + 1):
-        e = pointwise_star(PLUS, e, ws.exprs[f"H{i}"], universe=ws.regions["U"])
+    """The binary fold of ``steps_workspace(n)`` and a valuation with tied
+    thresholds."""
+    e = step_fold(steps_workspace(n), n)
     return e, Valuation({"t": n + 2, **{f"k{i}": (7 * i) % n for i in range(1, n + 1)}})
 
 
