@@ -47,3 +47,13 @@ def test_every_subcommand_option_and_choice_appears_in_a_case():
                 missing.append(f"{' '.join(path)} {flag}")
             missing += [f"{' '.join(path)} {flag} {c}" for c in action.choices or () if c not in values]
     assert missing == []
+
+
+def test_every_parse_case_has_its_golden_outcome():
+    from golden import parse
+
+    want, got = parse.read_blocks(), parse.blocks()
+    assert len(got) == len(want)
+    changed = [(w, g) for w, g in zip(want, got) if w != g]
+    first = f"{len(changed)} changed; golden:\n{changed[0][0]}now:\n{changed[0][1]}" if changed else ""
+    assert changed == [], first
