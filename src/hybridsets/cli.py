@@ -67,7 +67,8 @@ class _Usage(Exception):
 
 def _load(path: str) -> Workspace:
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig: a byte-order mark that an editor saved is not line 1's text
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as e:
         raise _Usage(f"cannot read workspace {path!r}: {e}") from None

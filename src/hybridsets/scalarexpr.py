@@ -13,6 +13,14 @@ converts from text (``sys.get_int_max_str_digits()``), and a coefficient,
 exponent or multiplicity literal, with its sign, must fit in a signed
 64-bit word.
 
+The hot workspace declarations are read by one match each, with patterns
+built from the same token patterns: ``param`` lists, ``region NAME =
+interval...``, ``partition P of U = ...`` (coefficients and ``assumed``
+included), ``valuation`` pairs, ``fn`` lines whose body is one literal
+(``0``, ``-3/2``) or absent, and ``expr NAME = join(f^R, g^(U - R), ...)``
+with single-atom words (``Cursor.take_form``).  Every other line, and
+every line such a match or its checks refuse, is read token by token.
+
 Body grammar: integers, named parameters, the distinguished variable ``x``,
 the four operations ``+ - * /``, unary minus and parentheses.  Rationals
 are written as divisions (``2/3``), so every value stays a Fraction.
@@ -25,20 +33,46 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple, Union
+from functools import lru_cache
+from typing import Callable, Iterator, Optional, Tuple, Union
 
-from .errors import ContractError, ParseError, ValuationError
+from .errors import ContractError, HybridError, ParseError, ValuationError
 
 # The signed 64-bit range of coefficients, exponents and multiplicities.
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
-_SPACE = re.compile(r"[ \t]*")
+# The tokens, as pattern text: the blank between tokens, a name, a number
+# and an integer.  The token patterns and the declaration forms below are
+# all built from these.
+_S = r"[ \t]*"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUM = r"-?\d+(?:/\d+)?"
+_INT = r"-?\d+"
+
+_SPACE = re.compile(_S)
 # Each token pattern also takes the whitespace after the token, so one
 # match moves the cursor on to the next token; group 1 is the token.
-_IDENT = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)[ \t]*")
-_NUMBER = re.compile(r"(-?\d+(?:/\d+)?)[ \t]*")
-_INTEGER = re.compile(r"(-?\d+)[ \t]*")
+_IDENT = re.compile(f"({_NAME}){_S}")
+_NUMBER = re.compile(f"({_NUM}){_S}")
+_INTEGER = re.compile(f"({_INT}){_S}")
+
+
+def _ratio(literal: str) -> Tuple[int, int]:
+    """Numerator and denominator of number text: the one conversion of
+    number text in the package.  A part longer than
+    ``sys.get_int_max_str_digits()`` raises ValueError; the denominator
+    may be 0, which each caller refuses."""
+    num, slash, den = literal.partition("/")
+    return int(num), int(den) if slash else 1
+
+
+# A declaration form: the pattern of the rest of one declaration after its
+# keyword, and ``split``, which makes a match of it into the groups that a
+# reader builds from: numbers converted, each repeated part split into its
+# items.  ``split`` raises ValueError or ArithmeticError for a literal
+# outside the grammar.
+Form = Tuple[re.Pattern, Callable[[re.Match], tuple]]
 
 
 class Cursor:
@@ -138,9 +172,8 @@ class Cursor:
         if m is None:
             self.error(f"expected {what}")
         self.pos = m.end()
-        num, slash, den = m.group(1).partition("/")
         try:
-            n, d = int(num), int(den) if slash else 1
+            n, d = _ratio(m.group(1))
         except ValueError:  # past sys.get_int_max_str_digits()
             self.error(f"number longer than {sys.get_int_max_str_digits()} digits", start)
         if d == 0:
@@ -158,6 +191,26 @@ class Cursor:
         if not INT64_MIN <= k <= INT64_MAX:
             self.error(f"integer {k} leaves the 64-bit range", start)
         return k
+
+    def take_form(self, form: Form, build, *args) -> bool:
+        """Whether ``build(*args, *groups)`` took the declaration that
+        ``form`` matches from the cursor to the end of the line; if it did,
+        the line is consumed.  If the form does not match, a literal in it
+        is outside the grammar, or ``build`` refuses the groups (it returns
+        False or raises a lookup or package error, before it stores
+        anything), the cursor stays where it was: the token readers then
+        read the line and report its first error."""
+        pattern, split = form
+        m = pattern.fullmatch(self.text, self.pos)
+        if m is None:
+            return False
+        try:
+            if not build(*args, *split(m)):
+                return False
+        except (ArithmeticError, LookupError, ValueError, HybridError):
+            return False
+        self.pos = len(self.text)
+        return True
 
 
 @dataclass(frozen=True)
@@ -285,3 +338,106 @@ def body_names(expr: BodyExpr) -> Iterator[str]:
     elif isinstance(expr, Chain):
         for _, operand in ((None, expr.first), *expr.rest):
             yield from body_names(operand)
+
+
+# --- the hot declaration forms (``Cursor.take_form``) -----------------------
+# Each pattern reads what the token readers read from the same text: a
+# token ends where its token pattern would end it, so a name or a number
+# cannot be split by a shorter match, and a keyword after a name needs a
+# blank before it.
+
+def _integer(sign: str, literal: str) -> int:
+    """A coefficient: ``literal`` with the sign written before it, which
+    must fit in a signed 64-bit word."""
+    k = _ratio(literal)[0]
+    if sign == "-":
+        k = -k
+    if not INT64_MIN <= k <= INT64_MAX:
+        raise OverflowError(k)
+    return k
+
+
+@lru_cache(maxsize=1024)
+def _fraction(literal: str) -> Fraction:
+    """The value of number text; a Fraction is immutable, so a literal
+    written on many lines is converted once."""
+    n, d = _ratio(literal)
+    return Fraction(n) if d == 1 else Fraction(n, d)
+
+
+def _param(number: Optional[str], name: str):
+    return name if number is None else _fraction(number)
+
+
+# An integer combination of region names, as ``partition`` pieces and the
+# regions of ``join`` terms write it; ``_COMBO_TERM`` reads its terms one
+# by one: (comma before it, sign, coefficient, region name).
+_TERM = rf"(?:{_INT}{_S}\*{_S})?{_NAME}"
+_COMBO = rf"-?{_S}{_TERM}(?:{_S}[+-]{_S}{_TERM})*"
+_COMBO_TERM = re.compile(rf"(,?){_S}([+-]?){_S}(?:({_INT}){_S}\*{_S})?({_NAME}){_S}")
+
+
+def _combos(text: str) -> list:
+    """The pieces of comma-separated combinations, each a list of
+    (region name, coefficient) pairs."""
+    pieces = []
+    for comma, sign, k, region in _COMBO_TERM.findall(text):
+        if comma or not pieces:
+            pieces.append([])
+        pieces[-1].append((region, _integer(sign, k) if k else -1 if sign == "-" else 1))
+    return pieces
+
+
+def _form(pattern: str, split) -> Form:
+    return re.compile(pattern), split
+
+
+_NAMES = re.compile(_NAME)
+PARAM_FORM = _form(
+    rf"{_NAME}(?:{_S},{_S}{_NAME})*",
+    lambda m: (_NAMES.findall(m.group()),),
+)
+
+# name, opener, lower bound (number | name), upper bound, closer
+_BOUND = rf"(?:({_NUM})|({_NAME}))"
+REGION_FORM = _form(
+    rf"({_NAME}){_S}={_S}interval{_S}([\[(]){_S}{_BOUND}{_S},{_S}{_BOUND}{_S}([\])])",
+    lambda m: (m[1], m[2] == "[", _param(m[3], m[4]), _param(m[5], m[6]), m[7] == "]"),
+)
+
+# name, universe, pieces, "assumed"
+PARTITION_FORM = _form(
+    rf"({_NAME})[ \t]+of[ \t]+({_NAME}){_S}={_S}({_COMBO}(?:{_S},{_S}{_COMBO})*)"
+    rf"(?:[ \t]+(assumed))?",
+    lambda m: (m[1], m[2], _combos(m[3]), m[4] is not None),
+)
+
+_PAIR = re.compile(rf"({_NAME}){_S}={_S}({_NUM})")
+VALUATION_FORM = _form(
+    rf"({_NAME}){_S}:{_S}({_NAME}{_S}={_S}{_NUM}(?:{_S},{_S}{_NAME}{_S}={_S}{_NUM})*)",
+    lambda m: (m[1], [(name, _fraction(v)) for name, v in _PAIR.findall(m[2])]),
+)
+
+
+def _literal_body(minus: str, num: str, den: Optional[str]) -> BodyExpr:
+    """The body the token readers make of ``-num/den``: the minus applies
+    to the numerator, and a division is a chain."""
+    node = Num(Fraction(_ratio(num)[0]))
+    if minus:
+        node = Neg(node)
+    return node if den is None else Chain(node, (("/", Num(Fraction(_ratio(den)[0]))),))
+
+
+# name, body (None for an opaque atom)
+FN_FORM = _form(
+    rf"({_NAME})(?:{_S}={_S}(-?){_S}(\d+)(?:{_S}/{_S}(\d+))?)?",
+    lambda m: (m[1], None if m[3] is None else _literal_body(m[2], m[3], m[4])),
+)
+
+# name, terms: (atom name, region name, combination or None)
+_JOIN_TERM_TEXT = rf"{_NAME}{_S}\^{_S}(?:{_NAME}|\({_S}{_COMBO}{_S}\))"
+_JOIN_TERM = re.compile(rf",?{_S}({_NAME}){_S}\^{_S}(?:({_NAME})|\({_S}({_COMBO}){_S}\)){_S}")
+JOIN_FORM = _form(
+    rf"({_NAME}){_S}={_S}join{_S}\({_S}({_JOIN_TERM_TEXT}(?:{_S},{_S}{_JOIN_TERM_TEXT})*){_S}\)",
+    lambda m: (m[1], [(f, r, _combos(c)[0] if c else None) for f, r, c in _JOIN_TERM.findall(m[2])]),
+)

@@ -14,9 +14,16 @@ One declaration per line, ``#`` starts a comment:
     spline S = knots(a, c, b)
     valuation v1: a = 1/3, b = 2
 
-Every name must be declared before use and is unique within its kind.
-Errors carry line and column.  The format is read, not written: what the
-CLI prints of an expression comes from ``HybridExpr.render``.
+Lines end at ``\n``, ``\r\n`` or ``\r`` only.  Every name must be declared
+before use and is unique within its kind.  Errors carry line and column.
+The format is read, not written: what the CLI prints of an expression
+comes from ``HybridExpr.render``.
+
+The hot forms (``param``, ``region ... = interval...``, ``partition``,
+``valuation``, literal and opaque ``fn`` lines, ``expr ... = join(...)``
+of single-atom words) are read by one match each (``Cursor.take_form``).
+Each ``_*_form`` builder stores nothing unless every check of the token
+reader after it passes, so that reader reports every error.
 """
 
 from __future__ import annotations
@@ -88,7 +95,17 @@ def _lookup(cur: Cursor, registry: dict, what: str):
     return registry[name]
 
 
+def _param_form(ws: Workspace, names: list) -> bool:
+    params = ws.params
+    if len(set(names)) < len(names) or not params.keys().isdisjoint(names):
+        return False
+    params.update(dict.fromkeys(names))
+    return True
+
+
 def _decl_param(ws: Workspace, cur: Cursor):
+    if cur.take_form(scalarexpr.PARAM_FORM, _param_form, ws):
+        return
     params = ws.params
     while True:
         pos = cur.pos
@@ -100,7 +117,16 @@ def _decl_param(ws: Workspace, cur: Cursor):
             break
 
 
+def _fn_form(ws: Workspace, name: str, body) -> bool:
+    if name in ws.atoms:
+        return False
+    ws.atoms[name] = FunctionAtom(name, body)
+    return True
+
+
 def _decl_fn(ws: Workspace, cur: Cursor):
+    if cur.take_form(scalarexpr.FN_FORM, _fn_form, ws):
+        return
     pos = cur.pos
     name = cur.ident()
     body = start = None
@@ -167,7 +193,19 @@ def _parse_shape(ws: Workspace, cur: Cursor):
     cur.error(f"unknown shape {kind!r}", pos)
 
 
+def _region_form(ws: Workspace, name: str, lo_closed: bool, lo: Param, hi: Param,
+                 hi_closed: bool) -> bool:
+    params = ws.params
+    if (name in ws.regions or type(lo) is str and lo not in params
+            or type(hi) is str and hi not in params):
+        return False
+    ws.regions[name] = RegionAtom(name, Interval1D(lo, hi, lo_closed, hi_closed))
+    return True
+
+
 def _decl_region(ws: Workspace, cur: Cursor):
+    if cur.take_form(scalarexpr.REGION_FORM, _region_form, ws):
+        return
     pos = cur.pos
     name = cur.ident()
     cur.expect("=")
@@ -191,7 +229,25 @@ def _parse_combo(ws: Workspace, cur: Cursor) -> SymbolicHybridSet:
         sign = 1 if op == "+" else -1
 
 
+def _combo(regions: dict, terms: list) -> SymbolicHybridSet:
+    """The combination of (region name, coefficient) ``terms``, as
+    ``_parse_combo`` builds it; an unknown name raises KeyError."""
+    return SymbolicHybridSet._from_checked((([(r, k, regions[r]) for r, k in terms], 1),))
+
+
+def _partition_form(ws: Workspace, name: str, universe: str, pieces: list,
+                    assumed: bool) -> bool:
+    regions = ws.regions
+    if name in ws.partitions:
+        return False
+    combos = tuple(_combo(regions, terms) for terms in pieces)
+    ws.partitions[name] = GeneralisedPartition(name, regions[universe], combos, assumed=assumed)
+    return True
+
+
 def _decl_partition(ws: Workspace, cur: Cursor):
+    if cur.take_form(scalarexpr.PARTITION_FORM, _partition_form, ws):
+        return
     pos = cur.pos
     name = cur.ident()
     cur.expect_word("of")
@@ -269,7 +325,24 @@ def _parse_expr_body(ws: Workspace, cur: Cursor) -> HybridExpr:
     return join(_parse_term(ws, cur))
 
 
+def _join_form(ws: Workspace, name: str, items: list) -> bool:
+    atoms, regions = ws.atoms, ws.regions
+    if name in ws.exprs:
+        return False
+    terms = [
+        HybridTerm(
+            _single(FreeWord, atoms[f]),
+            _combo(regions, combo) if combo else _single(SymbolicHybridSet, regions[r]),
+        )
+        for f, r, combo in items
+    ]
+    ws.exprs[name] = join(*terms)
+    return True
+
+
 def _decl_expr(ws: Workspace, cur: Cursor):
+    if cur.take_form(scalarexpr.JOIN_FORM, _join_form, ws):
+        return
     pos = cur.pos
     name = cur.ident()
     cur.expect("=")
@@ -331,7 +404,17 @@ def _decl_spline(ws: Workspace, cur: Cursor):
     _register(ws.splines, "spline", name, sp, cur, pos)
 
 
+def _valuation_form(ws: Workspace, name: str, pairs: list) -> bool:
+    params = ws.params
+    if name in ws.valuations or any(p not in params for p, _ in pairs):
+        return False
+    ws.valuations[name] = Valuation(dict(pairs))
+    return True
+
+
 def _decl_valuation(ws: Workspace, cur: Cursor):
+    if cur.take_form(scalarexpr.VALUATION_FORM, _valuation_form, ws):
+        return
     pos = cur.pos
     name = cur.ident()
     cur.expect(":")
@@ -352,7 +435,10 @@ _HANDLERS = {
 
 def parse_workspace(text: str) -> Workspace:
     ws = Workspace()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # str.splitlines would also end a line at \v, \f, \x1c-\x1e, U+0085,
+    # U+2028 and U+2029
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         line = (raw.split("#", 1)[0] if "#" in raw else raw).rstrip()
         if not line:
             continue

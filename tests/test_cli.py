@@ -467,6 +467,20 @@ class TestExitCodes:
         assert code == 2
         assert "cannot read workspace" in err
 
+    def test_a_byte_order_mark_is_not_part_of_line_1(self, capsys, tmp_path):
+        text = "param a\nregion U = interval[0, 2]\nfn f = x + a\nexpr E = join(f^U)\n"
+        plain, bom = tmp_path / "plain.ws", tmp_path / "bom.ws"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        outs = [run_cli(capsys, "eval", str(ws), "E", "--at", "0", "--with", "a=1")
+                for ws in (plain, bom)]
+        assert outs[0] == outs[1] == (0, "1\n", "")
+        # a mark anywhere else is still text, and an error at its column
+        bom.write_text("param a\n\ufeffparam b\n", encoding="utf-8-sig")
+        code, _, err = run_cli(capsys, "eval", str(bom), "E", "--at", "0")
+        assert (code, err) == (2, "error: line 2, col 1: expected a declaration keyword\n")
+
     def test_unknown_partition_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "refine", PIECEWISE, "P", "NOPE")
         assert code == 2

@@ -4,6 +4,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -547,3 +548,184 @@ class TestScanner:
             parse_workspace(
                 self.PRELUDE + "expr E = join((f^9223372036854775807 * f)^A)"
             )
+
+
+# Lines of each form that scalarexpr reads by one match, with literals at and
+# past the grammar's edges, and names that are declared and that are not.
+_HOT_PRELUDE = (
+    "param a, b, c\nregion U = interval[0, 1)\nregion A = interval[0, a)\n"
+    "region B = interval[a, 1)\nfn f = 1\nfn g\n"
+)
+# Most draws make a line the token reader accepts; the rest clash with a
+# declared name, name an undeclared one, or write a literal it refuses.
+_HOT_FRESH = ["d", "e", "p", "R", "S", "v"] * 3 + ["a", "U", "f", "x", "assumed", "of"]
+_HOT_INTS = ["0", "1", "2", "-3", "٣"] * 3 + [
+    "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "-9223372036854775809", "5" * 5000,
+]
+_HOT_NUMBERS = _HOT_INTS + ["1/3", "-7/2", "٣/٤"] * 3 + ["1/0", "2/" + "5" * 5000]
+
+
+def _hot_line(draw):
+    fresh = st.sampled_from(_HOT_FRESH)
+    param = st.sampled_from(["a", "b", "c"] * 4 + ["d"])
+    region = st.sampled_from(["U", "A", "B"] * 4 + ["R"])
+    number = st.sampled_from(_HOT_NUMBERS)
+    integer = st.sampled_from(_HOT_INTS)
+
+    def listed(item):
+        return ", ".join(draw(st.lists(item, min_size=1, max_size=4)))
+
+    def combo():
+        terms = draw(st.lists(st.tuples(st.sampled_from(["+", "-"]), st.none() | integer, region),
+                              min_size=1, max_size=4))
+        if draw(st.booleans()):
+            # the first region again, so that its coefficients may sum to
+            # one inside the 64-bit range that the literal alone leaves
+            terms.append((draw(st.sampled_from(["+", "-"])), None, terms[0][2]))
+        text = "-" if terms[0][0] == "-" else ""
+        for i, (sign, k, r) in enumerate(terms):
+            text += (f" {sign} " if i else "") + (f"{k}*" if k else "") + r
+        return text
+
+    kind = draw(st.sampled_from(["param", "region", "partition", "valuation", "fn", "expr"]))
+    if kind == "param":
+        return "param " + listed(fresh)
+    if kind == "region":
+        lo, hi = draw(st.one_of(number, param)), draw(st.one_of(number, param))
+        return f"region {draw(fresh)} = interval{draw(st.sampled_from('[('))}{lo}, {hi}{draw(st.sampled_from('])'))}"
+    if kind == "partition":
+        pieces = draw(st.sampled_from(["A, U - A", "-B + U, B", "2*A, U - 2*A", ""]))
+        pieces = pieces or ", ".join(combo() for _ in range(draw(st.integers(1, 3))))
+        assumed = draw(st.sampled_from(["", " assumed"]))
+        return f"partition {draw(fresh)} of {draw(region)} = {pieces}{assumed}"
+    if kind == "valuation":
+        return f"valuation {draw(fresh)}: " + listed(st.builds("{} = {}".format, param, number))
+    if kind == "fn":
+        body = draw(st.sampled_from(["", " = {}", " = -{}", " = {}/{}", " = -{}/{}"]))
+        return f"fn {draw(fresh)}" + body.format(draw(integer), draw(integer))
+    terms = [f"{draw(st.sampled_from(['f', 'g'] * 3 + ['h']))}^" + draw(st.sampled_from(["{}", "({})"]))
+             .format(combo() if draw(st.booleans()) else draw(region))
+             for _ in range(draw(st.integers(1, 3)))]
+    return f"expr {draw(fresh)} = join({', '.join(terms)})"
+
+
+def _declared(text):
+    """What parsing ``text`` declares, in reading order, or the error."""
+    try:
+        ws = parse_workspace(text)
+    except Exception as e:  # the outcome is compared, whatever it is
+        return type(e).__name__, str(e)
+    return ws, list(ws.params)
+
+
+def _variants(line):
+    """``line`` and its one-step mutants: each token deleted, duplicated or
+    swapped with the next, and a blank put after each number's minus."""
+    tokens = list(_TOKEN.finditer(line))
+    yield line
+    for tok, after in zip(tokens, tokens[1:] + [None]):
+        a, b = tok.start(), tok.end()
+        yield line[:a] + line[b:]
+        yield line[:b] + " " + line[a:]
+        if after is not None:
+            yield line[:a] + after.group() + line[b:after.start()] + tok.group() + line[after.end():]
+        if re.fullmatch(r"-\d.*", tok.group()):
+            yield line[:a + 1] + " " + line[a + 1:]
+
+
+class TestOneMatchForms:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_form_declares_what_the_token_reader_declares(self, data):
+        # each line respaced as TestScanner respaces the fixtures, and each
+        # of its one-step mutants
+        tokens = list(_TOKEN.finditer(_hot_line(data.draw)))
+        line = tokens[0].group()
+        for prev, tok in zip(tokens, tokens[1:]):
+            spaced = prev.end() < tok.start()
+            line += data.draw(st.text(" \t", min_size=int(spaced), max_size=2)) + tok.group()
+
+        reads = []  # (matched, taken) on the drawn line
+        real = Cursor.take_form
+        line_no = _HOT_PRELUDE.count("\n") + 1
+
+        def spy(cur, form, build, *args):
+            matched = form[0].fullmatch(cur.text, cur.pos) is not None
+            taken = real(cur, form, build, *args)
+            if cur.line_no == line_no:
+                reads.append((matched, taken))
+            return taken
+
+        for variant in _variants(line):
+            text = _HOT_PRELUDE + variant
+            reads.clear()
+            with mock.patch.object(Cursor, "take_form", spy):
+                by_form = _declared(text)
+            with mock.patch.object(Cursor, "take_form", lambda *args: False):
+                by_tokens = _declared(text)
+            assert by_form == by_tokens, variant
+            matched, taken = reads[-1] if reads else (False, False)
+            # a line the form matches and the token reader accepts is read
+            # by the form alone
+            assert taken == (matched and isinstance(by_tokens[0], Workspace)), variant
+
+
+# Line breaks: only \n, \r\n and \r end a line.
+_NOT_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineBreaks:
+    @pytest.mark.parametrize("ch", _NOT_BREAKS)
+    def test_other_line_separators_stay_inside_a_comment(self, ch):
+        ws = parse_workspace(f"param a # x{ch}param b\nparam c # {ch}\nparam d")
+        assert list(ws.params) == ["a", "c", "d"]
+        with pytest.raises(ParseError) as exc:
+            parse_workspace(f"param a # x{ch}y\nparam b\nparam b")
+        assert (exc.value.line, exc.value.column) == (3, 7)
+
+    @pytest.mark.parametrize("ch", _NOT_BREAKS)
+    def test_other_line_separators_inside_a_declaration_are_errors(self, ch):
+        with pytest.raises(ParseError) as exc:
+            parse_workspace(f"param a\nparam b,{ch}c\nparam d")
+        assert str(exc.value) == "line 2, col 9: expected a name"
+
+    def test_cr_lf_and_cr_end_lines(self):
+        ws = parse_workspace("param a\r\nparam b\rparam c\n\r\nparam d")
+        assert list(ws.params) == ["a", "b", "c", "d"]
+        with pytest.raises(ParseError) as exc:
+            parse_workspace("param a\r\nparam b\rparam c\n\r\nparam a")
+        assert exc.value.line == 5
+
+
+class TestOneMatchPerHotLine:
+    @staticmethod
+    def chain_workspace(n):
+        # one partition of n + 1 pieces over n nested regions, as the
+        # refine-wide benchmark writes them
+        lines = ["param " + ", ".join(f"a{i}" for i in range(1, n + 1)), "region U = interval[0, 1)"]
+        lines += [f"region A{i} = interval[0, a{i}{')' if i % 4 else ']'}" for i in range(1, n + 1)]
+        pieces = ["A1"] + [f"A{i} - A{i - 1}" for i in range(2, n + 1)] + [f"U - A{n}"]
+        lines.append("partition P of U = " + ", ".join(pieces))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_cursor_calls_per_line_do_not_grow_with_the_line(self, n):
+        # a Cursor, its keyword, the form and the end test: four calls a
+        # line, however many names or pieces the line holds; a line read
+        # token by token would take several calls per token
+        calls = []
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            return wrapper
+
+        methods = {name: f for name, f in vars(Cursor).items() if callable(f)}
+        with mock.patch.multiple(Cursor, **{k: counted(k, f) for k, f in methods.items()}):
+            ws = parse_workspace(self.chain_workspace(n))
+        assert len(ws.partitions["P"].pieces) == n + 1
+        lines = n + 3
+        assert len(calls) == 4 * lines
+        assert sorted(set(calls)) == ["__init__", "finish", "ident", "take_form"]
