@@ -365,7 +365,7 @@ def _fraction(literal: str) -> Fraction:
     return Fraction(n) if d == 1 else Fraction(n, d)
 
 
-def _param(number: Optional[str], name: str):
+def _endpoint(number: Optional[str], name: str):
     return name if number is None else _fraction(number)
 
 
@@ -402,7 +402,7 @@ PARAM_FORM = _form(
 _BOUND = rf"(?:({_NUM})|({_NAME}))"
 REGION_FORM = _form(
     rf"({_NAME}){_S}={_S}interval{_S}([\[(]){_S}{_BOUND}{_S},{_S}{_BOUND}{_S}([\])])",
-    lambda m: (m[1], m[2] == "[", _param(m[3], m[4]), _param(m[5], m[6]), m[7] == "]"),
+    lambda m: (m[1], m[2] == "[", _endpoint(m[3], m[4]), _endpoint(m[5], m[6]), m[7] == "]"),
 )
 
 # name, universe, pieces, "assumed"
