@@ -80,7 +80,8 @@ class Cursor:
 
     ``pos`` always rests on the next token: whitespace is skipped once,
     when the cursor is made and right after each token is consumed.  Each
-    reader consumes its token itself, with at most one pattern match.
+    reader consumes its token itself, with at most one pattern match;
+    ``take_form`` reads the rest of a line with one.
     ``take_any`` peeks at the one character at the cursor, so its
     candidates are single characters.  ``at_number`` tests characters
     too: a number starts at a decimal digit, or at a ``-`` right before
