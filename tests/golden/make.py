@@ -29,6 +29,17 @@ render and determinant, and its inverse.  ``custom-unit`` applies +-1 row
 operations between disjoint pairs of unit rows and swaps of neighbouring
 columns to the ones-top-row matrix; ``custom-wide`` adds multiples such as
 10 and -1 of an earlier row, the all-ones one included, to each later row.
+``combine STYLE N1 N2 ...`` combines one operand per chain partition, its
+term i over piece i, by ``pointwise_star`` under + and then under *, and
+prints the render and each term's word and region coefficients in
+``items()`` order, or the error.  STYLE is a choice-matrix style of
+``chain``, whose refinement the combine is given; ``closed-form``, which
+gives the universe atom instead; or ``shared``, which puts every operand
+over P1's pieces and gives neither.  Term i of operand k has the word
+c_i^((-1)^k * i), c_i being f, g, h for i mod 3 = 0, 1, 2, so that words
+of different operands cancel; term 3 of operand 1 has exponent 2^61
+instead, so that wide combinations overflow, and term 2 of operand 4 binds
+the name f to another atom.
 
 ``outputs.txt`` holds one block per case, in case order: ``$ <case>``,
 then for a CLI case ``[exit <code>]``, its stdout and, when it wrote any,
@@ -67,12 +78,17 @@ from hybridsets import (  # noqa: E402
     TIMES,
     UNDEFINED,
     ChoiceMatrix,
+    HybridError,
+    HybridExpr,
+    HybridTerm,
     Valuation,
     common_strict_refinement,
+    constant_atom,
     evaluate,
     evaluate_many,
     parse_workspace,
     pointwise_star,
+    word,
 )
 from test_calculus import step_fold, steps_workspace  # noqa: E402
 from test_cli import run_cli_within_a_second  # noqa: E402
@@ -99,6 +115,8 @@ def block(case: str, capsys) -> str:
         return f"$ {case}\n{_fold(*argv[1:])}"
     if argv[0] == "chain":
         return f"$ {case}\n{_chain(argv[1], [int(a) for a in argv[2:]])}"
+    if argv[0] == "combine":
+        return f"$ {case}\n{_combine(argv[1], [int(a) for a in argv[2:]])}"
     code, out, err = run_cli_within_a_second(capsys, *argv)
     return f"$ {case}\n[exit {code}]\n{out}" + (f"[stderr]\n{err}" if err else "")
 
@@ -238,16 +256,21 @@ def chain_entries(style: str, n: int):
     return tuple(map(tuple, m))
 
 
-def _chain(style: str, sizes) -> str:
+def chain_refinement(style: str, sizes):
+    """The chain workspace of ``sizes``, its partitions and their
+    refinement under the choice-matrix ``style``."""
     ws = parse_workspace(chain_text(sizes))
     parts = [ws.partitions[f"P{k}"] for k in range(1, len(sizes) + 1)]
     if style.startswith("custom-"):
         rows = ["U", *(f"P{k}.{i}" for k, n in enumerate(sizes, start=1) for i in range(1, n))]
         cols = [f"P{j}" for j in range(1, len(rows) + 1)]
         choice = ChoiceMatrix(chain_entries(style, len(rows)), tuple(rows), tuple(cols))
-        r = common_strict_refinement(parts, choice=choice)
-    else:
-        r = common_strict_refinement(parts, style=style)
+        return ws, parts, common_strict_refinement(parts, choice=choice)
+    return ws, parts, common_strict_refinement(parts, style=style)
+
+
+def _chain(style: str, sizes) -> str:
+    ws, parts, r = chain_refinement(style, sizes)
     lines = [f"{label} = {piece.render()}" for label, piece in zip(r.labels, r.pieces)]
     lines.append("rewrites:")
     for part, rows in zip(parts, r.coefficients):
@@ -256,6 +279,45 @@ def _chain(style: str, sizes) -> str:
     lines += r.choice.render().splitlines()
     lines.append("inverse:")
     lines += [f"{label}: {' '.join(map(str, row))}" for label, row in zip(r.labels, r.choice.inverse())]
+    return "\n".join(lines) + "\n"
+
+
+# the atoms of the combine cases' words, and a second definition of f
+COMBINE_ATOMS = [constant_atom(name, i) for i, name in enumerate("fgh", start=1)]
+OTHER_F = constant_atom("f", 9)
+
+
+def _combine(style: str, sizes) -> str:
+    if style in ("closed-form", "shared"):
+        ws = parse_workspace(chain_text(sizes))
+        parts = [ws.partitions[f"P{k}"] for k in range(1, len(sizes) + 1)]
+        options = {"universe": ws.regions["U"]} if style == "closed-form" else {}
+        if style == "shared":
+            parts = [parts[0]] * len(sizes)
+    else:
+        ws, parts, r = chain_refinement(style, sizes)
+        options = {"refinement": r}
+    operands = []
+    for k, part in enumerate(parts, start=1):
+        words = [
+            word((OTHER_F if (k, i) == (4, 2) else COMBINE_ATOMS[i % 3],
+                  (-1) ** k * (2**61 if (k, i) == (1, 3) else i)))
+            for i in range(1, len(part.pieces) + 1)
+        ]
+        operands.append(HybridExpr(None, tuple(map(HybridTerm, words, part.pieces))))
+    lines = []
+    for star in (PLUS, TIMES):
+        lines.append(f"under {star.name}:")
+        try:
+            e = pointwise_star(star, *operands, **options)
+        except HybridError as exc:
+            lines.append(f"raises {type(exc).__name__}: {exc}")
+            continue
+        lines.append(f"render {e.render()}")
+        for i, t in enumerate(e.terms, 1):
+            w = ", ".join(f"{a.name} {k}" for a, k in t.word.items())
+            region = ", ".join(f"{a.name} {c}" for a, c in t.region.items())
+            lines.append(f"term {i}: word {w} | region {region}")
     return "\n".join(lines) + "\n"
 
 
