@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, islice
 from typing import Callable, Iterable, List, Optional
 
 from .errors import ContractError, MultiplicityOverflowError, RefinementError
@@ -32,7 +32,7 @@ from .functions import (
     marked_join,
 )
 from .regions import Point, RegionAtom, SymbolicHybridSet, Valuation, multiplicities_many, resolve_param
-from .refine import Refinement
+from .refine import Refinement, rewrite_columns
 from .refine import common_strict_refinement  # unused here, but a name the perfbench tracer rebinds in this module
 from .scalarexpr import INT64_MAX
 
@@ -65,21 +65,17 @@ def pointwise_star(
     operand's last), with the operands' last words, and P(j+1) is kept piece
     j, its word in place of its operand's last.
 
-    The result is a marked join with one term per piece: the term word
-    multiplies every operand word raised to its rewrite coefficient for
-    that piece, and a leading word with coefficient 1 seeds its piece's
-    merge (``FreeCombination.combine``).
-    A closed-form result keeps a compact form (``_Compact``): a (birth
-    word, birth step, region) record per term.  A binary step whose first
-    operand has one, over the same universe atom, extends it: it builds
-    P1's word and region and the new operand's kept pieces, and leaves
-    every older term's record as it is, so the step costs O(size of the
-    new operand) in Python, however many terms run.  The terms are built
-    once, on first read, one merge each, and evaluation does not read them
-    (``functions._Plan`` reads the records); a form that no step extends
-    returns the terms it was made from.  A step that the compact form
-    cannot certify to build the same words and raise nothing runs the
-    eager loop, which raises what it raises.
+    The result is a marked join with one term per piece.  All three cases
+    hand one builder the kept rows of a choice matrix as runs: the
+    refinement's, or unit rows.  Term j's word merges, in operand order, every operand
+    word by its rewrite coefficient at j, which ``refine.rewrite_columns``
+    reads off the runs, so no dense rewrite row is written out; a leading
+    word with coefficient 1 seeds the merge (``FreeCombination.combine``).
+    A closed-form result keeps a compact form (``_Compact``), which a binary
+    step whose first operand has one, over the same universe atom, extends
+    at O(size of the new operand) in Python, however many terms run; its
+    terms are built once, on first read, and evaluation does not read them.
+    A step that the compact form cannot certify runs the eager loop.
     """
     if not star.is_ac:
         raise ContractError(f"star {star.name!r} is not declared AC")
@@ -93,59 +89,54 @@ def pointwise_star(
     operand_terms = [_as_terms(op) for op in operands]
     regions = [tuple(t.region for t in terms) for terms in operand_terms]
 
-    closed_form = False
-    if refinement is None and all(r == regions[0] for r in regions):
+    shared = refinement is None and all(r == regions[0] for r in regions)
+    if shared:
         if not regions[0]:
             raise ContractError("a partition needs at least one piece")
         pieces, labels = regions[0], range(1, len(regions[0]) + 1)
-        groups = [[(t.word, 1) for t in column] for column in zip(*operand_terms)]
+        rows = (((i, i + 1, 1),) for _ in operands for i in range(len(pieces) - 1))
     elif refinement is None:
         if universe is None:
             raise ContractError("pointwise_star needs a universe atom to build the canonical refinement")
         if not all(regions):
             raise ContractError("a partition needs at least one piece")
-        closed_form = True
-        lasts = [(terms[-1].word, 1) for terms in operand_terms]
-        kept = [(k, t) for k, terms in enumerate(operand_terms) for t in terms[:-1]]
-        pieces = [SymbolicHybridSet.from_atom(universe), *(t.region for _, t in kept)]
+        pieces = [SymbolicHybridSet.from_atom(universe), *(t.region for ts in operand_terms for t in ts[:-1])]
         pieces[0] = SymbolicHybridSet.combine([(pieces[0], 1), *((r, -1) for r in pieces[1:])])
         labels = map("P{}".format, range(1, len(pieces) + 1))
-        groups = [lasts, *([*lasts[:k], (t.word, 1), *lasts[k + 1:]] for k, t in kept)]
+        rows = (((j, j + 1, 1),) for j in range(1, len(pieces)))
     else:
         count = len(refinement.partitions)
         if count != len(operands):
-            raise RefinementError(
-                f"{len(operands)} operands but the refinement has {count} partitions"
-            )
-        # groups[j]: the (word, coefficient) pairs of new piece j, in operand
-        # order, read off each rewrite row's nonzero entries in one pass
-        pieces, labels = refinement.pieces, refinement.labels
-        columns = range(refinement.size)
-        groups = [[] for _ in columns]
-        for k, (terms, partition, rows) in enumerate(
-            zip(operand_terms, refinement.partitions, refinement.coefficients), start=1
-        ):
-            if len(terms) != len(partition.pieces):
-                raise RefinementError(
-                    f"operand {k} has {len(terms)} terms but the partition has "
-                    f"{len(partition.pieces)} pieces"
-                )
-            for i, (t, piece, row) in enumerate(zip(terms, partition.pieces, rows), start=1):
-                if t.region != piece:
-                    raise RefinementError(
-                        f"operand {k}: term {i} has region {t.region.render()!r}, "
-                        f"but piece {i} of the partition is {piece.render()!r}"
-                    )
-                for j in compress(columns, row):
-                    groups[j].append((t.word, row[j]))
+            raise RefinementError(f"{len(operands)} operands but the refinement has {count} partitions")
+        for k, (given, partition) in enumerate(zip(regions, refinement.partitions), start=1):
+            if len(given) != len(partition.pieces):
+                raise RefinementError(f"operand {k} has {len(given)} terms but the partition has "
+                                      f"{len(partition.pieces)} pieces")
+            for i, (region, piece) in enumerate(zip(given, partition.pieces), start=1):
+                if region != piece:
+                    raise RefinementError(f"operand {k}: term {i} has region {region.render()!r}, "
+                                          f"but piece {i} of the partition is {piece.render()!r}")
+        pieces, labels, rows = refinement.pieces, refinement.labels, iter(refinement.choice.runs[1:])
 
+    # reached[j][k]: operand k's (word, coefficient) pairs at piece j where one
+    # of its kept rows reaches j; elsewhere its last word's, sliced off ``lasts``
+    lasts = [(terms[-1].word, 1) for terms in operand_terms]
+    reached = [{} for _ in pieces]
+    for k, terms in enumerate(operand_terms):
+        for j, (pairs, c) in rewrite_columns(islice(rows, len(terms) - 1)).items():
+            own = [(terms[i].word, v) for i, v in pairs]
+            reached[j][k] = own + [(terms[-1].word, c)] if c else own
     out_terms = []
-    for piece, label, group in zip(pieces, labels, groups):
-        w = FreeWord.combine(group)
+    for piece, label, own in zip(pieces, labels, reached):
+        group, at = [], 0
+        for k, pairs in own.items():
+            group += lasts[at:k] + pairs
+            at = k + 1
+        w = FreeWord.combine(group + lasts[at:])
         if w.is_empty:
             raise ContractError(f"value word for refinement piece {label} cancelled away")
         out_terms.append(HybridTerm(w, piece))
-    if closed_form:
+    if refinement is None and not shared:  # the closed form
         return HybridExpr.deferred(star, _Compact(universe, tuple(out_terms)))
     return marked_join(star, out_terms)
 

@@ -11,8 +11,8 @@ Both canonical choice matrices come with their inverse in closed form, so
 a canonical refinement builds each new piece straight from the inputs its
 inverse row names, with no elimination, afresh on every call.  Under
 ones-top-row, P1 is the universe less every kept piece and P(j+1) is kept
-piece j; ``calculus.pointwise_star`` reads its terms off that, with no
-matrix.  A custom matrix is inverted by one fraction-free integer
+piece j; ``calculus.pointwise_star`` reads its terms off that, with unit
+rows and no matrix.  A custom matrix is inverted by one fraction-free integer
 elimination on [A | I] (Bareiss, 1968), which yields the determinant and
 the adjugate together; when the determinant is +-1 the inverse is +-adj.
 The elimination keeps its rows sparse and picks pivots as Markowitz (1957)
@@ -20,10 +20,11 @@ did, so on a custom choice matrix, a few +-1 entries per row, the work
 follows the nonzeros, not n^3.  A matrix is held as runs, (start, stop,
 value) of one nonzero value over consecutive columns: built so in O(n) when
 canonical, and read once from a custom matrix's entries.  The elimination,
-the render and the rewrite rows work from the runs; the dense entries and
-rewrite rows are written out on first read.  The inverse stays sparse from
-the elimination to the new pieces, and the matrix keeps it, so asking for
-its determinant after refining is free.
+the render and ``rewrite_columns`` work from the runs, so a combine over a
+custom refinement reads its matrix's runs and writes no dense row; the
+dense entries and rewrite rows are written out only when read.  The inverse
+stays sparse from the elimination to the new pieces, and the matrix keeps
+it, so asking for its determinant after refining is free.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import compress
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ContractError, RefinementError, UnimodularError
@@ -350,6 +351,19 @@ class GeneralisedPartition:
         return bad
 
 
+def rewrite_columns(kept: Runs) -> dict:
+    """A partition's rewrite rows by column, from its kept pieces' rows as
+    runs: column j -> (the (kept row, value) pairs of the runs over j, the
+    dropped last piece's coefficient at j, 1 minus their sum), at each column
+    a run covers.  The dropped piece's coefficient is 1 at every other one."""
+    columns = {}
+    for i, row in enumerate(kept):
+        for start, stop, v in row:
+            for j in range(start, stop):
+                columns.setdefault(j, []).append((i, v))
+    return {j: (pairs, 1 - sum([v for _, v in pairs])) for j, pairs in columns.items()}
+
+
 @dataclass(frozen=True)
 class Refinement:
     """A common refinement: new pieces plus rewrite data for every original.
@@ -374,16 +388,12 @@ class Refinement:
     @cached_property
     def coefficients(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
         """A kept piece's rewrite row is its choice-matrix row; the dropped
-        piece's is the all-ones row minus the kept rows' column sums, taken
-        by a difference array over their runs."""
+        piece's comes off ``rewrite_columns``, written out."""
         out, row = [], 1  # row 0 is the universe
         for p in self.partitions:
             stop = row + len(p.pieces) - 1
-            diff = [1] + [0] * self.size
-            for start, end, v in (run for r in self.choice.runs[row:stop] for run in r):
-                diff[start] -= v
-                diff[end] += v
-            out.append((*self.choice.entries[row:stop], tuple(accumulate(diff[:-1]))))
+            dropped = {j: c for j, (_, c) in rewrite_columns(self.choice.runs[row:stop]).items()}
+            out.append((*self.choice.entries[row:stop], tuple(dropped.get(j, 1) for j in range(self.size))))
             row = stop
         return tuple(out)
 

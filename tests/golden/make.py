@@ -295,7 +295,7 @@ def _combine(style: str, sizes) -> str:
         if style == "shared":
             parts = [parts[0]] * len(sizes)
     else:
-        ws, parts, r = chain_refinement(style, sizes)
+        _, parts, r = chain_refinement(style, sizes)
         options = {"refinement": r}
     operands = []
     for k, part in enumerate(parts, start=1):

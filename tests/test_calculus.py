@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from hybridsets import (
@@ -15,10 +15,12 @@ from hybridsets import (
     CheckReport,
     ContractError,
     Defined,
+    FreeWord,
     FunctionAtom,
     GeneralisedPartition,
     GridRect,
     HybridError,
+    HybridExpr,
     HybridTerm,
     MultiplicityOverflowError,
     Interval1D,
@@ -691,6 +693,145 @@ class TestCompactFold:
         assert compact_raised is None and eager_raised is None
         assert [_snapshot(e) for e in compact] == [_snapshot(e) for e in eager]
         assert "f^-9223372036854775808" in compact[-1].render()
+
+
+def custom_choice(sizes, operations, order) -> ChoiceMatrix:
+    """A custom unimodular choice matrix for partitions of ``sizes``: the
+    ones-top-row matrix, then each (a, b, s) of ``operations`` adds s times
+    row a to row b, both unit rows at first, then column j is old column
+    ``order[j]``.  The all-ones row is untouched, and each step keeps the
+    determinant at +-1."""
+    n = sum(sizes) + 1 - len(sizes)
+    m = [[int(i == 0 or i == j) for j in range(n)] for i in range(n)]
+    for a, b, s in operations:
+        m[b] = [x + s * y for x, y in zip(m[b], m[a])]
+    rows = ["U", *(f"{k}.{i}" for k, size in enumerate(sizes, start=1) for i in range(1, size))]
+    return ChoiceMatrix(
+        tuple(tuple(row[j] for j in order) for row in m), tuple(rows), tuple(f"P{j}" for j in range(1, n + 1))
+    )
+
+
+def rewrite_row_walk(star, operands, refinement):
+    """The reference combine: every operand's dense rewrite rows, read off
+    ``Refinement.coefficients``, give each term's word to every new piece
+    where its coefficient is nonzero, in operand and then piece order."""
+    groups = [[] for _ in refinement.pieces]
+    for op, rows in zip(operands, refinement.coefficients):
+        for t, row in zip(op.terms, rows):
+            for j, c in enumerate(row):
+                if c:
+                    groups[j].append((t.word, c))
+    terms = []
+    for piece, label, group in zip(refinement.pieces, refinement.labels, groups):
+        w = FreeWord.combine(group)
+        if w.is_empty:
+            raise ContractError(f"value word for refinement piece {label} cancelled away")
+        terms.append(HybridTerm(w, piece))
+    return marked_join(star, terms)
+
+
+OTHER_F = constant_atom("f", 9)
+
+
+@st.composite
+def custom_combines(draw):
+    """1-4 operands of 1-4 terms over assumed partitions of U, and a custom
+    choice matrix for them (``custom_choice``): words over shared atoms
+    with exponents +-1 and +-2, so that a word can cancel away, and in some
+    examples f bound to a second atom, or exponents near 2^62 and -2^63,
+    whose partial sums over a piece can leave the 64-bit range while the
+    final sums fit."""
+    atoms, exponents = list(DIFF_ATOMS), [1, -1, 2, -2]
+    if draw(st.integers(0, 3)) == 0:
+        atoms.append(OTHER_F)
+    if draw(st.integers(0, 2)) == 0:
+        exponents += [2**62, -(2**62), 2**62 + 1, -(2**63)]
+    words = st.lists(
+        st.tuples(st.sampled_from(atoms), st.sampled_from(exponents)),
+        min_size=1, max_size=2, unique_by=lambda pair: pair[0].name,
+    ).map(lambda pairs: word(*pairs))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    operands = [
+        HybridExpr(None, tuple(HybridTerm(draw(words), draw(FOLD_REGIONS)) for _ in range(size)))
+        for size in sizes
+    ]
+    n = sum(sizes) + 1 - len(sizes)
+    pairs = st.tuples(st.integers(1, n - 1), st.integers(1, n - 1), st.sampled_from([1, -1]))
+    operations = draw(st.lists(pairs.filter(lambda p: p[0] != p[1]), max_size=2 * n)) if n > 2 else []
+    return operands, custom_choice(sizes, operations, draw(st.permutations(range(n))))
+
+
+def custom_refinement(operands, choice):
+    """The refinement that ``choice`` makes of the operands' assumed partitions."""
+    parts = [
+        GeneralisedPartition(f"operand {k}", U_ATOM, tuple(t.region for t in op.terms), assumed=True)
+        for k, op in enumerate(operands, start=1)
+    ]
+    return common_strict_refinement(parts, choice=choice)
+
+
+def custom_example(sizes, terms, operations, order):
+    """``custom_combines``' output for operands whose term k of operand i
+    is ``terms[i][k]``, (atom, exponent, region), and the matrix
+    ``custom_choice(sizes, operations, order)``."""
+    operands = [
+        HybridExpr(None, tuple(HybridTerm(word((a, e)), r) for a, e, r in op)) for op in terms
+    ]
+    return operands, custom_choice(sizes, operations, order)
+
+
+class TestCustomCombine:
+    """A combine over an explicit refinement reads its choice matrix's
+    runs, and builds what the walk of the dense rewrite rows builds."""
+
+    @seed(42)
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([PLUS, TIMES]), custom_combines())
+    # f bound to two atoms; a sum of -2^63 and -2^63; a word that cancels
+    # away; partial sums of 2^62 and 2^62 that leave the 64-bit range, whose
+    # final sums fit
+    @example(PLUS, custom_example([1, 1], [[(FA, 1, U - C1)], [(OTHER_F, -2, A1)]], [], [0]))
+    @example(TIMES, custom_example(
+        [2, 1, 2], [[(GA, -1, C1), (HA, 1, U - B1)], [(GA, -1, C1)], [(GA, -(2**63), U - C1)] * 2],
+        [(1, 2, 1)], [0, 1, 2],
+    ))
+    @example(PLUS, custom_example(
+        [2, 3], [[(GA, -2, B1), (GA, -2, U - A1)], [(FA, 2, U - C1), (GA, 2, U - A1), (HA, -2, C1)]],
+        [(2, 1, 1)], [2, 1, 0, 3],
+    ))
+    @example(PLUS, custom_example(
+        [1, 3], [[(FA, -(2**62), C1)], [(HA, 2**62, B1), (FA, -2, C1), (HA, 2**62, U - B1)]],
+        [(2, 1, 1), (2, 1, 1)], [1, 2, 0],
+    ))
+    def test_the_combine_matches_the_rewrite_row_walk(self, star, case):
+        operands, choice = case
+        refinement = custom_refinement(operands, choice)
+        got = _fold_outcome(lambda: pointwise_star(star, *operands, refinement=refinement))
+        want = _fold_outcome(lambda: rewrite_row_walk(star, operands, refinement))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert (got.render(), got.terms) == (want.render(), want.terms)
+
+    def test_it_reads_no_dense_row_or_matrix_entry(self, monkeypatch):
+        operands = [
+            HybridExpr(None, tuple(HybridTerm(word((a, k)), r) for a, r in zip(DIFF_ATOMS, regions)))
+            for k, regions in enumerate([(A1, U - A1), (B1, C1 - B1, U - C1), (C1, U - C1)], start=1)
+        ]
+        choice = custom_choice([2, 3, 2], [(1, 2, 1), (3, 1, -1), (4, 3, 1)], [1, 0, 3, 2, 4])
+        refinement = custom_refinement(operands, choice)
+        reads = Counter()
+        for cls, name in ((refine.ChoiceMatrix, "entries"), (refine.Refinement, "coefficients")):
+            real = cls.__dict__[name]
+            monkeypatch.setattr(cls, name, property(
+                lambda self, real=real, name=name: reads.update([name]) or real.__get__(self, type(self))
+            ))
+        got = pointwise_star(TIMES, *operands, refinement=refinement)
+        assert reads == Counter()
+        # the counters see the reference's reads: its walk, and the dense
+        # kept rows that the walk's rows are written from
+        assert got == rewrite_row_walk(TIMES, operands, refinement)
+        assert reads["coefficients"] == 1 and reads["entries"] > 0
 
 
 class TestInverseIdentity:

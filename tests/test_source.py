@@ -431,6 +431,44 @@ def test_refine_holds_one_elimination():
     assert users("_read_runs") == {"ChoiceMatrix.__init__", "determinant_and_adjugate"}
 
 
+def test_the_combine_reads_runs_and_one_dropped_row_rule():
+    # One combine routine: pointwise_star reads an explicit refinement's
+    # choice matrix as runs, never its dense rewrite rows or entries, and
+    # the dropped piece's rewrite row, 1 minus the kept rows' column sums,
+    # is worked out in one place in refine.py, which the combine and
+    # Refinement.coefficients call, so a second copy of the rule cannot
+    # come back unseen.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    scopes = {}
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                scopes[f"{module}.{top.name}"] = top
+            elif isinstance(top, ast.ClassDef):
+                methods = (node for node in top.body if isinstance(node, ast.FunctionDef))
+                scopes.update((f"{module}.{top.name}.{node.name}", node) for node in methods)
+    star = scopes["calculus.pointwise_star"]
+    read = {node.attr for node in ast.walk(star) if isinstance(node, ast.Attribute)}
+    assert read & {"coefficients", "entries"} == set()
+
+    def one_minus_a_sum(node):
+        return (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.Constant) and node.left.value == 1
+            and isinstance(node.right, ast.Call) and getattr(node.right.func, "id", "") == "sum"
+        )
+
+    owners = {scope for scope, node in scopes.items() if any(map(one_minus_a_sum, ast.walk(node)))}
+    assert owners == {"refine.rewrite_columns"}
+    callers = {
+        scope
+        for scope, node in scopes.items()
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "rewrite_columns"
+    }
+    assert callers == {"refine.Refinement.coefficients", "calculus.pointwise_star"}
+
+
 def test_every_name_the_benchmark_tracer_rebinds_exists():
     # perfbench/tracer.py rebinds library names during a traced run and needs
     # each one in its owner's own namespace; loading the module only reads
