@@ -66,11 +66,12 @@ def pointwise_star(
     j, its word in place of its operand's last.
 
     The result is a marked join with one term per piece.  All three cases
-    hand one builder the kept rows of a choice matrix as runs: the
-    refinement's, or unit rows.  Term j's word merges, in operand order, every operand
-    word by its rewrite coefficient at j, which ``refine.rewrite_columns``
-    reads off the runs, so no dense rewrite row is written out; a leading
-    word with coefficient 1 seeds the merge (``FreeCombination.combine``).
+    hand one builder the kept rows of a choice matrix as runs, the
+    refinement's or unit rows; term j's word merges, in operand order,
+    every operand word by its rewrite coefficient at j, which
+    ``refine.rewrite_columns`` reads off the runs, so no dense rewrite row
+    is written out.  A leading word with coefficient 1 seeds the merge
+    (``FreeCombination.combine``).
     A closed-form result keeps a compact form (``_Compact``), which a binary
     step whose first operand has one, over the same universe atom, extends
     at O(size of the new operand) in Python, however many terms run; its
@@ -127,9 +128,9 @@ def pointwise_star(
             own = [(terms[i].word, v) for i, v in pairs]
             reached[j][k] = own + [(terms[-1].word, c)] if c else own
     out_terms = []
-    for piece, label, own in zip(pieces, labels, reached):
+    for piece, label, column in zip(pieces, labels, reached):
         group, at = [], 0
-        for k, pairs in own.items():
+        for k, pairs in column.items():
             group += lasts[at:k] + pairs
             at = k + 1
         w = FreeWord.combine(group + lasts[at:])
