@@ -31,6 +31,7 @@ from .functions import (
     evaluate_many,
     marked_join,
 )
+from .hybridset import bind_all
 from .regions import Point, RegionAtom, SymbolicHybridSet, Valuation, multiplicities_many, resolve_param
 from .refine import Refinement, rewrite_columns
 from .refine import common_strict_refinement  # unused here, but a name the perfbench tracer rebinds in this module
@@ -142,18 +143,6 @@ def pointwise_star(
     return marked_join(star, out_terms)
 
 
-def _named(known: dict, combinations) -> Optional[dict]:
-    """A copy of ``known``, name -> atom, with the atoms of ``combinations``
-    added, or None where one of them binds a name to another atom."""
-    atoms = dict(known)
-    for c in combinations:
-        for name, a in c._atoms.items():
-            bound = atoms.setdefault(name, a)
-            if bound is not a and bound != a:
-                return None
-    return atoms
-
-
 class _Compact:
     """The compact form of a closed-form result of ``pointwise_star``.
 
@@ -226,8 +215,8 @@ class _Compact:
             words += (w for w, _, _ in records)
             shapes = [*(t.region for t in kept), *(r for _, _, r in records)]
         bound += sum(map(_size, words))
-        atoms, regions = _named(atoms, words), _named(regions, shapes)
-        if bound > INT64_MAX or atoms is None or regions is None:
+        (atoms, clashes), (regions, more) = bind_all(atoms, words), bind_all(regions, shapes)
+        if bound > INT64_MAX or clashes or more:
             return None
         if self.added:
             offsets, offset = self.offsets, self.offset

@@ -33,7 +33,7 @@ from .errors import (
 from .hybridset import (
     FreeCombination,
     HybridSet,
-    bind,
+    bind_all,
     checked_int,
     element_sort_key,
     merge,
@@ -442,18 +442,10 @@ class _Plan:
             records, added = source.records, source.added
         else:
             records, added = [(t.word, 0, t.region) for t in e.terms], ()
-        self.records, self.added, self.words = records, added, None
         self.layout = _Layout([region for _, _, region in records])
-        words = [*(w for w, _, _ in records), *added]
-        self.atoms = atoms = {}
-        for w in reversed(words):  # the first word to bind a name keeps it
-            atoms.update(w._atoms)
-        if not all(w._atoms.items() <= atoms.items() for w in words):
-            clashes: list = []  # name the least clash, as binding one by one does
-            for w in words:
-                for name, a in w._atoms.items():
-                    bind(atoms, name, a, clashes)
-            no_clash(clashes, FreeWord.CLASH)
+        atoms, clashes = bind_all({}, [*(w for w, _, _ in records), *added])
+        no_clash(clashes, FreeWord.CLASH)
+        self.records, self.added, self.words, self.atoms = records, added, None, atoms
         self.slot = self.shared = None
         self.additive = e.star is PLUS and not any(
             a.is_opaque or a.reads_point for a in atoms.values())

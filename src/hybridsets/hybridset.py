@@ -53,6 +53,23 @@ def bind(atoms: dict, name: str, atom, clashes: list):
     return known
 
 
+def bind_all(known: dict, combinations) -> Tuple[dict, list]:
+    """(atoms, clashes): a copy of ``known``, name -> atom, with each name of
+    ``combinations`` bound to its first atom, and the names that ``bind``
+    finds bound to another atom.  One subset test per combination finds them
+    at C speed; ``bind`` runs only when one fails."""
+    atoms: dict = {}
+    for c in reversed(combinations):  # the first combination to bind a name keeps it
+        atoms.update(c._atoms)
+    atoms.update(known)
+    clashes: list = []
+    for c in combinations:
+        if not c._atoms.items() <= atoms.items():
+            for name, a in c._atoms.items():
+                bind(atoms, name, a, clashes)
+    return atoms, clashes
+
+
 def no_clash(clashes: list, clash: str) -> None:
     """A ContractError naming the least of ``clashes``, whatever order met them."""
     if clashes:

@@ -364,15 +364,21 @@ def weak_orderings(p):
     return [r for r in itertools.product(range(p), repeat=p) if set(r) == set(range(max(r) + 1))]
 
 
-def steps_workspace(p):
-    """p fold-eval operands z_i^(U - R_i) ⊛ a_i^R_i with R_i = (k_i, t] and
-    U = [0, t], the amplitudes a_i = 2^i / 3 telling every subset apart."""
+def steps_text(p):
+    """The text of p fold-eval operands z_i^(U - R_i) ⊛ a_i^R_i with
+    R_i = (k_i, t] and U = [0, t], the amplitudes a_i = 2^i / 3 telling
+    every subset apart."""
     lines = ["param t, " + ", ".join(f"k{i}" for i in range(1, p + 1)),
              "region U = interval[0, t]"]
     for i in range(1, p + 1):
         lines += [f"region R{i} = interval(k{i}, t]", f"fn z{i} = 0", f"fn a{i} = {2**i}/3",
                   f"expr H{i} = join(z{i}^(U - R{i}), a{i}^R{i})"]
-    return parse_workspace("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def steps_workspace(p):
+    """The workspace of ``steps_text(p)``."""
+    return parse_workspace(steps_text(p))
 
 
 class TestEveryOrdering:
@@ -761,10 +767,10 @@ def custom_combines(draw):
     return operands, custom_choice(sizes, operations, draw(st.permutations(range(n))))
 
 
-def custom_refinement(operands, choice):
+def custom_refinement(operands, choice, universe=U_ATOM):
     """The refinement that ``choice`` makes of the operands' assumed partitions."""
     parts = [
-        GeneralisedPartition(f"operand {k}", U_ATOM, tuple(t.region for t in op.terms), assumed=True)
+        GeneralisedPartition(f"operand {k}", universe, tuple(t.region for t in op.terms), assumed=True)
         for k, op in enumerate(operands, start=1)
     ]
     return common_strict_refinement(parts, choice=choice)
@@ -832,6 +838,89 @@ class TestCustomCombine:
         # kept rows that the walk's rows are written from
         assert got == rewrite_row_walk(TIMES, operands, refinement)
         assert reads["coefficients"] == 1 and reads["entries"] > 0
+
+
+T_ATOM = RegionAtom("U", Interval1D(F(0), "t"))
+ORACLE_STARS = {PLUS: operator.add, TIMES: operator.mul}
+
+
+@st.composite
+def tied_chain_combines(draw):
+    """(operands, constants, cuts, choice, valuation): 1-3 operands over
+    chain partitions of U = [0, t], each term one constant atom, piece i of
+    operand k being A_k,i less A_k,(i-1) with A_k,i = [0, a_k,i) (the first
+    piece A_k,1, the last U less the last A); per operand, its thresholds'
+    values under the valuation, which cut [0, t] into its pieces; a custom
+    unimodular choice matrix for them (``custom_choice``), or None for the
+    closed form; and a valuation that puts the thresholds on the even
+    integers by rank, from 0 or 2, with t on the top threshold or two above
+    it, so that ranks tie thresholds to each other and to both ends of U.
+    Each operand's thresholds rise with i, so its pieces partition U, and
+    ``constants`` holds each operand's term values."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    levels = [sorted(draw(st.lists(st.integers(0, 4), min_size=n - 1, max_size=n - 1))) for n in sizes]
+    ranks = {level: r for r, level in enumerate(sorted({x for ls in levels for x in ls}))}
+    low, high = draw(st.sampled_from([0, 2])), draw(st.sampled_from([0, 2]))
+    cuts = [[low + 2 * ranks[x] for x in ls] for ls in levels]
+    values = iter(F(v, 3) for v in (2, 5, -7, 11, 13, -17, 19, 23, -29))  # no subset sums alike
+    constants = [[next(values) for _ in range(n)] for n in sizes]
+    universe, operands, binding = SymbolicHybridSet.from_atom(T_ATOM), [], {}
+    for k, ks in enumerate(cuts, start=1):
+        chain = [
+            SymbolicHybridSet.from_atom(RegionAtom(f"A{k}_{i}", Interval1D(F(0), f"a{k}_{i}", hi_closed=False)))
+            for i in range(1, len(ks) + 1)
+        ]
+        binding.update((f"a{k}_{i}", x) for i, x in enumerate(ks, start=1))
+        pieces = [b - a for a, b in zip([None, *chain], [*chain, universe]) if a is not None]
+        pieces = [chain[0], *pieces] if chain else [universe]
+        operands.append(join(*(
+            term(constant_atom(f"c{k}_{i}", c), r) for i, (c, r) in enumerate(zip(constants[k - 1], pieces))
+        )))
+    valuation = Valuation({"t": max([low, *binding.values()]) + high, **binding})
+    choice = None
+    if draw(st.booleans()):
+        n = sum(sizes) + 1 - len(sizes)
+        pairs = st.tuples(st.integers(1, n - 1), st.integers(1, n - 1), st.sampled_from([1, -1]))
+        operations = draw(st.lists(pairs.filter(lambda p: p[0] != p[1]), max_size=2 * n)) if n > 2 else []
+        choice = custom_choice(sizes, operations, draw(st.permutations(range(n))))
+    return operands, constants, cuts, choice, valuation
+
+
+def instantiated(constants, cuts, top):
+    """The oracle's function on the integers of [0, top] whose piece i is
+    [cut i - 1, cut i), the first from 0 and the last to top, closed, with
+    the value ``constants[i]``."""
+    points = range(top + 1)
+    bounds = zip([0, *cuts], [*cuts, top + 1])
+    return oracle.ClassicalPiecewise(frozenset(points), tuple(
+        (frozenset(x for x in points if lo <= x < hi), (lambda c: lambda x: c)(c))
+        for (lo, hi), c in zip(bounds, constants)
+    ))
+
+
+class TestCombineAgainstTheOracle:
+    """A combine of operands with one constant atom per term, over a custom
+    unimodular refinement or in closed form, takes at every integer the
+    value that the classical case split takes, under valuations that tie
+    thresholds to each other and to the ends of the universe."""
+
+    @seed(18)
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([PLUS, TIMES]), tied_chain_combines())
+    def test_the_combine_matches_the_classical_star(self, star, case):
+        operands, constants, cuts, choice, valuation = case
+        top = int(valuation.resolve("t"))
+        if choice is None:
+            e = pointwise_star(star, *operands, universe=T_ATOM)
+        else:
+            e = pointwise_star(star, *operands, refinement=custom_refinement(operands, choice, T_ATOM))
+        classical = [instantiated(cs, ks, top) for cs, ks in zip(constants, cuts)]
+        want = classical[0]
+        for f in classical[1:]:
+            want = oracle.classical_star(ORACLE_STARS[star], want, f)
+        for x in range(-1, top + 2):
+            value = oracle.classical_eval(want, x)
+            assert evaluate(e, F(x), valuation) == (UNDEFINED if value is None else Defined(value, 1)), x
 
 
 class TestInverseIdentity:

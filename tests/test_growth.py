@@ -9,6 +9,18 @@ count nothing.  The fold is built before the trace starts.  The exponent
 is log2(events at 2N / events at N) for N = 40; it read 1.77 when the plan
 wrote out and walked the N(N + 1) term-word entries, and reads about 0.97
 when the plan is made from the fold's records.
+
+``parse_workspace`` of a workspace of chain partitions (as
+``tests/golden/make.py``'s ``chain_text`` writes one) is counted at about
+L = 160 and 2L = 320 lines, its exponent taken against the ratio of the
+line counts: it reads 1.00, with a ceiling of 1.1.  A parse that walks the
+whole text again in Python for every line reads 1.69; one that re-splits it
+with ``str.split``, which runs in C, is not seen, as only Python lines
+count.  One n-ary
+closed-form ``pointwise_star`` of the N operands of ``steps_workspace(N)``
+is counted at N = 40 and 80: its N + 1 terms hold N(N + 1) word entries,
+and it reads 1.89 (1.80 from N = 20, 1.94 from N = 80), with a ceiling of
+1.99 that a combine storing fewer entries lowers.
 """
 
 import math
@@ -17,7 +29,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import hybridsets
-from hybridsets import Valuation, evaluate, hybridset
+from golden.make import chain_text
+from hybridsets import PLUS, Valuation, evaluate, hybridset, parse_workspace, pointwise_star
 from hybridsets import calculus, functions
 from test_calculus import step_fold, steps_workspace
 
@@ -59,6 +72,28 @@ def test_a_first_evaluate_of_a_stepped_fold_grows_linearly():
         assert e._source.added  # a stepped compact form
         events.append(_line_events(lambda: evaluate(e, Fraction(1, 2), v)))
     assert math.log2(events[1] / events[0]) <= 1.2, events
+
+
+def test_a_parse_grows_linearly_in_the_lines():
+    # The paper's refinement works on the text's symbols alone, so reading
+    # that text is to take time linear in it (aim 3).
+    counts = []
+    for m in (20, 40):
+        text = chain_text([8] * m)
+        counts.append((text.count("\n"), _line_events(lambda: parse_workspace(text))))
+    (lines, events), (lines2, events2) = counts
+    assert math.log(events2 / events) / math.log(lines2 / lines) <= 1.1, counts
+
+
+def test_an_nary_closed_form_grows_no_faster_than_its_word_entries():
+    # The closed form stores N(N + 1) word entries for N operands; the
+    # ceiling holds that, and falls as a combine stores fewer.
+    events = []
+    for n in (40, 80):
+        ws = steps_workspace(n)
+        operands = [ws.exprs[f"H{i}"] for i in range(1, n + 1)]
+        events.append(_line_events(lambda: pointwise_star(PLUS, *operands, universe=ws.regions["U"])))
+    assert math.log2(events[1] / events[0]) <= 1.99, events
 
 
 def test_the_additive_route_builds_no_term_and_merges_nothing(monkeypatch):

@@ -523,3 +523,37 @@ def test_combinations_share_one_merge(monkeypatch):
             seeds.clear()
             build()
             assert len(seeds) == 1 and seeds[0] is seed, cls.__name__
+
+
+def test_names_are_bound_in_hybridset_alone():
+    # One name-binding rule: a name is bound to the first atom that names it
+    # and an unequal later one is a clash, by hybridset.bind, per entry in
+    # merge and per combination in bind_all, which the evaluation plan and
+    # the compact fold call.  No other module scans a combination's atoms
+    # itself, so a second copy of the clash test cannot come back unseen.
+    # A call is named by its module, class and function.
+    def calls(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)) and where.count(".") < 2:
+                inner = f"{where}.{child.name}"
+            if isinstance(child, ast.Call):
+                func = child.func
+                yield where, func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if isinstance(func, ast.Attribute) and func.attr == "items":
+                    if getattr(func.value, "attr", "") == "_atoms":
+                        yield where, "_atoms.items"
+            yield from calls(child, inner)
+
+    found = [
+        pair
+        for path in SOURCES
+        for pair in calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+
+    def callers(name):
+        return {where for where, called in found if called == name}
+
+    assert callers("bind") == {"hybridset.bind_all", "hybridset.merge"}
+    assert callers("bind_all") == {"functions._Plan.__init__", "calculus._Compact.extend"}
+    assert {where.split(".")[0] for where in callers("_atoms.items")} == {"hybridset"}
