@@ -871,8 +871,8 @@ def tied_chain_combines(draw):
             for i in range(1, len(ks) + 1)
         ]
         binding.update((f"a{k}_{i}", x) for i, x in enumerate(ks, start=1))
-        pieces = [b - a for a, b in zip([None, *chain], [*chain, universe]) if a is not None]
-        pieces = [chain[0], *pieces] if chain else [universe]
+        ends = [*chain, universe]
+        pieces = [ends[0], *(b - a for a, b in zip(ends, ends[1:]))]
         operands.append(join(*(
             term(constant_atom(f"c{k}_{i}", c), r) for i, (c, r) in enumerate(zip(constants[k - 1], pieces))
         )))

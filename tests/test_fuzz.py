@@ -23,7 +23,6 @@ The examples are seeded and derandomized; ``max_examples`` keeps the file
 within about 5 s, and the alphabet is not narrowed to do so.
 """
 
-import argparse
 import re
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from hybridsets import HybridError, cli
 from hybridsets.workspace import parse_workspace
 from test_calculus import steps_text
 from test_cli import run_cli_within_a_second
+from test_golden import _commands
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -138,16 +138,6 @@ def mutated_texts(draw):
         i = rnd.randrange(len(lines))
         lines[i] = mutated(lines[i], rnd)
     return "\n".join(lines) + "\n", rnd.choice(commands)
-
-
-def _commands(parser, path=()):
-    """(subcommand path, its actions but help) for each leaf subcommand."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                yield from _commands(sub, (*path, name))
-            return
-    yield path, [a for a in parser._actions if a.dest != "help"]
 
 
 COMMANDS = list(_commands(cli._build_parser()))

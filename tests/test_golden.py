@@ -24,23 +24,23 @@ def test_every_case_prints_its_golden_output(capsys, monkeypatch):
 
 
 def _commands(parser, path=()):
-    """(subcommand path, its optional actions) for each leaf subcommand."""
+    """(subcommand path, its actions but help) for each leaf subcommand."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
                 yield from _commands(sub, (*path, name))
             return
-    yield path, [a for a in parser._actions if a.option_strings and a.dest != "help"]
+    yield path, [a for a in parser._actions if a.dest != "help"]
 
 
 def test_every_subcommand_option_and_choice_appears_in_a_case():
     argvs = [shlex.split(case) for case in make.read_cases()]
     missing = []
-    for path, options in _commands(cli._build_parser()):
+    for path, actions in _commands(cli._build_parser()):
         used = [argv for argv in argvs if tuple(argv[:len(path)]) == path]
         if not used:
             missing.append(" ".join(path))
-        for action in options:
+        for action in filter(lambda a: a.option_strings, actions):
             (flag,) = [s for s in action.option_strings if s.startswith("--")]
             values = {argv[i + 1] for argv in used for i, a in enumerate(argv[:-1]) if a == flag}
             if not any(flag in argv for argv in used):
