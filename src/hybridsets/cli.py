@@ -83,17 +83,16 @@ def _lookup(registry: dict, name: str, kind: str):
 
 
 @contextmanager
-def _reading(what: str, spec: str, form: Optional[str] = None):
+def _reading(what: str, spec: str):
     """A Cursor over the argument ``spec``, which the block reads to its end
     with the workspace's readers.  A ContractError, a ParseError included,
-    becomes the usage error ``bad <what> '<spec>': ...``, which names
-    ``form`` in place of the error when one is given."""
+    becomes the usage error ``bad <what> '<spec>': <error>``."""
     cur = Cursor(spec)
     try:
         yield cur
         cur.finish()
     except ContractError as e:
-        raise _Usage(f"bad {what} {spec!r}: {form or e}") from None
+        raise _Usage(f"bad {what} {spec!r}: {e}") from None
 
 
 def _valuation(ws: Workspace, spec: Optional[str]) -> Optional[Valuation]:
@@ -194,7 +193,7 @@ def _cmd_matrix_add(args) -> int:
     if args.format != "json-lines":
         print(expr.render())
     if args.cell:
-        with _reading("cell", args.cell, "expected i,j") as cur:
+        with _reading("cell", args.cell) as cur:
             i = cur.integer(1)
             cur.expect(",")
             j = cur.integer(1)
@@ -270,7 +269,7 @@ def _cmd_check_karr(args) -> int:
     ws = _load(args.workspace)
     f = _lookup(ws.atoms, args.summand, "function")
     v = _valuation(ws, args.valuation)
-    with _reading("bounds", args.bounds, "expected lower,mid,upper") as cur:
+    with _reading("bounds", args.bounds) as cur:
         lower = _bound(cur)
         cur.expect(",")
         mid = _bound(cur)

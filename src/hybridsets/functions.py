@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
@@ -180,7 +180,7 @@ class HybridExpr:
         hash and repr read the terms, so they equal those of
         ``marked_join(star, source.terms())``.  A source whose ``added``
         is not empty gives its ``records`` too, which ``_Plan`` reads
-        in place of the terms."""
+        in place of the terms, so no evaluation builds them."""
         e = object.__new__(cls)
         e.__dict__.update(star=star, _source=source)
         return e
@@ -297,23 +297,30 @@ class Defined:
 EvalOutcome = Union[Defined, _Undefined]
 
 
-def _accumulate(words, multiplicities: Iterable[int]):
-    """(net region multiplicity, surviving exponents, atoms): the terms'
-    words, as (name, exponent, atom) tuples, merged with their region
-    multiplicities as scalars.  The multiplicities are drawn one term at a
-    time, between the words' merges; the surviving exponents (see
-    ``merge``), then the net, are checked once all are read."""
-    net = 0
+def _entries(w: FreeWord):
+    """The word's (name, exponent, None) entries: a plan has bound its atoms."""
+    coeffs = w._coeffs
+    return zip(coeffs, coeffs.values(), repeat(None))
 
-    def scaled():
-        nonlocal net
-        for word, m in zip(words, multiplicities):
-            net += m
-            if m:
-                yield word, m
 
-    surviving, atoms = merge(scaled(), FreeWord.CLASH)
-    return checked_int(net), surviving, atoms
+def _accumulate(plan: "_Plan", multiplicities: Iterable[int]):
+    """(net region multiplicity, surviving exponents, the plan's atoms): the
+    terms' words weighted by their region multiplicities, which are drawn
+    first, in term order, and merged from the plan's records.  Term j's
+    word is its birth word plus ``added[b_j:]``, so ``added[i]`` is weighted
+    by the multiplicities of the terms born at steps b <= i.  The plan bound
+    every name; the surviving exponents (see ``merge``), then the net, are
+    checked once all are read."""
+    ms = list(multiplicities)
+    born = [0] * (len(plan.added) + 1)
+    groups = []
+    for (w, b, _), m in zip(plan.records, ms):
+        if m:
+            born[b] += m
+            groups.append((_entries(w), m))
+    groups += [(_entries(a), n) for a, n in zip(plan.added, accumulate(born)) if n]
+    surviving, _ = merge(groups, FreeWord.CLASH)
+    return checked_int(sum(ms)), surviving, plan.atoms
 
 
 def _eval_plain(star, accumulated, point, valuation) -> EvalOutcome:
@@ -412,7 +419,7 @@ class _Plan:
     added word to its first atom, and a name bound to two definitions is a
     ContractError here, once, naming the least such name.  A name that
     cancels out of every term word changes only the route a state takes.
-    ``flat(e)`` writes the terms' words out when a state first needs them.
+    Every route reads the records, and none writes a term word out.
 
     ``additive`` holds when the star is ``PLUS``, every atom has a body
     that does not name x, and the plan is within the static bound: the sum
@@ -426,7 +433,8 @@ class _Plan:
     ``shared`` (False when an atom raises), and each state moves its own
     position over it; else ``shared`` is None and each state makes its own.
     Every other state accumulates the exponents of each new indicator
-    vector from scratch, by ``_accumulate``, which raises what it raises.
+    vector from scratch, by ``_accumulate``, which merges each record's
+    birth word and each added word once, and raises what it raises.
 
     ``slot`` holds the state of the last valuation used: its
     ``IndicatorTable``, per indicator vector the accumulated sums (or, on
@@ -434,7 +442,7 @@ class _Plan:
     every point with that vector, and the ``_AdditiveSweep``, or None.
     """
 
-    __slots__ = ("layout", "records", "added", "words", "atoms", "additive", "shared", "slot")
+    __slots__ = ("layout", "records", "added", "atoms", "additive", "shared", "slot")
 
     def __init__(self, e: "HybridExpr"):
         source = e._source
@@ -445,7 +453,7 @@ class _Plan:
         self.layout = _Layout([region for _, _, region in records])
         atoms, clashes = bind_all({}, [*(w for w, _, _ in records), *added])
         no_clash(clashes, FreeWord.CLASH)
-        self.records, self.added, self.words, self.atoms = records, added, None, atoms
+        self.records, self.added, self.atoms = records, added, atoms
         self.slot = self.shared = None
         self.additive = e.star is PLUS and not any(
             a.is_opaque or a.reads_point for a in atoms.values())
@@ -455,16 +463,6 @@ class _Plan:
                                 for w, b, region in records) <= scalarexpr.INT64_MAX
         if self.additive and not any(a.names for a in atoms.values()):
             self.shared = self._sweep(None) or False
-
-    def flat(self, e: "HybridExpr") -> tuple:
-        """The words of ``e``'s terms as (name, exponent, atom) tuples, made once."""
-        words = self.words
-        if words is None:
-            atom = self.atoms.__getitem__
-            words = self.words = tuple(
-                tuple(zip(c, c.values(), map(atom, c))) for c in (t.word._coeffs for t in e.terms)
-            )
-        return words
 
     def _slot(self, valuation: Optional[Valuation]):
         """The slot when it holds this very valuation object, else a new
@@ -579,13 +577,13 @@ def evaluate_many(
     else once per state, and a new vector adds or takes away the net and
     the weight of each shape whose bit changed.  Any other state
     accumulates the vector's exponents from scratch (``_accumulate``) and
-    keeps them, which merges the words of the terms active at it, written
-    out on the first such vector.  For an n-ary step combine of N operands
-    that is about N^2 / 2 word entries per vector, so a pass that meets all
-    of its vectors merges O(N^3); atoms that read x take this route.
+    keeps them: it merges the birth words of the records active at the
+    vector, and each added word once, scaled by the multiplicities of the
+    terms born at or before its step, never a written-out term word.
+    Atoms that read x take this route.
     A point the fast placement cannot key, because its placement raised,
     is evaluated by the reference itself, ``SymbolicHybridSet.multiplicity``
-    term by term, and leaves nothing in the state.
+    record by record, and leaves nothing in the state.
     All of it is bounded by the expression, not by the points seen, and
     nothing about an error is kept, within a pass or across passes.  A
     pass keeps the state it started with, and reads points one at a time,
@@ -646,12 +644,12 @@ def _outcomes(e: HybridExpr, slot, pairs) -> Iterator[EvalOutcome]:
     ``_AdditiveSweep``, or, when it has none, accumulated from the
     vector's multiplicities by ``_accumulate``, and kept.  A point with
     the key None, which the fast placement could not key, takes each
-    term's multiplicity from ``SymbolicHybridSet.multiplicity`` in term
-    order, so it raises, or does not, as a point-by-point loop does;
-    nothing is kept for it.
+    record's multiplicity from ``SymbolicHybridSet.multiplicity`` in term
+    order (the records' regions are the terms'), so it raises, or does
+    not, as a point-by-point loop does; nothing is kept for it.
     The one-point ``evaluate`` runs through here, so the setup is kept to
     what a kept outcome needs: the arity is fixed (unpacking arguments
-    costs measurably more), and the words and the finish are looked up
+    costs measurably more), and the plan and the finish are looked up
     only when an outcome must be computed."""
     valuation, _, kept, sweep = slot
     for point, key in pairs:
@@ -659,13 +657,13 @@ def _outcomes(e: HybridExpr, slot, pairs) -> Iterator[EvalOutcome]:
         if found is None:
             plan = e._plan
             if key is None:  # the reference decides the point, and nothing is kept
-                ms = (t.region.multiplicity(point, valuation) for t in e.terms)
-                found = _entry(_accumulate(plan.flat(e), ms))
+                ms = (region.multiplicity(point, valuation) for _, _, region in plan.records)
+                found = _entry(_accumulate(plan, ms))
             elif sweep is not None:
                 found = kept[key] = sweep.find(key)
             else:
                 ms = plan.layout.multiplicities(key)
-                found = kept[key] = _entry(_accumulate(plan.flat(e), ms))
+                found = kept[key] = _entry(_accumulate(plan, ms))
         accumulated, fixed, outcome = found
         if outcome is None:
             finish = _eval_plain if e.star is None else _eval_marked

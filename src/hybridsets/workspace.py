@@ -439,7 +439,7 @@ def parse_workspace(text: str) -> Workspace:
     # U+2028 and U+2029
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for line_no, raw in enumerate(lines, start=1):
-        line = (raw.split("#", 1)[0] if "#" in raw else raw).rstrip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).rstrip(" \t")
         if not line:
             continue
         cur = Cursor(line, line_no)

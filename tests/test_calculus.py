@@ -420,11 +420,11 @@ class TestEveryOrdering:
                     assert all(type(o.value) is F for o in got if o is not UNDEFINED)
 
 
-def step_fold(ws, n):
-    """H1 ⊛+ H2 ⊛+ ... ⊛+ Hn, one binary ``pointwise_star`` per step."""
+def step_fold(ws, n, star=PLUS):
+    """H1 ⊛ H2 ⊛ ... ⊛ Hn under ``star``, one binary ``pointwise_star`` per step."""
     fold = ws.exprs["H1"]
     for i in range(2, n + 1):
-        fold = pointwise_star(PLUS, fold, ws.exprs[f"H{i}"], universe=ws.regions["U"])
+        fold = pointwise_star(star, fold, ws.exprs[f"H{i}"], universe=ws.regions["U"])
     return fold
 
 

@@ -869,11 +869,15 @@ class TestNumberArguments:
              "bad grid '0,1e100000000,3': col 4: expected ','"),
             (LINEAR + ["0.5,1,3"], LINEARITY, "bad grid '0.5,1,3': col 2: expected ','"),
             (LINEAR + ["0,1/0,3"], LINEARITY, "bad grid '0,1/0,3': col 3: zero denominator"),
-            (CELL + ["+1,2"], "", "bad cell '+1,2': expected i,j"),
-            (CELL + ["1.0,2"], "", "bad cell '1.0,2': expected i,j"),
-            (CELL + ["oops"], "", "bad cell 'oops': expected i,j"),
-            (KARR + ["0,+1,2"], "", "bad bounds '0,+1,2': expected lower,mid,upper"),
-            (KARR + ["1/2,1,2"], "", "bad bounds '1/2,1,2': expected lower,mid,upper"),
+            (CELL + ["+1,2"], "", "bad cell '+1,2': col 1: expected an integer"),
+            (CELL + ["1.0,2"], "", "bad cell '1.0,2': col 2: expected ','"),
+            (CELL + ["oops"], "", "bad cell 'oops': col 1: expected an integer"),
+            (CELL + ["1,9223372036854775808"], "", "bad cell '1,9223372036854775808': "
+             "col 3: integer 9223372036854775808 leaves the 64-bit range"),
+            (KARR + ["0,+1,2"], "", "bad bounds '0,+1,2': col 3: expected an integer or a parameter name"),
+            (KARR + ["1/2,1,2"], "", "bad bounds '1/2,1,2': col 2: expected ','"),
+            (KARR + ["0,9223372036854775808,1"], "", "bad bounds '0,9223372036854775808,1': "
+             "col 3: integer 9223372036854775808 leaves the 64-bit range"),
             (["spline-merge", SPLINE, "S", "T", "--with", "v1", "--at", "(1, 2)"], SPLINE_MERGE,
              "bad point '(1, 2)': col 1: expected a number"),
         ],

@@ -4,6 +4,7 @@ type checks, the name-clash check, sums, and the one print order."""
 import re
 from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -198,15 +199,24 @@ class TestSums:
         for x in (F(k, 2) for k in range(-1, 8)):
             assert outcome(built[0], x) == outcome(built[1], x)
 
-    @given(st.lists(st.tuples(entry_lists, st.integers(-2, 2)), max_size=5))
-    def test_accumulate_sums_the_scaled_words(self, terms):
-        words = [tuple((n, c, WORD_ATOMS[n]) for n, c in pairs) for pairs, _ in terms]
-        ms = [m for _, m in terms]
-        net, surviving, atoms = _accumulate(words, iter(ms))
+    @given(st.lists(st.tuples(entry_lists, st.integers(0, 3), st.integers(-2, 2)), max_size=5),
+           st.lists(entry_lists, max_size=3))
+    def test_accumulate_sums_the_scaled_words(self, terms, added):
+        # a plan's records: (birth word, birth step b, region); term j's word
+        # is its birth word plus added[b:]
+        def word(pairs):
+            return FreeWord((WORD_ATOMS[n], c) for n, c in pairs)
+
+        added = [word(pairs) for pairs in added]
+        records = [(word(pairs), b % (len(added) + 1), None) for pairs, b, _ in terms]
+        plan = SimpleNamespace(records=records, added=added, atoms=dict(WORD_ATOMS))
+        ms = [m for _, _, m in terms]
+        net, surviving, atoms = _accumulate(plan, iter(ms))
         assert net == sum(ms)
-        scaled = [(n, m * c) for pairs, m in terms if m for n, c in pairs]
+        scaled = [(n, m * c) for (w, b, _), m in zip(records, ms) if m
+                  for x in (w, *added[b:]) for n, c in x._coeffs.items()]
         assert surviving == totals_of(scaled)
-        assert list(atoms) == list(surviving)
+        assert atoms is plan.atoms
         assert all(atoms[n] is WORD_ATOMS[n] for n in surviving)
 
 

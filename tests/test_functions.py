@@ -60,6 +60,7 @@ from hybridsets import functions, regions, scalarexpr
 from hybridsets.functions import _eval_marked, _eval_plain
 from hybridsets.hybridset import FreeCombination, checked_int
 from hybridsets.regions import resolve_param
+from test_calculus import step_fold, steps_workspace
 
 F = Fraction
 
@@ -1188,7 +1189,7 @@ class TestSweep:
         def counted_merge(groups, *args):
             return merge(((counted(entries), k) for entries, k in groups), *args)
 
-        def counted_accumulate(words, multiplicities):
+        def counted_accumulate(plan, multiplicities):
             drawn = []
 
             def recorded():
@@ -1197,7 +1198,8 @@ class TestSweep:
                     yield m
 
             start = hits["entries"]
-            out = accumulate(words, recorded())
+            out = accumulate(plan, recorded())
+            words = [w._coeffs for w, _, _ in plan.records]
             active = sum(len(w) for w, m in zip(words, drawn) if m)
             assert hits["entries"] - start <= active
             hits["vectors"] += 1
@@ -1651,15 +1653,78 @@ class TestRecordPlan:
         assert e._plan.slot[3] is None
         assert isinstance(reference._plan.slot[3], functions._AdditiveSweep)
 
-    def test_the_flat_words_are_made_when_a_state_first_accumulates(self):
-        ws = parse_workspace(CANCEL_STEPS)
-        e = _steps(ws, TIMES)
-        assert e._plan.words is None and "terms" not in e.__dict__
-        evaluate(e, F(-1), ws.valuations["v"])  # outside U: no vector accumulates yet
-        got = [evaluate(e, F(j, 2), ws.valuations["v"]) for j in range(-2, 15)]
-        assert len(e._plan.words) == len(e.terms) == 4
-        reference = marked_join(TIMES, e.terms)
-        assert got == [evaluate(reference, F(j, 2), ws.valuations["v"]) for j in range(-2, 15)]
+    def test_a_times_pass_merges_the_records_and_builds_no_term(self):
+        # A * fold keeps no value, so each new vector is accumulated, from the
+        # birth words of the records active at it and the added words, each
+        # read at most once.
+        n = 40
+        e = step_fold(steps_workspace(n), n, TIMES)
+        v = Valuation({"t": n + 2, **{f"k{i}": (7 * i) % n for i in range(1, n + 1)}})
+        points = [F(j, 2) for j in range(-2, 2 * (n + 2) + 3)]
+        merge, accumulate = functions.merge, functions._accumulate
+        read, bounds = [], []
+
+        def counted_merge(groups, *args):
+            def counted(entries):
+                for entry in entries:
+                    read[-1] += 1
+                    yield entry
+            return merge(((counted(entries), k) for entries, k in groups), *args)
+
+        def counted_accumulate(plan, multiplicities):
+            ms = list(multiplicities)
+            read.append(0)
+            bounds.append(sum(len(w._coeffs) for (w, _, _), m in zip(plan.records, ms) if m)
+                          + sum(len(a._coeffs) for a in plan.added))
+            return accumulate(plan, iter(ms))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(functions, "merge", counted_merge)
+            mp.setattr(functions, "_accumulate", counted_accumulate)
+            got = _outcomes(evaluate_many(e, points, v))
+        assert e._source.added and "terms" not in e.__dict__
+        assert len(read) > n // 2 and all(r <= b for r, b in zip(read, bounds))
+        assert _exactly(got) == _exactly(_outcomes(evaluate_many(marked_join(TIMES, e.terms), points, v)))
+
+    def test_an_unset_threshold_raises_at_the_first_record_that_meets_it(self):
+        # A valuation that leaves a threshold of the fold unset makes the
+        # placement raise, so the points take the key-None route, which
+        # reads the records' regions in term order.
+        counts = Counter()
+        accumulate = functions._accumulate
+
+        def counted_accumulate(plan, multiplicities):
+            def drawn():
+                try:
+                    yield from multiplicities
+                except ValuationError:
+                    counts["unset"] += bool(plan.added)
+                    raise
+            return accumulate(plan, drawn())
+
+        @seed(2044)
+        @settings(max_examples=100, deadline=None)
+        @given(stepped_folds(), fold_valuations, st.sets(st.integers(1, 10), min_size=1, max_size=2),
+               st.permutations(FOLD_COORDS))
+        def check(drawn, valuation, unset, coords):
+            star, operands, universe = drawn
+            e = operands[0]
+            for op in operands[1:]:
+                e = pointwise_star(star, e, op, universe=universe)
+            unset = {f"k{(i - 1) % len(operands) + 1}" for i in unset}
+            v = Valuation({k: x for k, x in valuation.items() if k not in unset})
+            grid = isinstance(universe.shape, GridRect)
+            points = [(r, c) for r in coords[:4] for c in coords[4:]] if grid else list(coords)
+            outcomes = []
+            for run in (e, marked_join(star, e.terms)):
+                outcomes.append([_exactly(_outcomes(evaluate_many(run, points, v))),
+                                 [_outcomes(evaluate(run, q, v) for q in [p])[0] for p in points]])
+            assert outcomes[0] == outcomes[1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(functions, "_accumulate", counted_accumulate)
+            check()
+        assert counts["unset"] > 500
 
     def test_outcomes_and_errors_are_the_reference_plans(self):
         counts = Counter()

@@ -8,7 +8,11 @@ counts once each time it runs, and test, standard-library and C work
 count nothing.  The fold is built before the trace starts.  The exponent
 is log2(events at 2N / events at N) for N = 40; it read 1.77 when the plan
 wrote out and walked the N(N + 1) term-word entries, and reads about 0.97
-when the plan is made from the fold's records.
+when the plan is made from the fold's records.  A ``*`` pass at three
+points fixed in proportion to U, over folds of N = 40 and 80, keeps no
+value, so each of its indicator vectors is accumulated from the records:
+it reads 0.96, and 1.27 when the pass writes the terms out first; the
+ceiling is 1.1.
 
 ``parse_workspace`` of a workspace of chain partitions (as
 ``tests/golden/make.py``'s ``chain_text`` writes one) is counted at about
@@ -30,17 +34,26 @@ from pathlib import Path
 
 import hybridsets
 from golden.make import chain_text
-from hybridsets import PLUS, Valuation, evaluate, hybridset, parse_workspace, pointwise_star
+from hybridsets import (
+    PLUS,
+    TIMES,
+    Valuation,
+    evaluate,
+    evaluate_many,
+    hybridset,
+    parse_workspace,
+    pointwise_star,
+)
 from hybridsets import calculus, functions
 from test_calculus import step_fold, steps_workspace
 
 LIBRARY = str(Path(hybridsets.__file__).resolve().parent)
 
 
-def _fold(n):
-    """The binary fold of ``steps_workspace(n)`` and a valuation with tied
-    thresholds."""
-    e = step_fold(steps_workspace(n), n)
+def _fold(n, star=PLUS):
+    """The binary fold of ``steps_workspace(n)`` under ``star`` and a
+    valuation with tied thresholds."""
+    e = step_fold(steps_workspace(n), n, star)
     return e, Valuation({"t": n + 2, **{f"k{i}": (7 * i) % n for i in range(1, n + 1)}})
 
 
@@ -72,6 +85,18 @@ def test_a_first_evaluate_of_a_stepped_fold_grows_linearly():
         assert e._source.added  # a stepped compact form
         events.append(_line_events(lambda: evaluate(e, Fraction(1, 2), v)))
     assert math.log2(events[1] / events[0]) <= 1.2, events
+
+
+def test_a_times_pass_over_a_stepped_fold_grows_linearly():
+    # A * fold keeps no value, so each new indicator vector is accumulated
+    # from the fold's records; writing its terms out would merge their
+    # N(N + 1) / 2 added-word entries in Python.
+    events = []
+    for n in (40, 80):
+        e, v = _fold(n, TIMES)
+        points = [Fraction(j * (n + 2), 4) for j in (1, 2, 3)]
+        events.append(_line_events(lambda: list(evaluate_many(e, points, v))))
+    assert math.log2(events[1] / events[0]) <= 1.1, events
 
 
 def test_a_parse_grows_linearly_in_the_lines():

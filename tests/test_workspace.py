@@ -690,6 +690,17 @@ class TestLineBreaks:
             parse_workspace(f"param a\nparam b,{ch}c\nparam d")
         assert str(exc.value) == "line 2, col 9: expected a name"
 
+    @pytest.mark.parametrize("ch", _NOT_BREAKS)
+    def test_other_line_separators_at_the_end_of_a_declaration_are_errors(self, ch):
+        # only spaces and tabs are white space, at the end of a line as in it
+        with pytest.raises(ParseError) as exc:
+            parse_workspace(f"param a\nparam b{ch}\nparam d")
+        assert str(exc.value) == "line 2, col 8: unexpected trailing input"
+        with pytest.raises(ParseError) as exc:
+            parse_workspace(f"param a\n{ch}\nparam d")
+        assert str(exc.value) == "line 2, col 1: expected a declaration keyword"
+        assert list(parse_workspace(f"param a \t\nparam b\t # {ch}\n \t\n").params) == ["a", "b"]
+
     def test_cr_lf_and_cr_end_lines(self):
         ws = parse_workspace("param a\r\nparam b\rparam c\n\r\nparam d")
         assert list(ws.params) == ["a", "b", "c", "d"]
