@@ -146,35 +146,36 @@ def pointwise_star(
 class _Compact:
     """The compact form of a closed-form result of ``pointwise_star``.
 
-    ``records`` holds, per term in term order, its birth word, birth step
-    and region; ``added`` holds the word that each binary step s merged
-    into every older term (its new operand's last word), at ``added[s -
-    1]``.  A term born at step b has, at step s, its birth word merged with
-    the words added at steps b + 1 .. s: one merge seeded by the birth
-    word, which builds the word that the eager loop builds by a chain of
-    seeded merges (``hybridset.merge``).  A step puts P1 first, drops
-    the last term, whose region P1 takes over, and appends the new
-    operand's kept pieces, so the last record is born at the latest step
-    and its birth word is its word.  A form with no step returns the eager
-    terms it was made from, and holds nothing else: its first step
-    certifies them.  ``functions._Plan`` evaluates a stepped form from its
-    ``records`` and ``added``, without its terms.
+    ``records`` holds, per term in term order, the word its operand brought
+    (its own word), its birth step and its region; ``added`` holds the word
+    that binary step s merged into every older term (its new operand's last
+    word), at ``added[s - 1]``, and ``links`` the own word of the term that
+    step s put last, at ``links[s]``, the last eager word at ``links[0]``.
+    A step puts P1 first, its own word the step's added word, drops the
+    last term, whose region P1 takes over, and appends the new operand's
+    kept pieces.  So a term born at step b has the word ``links[:b]`` plus
+    its own word plus ``added[b:]``, built on first read by one merge
+    seeded by the sum of ``links[:b]``, the word that the eager loop builds
+    by a chain of seeded merges (``hybridset.merge``).  A form with no step
+    returns the eager terms it was made from, and holds no other word: its
+    first step certifies them.  ``functions._Plan`` evaluates a stepped
+    form from its ``records``, ``links`` and ``added``, without its terms.
 
-    Term t's word is ``total - offset_t``: ``total`` sums the added words,
-    and the offset is the word's part that was there before them, so a
-    step's new total cancels exactly the older words whose offset it
-    equals, which ``offsets`` holds, and P1 takes the last term's offset,
-    ``offset``.  ``atoms`` and ``regions`` bind every name that a word or a
-    region of the fold has used.  ``bound`` sums the absolute exponents of
-    every word that entered the fold, and bounds every partial sum of every
-    word merge the form makes or defers.
+    A term's key is its word less the added total at its birth, so an
+    eager word is its own key and P1 takes the dropped term's; a word
+    cancels just when its key is ``negated``, the negated added total,
+    which one lookup in ``keys`` shows; ``key`` is the last term's.
+    ``atoms`` and ``regions`` bind every name that a word or a region of
+    the fold has used.  ``bound`` sums the absolute exponents of every word
+    that entered the fold, and bounds every partial sum of every word merge
+    the form makes or defers.
     """
 
-    __slots__ = ("universe", "eager", "records", "added", "total", "offsets", "offset",
+    __slots__ = ("universe", "eager", "records", "links", "added", "keys", "key", "negated",
                  "atoms", "regions", "bound")
 
     def __init__(self, universe: RegionAtom, eager: tuple):
-        self.universe, self.eager, self.added = universe, eager, ()
+        self.universe, self.eager, self.links, self.added = universe, eager, (), ()
 
     def terms(self) -> tuple:
         """The terms, one merge each."""
@@ -182,12 +183,14 @@ class _Compact:
         if not added:
             return self.eager
         # the entries of the added words in step order; those of steps b + 1
-        # on start at starts[b]
+        # on start at starts[b]; leads[b] sums links[:b]
         entries = [e for group, _ in FreeWord._groups((a, 1) for a in added) for e in group]
         starts = [0, *accumulate(len(a._coeffs) for a in added)]
+        leads = [None, *accumulate(self.links, FreeWord.mul)]
+        own = FreeWord._groups((w, 1) for w, _, _ in self.records)
         return tuple(
-            HybridTerm(FreeWord._from_checked(((entries[starts[b]:], 1),), w), region)
-            for w, b, region in self.records
+            HybridTerm(FreeWord._from_checked((group, (entries[starts[b]:], 1)), leads[b]), region)
+            for group, (_, b, region) in zip(own, self.records)
         )
 
     def extend(self, universe: Optional[RegionAtom], operand) -> Optional["_Compact"]:
@@ -197,8 +200,8 @@ class _Compact:
         an expression of at least two terms, or has as many terms as this
         result, so that the two may share their region list; a name bound
         to another atom than the fold's; a ``bound`` above ``INT64_MAX``;
-        an older word or P1's cancelled, which ``offsets`` shows; a new
-        word cancelled; or P1's region merge raising."""
+        a word cancelled, older, P1's or new, which ``keys`` shows; or P1's
+        region merge raising."""
         if universe is not self.universe or not isinstance(operand, HybridExpr):
             return None
         step, terms = len(self.added) + 1, operand.terms
@@ -207,28 +210,23 @@ class _Compact:
             return None
         added, kept = terms[-1].word, terms[:-1]
         words = [added, *(t.word for t in kept)]
+        last, _, last_region = records[-1]
         if self.added:
-            bound, atoms, regions = self.bound, self.atoms, self.regions
-            shapes = [t.region for t in kept]
-        else:  # the first step certifies the eager terms too
+            bound, atoms, regions, keys, key = self.bound, self.atoms, self.regions, self.keys, self.key
+            shapes, negated = [t.region for t in kept], ((self.negated, 1), (added, -1))
+        else:  # the first step certifies the eager terms too, and keys them
             bound, atoms, regions = 0, {}, {universe.name: universe}
+            keys, key, negated = frozenset(w for w, _, _ in records), last, ((added, -1),)
             words += (w for w, _, _ in records)
             shapes = [*(t.region for t in kept), *(r for _, _, r in records)]
         bound += sum(map(_size, words))
         (atoms, clashes), (regions, more) = bind_all(atoms, words), bind_all(regions, shapes)
         if bound > INT64_MAX or clashes or more:
             return None
-        if self.added:
-            offsets, offset = self.offsets, self.offset
-            total = FreeWord.combine(((self.total, 1), (added, 1)))
-        else:  # before the first step the total is empty: an offset is its word negated
-            negated = [FreeWord.combine(((w, -1),)) for w, _, _ in records]
-            total, offsets, offset = added, frozenset(negated), negated[-1]
-        if total in offsets:
-            return None
-        last, _, last_region = records[-1]
-        born = [FreeWord.combine(((last, 1), (t.word, 1))) for t in kept]
-        if any(w.is_empty for w in born):
+        negated = FreeWord.combine(negated)
+        fresh = [FreeWord.combine(((key, 1), (t.word, 1), (added, -1))) for t in kept]
+        keys = keys.union(fresh)
+        if negated in keys:
             return None
         # P1 is the last term's region less the kept pieces: the universe
         # less every other term's region, as the pieces sum to the universe
@@ -236,13 +234,11 @@ class _Compact:
             p1 = SymbolicHybridSet.combine([(last_region, 1), *((t.region, -1) for t in kept)])
         except MultiplicityOverflowError:
             return None  # the eager merge raises too, naming its own first coefficient
-        fresh = [FreeWord.combine(((offset, 1), (added, 1), (t.word, -1))) for t in kept]
         form = _Compact(universe, None)
-        form.records = [(FreeWord.combine(((last, 1), (added, 1))), step, p1), *records[:-1],
-                        *((w, step, t.region) for w, t in zip(born, kept))]
-        form.added, form.total, form.atoms, form.regions, form.bound = (
-            (*self.added, added), total, atoms, regions, bound)
-        form.offsets, form.offset = offsets.union(fresh), fresh[-1]
+        form.records = [(added, step, p1), *records[:-1], *((t.word, step, t.region) for t in kept)]
+        form.links, form.added, form.atoms, form.regions, form.bound = (
+            (*self.links, last), (*self.added, added), atoms, regions, bound)
+        form.keys, form.key, form.negated = keys, fresh[-1], negated
         return form
 
 

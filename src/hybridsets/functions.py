@@ -178,9 +178,9 @@ class HybridExpr:
         is kept as ``_source``.  The expression holds no terms until their
         first read, which ``__getattr__`` answers and stores.  Equality,
         hash and repr read the terms, so they equal those of
-        ``marked_join(star, source.terms())``.  A source whose ``added``
-        is not empty gives its ``records`` too, which ``_Plan`` reads
-        in place of the terms, so no evaluation builds them."""
+        ``marked_join(star, source.terms())``.  A stepped source gives
+        its ``records`` and ``links`` too, which ``_Plan`` reads in place
+        of the terms, so no evaluation builds them."""
         e = object.__new__(cls)
         e.__dict__.update(star=star, _source=source)
         return e
@@ -307,20 +307,22 @@ def _accumulate(plan: "_Plan", multiplicities: Iterable[int]):
     """(net region multiplicity, surviving exponents, the plan's atoms): the
     terms' words weighted by their region multiplicities, which are drawn
     first, in term order, and merged from the plan's records.  Term j's
-    word is its birth word plus ``added[b_j:]``, so ``added[i]`` is weighted
-    by the multiplicities of the terms born at steps b <= i.  The plan bound
-    every name; the surviving exponents (see ``merge``), then the net, are
-    checked once all are read."""
+    word is ``links[:b_j]``, its own word and ``added[b_j:]``, so
+    ``added[i]`` is weighted by the terms born at steps b <= i and
+    ``links[i]`` by the others.  The plan bound every name; the surviving
+    exponents (see ``merge``), then the net, are checked once all are read."""
     ms = list(multiplicities)
-    born = [0] * (len(plan.added) + 1)
+    by_step = [0] * (len(plan.added) + 1)
     groups = []
     for (w, b, _), m in zip(plan.records, ms):
         if m:
-            born[b] += m
+            by_step[b] += m
             groups.append((_entries(w), m))
-    groups += [(_entries(a), n) for a, n in zip(plan.added, accumulate(born)) if n]
+    *before, net = accumulate(by_step)  # [i]: the terms born at steps b <= i
+    groups += [(_entries(a), n) for a, n in zip(plan.added, before) if n]
+    groups += [(_entries(w), net - n) for w, n in zip(plan.links, before) if net - n]
     surviving, _ = merge(groups, FreeWord.CLASH)
-    return checked_int(sum(ms)), surviving, plan.atoms
+    return checked_int(net), surviving, plan.atoms
 
 
 def _eval_plain(star, accumulated, point, valuation) -> EvalOutcome:
@@ -405,26 +407,30 @@ def _value(w: FreeWord, whole: Dict[str, int]) -> int:
     return sum(map(mul, coeffs.values(), map(whole.__getitem__, coeffs)))
 
 
-def _suffix_sums(values: list) -> list:
-    return [*accumulate(reversed(values), initial=0)][::-1]  # [b] sums values[b:]
+def _sums(plan: "_Plan", measure: Callable[[FreeWord], int]) -> list:
+    """Per record, the sum of ``measure`` over ``links[:b]``, its own word
+    and ``added[b:]``, b its birth step: the parts of its term's word."""
+    before = [*accumulate(map(measure, plan.links), initial=0)]  # [b] sums links[:b]
+    after = [*accumulate(map(measure, reversed(plan.added)), initial=0)][::-1]  # [b] sums added[b:]
+    return [before[b] + measure(w) + after[b] for w, b, _ in plan.records]
 
 
 class _Plan:
     """What evaluating an expression needs whatever the valuation, read
-    from per-term records (birth word, birth step b, region), the word
-    being the birth word plus the words ``added[b:]``: a source that has
-    taken a step gives its ``records`` and ``added``, any other expression
-    one record (word, 0, region) per term and no added word.  ``layout``
-    numbers the records' regions; ``atoms`` binds each name of a record or
-    added word to its first atom, and a name bound to two definitions is a
+    from per-term records (own word, birth step b, region), the word being
+    ``links[:b]``, the own word and ``added[b:]``: a source that has taken
+    a step gives its ``records``, ``links`` and ``added``, any other
+    expression one record (word, 0, region) per term and nothing else.
+    ``layout`` numbers the records' regions; ``atoms`` binds each name of
+    a word to its first atom, and a name bound to two definitions is a
     ContractError here, once, naming the least such name.  A name that
     cancels out of every term word changes only the route a state takes.
     Every route reads the records, and none writes a term word out.
 
     ``additive`` holds when the star is ``PLUS``, every atom has a body
     that does not name x, and the plan is within the static bound: the sum
-    over records of (sum of |region coefficients|) times (|birth word| plus
-    the sizes of the words added after it), which bounds the sum of |word
+    over records of (sum of |region coefficients|) times the sizes of its
+    term word's parts (``_sums``), which bounds the sum of |word
     exponents|, is at most ``INT64_MAX``, so every multiplicity and net
     fits in 64 bits.  The net and the value at a vector are then linear in
     the shape indicators, a sum of one weight per set shape, so a state
@@ -434,7 +440,7 @@ class _Plan:
     position over it; else ``shared`` is None and each state makes its own.
     Every other state accumulates the exponents of each new indicator
     vector from scratch, by ``_accumulate``, which merges each record's
-    birth word and each added word once, and raises what it raises.
+    own word and each other word once, and raises what it raises.
 
     ``slot`` holds the state of the last valuation used: its
     ``IndicatorTable``, per indicator vector the accumulated sums (or, on
@@ -442,25 +448,24 @@ class _Plan:
     every point with that vector, and the ``_AdditiveSweep``, or None.
     """
 
-    __slots__ = ("layout", "records", "added", "atoms", "additive", "shared", "slot")
+    __slots__ = ("layout", "records", "links", "added", "atoms", "additive", "shared", "slot")
 
     def __init__(self, e: "HybridExpr"):
         source = e._source
         if source is not None and source.added:
-            records, added = source.records, source.added
+            records, links, added = source.records, source.links, source.added
         else:
-            records, added = [(t.word, 0, t.region) for t in e.terms], ()
+            records, links, added = [(t.word, 0, t.region) for t in e.terms], (), ()
         self.layout = _Layout([region for _, _, region in records])
-        atoms, clashes = bind_all({}, [*(w for w, _, _ in records), *added])
+        atoms, clashes = bind_all({}, [*(w for w, _, _ in records), *links, *added])
         no_clash(clashes, FreeWord.CLASH)
-        self.records, self.added, self.atoms = records, added, atoms
+        self.records, self.links, self.added, self.atoms = records, links, added, atoms
         self.slot = self.shared = None
         self.additive = e.star is PLUS and not any(
             a.is_opaque or a.reads_point for a in atoms.values())
         if self.additive:
-            tail = _suffix_sums(list(map(_size, added)))
-            self.additive = sum(_size(region) * (_size(w) + tail[b])
-                                for w, b, region in records) <= scalarexpr.INT64_MAX
+            self.additive = sum(map(mul, (_size(region) for _, _, region in records),
+                                    _sums(self, _size))) <= scalarexpr.INT64_MAX
         if self.additive and not any(a.names for a in atoms.values()):
             self.shared = self._sweep(None) or False
 
@@ -502,12 +507,11 @@ class _AdditiveSweep:
     ``nets[k]``, the sum of the coefficients c of its uses (k, c), and a
     weight, ``weights[k]``, the sum of c times the value of the using
     term's word, held as an integer over the common denominator ``scale``
-    of the atom values, and taken from the plan's records: its birth
-    word's value plus a suffix sum of the added words' values, each word
-    summed in C.  The net and the value at a vector are the sums of the
-    nets and of the weights of its set shapes; the state keeps them,
-    ``net`` and ``total``, at the last vector found, ``key``; ``start()``
-    is a new position, at the empty vector, over the same three.
+    of the atom values, and taken from the plan's records by ``_sums``.
+    The net and the value at a vector are the sums of the nets and of the
+    weights of its set shapes; the state keeps them, ``net`` and
+    ``total``, at the last vector found, ``key``; ``start()`` is a new
+    position, at the empty vector, over the same three.
 
     ``find(key)`` moves the state to ``key`` and returns its kept entry
     with its outcome: ``UNDEFINED`` where the net multiplicity is 0, else
@@ -523,9 +527,7 @@ class _AdditiveSweep:
         whole = {name: v.numerator * (scale // v.denominator) for name, v in values.items()}
         self.nets = nets = [0] * len(plan.layout.shapes)
         self.weights = weights = [0] * len(plan.layout.shapes)
-        tail = _suffix_sums([_value(a, whole) for a in plan.added])
-        for (w, b, _), uses in zip(plan.records, plan.layout.uses):
-            value = _value(w, whole) + tail[b]
+        for value, uses in zip(_sums(plan, lambda w: _value(w, whole)), plan.layout.uses):
             for k, c in uses:
                 nets[k] += c
                 weights[k] += c * value
@@ -577,9 +579,10 @@ def evaluate_many(
     else once per state, and a new vector adds or takes away the net and
     the weight of each shape whose bit changed.  Any other state
     accumulates the vector's exponents from scratch (``_accumulate``) and
-    keeps them: it merges the birth words of the records active at the
-    vector, and each added word once, scaled by the multiplicities of the
-    terms born at or before its step, never a written-out term word.
+    keeps them: it merges the own words of the records active at the
+    vector, and each link and added word once, scaled by the terms born
+    after its step or at or before it: O(N) entries for a stepped fold of
+    N operands, and never a written-out term word.
     Atoms that read x take this route.
     A point the fast placement cannot key, because its placement raised,
     is evaluated by the reference itself, ``SymbolicHybridSet.multiplicity``

@@ -522,10 +522,12 @@ class TestClosedFormCost:
 
     @pytest.mark.parametrize("n", [20, 40, 80, 160])
     def test_a_fold_step_pays_only_for_its_new_operand(self, n, monkeypatch):
-        # A step builds P1 and the new operand's kept pieces, and leaves the
-        # older terms' records alone; the terms are built once, on first
-        # read.  Rebuilding all N + 1 running terms at every step made
-        # 266 / 936 / 3476 / 13356 merges here.
+        # A step merges P1's region, the negated added total and one key per
+        # kept piece, and leaves the older terms' records alone: 3N - 1
+        # merges for the fold.  The terms are built once, on first read, one
+        # merge each and one per sum of links: 5N - 3 merges in all.
+        # Rebuilding all N + 1 running terms at every step made 266 / 936 /
+        # 3476 / 13356 merges in all here.
         ws = steps_workspace(n)
         merges, made = [], []
         real_merge, real_post_init = hybridset.merge, HybridTerm.__post_init__
@@ -536,8 +538,9 @@ class TestClosedFormCost:
             HybridTerm, "__post_init__", lambda t: made.append(1) or real_post_init(t)
         )
         fold = step_fold(ws, n)
+        assert len(merges) <= 3 * n
         assert len(fold.terms) == n + 1
-        assert len(merges) <= 8 * n and len(made) <= 2 * n
+        assert len(merges) <= 5 * n and len(made) <= 2 * n
         merges.clear(), made.clear()
         assert len(fold.terms) == n + 1
         assert merges == made == []
@@ -556,6 +559,33 @@ class TestClosedFormCost:
         )
         assert len(pointwise_star(PLUS, *operands, universe=universe).terms) == 7
         assert len(merges) <= 9
+
+
+class TestCompactRecords:
+    """A step stores the words its operands brought and merges none of them
+    into a record."""
+
+    def test_every_record_word_and_link_is_an_operand_word(self):
+        # Step s of the fold extends by H(s + 2): P1 takes its last word as
+        # its own, its kept piece, the term the step puts last, its own word,
+        # which is links[s].  The first combine's result is eager, so its
+        # terms' words are its records' and links[0] is its last word.
+        n = 12
+        ws = steps_workspace(n)
+        fold = eager = pointwise_star(PLUS, ws.exprs["H1"], ws.exprs["H2"], universe=ws.regions["U"])
+        for i in range(3, n + 1):
+            fold = pointwise_star(PLUS, fold, ws.exprs[f"H{i}"], universe=ws.regions["U"])
+        form = fold._source
+        operand = [ws.exprs[f"H{s + 2}"].terms for s in range(n - 1)]
+        assert len(form.added) == len(form.links) == n - 2
+        for w, b, _ in form.records:
+            if b:
+                assert any(w is t.word for t in operand[b])
+            else:
+                assert any(w is t.word for t in eager.terms)
+        assert [a is operand[s][-1].word for s, a in enumerate(form.added, start=1)] == [True] * (n - 2)
+        assert form.links[0] is eager.terms[-1].word
+        assert [w is operand[s][0].word for s, w in enumerate(form.links[1:], start=1)] == [True] * (n - 3)
 
 
 # Binary folds for the compact-form differential: words over shared atoms

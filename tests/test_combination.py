@@ -200,21 +200,22 @@ class TestSums:
             assert outcome(built[0], x) == outcome(built[1], x)
 
     @given(st.lists(st.tuples(entry_lists, st.integers(0, 3), st.integers(-2, 2)), max_size=5),
-           st.lists(entry_lists, max_size=3))
-    def test_accumulate_sums_the_scaled_words(self, terms, added):
-        # a plan's records: (birth word, birth step b, region); term j's word
-        # is its birth word plus added[b:]
+           st.lists(st.tuples(entry_lists, entry_lists), max_size=3))
+    def test_accumulate_sums_the_scaled_words(self, terms, steps):
+        # a plan's records: (own word, birth step b, region), one link and
+        # one added word per step; term j's word is links[:b] plus its own
+        # word plus added[b:]
         def word(pairs):
             return FreeWord((WORD_ATOMS[n], c) for n, c in pairs)
 
-        added = [word(pairs) for pairs in added]
+        links, added = [word(pairs) for pairs, _ in steps], [word(pairs) for _, pairs in steps]
         records = [(word(pairs), b % (len(added) + 1), None) for pairs, b, _ in terms]
-        plan = SimpleNamespace(records=records, added=added, atoms=dict(WORD_ATOMS))
+        plan = SimpleNamespace(records=records, links=links, added=added, atoms=dict(WORD_ATOMS))
         ms = [m for _, _, m in terms]
         net, surviving, atoms = _accumulate(plan, iter(ms))
         assert net == sum(ms)
         scaled = [(n, m * c) for (w, b, _), m in zip(records, ms) if m
-                  for x in (w, *added[b:]) for n, c in x._coeffs.items()]
+                  for x in (*links[:b], w, *added[b:]) for n, c in x._coeffs.items()]
         assert surviving == totals_of(scaled)
         assert atoms is plan.atoms
         assert all(atoms[n] is WORD_ATOMS[n] for n in surviving)

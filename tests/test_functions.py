@@ -1655,8 +1655,8 @@ class TestRecordPlan:
 
     def test_a_times_pass_merges_the_records_and_builds_no_term(self):
         # A * fold keeps no value, so each new vector is accumulated, from the
-        # birth words of the records active at it and the added words, each
-        # read at most once.
+        # own words of the records active at it, the links and the added
+        # words, each read at most once.
         n = 40
         e = step_fold(steps_workspace(n), n, TIMES)
         v = Valuation({"t": n + 2, **{f"k{i}": (7 * i) % n for i in range(1, n + 1)}})
@@ -1675,7 +1675,7 @@ class TestRecordPlan:
             ms = list(multiplicities)
             read.append(0)
             bounds.append(sum(len(w._coeffs) for (w, _, _), m in zip(plan.records, ms) if m)
-                          + sum(len(a._coeffs) for a in plan.added))
+                          + sum(len(a._coeffs) for a in (*plan.links, *plan.added)))
             return accumulate(plan, iter(ms))
 
         with pytest.MonkeyPatch.context() as mp:

@@ -12,7 +12,13 @@ when the plan is made from the fold's records.  A ``*`` pass at three
 points fixed in proportion to U, over folds of N = 40 and 80, keeps no
 value, so each of its indicator vectors is accumulated from the records:
 it reads 0.96, and 1.27 when the pass writes the terms out first; the
-ceiling is 1.1.
+ceiling is 1.1.  Under seeded random thresholds, where the number of
+records active at a vector grows with N, the mean entries merged per
+accumulated vector read 0.95, and 1.90 when each record holds its
+term's merged birth word; the ceiling is 1.2.  A pass at P and 2P points
+placed in the same cells, the plan made inside it, reads 0.93 on the
+additive route and 0.74 on the per-vector route, with a ceiling of 1.1;
+one that walks the points already seen for each point reads 1.95.
 
 ``parse_workspace`` of a workspace of chain partitions (as
 ``tests/golden/make.py``'s ``chain_text`` writes one) is counted at about
@@ -28,9 +34,12 @@ and it reads 1.89 (1.80 from N = 20, 1.94 from N = 80), with a ceiling of
 """
 
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import hybridsets
 from golden.make import chain_text
@@ -96,6 +105,51 @@ def test_a_times_pass_over_a_stepped_fold_grows_linearly():
         e, v = _fold(n, TIMES)
         points = [Fraction(j * (n + 2), 4) for j in (1, 2, 3)]
         events.append(_line_events(lambda: list(evaluate_many(e, points, v))))
+    assert math.log2(events[1] / events[0]) <= 1.1, events
+
+
+def test_a_times_pass_merges_entries_linear_in_the_steps(monkeypatch):
+    # Each accumulated vector merges the own words of the records active at
+    # it and each link and added word once, O(N) entries; merging each
+    # active term's word written out from its birth makes O(N^2).
+    means = []
+    merge, accumulate = functions.merge, functions._accumulate
+    for n in (40, 80):
+        e = step_fold(steps_workspace(n), n, TIMES)
+        rng = random.Random(n)
+        v = Valuation({"t": n + 2, **{f"k{i}": rng.randrange(n) for i in range(1, n + 1)}})
+        points = [Fraction(j, 2) for j in range(-2, 2 * (n + 2) + 3)]
+        read = []
+
+        def counted_merge(groups, *args):
+            def counted(entries):
+                for entry in entries:
+                    read[-1] += 1
+                    yield entry
+            return merge(((counted(entries), k) for entries, k in groups), *args)
+
+        def counted_accumulate(plan, multiplicities):
+            read.append(0)
+            return accumulate(plan, multiplicities)
+
+        monkeypatch.setattr(functions, "merge", counted_merge)
+        monkeypatch.setattr(functions, "_accumulate", counted_accumulate)
+        list(evaluate_many(e, points, v))
+        means.append(sum(read) / len(read))
+    assert math.log2(means[1] / means[0]) <= 1.2, means
+
+
+@pytest.mark.parametrize("star", [PLUS, TIMES], ids=["additive", "per-vector"])
+def test_a_pass_grows_linearly_in_its_points(star):
+    # q points in each gap between the integers from -1 to N + 3, so 2q
+    # points meet the same cells as q; the pass makes the plan, and keys
+    # and finishes each point.
+    events = []
+    for q in (40, 80):
+        e, v = _fold(10, star)
+        points = sorted(c + Fraction(i, q + 1) for c in range(-1, 13) for i in range(1, q + 1))
+        events.append(_line_events(lambda: list(evaluate_many(e, points, v))))
+        assert isinstance(e._plan.slot[3], functions._AdditiveSweep) == (star is PLUS)
     assert math.log2(events[1] / events[0]) <= 1.1, events
 
 
