@@ -168,8 +168,13 @@ class FreeCombination:
         """``merge`` of ``seed`` and ``(entries, n)`` groups whose atoms and
         integers are known to have the right types; names and sums are
         still checked."""
+        return cls._of(*merge(groups, cls.CLASH, seed))
+
+    @classmethod
+    def _of(cls, coeffs: dict, atoms: dict):
+        """The combination of ``coeffs`` and ``atoms`` as ``merge`` returns them."""
         self = object.__new__(cls)
-        self._coeffs, self._atoms = merge(groups, cls.CLASH, seed)
+        self._coeffs, self._atoms = coeffs, atoms
         return self
 
     @classmethod

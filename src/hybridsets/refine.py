@@ -340,6 +340,15 @@ class GeneralisedPartition:
                     "declare the partition assumed if that is intended"
                 )
 
+    @classmethod
+    def _from_checked(cls, name: str, universe: RegionAtom, pieces: tuple, assumed: bool):
+        """The partition of pieces known to sum to ``universe``, unless
+        ``assumed``, with numbered labels: nothing is checked again."""
+        self = object.__new__(cls)
+        vars(self).update(name=name, universe=universe, pieces=pieces,
+                          labels=tuple(map(str, range(1, len(pieces) + 1))), assumed=assumed)
+        return self
+
     def validate_by_sampling(self, valuation, sample: Iterable[Point]) -> List[str]:
         """Points where the pieces do not sum to the universe indicator."""
         regions = (*self.pieces, SymbolicHybridSet.from_atom(self.universe))

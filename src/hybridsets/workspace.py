@@ -29,6 +29,7 @@ reader after it passes, so that reader reports every error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict
 
 from . import scalarexpr
@@ -221,27 +222,37 @@ def _parse_combo(ws: Workspace, cur: Cursor) -> SymbolicHybridSet:
         if cur.at_number():
             coeff = cur.integer(sign)
             cur.expect("*")
-        region = _lookup(cur, ws.regions, "a region name")
-        terms.append((region.name, coeff, region))
+        terms.append((_lookup(cur, ws.regions, "a region name").name, coeff))
         op = cur.take_any("+-")
         if op is None:
-            return SymbolicHybridSet._from_checked(((terms, 1),))
+            return _combo(ws.regions, terms)
         sign = 1 if op == "+" else -1
 
 
 def _combo(regions: dict, terms: list) -> SymbolicHybridSet:
-    """The combination of (region name, coefficient) ``terms``, as
-    ``_parse_combo`` builds it; an unknown name raises KeyError."""
-    return SymbolicHybridSet._from_checked((([(r, k, regions[r]) for r, k in terms], 1),))
+    """The combination of (region name, coefficient) ``terms``; an unknown name
+    raises KeyError.  Distinct names with nonzero coefficients are already what
+    ``merge`` returns, so only a repeat or a zero goes through it."""
+    coeffs = dict(terms)
+    if len(coeffs) < len(terms) or 0 in coeffs.values():
+        return SymbolicHybridSet._from_checked((([(r, k, regions[r]) for r, k in terms], 1),))
+    return SymbolicHybridSet._of(coeffs, dict(zip(coeffs, map(regions.__getitem__, coeffs))))
 
 
 def _partition_form(ws: Workspace, name: str, universe: str, pieces: list,
                     assumed: bool) -> bool:
+    """A partition whose pairs sum to ``universe`` alone, checked once here."""
     regions = ws.regions
     if name in ws.partitions:
         return False
+    if not assumed:
+        total: dict = {}
+        for r, k in chain.from_iterable(pieces):
+            total[r] = total.get(r, 0) + k
+        if total.pop(universe, 0) != 1 or any(total.values()):
+            return False
     combos = tuple(_combo(regions, terms) for terms in pieces)
-    ws.partitions[name] = GeneralisedPartition(name, regions[universe], combos, assumed=assumed)
+    ws.partitions[name] = GeneralisedPartition._from_checked(name, regions[universe], combos, assumed)
     return True
 
 

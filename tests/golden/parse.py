@@ -3,11 +3,13 @@
 Every case is one line read after ``PRELUDE`` by ``parse_workspace``: a
 valid line of every declaration form (``SEEDS``), seeded mutations of each
 (token deletion, duplication, swap, replacement and insertion, from
-``ALPHABET``), and each character that ``str.splitlines`` ends a line at
+``ALPHABET``), each character that ``str.splitlines`` ends a line at
 but a workspace does not, inside a comment and inside a declaration
-(``BREAKS``).  ``parse.txt`` holds one block per case: ``$`` and the line
-as a JSON string, then what the line declared beyond the prelude, one
-``+ <registry> <name>: <value>`` line each, or ``! <error type>: <error>``.
+(``BREAKS``), and partition lines whose pieces repeat, zero or cancel a
+name, or do not sum to the universe (``SUMS``).  ``parse.txt`` holds one
+block per case: ``$`` and the line as a JSON string, then what the line
+declared beyond the prelude, one ``+ <registry> <name>: <value>`` line
+each, or ``! <error type>: <error>``.
 ``tests/test_golden.py`` compares a fresh run with it.  Write it again
 with::
 
@@ -75,6 +77,24 @@ ALPHABET = [
     "-9223372036854775809", LONG, "٣", "٣/٤", "⋈", "\t", "naïve", "1/2", ",", "-",
 ]
 BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# Partition lines the one-match form builds from their (region, coefficient)
+# pairs, or refuses so that the token reader reports the error.
+SUMS = [
+    "partition P of U = A + A - A, U - A",
+    "partition P of U = 0*B + A, U - A",
+    "partition P of U = A + B - A, U - B",
+    "partition P of U = A - A, U",
+    "partition P of U = A, B",
+    "partition P of U = A, B assumed",
+    "partition P of U = A, C, U - A",
+    "partition P of U = A, C, U - A assumed",
+    "partition P of U = U",
+    "partition P of U = U - A, A",
+    "partition P of U = 2*U - A, A - U",
+    "partition P of U = U, U - U",
+    "partition P of U = U, U",
+    "partition P of A = A - B, B",
+]
 MUTANTS_PER_SEED = 14
 RNG_SEED = 41
 
@@ -115,7 +135,7 @@ def cases() -> list:
         out.extend(_mutate(rng, seed) for _ in range(MUTANTS_PER_SEED))
     for ch in BREAKS:
         out += [f"param c # x{ch}d", f"param c,{ch}d", f"valuation v: a = 1{ch}"]
-    return out
+    return out + SUMS
 
 
 def _shown(registry: str, value) -> str:

@@ -306,6 +306,19 @@ class TestGeneralisedPartition:
         p = GeneralisedPartition("P", U, (A1, USET - A1))
         assert p.labels == ("1", "2")
 
+    @pytest.mark.parametrize("name, pieces, message", [
+        ("bad", (A1, B1), "pieces of 'bad' do not sum to the universe formally; "
+         "declare the partition assumed if that is intended"),
+        ("none", (), "a partition needs at least one piece"),
+        ("clash", (A1, USET - shs("A1", 0, 1)), "region name 'A1' bound to two shapes"),
+    ])
+    def test_a_direct_construction_checks_its_pieces(self, name, pieces, message):
+        # the workspace checks a partition line's sum on its pairs and skips
+        # this check; a partition built directly still makes it
+        with pytest.raises(ContractError) as exc:
+            GeneralisedPartition(name, U, pieces)
+        assert str(exc.value) == message
+
 
 class TestCommonRefinement:
     def test_two_interval_partitions_canonical_pieces(self):

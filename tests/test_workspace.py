@@ -22,6 +22,7 @@ from hybridsets import (
     Workspace,
     parse_workspace,
 )
+from hybridsets import hybridset
 from hybridsets.scalarexpr import Cursor, eval_scalar, parse_scalar
 from hybridsets.workspace import parse_expr_text, parse_term_text
 
@@ -740,3 +741,41 @@ class TestOneMatchPerHotLine:
         lines = n + 3
         assert len(calls) == 4 * lines
         assert sorted(set(calls)) == ["__init__", "finish", "ident", "take_form"]
+
+
+class TestPartitionFromPairs:
+    # The partition form sums its (region, coefficient) pairs once and
+    # builds each piece from them; it does not merge a piece whose names are
+    # distinct, nor combine the pieces again to check their sum.
+    @staticmethod
+    def merges(monkeypatch):
+        calls = []
+        real = hybridset.merge
+        monkeypatch.setattr(
+            hybridset, "merge", lambda groups, clash, seed=None: calls.append(clash)
+            or real(groups, clash, seed),
+        )
+        return calls
+
+    def test_pieces_of_distinct_names_merge_nothing(self, monkeypatch):
+        calls = self.merges(monkeypatch)
+        ws = parse_workspace(TestOneMatchPerHotLine.chain_workspace(64))
+        assert len(ws.partitions["P"].pieces) == 65
+        assert calls == []
+
+    @pytest.mark.parametrize("pieces", ["A + A - A, U - A", "0*B + A, U - A", "A + B - A, U - B"])
+    def test_a_repeat_or_a_zero_is_merged_as_the_token_reader_merges_it(self, monkeypatch, pieces):
+        text = _HOT_PRELUDE + f"partition P of U = {pieces}"
+        real, taken = Cursor.take_form, []
+
+        def spy(cur, form, build, *args):
+            taken.append(real(cur, form, build, *args))
+            return taken[-1]
+
+        calls = self.merges(monkeypatch)
+        with mock.patch.object(Cursor, "take_form", spy):
+            by_form = parse_workspace(text)
+        assert taken[-1] and len(calls) == 1
+        with mock.patch.object(Cursor, "take_form", lambda *args: False):
+            by_tokens = parse_workspace(text)
+        assert by_form == by_tokens
