@@ -3,11 +3,12 @@
 ``pointwise_star`` is the reason the whole layering exists: combining
 piecewise functions produces one term per refinement piece, so repeated
 combination grows linearly in the number of pieces instead of doubling the
-case analysis at every step.  The build grows the same way: a step of a
-binary fold extends the compact form of the running result, one record
-per term, at O(size of the new operand) in Python, and the result's terms
-are built once, when they are first read.  Evaluating the result reads
-the records, not the terms, so it never builds them either.
+case analysis at every step.  The build grows the same way: a combine,
+one step of a binary fold or one n-ary call, extends the compact form of
+its first operand, one record per term, at O(size of the new operands) in
+Python, and the result's terms are built once, when first read.
+Evaluating the result reads the records, not the terms, so it never
+builds them either.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from typing import Callable, Iterable, List, Optional
 
 from .errors import ContractError, MultiplicityOverflowError, RefinementError
@@ -66,28 +67,27 @@ def pointwise_star(
     operand's last), with the operands' last words, and P(j+1) is kept piece
     j, its word in place of its operand's last.
 
-    The result is a marked join with one term per piece.  All three cases
-    hand one builder the kept rows of a choice matrix as runs, the
-    refinement's or unit rows; term j's word merges, in operand order,
-    every operand word by its rewrite coefficient at j, which
-    ``refine.rewrite_columns`` reads off the runs, so no dense rewrite row
-    is written out.  A leading word with coefficient 1 seeds the merge
-    (``FreeCombination.combine``).
-    A closed-form result keeps a compact form (``_Compact``), which a binary
-    step whose first operand has one, over the same universe atom, extends
-    at O(size of the new operand) in Python, however many terms run; its
-    terms are built once, on first read, and evaluation does not read them.
-    A step that the compact form cannot certify runs the eager loop.
+    The result is a marked join with one term per piece.  A closed form
+    is a compact form (``_Compact``) that ``_Compact.extend`` builds from
+    the first operand's, or from the zero-step form of its terms, at
+    O(size of the other operands) in Python; its terms are built on first
+    read, and evaluation does not read them.  Any other combine, and a
+    closed form that the compact form cannot certify, runs the group
+    builder, which raises what it raises: it takes the kept rows of a
+    choice matrix as runs, the refinement's or unit rows, and term j's
+    word merges, in operand order, every operand word by its rewrite
+    coefficient at j, read off the runs by ``refine.rewrite_columns``, so
+    no dense rewrite row is written out.  A leading word with coefficient
+    1 seeds the merge (``FreeCombination.combine``).
     """
     if not star.is_ac:
         raise ContractError(f"star {star.name!r} is not declared AC")
     if not operands:
         raise ContractError("pointwise_star needs at least one operand")
-    source = operands[0]._source if isinstance(operands[0], HybridExpr) else None
-    if source is not None and refinement is None and len(operands) == 2:
-        form = source.extend(universe, operands[1])
-        if form is not None:
-            return HybridExpr.deferred(star, form)
+    source = operands[0]._source if isinstance(operands[0], HybridExpr) and refinement is None else None
+    form = source and source.extend(universe, operands[1:])
+    if form is not None:
+        return HybridExpr.deferred(star, form)
     operand_terms = [_as_terms(op) for op in operands]
     regions = [tuple(t.region for t in terms) for terms in operand_terms]
 
@@ -102,6 +102,9 @@ def pointwise_star(
             raise ContractError("pointwise_star needs a universe atom to build the canonical refinement")
         if not all(regions):
             raise ContractError("a partition needs at least one piece")
+        form = _Compact(universe, operand_terms[0]).extend(universe, operands[1:])
+        if form is not None:
+            return HybridExpr.deferred(star, form)
         pieces = [SymbolicHybridSet.from_atom(universe), *(t.region for ts in operand_terms for t in ts[:-1])]
         pieces[0] = SymbolicHybridSet.combine([(pieces[0], 1), *((r, -1) for r in pieces[1:])])
         labels = map("P{}".format, range(1, len(pieces) + 1))
@@ -138,8 +141,6 @@ def pointwise_star(
         if w.is_empty:
             raise ContractError(f"value word for refinement piece {label} cancelled away")
         out_terms.append(HybridTerm(w, piece))
-    if refinement is None and not shared:  # the closed form
-        return HybridExpr.deferred(star, _Compact(universe, tuple(out_terms)))
     return marked_join(star, out_terms)
 
 
@@ -147,45 +148,44 @@ class _Compact:
     """The compact form of a closed-form result of ``pointwise_star``.
 
     ``records`` holds, per term in term order, the word its operand brought
-    (its own word), its birth step and its region; ``added`` holds the word
-    that binary step s merged into every older term (its new operand's last
-    word), at ``added[s - 1]``, and ``links`` the own word of the term that
-    step s put last, at ``links[s]``, the last eager word at ``links[0]``.
-    A step puts P1 first, its own word the step's added word, drops the
-    last term, whose region P1 takes over, and appends the new operand's
-    kept pieces.  So a term born at step b has the word ``links[:b]`` plus
-    its own word plus ``added[b:]``, built on first read by one merge
-    seeded by the sum of ``links[:b]``, the word that the eager loop builds
-    by a chain of seeded merges (``hybridset.merge``).  A form with no step
-    returns the eager terms it was made from, and holds no other word: its
-    first step certifies them.  ``functions._Plan`` evaluates a stepped
-    form from its ``records``, ``links`` and ``added``, without its terms.
+    (its own word), its birth step and its region.  Step s adds an operand:
+    ``added[s - 1]`` is its last word, which every older term takes, and
+    ``links[s - 1]`` the word that the terms born from step s on hold for
+    the older side: the own word of the last term before it, which P1
+    takes over, or, within one ``extend``, the operand before's last word.
+    So a term born at step b has the word ``links[:b]`` plus its own word
+    plus ``added[b:]``, built on first read by one merge seeded by the sum
+    of ``links[:b]``, the word the group builder merges for its piece.
+    ``functions._Plan`` evaluates the form from these three, not its terms.
 
-    A term's key is its word less the added total at its birth, so an
-    eager word is its own key and P1 takes the dropped term's; a word
+    A term's key is its word less the added total at its birth, so a word
     cancels just when its key is ``negated``, the negated added total,
     which one lookup in ``keys`` shows; ``key`` is the last term's.
-    ``atoms`` and ``regions`` bind every name that a word or a region of
-    the fold has used.  ``bound`` sums the absolute exponents of every word
-    that entered the fold, and bounds every partial sum of every word merge
-    the form makes or defers.
+    ``atoms`` and ``regions`` bind every name of a certified word or
+    region, and ``bound`` sums the absolute exponents of every certified
+    word, which bounds every partial sum of every word merge the form makes
+    or defers.  ``entered`` holds the words and kept regions that are not
+    certified yet, which P1's region is cut from too: none after a step.
     """
 
-    __slots__ = ("universe", "eager", "records", "links", "added", "keys", "key", "negated",
-                 "atoms", "regions", "bound")
+    __slots__ = ("universe", "records", "links", "added", "keys", "key", "negated",
+                 "atoms", "regions", "bound", "entered")
 
-    def __init__(self, universe: RegionAtom, eager: tuple):
-        self.universe, self.eager, self.links, self.added = universe, eager, (), ()
+    def __init__(self, universe: RegionAtom, terms: tuple):
+        """The zero-step form of one operand's terms.  Its last record has
+        the universe as region, which P1 is cut from and takes over."""
+        words, shapes = [t.word for t in terms], [t.region for t in terms[:-1]]
+        self.universe, self.links, self.added, self.bound, self.atoms = universe, (), (), 0, {}
+        self.records = [*zip(words, repeat(0), [*shapes, SymbolicHybridSet.from_atom(universe)])]
+        self.keys, self.key, self.negated = frozenset(words), words[-1], FreeWord._of({}, {})
+        self.regions, self.entered = {universe.name: universe}, (words, shapes)
 
     def terms(self) -> tuple:
         """The terms, one merge each."""
-        added = self.added
-        if not added:
-            return self.eager
         # the entries of the added words in step order; those of steps b + 1
         # on start at starts[b]; leads[b] sums links[:b]
-        entries = [e for group, _ in FreeWord._groups((a, 1) for a in added) for e in group]
-        starts = [0, *accumulate(len(a._coeffs) for a in added)]
+        entries = [e for group, _ in FreeWord._groups((a, 1) for a in self.added) for e in group]
+        starts = [0, *accumulate(len(a._coeffs) for a in self.added)]
         leads = [None, *accumulate(self.links, FreeWord.mul)]
         own = FreeWord._groups((w, 1) for w, _, _ in self.records)
         return tuple(
@@ -193,51 +193,48 @@ class _Compact:
             for group, (_, b, region) in zip(own, self.records)
         )
 
-    def extend(self, universe: Optional[RegionAtom], operand) -> Optional["_Compact"]:
-        """The compact form of the binary step that combines this form's
-        result with ``operand`` over ``universe``, or None where the step
-        runs the eager loop: another universe atom; an operand that is not
-        an expression of at least two terms, or has as many terms as this
-        result, so that the two may share their region list; a name bound
-        to another atom than the fold's; a ``bound`` above ``INT64_MAX``;
-        a word cancelled, older, P1's or new, which ``keys`` shows; or P1's
-        region merge raising."""
-        if universe is not self.universe or not isinstance(operand, HybridExpr):
+    def extend(self, universe: Optional[RegionAtom], operands: tuple) -> Optional["_Compact"]:
+        """The compact form of the combine of this form's result with
+        ``operands`` over ``universe``, operand i taking step s + i after
+        the s steps taken, or None where the group builder runs: another
+        universe atom; an operand that is not an expression of at least two
+        terms; operands that all share this result's region list; a name
+        bound to two atoms; a ``bound`` above ``INT64_MAX``; a word
+        cancelled, older, P1's or new, which ``keys`` shows; or P1's region
+        merge raising."""
+        records, step, key = self.records, len(self.added), self.key
+        (words, shapes), adds, born, shared = map(list, self.entered), [], [], True
+        for b, op in enumerate(operands, step + 1):
+            terms = op.terms if isinstance(op, HybridExpr) else ()
+            if len(terms) < 2:
+                return None
+            shared = shared and len(terms) == len(records) and [
+                t.region for t in terms] == [r for _, _, r in records]
+            adds.append(terms[-1].word)
+            words.append(adds[-1])
+            for t in terms[:-1]:
+                born.append((t.word, b, t.region))
+                words.append(t.word)
+                shapes.append(t.region)
+        bound = self.bound + sum(map(_size, words))
+        (atoms, clashes), (regions, more) = bind_all(self.atoms, words), bind_all(self.regions, shapes)
+        if shared or universe is not self.universe or bound > INT64_MAX or clashes or more:
             return None
-        step, terms = len(self.added) + 1, operand.terms
-        records = self.records if self.added else [(t.word, 0, t.region) for t in self.eager]
-        if len(terms) < 2 or len(terms) == len(records):
-            return None
-        added, kept = terms[-1].word, terms[:-1]
-        words = [added, *(t.word for t in kept)]
-        last, _, last_region = records[-1]
-        if self.added:
-            bound, atoms, regions, keys, key = self.bound, self.atoms, self.regions, self.keys, self.key
-            shapes, negated = [t.region for t in kept], ((self.negated, 1), (added, -1))
-        else:  # the first step certifies the eager terms too, and keys them
-            bound, atoms, regions = 0, {}, {universe.name: universe}
-            keys, key, negated = frozenset(w for w, _, _ in records), last, ((added, -1),)
-            words += (w for w, _, _ in records)
-            shapes = [*(t.region for t in kept), *(r for _, _, r in records)]
-        bound += sum(map(_size, words))
-        (atoms, clashes), (regions, more) = bind_all(atoms, words), bind_all(regions, shapes)
-        if bound > INT64_MAX or clashes or more:
-            return None
-        negated = FreeWord.combine(negated)
-        fresh = [FreeWord.combine(((key, 1), (t.word, 1), (added, -1))) for t in kept]
-        keys = keys.union(fresh)
+        # a kept piece's key is the last key plus its word less its operand's last word
+        fresh = [FreeWord.combine(((key, 1), (w, 1), (adds[b - step - 1], -1))) for w, b, _ in born]
+        keys, negated = self.keys.union(fresh), FreeWord.combine([(self.negated, 1), *zip(adds, repeat(-1))])
         if negated in keys:
             return None
-        # P1 is the last term's region less the kept pieces: the universe
-        # less every other term's region, as the pieces sum to the universe
+        # P1 takes the last region less every kept piece that entered: U less all the others
+        last, _, last_region = records[-1]
         try:
-            p1 = SymbolicHybridSet.combine([(last_region, 1), *((t.region, -1) for t in kept)])
+            p1 = SymbolicHybridSet.combine([(last_region, 1), *((r, -1) for r in shapes)])
         except MultiplicityOverflowError:
-            return None  # the eager merge raises too, naming its own first coefficient
-        form = _Compact(universe, None)
-        form.records = [(added, step, p1), *records[:-1], *((t.word, step, t.region) for t in kept)]
-        form.links, form.added, form.atoms, form.regions, form.bound = (
-            (*self.links, last), (*self.added, added), atoms, regions, bound)
+            return None  # the group builder's merge raises too, naming its own first coefficient
+        form = object.__new__(_Compact)
+        form.universe, form.bound, form.atoms, form.regions, form.entered = universe, bound, atoms, regions, ((), ())
+        form.records = [(adds[0], step + 1, p1), *records[:-1], *born]
+        form.links, form.added = (*self.links, last, *adds[:-1]), (*self.added, *adds)
         form.keys, form.key, form.negated = keys, fresh[-1], negated
         return form
 

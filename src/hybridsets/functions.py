@@ -178,9 +178,9 @@ class HybridExpr:
         is kept as ``_source``.  The expression holds no terms until their
         first read, which ``__getattr__`` answers and stores.  Equality,
         hash and repr read the terms, so they equal those of
-        ``marked_join(star, source.terms())``.  A stepped source gives
-        its ``records`` and ``links`` too, which ``_Plan`` reads in place
-        of the terms, so no evaluation builds them."""
+        ``marked_join(star, source.terms())``.  The source gives its
+        ``records``, ``links`` and ``added`` too, which ``_Plan`` reads in
+        place of the terms, so no evaluation builds them."""
         e = object.__new__(cls)
         e.__dict__.update(star=star, _source=source)
         return e
@@ -418,8 +418,8 @@ def _sums(plan: "_Plan", measure: Callable[[FreeWord], int]) -> list:
 class _Plan:
     """What evaluating an expression needs whatever the valuation, read
     from per-term records (own word, birth step b, region), the word being
-    ``links[:b]``, the own word and ``added[b:]``: a source that has taken
-    a step gives its ``records``, ``links`` and ``added``, any other
+    ``links[:b]``, the own word and ``added[b:]``: a closed form's compact
+    form gives its ``records``, ``links`` and ``added``, any other
     expression one record (word, 0, region) per term and nothing else.
     ``layout`` numbers the records' regions; ``atoms`` binds each name of
     a word to its first atom, and a name bound to two definitions is a
@@ -452,7 +452,7 @@ class _Plan:
 
     def __init__(self, e: "HybridExpr"):
         source = e._source
-        if source is not None and source.added:
+        if source is not None:
             records, links, added = source.records, source.links, source.added
         else:
             records, links, added = [(t.word, 0, t.region) for t in e.terms], (), ()
@@ -581,8 +581,8 @@ def evaluate_many(
     accumulates the vector's exponents from scratch (``_accumulate``) and
     keeps them: it merges the own words of the records active at the
     vector, and each link and added word once, scaled by the terms born
-    after its step or at or before it: O(N) entries for a stepped fold of
-    N operands, and never a written-out term word.
+    after its step or at or before it: O(N) entries for a closed form of
+    N operands, folded or n-ary, and never a written-out term word.
     Atoms that read x take this route.
     A point the fast placement cannot key, because its placement raised,
     is evaluated by the reference itself, ``SymbolicHybridSet.multiplicity``

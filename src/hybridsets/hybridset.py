@@ -54,14 +54,16 @@ def bind(atoms: dict, name: str, atom, clashes: list):
 
 
 def bind_all(known: dict, combinations) -> Tuple[dict, list]:
-    """(atoms, clashes): a copy of ``known``, name -> atom, with each name of
-    ``combinations`` bound to its first atom, and the names that ``bind``
-    finds bound to another atom.  One subset test per combination finds them
-    at C speed; ``bind`` runs only when one fails."""
-    atoms: dict = {}
+    """(atoms, clashes): a clone of ``known``, name -> atom, with each new
+    name of ``combinations`` bound to its first atom, and the names that
+    ``bind`` finds bound to another atom.  One subset test per combination
+    finds them at C speed; ``bind`` runs only when one fails."""
+    names: dict = {}
     for c in reversed(combinations):  # the first combination to bind a name keeps it
-        atoms.update(c._atoms)
-    atoms.update(known)
+        names.update(c._atoms)
+    atoms = {**known, **names}
+    for name in names.keys() & known.keys():
+        atoms[name] = known[name]
     clashes: list = []
     for c in combinations:
         if not c._atoms.items() <= atoms.items():
@@ -152,8 +154,9 @@ class FreeCombination:
         groups = ((self._checked(entries), 1),)
         self._coeffs, self._atoms = merge(groups, self.CLASH)
 
-    def _checked(self, entries):
-        atom_type = self.ATOM
+    @classmethod
+    def _checked(cls, entries):
+        atom_type = cls.ATOM
         for atom, coeff in entries:
             if not isinstance(atom, atom_type):
                 raise TypeError(f"expected {atom_type.__name__}, got {atom!r}")
@@ -179,7 +182,9 @@ class FreeCombination:
 
     @classmethod
     def from_atom(cls, atom, coeff: int = 1):
-        return cls(((atom, coeff),))
+        """``coeff * atom``, checked as ``__init__`` checks it, with no merge."""
+        (name, coeff, atom), = cls._checked(((atom, coeff),))
+        return cls._of({name: coeff} if coeff else {}, {name: atom} if coeff else {})
 
     @classmethod
     def combine(cls, terms: Iterable[Tuple["FreeCombination", int]]):

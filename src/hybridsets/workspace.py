@@ -274,14 +274,9 @@ def _decl_partition(ws: Workspace, cur: Cursor):
     _register(ws.partitions, "partition", name, part, cur, pos)
 
 
-def _single(cls, atom):
-    """The combination ``atom`` alone, for an atom read from a registry."""
-    return cls._from_checked(((((atom.name, 1, atom),), 1),))
-
-
 def _parse_word(ws: Workspace, cur: Cursor) -> FreeWord:
     if not cur.take("("):
-        return _single(FreeWord, _lookup(cur, ws.atoms, "a function name"))
+        return FreeWord.from_atom(_lookup(cur, ws.atoms, "a function name"))
     entries = []
     while True:
         a = _lookup(cur, ws.atoms, "a function name")
@@ -301,7 +296,7 @@ def _parse_term(ws: Workspace, cur: Cursor) -> HybridTerm:
         region = _parse_combo(ws, cur)
         cur.expect(")")
     else:
-        region = _single(SymbolicHybridSet, _lookup(cur, ws.regions, "a region name"))
+        region = SymbolicHybridSet.from_atom(_lookup(cur, ws.regions, "a region name"))
     try:
         return HybridTerm(w, region)
     except ContractError as e:
@@ -342,8 +337,8 @@ def _join_form(ws: Workspace, name: str, items: list) -> bool:
         return False
     terms = [
         HybridTerm(
-            _single(FreeWord, atoms[f]),
-            _combo(regions, combo) if combo else _single(SymbolicHybridSet, regions[r]),
+            FreeWord.from_atom(atoms[f]),
+            _combo(regions, combo) if combo else SymbolicHybridSet.from_atom(regions[r]),
         )
         for f, r, combo in items
     ]

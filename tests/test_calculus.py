@@ -2,6 +2,7 @@
 
 import itertools
 import operator
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -545,10 +546,11 @@ class TestClosedFormCost:
         assert len(fold.terms) == n + 1
         assert merges == made == []
 
-    def test_a_form_that_is_never_extended_costs_no_more_than_its_eager_build(self, monkeypatch):
+    def test_a_combine_of_the_fixture_matrices_makes_a_merge_per_key(self, monkeypatch):
         # one closed-form combine of the two fixture matrices, as matrix-add
-        # makes per call, and one read of its terms: a form that no step
-        # extends makes no offset, name map or bound
+        # makes per call: P1's region, one key per kept piece of M2 and the
+        # negated added word, 5 merges; a read of the terms then makes one
+        # merge per term, which evaluation and json-lines output never make
         fixture = Path(__file__).resolve().parent.parent / "fixtures" / "matrix_demo.ws"
         ws = parse_workspace(fixture.read_text())
         m1, m2 = ws.matrices["M1"], ws.matrices["M2"]
@@ -557,8 +559,10 @@ class TestClosedFormCost:
         monkeypatch.setattr(
             hybridset, "merge", lambda *args: merges.append(1) or real_merge(*args)
         )
-        assert len(pointwise_star(PLUS, *operands, universe=universe).terms) == 7
-        assert len(merges) <= 9
+        e = pointwise_star(PLUS, *operands, universe=universe)
+        assert len(merges) <= 5
+        assert len(e.terms) == 7
+        assert len(merges) <= 5 + 7
 
 
 class TestCompactRecords:
@@ -566,26 +570,24 @@ class TestCompactRecords:
     into a record."""
 
     def test_every_record_word_and_link_is_an_operand_word(self):
-        # Step s of the fold extends by H(s + 2): P1 takes its last word as
-        # its own, its kept piece, the term the step puts last, its own word,
-        # which is links[s].  The first combine's result is eager, so its
-        # terms' words are its records' and links[0] is its last word.
+        # Combining H1 .. Hn takes n - 1 steps, by a binary fold or by one
+        # n-ary call: step s brings H(s + 1), whose last word is added[s - 1]
+        # and P1's own word, and whose kept piece is born at step s; H1's
+        # kept piece is born at step 0.  links[s] is the own word of the term
+        # last before step s + 1: H1's last word, then the fold's step s
+        # kept piece or the n-ary call's H(s + 1) last word.
         n = 12
         ws = steps_workspace(n)
-        fold = eager = pointwise_star(PLUS, ws.exprs["H1"], ws.exprs["H2"], universe=ws.regions["U"])
-        for i in range(3, n + 1):
-            fold = pointwise_star(PLUS, fold, ws.exprs[f"H{i}"], universe=ws.regions["U"])
-        form = fold._source
-        operand = [ws.exprs[f"H{s + 2}"].terms for s in range(n - 1)]
-        assert len(form.added) == len(form.links) == n - 2
-        for w, b, _ in form.records:
-            if b:
+        operand = [ws.exprs[f"H{i}"].terms for i in range(1, n + 1)]
+        nary = pointwise_star(PLUS, *(ws.exprs[f"H{i}"] for i in range(1, n + 1)), universe=ws.regions["U"])
+        for e, link in ((step_fold(ws, n), 0), (nary, -1)):
+            form = e._source
+            assert len(form.added) == len(form.links) == n - 1
+            for w, b, _ in form.records:
                 assert any(w is t.word for t in operand[b])
-            else:
-                assert any(w is t.word for t in eager.terms)
-        assert [a is operand[s][-1].word for s, a in enumerate(form.added, start=1)] == [True] * (n - 2)
-        assert form.links[0] is eager.terms[-1].word
-        assert [w is operand[s][0].word for s, w in enumerate(form.links[1:], start=1)] == [True] * (n - 3)
+            assert [a is operand[s][-1].word for s, a in enumerate(form.added, start=1)] == [True] * (n - 1)
+            assert form.links[0] is operand[0][-1].word
+            assert [w is operand[s][link].word for s, w in enumerate(form.links[1:], start=1)] == [True] * (n - 2)
 
 
 # Binary folds for the compact-form differential: words over shared atoms
@@ -729,6 +731,77 @@ class TestCompactFold:
         assert compact_raised is None and eager_raised is None
         assert [_snapshot(e) for e in compact] == [_snapshot(e) for e in eager]
         assert "f^-9223372036854775808" in compact[-1].render()
+
+
+@st.composite
+def nary_combines(draw):
+    """A star, a first operand and 1-3 further operands for one n-ary
+    closed-form combine.  The first operand is a plain join or the binary
+    fold of 2-4 such joins, stopped before a step that raises; words are
+    over shared atoms with exponents +-1, so that words cancel in P1 and in
+    the kept pieces of every operand, and in some examples a name bound to
+    a second definition or exponents near 2^62 or -2^63."""
+    atoms, exponents = list(DIFF_ATOMS), [1, -1, 1, -1, 2]
+    if draw(st.integers(0, 3)) == 0:
+        atoms.append(constant_atom("f", 9))
+    if draw(st.integers(0, 3)) == 0:
+        exponents += [2**62, -(2**62), 2**62 + 1, -(2**63)]
+    words = st.lists(
+        st.tuples(st.sampled_from(atoms), st.sampled_from(exponents)),
+        min_size=1, max_size=2, unique_by=lambda pair: pair[0].name,
+    ).map(lambda pairs: word(*pairs))
+    operands = st.integers(2, 3).flatmap(
+        lambda n: st.lists(st.tuples(words, FOLD_REGIONS), min_size=n, max_size=n)
+    ).map(lambda pairs: join(*(term(w, r) for w, r in pairs)))
+    star = draw(st.sampled_from([PLUS, TIMES, MERGE]))
+    first = draw(operands)
+    for op in draw(st.lists(operands, max_size=3)):
+        try:
+            first = pointwise_star(star, first, op, universe=U_ATOM)
+        except HybridError:
+            break
+    return star, first, draw(st.lists(operands, min_size=1, max_size=3))
+
+
+class TestCompactCombine:
+    """An n-ary closed-form combine builds what the group builder builds
+    over the canonical refinement, or raises what it raises, with the same
+    message, whether its first operand is a join or a stepped fold."""
+
+    def test_the_compact_form_matches_the_group_builder(self):
+        met = Counter()
+
+        @seed(47)
+        @settings(max_examples=400, deadline=None)
+        @given(nary_combines())
+        def check(case):
+            star, first, rest = case
+            combine = lambda: pointwise_star(star, first, *rest, universe=U_ATOM)
+            got = _fold_outcome(lambda: _snapshot(combine()))
+            regions = [[t.region for t in op.terms] for op in (first, *rest)]
+            if all(r == regions[0] for r in regions):  # a shared partition: no closed form
+                want = _fold_outcome(lambda: _snapshot(pointwise_star(star, first, *rest)))
+            else:
+                want = _fold_outcome(lambda: _snapshot(over_explicit_refinement(star, (first, *rest), U_ATOM)))
+            assert got == want
+            # what the cases met: an error's kind, and for a cancelled word,
+            # whether it was P1's, a kept piece's of operand 0 or of a later one
+            if isinstance(got[0], type):
+                kind, message = got
+                if message.startswith("value word for refinement piece P"):
+                    j = int(re.search(r"P(\d+)", message).group(1))
+                    kind = "P1" if j == 1 else "operand 0" if j <= len(first.terms) else "operand k"
+                elif "bound to two" in message:
+                    kind = "clash"
+                met[kind] += 1
+            else:
+                met["compact"] += combine()._source is not None
+            met["stepped", len(rest)] += first._source is not None
+            met[star.name] += 1
+
+        check()
+        assert {"P1", "operand 0", "operand k", "clash", MultiplicityOverflowError} <= met.keys(), met
+        assert all(met["stepped", k] for k in (1, 2, 3)) and met[MERGE.name] and met["compact"], met
 
 
 def custom_choice(sizes, operations, order) -> ChoiceMatrix:

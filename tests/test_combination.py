@@ -376,6 +376,26 @@ class TestTypes:
             FreeWord.combine([(SymbolicHybridSet.from_atom(REGION_ATOMS["a"]), 1)])
 
 
+    @pytest.mark.parametrize("cls, atoms", KINDS, ids=["region", "word"])
+    def test_from_atom_checks_as_the_constructor_checks(self, cls, atoms):
+        # from_atom builds its dicts without a merge; its errors, types and
+        # messages are the constructor's, and a coefficient of 0 is empty
+        a = atoms["a"]
+        other = (WORD_ATOMS if atoms is REGION_ATOMS else REGION_ATOMS)["a"]
+        for given, k in ((other, 1), ("a", 1), (a, F(1, 2)), (a, True), (a, 1.0),
+                         (a, INT64_MAX + 1), (a, INT64_MIN - 1)):
+            with pytest.raises((TypeError, MultiplicityOverflowError)) as want:
+                cls([(given, k)])
+            with pytest.raises(type(want.value)) as got:
+                cls.from_atom(given, k)
+            assert str(got.value) == str(want.value)
+        for k in (0, 1, -3, INT64_MAX, INT64_MIN):
+            built = cls.from_atom(a, k)
+            assert type(built) is cls and built == cls([(a, k)])
+            assert list(built._atoms) == list(built._coeffs)
+        assert cls.from_atom(a, 0).is_zero and cls.from_atom(a)._coeffs == {"a": 1}
+
+
 class TestNameClash:
     A1 = SymbolicHybridSet.from_atom(RegionAtom("A", Interval1D(F(0), F(1))))
     A2 = SymbolicHybridSet.from_atom(RegionAtom("A", Interval1D(F(0), F(2))))

@@ -529,8 +529,9 @@ class TestUnitRowPieces:
         assert unit == list(range(1, 10))
         kept = [piece for part in self.PARTS for piece in part.pieces[:-1]]
         assert all(r.pieces[j] is kept[j - 1] for j in unit)
-        # one merge makes the universe's combination, one each non-unit row
-        assert len(merges) == 1 + len(rows) - len(unit)
+        # one merge makes each non-unit row; the universe's combination is
+        # built without one
+        assert len(merges) == len(rows) - len(unit)
 
 
 def check_elimination(m):

@@ -763,6 +763,22 @@ class TestPartitionFromPairs:
         assert len(ws.partitions["P"].pieces) == 65
         assert calls == []
 
+    def test_one_atom_words_and_regions_merge_nothing(self, monkeypatch):
+        # the join and matrix lines of the fold-eval and matrix-table texts,
+        # and a term read token by token, name one atom per word and per
+        # region, which FreeCombination.from_atom builds without a merge
+        calls = self.merges(monkeypatch)
+        ws = parse_workspace(
+            "param t, k\nregion U = interval[0, t]\nregion R = interval(k, t]\nfn z = 0\n"
+            "fn a = 2/3\nexpr H = join(z^(U - R), a^R)\nexpr G = mjoin(+, a^R, z^U)\n"
+            + (FIXTURES / "matrix_demo.ws").read_text()
+        )
+        m = ws.matrices["M1"]
+        pieces = [b.piece for b in m.blocks]
+        assert str(ws.exprs["H"]) == "z^{U - R} ⊛ a^{R}" and str(ws.exprs["G"]) == "a^{R} ⊛+ z^{U}"
+        assert [str(p) for p in pieces] == ["A1", "B1", "C1", "D1"]
+        assert calls == []
+
     @pytest.mark.parametrize("pieces", ["A + A - A, U - A", "0*B + A, U - A", "A + B - A, U - B"])
     def test_a_repeat_or_a_zero_is_merged_as_the_token_reader_merges_it(self, monkeypatch, pieces):
         text = _HOT_PRELUDE + f"partition P of U = {pieces}"
