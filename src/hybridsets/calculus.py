@@ -34,8 +34,7 @@ from .functions import (
 )
 from .hybridset import bind_all
 from .regions import Point, RegionAtom, SymbolicHybridSet, Valuation, multiplicities_many, resolve_param
-from .refine import Refinement, rewrite_columns
-from .refine import common_strict_refinement  # unused here, but a name the perfbench tracer rebinds in this module
+from .refine import GeneralisedPartition, Refinement, common_strict_refinement, rewrite_columns
 from .scalarexpr import INT64_MAX
 
 
@@ -61,24 +60,25 @@ def pointwise_star(
     count that is not the piece count, and a partition count that is not
     the operand count are a ``RefinementError``.  When no refinement is
     given and all operands share their region list, piece i of that shared
-    partition takes term i of every operand; otherwise the terms come off
-    the closed form of the canonical minimal refinement, which needs the
-    universe atom: P1 is the universe less every kept piece (all but each
-    operand's last), with the operands' last words, and P(j+1) is kept piece
-    j, its word in place of its operand's last.
+    partition takes term i of every operand; otherwise they combine over
+    the canonical minimal refinement, which needs the universe atom: P1 is
+    the universe less every kept piece (all but each operand's last), with
+    the operands' last words, and P(j+1) is kept piece j, its word in place
+    of its operand's last.
 
-    The result is a marked join with one term per piece.  A closed form
+    The result is a marked join with one term per piece.  That closed form
     is a compact form (``_Compact``) that ``_Compact.extend`` builds from
     the first operand's, or from the zero-step form of its terms, at
     O(size of the other operands) in Python; its terms are built on first
-    read, and evaluation does not read them.  Any other combine, and a
-    closed form that the compact form cannot certify, runs the group
-    builder, which raises what it raises: it takes the kept rows of a
-    choice matrix as runs, the refinement's or unit rows, and term j's
-    word merges, in operand order, every operand word by its rewrite
-    coefficient at j, read off the runs by ``refine.rewrite_columns``, so
-    no dense rewrite row is written out.  A leading word with coefficient
-    1 seeds the merge (``FreeCombination.combine``).
+    read, and evaluation does not read them.  Where it declines,
+    ``refine.common_strict_refinement`` builds the canonical refinement
+    over one assumed partition per operand, and the combine runs as over a
+    given one.  Over a shared partition or a refinement, term j is the
+    plain sum: operand by operand, its kept words by their run values at j
+    (``refine.rewrite_columns``, so no dense rewrite row is written out),
+    then its last word by the dropped piece's coefficient, 1 where no kept
+    row reaches j.  A leading word with coefficient 1 seeds the merge
+    (``FreeCombination.combine``).
     """
     if not star.is_ac:
         raise ContractError(f"star {star.name!r} is not declared AC")
@@ -97,19 +97,18 @@ def pointwise_star(
             raise ContractError("a partition needs at least one piece")
         pieces, labels = regions[0], range(1, len(regions[0]) + 1)
         rows = (((i, i + 1, 1),) for _ in operands for i in range(len(pieces) - 1))
-    elif refinement is None:
-        if universe is None:
-            raise ContractError("pointwise_star needs a universe atom to build the canonical refinement")
-        if not all(regions):
-            raise ContractError("a partition needs at least one piece")
-        form = _Compact(universe, operand_terms[0]).extend(universe, operands[1:])
-        if form is not None:
-            return HybridExpr.deferred(star, form)
-        pieces = [SymbolicHybridSet.from_atom(universe), *(t.region for ts in operand_terms for t in ts[:-1])]
-        pieces[0] = SymbolicHybridSet.combine([(pieces[0], 1), *((r, -1) for r in pieces[1:])])
-        labels = map("P{}".format, range(1, len(pieces) + 1))
-        rows = (((j, j + 1, 1),) for j in range(1, len(pieces)))
     else:
+        if refinement is None:
+            if universe is None:
+                raise ContractError("pointwise_star needs a universe atom to build the canonical refinement")
+            if not all(regions):
+                raise ContractError("a partition needs at least one piece")
+            form = _Compact(universe, operand_terms[0]).extend(universe, operands[1:])
+            if form is not None:
+                return HybridExpr.deferred(star, form)
+            refinement = common_strict_refinement([
+                GeneralisedPartition(str(k), universe, r, assumed=True) for k, r in enumerate(regions)
+            ])
         count = len(refinement.partitions)
         if count != len(operands):
             raise RefinementError(f"{len(operands)} operands but the refinement has {count} partitions")
@@ -123,21 +122,17 @@ def pointwise_star(
                                           f"but piece {i} of the partition is {piece.render()!r}")
         pieces, labels, rows = refinement.pieces, refinement.labels, iter(refinement.choice.runs[1:])
 
-    # reached[j][k]: operand k's (word, coefficient) pairs at piece j where one
-    # of its kept rows reaches j; elsewhere its last word's, sliced off ``lasts``
-    lasts = [(terms[-1].word, 1) for terms in operand_terms]
-    reached = [{} for _ in pieces]
-    for k, terms in enumerate(operand_terms):
-        for j, (pairs, c) in rewrite_columns(islice(rows, len(terms) - 1)).items():
-            own = [(terms[i].word, v) for i, v in pairs]
-            reached[j][k] = own + [(terms[-1].word, c)] if c else own
+    # a column that no kept row of an operand reaches takes its last word by 1
+    columns = [rewrite_columns(islice(rows, len(terms) - 1)) for terms in operand_terms]
     out_terms = []
-    for piece, label, column in zip(pieces, labels, reached):
-        group, at = [], 0
-        for k, pairs in column.items():
-            group += lasts[at:k] + pairs
-            at = k + 1
-        w = FreeWord.combine(group + lasts[at:])
+    for j, (piece, label) in enumerate(zip(pieces, labels)):
+        group = []
+        for terms, column in zip(operand_terms, columns):
+            pairs, c = column.get(j, ((), 1))
+            group += [(terms[i].word, v) for i, v in pairs]
+            if c:
+                group.append((terms[-1].word, c))
+        w = FreeWord.combine(group)
         if w.is_empty:
             raise ContractError(f"value word for refinement piece {label} cancelled away")
         out_terms.append(HybridTerm(w, piece))
@@ -155,7 +150,7 @@ class _Compact:
     takes over, or, within one ``extend``, the operand before's last word.
     So a term born at step b has the word ``links[:b]`` plus its own word
     plus ``added[b:]``, built on first read by one merge seeded by the sum
-    of ``links[:b]``, the word the group builder merges for its piece.
+    of ``links[:b]``, the word the plain sum merges for its piece.
     ``functions._Plan`` evaluates the form from these three, not its terms.
 
     A term's key is its word less the added total at its birth, so a word
@@ -196,12 +191,12 @@ class _Compact:
     def extend(self, universe: Optional[RegionAtom], operands: tuple) -> Optional["_Compact"]:
         """The compact form of the combine of this form's result with
         ``operands`` over ``universe``, operand i taking step s + i after
-        the s steps taken, or None where the group builder runs: another
-        universe atom; an operand that is not an expression of at least two
-        terms; operands that all share this result's region list; a name
-        bound to two atoms; a ``bound`` above ``INT64_MAX``; a word
-        cancelled, older, P1's or new, which ``keys`` shows; or P1's region
-        merge raising."""
+        the s steps taken, or None where ``pointwise_star`` combines over
+        the canonical refinement: a universe atom unequal to its own; an
+        operand that is not an expression of at least two terms; operands
+        that all share this result's region list; a name bound to two atoms;
+        a ``bound`` above ``INT64_MAX``; a word cancelled, older, P1's or
+        new, which ``keys`` shows; or P1's region merge raising."""
         records, step, key = self.records, len(self.added), self.key
         (words, shapes), adds, born, shared = map(list, self.entered), [], [], True
         for b, op in enumerate(operands, step + 1):
@@ -218,7 +213,8 @@ class _Compact:
                 shapes.append(t.region)
         bound = self.bound + sum(map(_size, words))
         (atoms, clashes), (regions, more) = bind_all(self.atoms, words), bind_all(self.regions, shapes)
-        if shared or universe is not self.universe or bound > INT64_MAX or clashes or more:
+        if (shared or universe is not self.universe and universe != self.universe
+                or bound > INT64_MAX or clashes or more):
             return None
         # a kept piece's key is the last key plus its word less its operand's last word
         fresh = [FreeWord.combine(((key, 1), (w, 1), (adds[b - step - 1], -1))) for w, b, _ in born]
@@ -230,7 +226,7 @@ class _Compact:
         try:
             p1 = SymbolicHybridSet.combine([(last_region, 1), *((r, -1) for r in shapes)])
         except MultiplicityOverflowError:
-            return None  # the group builder's merge raises too, naming its own first coefficient
+            return None  # the canonical refinement's P1 merge raises too, naming its own first coefficient
         form = object.__new__(_Compact)
         form.universe, form.bound, form.atoms, form.regions, form.entered = universe, bound, atoms, regions, ((), ())
         form.records = [(adds[0], step + 1, p1), *records[:-1], *born]

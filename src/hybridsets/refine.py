@@ -11,10 +11,11 @@ Both canonical choice matrices come with their inverse in closed form, so
 a canonical refinement builds each new piece straight from the inputs its
 inverse row names, with no elimination, afresh on every call.  Under
 ones-top-row, P1 is the universe less every kept piece and P(j+1) is kept
-piece j; ``calculus.pointwise_star`` reads its terms off that, with unit
-rows and no matrix.  A custom matrix is inverted by one fraction-free integer
-elimination on [A | I] (Bareiss, 1968), which yields the determinant and
-the adjugate together; when the determinant is +-1 the inverse is +-adj.
+piece j; ``calculus.pointwise_star`` combines over that refinement
+where its compact form declines a closed form.  A custom matrix is
+inverted by one fraction-free integer elimination on [A | I] (Bareiss,
+1968), which yields the determinant and the adjugate together; when the
+determinant is +-1 the inverse is +-adj.
 The elimination keeps its rows sparse and picks pivots as Markowitz (1957)
 did, so on a custom choice matrix, a few +-1 entries per row, the work
 follows the nonzeros, not n^3.  A matrix is held as runs, (start, stop,

@@ -31,6 +31,17 @@ closed-form ``pointwise_star`` of the N operands of ``steps_workspace(N)``
 is counted at N = 40 and 80.  It builds a compact form of N + 1 records
 and reads 0.99 (0.98 from N = 20, 0.99 from N = 80), with a ceiling of
 1.1; writing out its N(N + 1) word entries read 1.89.
+
+``common_strict_refinement`` of the chain partitions of ``chain_text``,
+then the determinant and the renders of every new piece and of the choice
+matrix, are counted at refinement sizes n and about 2n (29 / 61, 61 / 121
+and 29 / 57), under ones-top-row, full-upper-triangle and ``custom-unit``
+(``chain_entries``), the custom matrix made inside the count, and the
+exponent taken against the ratio of the sizes.  They read 0.97-1.03, with
+a ceiling of 1.1; a ``_read_runs`` that walks every entry in Python, or
+new pieces built from dense inverse rows, breaks it.  ``custom-wide``
+reads 1.35-1.53, as its dense rows fill in under elimination, and is not
+gated.
 """
 
 import math
@@ -42,14 +53,17 @@ from pathlib import Path
 import pytest
 
 import hybridsets
-from golden.make import chain_text
+from golden.make import chain_entries, chain_text
 from hybridsets import (
     PLUS,
     TIMES,
+    ChoiceMatrix,
     Valuation,
+    common_strict_refinement,
     evaluate,
     evaluate_many,
     hybridset,
+    min_refinement_size,
     parse_workspace,
     pointwise_star,
 )
@@ -192,3 +206,39 @@ def test_the_additive_route_builds_no_term_and_merges_nothing(monkeypatch):
     assert not calls and "terms" not in e.__dict__
     assert isinstance(e._plan.slot[3], functions._AdditiveSweep)
     assert sum(o is not functions.UNDEFINED for o in outcomes) == 2 * 42 + 1
+
+
+def _chain_work(style, sizes):
+    """The size of the refinement of the chain partitions of ``sizes``, and
+    a call that refines them under ``style`` (its custom matrix made from
+    ``chain_entries``), reads the determinant and renders every new piece
+    and the choice matrix."""
+    ws = parse_workspace(chain_text(sizes))
+    parts = [ws.partitions[f"P{k}"] for k in range(1, len(sizes) + 1)]
+    n = min_refinement_size(sizes)
+
+    def call():
+        if style.startswith("custom-"):
+            rows = ["U", *(f"P{k}.{i}" for k, m in enumerate(sizes, start=1) for i in range(1, m))]
+            choice = ChoiceMatrix(chain_entries(style, n), tuple(rows), tuple(f"P{j}" for j in range(1, n + 1)))
+            r = common_strict_refinement(parts, choice=choice)
+        else:
+            r = common_strict_refinement(parts, style=style)
+        r.choice.determinant()
+        [piece.render() for piece in r.pieces]
+        r.choice.render()
+
+    return n, call
+
+
+@pytest.mark.parametrize("style", ["ones-top-row", "full-upper-triangle", "custom-unit"])
+@pytest.mark.parametrize("small, large", [([8] * 4, [16] * 4), ([16] * 4, [16] * 8), ([8] * 4, [8] * 8)],
+                         ids=["29-61", "61-121", "29-57"])
+def test_a_refinement_grows_linearly_in_its_size(style, small, large):
+    # A canonical matrix is built as runs and a custom one read into runs
+    # once; the elimination follows the nonzeros, and each new piece is one
+    # merge over its inverse row's nonzeros.  So the work grows with the
+    # refinement size, not its square.
+    (n, call), (n2, call2) = _chain_work(style, small), _chain_work(style, large)
+    events, events2 = _line_events(call), _line_events(call2)
+    assert math.log(events2 / events) / math.log(n2 / n) <= 1.1, (n, events, n2, events2)

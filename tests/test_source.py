@@ -100,7 +100,6 @@ def test_every_imported_name_is_read_in_its_module():
     kept = {
         ("calculus", "evaluate"): "perfbench/tracer.py rebinds it in this module",
         ("matrices", "evaluate"): "perfbench/tracer.py rebinds it in this module",
-        ("calculus", "common_strict_refinement"): "perfbench/tracer.py rebinds it in this module",
         ("cli", "matrix_add_with_refinement"): "perfbench/tracer.py rebinds it in this module",
     }
     unread = set()
@@ -467,6 +466,42 @@ def test_the_combine_reads_runs_and_one_dropped_row_rule():
         if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "rewrite_columns"
     }
     assert callers == {"refine.Refinement.coefficients", "calculus.pointwise_star"}
+
+
+def test_the_canonical_refinement_is_built_in_refine_alone():
+    # One canonical refinement: where the compact form declines a closed
+    # form, pointwise_star has refine.common_strict_refinement build it and
+    # builds no region, P label or unit row of its own, so a second copy of
+    # the ones-top-row pieces cannot come back unseen.  In calculus only the
+    # compact form cuts P1 from the universe, step by step.
+    tree = ast.parse(next(p for p in SOURCES if p.name == "calculus.py").read_text(encoding="utf-8"))
+    scopes = {}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            scopes[top.name] = top
+        elif isinstance(top, ast.ClassDef):
+            methods = (node for node in top.body if isinstance(node, ast.FunctionDef))
+            scopes.update((f"{top.name}.{node.name}", node) for node in methods)
+
+    def region_reads(node):
+        return {
+            n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and getattr(n.value, "id", "") == "SymbolicHybridSet"
+        }
+
+    star = scopes["pointwise_star"]
+    texts = [n.value for n in ast.walk(star) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    formatted = [
+        n.values[i].value
+        for n in ast.walk(star) if isinstance(n, ast.JoinedStr)
+        for i in range(len(n.values) - 1)
+        if isinstance(n.values[i], ast.Constant) and isinstance(n.values[i + 1], ast.FormattedValue)
+    ]
+    calls = {n.func.id for n in ast.walk(star) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert region_reads(star) == set()
+    assert not any("P{" in t for t in texts) and not any(t.endswith("P") for t in formatted)
+    assert "common_strict_refinement" in calls
+    assert {scope for scope, node in scopes.items() if region_reads(node)} == {"_Compact.__init__", "_Compact.extend"}
 
 
 def test_every_name_the_benchmark_tracer_rebinds_exists():
