@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from typing import Callable, Iterable, List, Optional
 
-from .errors import ContractError, MultiplicityOverflowError, RefinementError
+from .errors import ContractError, RefinementError
 from .functions import (
     FreeWord,
     FunctionAtom,
@@ -156,11 +156,11 @@ class _Compact:
     A term's key is its word less the added total at its birth, so a word
     cancels just when its key is ``negated``, the negated added total,
     which one lookup in ``keys`` shows; ``key`` is the last term's.
-    ``atoms`` and ``regions`` bind every name of a certified word or
-    region, and ``bound`` sums the absolute exponents of every certified
-    word, which bounds every partial sum of every word merge the form makes
-    or defers.  ``entered`` holds the words and kept regions that are not
-    certified yet, which P1's region is cut from too: none after a step.
+    ``atoms`` and ``regions`` bind, clash-free, every name of a certified
+    word or region: after a step, of every record, link and added word.
+    ``bound`` sums the words' absolute exponents, which bounds every
+    partial sum of every word merge the form makes or defers.  ``entered``
+    holds the words and kept regions not certified yet: none after a step.
     """
 
     __slots__ = ("universe", "records", "links", "added", "keys", "key", "negated",
@@ -192,11 +192,11 @@ class _Compact:
         """The compact form of the combine of this form's result with
         ``operands`` over ``universe``, operand i taking step s + i after
         the s steps taken, or None where ``pointwise_star`` combines over
-        the canonical refinement: a universe atom unequal to its own; an
-        operand that is not an expression of at least two terms; operands
-        that all share this result's region list; a name bound to two atoms;
-        a ``bound`` above ``INT64_MAX``; a word cancelled, older, P1's or
-        new, which ``keys`` shows; or P1's region merge raising."""
+        the canonical refinement: a universe atom unequal to its own, an
+        operand not an expression of two or more terms, operands that all
+        share this result's region list, a name bound to two atoms, a
+        ``bound`` above ``INT64_MAX``, or a word cancelled (``keys`` shows
+        it).  P1's region merge raises what the canonical P1, the same sum, raises."""
         records, step, key = self.records, len(self.added), self.key
         (words, shapes), adds, born, shared = map(list, self.entered), [], [], True
         for b, op in enumerate(operands, step + 1):
@@ -223,10 +223,7 @@ class _Compact:
             return None
         # P1 takes the last region less every kept piece that entered: U less all the others
         last, _, last_region = records[-1]
-        try:
-            p1 = SymbolicHybridSet.combine([(last_region, 1), *((r, -1) for r in shapes)])
-        except MultiplicityOverflowError:
-            return None  # the canonical refinement's P1 merge raises too, naming its own first coefficient
+        p1 = SymbolicHybridSet.combine([(last_region, 1), *((r, -1) for r in shapes)])
         form = object.__new__(_Compact)
         form.universe, form.bound, form.atoms, form.regions, form.entered = universe, bound, atoms, regions, ((), ())
         form.records = [(adds[0], step + 1, p1), *records[:-1], *born]

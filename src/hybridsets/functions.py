@@ -178,9 +178,8 @@ class HybridExpr:
         is kept as ``_source``.  The expression holds no terms until their
         first read, which ``__getattr__`` answers and stores.  Equality,
         hash and repr read the terms, so they equal those of
-        ``marked_join(star, source.terms())``.  The source gives its
-        ``records``, ``links`` and ``added`` too, which ``_Plan`` reads in
-        place of the terms, so no evaluation builds them."""
+        ``marked_join(star, source.terms())``.  ``_Plan`` reads the source's
+        ``records``, ``links``, ``added`` and ``atoms``, not the terms."""
         e = object.__new__(cls)
         e.__dict__.update(star=star, _source=source)
         return e
@@ -370,6 +369,8 @@ def _star_power(star: StarOp, v, k: int):
 
 
 def _eval_marked(star, accumulated, point, valuation) -> EvalOutcome:
+    """The outcome from ``_accumulate``'s sums, whose exponents ``merge``
+    has summed, range-checked and bound: an opaque outcome's word reuses them."""
     net, surviving, atoms = accumulated
     if net == 0:
         return UNDEFINED
@@ -393,7 +394,7 @@ def _eval_marked(star, accumulated, point, valuation) -> EvalOutcome:
             v = _star_power(star, v, k)
             acc = v if acc is None else star.apply(acc, v)
         return Defined(acc, net)
-    combo = FreeWord([(atoms[n], k) for n, k in surviving.items()])
+    combo = FreeWord._of(dict(surviving), {n: atoms[n] for n in surviving})
     return Defined(FormalValue(combo, star), net)
 
 
@@ -421,11 +422,12 @@ class _Plan:
     ``links[:b]``, the own word and ``added[b:]``: a closed form's compact
     form gives its ``records``, ``links`` and ``added``, any other
     expression one record (word, 0, region) per term and nothing else.
-    ``layout`` numbers the records' regions; ``atoms`` binds each name of
-    a word to its first atom, and a name bound to two definitions is a
-    ContractError here, once, naming the least such name.  A name that
-    cancels out of every term word changes only the route a state takes.
-    Every route reads the records, and none writes a term word out.
+    ``layout`` numbers the records' regions; ``atoms`` are a compact
+    form's own, bound clash-free as it was built, or else bind each name
+    of a word to its first atom, a name bound to two definitions being a
+    ContractError here, once, naming the least.  A name that cancels out
+    of every term word changes only the route a state takes.  Every route
+    reads the records, and none writes a term word out.
 
     ``additive`` holds when the star is ``PLUS``, every atom has a body
     that does not name x, and the plan is within the static bound: the sum
@@ -453,12 +455,12 @@ class _Plan:
     def __init__(self, e: "HybridExpr"):
         source = e._source
         if source is not None:
-            records, links, added = source.records, source.links, source.added
+            records, links, added, atoms = source.records, source.links, source.added, source.atoms
         else:
             records, links, added = [(t.word, 0, t.region) for t in e.terms], (), ()
+            atoms, clashes = bind_all({}, [w for w, _, _ in records])
+            no_clash(clashes, FreeWord.CLASH)
         self.layout = _Layout([region for _, _, region in records])
-        atoms, clashes = bind_all({}, [*(w for w, _, _ in records), *links, *added])
-        no_clash(clashes, FreeWord.CLASH)
         self.records, self.links, self.added, self.atoms = records, links, added, atoms
         self.slot = self.shared = None
         self.additive = e.star is PLUS and not any(

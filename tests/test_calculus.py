@@ -824,6 +824,35 @@ class TestCompactCombine:
         assert {"P1", "operand 0", "operand k", "clash", MultiplicityOverflowError} <= met.keys(), met
         assert all(met["stepped", k] for k in (1, 2, 3)) and met[MERGE.name] and met["compact"], met
 
+    # P1's region is the last record's region less the kept pieces that
+    # enter: U + 2^63 A1 - B1 for the zero-step form, and B1 + (2^63 - 1) B1
+    # after a step that put B1 last.  The canonical refinement's P1 is the
+    # same sum, so the compact form raises in place what it raises.
+    @pytest.mark.parametrize("first, rest", [
+        ([join(term(FA, A1.scale(-(2**62))), term(GA, U + A1.scale(2**62)))],
+         join(term(HA, A1.scale(-(2**62)) + B1), term(GA, U - B1))),
+        ([join(term(FA, A1), term(GA, U - A1)), join(term(HA, B1), term(GA, U - B1))],
+         join(term(FA, B1.scale(-(2**63 - 1))), term(GA, U))),
+    ], ids=["zero-step", "stepped"])
+    def test_a_p1_overflow_raises_in_place(self, first, rest, monkeypatch):
+        def fold():
+            acc = first[0]
+            for op in first[1:]:
+                acc = pointwise_star(PLUS, acc, op, universe=U_ATOM)
+            return acc
+
+        want = _fold_outcome(lambda: over_explicit_refinement(PLUS, (fold(), rest), U_ATOM))
+        acc = fold()  # its terms are not read yet
+        assert (acc._source is not None) == (len(first) > 1)
+        assert want == (MultiplicityOverflowError, f"multiplicity {2**63} leaves the 64-bit range")
+        calls = Counter()
+        real_refinement, real_terms = calculus.common_strict_refinement, calculus._Compact.terms
+        monkeypatch.setattr(calculus, "common_strict_refinement",
+                            lambda *args, **kwargs: calls.update(["refinement"]) or real_refinement(*args, **kwargs))
+        monkeypatch.setattr(calculus._Compact, "terms", lambda form: calls.update(["terms"]) or real_terms(form))
+        assert _fold_outcome(lambda: pointwise_star(PLUS, acc, rest, universe=U_ATOM)) == want
+        assert calls == Counter()
+
 
 def custom_choice(sizes, operations, order) -> ChoiceMatrix:
     """A custom unimodular choice matrix for partitions of ``sizes``: the

@@ -1653,6 +1653,29 @@ class TestRecordPlan:
         assert e._plan.slot[3] is None
         assert isinstance(reference._plan.slot[3], functions._AdditiveSweep)
 
+    def test_a_compact_plan_takes_the_names_its_form_certified(self, monkeypatch):
+        # The compact form bound its names clash-free as it built them, over
+        # exactly the words of its records, links and added words, so its
+        # plan binds none again; a plain join's plan still binds, and
+        # reports a name bound to two definitions.
+        bound = []
+        real = functions.bind_all
+        monkeypatch.setattr(functions, "bind_all", lambda *args: bound.append(1) or real(*args))
+        e = step_fold(steps_workspace(12), 12, TIMES)
+        form = e._source
+        v = Valuation({"t": 14, **{f"k{i}": i for i in range(1, 13)}})
+        points = [F(j, 2) for j in range(-2, 31)]
+        got = _outcomes(evaluate_many(e, points, v))
+        assert bound == [] and e._plan.atoms is form.atoms
+        words = [*(w for w, _, _ in form.records), *form.links, *form.added]
+        assert form.atoms.keys() == {name for w in words for name in w._coeffs}
+        assert _exactly(got) == _exactly(_outcomes(evaluate_many(marked_join(TIMES, e.terms), points, v)))
+        assert len(bound) == 1
+        clash = marked_join(PLUS, [term(constant_atom("c", 1), A), term(constant_atom("c", 2), B)])
+        with pytest.raises(ContractError, match="atom name 'c' bound to two definitions"):
+            evaluate(clash, F(1, 2))
+        assert len(bound) == 2
+
     def test_a_times_pass_merges_the_records_and_builds_no_term(self):
         # A * fold keeps no value, so each new vector is accumulated, from the
         # own words of the records active at it, the links and the added

@@ -42,6 +42,12 @@ a ceiling of 1.1; a ``_read_runs`` that walks every entry in Python, or
 new pieces built from dense inverse rows, breaks it.  ``custom-wide``
 reads 1.35-1.53, as its dense rows fill in under elimination, and is not
 gated.
+
+``karr_sum(atom("sq", "x * x"), 0, n)`` is counted at n = 200 and 400: it
+adds the summand at every integer of the range, so it reads 1.00 (5,417
+and 10,817 events), with a ceiling of 1.1; a loop that sums every
+earlier term again at each step reads 2.00.  A closed form for polynomial
+summands (ROADMAP item 8) would bring it to 0.
 """
 
 import math
@@ -59,10 +65,12 @@ from hybridsets import (
     TIMES,
     ChoiceMatrix,
     Valuation,
+    atom,
     common_strict_refinement,
     evaluate,
     evaluate_many,
     hybridset,
+    karr_sum,
     min_refinement_size,
     parse_workspace,
     pointwise_star,
@@ -242,3 +250,11 @@ def test_a_refinement_grows_linearly_in_its_size(style, small, large):
     (n, call), (n2, call2) = _chain_work(style, small), _chain_work(style, large)
     events, events2 = _line_events(call), _line_events(call2)
     assert math.log(events2 / events) / math.log(n2 / n) <= 1.1, (n, events, n2, events2)
+
+
+def test_a_signed_sum_grows_linearly_in_its_bound():
+    # Karr's sum adds the summand at each integer of its range, so its work
+    # is linear in the bound's value, not in its digits (aim 3, item 8).
+    square = atom("sq", "x * x")
+    events = [_line_events(lambda: karr_sum(square, 0, n)) for n in (200, 400)]
+    assert math.log2(events[1] / events[0]) <= 1.1, events

@@ -9,6 +9,7 @@ from hybridsets import (
     ContractError,
     Defined,
     FormalValue,
+    FreeWord,
     GridRect,
     Interval1D,
     UNDEFINED,
@@ -16,13 +17,14 @@ from hybridsets import (
     block_matrix_2x2,
     constant_atom,
     evaluate,
+    evaluate_grid,
     matrix_add,
     matrix_add_with_refinement,
     min_refinement_size,
     verify_rewrite,
     word,
 )
-from hybridsets import oracle
+from hybridsets import hybridset, oracle
 
 F = Fraction
 
@@ -150,6 +152,23 @@ class TestSevenTermSum:
         assert len(e.terms) == 7
         assert evaluate(e, (F(1), F(1)), V1).value.render() == "A1 + A3"
         assert evaluate(e, (F(3), F(3)), V1).value.render() == "D1 + D3"
+
+    def test_an_opaque_table_pass_merges_no_word(self, monkeypatch):
+        # Each cell's surviving exponents come from the evaluation's one
+        # merge per vector, summed, range-checked and bound there, so the
+        # formal value's word is made from them with no second merge.
+        e = matrix_add(M1, M2)
+        merges, real = [], hybridset.merge
+        monkeypatch.setattr(hybridset, "merge", lambda *args: merges.append(1) or real(*args))
+        rows = list(evaluate_grid(e, range(1, 9), range(1, 9), V3))
+        assert merges == []
+        cells = [out for row in rows for out in row]
+        assert len(cells) == 64 and all(isinstance(out.value, FormalValue) for out in cells)
+        monkeypatch.undo()
+        for out in cells:  # the word the checked constructor makes of the same exponents
+            combination = out.value.combination
+            rebuilt = FreeWord(combination.items())
+            assert (combination, hash(combination)) == (rebuilt, hash(rebuilt))
 
     def test_dimension_symbols_must_agree(self):
         other = block_matrix_2x2("N", "p", "q", "h", "k", ["A", "B", "C", "D"])

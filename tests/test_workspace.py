@@ -555,11 +555,13 @@ class TestScanner:
 # past the grammar's edges, and names that are declared and that are not.
 _HOT_PRELUDE = (
     "param a, b, c\nregion U = interval[0, 1)\nregion A = interval[0, a)\n"
-    "region B = interval[a, 1)\nfn f = 1\nfn g\n"
+    "region B = interval[a, 1)\nfn f = 1\nfn g\npartition Q of U = A, U - A\n"
+    "expr H = join(f^A, g^B)\nvaluation w: a = 1/2\n"
 )
 # Most draws make a line the token reader accepts; the rest clash with a
 # declared name, name an undeclared one, or write a literal it refuses.
-_HOT_FRESH = ["d", "e", "p", "R", "S", "v"] * 3 + ["a", "U", "f", "x", "assumed", "of"]
+_HOT_FRESH = ["d", "e", "p", "R", "S", "v"] * 3 + ["a", "U", "f", "Q", "H", "w", "x", "assumed", "of"]
+_HOT_TAKEN = {"partition": "Q", "valuation": "w", "expr": "H"}
 _HOT_INTS = ["0", "1", "2", "-3", "٣"] * 3 + [
     "9223372036854775807", "9223372036854775808", "-9223372036854775808",
     "-9223372036854775809", "5" * 5000,
@@ -595,20 +597,22 @@ def _hot_line(draw):
     if kind == "region":
         lo, hi = draw(st.one_of(number, param)), draw(st.one_of(number, param))
         return f"region {draw(fresh)} = interval{draw(st.sampled_from('[('))}{lo}, {hi}{draw(st.sampled_from('])'))}"
+    if kind == "fn":
+        body = draw(st.sampled_from(["", " = {}", " = -{}", " = {}/{}", " = -{}/{}"]))
+        return f"fn {draw(fresh)}" + body.format(draw(integer), draw(integer))
+    # a line of the prelude's kinds takes that kind's name in about one draw of four
+    name = _HOT_TAKEN[kind] if draw(st.integers(0, 3)) == 0 else draw(fresh)
     if kind == "partition":
         pieces = draw(st.sampled_from(["A, U - A", "-B + U, B", "2*A, U - 2*A", ""]))
         pieces = pieces or ", ".join(combo() for _ in range(draw(st.integers(1, 3))))
         assumed = draw(st.sampled_from(["", " assumed"]))
-        return f"partition {draw(fresh)} of {draw(region)} = {pieces}{assumed}"
+        return f"partition {name} of {draw(region)} = {pieces}{assumed}"
     if kind == "valuation":
-        return f"valuation {draw(fresh)}: " + listed(st.builds("{} = {}".format, param, number))
-    if kind == "fn":
-        body = draw(st.sampled_from(["", " = {}", " = -{}", " = {}/{}", " = -{}/{}"]))
-        return f"fn {draw(fresh)}" + body.format(draw(integer), draw(integer))
+        return f"valuation {name}: " + listed(st.builds("{} = {}".format, param, number))
     terms = [f"{draw(st.sampled_from(['f', 'g'] * 3 + ['h']))}^" + draw(st.sampled_from(["{}", "({})"]))
              .format(combo() if draw(st.booleans()) else draw(region))
              for _ in range(draw(st.integers(1, 3)))]
-    return f"expr {draw(fresh)} = join({', '.join(terms)})"
+    return f"expr {name} = join({', '.join(terms)})"
 
 
 def _declared(text):
